@@ -28,24 +28,24 @@ def show(title, rows):
         print(f"{row.resolution:5d} {row.h:10.5f} {row.value:18.12f} {err:>12s} {order:>7s}")
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--resolutions", type=int, nargs="+", default=[16, 32, 64, 128])
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    plane = GraphSurface(f=lambda s: np.array([2.0 * s[0] + 3.0 * s[1]]),
+    plane = GraphSurface(f=lambda s: np.stack([2.0 * s[..., 0] + 3.0 * s[..., 1]], axis=-1),
                          domain=[(0, 1), (0, 1)], resolution=16, p=2, n=3)
     rows = convergence_study("lagrangian", area_lagrangian(3, 2), plane,
                              args.resolutions, reference=math.sqrt(14.0))
     show("plane graph, slope (2, 3): area sqrt(14)", rows)
 
-    saddle = GraphSurface(f=lambda s: np.array([s[0] * s[1]]),
+    saddle = GraphSurface(f=lambda s: np.stack([s[..., 0] * s[..., 1]], axis=-1),
                           domain=[(0, 1), (0, 1)], resolution=16, p=2, n=3)
     rows = convergence_study("lagrangian", area_lagrangian(3, 2), saddle,
                              args.resolutions, reference=BILINEAR_AREA_REFERENCE)
     show("bilinear saddle x1*x2: area vs midpoint-2048 reference", rows)
 
-    plane4 = GraphSurface(f=lambda s: np.array([2 * s[0] + s[1], s[0] - s[1]]),
+    plane4 = GraphSurface(f=lambda s: np.stack([2 * s[..., 0] + s[..., 1], s[..., 0] - s[..., 1]], axis=-1),
                           domain=[(0, 1), (0, 1)], resolution=16, p=2, n=4)
     rows = convergence_study("lagrangian", area_lagrangian(4, 2), plane4,
                              args.resolutions, reference=math.sqrt(17.0))

@@ -78,6 +78,7 @@ from .surfaces import (
     GraphSurface,
     ParametricGrid,
     QuadratureConfig,
+    convergence_rows,
     convergence_study,
     graph_action,
     graph_function,

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -47,7 +47,7 @@ from .multisymplectic import TotalSpaceChart, closedness_residual, omega, nondeg
 from .surfaces import (
     GraphSurface,
     QuadratureConfig,
-    convergence_study,
+    convergence_rows,
     graph_action,
     graph_function,
     lagrangian_action,
@@ -392,13 +392,9 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
         )
     convergence = None
     if len(resolutions) >= 3:
-        study = convergence_study("lagrangian", L, surface, resolutions,
-                                  reference=reference, quad=quad)
-        convergence = [
-            {"resolution": r.resolution, "h": r.h, "value": r.value,
-             "error": r.error, "observed_order": r.observed_order}
-            for r in study
-        ]
+        study = convergence_rows({r["resolution"]: r["lagrangian"] for r in rows},
+                                 surface.domain, reference)
+        convergence = [asdict(r) for r in study]
         orders = [r.observed_order for r in study if r.observed_order is not None]
 
         def order_gap() -> float:

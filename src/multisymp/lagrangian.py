@@ -172,14 +172,15 @@ class GraphDensity:
     """First-order density F(base, values, slopes) of a graph variational problem.
 
     ``slopes`` has shape (p, n-p) with entry [i, j] the derivative of the
-    j-th value component along the i-th base direction.
+    j-th value component along the i-th base direction.  ``fn_many`` takes
+    the same arguments with a leading batch axis and returns shape (N,).
     """
 
     n: int
     p: int
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
+    fn_many: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     name: str = "density"
-    fn_many: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, base: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> float:
         return float(self.fn(np.asarray(base, float), np.asarray(values, float), np.asarray(slopes, float)))
@@ -351,11 +352,7 @@ def graph_lift(F: GraphDensity) -> HomogeneousLagrangian:
             bad = int(np.argmax(tops <= 0.0))
             raise OrientationError(f"graph chart needs positive top coordinates (first offender row {bad})")
         q = slope_sign[None, :, :] * cs[:, slope_pos] / tops[:, None, None]
-        if F.fn_many is not None:
-            dens = F.fn_many(xs[:, :p], xs[:, p:], q)
-        else:
-            dens = np.array([F.fn(x[:p], x[p:], qi) for x, qi in zip(xs, q)])
-        return tops * dens
+        return tops * F.fn_many(xs[:, :p], xs[:, p:], q)
 
     return HomogeneousLagrangian(
         n, p, f"graph_lift({F.name})", value,

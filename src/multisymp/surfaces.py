@@ -31,6 +31,7 @@ __all__ = [
     "lagrangian_action",
     "graph_action",
     "multisymplectic_action",
+    "convergence_rows",
     "convergence_study",
     "graph_function",
 ]
@@ -99,12 +100,13 @@ class ParametricGrid:
 
     @classmethod
     def from_map(cls, fn, domain, resolution, p: int, n: int) -> "ParametricGrid":
+        """Sample ``fn``, batched from points of shape (N, p) to (N, n), at every node in one call."""
         dom = _normalize_domain(domain, p)
         res = _normalize_resolution(resolution, p)
         axes = [np.linspace(lo, hi, r + 1) for (lo, hi), r in zip(dom, res)]
         mesh = np.meshgrid(*axes, indexing="ij")
         params = np.stack([m.ravel() for m in mesh], axis=-1)
-        values = np.array([fn(s) for s in params], dtype=float)
+        values = _call_batched(fn, params, n, "surface map")
         values = values.reshape(tuple(r + 1 for r in res) + (n,))
         return cls(p=p, n=n, domain=dom, resolution=res, values=values, mapping=fn)
 
@@ -126,7 +128,10 @@ class ParametricGrid:
 
 @dataclass(frozen=True)
 class GraphSurface:
-    """Graph of f: R^p -> R^(n-p) over a parameter rectangle."""
+    """Graph of f: R^p -> R^(n-p) over a parameter rectangle.
+
+    ``f`` is batched: parameter points of shape (N, p) to values of shape (N, n-p).
+    """
 
     f: Callable[[np.ndarray], np.ndarray]
     domain: tuple[tuple[float, float], ...]
@@ -138,49 +143,74 @@ class GraphSurface:
         object.__setattr__(self, "domain", _normalize_domain(self.domain, self.p))
         object.__setattr__(self, "resolution", _normalize_resolution(self.resolution, self.p))
 
+    def graph_values(self, s: np.ndarray) -> np.ndarray:
+        """Values of f at points of shape (N, p), checked to be (N, n-p)."""
+        return _call_batched(self.f, s, self.n - self.p, "graph map")
+
     def map(self, s: np.ndarray) -> np.ndarray:
+        """Graph points (s, f(s)) of shape (N, n) for parameters of shape (N, p)."""
         s = np.asarray(s, dtype=float)
-        vals = np.atleast_1d(np.asarray(self.f(s), dtype=float))
-        if vals.shape != (self.n - self.p,):
-            raise ValueError(f"graph map must produce {self.n - self.p} values, got shape {vals.shape}")
-        return np.concatenate([s, vals])
+        return np.concatenate([s, self.graph_values(s)], axis=-1)
 
     def to_grid(self) -> ParametricGrid:
         return ParametricGrid.from_map(self.map, self.domain, self.resolution, self.p, self.n)
 
 
-_CORNERS_CACHE: dict[int, np.ndarray] = {}
+def _call_batched(fn, points: np.ndarray, width: int, what: str) -> np.ndarray:
+    """``fn`` on a block of points of shape (N, p), checked to return (N, width)."""
+    out = np.asarray(fn(points), dtype=float)
+    if out.shape != (len(points), width):
+        raise ValueError(f"{what} must map points of shape (N, p) to (N, {width}); "
+                         f"got {out.shape} for N={len(points)}")
+    return out
 
 
-def _corner_offsets(p: int) -> np.ndarray:
-    if p not in _CORNERS_CACHE:
-        _CORNERS_CACHE[p] = np.array(list(itertools.product((0, 1), repeat=p)), dtype=int)
-    return _CORNERS_CACHE[p]
+_GAUSS2_OFFSETS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 
-def _cell_frames(grid: ParametricGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent frames and base points at every cell center.
+def _sample_blocks(domain, resolution, rule: str) -> tuple[list[np.ndarray], np.ndarray, float]:
+    """Parameter points of each quadrature offset (one block per offset, rows
+    in row-major cell order), the cell size per axis and the weight per sample."""
+    p = len(resolution)
+    h = np.array([(hi - lo) / r for (lo, hi), r in zip(domain, resolution)])
+    lows = np.array([lo for lo, _ in domain])
+    cells = np.indices(resolution).reshape(p, -1).T
+    offsets = [(0.5,) * p] if rule == "midpoint" else list(itertools.product(_GAUSS2_OFFSETS, repeat=p))
+    blocks = [lows[None, :] + (cells + np.array(o)[None, :]) * h[None, :] for o in offsets]
+    return blocks, h, float(np.prod(h)) / len(offsets)
+
+
+def _central_differences(fn, params: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Derivatives of a batched map along each parameter axis, by central
+    differences with step h; shape (N, p, width)."""
+    steps = np.diag(0.5 * h)
+    return np.stack([(fn(params + steps[k]) - fn(params - steps[k])) / h[k] for k in range(len(h))], axis=1)
+
+
+def _cell_frames(grid: ParametricGrid, cell: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent frames and base points at every cell center, or at one cell's.
 
     Returns (frames, bases) with frames of shape (num_cells, n, p) holding the
     averaged corner differences per axis, and bases of shape (num_cells, n).
-    Cells are enumerated in row-major order of the cell multi-index.
+    Cells are enumerated in row-major order of the cell multi-index; with
+    ``cell`` given, num_cells is 1.
     """
     p, n = grid.p, grid.n
-    res = grid.resolution
-    h = grid.spacing
-    corners = _corner_offsets(p)
-    num_cells = grid.num_cells
+    values = grid.values if cell is None else grid.values[tuple(slice(c, c + 2) for c in cell)]
+    res = tuple(k - 1 for k in values.shape[:-1])
+    corners = np.indices((2,) * p).reshape(p, -1).T
+    num_cells = math.prod(res)
     frames = np.zeros((num_cells, n, p))
     bases = np.zeros((num_cells, n))
     for offset in corners:
-        block = grid.values[tuple(slice(o, o + r) for o, r in zip(offset, res))]
+        block = values[tuple(slice(o, o + r) for o, r in zip(offset, res))]
         flat = block.reshape(num_cells, n)
         bases += flat
         for axis in range(p):
             sign = 1.0 if offset[axis] == 1 else -1.0
             frames[:, :, axis] += sign * flat
     bases /= len(corners)
-    frames /= (len(corners) / 2.0) * h[None, None, :]
+    frames /= (len(corners) / 2.0) * grid.spacing[None, None, :]
     return frames, bases
 
 
@@ -211,21 +241,11 @@ def tangent_pvector(grid: ParametricGrid, cell: Sequence[int]) -> tuple[KVector,
     cell = tuple(int(c) for c in cell)
     if len(cell) != grid.p or any(not 0 <= c < r for c, r in zip(cell, grid.resolution)):
         raise ValueError(f"cell {cell} outside the grid resolution {grid.resolution}")
-    corners = _corner_offsets(grid.p)
-    h = grid.spacing
-    frame = np.zeros((grid.n, grid.p))
-    base = np.zeros(grid.n)
-    for offset in corners:
-        value = grid.values[tuple(c + o for c, o in zip(cell, offset))]
-        base += value
-        for axis in range(grid.p):
-            frame[:, axis] += (1.0 if offset[axis] == 1 else -1.0) * value
-    base /= len(corners)
-    frame /= (len(corners) / 2.0) * h[None, :]
-    coords = _wedge_coords_batch(frame[None, :, :], grid.n, grid.p)[0]
+    frames, bases = _cell_frames(grid, cell)
+    coords = _wedge_coords_batch(frames, grid.n, grid.p)[0]
     if not np.any(coords):
         raise DegenerateCellError(cell)
-    return KVector(grid.n, grid.p, coords), base
+    return KVector(grid.n, grid.p, coords), bases[0]
 
 
 def _quadrature_samples(grid: ParametricGrid, quad: QuadratureConfig):
@@ -237,23 +257,12 @@ def _quadrature_samples(grid: ParametricGrid, quad: QuadratureConfig):
         raise ValueError("gauss2 quadrature needs a grid built from a callable map")
     # tensor two-point Gauss rule; frames by central differences of the map
     # with step equal to the cell size
-    h = grid.spacing
-    lows = np.array([lo for lo, _ in grid.domain])
-    offsets = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
-    cells = np.array(list(itertools.product(*[range(r) for r in grid.resolution])))
-    blocks = []
-    for combo in itertools.product(offsets, repeat=grid.p):
-        params = lows[None, :] + (cells + np.array(combo)[None, :]) * h[None, :]
-        frames = np.empty((len(params), grid.n, grid.p))
-        bases = np.empty((len(params), grid.n))
-        for row, s in enumerate(params):
-            bases[row] = grid.mapping(s)
-            for axis in range(grid.p):
-                step = np.zeros(grid.p)
-                step[axis] = 0.5 * h[axis]
-                frames[row, :, axis] = (grid.mapping(s + step) - grid.mapping(s - step)) / h[axis]
-        blocks.append((frames, bases, grid.cell_volume / 2.0**grid.p))
-    return blocks
+    def mapping(s: np.ndarray) -> np.ndarray:
+        return _call_batched(grid.mapping, s, grid.n, "surface map")
+
+    params_blocks, h, weight = _sample_blocks(grid.domain, grid.resolution, quad.rule)
+    return [(np.swapaxes(_central_differences(mapping, params, h), 1, 2), mapping(params), weight)
+            for params in params_blocks]
 
 
 def _check_degenerate(coords: np.ndarray, grid: ParametricGrid) -> None:
@@ -302,33 +311,12 @@ def graph_action(
     """
     if (surf.n, surf.p) != (F.n, F.p):
         raise ValueError("surface and density dimensions do not match")
-    h = np.array([(hi - lo) / r for (lo, hi), r in zip(surf.domain, surf.resolution)])
-    lows = np.array([lo for lo, _ in surf.domain])
-    cells = np.array(list(itertools.product(*[range(r) for r in surf.resolution])))
-    if quad.rule == "midpoint":
-        sample_offsets = [np.full(surf.p, 0.5)]
-        weight = float(np.prod(h))
-    else:
-        gauss = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
-        sample_offsets = [np.array(c) for c in itertools.product(gauss, repeat=surf.p)]
-        weight = float(np.prod(h)) / 2.0**surf.p
-
-    def slopes_at(s: np.ndarray) -> np.ndarray:
-        q = np.empty((surf.p, surf.n - surf.p))
-        for axis in range(surf.p):
-            step = np.zeros(surf.p)
-            step[axis] = 0.5 * h[axis]
-            fp = np.atleast_1d(np.asarray(surf.f(s + step), dtype=float))
-            fm = np.atleast_1d(np.asarray(surf.f(s - step), dtype=float))
-            q[axis] = (fp - fm) / h[axis]
-        return q
-
+    params_blocks, h, weight = _sample_blocks(surf.domain, surf.resolution, quad.rule)
     contributions = []
-    for offset in sample_offsets:
-        params = lows[None, :] + (cells + offset[None, :]) * h[None, :]
-        for s in params:
-            values = np.atleast_1d(np.asarray(surf.f(s), dtype=float))
-            contributions.append(weight * F.fn(s, values, slopes_at(s)))
+    for params in params_blocks:
+        values = surf.graph_values(params)
+        slopes = _central_differences(surf.graph_values, params, h)
+        contributions.extend((weight * F.fn_many(params, values, slopes)).tolist())
     return math.fsum(contributions)
 
 
@@ -385,6 +373,39 @@ class ConvergenceRow:
     observed_order: float | None
 
 
+def convergence_rows(values: dict[int, float], domain, reference: float | None = None) -> list[ConvergenceRow]:
+    """Errors and observed orders of action values keyed by resolution.
+
+    Errors are taken against the reference when given, else against the next
+    finer value, ``|v_k - v_(k+1)|``, and the finest row carries no error.
+    Orders are ratios of successive errors; rows at machine level are
+    reported without an order.
+    """
+    res_sorted = sorted(values)
+    ref = reference if reference is not None else values[res_sorted[-1]]
+    scale = max(1.0, abs(ref))
+    rows: list[ConvergenceRow] = []
+    prev_error: float | None = None
+    prev_h: float | None = None
+    for k, res in enumerate(res_sorted):
+        h = max((hi - lo) / res for (lo, hi) in domain)
+        if reference is not None:
+            error = abs(values[res] - reference)
+        elif k + 1 < len(res_sorted):
+            error = abs(values[res] - values[res_sorted[k + 1]])
+        else:
+            error = None
+        order = None
+        if error is not None and prev_error is not None:
+            if error > 1e-13 * scale and prev_error > 1e-13 * scale:
+                order = math.log(prev_error / error) / math.log(prev_h / h)
+        rows.append(ConvergenceRow(resolution=res, h=h, value=values[res],
+                                   error=error, observed_order=order))
+        if error is not None:
+            prev_error, prev_h = error, h
+    return rows
+
+
 def convergence_study(
     action_kind: str,
     problem,
@@ -396,10 +417,8 @@ def convergence_study(
     """Action values and observed orders across resolutions.
 
     ``action_kind`` selects lagrangian | graph | multisymplectic, ``problem``
-    is the matching Lagrangian or density.  Errors are taken against the
-    reference when given, else against the finest computed value (whose own
-    row then carries no error).  Orders are ratios of successive errors;
-    rows at machine level are reported without an order.
+    is the matching Lagrangian or density.  Errors and orders are those of
+    ``convergence_rows``.
     """
     if len(resolutions) < 3:
         raise ValueError("need at least three resolutions")
@@ -410,49 +429,33 @@ def convergence_study(
     }
     if action_kind not in kinds:
         raise ValueError(f"unknown action kind {action_kind!r}")
-    res_sorted = sorted(int(r) for r in resolutions)
-    values = {res: kinds[action_kind](res) for res in res_sorted}
-    ref = reference if reference is not None else values[res_sorted[-1]]
-    scale = max(1.0, abs(ref))
-
-    widths = {res: max((hi - lo) / res for (lo, hi) in surface.domain) for res in res_sorted}
-    rows: list[ConvergenceRow] = []
-    prev_error: float | None = None
-    prev_h: float | None = None
-    for res in res_sorted:
-        if reference is None and res == res_sorted[-1]:
-            error = None
-        else:
-            error = abs(values[res] - ref)
-        order = None
-        if error is not None and prev_error is not None:
-            if error > 1e-13 * scale and prev_error > 1e-13 * scale:
-                order = math.log(prev_error / error) / math.log(prev_h / widths[res])
-        rows.append(ConvergenceRow(resolution=res, h=widths[res], value=values[res],
-                                   error=error, observed_order=order))
-        if error is not None:
-            prev_error, prev_h = error, widths[res]
-    return rows
+    values = {res: kinds[action_kind](res) for res in sorted(int(r) for r in resolutions)}
+    return convergence_rows(values, surface.domain, reference)
 
 
 def graph_function(name: str, params: dict | None, p: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Named graph maps for configs: flat, plane, bilinear, polynomial."""
+    """Named graph maps for configs: flat, plane, bilinear, polynomial.
+
+    Each map is batched: parameter points of shape (N, p) go to graph values
+    of shape (N, n-p).  A single point of shape (p,) gives shape (n-p,).
+    """
     params = dict(params or {})
     codim = n - p
     if name == "flat":
-        return lambda s: np.zeros(codim)
+        return lambda s: np.zeros(np.shape(s)[:-1] + (codim,))
     if name == "plane":
         coeffs = np.asarray(params.get("coefficients"), dtype=float)
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None]
         if coeffs.shape != (p, codim):
             raise ValueError(f"plane coefficients must have shape ({p}, {codim})")
-        return lambda s: s @ coeffs
+        # elementwise, not a matmul, so a row's value does not depend on the batch size
+        return lambda s: sum(s[..., k, None] * coeffs[k] for k in range(p))
     if name == "bilinear":
         scale = float(params.get("scale", 1.0))
         if codim != 1:
             raise ValueError("bilinear graph is defined for codimension 1")
-        return lambda s: np.array([scale * np.prod(s)])
+        return lambda s: scale * np.prod(s, axis=-1, keepdims=True)
     if name == "polynomial":
         terms = params.get("terms")
         if not terms:
@@ -468,9 +471,9 @@ def graph_function(name: str, params: dict | None, p: int, n: int) -> Callable[[
             parsed.append((float(term["coeff"]), powers, component))
 
         def poly(s: np.ndarray) -> np.ndarray:
-            out = np.zeros(codim)
+            out = np.zeros(np.shape(s)[:-1] + (codim,))
             for coeff, powers, component in parsed:
-                out[component] += coeff * np.prod(s**powers)
+                out[..., component] += coeff * np.prod(s**powers, axis=-1)
             return out
 
         return poly

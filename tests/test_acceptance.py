@@ -168,7 +168,7 @@ def test_criterion_6_pullback_identity():
 def test_criterion_7_action_triple_equality():
     L = area_lagrangian(3, 2)
     F = minimal_surface_density(3, 2)
-    plane = GraphSurface(f=lambda s: np.array([2.0 * s[0] + 3.0 * s[1]]),
+    plane = GraphSurface(f=lambda s: np.stack([2.0 * s[..., 0] + 3.0 * s[..., 1]], axis=-1),
                          domain=[(0, 1), (0, 1)], resolution=64, p=2, n=3)
     actions64 = (
         lagrangian_action(L, plane.to_grid()),
@@ -177,7 +177,7 @@ def test_criterion_7_action_triple_equality():
     )
     plane_ok = all(abs(a - math.sqrt(14.0)) <= 1e-8 for a in actions64)
 
-    bilinear = lambda res: GraphSurface(f=lambda s: np.array([s[0] * s[1]]),
+    bilinear = lambda res: GraphSurface(f=lambda s: np.stack([s[..., 0] * s[..., 1]], axis=-1),
                                         domain=[(0, 1), (0, 1)], resolution=res, p=2, n=3)
     resolutions = [16, 32, 64, 128, 256]
     lagr = {res: lagrangian_action(L, bilinear(res).to_grid()) for res in resolutions}
@@ -199,7 +199,7 @@ def test_criterion_7_action_triple_equality():
 def test_criterion_8_general_p_graph_law():
     # p=2, n=4 linear graph
     A = np.array([[2.0, 1.0], [1.0, -1.0]])
-    surf24 = GraphSurface(f=lambda s: np.array([2 * s[0] + s[1], s[0] - s[1]]),
+    surf24 = GraphSurface(f=lambda s: np.stack([2 * s[..., 0] + s[..., 1], s[..., 0] - s[..., 1]], axis=-1),
                           domain=[(0, 1), (0, 1)], resolution=8, p=2, n=4)
     from multisymp import tangent_pvector
     y24, _ = tangent_pvector(surf24.to_grid(), (3, 4))
@@ -216,7 +216,7 @@ def test_criterion_8_general_p_graph_law():
 
     # p=3, n=4 linear graph
     a = np.array([0.7, -1.3, 0.4])
-    surf34 = GraphSurface(f=lambda s: np.array([float(a @ s)]),
+    surf34 = GraphSurface(f=lambda s: np.stack([s @ a], axis=-1),
                           domain=[(0, 1)] * 3, resolution=4, p=3, n=4)
     y34, _ = tangent_pvector(surf34.to_grid(), (1, 2, 3))
     law34 = all(

@@ -113,6 +113,23 @@ class TestActionCommand:
         names = {c["name"] for c in report["checks"]}
         assert "action-convergence-order" in names
 
+    def test_each_resolution_sampled_once(self, tmp_path, monkeypatch):
+        from multisymp.surfaces import GraphSurface
+        calls = []
+        to_grid = GraphSurface.to_grid
+        monkeypatch.setattr(GraphSurface, "to_grid", lambda self: calls.append(self.resolution) or to_grid(self))
+        cfg = write_config(tmp_path, {
+            "lagrangian": {"name": "area", "n": 3, "p": 2},
+            "surface": {"f": "bilinear", "params": {"scale": 2.0}, "domain": [[0, 1], [0, 1]]},
+            "resolutions": [16, 32, 64],
+        })
+        out = tmp_path / "report.json"
+        assert main(["action", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(calls) == [(16, 16), (32, 32), (64, 64)]
+        report = load_report(out)
+        assert [row["value"] for row in report["convergence"]] == [r["lagrangian"] for r in report["actions"]]
+        assert report["convergence"][-1]["error"] is None
+
     def test_flat_graph_all_actions_one(self, tmp_path):
         cfg = write_config(tmp_path, {
             "lagrangian": {"name": "area", "n": 3, "p": 2},

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisymp import (
+    GraphDensity,
     HomogeneousLagrangian,
     KVector,
     OrientationError,
@@ -132,6 +133,18 @@ class TestGraphLift:
         for _ in range(100):
             y = random_decomposable(rng, 4, 2, min_top_fraction=0.2)
             assert L.value(x4, y) == pytest.approx(area.value(x4, y), abs=1e-10)
+
+    def test_density_needs_batched_callable(self):
+        with pytest.raises(TypeError):
+            GraphDensity(3, 2, fn=lambda base, values, slopes: 1.0)
+
+    def test_batch_lift_uses_batched_density(self):
+        def scalar_only(base, values, slopes):
+            raise AssertionError("batch evaluation must not loop over the scalar density")
+
+        F = GraphDensity(3, 2, fn=scalar_only, fn_many=lambda bases, values, slopes: np.full(len(bases), 2.0))
+        tops = np.array([[1.0, 0.5, 0.0], [3.0, -1.0, 2.0]])
+        assert graph_lift(F).value_many(np.zeros((2, 3)), tops).tolist() == [2.0, 6.0]
 
     def test_orientation_error_outside_chart(self, x3, minimal_lift3):
         y = KVector.from_cyclic_triple(-1.0, 2.0, 3.0)

@@ -1,0 +1,23 @@
+"""Smoke tests for the experiment scripts under scripts/."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_convergence_report_prints_three_tables(capsys):
+    load_script("convergence_report").main(["--resolutions", "8", "16", "32"])
+    out = capsys.readouterr().out
+    titles = ("plane graph, slope (2, 3)", "bilinear saddle x1*x2", "plane graph in R^4")
+    for title in titles:
+        assert title in out
+    table_rows = [line.split() for line in out.splitlines() if line.split()[:1] in (["8"], ["16"], ["32"])]
+    assert [row[0] for row in table_rows] == ["8", "16", "32"] * len(titles)

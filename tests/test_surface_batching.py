@@ -1,0 +1,166 @@
+"""Batched graph maps and sampling against per-point reference loops.
+
+The references below evaluate every map one point at a time (as a batch of
+one) and every density through its scalar ``fn``; the batched code must
+agree with them to 1e-14 relative.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multisymp import (
+    GraphSurface,
+    ParametricGrid,
+    QuadratureConfig,
+    area_lagrangian,
+    constant_density,
+    graph_action,
+    graph_area_density,
+    graph_function,
+    graph_lift,
+    lagrangian_action,
+    minimal_surface_density,
+    multisymplectic_action,
+)
+
+REL = 1e-14
+DIMS = [(3, 2), (4, 2), (5, 3)]
+RULES = ["midpoint", "gauss2"]
+DENSITIES = [constant_density, minimal_surface_density, graph_area_density]
+
+
+def builtin_maps(p, n):
+    """Every built-in graph map that applies at (n, p), with fixed parameters."""
+    codim = n - p
+    rng = np.random.default_rng(1000 * n + p)
+    maps = {
+        "flat": graph_function("flat", None, p, n),
+        "plane": graph_function("plane", {"coefficients": rng.uniform(-1, 1, (p, codim)).tolist()}, p, n),
+        "polynomial": graph_function("polynomial", {"terms": [
+            {"coeff": 0.7, "powers": [1] * p, "component": 1},
+            {"coeff": -0.4, "powers": [2] + [0] * (p - 1), "component": codim},
+            {"coeff": 0.3, "powers": [0] * (p - 1) + [3], "component": 1},
+        ]}, p, n),
+    }
+    if codim == 1:
+        maps["bilinear"] = graph_function("bilinear", {"scale": 1.3}, p, n)
+    return maps
+
+
+def pointwise(fn):
+    """A batched map evaluated one point at a time, as batches of one."""
+    return lambda s: np.array([np.asarray(fn(row[None, :]), dtype=float)[0] for row in s])
+
+
+def from_map_reference(fn, domain, resolution, p, n):
+    """ParametricGrid.from_map with one call per node, and a per-point mapping."""
+    axes = [np.linspace(lo, hi, resolution + 1) for lo, hi in domain]
+    values = pointwise(fn)(np.array(list(itertools.product(*axes))))
+    values = values.reshape((resolution + 1,) * p + (n,))
+    return ParametricGrid(p=p, n=n, domain=domain, resolution=resolution, values=values,
+                          mapping=pointwise(fn))
+
+
+def graph_action_reference(F, surf, quad):
+    """graph_action with 1 + 2p map calls per sample and the scalar density."""
+    p, codim = surf.p, surf.n - surf.p
+    h = np.array([(hi - lo) / r for (lo, hi), r in zip(surf.domain, surf.resolution)])
+    lows = np.array([lo for lo, _ in surf.domain])
+    f = pointwise(surf.f)
+    if quad.rule == "midpoint":
+        offsets, weight = [np.full(p, 0.5)], float(np.prod(h))
+    else:
+        gauss = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
+        offsets = [np.array(c) for c in itertools.product(gauss, repeat=p)]
+        weight = float(np.prod(h)) / 2.0**p
+    contributions = []
+    for offset in offsets:
+        for cell in itertools.product(*[range(r) for r in surf.resolution]):
+            s = lows + (np.array(cell) + offset) * h
+            slopes = np.empty((p, codim))
+            for axis in range(p):
+                step = np.zeros(p)
+                step[axis] = 0.5 * h[axis]
+                slopes[axis] = (f(np.array([s + step]))[0] - f(np.array([s - step]))[0]) / h[axis]
+            contributions.append(weight * F.fn(s, f(np.array([s]))[0], slopes))
+    return math.fsum(contributions)
+
+
+def close(batched, reference):
+    return abs(batched - reference) <= REL * abs(reference)
+
+
+def cases():
+    for n_p, rule in itertools.product(DIMS, RULES):
+        n, p = n_p
+        for name in builtin_maps(p, n):
+            yield pytest.param(n, p, name, rule, id=f"{n}{p}-{name}-{rule}")
+
+
+@pytest.mark.parametrize("n, p, name, rule", list(cases()))
+def test_batched_paths_match_pointwise_references(n, p, name, rule):
+    fn = builtin_maps(p, n)[name]
+    res = 6 if p == 2 else 3
+    domain = tuple((0.1 * k, 1.0 + 0.2 * k) for k in range(p))
+    surf = GraphSurface(f=fn, domain=domain, resolution=res, p=p, n=n)
+    quad = QuadratureConfig(rule)
+
+    grid = surf.to_grid()
+    ref_grid = from_map_reference(surf.map, domain, res, p, n)
+    scale = np.max(np.abs(ref_grid.values))
+    assert np.max(np.abs(grid.values - ref_grid.values)) <= REL * scale
+
+    for L in (area_lagrangian(n, p), graph_lift(minimal_surface_density(n, p))):
+        assert close(lagrangian_action(L, grid, quad), lagrangian_action(L, ref_grid, quad))
+        assert close(multisymplectic_action(L, grid, quad), multisymplectic_action(L, ref_grid, quad))
+    for density in DENSITIES:
+        F = density(n, p)
+        assert close(graph_action(F, surf, quad), graph_action_reference(F, surf, quad))
+
+
+@pytest.mark.parametrize("n, p", DIMS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_graph_maps_batch_equals_stacked_batches_of_one(n, p, data):
+    rows = data.draw(st.integers(min_value=1, max_value=7))
+    coords = data.draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=rows * p, max_size=rows * p))
+    s = np.array(coords).reshape(rows, p)
+    for name, fn in builtin_maps(p, n).items():
+        batch = fn(s)
+        assert batch.shape == (rows, n - p), name
+        stacked = np.concatenate([fn(s[k:k + 1]) for k in range(rows)])
+        scale = max(1.0, float(np.max(np.abs(stacked))))
+        assert np.max(np.abs(batch - stacked)) <= REL * scale, name
+
+
+class TestPointwiseMapsRejected:
+    """A map written for one point must raise, not be sampled on the wrong axis."""
+
+    def test_graph_surface_grid(self):
+        surf = GraphSurface(f=lambda s: np.array([s[0] * s[1]]), domain=[(0, 1), (0, 1)],
+                            resolution=4, p=2, n=3)
+        with pytest.raises(ValueError, match="graph map"):
+            surf.to_grid()
+
+    def test_graph_action(self):
+        surf = GraphSurface(f=lambda s: np.array([s[0] * s[1]]), domain=[(0, 1), (0, 1)],
+                            resolution=4, p=2, n=3)
+        with pytest.raises(ValueError, match="graph map"):
+            graph_action(minimal_surface_density(3, 2), surf)
+
+    def test_from_map(self):
+        with pytest.raises(ValueError, match="surface map"):
+            ParametricGrid.from_map(lambda s: np.array([s[0] * s[1]]), [(0, 1), (0, 1)], 4, p=2, n=3)
+
+    def test_gauss2_resampling(self):
+        good = ParametricGrid.from_map(lambda s: np.stack([s[:, 0], s[:, 1], s[:, 0] * s[:, 1]], axis=-1),
+                                       [(0, 1), (0, 1)], 4, p=2, n=3)
+        bad = ParametricGrid(p=2, n=3, domain=good.domain, resolution=good.resolution, values=good.values,
+                             mapping=lambda s: s)
+        with pytest.raises(ValueError, match="surface map"):
+            lagrangian_action(area_lagrangian(3, 2), bad, QuadratureConfig("gauss2"))

@@ -34,17 +34,17 @@ SQRT17 = math.sqrt(17.0)  # Gram area of the graph of (2x1+x2, x1-x2) over the u
 
 
 def plane_surface(res):
-    return GraphSurface(f=lambda s: np.array([2.0 * s[0] + 3.0 * s[1]]),
+    return GraphSurface(f=lambda s: np.stack([2.0 * s[..., 0] + 3.0 * s[..., 1]], axis=-1),
                         domain=[(0, 1), (0, 1)], resolution=res, p=2, n=3)
 
 
 def bilinear_surface(res):
-    return GraphSurface(f=lambda s: np.array([s[0] * s[1]]),
+    return GraphSurface(f=lambda s: np.stack([s[..., 0] * s[..., 1]], axis=-1),
                         domain=[(0, 1), (0, 1)], resolution=res, p=2, n=3)
 
 
 def flat_surface(res):
-    return GraphSurface(f=lambda s: np.zeros(1), domain=[(0, 1), (0, 1)], resolution=res, p=2, n=3)
+    return GraphSurface(f=lambda s: np.zeros((len(s), 1)), domain=[(0, 1), (0, 1)], resolution=res, p=2, n=3)
 
 
 class TestTangentPVector:
@@ -71,7 +71,7 @@ class TestTangentPVector:
             tangent_pvector(grid, (4, 0))
 
     def test_degenerate_cell(self):
-        grid = ParametricGrid.from_map(lambda s: np.array([s[0], 0.0, 0.0]),
+        grid = ParametricGrid.from_map(lambda s: np.stack([s[..., 0], np.zeros(len(s)), np.zeros(len(s))], axis=-1),
                                        [(0, 1), (0, 1)], 4, p=2, n=3)
         with pytest.raises(DegenerateCellError):
             tangent_pvector(grid, (0, 0))
@@ -91,10 +91,10 @@ class TestLagrangianAction:
 
     def test_reparametrization_invariance(self, area3):
         def phi(s):
-            return np.array([s[0], s[1], math.sin(s[0]) * s[1]])
+            return np.stack([s[..., 0], s[..., 1], np.sin(s[..., 0]) * s[..., 1]], axis=-1)
 
         def phi_stretched(t):
-            return phi(np.array([(t[0] - 1.0) / 2.0, (t[1] + 3.0) * 2.0]))
+            return phi(np.stack([(t[..., 0] - 1.0) / 2.0, (t[..., 1] + 3.0) * 2.0], axis=-1))
 
         g1 = ParametricGrid.from_map(phi, [(0, 1), (0, 1)], 32, p=2, n=3)
         g2 = ParametricGrid.from_map(phi_stretched, [(1, 3), (-3, -2.5)], 32, p=2, n=3)
@@ -102,7 +102,7 @@ class TestLagrangianAction:
         assert abs(a1 - a2) <= 1e-9
 
     def test_orientation_error_reports_cell(self, minimal_lift3):
-        grid = ParametricGrid.from_map(lambda s: np.array([-s[0], s[1], 0.0]),
+        grid = ParametricGrid.from_map(lambda s: np.stack([-s[..., 0], s[..., 1], np.zeros(len(s))], axis=-1),
                                        [(0, 1), (0, 1)], 4, p=2, n=3)
         with pytest.raises(OrientationError) as excinfo:
             lagrangian_action(minimal_lift3, grid)
@@ -110,7 +110,7 @@ class TestLagrangianAction:
 
     def test_axis_reversal_flips_tangents_but_area_unchanged(self, area3, minimal_lift3):
         fwd = bilinear_surface(8).to_grid()
-        rev = ParametricGrid.from_map(lambda s: np.array([1.0 - s[0], s[1], (1.0 - s[0]) * s[1]]),
+        rev = ParametricGrid.from_map(lambda s: np.stack([1.0 - s[..., 0], s[..., 1], (1.0 - s[..., 0]) * s[..., 1]], axis=-1),
                                       [(0, 1), (0, 1)], 8, p=2, n=3)
         yf, _ = tangent_pvector(fwd, (0, 0))
         yr, _ = tangent_pvector(rev, (7, 0))
@@ -168,7 +168,7 @@ class TestMultisymplecticAction:
 class TestGeneralP:
     def test_slope_coordinate_law_p2_n4(self):
         A = np.array([[2.0, 1.0], [1.0, -1.0]])  # A[i, j] = slope of f_j along x_i
-        surf = GraphSurface(f=lambda s: np.array([2 * s[0] + s[1], s[0] - s[1]]),
+        surf = GraphSurface(f=lambda s: np.stack([2 * s[..., 0] + s[..., 1], s[..., 0] - s[..., 1]], axis=-1),
                             domain=[(0, 1), (0, 1)], resolution=4, p=2, n=4)
         grid = surf.to_grid()
         y, _ = tangent_pvector(grid, (1, 2))
@@ -185,7 +185,7 @@ class TestGeneralP:
 
     def test_slope_coordinate_law_p3_n4(self):
         a = np.array([0.7, -1.3, 0.4])
-        surf = GraphSurface(f=lambda s: np.array([float(a @ s)]),
+        surf = GraphSurface(f=lambda s: np.stack([s @ a], axis=-1),
                             domain=[(0, 1)] * 3, resolution=3, p=3, n=4)
         y, _ = tangent_pvector(surf.to_grid(), (1, 0, 2))
         p = 3
@@ -201,7 +201,7 @@ class TestGeneralP:
         # constant integrand: exact at every resolution
         L = area_lagrangian(4, 2)
         for res in (8, 16, 32):
-            surf = GraphSurface(f=lambda s: np.array([2 * s[0] + s[1], s[0] - s[1]]),
+            surf = GraphSurface(f=lambda s: np.stack([2 * s[..., 0] + s[..., 1], s[..., 0] - s[..., 1]], axis=-1),
                                 domain=[(0, 1), (0, 1)], resolution=res, p=2, n=4)
             for action in (lagrangian_action(L, surf.to_grid()),
                            multisymplectic_action(L, surf.to_grid()),
@@ -213,7 +213,7 @@ class TestGeneralP:
         # radius 2 has length pi
         L = area_lagrangian(3, 1)
         grid = ParametricGrid.from_map(
-            lambda s: np.array([2 * math.cos(s[0]), 2 * math.sin(s[0]), 0.0]),
+            lambda s: np.stack([2 * np.cos(s[..., 0]), 2 * np.sin(s[..., 0]), np.zeros(len(s))], axis=-1),
             [(0.0, math.pi / 2)], 200, p=1, n=3)
         assert lagrangian_action(L, grid) == pytest.approx(math.pi, abs=1e-4)
         assert multisymplectic_action(L, grid) == pytest.approx(lagrangian_action(L, grid), abs=1e-12)
@@ -221,7 +221,7 @@ class TestGeneralP:
     def test_p3_n4_triple(self):
         L = area_lagrangian(4, 3)
         F = minimal_surface_density(4, 3)
-        surf = GraphSurface(f=lambda s: np.array([0.3 * s[0] - 0.7 * s[1] + 0.2 * s[2]]),
+        surf = GraphSurface(f=lambda s: np.stack([0.3 * s[..., 0] - 0.7 * s[..., 1] + 0.2 * s[..., 2]], axis=-1),
                             domain=[(0, 1)] * 3, resolution=6, p=3, n=4)
         exact = math.sqrt(1.0 + 0.09 + 0.49 + 0.04)
         assert lagrangian_action(L, surf.to_grid()) == pytest.approx(exact, abs=1e-10)
@@ -254,6 +254,18 @@ class TestConvergenceStudy:
         rows = convergence_study("lagrangian", area3, bilinear_surface(4), [16, 32, 64])
         assert rows[-1].error is None
         assert rows[1].error is not None
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    def test_without_reference_rates_successive_differences(self, area3, scale):
+        # each error is the distance to the next finer value, so the order is
+        # not biased by treating the finest value as exact
+        surf = GraphSurface(f=graph_function("bilinear", {"scale": scale}, 2, 3),
+                            domain=[(0, 1), (0, 1)], resolution=4, p=2, n=3)
+        rows = convergence_study("lagrangian", area3, surf, [16, 32, 64])
+        assert rows[0].error == abs(rows[0].value - rows[1].value)
+        assert rows[-1].error is None
+        orders = [row.observed_order for row in rows if row.observed_order is not None]
+        assert orders and all(abs(o - 2.0) <= 0.3 for o in orders)
 
     def test_needs_three_resolutions(self, area3):
         with pytest.raises(ValueError):
@@ -292,15 +304,15 @@ class TestQuadrature:
 class TestGridValidation:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
-            GraphSurface(f=lambda s: np.zeros(1), domain=[(0, 1), (0, 1)], resolution=1, p=2, n=3)
+            GraphSurface(f=lambda s: np.zeros((len(s), 1)), domain=[(0, 1), (0, 1)], resolution=1, p=2, n=3)
 
     def test_domain_length(self):
         with pytest.raises(ValueError):
-            GraphSurface(f=lambda s: np.zeros(1), domain=[(0, 1)], resolution=4, p=2, n=3)
+            GraphSurface(f=lambda s: np.zeros((len(s), 1)), domain=[(0, 1)], resolution=4, p=2, n=3)
 
     def test_empty_interval(self):
         with pytest.raises(ValueError):
-            GraphSurface(f=lambda s: np.zeros(1), domain=[(0, 1), (1, 1)], resolution=4, p=2, n=3)
+            GraphSurface(f=lambda s: np.zeros((len(s), 1)), domain=[(0, 1), (1, 1)], resolution=4, p=2, n=3)
 
     def test_values_shape(self):
         with pytest.raises(ValueError):
