@@ -72,13 +72,35 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
         raise ConfigError(f"missing keys in {where}: {missing}")
 
 
+def _finite(value: Any, key: str) -> np.ndarray:
+    """The config value as a float array; JSON admits NaN and Infinity, configs do not."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return arr
+
+
+def _count(value: Any, key: str, least: int) -> int:
+    count = int(value)
+    if count < least:
+        raise ConfigError(f"{key} must be at least {least}, got {count}")
+    return count
+
+
+def _base_point(config: dict, n: int) -> np.ndarray:
+    x = _finite(config.get("x", [0.0] * n), "x")
+    if x.shape != (n,):
+        raise ConfigError(f"x must have {n} components")
+    return x
+
+
 def _merge_tolerances(defaults: dict[str, float], overrides: Any) -> dict[str, float]:
     merged = dict(defaults)
     if overrides is None:
         return merged
     _check_keys(overrides, set(defaults), set(), "tolerances")
     for key, value in overrides.items():
-        merged[key] = float(value)
+        merged[key] = float(_finite(value, f"tolerances.{key}"))
     return merged
 
 
@@ -108,7 +130,7 @@ def build_lagrangian(spec: Any) -> HomogeneousLagrangian:
         weights = params.pop("weights", None)
         if weights is None:
             raise ConfigError("ellipsoid lagrangian needs params.weights")
-        lagrangian = ellipsoid_lagrangian(n, p, weights)
+        lagrangian = ellipsoid_lagrangian(n, p, _finite(weights, "lagrangian.params.weights"))
     elif name == "graph_lift":
         density = params.pop("density", None)
         if density is None:
@@ -202,16 +224,14 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
         "config",
     )
     L = build_lagrangian(config["lagrangian"])
-    x = np.asarray(config.get("x", [0.0] * L.n), dtype=float)
-    if x.shape != (L.n,):
-        raise ConfigError(f"x must have {L.n} components")
+    x = _base_point(config, L.n)
     seed = int(config.get("seed", 0))
-    samples = int(config.get("samples", 100))
-    rank_samples = int(config.get("rank_samples", 50))
+    samples = _count(config.get("samples", 100), "samples", 1)
+    rank_samples = _count(config.get("rank_samples", 50), "rank_samples", 1)
     cert_cfg = config.get("certificate") or {}
     _check_keys(cert_cfg, {"num_pairs", "t_steps"}, set(), "certificate")
-    num_pairs = int(cert_cfg.get("num_pairs", 100))
-    t_steps = int(cert_cfg.get("t_steps", 5))
+    num_pairs = _count(cert_cfg.get("num_pairs", 100), "certificate.num_pairs", 1)
+    t_steps = _count(cert_cfg.get("t_steps", 5), "certificate.t_steps", 1)
     tol = _merge_tolerances(VERIFY_TOLERANCES, config.get("tolerances"))
 
     selected = config.get("checks")
@@ -362,6 +382,8 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     quad = QuadratureConfig(rule=config.get("quadrature", "midpoint"))
     tol = _merge_tolerances(ACTION_TOLERANCES, config.get("tolerances"))
     reference = config.get("reference")
+    if reference is not None:
+        reference = float(_finite(reference, "reference"))
 
     rows = []
     for res in sorted(resolutions):
@@ -422,11 +444,14 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
         "config",
     )
     L = build_lagrangian(config["lagrangian"])
-    x = np.asarray(config.get("x", [0.0] * L.n), dtype=float)
-    count = int(config["count"])
+    x = _base_point(config, L.n)
+    count = _count(config["count"], "count", 0)
     seed = int(config.get("seed", 0))
     cert_cfg = config.get("certificate") or {}
     _check_keys(cert_cfg, {"num_pairs", "t_steps", "seed", "tolerance"}, set(), "certificate")
+    num_pairs = _count(cert_cfg.get("num_pairs", 100), "certificate.num_pairs", 1)
+    t_steps = _count(cert_cfg.get("t_steps", 5), "certificate.t_steps", 1)
+    cert_tol = float(_finite(cert_cfg.get("tolerance", 1e-7), "certificate.tolerance"))
     tol = _merge_tolerances({"quadric": 1e-9}, config.get("tolerances"))
 
     points = sample_image(L, x, count, seed=seed)
@@ -446,13 +471,8 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
         recorder.run("legendre-image-quadric", "sampled image points close on the unit quadric",
                      tol["quadric"],
                      lambda: max((abs(float(np.sum(pt.p.coords**2 / weights)) - 1.0) for pt in points), default=0.0))
-    cert = convexity_certificate(
-        L, x,
-        num_pairs=int(cert_cfg.get("num_pairs", 100)),
-        t_steps=int(cert_cfg.get("t_steps", 5)),
-        seed=int(cert_cfg.get("seed", seed + 1)),
-        tol=float(cert_cfg.get("tolerance", 1e-7)),
-    )
+    cert = convexity_certificate(L, x, num_pairs=num_pairs, t_steps=t_steps,
+                                 seed=int(cert_cfg.get("seed", seed + 1)), tol=cert_tol)
     recorder.run("legendre-image-convexity",
                  "segments between image points stay inside the image of the unit ball",
                  cert.tolerance, lambda: cert.worst_violation)

@@ -26,6 +26,7 @@ __all__ = [
     "multi_indices",
     "index_position",
     "canonicalize_index",
+    "minors",
     "wedge_vectors",
     "wedge_product",
     "pair",
@@ -76,20 +77,39 @@ def index_position(n: int, p: int) -> dict[tuple[int, ...], int]:
     return {axes: k for k, axes in enumerate(multi_indices(n, p))}
 
 
-def small_det(matrix: np.ndarray) -> float:
-    """Determinant with exact cofactor formulas for orders up to three."""
-    k = matrix.shape[0]
+@lru_cache(maxsize=None)
+def _minor_rows(n: int, p: int) -> np.ndarray:
+    """Zero-based row sets of the increasing multi-indices, shape (C(n, p), p)."""
+    rows = np.array(multi_indices(n, p)) - 1
+    rows.setflags(write=False)
+    return rows
+
+
+def det(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of k x k matrices, shape (..., k, k) to (...).
+
+    Orders up to three use the exact cofactor formulas; larger orders use LAPACK.
+    """
+    k = m.shape[-1]
     if k == 1:
-        return float(matrix[0, 0])
+        return m[..., 0, 0]
     if k == 2:
-        return float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     if k == 3:
-        return float(
-            matrix[0, 0] * (matrix[1, 1] * matrix[2, 2] - matrix[1, 2] * matrix[2, 1])
-            - matrix[0, 1] * (matrix[1, 0] * matrix[2, 2] - matrix[1, 2] * matrix[2, 0])
-            + matrix[0, 2] * (matrix[1, 0] * matrix[2, 1] - matrix[1, 1] * matrix[2, 0])
+        return (
+            m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
         )
-    return float(np.linalg.det(matrix))
+    return np.linalg.det(m)
+
+
+def minors(frames: np.ndarray) -> np.ndarray:
+    """Increasing-index p x p minors of frames of shape (..., n, p); shape (..., C(n, p))."""
+    frames = np.asarray(frames, dtype=float)
+    n, p = frames.shape[-2:]
+    # np.take keeps the gathered stack in C order, so the minors come out C-contiguous
+    return det(np.take(frames, _minor_rows(n, p), axis=-2))
 
 
 def canonicalize_index(seq: Sequence[int], n: int) -> tuple[MultiIndex | None, int]:
@@ -229,12 +249,7 @@ def wedge_vectors(vectors: Sequence[np.ndarray], n: int | None = None) -> KVecto
     p = len(cols)
     if p > dim:
         raise ValueError(f"cannot wedge {p} vectors in dimension {dim}")
-    matrix = np.column_stack(cols)
-    coords = np.empty(math.comb(dim, p))
-    for k, axes in enumerate(multi_indices(dim, p)):
-        rows = [a - 1 for a in axes]
-        coords[k] = small_det(matrix[rows, :])
-    return KVector(dim, p, coords)
+    return KVector(dim, p, minors(np.column_stack(cols)))
 
 
 def wedge_product(a: _FiberElement, b: _FiberElement) -> _FiberElement:

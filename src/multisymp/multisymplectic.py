@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ZeroSectionError
-from .exterior import KVector, multi_indices, small_det
+from .exterior import KVector, det, minors, multi_indices
 from .lagrangian import HomogeneousLagrangian, areolar_form
 
 __all__ = [
@@ -106,16 +106,9 @@ class FormField:
 def theta(chart: TotalSpaceChart) -> FormField:
     """Tautological p-form: sum over I of p_I times the wedge of base differentials dx^I."""
     n, p = chart.n, chart.p
-    rows = [tuple(a - 1 for a in axes) for axes in multi_indices(n, p)]
 
     def evaluate(point, vectors):
-        base = np.column_stack([v[:n] for v in vectors])
-        pvals = point[n:]
-        total = 0.0
-        for k, row in enumerate(rows):
-            if pvals[k] != 0.0:
-                total += pvals[k] * small_det(base[np.asarray(row), :])
-        return total
+        return point[n:] @ minors(np.column_stack([v[:n] for v in vectors]))
 
     return FormField(degree=p, dim=chart.dim_total, evaluator=evaluate, name="theta")
 
@@ -123,18 +116,12 @@ def theta(chart: TotalSpaceChart) -> FormField:
 def omega(chart: TotalSpaceChart) -> FormField:
     """Differential of the tautological form: sum over I of dp_I wedged with dx^I."""
     n, p = chart.n, chart.p
-    rows = [tuple(a - 1 for a in axes) for axes in multi_indices(n, p)]
+    # row k: the chart positions of p_I, then of x^{a_1} .. x^{a_p}, for the k-th index I
+    rows = np.array([(n + k, *(a - 1 for a in axes)) for k, axes in enumerate(multi_indices(n, p))])
 
     def evaluate(point, vectors):
-        total = 0.0
-        m = np.empty((p + 1, p + 1))
-        for k, row in enumerate(rows):
-            for j, v in enumerate(vectors):
-                m[0, j] = v[n + k]
-                for r, axis in enumerate(row):
-                    m[r + 1, j] = v[axis]
-            total += small_det(m)
-        return total
+        # cumsum adds in index order; np.sum regroups 8+ terms and moves the last bits
+        return np.cumsum(det(np.column_stack(vectors)[rows, :]))[-1]
 
     return FormField(degree=p + 1, dim=chart.dim_total, evaluator=evaluate, name="omega")
 
@@ -146,8 +133,7 @@ def constant_x_form(chart: TotalSpaceChart, axes: Sequence[int]) -> FormField:
         raise ValueError("axes out of range")
 
     def evaluate(point, vectors):
-        base = np.column_stack([v[list(rows)] for v in vectors])
-        return small_det(base)
+        return det(np.column_stack([v[list(rows)] for v in vectors]))
 
     return FormField(degree=len(rows), dim=chart.dim_total,
                      evaluator=evaluate, name="dx^" + "".join(map(str, axes)))

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateCellError, OrientationError
-from .exterior import KVector, multi_indices
+from .exterior import KVector, minors
 from .lagrangian import GraphDensity, HomogeneousLagrangian
 from .multisymplectic import TotalSpaceChart, theta
 
@@ -214,35 +214,13 @@ def _cell_frames(grid: ParametricGrid, cell: tuple[int, ...] | None = None) -> t
     return frames, bases
 
 
-def _wedge_coords_batch(frames: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Increasing-index minors of every frame; shape (num_cells, C(n, p))."""
-    combos = multi_indices(n, p)
-    out = np.empty((frames.shape[0], len(combos)))
-    for k, axes in enumerate(combos):
-        rows = [a - 1 for a in axes]
-        sub = frames[:, rows, :]
-        if p == 1:
-            out[:, k] = sub[:, 0, 0]
-        elif p == 2:
-            out[:, k] = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
-        elif p == 3:
-            out[:, k] = (
-                sub[:, 0, 0] * (sub[:, 1, 1] * sub[:, 2, 2] - sub[:, 1, 2] * sub[:, 2, 1])
-                - sub[:, 0, 1] * (sub[:, 1, 0] * sub[:, 2, 2] - sub[:, 1, 2] * sub[:, 2, 0])
-                + sub[:, 0, 2] * (sub[:, 1, 0] * sub[:, 2, 1] - sub[:, 1, 1] * sub[:, 2, 0])
-            )
-        else:
-            out[:, k] = np.linalg.det(sub)
-    return out
-
-
 def tangent_pvector(grid: ParametricGrid, cell: Sequence[int]) -> tuple[KVector, np.ndarray]:
     """Tangent p-vector and base point at the center of one cell."""
     cell = tuple(int(c) for c in cell)
     if len(cell) != grid.p or any(not 0 <= c < r for c, r in zip(cell, grid.resolution)):
         raise ValueError(f"cell {cell} outside the grid resolution {grid.resolution}")
     frames, bases = _cell_frames(grid, cell)
-    coords = _wedge_coords_batch(frames, grid.n, grid.p)[0]
+    coords = minors(frames)[0]
     if not np.any(coords):
         raise DegenerateCellError(cell)
     return KVector(grid.n, grid.p, coords), bases[0]
@@ -291,7 +269,7 @@ def lagrangian_action(
         raise ValueError("grid and Lagrangian dimensions do not match")
     contributions = []
     for frames, bases, weight in _quadrature_samples(grid, quad):
-        coords = _wedge_coords_batch(frames, grid.n, grid.p)
+        coords = minors(frames)
         _check_degenerate(coords, grid)
         try:
             vals = L.value_many(bases, coords)
@@ -333,7 +311,7 @@ def multisymplectic_action(
         raise ValueError("grid and Lagrangian dimensions do not match")
     contributions = []
     for frames, bases, weight in _quadrature_samples(grid, quad):
-        coords = _wedge_coords_batch(frames, grid.n, grid.p)
+        coords = minors(frames)
         _check_degenerate(coords, grid)
         try:
             grads = L.gradient_many(bases, coords)
@@ -353,7 +331,7 @@ def theta_cell_values(L: HomogeneousLagrangian, grid: ParametricGrid) -> np.ndar
     chart = TotalSpaceChart(grid.n, grid.p)
     form = theta(chart)
     frames, bases = _cell_frames(grid)
-    coords = _wedge_coords_batch(frames, grid.n, grid.p)
+    coords = minors(frames)
     _check_degenerate(coords, grid)
     out = np.empty(len(coords))
     for k in range(len(coords)):

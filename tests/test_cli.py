@@ -38,6 +38,20 @@ AREA_VERIFY = {
     "certificate": {"num_pairs": 20, "t_steps": 5},
 }
 
+AREA_IMAGE = {
+    "lagrangian": {"name": "area", "n": 3, "p": 2},
+    "count": 5,
+    "seed": 1,
+    "certificate": {"num_pairs": 5, "t_steps": 3},
+    "csv": "cloud.csv",
+}
+
+FLAT_ACTION = {
+    "lagrangian": {"name": "area", "n": 3, "p": 2},
+    "surface": {"f": "flat", "domain": [[0, 1], [0, 1]]},
+    "resolutions": [8],
+}
+
 
 class TestVerifyCommand:
     def test_area_passes(self, tmp_path):
@@ -231,6 +245,31 @@ class TestErrorHandling:
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "r.json")]) == 3
+
+    @pytest.mark.parametrize("command, payload, key", [
+        ("image", {**AREA_IMAGE, "x": [0.0, 0.0]}, "x"),
+        ("image", {**AREA_IMAGE, "count": -3}, "count"),
+        ("image", {**AREA_IMAGE, "certificate": {"num_pairs": 0}}, "certificate.num_pairs"),
+        ("image", {**AREA_IMAGE, "certificate": {"tolerance": math.inf}}, "certificate.tolerance"),
+        ("verify", {**AREA_VERIFY, "samples": 0}, "samples"),
+        ("verify", {**AREA_VERIFY, "rank_samples": 0}, "rank_samples"),
+        ("verify", {**AREA_VERIFY, "certificate": {"num_pairs": 0}}, "certificate.num_pairs"),
+        ("verify", {**AREA_VERIFY, "certificate": {"t_steps": 0}}, "certificate.t_steps"),
+        ("verify", {**AREA_VERIFY, "x": [0.0, math.nan, 0.0]}, "x"),
+        ("verify", {**AREA_VERIFY, "tolerances": {"euler": math.nan}}, "tolerances.euler"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "ellipsoid", "n": 3, "p": 2,
+                                                  "params": {"weights": [1.0, math.nan, 2.0]}}},
+         "lagrangian.params.weights"),
+        ("action", {**FLAT_ACTION, "resolutions": [8, 16, 32], "reference": math.nan}, "reference"),
+    ])
+    def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
+        # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "report.json"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / AREA_IMAGE["csv"]).exists()
+        assert f"config error: {key} must" in capsys.readouterr().err
 
 
 class TestOutputDirOverride:

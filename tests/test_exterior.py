@@ -1,6 +1,7 @@
 """Exterior algebra: canonicalization, wedges, pairing, planes, decomposability."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from multisymp import (
     wedge_product,
     wedge_vectors,
 )
+from multisymp.exterior import minors
 
 
 def inversion_sign(seq):
@@ -108,6 +110,25 @@ class TestWedgeVectors:
         oracle = brute_minors([u1, u2], 4, 2)
         for axes, expected in oracle.items():
             assert w.component(axes) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(3, 1), (4, 2), (5, 3), (6, 4)])
+    def test_batched_minors_against_oracle(self, n, p):
+        # p = 4 runs the LAPACK branch of the kernel, p <= 3 the cofactor formulas
+        frames = np.random.default_rng(10 * n + p).standard_normal((7, n, p))
+        coords = minors(frames)
+        assert coords.shape == (7, math.comb(n, p))
+        for frame, row in zip(frames, coords):
+            oracle = brute_minors(list(frame.T), n, p)
+            assert row == pytest.approx([oracle[axes] for axes in multi_indices(n, p)], abs=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(3, 1), (3, 2), (4, 2), (5, 3), (6, 4)])
+    def test_batch_equals_stacked_single_frames(self, n, p):
+        frames = np.random.default_rng(10 * n + p).standard_normal((3, 5, n, p))
+        singles = [[wedge_vectors(list(frame.T)).coords for frame in block] for block in frames]
+        batched = minors(frames)
+        assert np.array_equal(batched, np.array(singles))
+        # downstream row reductions round by memory layout, so the layout is fixed too
+        assert batched.flags.c_contiguous
 
     @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1))

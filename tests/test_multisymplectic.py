@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multisymp import (
+    KCovector,
     KVector,
     TotalSpaceChart,
     ZeroSectionError,
@@ -13,11 +14,14 @@ from multisymp import (
     ellipsoid_lagrangian,
     graph_lift,
     minimal_surface_density,
+    multi_indices,
     nondegeneracy_check,
     omega,
+    pair,
     pullback_residual,
     random_decomposable,
     theta,
+    wedge_vectors,
     weighted_x_form,
 )
 
@@ -75,6 +79,17 @@ class TestTheta:
                 form(pt, [v, w]) + s * form(pt, [u, w]), abs=1e-12
             )
 
+    @pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (5, 3)])
+    def test_horizontal_lifts_pair_with_wedge(self, n, p, rng):
+        chart = TotalSpaceChart(n, p)
+        form = theta(chart)
+        for _ in range(20):
+            pvals = rng.standard_normal(chart.fiber_dim)
+            point = chart.point(rng.standard_normal(n), pvals)
+            vectors = [rng.standard_normal(n) for _ in range(p)]
+            expected = pair(KCovector(n, p, pvals), wedge_vectors(vectors))
+            assert form(point, [chart.lift(v) for v in vectors]) == expected
+
 
 class TestOmega:
     def test_mixed_term(self, chart32):
@@ -96,6 +111,24 @@ class TestOmega:
         assert form(pt, [v1, v2, v0]) == pytest.approx(a, abs=1e-12)
         assert form(pt, [v2, v0, v1]) == pytest.approx(a, abs=1e-12)
         assert form(pt, [v1, v0, v2]) == pytest.approx(-a, abs=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (5, 3)])
+    def test_matches_per_index_determinants(self, n, p, rng):
+        chart = TotalSpaceChart(n, p)
+        form = omega(chart)
+        for _ in range(20):
+            point = rng.standard_normal(chart.dim_total)
+            vectors = [rng.standard_normal(chart.dim_total) for _ in range(p + 1)]
+            expected = 0.0
+            for k, axes in enumerate(multi_indices(n, p)):
+                # the dp_I row above the dx^I rows, one column per argument
+                m = np.empty((p + 1, p + 1))
+                for j, v in enumerate(vectors):
+                    m[0, j] = v[n + k]
+                    for r, axis in enumerate(axes):
+                        m[r + 1, j] = v[axis - 1]
+                expected += np.linalg.det(m)
+            assert form(point, vectors) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestNondegeneracy:

@@ -21,3 +21,8 @@ def test_convergence_report_prints_three_tables(capsys):
         assert title in out
     table_rows = [line.split() for line in out.splitlines() if line.split()[:1] in (["8"], ["16"], ["32"])]
     assert [row[0] for row in table_rows] == ["8", "16", "32"] * len(titles)
+
+
+def test_run_all_meets_every_expected_exit_code(tmp_path, monkeypatch):
+    monkeypatch.delenv("MULTISYMP_OUT_DIR", raising=False)
+    assert load_script("run_all").run(tmp_path) == 0

@@ -22,7 +22,8 @@ from multisymp import (
     tangent_pvector,
     wedge_vectors,
 )
-from multisymp.surfaces import _cell_frames, _wedge_coords_batch, theta_cell_values
+from multisymp.exterior import minors
+from multisymp.surfaces import _cell_frames, theta_cell_values
 
 # midpoint rule at 2048^2 for the area of the graph of x1*x2 over the unit
 # square, i.e. the integral of sqrt(1 + x1^2 + x2^2); adaptive quadrature
@@ -148,7 +149,7 @@ class TestMultisymplecticAction:
         # the dual-side integrand equals the Lagrangian one cell by cell
         grid = bilinear_surface(256).to_grid()
         frames, bases = _cell_frames(grid)
-        coords = _wedge_coords_batch(frames, 3, 2)
+        coords = minors(frames)
         lvals = minimal_lift3.value_many(bases, coords)
         tvals = np.einsum("ij,ij->i", minimal_lift3.gradient_many(bases, coords), coords)
         assert np.max(np.abs(tvals - lvals)) <= 1e-10
@@ -160,7 +161,7 @@ class TestMultisymplecticAction:
         grid = bilinear_surface(8).to_grid()
         via_form = theta_cell_values(area3, grid)
         frames, bases = _cell_frames(grid)
-        coords = _wedge_coords_batch(frames, 3, 2)
+        coords = minors(frames)
         batched = np.einsum("ij,ij->i", area3.gradient_many(bases, coords), coords)
         assert np.allclose(via_form, batched, atol=1e-13)
 
