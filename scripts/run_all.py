@@ -5,13 +5,15 @@ Usage:
     python scripts/run_all.py [--out-dir OUT]
 
 Writes one report per config (plus CSV clouds for the image runs) and prints
-a one-line summary per run.  The nonconvex probe config is expected to fail
-its convexity check; every other run is expected to pass.
+a one-line summary per run with its wall time, then the total wall time.  The
+nonconvex probe config is expected to fail its convexity check; every other
+run is expected to pass.
 """
 
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from multisymp.cli import main as cli_main
@@ -31,10 +33,14 @@ RUNS = [
 def run(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     bad = 0
+    total = 0.0
     for command, config, expected in RUNS:
         report_path = out_dir / config.replace(".json", ".report.json")
+        start = time.perf_counter()
         code = cli_main([command, "--config", str(ROOT / "configs" / config),
                          "--out", str(report_path)])
+        wall = time.perf_counter() - start
+        total += wall
         with open(report_path) as stream:
             report = json.load(stream)
         checks = report.get("checks", [])
@@ -42,8 +48,9 @@ def run(out_dir: Path) -> int:
         status = "ok" if code == expected else f"UNEXPECTED exit {code} (wanted {expected})"
         if code != expected:
             bad += 1
-        print(f"{command:7s} {config:26s} exit={code} checks={len(checks)} "
+        print(f"{command:7s} {config:26s} exit={code} wall={wall:.3f}s checks={len(checks)} "
               f"failed={failed or '-'} [{status}]")
+    print(f"{'total':34s} wall={total:.3f}s")
     return 1 if bad else 0
 
 

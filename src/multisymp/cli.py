@@ -231,7 +231,7 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
     cert_cfg = config.get("certificate") or {}
     _check_keys(cert_cfg, {"num_pairs", "t_steps"}, set(), "certificate")
     num_pairs = _count(cert_cfg.get("num_pairs", 100), "certificate.num_pairs", 1)
-    t_steps = _count(cert_cfg.get("t_steps", 5), "certificate.t_steps", 1)
+    t_steps = _count(cert_cfg.get("t_steps", 5), "certificate.t_steps", 3)
     tol = _merge_tolerances(VERIFY_TOLERANCES, config.get("tolerances"))
 
     selected = config.get("checks")
@@ -450,7 +450,7 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
     cert_cfg = config.get("certificate") or {}
     _check_keys(cert_cfg, {"num_pairs", "t_steps", "seed", "tolerance"}, set(), "certificate")
     num_pairs = _count(cert_cfg.get("num_pairs", 100), "certificate.num_pairs", 1)
-    t_steps = _count(cert_cfg.get("t_steps", 5), "certificate.t_steps", 1)
+    t_steps = _count(cert_cfg.get("t_steps", 5), "certificate.t_steps", 3)
     cert_tol = float(_finite(cert_cfg.get("tolerance", 1e-7), "certificate.tolerance"))
     tol = _merge_tolerances({"quadric": 1e-9}, config.get("tolerances"))
 

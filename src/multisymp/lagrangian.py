@@ -45,75 +45,63 @@ HESS_STEP_SCALE = 1e-4
 class HomogeneousLagrangian:
     """Evaluatable L(x, y) with gradient and Hessian access.
 
-    The stored callables operate on raw coordinate arrays (base point of
-    shape (n,), fiber coordinates of shape (C(n,p),)); the public methods
-    accept KVector fibers and guard the zero section.  Analytic derivative
-    callables are optional; central finite differences fill in.
+    The stored callables are batched: they take base points ``xs`` of shape
+    (N, n) and fiber coordinates ``cs`` of shape (N, C(n,p)), and return
+    values (N,), gradients (N, C(n,p)) and Hessians (N, C(n,p), C(n,p)).
+    Each row must depend on its own inputs only.  The ``*_many`` methods
+    call them on raw arrays; ``value``, ``gradient`` and ``hessian`` take a
+    KVector fiber and run a batch of one.  Both guard the zero section.
+    Analytic derivative callables are optional; central finite differences
+    fill in.
     """
 
     n: int
     p: int
     name: str
-    value_fn: Callable[[np.ndarray, np.ndarray], float]
+    value_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     hess_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    value_many_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     smoothness: str = "C2 off the zero section"
 
     @property
     def fiber_dim(self) -> int:
         return math.comb(self.n, self.p)
 
-    def _coords(self, y: KVector) -> np.ndarray:
+    def _one(self, x: np.ndarray, y: KVector) -> tuple[np.ndarray, np.ndarray]:
+        """A fiber point as a batch of one: arrays of shape (1, n) and (1, C(n,p))."""
         if (y.n, y.p) != (self.n, self.p):
             raise ValueError(f"fiber mismatch: Lagrangian (n={self.n}, p={self.p}) vs y (n={y.n}, p={y.p})")
         if y.is_zero():
             raise ZeroSectionError(f"{self.name} is undefined on the zero section")
-        return y.coords
+        return np.asarray(x, dtype=float)[None], y.coords[None]
+
+    def _rows(self, xs: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        xs = np.asarray(xs, dtype=float)
+        cs = np.asarray(cs, dtype=float)
+        if np.any(np.all(cs == 0.0, axis=-1)):
+            raise ZeroSectionError(f"{self.name} is undefined on the zero section")
+        return xs, cs
 
     def value(self, x: np.ndarray, y: KVector) -> float:
-        return float(self.value_fn(np.asarray(x, dtype=float), self._coords(y)))
+        return float(self._values(*self._one(x, y))[0])
 
     def value_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        """Batch evaluation on raw coordinates; rows with zero fiber are rejected."""
-        xs = np.asarray(xs, dtype=float)
-        cs = np.asarray(cs, dtype=float)
-        if np.any(np.all(cs == 0.0, axis=1)):
-            raise ZeroSectionError(f"{self.name} is undefined on the zero section")
-        if self.value_many_fn is not None:
-            return np.asarray(self.value_many_fn(xs, cs), dtype=float)
-        return np.array([self.value_fn(x, c) for x, c in zip(xs, cs)])
+        """Values on raw coordinates, shape (N,); rows with zero fiber are rejected."""
+        return self._values(*self._rows(xs, cs))
 
     def gradient(self, x: np.ndarray, y: KVector) -> KCovector:
-        x = np.asarray(x, dtype=float)
-        c = self._coords(y)
-        if self.grad_fn is not None:
-            g = np.asarray(self.grad_fn(x, c), dtype=float)
-        else:
-            g = self._fd_gradient(x, c)
-        return KCovector(self.n, self.p, g)
+        return KCovector(self.n, self.p, self._gradients(*self._one(x, y))[0])
 
     def gradient_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        cs = np.asarray(cs, dtype=float)
-        if self.grad_fn is not None:
-            return np.array([self.grad_fn(x, c) for x, c in zip(xs, cs)])
-        h = GRAD_STEP_SCALE * np.linalg.norm(cs, axis=1)
-        out = np.empty_like(cs)
-        for k in range(cs.shape[1]):
-            plus = cs.copy()
-            plus[:, k] += h
-            minus = cs.copy()
-            minus[:, k] -= h
-            out[:, k] = (self.value_many(xs, plus) - self.value_many(xs, minus)) / (2.0 * h)
-        return out
+        """Fiber gradients on raw coordinates, shape (N, C(n,p))."""
+        return self._gradients(*self._rows(xs, cs))
 
     def hessian(self, x: np.ndarray, y: KVector) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        c = self._coords(y)
-        if self.hess_fn is not None:
-            return np.asarray(self.hess_fn(x, c), dtype=float)
-        return self._fd_hessian(x, c)
+        return self._hessians(*self._one(x, y))[0]
+
+    def hessian_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+        """Fiber Hessians on raw coordinates, shape (N, C(n,p), C(n,p))."""
+        return self._hessians(*self._rows(xs, cs))
 
     def square_hessian(self, x: np.ndarray, y: KVector) -> np.ndarray:
         """Hessian of L^2 in the fiber: 2(g g^T + L H), exact given exact g and H."""
@@ -121,28 +109,36 @@ class HomogeneousLagrangian:
         H = self.hessian(x, y)
         return 2.0 * (np.outer(g, g) + self.value(x, y) * H)
 
-    def _fd_gradient(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-        h = GRAD_STEP_SCALE * float(np.linalg.norm(c))
-        g = np.empty_like(c)
-        for k in range(c.size):
-            plus = c.copy()
-            plus[k] += h
-            minus = c.copy()
-            minus[k] -= h
-            g[k] = (self.value_fn(x, plus) - self.value_fn(x, minus)) / (2.0 * h)
-        return g
+    def _values(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+        return np.asarray(self.value_fn(xs, cs), dtype=float)
 
-    def _fd_hessian(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-        grad = self.grad_fn if self.grad_fn is not None else self._fd_gradient
-        h = HESS_STEP_SCALE * float(np.linalg.norm(c))
-        H = np.empty((c.size, c.size))
-        for k in range(c.size):
-            plus = c.copy()
-            plus[k] += h
-            minus = c.copy()
-            minus[k] -= h
-            H[:, k] = (np.asarray(grad(x, plus)) - np.asarray(grad(x, minus))) / (2.0 * h)
-        return 0.5 * (H + H.T)
+    def _gradients(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+        if self.grad_fn is not None:
+            return np.asarray(self.grad_fn(xs, cs), dtype=float)
+        return self._central_differences(self._values, xs, cs, GRAD_STEP_SCALE)
+
+    def _hessians(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+        if self.hess_fn is not None:
+            return np.asarray(self.hess_fn(xs, cs), dtype=float)
+        H = self._central_differences(self._gradients, xs, cs, HESS_STEP_SCALE)
+        return 0.5 * (H + np.swapaxes(H, -1, -2))
+
+    @staticmethod
+    def _central_differences(fn, xs: np.ndarray, cs: np.ndarray, scale: float) -> np.ndarray:
+        """Central differences of a batched fn along each fiber coordinate, stacked last.
+
+        The step of each row is scale * |c_row|; one pair of fn calls per coordinate.
+        """
+        h = scale * np.linalg.norm(cs, axis=-1)
+        columns = []
+        for k in range(cs.shape[-1]):
+            plus = cs.copy()
+            plus[:, k] += h
+            minus = cs.copy()
+            minus[:, k] -= h
+            diff = fn(xs, plus) - fn(xs, minus)
+            columns.append(diff / (2.0 * h).reshape((-1,) + (1,) * (diff.ndim - 1)))
+        return np.stack(columns, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -190,22 +186,21 @@ def area_lagrangian(n: int, p: int) -> HomogeneousLagrangian:
     """Euclidean norm of the fiber coordinates: the p-area of the spanned element."""
     if not 0 < p < n:
         raise ValueError(f"need 0 < p < n, got p={p}, n={n}")
+    eye = np.eye(math.comb(n, p))
 
-    def value(x, c):
-        return np.linalg.norm(c)
+    def value(xs, cs):
+        return np.linalg.norm(cs, axis=-1)
 
-    def grad(x, c):
-        return c / np.linalg.norm(c)
+    def grad(xs, cs):
+        return cs / value(xs, cs)[:, None]
 
-    def hess(x, c):
-        norm = np.linalg.norm(c)
-        unit = c / norm
-        return (np.eye(c.size) - np.outer(unit, unit)) / norm
+    def hess(xs, cs):
+        norm = value(xs, cs)[:, None, None]
+        unit = cs / norm[:, 0]
+        return (eye - unit[:, :, None] * unit[:, None, :]) / norm
 
     return HomogeneousLagrangian(
-        n, p, "area", value, grad, hess,
-        value_many_fn=lambda xs, cs: np.linalg.norm(cs, axis=1),
-        smoothness="smooth off the zero section",
+        n, p, "area", value, grad, hess, smoothness="smooth off the zero section",
     )
 
 
@@ -216,22 +211,22 @@ def ellipsoid_lagrangian(n: int, p: int, weights: Sequence[float]) -> Homogeneou
         raise ValueError(f"expected {math.comb(n, p)} weights, got shape {w.shape}")
     if np.any(w <= 0.0):
         raise ValueError("weights must be strictly positive")
+    diag = np.diag(w)
 
-    def value(x, c):
-        return np.sqrt(w @ (c * c))
+    # a sum over the last axis, not a matmul: a row's value must not depend on the batch
+    def value(xs, cs):
+        return np.sqrt(np.sum(w * (cs * cs), axis=-1))
 
-    def grad(x, c):
-        return w * c / value(x, c)
+    def grad(xs, cs):
+        return w * cs / value(xs, cs)[:, None]
 
-    def hess(x, c):
-        L = value(x, c)
-        wc = w * c
-        return np.diag(w) / L - np.outer(wc, wc) / L**3
+    def hess(xs, cs):
+        L = value(xs, cs)[:, None, None]
+        wc = w * cs
+        return diag / L - wc[:, :, None] * wc[:, None, :] / L**3
 
     return HomogeneousLagrangian(
-        n, p, "ellipsoid", value, grad, hess,
-        value_many_fn=lambda xs, cs: np.sqrt(cs * cs @ w),
-        smoothness="smooth off the zero section",
+        n, p, "ellipsoid", value, grad, hess, smoothness="smooth off the zero section",
     )
 
 
@@ -244,10 +239,9 @@ def projected_volume_lagrangian(n: int, p: int) -> HomogeneousLagrangian:
 
     return HomogeneousLagrangian(
         n, p, "projected_volume",
-        value_fn=lambda x, c: c[0],
-        grad_fn=lambda x, c: np.eye(dim)[0],
-        hess_fn=lambda x, c: np.zeros((dim, dim)),
-        value_many_fn=lambda xs, cs: cs[:, 0],
+        value_fn=lambda xs, cs: cs[:, 0].copy(),
+        grad_fn=lambda xs, cs: np.tile(np.eye(dim)[0], (len(cs), 1)),
+        hess_fn=lambda xs, cs: np.zeros((len(cs), dim, dim)),
         smoothness="linear",
     )
 
@@ -260,23 +254,23 @@ def geometric_mean_lagrangian(n: int = 3, p: int = 2) -> HomogeneousLagrangian:
     Smooth only where every coordinate is nonzero.
     """
     dim = math.comb(n, p)
+    diagonal = np.diag_indices(dim)
 
-    def value(x, c):
-        return np.abs(np.prod(c)) ** (1.0 / dim)
+    def value(xs, cs):
+        return np.abs(np.prod(cs, axis=-1)) ** (1.0 / dim)
 
-    def grad(x, c):
-        return value(x, c) / (dim * c)
+    def grad(xs, cs):
+        return value(xs, cs)[:, None] / (dim * cs)
 
-    def hess(x, c):
-        L = value(x, c)
-        H = np.outer(1.0 / c, 1.0 / c) * (L / dim**2)
-        H[np.diag_indices(dim)] = -L * (dim - 1) / (dim**2 * c * c)
+    def hess(xs, cs):
+        L = value(xs, cs)[:, None]
+        inv = 1.0 / cs
+        H = inv[:, :, None] * inv[:, None, :] * (L / dim**2)[:, :, None]
+        H[(slice(None),) + diagonal] = -L * (dim - 1) / (dim**2 * cs * cs)
         return H
 
     return HomogeneousLagrangian(
-        n, p, "geometric_mean", value, grad, hess,
-        value_many_fn=lambda xs, cs: np.abs(np.prod(cs, axis=1)) ** (1.0 / dim),
-        smoothness="smooth off the coordinate hyperplanes",
+        n, p, "geometric_mean", value, grad, hess, smoothness="smooth off the coordinate hyperplanes",
     )
 
 
@@ -340,23 +334,18 @@ def graph_lift(F: GraphDensity) -> HomogeneousLagrangian:
     n, p = F.n, F.p
     top, slope_pos, slope_sign = _graph_chart_layout(n, p)
 
-    def value(x, c):
-        if c[top] <= 0.0:
-            raise OrientationError(f"graph chart needs a positive top coordinate, got {c[top]:g}")
-        q = slope_sign * c[slope_pos] / c[top]
-        return c[top] * F.fn(x[:p], x[p:], q)
-
-    def value_many(xs, cs):
+    def value(xs, cs):
         tops = cs[:, top]
         if np.any(tops <= 0.0):
             bad = int(np.argmax(tops <= 0.0))
-            raise OrientationError(f"graph chart needs positive top coordinates (first offender row {bad})")
-        q = slope_sign[None, :, :] * cs[:, slope_pos] / tops[:, None, None]
+            raise OrientationError(
+                f"graph chart needs a positive top coordinate, got {tops[bad]:g} in row {bad}"
+            )
+        q = slope_sign * cs[:, slope_pos] / tops[:, None, None]
         return tops * F.fn_many(xs[:, :p], xs[:, p:], q)
 
     return HomogeneousLagrangian(
         n, p, f"graph_lift({F.name})", value,
-        value_many_fn=value_many,
         smoothness="as smooth as the density, on the positive-top chart",
     )
 

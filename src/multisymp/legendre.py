@@ -58,7 +58,7 @@ def hamiltonian(L: HomogeneousLagrangian, x: np.ndarray, p: KCovector, y: KVecto
 
 def _normalize_to_level(L: HomogeneousLagrangian, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Rescale coordinates onto {L = 1}; the level value must be positive."""
-    level = float(L.value_fn(x, c))
+    level = float(L.value_fn(x[None], c[None])[0])
     if not level > 1e-12 * max(1.0, float(np.linalg.norm(c))):
         raise InversionError("iterate collapsed toward the zero section")
     return c / level
@@ -153,21 +153,33 @@ class LevelSetSampler:
 
     def sample(self, count: int, seed: int | np.random.Generator = 0) -> list[KVector]:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        return [KVector(self.L.n, self.L.p, c) for c in self._draw(count, rng)]
+
+    def _draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Fiber coordinates of shape (count, C(n,p)), one row per sample.
+
+        Directions are drawn in blocks; a rejected direction is replaced by
+        the next draws of the stream, so sphere-mode rows are the ones a
+        direction-by-direction loop would accept.  Ball-mode radial factors
+        are drawn after all the directions.
+        """
         dim = self.L.fiber_dim
-        out: list[KVector] = []
-        while len(out) < count:
-            direction = rng.standard_normal(dim)
-            norm = np.linalg.norm(direction)
-            if norm < 1e-12:
-                continue
-            level = float(self.L.value_fn(self.x, direction))
-            if not level > 1e-9 * norm:
-                continue
-            c = direction / level
-            if self.mode == "ball":
-                c = c * rng.uniform() ** (1.0 / dim)
-            out.append(KVector(self.L.n, self.L.p, c))
-        return out
+        accepted = []
+        need = count
+        while need > 0:
+            directions = rng.standard_normal((need, dim))
+            norms = np.linalg.norm(directions, axis=-1)
+            keep = norms >= 1e-12
+            levels = np.zeros(need)
+            xs = np.broadcast_to(self.x, (int(keep.sum()), self.x.size))
+            levels[keep] = self.L.value_many(xs, directions[keep])
+            keep &= levels > 1e-9 * norms
+            accepted.append(directions[keep] / levels[keep, None])
+            need -= int(keep.sum())
+        rows = np.concatenate(accepted) if accepted else np.empty((0, dim))
+        if self.mode == "ball":
+            rows *= (rng.uniform(size=count) ** (1.0 / dim))[:, None]
+        return rows
 
 
 def sample_image(
@@ -175,8 +187,12 @@ def sample_image(
 ) -> list[LegendreImagePoint]:
     """Image points of uniformly random unit-level directions; deterministic per seed."""
     x = np.asarray(x, dtype=float)
-    sampler = LevelSetSampler(L, x, mode="sphere")
-    return [legendre_map(L, x, y) for y in sampler.sample(count, np.random.default_rng(seed))]
+    rows = LevelSetSampler(L, x, mode="sphere")._draw(count, np.random.default_rng(seed))
+    grads = L.gradient_many(np.broadcast_to(x, (count, x.size)), rows)
+    return [
+        LegendreImagePoint(x, KCovector(L.n, L.p, g), GrassmannPoint(KVector(L.n, L.p, c), check=False))
+        for c, g in zip(rows, grads)
+    ]
 
 
 @dataclass(frozen=True)
@@ -234,51 +250,143 @@ class ConvexityCertificate:
     num_failures: int = 0
 
 
-def _radial_excess(L: HomogeneousLagrangian, x: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Solve grad(L^2/2)(y) = target by damped Newton; return (L(y*), y*).
+# Target rows solved together: bounds the working set of the batched radial solve.
+RADIAL_BLOCK = 256
+# Line-search steps after the full one: 2^-1 .. 2^-39, every step above 1e-12.
+HALVINGS = np.ldexp(1.0, -np.arange(1, 40))
+
+
+def _level_gradient(L: HomogeneousLagrangian, x: np.ndarray, cs: np.ndarray):
+    """L and dL/dy at each row of cs, NaN in the rows a KVector or KCovector would reject.
+
+    Those are rows that are non-finite or zero, rows with a non-finite
+    gradient, and rows where L raises ValueError (a chart violation raises
+    for the whole batch, so the batch is then retried row by row).
+    """
+    levels = np.full(len(cs), np.nan)
+    grads = np.full(cs.shape, np.nan)
+
+    def fill(rows):
+        xs = np.broadcast_to(x, (rows.size, x.size))
+        g = L.gradient_many(xs, cs[rows])
+        levels[rows], grads[rows] = L.value_many(xs, cs[rows]), g
+
+    rows = np.flatnonzero(np.all(np.isfinite(cs), axis=-1) & np.any(cs != 0.0, axis=-1))
+    try:
+        fill(rows)
+    except ValueError:
+        for row in rows:
+            try:
+                fill(np.array([row]))
+            except ValueError:
+                pass
+    bad = ~np.all(np.isfinite(grads), axis=-1)
+    levels[bad] = np.nan
+    grads[bad] = np.nan
+    return levels, grads
+
+
+def _solve_stack(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve J delta = rhs per row; also returns which rows LAPACK could solve."""
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), dtype=bool)
+    except np.linalg.LinAlgError:  # raised for the whole stack: find the singular rows
+        delta = np.zeros_like(rhs)
+        solved = np.ones(len(J), dtype=bool)
+        for k in range(len(J)):
+            try:
+                delta[k] = np.linalg.solve(J[k], rhs[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return delta, solved
+
+
+def _line_search(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray, c: np.ndarray,
+                 delta: np.ndarray, f0: np.ndarray):
+    """Per row, the first step of 1, 1/2, ..., 2^-39 along delta that lowers |F|^2 below f0.
+
+    The full step is tried for every row at once, then all the halvings of
+    the rows that rejected it.  Returns (moved, c, level, gradient), the
+    last three for the rows that moved only.
+    """
+
+    def trial(cand, tgt):
+        level, g = _level_gradient(L, x, cand)
+        F = level[:, None] * g - tgt
+        return level, g, np.sum(F * F, axis=-1)
+
+    c_new = c + delta
+    level, g, f = trial(c_new, targets)
+    moved = f < f0
+    rest = np.flatnonzero(~moved)
+    if rest.size:
+        steps = (c[rest, None, :] + HALVINGS[:, None] * delta[rest, None, :]).reshape(-1, c.shape[1])
+        level_h, g_h, f_h = trial(steps, np.repeat(targets[rest], HALVINGS.size, axis=0))
+        passing = f_h.reshape(rest.size, HALVINGS.size) < f0[rest, None]
+        found = passing.any(axis=1)
+        pick = (np.arange(rest.size) * HALVINGS.size + passing.argmax(axis=1))[found]
+        rest = rest[found]
+        c_new[rest], level[rest], g[rest] = steps[pick], level_h[pick], g_h[pick]
+        moved[rest] = True
+    return moved, c_new[moved], level[moved], g[moved]
+
+
+def _radial_solve(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
+    """Solve grad(L^2/2)(y) = target for every row by damped Newton; return (L(y*), y*).
 
     L(y*) is the radial coordinate of the target relative to the image
-    surface: below 1 means inside the image of the unit ball.
+    surface: below 1 means inside the image of the unit ball.  Both are NaN
+    in a row whose solve failed: it could not be seeded from the target
+    direction, its Jacobian was singular, its line search stalled, or it did
+    not converge within 100 iterations.
     """
-    dim = target.size
-    norm_t = float(np.linalg.norm(target))
-    c = target.copy()
-    level = float(L.value_fn(x, c))
-    if not abs(level) > 1e-12 * max(1.0, norm_t):
-        raise InversionError("cannot seed the radial solve from the target direction")
-    c = c / abs(level)  # start on the unit level of |L|
+    radius = np.full(len(targets), np.nan)
+    solution = np.full(targets.shape, np.nan)
+    xs = np.broadcast_to(x, (len(targets), x.size))
+    norm_t = np.linalg.norm(targets, axis=-1)
+    seed_level = np.abs(L.value_many(xs, targets))
+    rows = np.flatnonzero(seed_level > 1e-12 * np.maximum(1.0, norm_t))
+    c = targets[rows] / seed_level[rows, None]  # start on the unit level of |L|
+    level, g = _level_gradient(L, x, c)
     for _ in range(100):
-        yk = KVector(L.n, L.p, c)
-        g = L.gradient(x, yk).coords
-        level = L.value(x, yk)
-        F = level * g - target
-        if np.linalg.norm(F) <= 1e-11 * max(1.0, norm_t):
-            return level, c
-        J = np.outer(g, g) + level * L.hessian(x, yk)
+        F = level[:, None] * g - targets[rows]
+        done = np.linalg.norm(F, axis=-1) <= 1e-11 * np.maximum(1.0, norm_t[rows])
+        radius[rows[done]], solution[rows[done]] = level[done], c[done]
+        live = ~done
+        rows, c, level, g, F = rows[live], c[live], level[live], g[live], F[live]
+        if rows.size == 0:
+            break
+        J = g[:, :, None] * g[:, None, :] + level[:, None, None] * L.hessian_many(xs[: rows.size], c)
+        delta, solved = _solve_stack(J, -F)
+        rows, c, delta, F = rows[solved], c[solved], delta[solved], F[solved]
+        moved, c, level, g = _line_search(L, x, targets[rows], c, delta, np.sum(F * F, axis=-1))
+        rows = rows[moved]
+    return radius, solution
+
+
+def _confirmed(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray, radius: np.ndarray,
+               solution: np.ndarray) -> np.ndarray:
+    """Whether each target, rescaled onto the image surface by its radius, has a preimage within 1e-6.
+
+    One batched step normalizes every solution onto {L = 1} and measures its
+    gradient residual against the rescaled target; only the rows left above
+    1e-6 go through the inverse_legendre descent.
+    """
+    surface = targets / radius[:, None]
+    xs = np.broadcast_to(x, (len(targets), x.size))
+    level = L.value_many(xs, solution)
+    ok = level > 1e-12 * np.maximum(1.0, np.linalg.norm(solution, axis=-1))
+    residual = L.gradient_many(xs[: int(ok.sum())], solution[ok] / level[ok, None]) - surface[ok]
+    confirmed = np.zeros(len(targets), dtype=bool)
+    confirmed[ok] = np.sqrt(np.sum(residual * residual, axis=-1)) <= 1e-6
+    for k in np.flatnonzero(~confirmed):
         try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as exc:
-            raise InversionError("singular Jacobian in the radial solve") from exc
-        # damped update with a residual-decrease line search
-        t = 1.0
-        f0 = float(F @ F)
-        while t > 1e-12:
-            c_new = c + t * delta
-            try:
-                yk_new = KVector(L.n, L.p, c_new)
-                g_new = L.gradient(x, yk_new).coords
-                level_new = L.value(x, yk_new)
-            except (ZeroSectionError, ValueError):
-                t *= 0.5
-                continue
-            F_new = level_new * g_new - target
-            if float(F_new @ F_new) < f0:
-                c = c_new
-                break
-            t *= 0.5
-        else:
-            raise InversionError("radial solve stalled")
-    raise InversionError("radial solve did not converge")
+            inverse_legendre(L, x, KCovector(L.n, L.p, surface[k]), tol=1e-6,
+                             initial=KVector(L.n, L.p, solution[k]))
+        except InversionError:
+            continue
+        confirmed[k] = True
+    return confirmed
 
 
 def convexity_certificate(
@@ -294,38 +402,32 @@ def convexity_certificate(
     For each pair and each t on a uniform grid, the segment point is rescaled
     onto the image surface along its ray (confirmed through inverse_legendre)
     and the radial excess is recorded; a nondegenerate Lagrangian keeps every
-    excess at numerical zero or below.
+    excess at numerical zero or below.  All segment points are solved
+    together, RADIAL_BLOCK rows at a time.
     """
     x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(seed)
-    sampler = LevelSetSampler(L, x, mode="sphere")
-    ts = np.linspace(0.0, 1.0, t_steps)
+    ends = LevelSetSampler(L, x, mode="sphere")._draw(2 * num_pairs, np.random.default_rng(seed))
+    grads = L.gradient_many(np.broadcast_to(x, (len(ends), x.size)), ends)
+    ts = np.linspace(0.0, 1.0, t_steps)[None, :, None]
+    targets = (ts * grads[0::2, None, :] + (1.0 - ts) * grads[1::2, None, :]).reshape(-1, L.fiber_dim)
+    targets = targets[np.linalg.norm(targets, axis=-1) >= 1e-12]  # the origin is interior
     worst = -np.inf
     failures = 0
-    checks = 0
-    for _ in range(num_pairs):
-        y0, y1 = sampler.sample(2, rng)
-        p0 = L.gradient(x, y0).coords
-        p1 = L.gradient(x, y1).coords
-        for t in ts:
-            checks += 1
-            target = t * p0 + (1.0 - t) * p1
-            if np.linalg.norm(target) < 1e-12:
-                continue  # the origin is interior
-            try:
-                radius, c_star = _radial_excess(L, x, target)
-                on_surface = KCovector(L.n, L.p, target / radius)
-                inverse_legendre(L, x, on_surface, tol=1e-6, initial=KVector(L.n, L.p, c_star))
-            except InversionError:
-                failures += 1
-                worst = max(worst, 1.0)
-                continue
-            worst = max(worst, radius - 1.0)
+    for start in range(0, len(targets), RADIAL_BLOCK):
+        block = targets[start:start + RADIAL_BLOCK]
+        radius, solution = _radial_solve(L, x, block)
+        solved = np.flatnonzero(np.isfinite(radius))
+        confirmed = solved[_confirmed(L, x, block[solved], radius[solved], solution[solved])]
+        failures += len(block) - confirmed.size
+        if confirmed.size:
+            worst = max(worst, float(np.max(radius[confirmed])) - 1.0)
+    if failures:
+        worst = max(worst, 1.0)
     if not np.isfinite(worst):
         worst = 0.0
     return ConvexityCertificate(
         passed=bool(worst <= tol),
-        num_segment_checks=checks,
+        num_segment_checks=num_pairs * t_steps,
         worst_violation=float(worst),
         sample_seed=seed,
         tolerance=tol,

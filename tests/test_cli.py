@@ -261,6 +261,11 @@ class TestErrorHandling:
                                                   "params": {"weights": [1.0, math.nan, 2.0]}}},
          "lagrangian.params.weights"),
         ("action", {**FLAT_ACTION, "resolutions": [8, 16, 32], "reference": math.nan}, "reference"),
+        # one or two steps sample only the segment ends, which are image points by construction
+        ("verify", {**AREA_VERIFY, "certificate": {"t_steps": 1}}, "certificate.t_steps"),
+        ("verify", {**AREA_VERIFY, "certificate": {"t_steps": 2}}, "certificate.t_steps"),
+        ("image", {**AREA_IMAGE, "certificate": {"t_steps": 1}}, "certificate.t_steps"),
+        ("image", {**AREA_IMAGE, "certificate": {"t_steps": 2}}, "certificate.t_steps"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts

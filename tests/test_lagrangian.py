@@ -166,7 +166,7 @@ class TestEulerResidual:
             assert euler_residual(minimal_lift3, x3, y) <= 1e-9 * max(1.0, abs(L))
 
     def test_detector_fires_on_quadratic_probe(self, x3):
-        probe = HomogeneousLagrangian(3, 2, "norm-squared", lambda x, c: float(c @ c))
+        probe = HomogeneousLagrangian(3, 2, "norm-squared", lambda xs, cs: np.sum(cs * cs, axis=-1))
         y = KVector.from_cyclic_triple(1.0, 2.0, -1.5)
         # pairing of the gradient 2y with y gives 2|y|^2, so the residual is |y|^2
         assert euler_residual(probe, x3, y) == pytest.approx(y.norm() ** 2, rel=1e-8)
@@ -187,7 +187,7 @@ class TestHomogeneityResidual:
             assert homogeneity_residual(minimal_lift3, x3, y, (0.5, 2.0, 10.0)) <= 1e-12
 
     def test_detector_fires_on_quadratic_probe(self, x3):
-        probe = HomogeneousLagrangian(3, 2, "norm-squared", lambda x, c: float(c @ c))
+        probe = HomogeneousLagrangian(3, 2, "norm-squared", lambda xs, cs: np.sum(cs * cs, axis=-1))
         y = KVector.from_cyclic_triple(1.0, 2.0, -1.5)
         # |L(2y) - 2L(y)| / (2|y|) = |4-2| |y|^2 / (2|y|) = |y|
         assert homogeneity_residual(probe, x3, y, (2.0,)) == pytest.approx(y.norm(), rel=1e-12)
@@ -309,3 +309,60 @@ class TestBuiltinInvariants:
             u2 = np.array([0.0, 1.0, rng.standard_normal()])
             y = wedge_vectors([u1, u2])
             assert abs(minimal_lift3.value(x3, y) - area3.value(x3, y)) <= 1e-10
+
+
+def builtins_at(n, p):
+    dim = math.comb(n, p)
+    return [
+        area_lagrangian(n, p),
+        ellipsoid_lagrangian(n, p, np.linspace(0.5, 3.0, dim)),
+        projected_volume_lagrangian(n, p),
+        geometric_mean_lagrangian(n, p),
+        graph_lift(minimal_surface_density(n, p)),
+    ]
+
+
+class TestBatchedConvention:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([(3, 2), (4, 2), (5, 3)]), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_scalar_calls_are_a_batch_of_one(self, shape, rows, seed):
+        n, p = shape
+        dim = math.comb(n, p)
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((rows, n))
+        cs = rng.standard_normal((rows, dim))
+        cs[:, 0] = np.abs(cs[:, 0]) + 0.5  # coordinate 0 is the top of the graph chart
+        for L in builtins_at(n, p):
+            values, grads, hessians = L.value_many(xs, cs), L.gradient_many(xs, cs), L.hessian_many(xs, cs)
+            assert (values.shape, grads.shape, hessians.shape) == ((rows,), (rows, dim), (rows, dim, dim))
+            y = KVector(n, p, cs[0])
+            assert L.value(xs[0], y) == values[0]
+            assert np.array_equal(L.gradient(xs[0], y).coords, grads[0])
+            assert np.array_equal(L.hessian(xs[0], y), hessians[0])
+            singles = [(xs[k:k + 1], cs[k:k + 1]) for k in range(rows)]
+            assert np.array_equal(np.concatenate([L.value_many(*one) for one in singles]), values)
+            assert np.array_equal(np.concatenate([L.gradient_many(*one) for one in singles]), grads)
+            assert np.array_equal(np.concatenate([L.hessian_many(*one) for one in singles]), hessians)
+
+    def test_batched_methods_reject_zero_rows(self, area3):
+        cs = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        for method in (area3.value_many, area3.gradient_many, area3.hessian_many):
+            with pytest.raises(ZeroSectionError):
+                method(np.zeros((2, 3)), cs)
+
+    def test_graph_chart_message_names_the_chart(self, minimal_lift3):
+        cs = np.array([[1.0, 0.5, 0.0], [-2.0, 1.0, 1.0]])
+        with pytest.raises(OrientationError, match="graph chart needs a positive top coordinate"):
+            minimal_lift3.value_many(np.zeros((2, 3)), cs)
+        with pytest.raises(OrientationError, match="graph chart needs a positive top coordinate"):
+            minimal_lift3.value(np.zeros(3), KVector(3, 2, cs[1]))
+
+    def test_fd_fallbacks_use_per_row_steps(self, ellipsoid3, rng):
+        # rows of very different scale: a shared step would spoil the small row
+        fd = HomogeneousLagrangian(3, 2, "fd-ellipsoid", ellipsoid3.value_fn)
+        cs = rng.standard_normal((4, 3)) * np.array([[1e-6], [1.0], [1e3], [1e6]])
+        xs = np.zeros((4, 3))
+        assert np.allclose(fd.gradient_many(xs, cs), ellipsoid3.gradient_many(xs, cs), rtol=1e-8, atol=0.0)
+        scale = np.linalg.norm(cs, axis=1)[:, None, None]
+        assert np.allclose(fd.hessian_many(xs, cs) * scale, ellipsoid3.hessian_many(xs, cs) * scale,
+                           rtol=0.0, atol=1e-5)

@@ -1,6 +1,7 @@
 """Legendre transform, image sampling, rank splitting, convexity certification."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from multisymp import (
     GrassmannPoint,
     HomogeneousLagrangian,
+    InversionError,
     KCovector,
     KVector,
     LevelSetSampler,
@@ -29,6 +31,86 @@ from multisymp import (
     sample_image,
     write_image_csv,
 )
+
+
+def reference_sample(L, x, count, rng):
+    """Direction-by-direction level-set sampling: the stream the block sampler must keep."""
+    out = []
+    while len(out) < count:
+        direction = rng.standard_normal(L.fiber_dim)
+        norm = np.linalg.norm(direction)
+        if norm < 1e-12:
+            continue
+        level = L.value(x, KVector(L.n, L.p, direction))
+        if not level > 1e-9 * norm:
+            continue
+        out.append(KVector(L.n, L.p, direction / level))
+    return out
+
+
+def reference_radial_excess(L, x, target):
+    """Per-target damped Newton on grad(L^2/2)(y) = target; returns (L(y*), y*)."""
+    norm_t = float(np.linalg.norm(target))
+    c = target.copy()
+    level = float(L.value_many(x[None], c[None])[0])
+    if not abs(level) > 1e-12 * max(1.0, norm_t):
+        raise InversionError("cannot seed the radial solve from the target direction")
+    c = c / abs(level)
+    for _ in range(100):
+        yk = KVector(L.n, L.p, c)
+        g = L.gradient(x, yk).coords
+        level = L.value(x, yk)
+        F = level * g - target
+        if np.linalg.norm(F) <= 1e-11 * max(1.0, norm_t):
+            return level, c
+        J = np.outer(g, g) + level * L.hessian(x, yk)
+        try:
+            delta = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError as exc:
+            raise InversionError("singular Jacobian in the radial solve") from exc
+        t = 1.0
+        f0 = float(F @ F)
+        while t > 1e-12:
+            c_new = c + t * delta
+            try:
+                yk_new = KVector(L.n, L.p, c_new)
+                g_new = L.gradient(x, yk_new).coords
+                level_new = L.value(x, yk_new)
+            except (ZeroSectionError, ValueError):
+                t *= 0.5
+                continue
+            F_new = level_new * g_new - target
+            if float(F_new @ F_new) < f0:
+                c = c_new
+                break
+            t *= 0.5
+        else:
+            raise InversionError("radial solve stalled")
+    raise InversionError("radial solve did not converge")
+
+
+def reference_certificate(L, x, num_pairs, t_steps, seed, tol=1e-7):
+    """One target at a time: radial solve, then inverse_legendre on the rescaled target."""
+    rng = np.random.default_rng(seed)
+    worst, failures = -np.inf, 0
+    for _ in range(num_pairs):
+        y0, y1 = reference_sample(L, x, 2, rng)
+        p0, p1 = L.gradient(x, y0).coords, L.gradient(x, y1).coords
+        for t in np.linspace(0.0, 1.0, t_steps):
+            target = t * p0 + (1.0 - t) * p1
+            if np.linalg.norm(target) < 1e-12:
+                continue
+            try:
+                radius, c_star = reference_radial_excess(L, x, target)
+                on_surface = KCovector(L.n, L.p, target / radius)
+                inverse_legendre(L, x, on_surface, tol=1e-6, initial=KVector(L.n, L.p, c_star))
+            except InversionError:
+                failures += 1
+                worst = max(worst, 1.0)
+                continue
+            worst = max(worst, radius - 1.0)
+    worst = worst if np.isfinite(worst) else 0.0
+    return worst <= tol, num_pairs * t_steps, failures, worst
 
 
 class TestLegendreMap:
@@ -139,6 +221,20 @@ class TestLevelSetSampler:
         with pytest.raises(ValueError):
             LevelSetSampler(area3, x3, mode="cube")
 
+    @pytest.mark.parametrize("L", [
+        projected_volume_lagrangian(3, 2),  # rejects about half of all directions
+        projected_volume_lagrangian(4, 2),
+        ellipsoid_lagrangian(5, 3, np.linspace(0.5, 3.0, 10)),
+    ], ids=lambda L: f"{L.name}_{L.n}{L.p}")
+    @pytest.mark.parametrize("seed", [0, 7, 20260811])
+    def test_sphere_blocks_keep_the_stream(self, L, seed):
+        x = np.zeros(L.n)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = reference_sample(L, x, 40, ref_rng)
+        got = LevelSetSampler(L, x, mode="sphere").sample(40, rng)
+        assert np.array_equal(np.array([y.coords for y in got]), np.array([y.coords for y in expected]))
+        assert rng.standard_normal() == ref_rng.standard_normal()  # no draw left over or missing
+
 
 class TestSampleImage:
     def test_area_image_is_unit_sphere(self, x3, area3):
@@ -221,6 +317,32 @@ class TestConvexityCertificate:
         a = convexity_certificate(ellipsoid3, x3, num_pairs=20, t_steps=5, seed=9)
         b = convexity_certificate(ellipsoid3, x3, num_pairs=20, t_steps=5, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
+    @pytest.mark.parametrize("name", ["area", "ellipsoid", "geometric_mean"])
+    @pytest.mark.parametrize("t_steps", [3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_target_reference(self, shape, name, t_steps, seed):
+        n, p = shape
+        L = {
+            "area": lambda: area_lagrangian(n, p),
+            "ellipsoid": lambda: ellipsoid_lagrangian(n, p, np.linspace(0.5, 3.0, math.comb(n, p))),
+            "geometric_mean": lambda: geometric_mean_lagrangian(n, p),
+        }[name]()
+        x = np.zeros(n)
+        cert = convexity_certificate(L, x, num_pairs=4, t_steps=t_steps, seed=seed)
+        passed, checks, failures, worst = reference_certificate(L, x, 4, t_steps, seed)
+        assert (cert.passed, cert.num_segment_checks, cert.num_failures) == (passed, checks, failures)
+        assert abs(cert.worst_violation - worst) <= 1e-12
+
+    def test_blocks_match_one_solve(self, x3, monkeypatch):
+        # more targets than one block: the split must not change the result
+        import multisymp.legendre as legendre
+
+        L = geometric_mean_lagrangian()
+        whole = convexity_certificate(L, x3, num_pairs=30, t_steps=5, seed=4)
+        monkeypatch.setattr(legendre, "RADIAL_BLOCK", 7)
+        assert convexity_certificate(L, x3, num_pairs=30, t_steps=5, seed=4) == whole
 
 
 class TestCsvExport:

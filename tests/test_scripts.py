@@ -1,7 +1,10 @@
 """Smoke tests for the experiment scripts under scripts/."""
 
 import importlib.util
+import re
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -26,3 +29,14 @@ def test_convergence_report_prints_three_tables(capsys):
 def test_run_all_meets_every_expected_exit_code(tmp_path, monkeypatch):
     monkeypatch.delenv("MULTISYMP_OUT_DIR", raising=False)
     assert load_script("run_all").run(tmp_path) == 0
+
+
+def test_run_all_prints_wall_times(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MULTISYMP_OUT_DIR", raising=False)
+    module = load_script("run_all")
+    module.run(tmp_path)
+    lines = [line for line in capsys.readouterr().out.splitlines() if " wall=" in line]
+    assert len(lines) == len(module.RUNS) + 1
+    walls = [float(re.search(r"wall=(\d+\.\d+)s", line).group(1)) for line in lines]
+    assert lines[-1].startswith("total")
+    assert walls[-1] == pytest.approx(sum(walls[:-1]), abs=1e-2)
