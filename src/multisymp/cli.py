@@ -20,7 +20,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .exterior import KVector, random_decomposable
+from .exterior import random_decomposable
 from .lagrangian import (
     GraphDensity,
     HomogeneousLagrangian,
@@ -38,7 +38,7 @@ from .lagrangian import (
 from .legendre import (
     convexity_certificate,
     hamiltonian,
-    legendre_map,
+    image_coordinates,
     rank_lemma_check,
     sample_image,
     write_image_csv,
@@ -154,17 +154,34 @@ def build_surface(spec: Any, n: int, p: int) -> GraphSurface:
     return GraphSurface(f=fn, domain=spec["domain"], resolution=resolution, p=p, n=n)
 
 
-def _sample_fibers(L: HomogeneousLagrangian, count: int, rng: np.random.Generator) -> list[KVector]:
-    """Seeded decomposable fiber samples adapted to the Lagrangian's domain."""
+def _sample_fibers(L: HomogeneousLagrangian, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded decomposable fiber samples adapted to the Lagrangian's domain, one row each."""
     needs_chart = L.name.startswith("graph_lift")
     floor = 0.05 if L.name == "geometric_mean" else 0.0
-    out: list[KVector] = []
+    out: list[np.ndarray] = []
     while len(out) < count:
         y = random_decomposable(rng, L.n, L.p, min_top_fraction=0.25 if needs_chart else None)
         if floor and np.min(np.abs(y.coords)) < floor * y.norm():
             continue
-        out.append(y)
-    return out
+        out.append(y.coords)
+    return np.array(out)
+
+
+def _image_quadric(L: HomogeneousLagrangian, spec: dict, tol: float):
+    """Tolerance and residual of the unit quadric that holds the Legendre image, or None.
+
+    The image of the area Lagrangian is the sphere |p| = 1, that of the
+    ellipsoid Lagrangian the quadric sum_I p_I^2 / w_I = 1; the residual maps
+    gradient rows (N, C(n,p)) to the worst |Q(p) - 1|, 0.0 for no rows.
+    """
+    if L.name == "area":
+        tolerance, quadric = 1e-10, lambda grads: np.sqrt(np.vecdot(grads, grads))
+    elif L.name == "ellipsoid":
+        weights = np.asarray(spec["params"]["weights"], dtype=float)
+        tolerance, quadric = tol, lambda grads: np.sum(grads**2 / weights, axis=-1)
+    else:
+        return None
+    return tolerance, lambda grads: float(np.max(np.abs(quadric(grads) - 1.0), initial=0.0))
 
 
 class _CheckRecorder:
@@ -234,115 +251,86 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
     t_steps = _count(cert_cfg.get("t_steps", 5), "certificate.t_steps", 3)
     tol = _merge_tolerances(VERIFY_TOLERANCES, config.get("tolerances"))
 
-    selected = config.get("checks")
-    if selected is None:
-        selected = list(VERIFY_CHECKS)
-        if L.name not in ("area", "ellipsoid"):
-            selected.remove("legendre-image-quadric")
-    else:
-        unknown = sorted(set(selected) - set(VERIFY_CHECKS))
-        if unknown:
-            raise ConfigError(f"unknown checks: {unknown}")
+    quadric = _image_quadric(L, config["lagrangian"], tol["quadric"])
+    selected = config.get("checks", VERIFY_CHECKS)
+    unknown = sorted(set(selected) - set(VERIFY_CHECKS))
+    if unknown:
+        raise ConfigError(f"unknown checks: {unknown}")
 
     fibers = _sample_fibers(L, samples, np.random.default_rng(seed))
+    xs = np.broadcast_to(x, (samples, L.n))
+    chart = TotalSpaceChart(L.n, L.p)
+
+    def per_unit_value(residuals: np.ndarray) -> float:
+        return float(np.max(residuals / np.maximum(1.0, np.abs(L.value_many(xs, fibers)))))
+
+    def grad_scale() -> float:
+        base = L.gradient_many(xs, fibers)
+        return max(float(np.max(np.abs(L.gradient_many(xs, lam * fibers) - base)))
+                   for lam in (0.5, 2.0, 1000.0))
+
+    def rank_split() -> float:
+        report = rank_lemma_check(L, x, fibers[:rank_samples], threshold=tol["rank_threshold"])
+        return float(np.max(np.abs(report.rank_L2 - 1 - report.rank_L)))
+
+    def convexity() -> float:
+        return convexity_certificate(L, x, num_pairs=num_pairs, t_steps=t_steps,
+                                     seed=seed + 1, tol=tol["convexity"]).worst_violation
+
+    def nondegenerate() -> float:
+        point = np.random.default_rng(seed + 4).standard_normal(chart.dim_total)
+        return float(chart.dim_total - nondegeneracy_check(omega(chart), point)[1])
+
+    def closed() -> float:
+        form = omega(chart)
+        # per sample: the point, then the k+1 vectors, in the order of a sample-by-sample loop
+        draws = np.random.default_rng(seed + 5).standard_normal((20, form.degree + 2, chart.dim_total))
+        return float(np.max(closedness_residual(form, draws[:, 0], draws[:, 1:], h=1e-4)))
+
+    checks = {
+        "degree-1-homogeneity": (
+            "L(x, s*y) = s*L(x, y) for s > 0", tol["homogeneity"],
+            lambda: float(np.max(homogeneity_residual(L, x, fibers, (0.5, 2.0, 10.0)))),
+        ),
+        "euler-identity": (
+            "L equals the pairing of its fiber gradient with y", tol["euler"],
+            lambda: per_unit_value(euler_residual(L, x, fibers)),
+        ),
+        "gradient-degree-0": (
+            "fiber gradient is invariant under positive rescaling", tol["gradient_scale"], grad_scale,
+        ),
+        "vanishing-hamiltonian": (
+            "dual pairing minus L vanishes on the gradient image", tol["hamiltonian"],
+            lambda: per_unit_value(np.abs(hamiltonian(L, x, L.gradient_many(xs, fibers), fibers))),
+        ),
+        "hessian-rank-split": ("rank of Hess(L^2) exceeds rank of Hess(L) by one", 0.0, rank_split),
+        "legendre-image-convexity": (
+            "segments between image points stay inside the image of the unit ball", tol["convexity"],
+            convexity,
+        ),
+        "tautological-pullback": (
+            "the pulled-back tautological form equals the areolar form", tol["pullback"],
+            lambda: pullback_residual(L, x, fibers,
+                                      np.random.default_rng(seed + 3).standard_normal((samples, L.p, L.n))),
+        ),
+        "multisymplectic-nondegenerate": (
+            "contraction into the canonical (p+1)-form has trivial kernel", 0.0, nondegenerate,
+        ),
+        "multisymplectic-closed": (
+            "the canonical (p+1)-form has vanishing exterior derivative", tol["closedness"], closed,
+        ),
+    }
+    if quadric is not None:
+        quadric_tol, residual = quadric
+        checks["legendre-image-quadric"] = (
+            "sampled image points close on the unit quadric", quadric_tol,
+            lambda: residual(image_coordinates(L, x, 500, seed=seed + 2)[1]),
+        )
+
     recorder = _CheckRecorder()
-
-    if "degree-1-homogeneity" in selected:
-        recorder.run(
-            "degree-1-homogeneity", "L(x, s*y) = s*L(x, y) for s > 0", tol["homogeneity"],
-            lambda: max(homogeneity_residual(L, x, y, (0.5, 2.0, 10.0)) for y in fibers),
-        )
-    if "euler-identity" in selected:
-        recorder.run(
-            "euler-identity", "L equals the pairing of its fiber gradient with y", tol["euler"],
-            lambda: max(euler_residual(L, x, y) / max(1.0, abs(L.value(x, y))) for y in fibers),
-        )
-    if "gradient-degree-0" in selected:
-        def grad_scale() -> float:
-            worst = 0.0
-            for y in fibers:
-                base = L.gradient(x, y).coords
-                for lam in (0.5, 2.0, 1000.0):
-                    worst = max(worst, float(np.max(np.abs(L.gradient(x, y.scaled(lam)).coords - base))))
-            return worst
-        recorder.run("gradient-degree-0", "fiber gradient is invariant under positive rescaling",
-                     tol["gradient_scale"], grad_scale)
-    if "vanishing-hamiltonian" in selected:
-        recorder.run(
-            "vanishing-hamiltonian", "dual pairing minus L vanishes on the gradient image",
-            tol["hamiltonian"],
-            lambda: max(
-                abs(hamiltonian(L, x, legendre_map(L, x, y).p, y)) / max(1.0, abs(L.value(x, y)))
-                for y in fibers
-            ),
-        )
-    if "hessian-rank-split" in selected:
-        def rank_split() -> float:
-            worst = 0
-            for y in fibers[:rank_samples]:
-                report = rank_lemma_check(L, x, y, threshold=tol["rank_threshold"])
-                worst = max(worst, abs(report.rank_L2 - 1 - report.rank_L))
-            return float(worst)
-        recorder.run("hessian-rank-split", "rank of Hess(L^2) exceeds rank of Hess(L) by one",
-                     0.0, rank_split)
-    if "legendre-image-convexity" in selected:
-        def convexity() -> float:
-            cert = convexity_certificate(L, x, num_pairs=num_pairs, t_steps=t_steps,
-                                         seed=seed + 1, tol=tol["convexity"])
-            return cert.worst_violation
-        recorder.run("legendre-image-convexity",
-                     "segments between image points stay inside the image of the unit ball",
-                     tol["convexity"], convexity)
-    if "legendre-image-quadric" in selected and L.name in ("area", "ellipsoid"):
-        if L.name == "area":
-            def quadric() -> float:
-                points = sample_image(L, x, 500, seed=seed + 2)
-                return max(abs(float(np.linalg.norm(pt.p.coords)) - 1.0) for pt in points)
-            quadric_tol = 1e-10
-        else:
-            weights = np.asarray(config["lagrangian"]["params"]["weights"], dtype=float)
-
-            def quadric() -> float:
-                points = sample_image(L, x, 500, seed=seed + 2)
-                return max(abs(float(np.sum(pt.p.coords**2 / weights)) - 1.0) for pt in points)
-            quadric_tol = tol["quadric"]
-        recorder.run("legendre-image-quadric", "sampled image points close on the unit quadric",
-                     quadric_tol, quadric)
-    if "tautological-pullback" in selected:
-        def pullback() -> float:
-            rng = np.random.default_rng(seed + 3)
-            worst = 0.0
-            for y in fibers:
-                vectors = [rng.standard_normal(L.n) for _ in range(L.p)]
-                worst = max(worst, pullback_residual(L, x, y, [vectors]))
-            return worst
-        recorder.run("tautological-pullback",
-                     "the pulled-back tautological form equals the areolar form",
-                     tol["pullback"], pullback)
-    if "multisymplectic-nondegenerate" in selected:
-        def nondegenerate() -> float:
-            chart = TotalSpaceChart(L.n, L.p)
-            rng = np.random.default_rng(seed + 4)
-            point = rng.standard_normal(chart.dim_total)
-            ok, rank = nondegeneracy_check(omega(chart), point)
-            return float(chart.dim_total - rank)
-        recorder.run("multisymplectic-nondegenerate",
-                     "contraction into the canonical (p+1)-form has trivial kernel",
-                     0.0, nondegenerate)
-    if "multisymplectic-closed" in selected:
-        def closed() -> float:
-            chart = TotalSpaceChart(L.n, L.p)
-            form = omega(chart)
-            rng = np.random.default_rng(seed + 5)
-            worst = 0.0
-            for _ in range(20):
-                point = rng.standard_normal(chart.dim_total)
-                vectors = [rng.standard_normal(chart.dim_total) for _ in range(form.degree + 1)]
-                worst = max(worst, closedness_residual(form, point, vectors, h=1e-4))
-            return worst
-        recorder.run("multisymplectic-closed",
-                     "the canonical (p+1)-form has vanishing exterior derivative",
-                     tol["closedness"], closed)
+    for name in VERIFY_CHECKS:
+        if name in selected and name in checks:
+            recorder.run(name, *checks[name])
 
     report = _base_report("verify", config)
     report["checks"] = recorder.checks
@@ -462,20 +450,22 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
         write_image_csv(points, stream, n=L.n, p=L.p)
 
     recorder = _CheckRecorder()
-    if L.name == "area":
+    quadric = _image_quadric(L, config["lagrangian"], tol["quadric"])
+    if quadric is not None:
+        quadric_tol, residual = quadric
         recorder.run("legendre-image-quadric", "sampled image points close on the unit quadric",
-                     1e-10,
-                     lambda: max((abs(float(np.linalg.norm(pt.p.coords)) - 1.0) for pt in points), default=0.0))
-    elif L.name == "ellipsoid":
-        weights = np.asarray(config["lagrangian"]["params"]["weights"], dtype=float)
-        recorder.run("legendre-image-quadric", "sampled image points close on the unit quadric",
-                     tol["quadric"],
-                     lambda: max((abs(float(np.sum(pt.p.coords**2 / weights)) - 1.0) for pt in points), default=0.0))
-    cert = convexity_certificate(L, x, num_pairs=num_pairs, t_steps=t_steps,
-                                 seed=int(cert_cfg.get("seed", seed + 1)), tol=cert_tol)
+                     quadric_tol,
+                     lambda: residual(np.array([pt.p.coords for pt in points]).reshape(count, L.fiber_dim)))
+    cert = None
+
+    def convexity() -> float:
+        nonlocal cert
+        cert = convexity_certificate(L, x, num_pairs=num_pairs, t_steps=t_steps,
+                                     seed=int(cert_cfg.get("seed", seed + 1)), tol=cert_tol)
+        return cert.worst_violation
     recorder.run("legendre-image-convexity",
                  "segments between image points stay inside the image of the unit ball",
-                 cert.tolerance, lambda: cert.worst_violation)
+                 cert_tol, convexity)
 
     report = _base_report("image", config)
     report["csv"] = str(csv_path)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import OrientationError, ZeroSectionError
-from .exterior import KCovector, KVector, index_position, pair
+from .exterior import KCovector, KVector, index_position
 
 __all__ = [
     "HomogeneousLagrangian",
@@ -31,6 +31,7 @@ __all__ = [
     "minimal_surface_density",
     "graph_area_density",
     "graph_lift",
+    "fiber_rows",
     "euler_residual",
     "homogeneity_residual",
     "areolar_form",
@@ -350,21 +351,45 @@ def graph_lift(F: GraphDensity) -> HomogeneousLagrangian:
     )
 
 
-def euler_residual(L: HomogeneousLagrangian, x: np.ndarray, y: KVector) -> float:
-    """|L(x,y) - <dL/dy, y>|; zero for degree-1 homogeneous L."""
-    return abs(L.value(x, y) - pair(L.gradient(x, y), y))
+def fiber_rows(L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Base points (N, n) and fiber coordinates (N, C(n,p)) at the base point x.
+
+    ``y`` is one KVector, checked as ``L.value`` checks it (a batch of one),
+    or an array of N fiber rows, checked by the batched methods.
+    """
+    if isinstance(y, KVector):
+        return L._one(x, y)
+    cs = np.asarray(y, dtype=float)
+    return np.broadcast_to(np.asarray(x, dtype=float), (len(cs), L.n)), cs
+
+
+def euler_residual(L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray) -> float | np.ndarray:
+    """|L(x,y) - <dL/dy, y>|; zero for degree-1 homogeneous L.
+
+    A KVector y gives a float; fiber rows (N, C(n,p)) give one residual per row.
+    """
+    xs, cs = fiber_rows(L, x, y)
+    # vecdot is the BLAS dot of pair(), row by row
+    residual = np.abs(L.value_many(xs, cs) - np.vecdot(L.gradient_many(xs, cs), cs))
+    return float(residual[0]) if isinstance(y, KVector) else residual
 
 
 def homogeneity_residual(
-    L: HomogeneousLagrangian, x: np.ndarray, y: KVector, lambdas: Sequence[float]
-) -> float:
-    """max over lambda of |L(x, lambda y) - lambda L(x, y)| / (lambda |y|)."""
+    L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray, lambdas: Sequence[float]
+) -> float | np.ndarray:
+    """max over lambda of |L(x, lambda y) - lambda L(x, y)| / (lambda |y|).
+
+    A KVector y gives a float; fiber rows (N, C(n,p)) give one residual per
+    row, from one value_many call per factor.
+    """
     lams = [float(lam) for lam in lambdas]
     if any(lam <= 0.0 for lam in lams):
         raise ValueError("scaling factors must be positive")
-    base = L.value(x, y)
-    norm = y.norm()
-    return max(abs(L.value(x, y.scaled(lam)) - lam * base) / (lam * norm) for lam in lams)
+    xs, cs = fiber_rows(L, x, y)
+    base = L.value_many(xs, cs)
+    norm = np.sqrt(np.vecdot(cs, cs))
+    residual = np.max([np.abs(L.value_many(xs, lam * cs) - lam * base) / (lam * norm) for lam in lams], axis=0)
+    return float(residual[0]) if isinstance(y, KVector) else residual
 
 
 def areolar_form(L: HomogeneousLagrangian) -> AreolarForm:

@@ -17,8 +17,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import InversionError, NotInImageError, ZeroSectionError
-from .exterior import GrassmannPoint, KCovector, KVector, multi_indices, pair
-from .lagrangian import HomogeneousLagrangian
+from .exterior import GrassmannPoint, KCovector, KVector, multi_indices
+from .lagrangian import HomogeneousLagrangian, fiber_rows
 
 __all__ = [
     "LegendreImagePoint",
@@ -28,6 +28,7 @@ __all__ = [
     "legendre_map",
     "hamiltonian",
     "inverse_legendre",
+    "image_coordinates",
     "sample_image",
     "rank_lemma_check",
     "convexity_certificate",
@@ -51,9 +52,19 @@ def legendre_map(L: HomogeneousLagrangian, x: np.ndarray, y: KVector) -> Legendr
     return LegendreImagePoint(x=x, p=grad, source_class=GrassmannPoint(y, check=False))
 
 
-def hamiltonian(L: HomogeneousLagrangian, x: np.ndarray, p: KCovector, y: KVector) -> float:
-    """<p, y> - L(x, y); vanishes when p is the gradient image of y."""
-    return pair(p, y) - L.value(x, y)
+def hamiltonian(
+    L: HomogeneousLagrangian, x: np.ndarray, p: KCovector | np.ndarray, y: KVector | np.ndarray
+) -> float | np.ndarray:
+    """<p, y> - L(x, y); vanishes when p is the gradient image of y.
+
+    A KCovector p and KVector y give a float; dual rows p and fiber rows y,
+    both (N, C(n,p)), give one value per row.
+    """
+    xs, cs = fiber_rows(L, x, y)
+    dual = p.coords if isinstance(p, KCovector) else np.asarray(p, dtype=float)
+    # vecdot is the BLAS dot of pair(), row by row
+    value = np.vecdot(dual, cs) - L.value_many(xs, cs)
+    return float(value[0]) if isinstance(y, KVector) else value
 
 
 def _normalize_to_level(L: HomogeneousLagrangian, x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -182,13 +193,24 @@ class LevelSetSampler:
         return rows
 
 
+def image_coordinates(
+    L: HomogeneousLagrangian, x: np.ndarray, count: int, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-level fiber rows of uniformly random directions and their gradient images.
+
+    Both have shape (count, C(n,p)); deterministic per seed.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = LevelSetSampler(L, x, mode="sphere")._draw(count, np.random.default_rng(seed))
+    return rows, L.gradient_many(np.broadcast_to(x, (count, x.size)), rows)
+
+
 def sample_image(
     L: HomogeneousLagrangian, x: np.ndarray, count: int, seed: int = 0
 ) -> list[LegendreImagePoint]:
     """Image points of uniformly random unit-level directions; deterministic per seed."""
     x = np.asarray(x, dtype=float)
-    rows = LevelSetSampler(L, x, mode="sphere")._draw(count, np.random.default_rng(seed))
-    grads = L.gradient_many(np.broadcast_to(x, (count, x.size)), rows)
+    rows, grads = image_coordinates(L, x, count, seed)
     return [
         LegendreImagePoint(x, KCovector(L.n, L.p, g), GrassmannPoint(KVector(L.n, L.p, c), check=False))
         for c, g in zip(rows, grads)
@@ -197,7 +219,7 @@ def sample_image(
 
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical ranks of the fiber Hessians of L^2 and L at one point."""
+    """Numerical ranks of the fiber Hessians of L^2 and L at one fiber point, or per fiber row."""
 
     rank_L2: int
     rank_L: int
@@ -210,27 +232,27 @@ class RankReport:
         return self.rank_L2 == 1 + self.rank_L
 
 
-def _numerical_rank(matrix: np.ndarray, threshold: float) -> tuple[int, tuple[float, ...]]:
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    top = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > threshold * top)) if top > 0.0 else 0
-    return rank, tuple(float(s) for s in svals)
-
-
 def rank_lemma_check(
-    L: HomogeneousLagrangian, x: np.ndarray, y: KVector, threshold: float = 1e-8
+    L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray, threshold: float = 1e-8
 ) -> RankReport:
-    """Rank of Hess(L^2) versus 1 + rank(Hess L), by singular values above threshold*sigma_max."""
-    x = np.asarray(x, dtype=float)
-    rank2, svals2 = _numerical_rank(L.square_hessian(x, y), threshold)
-    rank1, svals1 = _numerical_rank(L.hessian(x, y), threshold)
-    return RankReport(
-        rank_L2=rank2,
-        rank_L=rank1,
-        singular_values_L2=svals2,
-        singular_values_L=svals1,
-        threshold=threshold,
-    )
+    """Rank of Hess(L^2) versus 1 + rank(Hess L), by singular values above threshold*sigma_max.
+
+    A KVector y gives integer ranks and tuples of singular values.  Fiber rows
+    (N, C(n,p)) give rank arrays (N,) and singular values (N, C(n,p)), from
+    one hessian_many call and one stacked SVD.
+    """
+    xs, cs = fiber_rows(L, x, y)
+    g = L.gradient_many(xs, cs)
+    H = L.hessian_many(xs, cs)
+    # Hess(L^2) = 2 (g g^T + L H), exact given exact g and H
+    H2 = 2.0 * (g[:, :, None] * g[:, None, :] + L.value_many(xs, cs)[:, None, None] * H)
+    svals = np.linalg.svd(np.stack([H2, H]), compute_uv=False)
+    top = svals[..., :1]
+    ranks = np.where(top[..., 0] > 0.0, np.sum(svals > threshold * top, axis=-1), 0)
+    if isinstance(y, KVector):
+        return RankReport(int(ranks[0, 0]), int(ranks[1, 0]), tuple(svals[0, 0].tolist()),
+                          tuple(svals[1, 0].tolist()), threshold)
+    return RankReport(ranks[0], ranks[1], svals[0], svals[1], threshold)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ZeroSectionError
 from .exterior import KVector, det, minors, multi_indices
-from .lagrangian import HomogeneousLagrangian, areolar_form
+from .lagrangian import HomogeneousLagrangian, fiber_rows
 
 __all__ = [
     "TotalSpaceChart",
@@ -70,27 +69,34 @@ class TotalSpaceChart:
         return out
 
     def point(self, x: Sequence[float], p_coords: Sequence[float]) -> np.ndarray:
+        """Chart point(s) from base and dual coordinates, shapes (..., n) and (..., C(n,p))."""
         x = np.asarray(x, dtype=float)
         p_coords = np.asarray(p_coords, dtype=float)
-        if x.shape != (self.n,) or p_coords.shape != (self.fiber_dim,):
+        if x.shape[-1:] != (self.n,) or p_coords.shape != x.shape[:-1] + (self.fiber_dim,):
             raise ValueError("point components do not match the chart layout")
-        return np.concatenate([x, p_coords])
+        return np.concatenate([x, p_coords], axis=-1)
 
     def lift(self, v: Sequence[float]) -> TotalVector:
-        """Horizontal lift of a base vector (dual components zero)."""
+        """Horizontal lift of base vector(s) of shape (..., n): dual components zero."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
+        if v.shape[-1:] != (self.n,):
             raise ValueError(f"base vector must have shape ({self.n},)")
-        return np.concatenate([v, np.zeros(self.fiber_dim)])
+        return np.concatenate([v, np.zeros(v.shape[:-1] + (self.fiber_dim,))], axis=-1)
 
 
 @dataclass(frozen=True)
 class FormField:
-    """Differential k-form given by a multilinear alternating evaluator."""
+    """Differential k-form given by a batched multilinear alternating evaluator.
+
+    The evaluator takes points of shape (N, dim) and argument vectors of shape
+    (N, dim, k), one column per argument, and returns the N values; each row
+    must depend on its own inputs only.  Calling the form on one point and a
+    sequence of k vectors validates them and runs a batch of one.
+    """
 
     degree: int
     dim: int
-    evaluator: Callable[[np.ndarray, Sequence[TotalVector]], float]
+    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "form"
 
     def __call__(self, point: np.ndarray, vectors: Sequence[TotalVector]) -> float:
@@ -100,15 +106,16 @@ class FormField:
         vecs = [np.asarray(v, dtype=float) for v in vectors]
         if point.shape != (self.dim,) or any(v.shape != (self.dim,) for v in vecs):
             raise ValueError(f"{self.name} lives on a {self.dim}-dimensional chart")
-        return float(self.evaluator(point, vecs))
+        return float(self.evaluator(point[None], np.stack(vecs, axis=-1)[None])[0])
 
 
 def theta(chart: TotalSpaceChart) -> FormField:
     """Tautological p-form: sum over I of p_I times the wedge of base differentials dx^I."""
     n, p = chart.n, chart.p
 
-    def evaluate(point, vectors):
-        return point[n:] @ minors(np.column_stack([v[:n] for v in vectors]))
+    def evaluate(points, vectors):
+        # vecdot is the BLAS dot of the duality pairing, row by row
+        return np.vecdot(points[:, n:], minors(vectors[:, :n, :]))
 
     return FormField(degree=p, dim=chart.dim_total, evaluator=evaluate, name="theta")
 
@@ -119,21 +126,21 @@ def omega(chart: TotalSpaceChart) -> FormField:
     # row k: the chart positions of p_I, then of x^{a_1} .. x^{a_p}, for the k-th index I
     rows = np.array([(n + k, *(a - 1 for a in axes)) for k, axes in enumerate(multi_indices(n, p))])
 
-    def evaluate(point, vectors):
+    def evaluate(points, vectors):
         # cumsum adds in index order; np.sum regroups 8+ terms and moves the last bits
-        return np.cumsum(det(np.column_stack(vectors)[rows, :]))[-1]
+        return np.cumsum(det(np.take(vectors, rows, axis=1)), axis=-1)[:, -1]
 
     return FormField(degree=p + 1, dim=chart.dim_total, evaluator=evaluate, name="omega")
 
 
 def constant_x_form(chart: TotalSpaceChart, axes: Sequence[int]) -> FormField:
     """The constant form dx^{a_1} ^ ... ^ dx^{a_k}; degenerate on the total space."""
-    rows = tuple(int(a) - 1 for a in axes)
+    rows = [int(a) - 1 for a in axes]
     if any(r < 0 or r >= chart.n for r in rows):
         raise ValueError("axes out of range")
 
-    def evaluate(point, vectors):
-        return det(np.column_stack([v[list(rows)] for v in vectors]))
+    def evaluate(points, vectors):
+        return det(np.take(vectors, rows, axis=1))
 
     return FormField(degree=len(rows), dim=chart.dim_total,
                      evaluator=evaluate, name="dx^" + "".join(map(str, axes)))
@@ -144,11 +151,15 @@ def weighted_x_form(chart: TotalSpaceChart, weight_label: str, axes: Sequence[in
     weight_index = chart.index(weight_label)
     inner = constant_x_form(chart, axes)
 
-    def evaluate(point, vectors):
-        return point[weight_index] * inner.evaluator(point, vectors)
+    def evaluate(points, vectors):
+        return points[:, weight_index] * inner.evaluator(points, vectors)
 
     return FormField(degree=inner.degree, dim=chart.dim_total,
                      evaluator=evaluate, name=f"{weight_label}*{inner.name}")
+
+
+# Argument tuples per evaluator call in nondegeneracy_check: bounds its working set.
+TUPLE_BLOCK = 8
 
 
 def nondegeneracy_check(form: FormField, point: np.ndarray) -> tuple[bool, int]:
@@ -157,69 +168,82 @@ def nondegeneracy_check(form: FormField, point: np.ndarray) -> tuple[bool, int]:
     The map sends a tangent vector to the values of its contraction into the
     form on every increasing (k-1)-tuple of coordinate basis vectors; the
     form is nondegenerate at the point exactly when the map has full rank.
+    The matrix is filled TUPLE_BLOCK tuples at a time, one evaluator call
+    per block, with every basis vector of the chart in the first slot.
     """
     point = np.asarray(point, dtype=float)
-    dim = form.dim
+    dim, k = form.dim, form.degree
     basis = np.eye(dim)
-    tuples = list(itertools.combinations(range(dim), form.degree - 1))
-    matrix = np.empty((len(tuples), dim))
-    for row, rest in enumerate(tuples):
-        rest_vectors = [basis[r] for r in rest]
-        for col in range(dim):
-            matrix[row, col] = form(point, [basis[col], *rest_vectors])
+    tuples = itertools.combinations(range(dim), k - 1)
+    matrix = np.empty((math.comb(dim, k - 1), dim))
+    for start in range(0, len(matrix), TUPLE_BLOCK):
+        block = np.array(list(itertools.islice(tuples, TUPLE_BLOCK)), dtype=int).reshape(-1, k - 1)
+        # arguments[t, col]: basis[col], then the basis vectors of tuple t, as columns
+        arguments = np.empty((len(block), dim, dim, k))
+        arguments[..., 0] = basis
+        arguments[..., 1:] = np.swapaxes(basis[block], 1, 2)[:, None]
+        values = form.evaluator(np.broadcast_to(point, (len(block) * dim, dim)),
+                                arguments.reshape(-1, dim, k))
+        matrix[start:start + len(block)] = values.reshape(len(block), dim)
     rank = int(np.linalg.matrix_rank(matrix, tol=1e-10 * max(1.0, float(np.abs(matrix).max()))))
     return rank == dim, rank
 
 
 def closedness_residual(
     form: FormField, point: np.ndarray, vectors: Sequence[TotalVector], h: float = 1e-4
-) -> float:
+) -> float | np.ndarray:
     """|d(form)| at the point on k+1 constant vectors, by central differences.
 
     Uses the coordinate formula for the exterior derivative on constant
     vector fields, so the bracket terms vanish and only directional
-    derivatives of the evaluations remain.
+    derivatives of the evaluations remain.  A point of shape (dim,) with
+    vectors (k+1, dim) gives a float; points (N, dim) with vectors
+    (N, k+1, dim) give the N residuals, from one evaluator call.
     """
     if h <= 0.0:
         raise ValueError("step must be positive")
     point = np.asarray(point, dtype=float)
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    if len(vecs) != form.degree + 1:
-        raise ValueError(f"d({form.name}) takes {form.degree + 1} arguments, got {len(vecs)}")
-    total = 0.0
-    for i, vi in enumerate(vecs):
-        rest = vecs[:i] + vecs[i + 1:]
-        plus = form(point + h * vi, rest)
-        minus = form(point - h * vi, rest)
-        total += (-1.0) ** i * (plus - minus) / (2.0 * h)
-    return abs(total)
+    vecs = np.asarray(vectors, dtype=float)
+    m = form.degree + 1
+    got = vecs.shape[-2] if vecs.ndim >= 2 else len(vecs)
+    if got != m:
+        raise ValueError(f"d({form.name}) takes {m} arguments, got {got}")
+    if point.shape[-1:] != (form.dim,) or vecs.shape != point.shape[:-1] + (m, form.dim):
+        raise ValueError(f"{form.name} lives on a {form.dim}-dimensional chart")
+    points, vecs = point.reshape(-1, form.dim), vecs.reshape(-1, m, form.dim)
+    # for each i: the form at point +- h v_i on the other vectors, in their order
+    others = [[j for j in range(m) if j != i] for i in range(m)]
+    rest = np.swapaxes(vecs[:, others, :], -1, -2)
+    shifted = points[:, None, None, :] + np.array([1.0, -1.0])[:, None] * (h * vecs)[:, :, None, :]
+    values = form.evaluator(shifted.reshape(-1, form.dim),
+                            np.repeat(rest, 2, axis=1).reshape(-1, form.dim, m - 1)).reshape(-1, m, 2)
+    total = np.zeros(len(points))
+    for i in range(m):
+        total += (-1.0) ** i * (values[:, i, 0] - values[:, i, 1]) / (2.0 * h)
+    residual = np.abs(total)
+    return float(residual[0]) if point.ndim == 1 else residual
 
 
 def pullback_residual(
     L: HomogeneousLagrangian,
     x: np.ndarray,
-    y: KVector,
+    y: KVector | np.ndarray,
     tuples: Sequence[Sequence[np.ndarray]],
 ) -> float:
     """Mismatch between the pulled-back tautological form and the areolar form.
 
     Evaluates the tautological form at the gradient image of (x, y) on
     horizontally lifted base tuples and compares with the areolar-form value
-    on the same tuples; the two agree for any Lagrangian, which is what makes
-    the dual-side action integrand equal the Lagrangian one.
+    dL/dy on the same tuples; the two agree for any Lagrangian, which is what
+    makes the dual-side action integrand equal the Lagrangian one.  ``tuples``
+    has shape (T, p, n).  ``y`` is one KVector for every tuple, or fiber rows
+    (T, C(n,p)), one per tuple; the worst mismatch is returned.
     """
-    if y.is_zero():
-        raise ZeroSectionError("pullback is undefined on the zero section")
-    x = np.asarray(x, dtype=float)
+    vectors = np.asarray(tuples, dtype=float).reshape(-1, L.p, L.n)
+    xs, cs = fiber_rows(L, x, y)
+    xs, cs = np.broadcast_to(xs, (len(vectors), L.n)), np.broadcast_to(cs, (len(vectors), cs.shape[1]))
+    grads = L.gradient_many(xs, cs)
     chart = TotalSpaceChart(L.n, L.p)
-    form = theta(chart)
-    grad = L.gradient(x, y)
-    point = chart.point(x, grad.coords)
-    ell = areolar_form(L)
-    worst = 0.0
-    for vectors in tuples:
-        lifted = [chart.lift(v) for v in vectors]
-        lhs = form(point, lifted)
-        rhs = ell.coefficients_at(x, y)(list(vectors))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = theta(chart).evaluator(chart.point(xs, grads), np.swapaxes(chart.lift(vectors), 1, 2))
+    rhs = np.vecdot(grads, minors(np.swapaxes(vectors, 1, 2)))  # the areolar form dL/dy on the tuples
+    return float(np.max(np.abs(lhs - rhs)))

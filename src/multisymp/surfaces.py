@@ -325,21 +325,17 @@ def multisymplectic_action(
 def theta_cell_values(L: HomogeneousLagrangian, grid: ParametricGrid) -> np.ndarray:
     """Per-cell tautological-form values on the midpoint frames (before weighting).
 
-    Routed through the chart form evaluator; used to cross-check the batched
-    action path and the cellwise agreement with the Lagrangian integrand.
+    Routed through the chart form evaluator, one batched call for all cells;
+    used to cross-check the batched action path and the cellwise agreement
+    with the Lagrangian integrand.
     """
     chart = TotalSpaceChart(grid.n, grid.p)
-    form = theta(chart)
     frames, bases = _cell_frames(grid)
     coords = minors(frames)
     _check_degenerate(coords, grid)
-    out = np.empty(len(coords))
-    for k in range(len(coords)):
-        grad = L.gradient(bases[k], KVector(grid.n, grid.p, coords[k]))
-        point = chart.point(bases[k], grad.coords)
-        lifted = [chart.lift(frames[k, :, axis]) for axis in range(grid.p)]
-        out[k] = form(point, lifted)
-    return out
+    points = chart.point(bases, L.gradient_many(bases, coords))
+    lifted = np.swapaxes(chart.lift(np.swapaxes(frames, 1, 2)), 1, 2)
+    return theta(chart).evaluator(points, lifted)
 
 
 @dataclass(frozen=True)

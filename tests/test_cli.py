@@ -1,6 +1,7 @@
 """CLI driver: configs, reports, CSV output, exit codes, determinism."""
 
 import csv
+import itertools
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multisymp.cli import main
+from multisymp import (
+    KVector,
+    TotalSpaceChart,
+    convexity_certificate,
+    omega,
+    pair,
+    random_decomposable,
+    rank_lemma_check,
+    sample_image,
+    theta,
+)
+from multisymp.cli import VERIFY_CHECKS, VERIFY_TOLERANCES, build_lagrangian, cmd_verify, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -293,3 +305,153 @@ class TestOutputDirOverride:
         assert (override / "report.json").exists()
         assert (override / "cloud.csv").exists()
         assert not out.exists()
+
+
+def reference_fibers(L, count, rng):
+    """The per-fiber sampling loop of the verify command, one KVector per sample."""
+    out = []
+    while len(out) < count:
+        y = random_decomposable(rng, L.n, L.p, min_top_fraction=0.25 if L.name.startswith("graph_lift") else None)
+        if L.name == "geometric_mean" and np.min(np.abs(y.coords)) < 0.05 * y.norm():
+            continue
+        out.append(y)
+    return out
+
+
+def reference_rank(matrix, threshold):
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.sum(svals > threshold * svals[0])) if svals[0] > 0.0 else 0
+
+
+def reference_verify(config):
+    """The verify checks as per-fiber loops of scalar calls, as the command ran them before batching.
+
+    Returns the measured value of each check, the Hessian ranks of every
+    rank sample, and the generators of the pullback and closedness draws.
+    """
+    L = build_lagrangian(config["lagrangian"])
+    x = np.zeros(L.n)
+    seed, tol = config["seed"], VERIFY_TOLERANCES
+    fibers = reference_fibers(L, config["samples"], np.random.default_rng(seed))
+    chart = TotalSpaceChart(L.n, L.p)
+    out = {}
+
+    def per_unit_value(residual, y):
+        return residual / max(1.0, abs(L.value(x, y)))
+
+    def homogeneity(y):
+        base, norm = L.value(x, y), y.norm()
+        return max(abs(L.value(x, y.scaled(lam)) - lam * base) / (lam * norm) for lam in (0.5, 2.0, 10.0))
+
+    out["degree-1-homogeneity"] = max(homogeneity(y) for y in fibers)
+    out["euler-identity"] = max(per_unit_value(abs(L.value(x, y) - pair(L.gradient(x, y), y)), y)
+                                for y in fibers)
+    out["gradient-degree-0"] = max(
+        float(np.max(np.abs(L.gradient(x, y.scaled(lam)).coords - L.gradient(x, y).coords)))
+        for y in fibers for lam in (0.5, 2.0, 1000.0)
+    )
+    out["vanishing-hamiltonian"] = max(per_unit_value(abs(pair(L.gradient(x, y), y) - L.value(x, y)), y)
+                                       for y in fibers)
+    ranks = []
+    for y in fibers[:config["rank_samples"]]:
+        g, H = L.gradient(x, y).coords, L.hessian(x, y)
+        ranks.append((reference_rank(2.0 * (np.outer(g, g) + L.value(x, y) * H), tol["rank_threshold"]),
+                      reference_rank(H, tol["rank_threshold"])))
+    out["hessian-rank-split"] = float(max(abs(r2 - 1 - r1) for r2, r1 in ranks))
+    if "legendre-image-convexity" in config.get("checks", VERIFY_CHECKS):
+        cert = config["certificate"]
+        out["legendre-image-convexity"] = convexity_certificate(
+            L, x, num_pairs=cert["num_pairs"], t_steps=cert["t_steps"], seed=seed + 1, tol=tol["convexity"]
+        ).worst_violation
+    if L.name == "area":
+        out["legendre-image-quadric"] = max(abs(float(np.linalg.norm(pt.p.coords)) - 1.0)
+                                            for pt in sample_image(L, x, 500, seed=seed + 2))
+    elif L.name == "ellipsoid":
+        weights = np.asarray(config["lagrangian"]["params"]["weights"])
+        out["legendre-image-quadric"] = max(abs(float(np.sum(pt.p.coords**2 / weights)) - 1.0)
+                                            for pt in sample_image(L, x, 500, seed=seed + 2))
+    pullback_rng = np.random.default_rng(seed + 3)
+    worst = 0.0
+    for y in fibers:
+        vectors = [pullback_rng.standard_normal(L.n) for _ in range(L.p)]
+        grad = L.gradient(x, y)
+        lhs = theta(chart)(chart.point(x, grad.coords), [chart.lift(v) for v in vectors])
+        worst = max(worst, abs(lhs - grad(vectors)))
+    out["tautological-pullback"] = worst
+    form = omega(chart)
+    point = np.random.default_rng(seed + 4).standard_normal(chart.dim_total)
+    basis = np.eye(chart.dim_total)
+    matrix = np.array([[form(point, [basis[col], *basis[list(rest)]]) for col in range(chart.dim_total)]
+                       for rest in itertools.combinations(range(chart.dim_total), form.degree - 1)])
+    rank = int(np.linalg.matrix_rank(matrix, tol=1e-10 * max(1.0, float(np.abs(matrix).max()))))
+    out["multisymplectic-nondegenerate"] = float(chart.dim_total - rank)
+    closed_rng = np.random.default_rng(seed + 5)
+    worst = 0.0
+    for _ in range(20):
+        point = closed_rng.standard_normal(chart.dim_total)
+        vectors = [closed_rng.standard_normal(chart.dim_total) for _ in range(form.degree + 1)]
+        total = 0.0
+        for i, vi in enumerate(vectors):
+            rest = vectors[:i] + vectors[i + 1:]
+            total += (-1.0) ** i * (form(point + 1e-4 * vi, rest) - form(point - 1e-4 * vi, rest)) / (2.0 * 1e-4)
+        worst = max(worst, abs(total))
+    out["multisymplectic-closed"] = worst
+    return out, ranks, {"pullback": pullback_rng, "closed": closed_rng}
+
+
+def reference_config(name, n, p):
+    lagrangian = {"name": name, "n": n, "p": p}
+    if name == "ellipsoid":
+        lagrangian["params"] = {"weights": np.linspace(0.5, 3.0, math.comb(n, p)).round(3).tolist()}
+    if name == "graph_lift":
+        lagrangian["params"] = {"density": {"name": "minimal_surface"}}
+    return {"lagrangian": lagrangian, "seed": 11 * n + p, "samples": 24, "rank_samples": 10,
+            "certificate": {"num_pairs": 4, "t_steps": 3}}
+
+
+REFERENCE_CASES = [(name, n, p) for name in ("area", "ellipsoid", "projected_volume", "geometric_mean")
+                   for n, p in ((3, 2), (4, 2), (5, 3))] + [("graph_lift", 3, 2)]
+
+
+class TestVerifyMatchesPerFiberReference:
+    """The batched verify command against the per-fiber loops it replaced.
+
+    Every check gives the status and the measured value of the reference
+    exactly: the batched kernels pair with the same BLAS dot, sum rows in the
+    same order, and run the same LAPACK routines on the same matrices.
+    """
+
+    @pytest.mark.parametrize("name, n, p", REFERENCE_CASES, ids=lambda v: str(v))
+    def test_checks_equal_reference(self, name, n, p, monkeypatch):
+        config = reference_config(name, n, p)
+        if name == "graph_lift":  # the sampler leaves the graph chart (known defect)
+            config["checks"] = [c for c in VERIFY_CHECKS if c != "legendre-image-convexity"]
+        generators = {}
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            generators[seed] = default_rng(seed)
+            return generators[seed]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        report, _ = cmd_verify(config)
+        monkeypatch.undo()
+
+        expected, ranks, reference_rngs = reference_verify(config)
+        measured = {c["name"]: c for c in report["checks"]}
+        assert set(measured) == set(expected)
+        for check_name, check in measured.items():
+            assert check["measured"] == expected[check_name], check_name
+            assert check["status"] == ("pass" if expected[check_name] <= check["tolerance"] else "fail")
+        seed = config["seed"]
+        for offset, key in ((3, "pullback"), (5, "closed")):
+            assert generators[seed + offset].bit_generator.state == reference_rngs[key].bit_generator.state
+
+        L = build_lagrangian(config["lagrangian"])
+        rows = np.array([y.coords for y in reference_fibers(L, 24, np.random.default_rng(seed))])
+        report = rank_lemma_check(L, np.zeros(n), rows[:10], threshold=VERIFY_TOLERANCES["rank_threshold"])
+        assert list(zip(report.rank_L2.tolist(), report.rank_L.tolist())) == ranks
+        for k in range(10):
+            one = rank_lemma_check(L, np.zeros(n), KVector(n, p, rows[k]),
+                                   threshold=VERIFY_TOLERANCES["rank_threshold"])
+            assert (one.rank_L2, one.rank_L) == ranks[k]

@@ -1,8 +1,13 @@
 """Tautological form, its differential, nondegeneracy, closedness, pullback."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multisymp import multisymplectic
 from multisymp import (
     KCovector,
     KVector,
@@ -212,3 +217,81 @@ class TestPullback:
     def test_zero_section(self, x3, area3):
         with pytest.raises(ZeroSectionError):
             pullback_residual(area3, x3, KVector.zero(3, 2), [[np.eye(3)[0], np.eye(3)[1]]])
+
+
+def forms_at(chart):
+    """theta, omega and the two constant-coefficient probes on one chart."""
+    return [
+        theta(chart),
+        omega(chart),
+        constant_x_form(chart, range(1, chart.p + 2)),
+        weighted_x_form(chart, chart.labels[-1], range(1, chart.p + 1)),
+    ]
+
+
+class TestBatchedForms:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([(3, 2), (4, 2), (5, 3)]), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_batch_equals_stacked_batches_of_one(self, shape, rows, seed):
+        chart = TotalSpaceChart(*shape)
+        dim = chart.dim_total
+        rng = np.random.default_rng(seed)
+        for form in forms_at(chart):
+            points = rng.standard_normal((rows, dim))
+            vectors = rng.standard_normal((rows, dim, form.degree))
+            values = form.evaluator(points, vectors)
+            assert values.shape == (rows,)
+            singles = [form.evaluator(points[k:k + 1], vectors[k:k + 1]) for k in range(rows)]
+            assert np.array_equal(np.concatenate(singles), values)
+            # the validated call on one point is row 0 of the batch
+            assert form(points[0], list(vectors[0].T)) == values[0]
+
+    @pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (5, 3)])
+    def test_nondegeneracy_rank_independent_of_block(self, n, p, rng, monkeypatch):
+        chart = TotalSpaceChart(n, p)
+        point = rng.standard_normal(chart.dim_total)
+        for form in (omega(chart), constant_x_form(chart, range(1, p + 2))):
+            default = nondegeneracy_check(form, point)
+            monkeypatch.setattr(multisymplectic, "TUPLE_BLOCK", 1)
+            assert nondegeneracy_check(form, point) == default
+            monkeypatch.undo()
+
+    def test_contraction_matrix_matches_scalar_calls(self, rng, monkeypatch):
+        # the 455 x 15 contraction of omega at (5,3), entry by entry through __call__
+        chart = TotalSpaceChart(5, 3)
+        form = omega(chart)
+        point = rng.standard_normal(chart.dim_total)
+        basis = np.eye(chart.dim_total)
+        tuples = itertools.combinations(range(chart.dim_total), form.degree - 1)
+        expected = np.array([[form(point, [basis[col], *basis[list(rest)]]) for col in range(chart.dim_total)]
+                             for rest in tuples])
+        captured = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def capture(matrix, tol):
+            captured.append(matrix.copy())
+            return matrix_rank(matrix, tol=tol)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", capture)
+        assert nondegeneracy_check(form, point) == (True, chart.dim_total)
+        assert np.array_equal(captured[0], expected)
+
+    @pytest.mark.parametrize("n, p", [(3, 2), (5, 3)])
+    def test_closedness_batch_equals_single_points(self, n, p, rng):
+        chart = TotalSpaceChart(n, p)
+        for form in forms_at(chart):
+            points = rng.standard_normal((6, chart.dim_total))
+            vectors = rng.standard_normal((6, form.degree + 1, chart.dim_total))
+            batch = closedness_residual(form, points, vectors, h=1e-4)
+            assert batch.shape == (6,)
+            assert batch.tolist() == [closedness_residual(form, pt, list(vs), h=1e-4)
+                                      for pt, vs in zip(points, vectors)]
+
+    def test_pullback_fiber_rows_equal_one_fiber_per_tuple(self, rng):
+        L = ellipsoid_lagrangian(4, 2, [1.0, 2.0, 0.5, 3.0, 1.5, 0.7])
+        x = rng.standard_normal(4)
+        fibers = [random_decomposable(rng, 4, 2) for _ in range(8)]
+        tuples = rng.standard_normal((8, 2, 4))
+        per_fiber = max(pullback_residual(L, x, y, [t]) for y, t in zip(fibers, tuples))
+        rows = np.array([y.coords for y in fibers])
+        assert pullback_residual(L, x, rows, tuples) == per_fiber
