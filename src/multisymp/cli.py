@@ -40,7 +40,6 @@ from .legendre import (
     hamiltonian,
     image_coordinates,
     rank_lemma_check,
-    sample_image,
     write_image_csv,
 )
 from .multisymplectic import TotalSpaceChart, closedness_residual, omega, nondegeneracy_check, pullback_residual
@@ -442,20 +441,18 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
     cert_tol = float(_finite(cert_cfg.get("tolerance", 1e-7), "certificate.tolerance"))
     tol = _merge_tolerances({"quadric": 1e-9}, config.get("tolerances"))
 
-    points = sample_image(L, x, count, seed=seed)
-    csv_name = config.get("csv", "image_points.csv")
-    csv_path = out_dir / csv_name
+    grads = image_coordinates(L, x, count, seed=seed)[1]
+    csv_path = out_dir / config.get("csv", "image_points.csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as stream:
-        write_image_csv(points, stream, n=L.n, p=L.p)
+        write_image_csv(x, grads, L.p, stream)
 
     recorder = _CheckRecorder()
     quadric = _image_quadric(L, config["lagrangian"], tol["quadric"])
     if quadric is not None:
         quadric_tol, residual = quadric
         recorder.run("legendre-image-quadric", "sampled image points close on the unit quadric",
-                     quadric_tol,
-                     lambda: residual(np.array([pt.p.coords for pt in points]).reshape(count, L.fiber_dim)))
+                     quadric_tol, lambda: residual(grads))
     cert = None
 
     def convexity() -> float:
@@ -470,14 +467,7 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
     report = _base_report("image", config)
     report["csv"] = str(csv_path)
     report["num_points"] = count
-    report["certificate"] = {
-        "passed": cert.passed,
-        "num_segment_checks": cert.num_segment_checks,
-        "worst_violation": cert.worst_violation,
-        "sample_seed": cert.sample_seed,
-        "tolerance": cert.tolerance,
-        "num_failures": cert.num_failures,
-    }
+    report["certificate"] = asdict(cert)
     report["checks"] = recorder.checks
     report["overall"] = "pass" if recorder.all_passed else "fail"
     return report, recorder.all_passed

@@ -88,7 +88,9 @@ def _minor_rows(n: int, p: int) -> np.ndarray:
 def det(m: np.ndarray) -> np.ndarray:
     """Determinants of a stack of k x k matrices, shape (..., k, k) to (...).
 
-    Orders up to three use the exact cofactor formulas; larger orders use LAPACK.
+    Orders up to four are exact cofactor formulas: order four is the Laplace
+    expansion along rows 0 and 1 over their 2 x 2 minors.  Orders five and
+    up use LAPACK.
     """
     k = m.shape[-1]
     if k == 1:
@@ -101,6 +103,13 @@ def det(m: np.ndarray) -> np.ndarray:
             - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
             + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
         )
+    if k == 4:
+        def minor(r, i, j):  # rows r, r + 1 and columns i, j
+            return m[..., r, i] * m[..., r + 1, j] - m[..., r, j] * m[..., r + 1, i]
+
+        return (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
+                + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
+                - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1))
     return np.linalg.det(m)
 
 

@@ -10,9 +10,9 @@ that segments between image points stay inside the image of the unit ball.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -210,11 +210,8 @@ def sample_image(
 ) -> list[LegendreImagePoint]:
     """Image points of uniformly random unit-level directions; deterministic per seed."""
     x = np.asarray(x, dtype=float)
-    rows, grads = image_coordinates(L, x, count, seed)
-    return [
-        LegendreImagePoint(x, KCovector(L.n, L.p, g), GrassmannPoint(KVector(L.n, L.p, c), check=False))
-        for c, g in zip(rows, grads)
-    ]
+    return [LegendreImagePoint(x, KCovector(L.n, L.p, g), GrassmannPoint(KVector(L.n, L.p, c), check=False))
+            for c, g in zip(*image_coordinates(L, x, count, seed))]
 
 
 @dataclass(frozen=True)
@@ -278,31 +275,32 @@ RADIAL_BLOCK = 256
 HALVINGS = np.ldexp(1.0, -np.arange(1, 40))
 
 
-def _level_gradient(L: HomogeneousLagrangian, x: np.ndarray, cs: np.ndarray):
+def _level_gradient(L: HomogeneousLagrangian, xs: np.ndarray, cs: np.ndarray):
     """L and dL/dy at each row of cs, NaN in the rows a KVector or KCovector would reject.
 
     Those are rows that are non-finite or zero, rows with a non-finite
-    gradient, and rows where L raises ValueError (a chart violation raises
-    for the whole batch, so the batch is then retried row by row).
+    gradient, and rows where L raises ValueError.  This is the one zero-section
+    check: a block of valid rows is one gradient and one value call on cs
+    itself, and a batch that raises (a chart violation raises for the whole
+    batch) is retried row by row.  ``xs`` has at least len(cs) base points.
     """
     levels = np.full(len(cs), np.nan)
     grads = np.full(cs.shape, np.nan)
 
     def fill(rows):
-        xs = np.broadcast_to(x, (rows.size, x.size))
-        g = L.gradient_many(xs, cs[rows])
-        levels[rows], grads[rows] = L.value_many(xs, cs[rows]), g
+        block = cs[rows]
+        grads[rows], levels[rows] = L._gradients(xs[: len(block)], block), L._values(xs[: len(block)], block)
 
-    rows = np.flatnonzero(np.all(np.isfinite(cs), axis=-1) & np.any(cs != 0.0, axis=-1))
+    rows = np.flatnonzero(np.isfinite(cs).all(axis=-1) & (cs != 0.0).any(axis=-1))
     try:
-        fill(rows)
+        fill(slice(None) if rows.size == len(cs) else rows)
     except ValueError:
         for row in rows:
             try:
-                fill(np.array([row]))
+                fill([row])
             except ValueError:
                 pass
-    bad = ~np.all(np.isfinite(grads), axis=-1)
+    bad = ~np.isfinite(grads).all(axis=-1)
     levels[bad] = np.nan
     grads[bad] = np.nan
     return levels, grads
@@ -323,7 +321,7 @@ def _solve_stack(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return delta, solved
 
 
-def _line_search(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray, c: np.ndarray,
+def _line_search(L: HomogeneousLagrangian, xs: np.ndarray, targets: np.ndarray, c: np.ndarray,
                  delta: np.ndarray, f0: np.ndarray):
     """Per row, the first step of 1, 1/2, ..., 2^-39 along delta that lowers |F|^2 below f0.
 
@@ -333,23 +331,24 @@ def _line_search(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray, c
     """
 
     def trial(cand, tgt):
-        level, g = _level_gradient(L, x, cand)
+        level, g = _level_gradient(L, xs, cand)
         F = level[:, None] * g - tgt
-        return level, g, np.sum(F * F, axis=-1)
+        return level, g, np.add.reduce(F * F, axis=-1)
 
     c_new = c + delta
     level, g, f = trial(c_new, targets)
     moved = f < f0
+    if moved.all():
+        return moved, c_new, level, g
     rest = np.flatnonzero(~moved)
-    if rest.size:
-        steps = (c[rest, None, :] + HALVINGS[:, None] * delta[rest, None, :]).reshape(-1, c.shape[1])
-        level_h, g_h, f_h = trial(steps, np.repeat(targets[rest], HALVINGS.size, axis=0))
-        passing = f_h.reshape(rest.size, HALVINGS.size) < f0[rest, None]
-        found = passing.any(axis=1)
-        pick = (np.arange(rest.size) * HALVINGS.size + passing.argmax(axis=1))[found]
-        rest = rest[found]
-        c_new[rest], level[rest], g[rest] = steps[pick], level_h[pick], g_h[pick]
-        moved[rest] = True
+    steps = (c[rest, None, :] + HALVINGS[:, None] * delta[rest, None, :]).reshape(-1, c.shape[1])
+    level_h, g_h, f_h = trial(steps, np.repeat(targets[rest], HALVINGS.size, axis=0))
+    passing = f_h.reshape(rest.size, HALVINGS.size) < f0[rest, None]
+    found = passing.any(axis=1)
+    pick = (np.arange(rest.size) * HALVINGS.size + passing.argmax(axis=1))[found]
+    rest = rest[found]
+    c_new[rest], level[rest], g[rest] = steps[pick], level_h[pick], g_h[pick]
+    moved[rest] = True
     return moved, c_new[moved], level[moved], g[moved]
 
 
@@ -364,24 +363,29 @@ def _radial_solve(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
     """
     radius = np.full(len(targets), np.nan)
     solution = np.full(targets.shape, np.nan)
-    xs = np.broadcast_to(x, (len(targets), x.size))
+    # one view of the base point serves every batch, the halvings of all rows included
+    xs = np.broadcast_to(x, (len(targets) * HALVINGS.size, x.size))
     norm_t = np.linalg.norm(targets, axis=-1)
-    seed_level = np.abs(L.value_many(xs, targets))
+    seed_level = np.abs(L.value_many(xs[: len(targets)], targets))
     rows = np.flatnonzero(seed_level > 1e-12 * np.maximum(1.0, norm_t))
     c = targets[rows] / seed_level[rows, None]  # start on the unit level of |L|
-    level, g = _level_gradient(L, x, c)
+    level, g = _level_gradient(L, xs, c)
     for _ in range(100):
         F = level[:, None] * g - targets[rows]
-        done = np.linalg.norm(F, axis=-1) <= 1e-11 * np.maximum(1.0, norm_t[rows])
-        radius[rows[done]], solution[rows[done]] = level[done], c[done]
-        live = ~done
-        rows, c, level, g, F = rows[live], c[live], level[live], g[live], F[live]
+        f = np.add.reduce(F * F, axis=-1)  # np.linalg.norm squares and sums in the same order
+        done = np.sqrt(f) <= 1e-11 * np.maximum(1.0, norm_t[rows])
+        if done.any():
+            radius[rows[done]], solution[rows[done]] = level[done], c[done]
+            live = ~done
+            rows, c, level, g, F, f = rows[live], c[live], level[live], g[live], F[live], f[live]
         if rows.size == 0:
             break
-        J = g[:, :, None] * g[:, None, :] + level[:, None, None] * L.hessian_many(xs[: rows.size], c)
+        # rows that reach here have a finite level, so they are off the zero section
+        J = g[:, :, None] * g[:, None, :] + level[:, None, None] * L._hessians(xs[: rows.size], c)
         delta, solved = _solve_stack(J, -F)
-        rows, c, delta, F = rows[solved], c[solved], delta[solved], F[solved]
-        moved, c, level, g = _line_search(L, x, targets[rows], c, delta, np.sum(F * F, axis=-1))
+        if not solved.all():
+            rows, c, delta, f = rows[solved], c[solved], delta[solved], f[solved]
+        moved, c, level, g = _line_search(L, xs, targets[rows], c, delta, f)
         rows = rows[moved]
     return radius, solution
 
@@ -457,21 +461,18 @@ def convexity_certificate(
     )
 
 
-def write_image_csv(
-    points: Sequence[LegendreImagePoint], stream: IO[str], n: int | None = None, p: int | None = None
-) -> None:
-    """One row per image point: base coordinates, then dual coordinates in index order.
+def write_image_csv(x: np.ndarray, grads: np.ndarray, p: int, stream: IO[str]) -> None:
+    """One row per image point: the base point x (n,), then its row of grads (count, C(n,p)).
 
-    Dimensions are inferred from the points; pass them explicitly to write a
-    header-only file for an empty cloud.
+    count = 0 writes the header alone.  Each field is the repr of a float,
+    which needs no CSV quoting, and lines end in "\\r\\n" as in the csv
+    module's default dialect.
     """
-    if points:
-        n, p = points[0].p.n, points[0].p.p
-    elif n is None or p is None:
-        raise ValueError("an empty cloud needs explicit dimensions for the header")
-    writer = csv.writer(stream)
-    header = [f"x{k}" for k in range(1, n + 1)]
-    header += ["p" + "".join(map(str, axes)) for axes in multi_indices(n, p)]
-    writer.writerow(header)
-    for pt in points:
-        writer.writerow([repr(float(v)) for v in pt.x] + [repr(float(v)) for v in pt.p.coords])
+    x, grads = np.asarray(x, dtype=float), np.asarray(grads, dtype=float)
+    n = x.size
+    if grads.ndim != 2 or grads.shape[1] != math.comb(n, p):
+        raise ValueError(f"expected gradient rows of shape (count, {math.comb(n, p)}), got {grads.shape}")
+    header = [f"x{k}" for k in range(1, n + 1)] + ["p" + "".join(map(str, a)) for a in multi_indices(n, p)]
+    stream.write(",".join(header) + "\r\n")
+    base = "".join(f"{v!r}," for v in x.tolist())
+    stream.writelines(base + ",".join(map(repr, row)) + "\r\n" for row in grads.tolist())

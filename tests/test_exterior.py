@@ -25,7 +25,7 @@ from multisymp import (
     wedge_product,
     wedge_vectors,
 )
-from multisymp.exterior import minors
+from multisymp.exterior import det, minors
 
 
 def inversion_sign(seq):
@@ -111,9 +111,9 @@ class TestWedgeVectors:
         for axes, expected in oracle.items():
             assert w.component(axes) == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("n, p", [(3, 1), (4, 2), (5, 3), (6, 4)])
+    @pytest.mark.parametrize("n, p", [(3, 1), (4, 2), (5, 3), (6, 4), (7, 5)])
     def test_batched_minors_against_oracle(self, n, p):
-        # p = 4 runs the LAPACK branch of the kernel, p <= 3 the cofactor formulas
+        # p = 5 runs the LAPACK branch of the kernel, p <= 4 the cofactor formulas
         frames = np.random.default_rng(10 * n + p).standard_normal((7, n, p))
         coords = minors(frames)
         assert coords.shape == (7, math.comb(n, p))
@@ -144,6 +144,42 @@ class TestWedgeVectors:
             wedge_vectors([np.ones(3), np.ones(4)])
         with pytest.raises(ValueError):
             wedge_vectors([np.ones(2)] * 3)
+
+
+# Entries of magnitude 0 or 1e-6 .. 1e3: no product of four row norms underflows.
+det_entries = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+
+
+class TestDetOrderFour:
+    @settings(max_examples=300)
+    @given(st.lists(det_entries, min_size=16, max_size=16))
+    def test_matches_lapack_within_hadamard_bound(self, entries):
+        # |det| is at most the product of the row norms; both routines round well inside it
+        m = np.array(entries).reshape(4, 4)
+        hadamard = float(np.prod(np.linalg.norm(m, axis=-1)))
+        assert abs(det(m) - np.linalg.det(m)) <= 1e-13 * hadamard
+
+    def test_exact_on_integer_matrices(self):
+        # small integers keep every product and sum of the expansion exact in floating point
+        matrices = np.random.default_rng(4).integers(-9, 10, (500, 4, 4))
+        exact = [
+            sum(inversion_sign(perm) * math.prod(int(row[c]) for row, c in zip(m, perm))
+                for perm in itertools.permutations(range(4)))
+            for m in matrices
+        ]
+        assert det(matrices.astype(float)).tolist() == [float(v) for v in exact]
+
+    def test_permutation_and_singular_matrices(self):
+        for perm in itertools.permutations(range(4)):
+            assert det(np.eye(4)[list(perm)]) == inversion_sign(perm)
+        singular = np.arange(16.0).reshape(4, 4)  # rows in arithmetic progression
+        assert det(singular) == 0.0
+
+    def test_batch_shape(self):
+        stack = np.random.default_rng(5).standard_normal((3, 2, 4, 4))
+        values = det(stack)
+        assert values.shape == (3, 2)
+        assert np.array_equal(values[1, 0], det(stack[1, 0]))
 
 
 class TestPair:

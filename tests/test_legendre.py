@@ -1,7 +1,10 @@
 """Legendre transform, image sampling, rank splitting, convexity certification."""
 
+import csv
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,12 +28,17 @@ from multisymp import (
     inverse_legendre,
     legendre_map,
     minimal_surface_density,
+    multi_indices,
     projected_volume_lagrangian,
     rank_lemma_check,
     random_decomposable,
     sample_image,
     write_image_csv,
 )
+from multisymp.cli import build_lagrangian, main
+from multisymp.legendre import _level_gradient, image_coordinates
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def reference_sample(L, x, count, rng):
@@ -111,6 +119,45 @@ def reference_certificate(L, x, num_pairs, t_steps, seed, tol=1e-7):
             worst = max(worst, radius - 1.0)
     worst = worst if np.isfinite(worst) else 0.0
     return worst <= tol, num_pairs * t_steps, failures, worst
+
+
+def reference_level_gradient(L, x, cs):
+    """Masked evaluation with the public guards: the valid rows in one gathered batch, then row by row."""
+    levels = np.full(len(cs), np.nan)
+    grads = np.full(cs.shape, np.nan)
+
+    def fill(rows):
+        xs = np.broadcast_to(x, (rows.size, x.size))
+        g = L.gradient_many(xs, cs[rows])
+        levels[rows], grads[rows] = L.value_many(xs, cs[rows]), g
+
+    rows = np.flatnonzero(np.all(np.isfinite(cs), axis=-1) & np.any(cs != 0.0, axis=-1))
+    try:
+        fill(rows)
+    except ValueError:
+        for row in rows:
+            try:
+                fill(np.array([row]))
+            except ValueError:
+                pass
+    bad = ~np.all(np.isfinite(grads), axis=-1)
+    levels[bad] = np.nan
+    grads[bad] = np.nan
+    return levels, grads
+
+
+def reference_write_image_csv(points, stream, n=None, p=None):
+    """The writer over LegendreImagePoint objects, one csv row per point: the byte reference."""
+    if points:
+        n, p = points[0].p.n, points[0].p.p
+    elif n is None or p is None:
+        raise ValueError("an empty cloud needs explicit dimensions for the header")
+    writer = csv.writer(stream)
+    header = [f"x{k}" for k in range(1, n + 1)]
+    header += ["p" + "".join(map(str, axes)) for axes in multi_indices(n, p)]
+    writer.writerow(header)
+    for pt in points:
+        writer.writerow([repr(float(v)) for v in pt.x] + [repr(float(v)) for v in pt.p.coords])
 
 
 class TestLegendreMap:
@@ -347,9 +394,9 @@ class TestConvexityCertificate:
 
 class TestCsvExport:
     def test_rows_and_header(self, x3, area3):
-        points = sample_image(area3, x3, 3, seed=0)
+        grads = image_coordinates(area3, x3, 3, seed=0)[1]
         buf = io.StringIO()
-        write_image_csv(points, buf)
+        write_image_csv(x3, grads, 2, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "x1,x2,x3,p12,p13,p23"
         assert len(lines) == 4
@@ -357,9 +404,113 @@ class TestCsvExport:
         assert first[:3] == [0.0, 0.0, 0.0]
         assert np.linalg.norm(first[3:]) == pytest.approx(1.0, abs=1e-10)
 
-    def test_empty_needs_dimensions(self):
+    def test_empty_needs_dimensions(self, x3):
         buf = io.StringIO()
-        write_image_csv([], buf, n=3, p=2)
+        write_image_csv(x3, np.empty((0, 3)), 2, buf)
         assert buf.getvalue().strip() == "x1,x2,x3,p12,p13,p23"
+        with pytest.raises(ValueError):  # rows of C(3,2) = 3 coordinates, not 4
+            write_image_csv(x3, np.empty((0, 4)), 2, io.StringIO())
+
+
+class TestCsvMatchesObjectPath:
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
+    @pytest.mark.parametrize("name", ["area", "ellipsoid"])
+    def test_array_writer_bytes(self, shape, name):
+        n, p = shape
+        L = area_lagrangian(n, p) if name == "area" else ellipsoid_lagrangian(
+            n, p, np.linspace(0.5, 3.0, math.comb(n, p)))
+        x = np.random.default_rng(n * p).standard_normal(n)
+        expected, got = io.StringIO(newline=""), io.StringIO(newline="")
+        reference_write_image_csv(sample_image(L, x, 300, seed=17), expected)
+        write_image_csv(x, image_coordinates(L, x, 300, seed=17)[1], p, got)
+        assert got.getvalue() == expected.getvalue()
+
+    def test_empty_cloud_bytes(self):
+        expected, got = io.StringIO(newline=""), io.StringIO(newline="")
+        reference_write_image_csv([], expected, n=5, p=3)
+        write_image_csv(np.zeros(5), np.empty((0, 10)), 3, got)
+        assert got.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("config", ["image_area.json", "image_ellipsoid.json"])
+    def test_cmd_image_writes_reference_bytes(self, config, tmp_path, monkeypatch):
+        monkeypatch.delenv("MULTISYMP_OUT_DIR", raising=False)
+        cfg = json.loads((CONFIGS / config).read_text())
+        assert main(["image", "--config", str(CONFIGS / config), "--out", str(tmp_path / "report.json")]) == 0
+        L = build_lagrangian(cfg["lagrangian"])
+        x = np.asarray(cfg.get("x", [0.0] * L.n), dtype=float)
+        with open(tmp_path / "expected.csv", "w", newline="") as stream:
+            reference_write_image_csv(sample_image(L, x, cfg["count"], seed=cfg["seed"]), stream)
+        assert (tmp_path / cfg["csv"]).read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def lagrangian_at(name, n, p):
+    return {
+        "area": lambda: area_lagrangian(n, p),
+        "ellipsoid": lambda: ellipsoid_lagrangian(n, p, np.linspace(0.5, 3.0, math.comb(n, p))),
+        "geometric_mean": lambda: geometric_mean_lagrangian(n, p),
+        "graph_lift": lambda: graph_lift(minimal_surface_density(n, p)),
+    }[name]()
+
+
+def assert_bitwise_equal(got, expected):
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # values, signed zeros and NaN positions
+
+
+class TestLevelGradient:
+    """The one-call fast path and the masked fallback against the masked reference."""
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
+    @pytest.mark.parametrize("name", ["area", "ellipsoid", "geometric_mean", "graph_lift"])
+    @pytest.mark.parametrize("defect", [None, "zero", "nan", "hyperplane"])
+    def test_matches_masked_reference(self, shape, name, defect):
+        n, p = shape
+        L = lagrangian_at(name, n, p)
+        rng = np.random.default_rng(n + 10 * p)
+        cs = rng.standard_normal((12, L.fiber_dim))
+        cs[:, 0] = np.abs(cs[:, 0]) + 0.5  # inside the graph chart
+        x = rng.standard_normal(n)
+        if defect == "zero":
+            cs[3] = 0.0
+        elif defect == "nan":
+            cs[5, 1] = np.nan
+        elif defect == "hyperplane":
+            cs[7, 1] = 0.0  # the geometric mean is 0 there and its gradient infinite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = reference_level_gradient(L, x, cs)
+            got = _level_gradient(L, np.broadcast_to(x, (3 * len(cs), n)), cs)
+        assert_bitwise_equal(got, expected)
+        rejected = {None: [], "zero": [3], "nan": [5], "hyperplane": [7] if name == "geometric_mean" else []}
+        assert np.flatnonzero(np.isnan(got[0])).tolist() == rejected[defect]
+        assert np.array_equal(np.isnan(got[1]).any(axis=1), np.isnan(got[0]))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
+    def test_chart_violation_falls_back_row_by_row(self, shape):
+        n, p = shape
+        L = lagrangian_at("graph_lift", n, p)
+        rng = np.random.default_rng(n + 10 * p)
+        cs = rng.standard_normal((10, L.fiber_dim))
+        cs[:, 0] = np.abs(cs[:, 0]) + 0.5
+        cs[4, 0] = -1.0  # a negative top coordinate: the batch raises as a whole
+        x = np.zeros(n)
         with pytest.raises(ValueError):
-            write_image_csv([], io.StringIO())
+            L.value_many(np.broadcast_to(x, (len(cs), n)), cs)
+        got = _level_gradient(L, np.broadcast_to(x, (len(cs), n)), cs)
+        assert_bitwise_equal(got, reference_level_gradient(L, x, cs))
+        assert np.flatnonzero(np.isnan(got[0])).tolist() == [4]
+
+    def test_valid_block_is_one_call_each(self, x3, area3):
+        calls = []
+
+        def counted(fn, name):
+            def wrapper(xs, cs):
+                calls.append((name, len(cs)))
+                return fn(xs, cs)
+            return wrapper
+
+        L = HomogeneousLagrangian(3, 2, "counted", counted(area3.value_fn, "value"),
+                                  counted(area3.grad_fn, "gradient"))
+        cs = np.random.default_rng(1).standard_normal((20, 3))
+        _level_gradient(L, np.broadcast_to(x3, (20, 3)), cs)
+        assert calls == [("gradient", 20), ("value", 20)]

@@ -144,6 +144,16 @@ class TestNondegeneracy:
         assert ok
         assert rank == chart.dim_total
 
+    def test_omega_rank_at_53_matches_lapack_det(self, rng, monkeypatch):
+        # omega at (5,3) sums 4 x 4 determinants: the cofactor expansion and LU give the same rank
+        chart = TotalSpaceChart(5, 3)
+        for _ in range(3):
+            point = rng.standard_normal(chart.dim_total)
+            cofactor = nondegeneracy_check(omega(chart), point)
+            monkeypatch.setattr(multisymplectic, "det", np.linalg.det)
+            assert nondegeneracy_check(omega(chart), point) == cofactor == (True, chart.dim_total)
+            monkeypatch.undo()
+
     def test_planted_degenerate_form(self, chart32):
         probe = constant_x_form(chart32, (1, 2, 3))
         ok, rank = nondegeneracy_check(probe, np.zeros(6))
