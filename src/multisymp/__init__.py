@@ -52,14 +52,12 @@ from .lagrangian import (
 from .legendre import (
     ConvexityCertificate,
     LegendreImagePoint,
-    LevelSetSampler,
     RankReport,
     convexity_certificate,
     hamiltonian,
     inverse_legendre,
     legendre_map,
     rank_lemma_check,
-    sample_image,
     write_image_csv,
 )
 from .multisymplectic import (

@@ -73,14 +73,20 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
 
 def _finite(value: Any, key: str) -> np.ndarray:
     """The config value as a float array; JSON admits NaN and Infinity, configs do not."""
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be numeric, got {value!r}") from None
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return arr
 
 
 def _count(value: Any, key: str, least: int) -> int:
-    count = int(value)
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
     if count < least:
         raise ConfigError(f"{key} must be at least {least}, got {count}")
     return count
@@ -121,7 +127,7 @@ def build_density(spec: Any, n: int, p: int) -> GraphDensity:
 def build_lagrangian(spec: Any) -> HomogeneousLagrangian:
     _check_keys(spec, {"name", "n", "p", "params"}, {"name", "n", "p"}, "lagrangian")
     name = spec["name"]
-    n, p = int(spec["n"]), int(spec["p"])
+    n, p = _count(spec["n"], "lagrangian.n", 1), _count(spec["p"], "lagrangian.p", 1)
     params = dict(spec.get("params") or {})
     if name == "area":
         lagrangian = area_lagrangian(n, p)
@@ -241,7 +247,7 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
     )
     L = build_lagrangian(config["lagrangian"])
     x = _base_point(config, L.n)
-    seed = int(config.get("seed", 0))
+    seed = _count(config.get("seed", 0), "seed", 0)
     samples = _count(config.get("samples", 100), "samples", 1)
     rank_samples = _count(config.get("rank_samples", 50), "rank_samples", 1)
     cert_cfg = config.get("certificate") or {}
@@ -252,6 +258,8 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
 
     quadric = _image_quadric(L, config["lagrangian"], tol["quadric"])
     selected = config.get("checks", VERIFY_CHECKS)
+    if not isinstance(selected, (list, tuple)) or not all(isinstance(c, str) for c in selected):
+        raise ConfigError(f"checks must be a list of check names, got {selected!r}")
     unknown = sorted(set(selected) - set(VERIFY_CHECKS))
     if unknown:
         raise ConfigError(f"unknown checks: {unknown}")
@@ -363,7 +371,7 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     elif L.name == "area":
         density = graph_area_density(n, p)
     surface = build_surface(config["surface"], n, p)
-    resolutions = [int(r) for r in config["resolutions"]]
+    resolutions = [_count(r, "resolutions", 2) for r in config["resolutions"]]
     if not resolutions:
         raise ConfigError("resolutions must be a nonempty list")
     quad = QuadratureConfig(rule=config.get("quadrature", "midpoint"))
@@ -433,11 +441,12 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
     L = build_lagrangian(config["lagrangian"])
     x = _base_point(config, L.n)
     count = _count(config["count"], "count", 0)
-    seed = int(config.get("seed", 0))
+    seed = _count(config.get("seed", 0), "seed", 0)
     cert_cfg = config.get("certificate") or {}
     _check_keys(cert_cfg, {"num_pairs", "t_steps", "seed", "tolerance"}, set(), "certificate")
     num_pairs = _count(cert_cfg.get("num_pairs", 100), "certificate.num_pairs", 1)
     t_steps = _count(cert_cfg.get("t_steps", 5), "certificate.t_steps", 3)
+    cert_seed = _count(cert_cfg.get("seed", seed + 1), "certificate.seed", 0)
     cert_tol = float(_finite(cert_cfg.get("tolerance", 1e-7), "certificate.tolerance"))
     tol = _merge_tolerances({"quadric": 1e-9}, config.get("tolerances"))
 
@@ -458,7 +467,7 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
     def convexity() -> float:
         nonlocal cert
         cert = convexity_certificate(L, x, num_pairs=num_pairs, t_steps=t_steps,
-                                     seed=int(cert_cfg.get("seed", seed + 1)), tol=cert_tol)
+                                     seed=cert_seed, tol=cert_tol)
         return cert.worst_violation
     recorder.run("legendre-image-convexity",
                  "segments between image points stay inside the image of the unit ball",

@@ -105,10 +105,8 @@ class HomogeneousLagrangian:
         return self._hessians(*self._rows(xs, cs))
 
     def square_hessian(self, x: np.ndarray, y: KVector) -> np.ndarray:
-        """Hessian of L^2 in the fiber: 2(g g^T + L H), exact given exact g and H."""
-        g = self.gradient(x, y).coords
-        H = self.hessian(x, y)
-        return 2.0 * (np.outer(g, g) + self.value(x, y) * H)
+        """Hessian of L^2 in the fiber, a batch of one of _square_hessians."""
+        return self._square_hessians(*self._one(x, y))[0][0]
 
     def _values(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         return np.asarray(self.value_fn(xs, cs), dtype=float)
@@ -123,6 +121,11 @@ class HomogeneousLagrangian:
             return np.asarray(self.hess_fn(xs, cs), dtype=float)
         H = self._central_differences(self._gradients, xs, cs, HESS_STEP_SCALE)
         return 0.5 * (H + np.swapaxes(H, -1, -2))
+
+    def _square_hessians(self, xs: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hess(L^2) = 2 (g g^T + L H) and Hess L per row, exact given exact g and H."""
+        g, H = self._gradients(xs, cs), self._hessians(xs, cs)
+        return 2.0 * (g[:, :, None] * g[:, None, :] + self._values(xs, cs)[:, None, None] * H), H
 
     @staticmethod
     def _central_differences(fn, xs: np.ndarray, cs: np.ndarray, scale: float) -> np.ndarray:
@@ -151,13 +154,11 @@ class AreolarForm:
     immaterial, so the field lives on oriented classes.
     """
 
-    n: int
-    p: int
-    coefficient_fn: Callable[[np.ndarray, KVector], KCovector]
+    L: HomogeneousLagrangian
 
     def coefficients_at(self, x: np.ndarray, y) -> KCovector:
         rep = y.representative if hasattr(y, "representative") else y
-        return self.coefficient_fn(np.asarray(x, dtype=float), rep)
+        return self.L.gradient(x, rep)
 
     def evaluate(self, x: np.ndarray, y, vectors: Sequence[np.ndarray]) -> float:
         """Value of the form on p base vectors."""
@@ -168,19 +169,15 @@ class AreolarForm:
 class GraphDensity:
     """First-order density F(base, values, slopes) of a graph variational problem.
 
-    ``slopes`` has shape (p, n-p) with entry [i, j] the derivative of the
-    j-th value component along the i-th base direction.  ``fn_many`` takes
-    the same arguments with a leading batch axis and returns shape (N,).
+    ``fn_many`` takes base points (N, p), values (N, n-p) and slopes
+    (N, p, n-p), where slopes[k, i, j] is the derivative of the j-th value
+    component along the i-th base direction, and returns shape (N,).
     """
 
     n: int
     p: int
-    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
     fn_many: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     name: str = "density"
-
-    def __call__(self, base: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> float:
-        return float(self.fn(np.asarray(base, float), np.asarray(values, float), np.asarray(slopes, float)))
 
 
 def area_lagrangian(n: int, p: int) -> HomogeneousLagrangian:
@@ -278,7 +275,6 @@ def geometric_mean_lagrangian(n: int = 3, p: int = 2) -> HomogeneousLagrangian:
 def constant_density(n: int, p: int, value: float = 1.0) -> GraphDensity:
     return GraphDensity(
         n, p,
-        fn=lambda base, values, slopes: value,
         name="constant",
         fn_many=lambda bases, values, slopes: np.full(len(bases), value),
     )
@@ -289,7 +285,6 @@ def minimal_surface_density(n: int, p: int) -> GraphDensity:
 
     return GraphDensity(
         n, p,
-        fn=lambda base, values, slopes: np.sqrt(1.0 + np.sum(slopes * slopes)),
         name="minimal_surface",
         fn_many=lambda bases, values, slopes: np.sqrt(1.0 + np.sum(slopes * slopes, axis=(1, 2))),
     )
@@ -298,14 +293,11 @@ def minimal_surface_density(n: int, p: int) -> GraphDensity:
 def graph_area_density(n: int, p: int) -> GraphDensity:
     """sqrt(det(I + q q^T)): the area element of a graph in any codimension."""
 
-    def fn(base, values, slopes):
-        return np.sqrt(np.linalg.det(np.eye(p) + slopes @ slopes.T))
-
     def fn_many(bases, values, slopes):
         eye = np.eye(p)
         return np.sqrt(np.linalg.det(eye + slopes @ np.transpose(slopes, (0, 2, 1))))
 
-    return GraphDensity(n, p, fn=fn, name="graph_area", fn_many=fn_many)
+    return GraphDensity(n, p, name="graph_area", fn_many=fn_many)
 
 
 def _graph_chart_layout(n: int, p: int):
@@ -355,12 +347,12 @@ def fiber_rows(L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray)
     """Base points (N, n) and fiber coordinates (N, C(n,p)) at the base point x.
 
     ``y`` is one KVector, checked as ``L.value`` checks it (a batch of one),
-    or an array of N fiber rows, checked by the batched methods.
+    or an array of N fiber rows, checked as the batched methods check them.
     """
     if isinstance(y, KVector):
         return L._one(x, y)
     cs = np.asarray(y, dtype=float)
-    return np.broadcast_to(np.asarray(x, dtype=float), (len(cs), L.n)), cs
+    return L._rows(np.broadcast_to(np.asarray(x, dtype=float), (len(cs), L.n)), cs)
 
 
 def euler_residual(L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray) -> float | np.ndarray:
@@ -394,10 +386,15 @@ def homogeneity_residual(
 
 def areolar_form(L: HomogeneousLagrangian) -> AreolarForm:
     """The p-covector field with coefficients dL/dy, defined on oriented classes."""
-    return AreolarForm(L.n, L.p, lambda x, y: L.gradient(x, y))
+    return AreolarForm(L)
 
 
-def is_nondegenerate(L: HomogeneousLagrangian, x: np.ndarray, y: KVector, tol: float = 1e-8) -> bool:
-    """Whether the fiber Hessian of L^2 is positive definite beyond tol at (x, y)."""
-    eigs = np.linalg.eigvalsh(L.square_hessian(x, y))
-    return bool(eigs[0] > tol)
+def is_nondegenerate(
+    L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray, tol: float = 1e-8
+) -> bool | np.ndarray:
+    """Whether the fiber Hessian of L^2 is positive definite beyond tol.
+
+    A KVector y gives a bool; fiber rows (N, C(n,p)) give one per row.
+    """
+    definite = np.linalg.eigvalsh(L._square_hessians(*fiber_rows(L, x, y))[0])[:, 0] > tol
+    return bool(definite[0]) if isinstance(y, KVector) else definite

@@ -16,20 +16,18 @@ from typing import IO
 
 import numpy as np
 
-from .errors import InversionError, NotInImageError, ZeroSectionError
+from .errors import NotInImageError, ZeroSectionError
 from .exterior import GrassmannPoint, KCovector, KVector, multi_indices
 from .lagrangian import HomogeneousLagrangian, fiber_rows
 
 __all__ = [
     "LegendreImagePoint",
-    "LevelSetSampler",
     "RankReport",
     "ConvexityCertificate",
     "legendre_map",
     "hamiltonian",
     "inverse_legendre",
     "image_coordinates",
-    "sample_image",
     "rank_lemma_check",
     "convexity_certificate",
     "write_image_csv",
@@ -67,130 +65,50 @@ def hamiltonian(
     return float(value[0]) if isinstance(y, KVector) else value
 
 
-def _normalize_to_level(L: HomogeneousLagrangian, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Rescale coordinates onto {L = 1}; the level value must be positive."""
-    level = float(L.value_fn(x[None], c[None])[0])
-    if not level > 1e-12 * max(1.0, float(np.linalg.norm(c))):
-        raise InversionError("iterate collapsed toward the zero section")
-    return c / level
-
-
 def inverse_legendre(
-    L: HomogeneousLagrangian,
-    x: np.ndarray,
-    p: KCovector,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    initial: KVector | None = None,
+    L: HomogeneousLagrangian, x: np.ndarray, p: KCovector, tol: float = 1e-8
 ) -> GrassmannPoint:
     """Solve dL/dy(x, y) = p for the oriented class [y], normalized to L = 1.
 
-    Projected descent on |dL/dy - p|^2 over the level set {L = 1},
-    renormalizing after every step.  Each iteration first tries the
-    Gauss-Newton direction of the gradient equation and falls back to the
-    steepest-descent direction with a backtracking line search; plain
-    gradient steps alone stall well above desk tolerances for anisotropic
-    fibers.  Raises NotInImageError when the residual cannot be brought
-    below tol, which is the no-solution signal for targets off the image.
+    A batch of one of the certificate's radial solve: it solves
+    L(y*) dL/dy(y*) = p and normalizes y = y* / L(y*).  Raises
+    NotInImageError when that solve fails or |dL/dy(y) - p| exceeds tol,
+    which is the no-solution signal for targets off the image.
     """
     x = np.asarray(x, dtype=float)
     if (p.n, p.p) != (L.n, L.p):
         raise ValueError("covector shape does not match the Lagrangian fiber")
-    if initial is not None:
-        c = _normalize_to_level(L, x, initial.coords.copy())
-    else:
-        guess = p.coords.copy()
-        if not np.any(guess):
-            raise ZeroSectionError("target covector is zero")
-        c = _normalize_to_level(L, x, guess)
-
-    def residual(cc: np.ndarray) -> np.ndarray:
-        return np.asarray(L.gradient(x, KVector(L.n, L.p, cc)).coords) - p.coords
-
-    def advance(cc: np.ndarray, direction: np.ndarray, f_now: float, required_drop: float):
-        step = 1.0
-        while step > 1e-14:
-            try:
-                candidate = _normalize_to_level(L, x, cc + step * direction)
-                r_new = residual(candidate)
-            except (InversionError, ValueError):
-                step *= 0.5
-                continue
-            f_new = float(r_new @ r_new)
-            if f_new <= f_now - step * required_drop:
-                return candidate, r_new, f_new
-            step *= 0.5
-        return None
-
-    r = residual(c)
-    f = float(r @ r)
-    for _ in range(max_iter):
-        if np.sqrt(f) <= tol:
-            return GrassmannPoint(KVector(L.n, L.p, c), check=False)
-        H = L.hessian(x, KVector(L.n, L.p, c))
-        moved = None
-        # Gauss-Newton direction; H is singular along the ray, so least squares
-        gn = np.linalg.lstsq(H, -r, rcond=1e-12)[0]
-        if np.all(np.isfinite(gn)) and gn @ (H @ r) < 0.0:
-            moved = advance(c, gn, f, 0.0)
-        if moved is None:
-            grad_f = 2.0 * (H @ r)  # orthogonal to c since H c = 0
-            slope = float(grad_f @ grad_f)
-            if slope == 0.0:
-                break  # stationary away from the solution: target off the image
-            moved = advance(c, -grad_f, f, 1e-4 * slope)
-            if moved is None:
-                break
-        c, r, f = moved
-    if np.sqrt(f) <= tol:
-        return GrassmannPoint(KVector(L.n, L.p, c), check=False)
-    raise NotInImageError(
-        f"no preimage within tolerance: residual {np.sqrt(f):.3e} > {tol:.1e}"
-    )
+    if p.is_zero():
+        raise ZeroSectionError("target covector is zero")
+    radius, solution = _radial_solve(L, x, p.coords[None])
+    if not radius[0] > 0.0:  # NaN when the solve failed
+        raise NotInImageError("no preimage: the radial solve failed")
+    y = solution[0] / radius[0]
+    residual = float(np.linalg.norm(L.gradient_many(x[None], y[None])[0] - p.coords))
+    if not residual <= tol:
+        raise NotInImageError(f"no preimage within tolerance: residual {residual:.3e} > {tol:.1e}")
+    return GrassmannPoint(KVector(L.n, L.p, y), check=False)
 
 
-@dataclass(frozen=True)
-class LevelSetSampler:
-    """Draws fiber points on the unit level set {L = 1} or in the ball {L <= 1}."""
+def _level_rows(L: HomogeneousLagrangian, x: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows (count, C(n,p)) on the unit level set {L = 1} in uniformly random directions.
 
-    L: HomogeneousLagrangian
-    x: np.ndarray
-    mode: str = "sphere"
-
-    def __post_init__(self):
-        if self.mode not in ("sphere", "ball"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-
-    def sample(self, count: int, seed: int | np.random.Generator = 0) -> list[KVector]:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        return [KVector(self.L.n, self.L.p, c) for c in self._draw(count, rng)]
-
-    def _draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Fiber coordinates of shape (count, C(n,p)), one row per sample.
-
-        Directions are drawn in blocks; a rejected direction is replaced by
-        the next draws of the stream, so sphere-mode rows are the ones a
-        direction-by-direction loop would accept.  Ball-mode radial factors
-        are drawn after all the directions.
-        """
-        dim = self.L.fiber_dim
-        accepted = []
-        need = count
-        while need > 0:
-            directions = rng.standard_normal((need, dim))
-            norms = np.linalg.norm(directions, axis=-1)
-            keep = norms >= 1e-12
-            levels = np.zeros(need)
-            xs = np.broadcast_to(self.x, (int(keep.sum()), self.x.size))
-            levels[keep] = self.L.value_many(xs, directions[keep])
-            keep &= levels > 1e-9 * norms
-            accepted.append(directions[keep] / levels[keep, None])
-            need -= int(keep.sum())
-        rows = np.concatenate(accepted) if accepted else np.empty((0, dim))
-        if self.mode == "ball":
-            rows *= (rng.uniform(size=count) ** (1.0 / dim))[:, None]
-        return rows
+    Directions are drawn in blocks; a rejected direction is replaced by the
+    next draws of the stream, so the rows and the generator state after are
+    those of a direction-by-direction loop.
+    """
+    accepted = []
+    need = count
+    while need > 0:
+        directions = rng.standard_normal((need, L.fiber_dim))
+        norms = np.linalg.norm(directions, axis=-1)
+        keep = norms >= 1e-12
+        levels = np.zeros(need)
+        levels[keep] = L.value_many(np.broadcast_to(x, (int(keep.sum()), x.size)), directions[keep])
+        keep &= levels > 1e-9 * norms
+        accepted.append(directions[keep] / levels[keep, None])
+        need -= int(keep.sum())
+    return np.concatenate(accepted) if accepted else np.empty((0, L.fiber_dim))
 
 
 def image_coordinates(
@@ -201,17 +119,8 @@ def image_coordinates(
     Both have shape (count, C(n,p)); deterministic per seed.
     """
     x = np.asarray(x, dtype=float)
-    rows = LevelSetSampler(L, x, mode="sphere")._draw(count, np.random.default_rng(seed))
+    rows = _level_rows(L, x, count, np.random.default_rng(seed))
     return rows, L.gradient_many(np.broadcast_to(x, (count, x.size)), rows)
-
-
-def sample_image(
-    L: HomogeneousLagrangian, x: np.ndarray, count: int, seed: int = 0
-) -> list[LegendreImagePoint]:
-    """Image points of uniformly random unit-level directions; deterministic per seed."""
-    x = np.asarray(x, dtype=float)
-    return [LegendreImagePoint(x, KCovector(L.n, L.p, g), GrassmannPoint(KVector(L.n, L.p, c), check=False))
-            for c, g in zip(*image_coordinates(L, x, count, seed))]
 
 
 @dataclass(frozen=True)
@@ -236,13 +145,9 @@ def rank_lemma_check(
 
     A KVector y gives integer ranks and tuples of singular values.  Fiber rows
     (N, C(n,p)) give rank arrays (N,) and singular values (N, C(n,p)), from
-    one hessian_many call and one stacked SVD.
+    one _square_hessians call and one stacked SVD.
     """
-    xs, cs = fiber_rows(L, x, y)
-    g = L.gradient_many(xs, cs)
-    H = L.hessian_many(xs, cs)
-    # Hess(L^2) = 2 (g g^T + L H), exact given exact g and H
-    H2 = 2.0 * (g[:, :, None] * g[:, None, :] + L.value_many(xs, cs)[:, None, None] * H)
+    H2, H = L._square_hessians(*fiber_rows(L, x, y))
     svals = np.linalg.svd(np.stack([H2, H]), compute_uv=False)
     top = svals[..., :1]
     ranks = np.where(top[..., 0] > 0.0, np.sum(svals > threshold * top, axis=-1), 0)
@@ -257,8 +162,9 @@ class ConvexityCertificate:
     """Sampled evidence that segments between image points stay inside the image body.
 
     ``worst_violation`` is the largest radial excess of a segment point over
-    the image surface along its own ray, in units of the surface radius;
-    failed inversions are recorded separately and count as violations.
+    the image surface along its own ray, in units of the surface radius.
+    ``num_failures`` counts the segment points whose radial solve failed or
+    whose preimage missed the 1e-6 check; each counts as a violation of 1.0.
     """
 
     passed: bool
@@ -395,8 +301,8 @@ def _confirmed(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray, rad
     """Whether each target, rescaled onto the image surface by its radius, has a preimage within 1e-6.
 
     One batched step normalizes every solution onto {L = 1} and measures its
-    gradient residual against the rescaled target; only the rows left above
-    1e-6 go through the inverse_legendre descent.
+    gradient residual against the rescaled target, the check inverse_legendre
+    makes on one target; a row above 1e-6 counts as a failed solve.
     """
     surface = targets / radius[:, None]
     xs = np.broadcast_to(x, (len(targets), x.size))
@@ -405,13 +311,6 @@ def _confirmed(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray, rad
     residual = L.gradient_many(xs[: int(ok.sum())], solution[ok] / level[ok, None]) - surface[ok]
     confirmed = np.zeros(len(targets), dtype=bool)
     confirmed[ok] = np.sqrt(np.sum(residual * residual, axis=-1)) <= 1e-6
-    for k in np.flatnonzero(~confirmed):
-        try:
-            inverse_legendre(L, x, KCovector(L.n, L.p, surface[k]), tol=1e-6,
-                             initial=KVector(L.n, L.p, solution[k]))
-        except InversionError:
-            continue
-        confirmed[k] = True
     return confirmed
 
 
@@ -425,14 +324,15 @@ def convexity_certificate(
 ) -> ConvexityCertificate:
     """Sample image-point pairs and check their segments against the image body.
 
-    For each pair and each t on a uniform grid, the segment point is rescaled
-    onto the image surface along its ray (confirmed through inverse_legendre)
-    and the radial excess is recorded; a nondegenerate Lagrangian keeps every
-    excess at numerical zero or below.  All segment points are solved
-    together, RADIAL_BLOCK rows at a time.
+    For each pair and each t on a uniform grid, the radial solve rescales the
+    segment point onto the image surface along its ray, ``_confirmed``
+    checks the preimage of the rescaled point, and the radial excess is
+    recorded; a nondegenerate Lagrangian keeps every excess at numerical
+    zero or below.  All segment points are solved together, RADIAL_BLOCK
+    rows at a time.
     """
     x = np.asarray(x, dtype=float)
-    ends = LevelSetSampler(L, x, mode="sphere")._draw(2 * num_pairs, np.random.default_rng(seed))
+    ends = _level_rows(L, x, 2 * num_pairs, np.random.default_rng(seed))
     grads = L.gradient_many(np.broadcast_to(x, (len(ends), x.size)), ends)
     ts = np.linspace(0.0, 1.0, t_steps)[None, :, None]
     targets = (ts * grads[0::2, None, :] + (1.0 - ts) * grads[1::2, None, :]).reshape(-1, L.fiber_dim)

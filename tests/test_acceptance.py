@@ -37,11 +37,11 @@ from multisymp import (
     pullback_residual,
     rank_lemma_check,
     random_decomposable,
-    sample_image,
     wedge_vectors,
     weighted_x_form,
 )
 from multisymp.cli import cmd_verify
+from multisymp.legendre import image_coordinates
 
 SEED = 20260810
 DIMS = [(3, 2), (4, 2), (4, 3)]
@@ -143,11 +143,11 @@ def test_criterion_4_convexity_certificates():
 
 def test_criterion_5_image_quadrics():
     x = np.zeros(3)
-    sphere = sample_image(area_lagrangian(3, 2), x, 500, seed=SEED)
-    sphere_res = max(abs(float(np.linalg.norm(pt.p.coords)) - 1.0) for pt in sphere)
+    sphere = image_coordinates(area_lagrangian(3, 2), x, 500, seed=SEED)[1]
+    sphere_res = max(abs(float(np.linalg.norm(g)) - 1.0) for g in sphere)
     weights = np.array(ELLIPSOID_WEIGHTS[(3, 2)])
-    ell = sample_image(ellipsoid_lagrangian(3, 2, weights), x, 500, seed=SEED)
-    ell_res = max(abs(float(np.sum(pt.p.coords**2 / weights)) - 1.0) for pt in ell)
+    ell = image_coordinates(ellipsoid_lagrangian(3, 2, weights), x, 500, seed=SEED)[1]
+    ell_res = max(abs(float(np.sum(g**2 / weights)) - 1.0) for g in ell)
     gate(5, "sampled image closes on its quadric (sphere and ellipsoid)",
          sphere_res <= 1e-10 and ell_res <= 1e-9,
          f"(sphere {sphere_res:.2e} gate 1e-10; ellipsoid {ell_res:.2e} gate 1e-09)")

@@ -17,10 +17,10 @@ from multisymp import (
     pair,
     random_decomposable,
     rank_lemma_check,
-    sample_image,
     theta,
 )
 from multisymp.cli import VERIFY_CHECKS, VERIFY_TOLERANCES, build_lagrangian, cmd_verify, main
+from multisymp.legendre import image_coordinates
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -278,6 +278,18 @@ class TestErrorHandling:
         ("verify", {**AREA_VERIFY, "certificate": {"t_steps": 2}}, "certificate.t_steps"),
         ("image", {**AREA_IMAGE, "certificate": {"t_steps": 1}}, "certificate.t_steps"),
         ("image", {**AREA_IMAGE, "certificate": {"t_steps": 2}}, "certificate.t_steps"),
+        # a value of the wrong type names its key too
+        ("image", {**AREA_IMAGE, "count": "abc"}, "count"),
+        ("image", {**AREA_IMAGE, "seed": None}, "seed"),
+        ("image", {**AREA_IMAGE, "certificate": {"seed": "x"}}, "certificate.seed"),
+        ("verify", {**AREA_VERIFY, "seed": None}, "seed"),
+        ("verify", {**AREA_VERIFY, "x": ["a", 0, 0]}, "x"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "area", "n": "three", "p": 2}}, "lagrangian.n"),
+        ("verify", {**AREA_VERIFY, "certificate": {"t_steps": "x"}}, "certificate.t_steps"),
+        ("verify", {**AREA_VERIFY, "checks": 5}, "checks"),
+        ("verify", {**AREA_VERIFY, "checks": ["euler-identity", 3]}, "checks"),
+        ("verify", {**AREA_VERIFY, "tolerances": {"euler": "small"}}, "tolerances.euler"),
+        ("action", {**FLAT_ACTION, "resolutions": ["a"]}, "resolutions"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts
@@ -364,12 +376,12 @@ def reference_verify(config):
             L, x, num_pairs=cert["num_pairs"], t_steps=cert["t_steps"], seed=seed + 1, tol=tol["convexity"]
         ).worst_violation
     if L.name == "area":
-        out["legendre-image-quadric"] = max(abs(float(np.linalg.norm(pt.p.coords)) - 1.0)
-                                            for pt in sample_image(L, x, 500, seed=seed + 2))
+        out["legendre-image-quadric"] = max(abs(float(np.linalg.norm(g)) - 1.0)
+                                            for g in image_coordinates(L, x, 500, seed=seed + 2)[1])
     elif L.name == "ellipsoid":
         weights = np.asarray(config["lagrangian"]["params"]["weights"])
-        out["legendre-image-quadric"] = max(abs(float(np.sum(pt.p.coords**2 / weights)) - 1.0)
-                                            for pt in sample_image(L, x, 500, seed=seed + 2))
+        out["legendre-image-quadric"] = max(abs(float(np.sum(g**2 / weights)) - 1.0)
+                                            for g in image_coordinates(L, x, 500, seed=seed + 2)[1])
     pullback_rng = np.random.default_rng(seed + 3)
     worst = 0.0
     for y in fibers:

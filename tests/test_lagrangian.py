@@ -136,13 +136,10 @@ class TestGraphLift:
 
     def test_density_needs_batched_callable(self):
         with pytest.raises(TypeError):
-            GraphDensity(3, 2, fn=lambda base, values, slopes: 1.0)
+            GraphDensity(3, 2, name="no fn_many")
 
     def test_batch_lift_uses_batched_density(self):
-        def scalar_only(base, values, slopes):
-            raise AssertionError("batch evaluation must not loop over the scalar density")
-
-        F = GraphDensity(3, 2, fn=scalar_only, fn_many=lambda bases, values, slopes: np.full(len(bases), 2.0))
+        F = GraphDensity(3, 2, fn_many=lambda bases, values, slopes: np.full(len(bases), 2.0))
         tops = np.array([[1.0, 0.5, 0.0], [3.0, -1.0, 2.0]])
         assert graph_lift(F).value_many(np.zeros((2, 3)), tops).tolist() == [2.0, 6.0]
 
@@ -260,6 +257,26 @@ class TestNondegeneracy:
         L = geometric_mean_lagrangian()
         y = KVector(3, 2, [1.0, 1.0, 1.0])
         assert not is_nondegenerate(L, x3, y)
+
+    @pytest.mark.parametrize("L", [
+        area_lagrangian(4, 2),
+        ellipsoid_lagrangian(4, 2, [0.5, 1.0, 2.0, 3.0, 4.0, 5.0]),
+        projected_volume_lagrangian(4, 2),
+        geometric_mean_lagrangian(4, 2),
+    ], ids=lambda L: L.name)
+    def test_rows_equal_fibers(self, L):
+        # one formula for Hess(L^2): the row form and the KVector batch of one agree exactly
+        rng = np.random.default_rng(3)
+        x, rows = rng.standard_normal(4), rng.standard_normal((12, 6))
+        got = is_nondegenerate(L, x, rows)
+        assert got.dtype == bool and got.shape == (12,)
+        assert got.tolist() == [is_nondegenerate(L, x, KVector(4, 2, c)) for c in rows]
+        square = L._square_hessians(np.broadcast_to(x, (12, 4)), rows)[0]
+        assert all(np.array_equal(square[k], L.square_hessian(x, KVector(4, 2, c))) for k, c in enumerate(rows))
+
+    def test_rows_reject_zero_section(self, x3, area3):
+        with pytest.raises(ZeroSectionError):
+            is_nondegenerate(area3, x3, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 class TestBuiltinInvariants:

@@ -15,7 +15,6 @@ from multisymp import (
     InversionError,
     KCovector,
     KVector,
-    LevelSetSampler,
     NotInImageError,
     ZeroSectionError,
     area_lagrangian,
@@ -32,11 +31,10 @@ from multisymp import (
     projected_volume_lagrangian,
     rank_lemma_check,
     random_decomposable,
-    sample_image,
     write_image_csv,
 )
 from multisymp.cli import build_lagrangian, main
-from multisymp.legendre import _level_gradient, image_coordinates
+from multisymp.legendre import _level_gradient, _level_rows, image_coordinates
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -54,6 +52,78 @@ def reference_sample(L, x, count, rng):
             continue
         out.append(KVector(L.n, L.p, direction / level))
     return out
+
+
+def reference_sample_image(L, x, count, seed):
+    """Image points built one sampled direction at a time through legendre_map."""
+    return [legendre_map(L, x, y) for y in reference_sample(L, x, count, np.random.default_rng(seed))]
+
+
+def _normalize_to_level(L, x, c):
+    """Rescale coordinates onto {L = 1}; the level value must be positive."""
+    level = float(L.value_fn(x[None], c[None])[0])
+    if not level > 1e-12 * max(1.0, float(np.linalg.norm(c))):
+        raise InversionError("iterate collapsed toward the zero section")
+    return c / level
+
+
+def reference_inverse_legendre(L, x, p, tol=1e-8, max_iter=200, initial=None):
+    """Projected descent on |dL/dy - p|^2 over the level set {L = 1}, renormalizing after every step.
+
+    Each iteration first tries the Gauss-Newton direction of the gradient
+    equation and falls back to the steepest-descent direction with a
+    backtracking line search.  Raises NotInImageError when the residual
+    cannot be brought below tol.
+    """
+    x = np.asarray(x, dtype=float)
+    if initial is not None:
+        c = _normalize_to_level(L, x, initial.coords.copy())
+    else:
+        if not np.any(p.coords):
+            raise ZeroSectionError("target covector is zero")
+        c = _normalize_to_level(L, x, p.coords.copy())
+
+    def residual(cc):
+        return np.asarray(L.gradient(x, KVector(L.n, L.p, cc)).coords) - p.coords
+
+    def advance(cc, direction, f_now, required_drop):
+        step = 1.0
+        while step > 1e-14:
+            try:
+                candidate = _normalize_to_level(L, x, cc + step * direction)
+                r_new = residual(candidate)
+            except (InversionError, ValueError):
+                step *= 0.5
+                continue
+            f_new = float(r_new @ r_new)
+            if f_new <= f_now - step * required_drop:
+                return candidate, r_new, f_new
+            step *= 0.5
+        return None
+
+    r = residual(c)
+    f = float(r @ r)
+    for _ in range(max_iter):
+        if np.sqrt(f) <= tol:
+            return GrassmannPoint(KVector(L.n, L.p, c), check=False)
+        H = L.hessian(x, KVector(L.n, L.p, c))
+        moved = None
+        # Gauss-Newton direction; H is singular along the ray, so least squares
+        gn = np.linalg.lstsq(H, -r, rcond=1e-12)[0]
+        if np.all(np.isfinite(gn)) and gn @ (H @ r) < 0.0:
+            moved = advance(c, gn, f, 0.0)
+        if moved is None:
+            grad_f = 2.0 * (H @ r)  # orthogonal to c since H c = 0
+            slope = float(grad_f @ grad_f)
+            if slope == 0.0:
+                break  # stationary away from the solution: target off the image
+            moved = advance(c, -grad_f, f, 1e-4 * slope)
+            if moved is None:
+                break
+        c, r, f = moved
+    if np.sqrt(f) <= tol:
+        return GrassmannPoint(KVector(L.n, L.p, c), check=False)
+    raise NotInImageError(f"no preimage within tolerance: residual {np.sqrt(f):.3e} > {tol:.1e}")
 
 
 def reference_radial_excess(L, x, target):
@@ -98,7 +168,7 @@ def reference_radial_excess(L, x, target):
 
 
 def reference_certificate(L, x, num_pairs, t_steps, seed, tol=1e-7):
-    """One target at a time: radial solve, then inverse_legendre on the rescaled target."""
+    """One target at a time: radial solve, then the reference descent on the rescaled target."""
     rng = np.random.default_rng(seed)
     worst, failures = -np.inf, 0
     for _ in range(num_pairs):
@@ -111,7 +181,7 @@ def reference_certificate(L, x, num_pairs, t_steps, seed, tol=1e-7):
             try:
                 radius, c_star = reference_radial_excess(L, x, target)
                 on_surface = KCovector(L.n, L.p, target / radius)
-                inverse_legendre(L, x, on_surface, tol=1e-6, initial=KVector(L.n, L.p, c_star))
+                reference_inverse_legendre(L, x, on_surface, tol=1e-6, initial=KVector(L.n, L.p, c_star))
             except InversionError:
                 failures += 1
                 worst = max(worst, 1.0)
@@ -251,22 +321,40 @@ class TestInverseLegendre:
         with pytest.raises(ZeroSectionError):
             inverse_legendre(area3, x3, KCovector.zero(3, 2))
 
+    @pytest.mark.parametrize("shape", [(4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
+    @pytest.mark.parametrize("name", ["area", "ellipsoid"])
+    def test_roundtrip_matches_reference_descent(self, shape, name):
+        n, p = shape
+        L = lagrangian_at(name, n, p)
+        x = np.random.default_rng(n * p).standard_normal(n)
+        rng = np.random.default_rng(10 * n + p)
+        for _ in range(20):
+            y = random_decomposable(rng, n, p)
+            target = legendre_map(L, x, y).p
+            got = inverse_legendre(L, x, target)
+            assert grassmann_eq(got, GrassmannPoint(y, check=False), tol=1e-7)
+            assert L.value(x, got.representative) == pytest.approx(1.0, abs=1e-10)
+            expected = reference_inverse_legendre(L, x, target).representative.coords
+            assert np.max(np.abs(got.representative.coords - expected)) <= 1e-7
+
+    def test_off_image_no_solution_53(self):
+        L = area_lagrangian(5, 3)
+        with pytest.raises(NotInImageError):
+            inverse_legendre(L, np.zeros(5), KCovector(5, 3, 2.0 * np.eye(10)[0]))
+
+    def test_failed_solve_is_not_in_image(self, x3):
+        # the geometric mean is 0 on a coordinate hyperplane, so the solve cannot be seeded there
+        with pytest.raises(NotInImageError):
+            inverse_legendre(geometric_mean_lagrangian(), x3, KCovector(3, 2, [0.0, 1.0, 1.0]))
+
 
 class TestLevelSetSampler:
+    """The private level-set row sampler behind image_coordinates and the certificate."""
+
     def test_sphere_mode_levels(self, x3, ellipsoid3):
-        sampler = LevelSetSampler(ellipsoid3, x3, mode="sphere")
-        for y in sampler.sample(200, seed=5):
-            assert abs(ellipsoid3.value(x3, y) - 1.0) <= 1e-10
-
-    def test_ball_mode_levels(self, x3, ellipsoid3):
-        sampler = LevelSetSampler(ellipsoid3, x3, mode="ball")
-        values = [ellipsoid3.value(x3, y) for y in sampler.sample(200, seed=5)]
-        assert all(v <= 1.0 + 1e-10 for v in values)
-        assert min(values) < 0.9  # actually fills the ball
-
-    def test_unknown_mode(self, x3, area3):
-        with pytest.raises(ValueError):
-            LevelSetSampler(area3, x3, mode="cube")
+        rows = _level_rows(ellipsoid3, x3, 200, np.random.default_rng(5))
+        assert rows.shape == (200, 3)
+        assert np.max(np.abs(ellipsoid3.value_many(np.zeros((200, 3)), rows) - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("L", [
         projected_volume_lagrangian(3, 2),  # rejects about half of all directions
@@ -278,31 +366,38 @@ class TestLevelSetSampler:
         x = np.zeros(L.n)
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = reference_sample(L, x, 40, ref_rng)
-        got = LevelSetSampler(L, x, mode="sphere").sample(40, rng)
-        assert np.array_equal(np.array([y.coords for y in got]), np.array([y.coords for y in expected]))
+        got = _level_rows(L, x, 40, rng)
+        assert np.array_equal(got, np.array([y.coords for y in expected]))
         assert rng.standard_normal() == ref_rng.standard_normal()  # no draw left over or missing
 
 
 class TestSampleImage:
     def test_area_image_is_unit_sphere(self, x3, area3):
-        points = sample_image(area3, x3, 500, seed=11)
-        assert len(points) == 500
-        assert max(abs(np.linalg.norm(pt.p.coords) - 1.0) for pt in points) <= 1e-10
+        grads = image_coordinates(area3, x3, 500, seed=11)[1]
+        assert grads.shape == (500, 3)
+        assert np.max(np.abs(np.linalg.norm(grads, axis=-1) - 1.0)) <= 1e-10
 
     def test_ellipsoid_image_quadric(self, x3, ellipsoid3):
         w = np.array([1.0, 4.0, 9.0])
-        points = sample_image(ellipsoid3, x3, 500, seed=11)
-        assert max(abs(float(np.sum(pt.p.coords**2 / w)) - 1.0) for pt in points) <= 1e-9
+        grads = image_coordinates(ellipsoid3, x3, 500, seed=11)[1]
+        assert np.max(np.abs(np.sum(grads**2 / w, axis=-1) - 1.0)) <= 1e-9
 
     def test_empty(self, x3, area3):
-        assert sample_image(area3, x3, 0, seed=1) == []
+        rows, grads = image_coordinates(area3, x3, 0, seed=1)
+        assert rows.shape == grads.shape == (0, 3)
 
     def test_bit_for_bit_reproducible(self, x3, ellipsoid3):
-        a = sample_image(ellipsoid3, x3, 50, seed=123)
-        b = sample_image(ellipsoid3, x3, 50, seed=123)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.p.coords, pb.p.coords)
-            assert np.array_equal(pa.source_class.representative.coords, pb.source_class.representative.coords)
+        a = image_coordinates(ellipsoid3, x3, 50, seed=123)
+        b = image_coordinates(ellipsoid3, x3, 50, seed=123)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+    @pytest.mark.parametrize("name", ["area", "ellipsoid"])
+    def test_rows_match_the_object_path(self, x3, name):
+        L = lagrangian_at(name, 3, 2)
+        rows, grads = image_coordinates(L, x3, 50, seed=3)
+        points = reference_sample_image(L, x3, 50, seed=3)
+        assert np.array_equal(rows, np.array([pt.source_class.representative.coords for pt in points]))
+        assert np.array_equal(grads, np.array([pt.p.coords for pt in points]))
 
 
 class TestRankLemma:
@@ -421,7 +516,7 @@ class TestCsvMatchesObjectPath:
             n, p, np.linspace(0.5, 3.0, math.comb(n, p)))
         x = np.random.default_rng(n * p).standard_normal(n)
         expected, got = io.StringIO(newline=""), io.StringIO(newline="")
-        reference_write_image_csv(sample_image(L, x, 300, seed=17), expected)
+        reference_write_image_csv(reference_sample_image(L, x, 300, seed=17), expected)
         write_image_csv(x, image_coordinates(L, x, 300, seed=17)[1], p, got)
         assert got.getvalue() == expected.getvalue()
 
@@ -439,7 +534,7 @@ class TestCsvMatchesObjectPath:
         L = build_lagrangian(cfg["lagrangian"])
         x = np.asarray(cfg.get("x", [0.0] * L.n), dtype=float)
         with open(tmp_path / "expected.csv", "w", newline="") as stream:
-            reference_write_image_csv(sample_image(L, x, cfg["count"], seed=cfg["seed"]), stream)
+            reference_write_image_csv(reference_sample_image(L, x, cfg["count"], cfg["seed"]), stream)
         assert (tmp_path / cfg["csv"]).read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 

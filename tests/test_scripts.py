@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+BENCH = SCRIPTS.parent / "bench"
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_script(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -65,3 +66,37 @@ def test_compare_reports_ignores_timing_and_config_only(tmp_path, capsys):
     assert "extra.csv: only in B" in out
     assert "v0/job.csv: bytes differ" in out
     assert "v0/job.report.json: /checks/c/measured: 0.5 != 0.5000000000000001" in out
+
+
+def test_span_recorder_installs_on_this_package(tmp_path, monkeypatch):
+    # bench/spans.py looks up every __all__ entry and a few methods by name, so a
+    # deleted or renamed hook must fail here and not only in a traced benchmark run
+    import multisymp.cli as cli
+    import multisymp.legendre as legendre
+    from multisymp.surfaces import GraphSurface
+
+    monkeypatch.delenv("MULTISYMP_OUT_DIR", raising=False)
+    spans = load_script("spans", BENCH)
+    originals = (legendre.convexity_certificate, cli.convexity_certificate, GraphSurface.to_grid)
+    configs = {
+        "verify": {"lagrangian": {"name": "area", "n": 3, "p": 2}, "samples": 5, "rank_samples": 3,
+                   "certificate": {"num_pairs": 4, "t_steps": 3}},
+        "action": {"lagrangian": {"name": "area", "n": 3, "p": 2},
+                   "surface": {"f": "flat", "domain": [[0, 1], [0, 1]]}, "resolutions": [4]},
+    }
+    recorder = spans.SpanRecorder()
+    try:  # a partial install is undone too, so a failure here leaves later tests unwrapped
+        recorder.install()
+        assert cli.convexity_certificate is not originals[1]
+        for command, config in configs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(config))
+            assert cli.main([command, "--config", str(path), "--out", str(tmp_path / f"{command}.out")]) == 0
+    finally:
+        recorder.uninstall()
+    assert (legendre.convexity_certificate, cli.convexity_certificate, GraphSurface.to_grid) == originals
+    _, totals = spans.summarize(*recorder.take())
+    assert totals["cli.cmd_verify.calls"] == totals["cli.cmd_action.calls"] == 1
+    assert totals["legendre.certificate.segments"] == 12
+    assert totals["surfaces.to_grid.calls"] == 1
+    assert totals["exterior.fiber_elements.created"] > 0

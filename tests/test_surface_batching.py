@@ -67,7 +67,7 @@ def from_map_reference(fn, domain, resolution, p, n):
 
 
 def graph_action_reference(F, surf, quad):
-    """graph_action with 1 + 2p map calls per sample and the scalar density."""
+    """graph_action with 1 + 2p map calls per sample and the density on a batch of one."""
     p, codim = surf.p, surf.n - surf.p
     h = np.array([(hi - lo) / r for (lo, hi), r in zip(surf.domain, surf.resolution)])
     lows = np.array([lo for lo, _ in surf.domain])
@@ -87,7 +87,7 @@ def graph_action_reference(F, surf, quad):
                 step = np.zeros(p)
                 step[axis] = 0.5 * h[axis]
                 slopes[axis] = (f(np.array([s + step]))[0] - f(np.array([s - step]))[0]) / h[axis]
-            contributions.append(weight * F.fn(s, f(np.array([s]))[0], slopes))
+            contributions.append(weight * F.fn_many(s[None], f(np.array([s])), slopes[None])[0])
     return math.fsum(contributions)
 
 
