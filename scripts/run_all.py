@@ -23,6 +23,7 @@ RUNS = [
     ("verify", "verify_area.json", 0),
     ("verify", "verify_ellipsoid.json", 0),
     ("verify", "verify_probe.json", 1),  # detector sensitivity: must fail
+    ("verify", "verify_lift.json", 0),
     ("action", "action_plane.json", 0),
     ("action", "action_bilinear.json", 0),
     ("image", "image_area.json", 0),

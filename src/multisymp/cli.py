@@ -83,10 +83,10 @@ def _finite(value: Any, key: str) -> np.ndarray:
 
 
 def _count(value: Any, key: str, least: int) -> int:
-    try:
-        count = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    """The config value as an int; a boolean or a non-integral number is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    count = int(value)
     if count < least:
         raise ConfigError(f"{key} must be at least {least}, got {count}")
     return count
@@ -154,39 +154,36 @@ def build_lagrangian(spec: Any) -> HomogeneousLagrangian:
 
 def build_surface(spec: Any, n: int, p: int) -> GraphSurface:
     _check_keys(spec, {"f", "params", "domain", "resolution"}, {"f", "domain"}, "surface")
+    domain = spec["domain"]
+    if not isinstance(domain, list) or len(domain) != p or not all(isinstance(a, list) and len(a) == 2 for a in domain):
+        raise ConfigError(f"surface.domain must be a list of {p} [low, high] pairs, got {domain!r}")
+    _finite(domain, "surface.domain")
     fn = graph_function(spec["f"], spec.get("params"), p, n)
     resolution = spec.get("resolution", 64)
-    return GraphSurface(f=fn, domain=spec["domain"], resolution=resolution, p=p, n=n)
+    return GraphSurface(f=fn, domain=domain, resolution=resolution, p=p, n=n)
 
 
 def _sample_fibers(L: HomogeneousLagrangian, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded decomposable fiber samples adapted to the Lagrangian's domain, one row each."""
-    needs_chart = L.name.startswith("graph_lift")
-    floor = 0.05 if L.name == "geometric_mean" else 0.0
+    """Seeded decomposable fiber samples in the Lagrangian's chart and above its sampling floor, one row each."""
     out: list[np.ndarray] = []
     while len(out) < count:
-        y = random_decomposable(rng, L.n, L.p, min_top_fraction=0.25 if needs_chart else None)
-        if floor and np.min(np.abs(y.coords)) < floor * y.norm():
+        y = random_decomposable(rng, L.n, L.p, min_top_fraction=None if L.chart is None else 0.25)
+        if np.min(np.abs(y.coords)) < L.sampling_floor * y.norm():
             continue
         out.append(y.coords)
     return np.array(out)
 
 
-def _image_quadric(L: HomogeneousLagrangian, spec: dict, tol: float):
-    """Tolerance and residual of the unit quadric that holds the Legendre image, or None.
+def _image_quadric(L: HomogeneousLagrangian, tol: float):
+    """Tolerance and residual of the Lagrangian's image quadric, or None without one.
 
-    The image of the area Lagrangian is the sphere |p| = 1, that of the
-    ellipsoid Lagrangian the quadric sum_I p_I^2 / w_I = 1; the residual maps
-    gradient rows (N, C(n,p)) to the worst |Q(p) - 1|, 0.0 for no rows.
+    The residual maps gradient rows (N, C(n,p)) to the worst |Q(p) - 1|, 0.0
+    for no rows; the quadric's own tolerance, if it has one, overrides tol.
     """
-    if L.name == "area":
-        tolerance, quadric = 1e-10, lambda grads: np.sqrt(np.vecdot(grads, grads))
-    elif L.name == "ellipsoid":
-        weights = np.asarray(spec["params"]["weights"], dtype=float)
-        tolerance, quadric = tol, lambda grads: np.sum(grads**2 / weights, axis=-1)
-    else:
+    if L.image_quadric is None:
         return None
-    return tolerance, lambda grads: float(np.max(np.abs(quadric(grads) - 1.0), initial=0.0))
+    quadric, fixed = L.image_quadric
+    return (tol if fixed is None else fixed), lambda grads: float(np.max(np.abs(quadric(grads) - 1.0), initial=0.0))
 
 
 class _CheckRecorder:
@@ -256,7 +253,7 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
     t_steps = _count(cert_cfg.get("t_steps", 5), "certificate.t_steps", 3)
     tol = _merge_tolerances(VERIFY_TOLERANCES, config.get("tolerances"))
 
-    quadric = _image_quadric(L, config["lagrangian"], tol["quadric"])
+    quadric = _image_quadric(L, tol["quadric"])
     selected = config.get("checks", VERIFY_CHECKS)
     if not isinstance(selected, (list, tuple)) or not all(isinstance(c, str) for c in selected):
         raise ConfigError(f"checks must be a list of check names, got {selected!r}")
@@ -363,17 +360,12 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     )
     L = build_lagrangian(config["lagrangian"])
     n, p = L.n, L.p
-    density = None
-    if config.get("density") is not None:
-        density = build_density(config["density"], n, p)
-    elif L.name.startswith("graph_lift"):
-        density = build_density(config["lagrangian"]["params"]["density"], n, p)
-    elif L.name == "area":
-        density = graph_area_density(n, p)
+    density = L.density if config.get("density") is None else build_density(config["density"], n, p)
     surface = build_surface(config["surface"], n, p)
-    resolutions = [_count(r, "resolutions", 2) for r in config["resolutions"]]
-    if not resolutions:
-        raise ConfigError("resolutions must be a nonempty list")
+    resolutions = config["resolutions"]
+    if not isinstance(resolutions, list) or not resolutions:
+        raise ConfigError(f"resolutions must be a nonempty list of integers, got {resolutions!r}")
+    resolutions = [_count(r, "resolutions", 2) for r in resolutions]
     quad = QuadratureConfig(rule=config.get("quadrature", "midpoint"))
     tol = _merge_tolerances(ACTION_TOLERANCES, config.get("tolerances"))
     reference = config.get("reference")
@@ -457,7 +449,7 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
         write_image_csv(x, grads, L.p, stream)
 
     recorder = _CheckRecorder()
-    quadric = _image_quadric(L, config["lagrangian"], tol["quadric"])
+    quadric = _image_quadric(L, tol["quadric"])
     if quadric is not None:
         quadric_tol, residual = quadric
         recorder.run("legendre-image-quadric", "sampled image points close on the unit quadric",

@@ -51,9 +51,17 @@ class HomogeneousLagrangian:
     values (N,), gradients (N, C(n,p)) and Hessians (N, C(n,p), C(n,p)).
     Each row must depend on its own inputs only.  The ``*_many`` methods
     call them on raw arrays; ``value``, ``gradient`` and ``hessian`` take a
-    KVector fiber and run a batch of one.  Both guard the zero section.
-    Analytic derivative callables are optional; central finite differences
-    fill in.
+    KVector fiber and run a batch of one.  Both reject the zero section and
+    rows off ``chart``.  Analytic derivative callables are optional; central
+    finite differences fill in.
+
+    The built-in constructors also declare what the Lagrangian can do:
+    ``chart`` maps fiber rows (N, C(n,p)) to whether each lies in the cone
+    where L is defined (a lift's positive-top graph chart), None for
+    everywhere; ``image_quadric`` is (Q, tol) when the Legendre image lies on
+    {Q = 1} for Q on gradient rows, with tol None for the configured
+    tolerance; ``density`` is the graph density whose action L integrates on
+    graphs; ``sampling_floor`` is the least |y_I| / |y| of a sampled fiber.
     """
 
     n: int
@@ -62,7 +70,10 @@ class HomogeneousLagrangian:
     value_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     hess_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    smoothness: str = "C2 off the zero section"
+    chart: Callable[[np.ndarray], np.ndarray] | None = None
+    image_quadric: tuple[Callable[[np.ndarray], np.ndarray], float | None] | None = None
+    density: GraphDensity | None = None
+    sampling_floor: float = 0.0
 
     @property
     def fiber_dim(self) -> int:
@@ -72,16 +83,22 @@ class HomogeneousLagrangian:
         """A fiber point as a batch of one: arrays of shape (1, n) and (1, C(n,p))."""
         if (y.n, y.p) != (self.n, self.p):
             raise ValueError(f"fiber mismatch: Lagrangian (n={self.n}, p={self.p}) vs y (n={y.n}, p={y.p})")
-        if y.is_zero():
-            raise ZeroSectionError(f"{self.name} is undefined on the zero section")
-        return np.asarray(x, dtype=float)[None], y.coords[None]
+        return self._rows(np.asarray(x, dtype=float)[None], y.coords[None])
 
     def _rows(self, xs: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xs = np.asarray(xs, dtype=float)
         cs = np.asarray(cs, dtype=float)
         if np.any(np.all(cs == 0.0, axis=-1)):
             raise ZeroSectionError(f"{self.name} is undefined on the zero section")
+        off = ~self._on_chart(cs)
+        if np.any(off):
+            raise OrientationError(f"graph chart needs a positive top coordinate: row {int(np.argmax(off))} "
+                                   f"is off the chart of {self.name}")
         return xs, cs
+
+    def _on_chart(self, cs: np.ndarray) -> np.ndarray:
+        """Whether each fiber row lies in the chart; all rows without one."""
+        return np.ones(len(cs), dtype=bool) if self.chart is None else self.chart(cs)
 
     def value(self, x: np.ndarray, y: KVector) -> float:
         return float(self._values(*self._one(x, y))[0])
@@ -172,11 +189,17 @@ class GraphDensity:
     ``fn_many`` takes base points (N, p), values (N, n-p) and slopes
     (N, p, n-p), where slopes[k, i, j] is the derivative of the j-th value
     component along the i-th base direction, and returns shape (N,).
+    ``d_slopes`` and ``d2_slopes`` take the same arguments and return the
+    exact first and second derivatives in the slopes, shapes (N, p, n-p) and
+    (N, p, n-p, p, n-p); graph_lift builds its fiber gradient and Hessian
+    from them.
     """
 
     n: int
     p: int
     fn_many: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    d_slopes: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    d2_slopes: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     name: str = "density"
 
 
@@ -198,7 +221,8 @@ def area_lagrangian(n: int, p: int) -> HomogeneousLagrangian:
         return (eye - unit[:, :, None] * unit[:, None, :]) / norm
 
     return HomogeneousLagrangian(
-        n, p, "area", value, grad, hess, smoothness="smooth off the zero section",
+        n, p, "area", value, grad, hess, density=graph_area_density(n, p),
+        image_quadric=(lambda grads: np.sqrt(np.vecdot(grads, grads)), 1e-10),
     )
 
 
@@ -224,7 +248,7 @@ def ellipsoid_lagrangian(n: int, p: int, weights: Sequence[float]) -> Homogeneou
         return diag / L - wc[:, :, None] * wc[:, None, :] / L**3
 
     return HomogeneousLagrangian(
-        n, p, "ellipsoid", value, grad, hess, smoothness="smooth off the zero section",
+        n, p, "ellipsoid", value, grad, hess, image_quadric=(lambda grads: np.sum(grads**2 / w, axis=-1), None),
     )
 
 
@@ -240,7 +264,6 @@ def projected_volume_lagrangian(n: int, p: int) -> HomogeneousLagrangian:
         value_fn=lambda xs, cs: cs[:, 0].copy(),
         grad_fn=lambda xs, cs: np.tile(np.eye(dim)[0], (len(cs), 1)),
         hess_fn=lambda xs, cs: np.zeros((len(cs), dim, dim)),
-        smoothness="linear",
     )
 
 
@@ -267,9 +290,7 @@ def geometric_mean_lagrangian(n: int = 3, p: int = 2) -> HomogeneousLagrangian:
         H[(slice(None),) + diagonal] = -L * (dim - 1) / (dim**2 * cs * cs)
         return H
 
-    return HomogeneousLagrangian(
-        n, p, "geometric_mean", value, grad, hess, smoothness="smooth off the coordinate hyperplanes",
-    )
+    return HomogeneousLagrangian(n, p, "geometric_mean", value, grad, hess, sampling_floor=0.05)
 
 
 def constant_density(n: int, p: int, value: float = 1.0) -> GraphDensity:
@@ -277,27 +298,61 @@ def constant_density(n: int, p: int, value: float = 1.0) -> GraphDensity:
         n, p,
         name="constant",
         fn_many=lambda bases, values, slopes: np.full(len(bases), value),
+        d_slopes=lambda bases, values, slopes: np.zeros_like(slopes),
+        d2_slopes=lambda bases, values, slopes: np.zeros(slopes.shape + slopes.shape[1:]),
     )
 
 
 def minimal_surface_density(n: int, p: int) -> GraphDensity:
-    """sqrt(1 + sum of squared slopes): the area element of a codimension-1 graph."""
+    """sqrt(1 + sum of squared slopes): the area element of a codimension-1 graph.
 
-    return GraphDensity(
-        n, p,
-        name="minimal_surface",
-        fn_many=lambda bases, values, slopes: np.sqrt(1.0 + np.sum(slopes * slopes, axis=(1, 2))),
-    )
+    Its slope derivatives are q / F and (I - q q^T / F^2) / F.
+    """
+    eye = np.eye(p * (n - p)).reshape(p, n - p, p, n - p)
+
+    def fn_many(bases, values, slopes):
+        return np.sqrt(1.0 + np.sum(slopes * slopes, axis=(1, 2)))
+
+    def d_slopes(bases, values, slopes):
+        return slopes / fn_many(bases, values, slopes)[:, None, None]
+
+    def d2_slopes(bases, values, slopes):
+        F = fn_many(bases, values, slopes)[:, None, None, None, None]
+        return (eye - slopes[:, :, :, None, None] * slopes[:, None, None, :, :] / F**2) / F
+
+    return GraphDensity(n, p, fn_many, d_slopes, d2_slopes, name="minimal_surface")
 
 
 def graph_area_density(n: int, p: int) -> GraphDensity:
-    """sqrt(det(I + q q^T)): the area element of a graph in any codimension."""
+    """sqrt(det(I + q q^T)): the area element of a graph in any codimension.
+
+    With G = I + q q^T and K = G^-1 q, its slope derivatives are F K and
+    F (K_ij K_kl + (G^-1)_ik P_jl - K_il K_kj), where P = I - q^T K.
+    """
+    eye = np.eye(p)
 
     def fn_many(bases, values, slopes):
-        eye = np.eye(p)
         return np.sqrt(np.linalg.det(eye + slopes @ np.transpose(slopes, (0, 2, 1))))
 
-    return GraphDensity(n, p, name="graph_area", fn_many=fn_many)
+    def parts(slopes):
+        """F, K and G^-1 per row, with sums in place of matmuls for row independence."""
+        G = eye + np.sum(slopes[:, :, None, :] * slopes[:, None, :, :], axis=-1)
+        inv = np.linalg.inv(G)
+        return np.sqrt(np.linalg.det(G)), np.sum(inv[:, :, :, None] * slopes[:, None, :, :], axis=2), inv
+
+    def d_slopes(bases, values, slopes):
+        F, K, _ = parts(slopes)
+        return F[:, None, None] * K
+
+    def d2_slopes(bases, values, slopes):
+        F, K, inv = parts(slopes)
+        P = np.eye(n - p) - np.sum(slopes[:, :, :, None] * K[:, :, None, :], axis=1)
+        Kt = np.swapaxes(K, 1, 2)
+        D2 = (K[:, :, :, None, None] * K[:, None, None, :, :] + inv[:, :, None, :, None] * P[:, None, :, None, :]
+              - K[:, :, None, None, :] * Kt[:, None, :, :, None])
+        return F[:, None, None, None, None] * D2
+
+    return GraphDensity(n, p, fn_many, d_slopes, d2_slopes, name="graph_area")
 
 
 def _graph_chart_layout(n: int, p: int):
@@ -323,24 +378,45 @@ def graph_lift(F: GraphDensity) -> HomogeneousLagrangian:
 
     L(x, y) = y_top * F(x_1..x_p, x_{p+1}..x_n, q) with the slopes q recovered
     from the fiber coordinate ratios; requires y_top > 0 (the graph chart).
+    The fiber gradient and Hessian are exact, through the chart map
+    y -> (y_top, q): with M = y_top dq/dy, dL/dy = F e_top + M^T dF/dq and
+    the Hessian is M^T (d2F/dq2) M / y_top.  Coordinates that are no
+    slope (from (n, p) = (4, 2) on) do not enter L.
     """
     n, p = F.n, F.p
     top, slope_pos, slope_sign = _graph_chart_layout(n, p)
+    slopes, dim = p * (n - p), math.comb(n, p)
+
+    def density_args(xs, cs):
+        """y_top and the density's arguments (bases, values, slopes q), per row."""
+        tops = cs[:, top]
+        return tops, (xs[:, :p], xs[:, p:], slope_sign * cs[:, slope_pos] / tops[:, None, None])
+
+    def jacobian(q):
+        """M = y_top dq/dy per row: -q on the top coordinate, the slope sign on the slope's own."""
+        M = np.zeros((len(q), slopes, dim))
+        M[:, :, top] = -q.reshape(-1, slopes)
+        M[:, np.arange(slopes), slope_pos.ravel()] = slope_sign.ravel()
+        return M
 
     def value(xs, cs):
-        tops = cs[:, top]
-        if np.any(tops <= 0.0):
-            bad = int(np.argmax(tops <= 0.0))
-            raise OrientationError(
-                f"graph chart needs a positive top coordinate, got {tops[bad]:g} in row {bad}"
-            )
-        q = slope_sign * cs[:, slope_pos] / tops[:, None, None]
-        return tops * F.fn_many(xs[:, :p], xs[:, p:], q)
+        tops, args = density_args(xs, cs)
+        return tops * F.fn_many(*args)
 
-    return HomogeneousLagrangian(
-        n, p, f"graph_lift({F.name})", value,
-        smoothness="as smooth as the density, on the positive-top chart",
-    )
+    def grad(xs, cs):
+        _, args = density_args(xs, cs)
+        g = np.sum(F.d_slopes(*args).reshape(-1, slopes, 1) * jacobian(args[2]), axis=1)
+        g[:, top] += F.fn_many(*args)
+        return g
+
+    def hess(xs, cs):
+        tops, args = density_args(xs, cs)
+        M = jacobian(args[2])
+        D2M = np.sum(F.d2_slopes(*args).reshape(-1, slopes, slopes, 1) * M[:, None, :, :], axis=2)
+        return np.sum(M[:, :, :, None] * D2M[:, :, None, :], axis=1) / tops[:, None, None]
+
+    return HomogeneousLagrangian(n, p, f"graph_lift({F.name})", value, grad, hess,
+                                 chart=lambda cs: cs[:, top] > 0.0, density=F)
 
 
 def fiber_rows(L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -102,7 +102,7 @@ def _level_rows(L: HomogeneousLagrangian, x: np.ndarray, count: int, rng: np.ran
     while need > 0:
         directions = rng.standard_normal((need, L.fiber_dim))
         norms = np.linalg.norm(directions, axis=-1)
-        keep = norms >= 1e-12
+        keep = (norms >= 1e-12) & L._on_chart(directions)
         levels = np.zeros(need)
         levels[keep] = L.value_many(np.broadcast_to(x, (int(keep.sum()), x.size)), directions[keep])
         keep &= levels > 1e-9 * norms
@@ -184,28 +184,18 @@ HALVINGS = np.ldexp(1.0, -np.arange(1, 40))
 def _level_gradient(L: HomogeneousLagrangian, xs: np.ndarray, cs: np.ndarray):
     """L and dL/dy at each row of cs, NaN in the rows a KVector or KCovector would reject.
 
-    Those are rows that are non-finite or zero, rows with a non-finite
-    gradient, and rows where L raises ValueError.  This is the one zero-section
-    check: a block of valid rows is one gradient and one value call on cs
-    itself, and a batch that raises (a chart violation raises for the whole
-    batch) is retried row by row.  ``xs`` has at least len(cs) base points.
+    Those are rows that are non-finite, zero or off the chart of L, and rows
+    with a non-finite gradient.  This is the one zero-section and chart
+    check: the valid rows are masked up front and take one gradient and one
+    value call, on cs itself when every row is valid.  ``xs`` has at least
+    len(cs) base points.
     """
     levels = np.full(len(cs), np.nan)
     grads = np.full(cs.shape, np.nan)
-
-    def fill(rows):
-        block = cs[rows]
-        grads[rows], levels[rows] = L._gradients(xs[: len(block)], block), L._values(xs[: len(block)], block)
-
-    rows = np.flatnonzero(np.isfinite(cs).all(axis=-1) & (cs != 0.0).any(axis=-1))
-    try:
-        fill(slice(None) if rows.size == len(cs) else rows)
-    except ValueError:
-        for row in rows:
-            try:
-                fill([row])
-            except ValueError:
-                pass
+    rows = np.flatnonzero(np.isfinite(cs).all(axis=-1) & (cs != 0.0).any(axis=-1) & L._on_chart(cs))
+    rows = slice(None) if rows.size == len(cs) else rows
+    block = cs[rows]
+    grads[rows], levels[rows] = L._gradients(xs[: len(block)], block), L._values(xs[: len(block)], block)
     bad = ~np.isfinite(grads).all(axis=-1)
     levels[bad] = np.nan
     grads[bad] = np.nan
@@ -264,15 +254,18 @@ def _radial_solve(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
     L(y*) is the radial coordinate of the target relative to the image
     surface: below 1 means inside the image of the unit ball.  Both are NaN
     in a row whose solve failed: it could not be seeded from the target
-    direction, its Jacobian was singular, its line search stalled, or it did
-    not converge within 100 iterations.
+    direction (a target off the chart of L cannot), its Jacobian was
+    singular, its line search stalled, or it did not converge within 100
+    iterations.
     """
     radius = np.full(len(targets), np.nan)
     solution = np.full(targets.shape, np.nan)
     # one view of the base point serves every batch, the halvings of all rows included
     xs = np.broadcast_to(x, (len(targets) * HALVINGS.size, x.size))
     norm_t = np.linalg.norm(targets, axis=-1)
-    seed_level = np.abs(L.value_many(xs[: len(targets)], targets))
+    seeded = L._on_chart(targets)
+    seed_level = np.zeros(len(targets))
+    seed_level[seeded] = np.abs(L.value_many(xs[: int(seeded.sum())], targets[seeded]))
     rows = np.flatnonzero(seed_level > 1e-12 * np.maximum(1.0, norm_t))
     c = targets[rows] / seed_level[rows, None]  # start on the unit level of |L|
     level, g = _level_gradient(L, xs, c)

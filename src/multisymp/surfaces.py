@@ -243,17 +243,14 @@ def _quadrature_samples(grid: ParametricGrid, quad: QuadratureConfig):
             for params in params_blocks]
 
 
-def _check_degenerate(coords: np.ndarray, grid: ParametricGrid) -> None:
+def _check_cells(coords: np.ndarray, grid: ParametricGrid, L: HomogeneousLagrangian) -> None:
+    """Name the first cell whose tangent p-vector vanishes, or else lies off the chart of L."""
     dead = ~np.any(coords != 0.0, axis=1)
     if np.any(dead):
         raise DegenerateCellError(grid.cell_index(int(np.argmax(dead))))
-
-
-def _reraise_orientation(exc: OrientationError, grid: ParametricGrid, coords: np.ndarray) -> None:
-    top = coords[:, 0]
-    bad = np.nonzero(top <= 0.0)[0]
-    cell = grid.cell_index(int(bad[0])) if bad.size else None
-    raise OrientationError(f"graph chart violated at cell {cell}: top coordinate {top[bad[0]] if bad.size else '?'}") from exc
+    off = ~L._on_chart(coords)
+    if np.any(off):
+        raise OrientationError(f"graph chart violated at cell {grid.cell_index(int(np.argmax(off)))}")
 
 
 def lagrangian_action(
@@ -270,11 +267,8 @@ def lagrangian_action(
     contributions = []
     for frames, bases, weight in _quadrature_samples(grid, quad):
         coords = minors(frames)
-        _check_degenerate(coords, grid)
-        try:
-            vals = L.value_many(bases, coords)
-        except OrientationError as exc:
-            _reraise_orientation(exc, grid, coords)
+        _check_cells(coords, grid, L)
+        vals = L.value_many(bases, coords)
         contributions.extend((weight * vals).tolist())
     return math.fsum(contributions)
 
@@ -312,11 +306,8 @@ def multisymplectic_action(
     contributions = []
     for frames, bases, weight in _quadrature_samples(grid, quad):
         coords = minors(frames)
-        _check_degenerate(coords, grid)
-        try:
-            grads = L.gradient_many(bases, coords)
-        except OrientationError as exc:
-            _reraise_orientation(exc, grid, coords)
+        _check_cells(coords, grid, L)
+        grads = L.gradient_many(bases, coords)
         vals = np.einsum("ij,ij->i", grads, coords)
         contributions.extend((weight * vals).tolist())
     return math.fsum(contributions)
@@ -332,7 +323,7 @@ def theta_cell_values(L: HomogeneousLagrangian, grid: ParametricGrid) -> np.ndar
     chart = TotalSpaceChart(grid.n, grid.p)
     frames, bases = _cell_frames(grid)
     coords = minors(frames)
-    _check_degenerate(coords, grid)
+    _check_cells(coords, grid, L)
     points = chart.point(bases, L.gradient_many(bases, coords))
     lifted = np.swapaxes(chart.lift(np.swapaxes(frames, 1, 2)), 1, 2)
     return theta(chart).evaluator(points, lifted)

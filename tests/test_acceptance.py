@@ -69,8 +69,7 @@ def builtin_triple(n, p):
 
 def fiber_samples(L, n, p, count, seed):
     rng = np.random.default_rng(seed)
-    chart = L.name.startswith("graph_lift")
-    return [random_decomposable(rng, n, p, min_top_fraction=0.25 if chart else None)
+    return [random_decomposable(rng, n, p, min_top_fraction=None if L.chart is None else 0.25)
             for _ in range(count)]
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from multisymp import (
     KCovector,
     KVector,
     NotInImageError,
+    OrientationError,
     ZeroSectionError,
     area_lagrangian,
     convexity_certificate,
@@ -581,19 +583,47 @@ class TestLevelGradient:
         assert np.array_equal(np.isnan(got[1]).any(axis=1), np.isnan(got[0]))
 
     @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
-    def test_chart_violation_falls_back_row_by_row(self, shape):
+    def test_chart_violation_is_masked_up_front(self, shape):
         n, p = shape
-        L = lagrangian_at("graph_lift", n, p)
+        calls = []
+
+        def counted(fn, name):
+            def wrapper(xs, cs):
+                calls.append((name, len(cs)))
+                return fn(xs, cs)
+            return wrapper
+
+        lift = lagrangian_at("graph_lift", n, p)
+        L = replace(lift, value_fn=counted(lift.value_fn, "value"), grad_fn=counted(lift.grad_fn, "gradient"))
         rng = np.random.default_rng(n + 10 * p)
         cs = rng.standard_normal((10, L.fiber_dim))
         cs[:, 0] = np.abs(cs[:, 0]) + 0.5
         cs[4, 0] = -1.0  # a negative top coordinate: the batch raises as a whole
         x = np.zeros(n)
-        with pytest.raises(ValueError):
+        with pytest.raises(OrientationError):
             L.value_many(np.broadcast_to(x, (len(cs), n)), cs)
+        calls.clear()
         got = _level_gradient(L, np.broadcast_to(x, (len(cs), n)), cs)
+        assert calls == [("gradient", 9), ("value", 9)]  # the off-chart row never reaches L
         assert_bitwise_equal(got, reference_level_gradient(L, x, cs))
         assert np.flatnonzero(np.isnan(got[0])).tolist() == [4]
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
+    def test_off_chart_rows_are_nan_and_raise(self, shape):
+        n, p = shape
+        L = lagrangian_at("graph_lift", n, p)
+        cs = np.random.default_rng(n + 10 * p).standard_normal((6, L.fiber_dim))
+        cs[:, 0] = np.abs(cs[:, 0]) + 0.5
+        cs[1, 0], cs[3, 0] = -0.5, 0.0  # below the chart, and on its boundary
+        xs = np.zeros((6, n))
+        levels, grads = _level_gradient(L, xs, cs)
+        assert np.flatnonzero(np.isnan(levels)).tolist() == [1, 3]
+        assert np.isnan(grads[[1, 3]]).all() and np.isfinite(np.delete(grads, [1, 3], axis=0)).all()
+        for row in (1, 3):
+            with pytest.raises(OrientationError):
+                L.value_many(xs[:2], cs[[0, row]])
+            with pytest.raises(OrientationError):
+                L.value(xs[0], KVector(n, p, cs[row]))
 
     def test_valid_block_is_one_call_each(self, x3, area3):
         calls = []
