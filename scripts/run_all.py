@@ -5,9 +5,11 @@ Usage:
     python scripts/run_all.py [--out-dir OUT]
 
 Writes one report per config (plus CSV clouds for the image runs) and prints
-a one-line summary per run with its wall time, then the total wall time.  The
-nonconvex probe config is expected to fail its convexity check; every other
-run is expected to pass.
+a one-line summary per run with its wall time, then the total wall time.  A
+report left in the output directory by an earlier run is deleted first, so a
+run that writes none (exit 2, 3 or 4) is summarized by its exit code alone.
+The nonconvex probe config is expected to fail its convexity check; every
+other run is expected to pass.
 """
 
 import argparse
@@ -37,20 +39,22 @@ def run(out_dir: Path) -> int:
     total = 0.0
     for command, config, expected in RUNS:
         report_path = out_dir / config.replace(".json", ".report.json")
+        report_path.unlink(missing_ok=True)
         start = time.perf_counter()
         code = cli_main([command, "--config", str(ROOT / "configs" / config),
                          "--out", str(report_path)])
         wall = time.perf_counter() - start
         total += wall
-        with open(report_path) as stream:
-            report = json.load(stream)
-        checks = report.get("checks", [])
-        failed = [c["name"] for c in checks if c["status"] == "fail"]
+        if report_path.exists():
+            checks = json.loads(report_path.read_text()).get("checks", [])
+            failed = [c["name"] for c in checks if c["status"] == "fail"]
+            summary = f"checks={len(checks)} failed={failed or '-'}"
+        else:
+            summary = "no report"
         status = "ok" if code == expected else f"UNEXPECTED exit {code} (wanted {expected})"
         if code != expected:
             bad += 1
-        print(f"{command:7s} {config:26s} exit={code} wall={wall:.3f}s checks={len(checks)} "
-              f"failed={failed or '-'} [{status}]")
+        print(f"{command:7s} {config:26s} exit={code} wall={wall:.3f}s {summary} [{status}]")
     print(f"{'total':34s} wall={total:.3f}s")
     return 1 if bad else 0
 

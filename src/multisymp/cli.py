@@ -1,15 +1,18 @@
 """Batch driver: verification suites, action computations, image sampling.
 
 Commands read a JSON config and write a JSON report (plus a CSV point cloud
-for ``image``).  Reports are deterministic for a fixed config apart from the
+for ``image``).  Every config value is read and checked before any work or
+output.  Reports are deterministic for a fixed config apart from the
 per-check timing fields.  Exit codes: 0 all checks pass, 1 a check failed,
-2 usage or config error, 3 output I/O error.
+2 usage or config error, 3 I/O error, 4 internal or numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 import time
@@ -44,6 +47,7 @@ from .legendre import (
 )
 from .multisymplectic import TotalSpaceChart, closedness_residual, omega, nondegeneracy_check, pullback_residual
 from .surfaces import (
+    QUADRATURE_RULES,
     GraphSurface,
     QuadratureConfig,
     convergence_rows,
@@ -71,32 +75,42 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
         raise ConfigError(f"missing keys in {where}: {missing}")
 
 
-def _finite(value: Any, key: str) -> np.ndarray:
-    """The config value as a float array; JSON admits NaN and Infinity, configs do not."""
+def _finite(value: Any, key: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """The config value as a float array of the given shape; JSON admits NaN and Infinity, configs do not."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be numeric, got {value!r}") from None
+    if shape is not None and arr.shape != shape:
+        raise ConfigError(f"{key} must be {'a number' if shape == () else f'of shape {shape}'}, got {value!r}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return arr
 
 
+def _number(value: Any, key: str) -> float:
+    return float(_finite(value, key, ()))
+
+
 def _count(value: Any, key: str, least: int) -> int:
     """The config value as an int; a boolean or a non-integral number is rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    count = int(value)
-    if count < least:
-        raise ConfigError(f"{key} must be at least {least}, got {count}")
-    return count
+    if value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
+def _choice(value: Any, options, key: str) -> str:
+    if not isinstance(value, str) or value not in options:
+        raise ConfigError(f"{key} must be one of {sorted(options)}, got {value!r}")
+    return value
 
 
 def _base_point(config: dict, n: int) -> np.ndarray:
-    x = _finite(config.get("x", [0.0] * n), "x")
-    if x.shape != (n,):
-        raise ConfigError(f"x must have {n} components")
-    return x
+    return _finite(config.get("x", [0.0] * n), "x", (n,))
 
 
 def _merge_tolerances(defaults: dict[str, float], overrides: Any) -> dict[str, float]:
@@ -105,61 +119,105 @@ def _merge_tolerances(defaults: dict[str, float], overrides: Any) -> dict[str, f
         return merged
     _check_keys(overrides, set(defaults), set(), "tolerances")
     for key, value in overrides.items():
-        merged[key] = float(_finite(value, f"tolerances.{key}"))
+        merged[key] = _number(value, f"tolerances.{key}")
     return merged
 
 
-def build_density(spec: Any, n: int, p: int) -> GraphDensity:
-    _check_keys(spec, {"name", "params"}, {"name"}, "density")
-    name = spec["name"]
-    params = dict(spec.get("params") or {})
-    if name == "constant":
-        return constant_density(n, p, value=float(params.pop("value", 1.0)))
-    if params:
-        raise ConfigError(f"density {name!r} takes no parameters, got {sorted(params)}")
-    if name == "minimal_surface":
-        return minimal_surface_density(n, p)
-    if name == "graph_area":
-        return graph_area_density(n, p)
-    raise ConfigError(f"unknown density {name!r}")
+def _certificate(config: dict, keys: set[str], seed: int, tol: float) -> dict:
+    """The convexity_certificate arguments under config["certificate"], where only the given keys may be set."""
+    spec = config.get("certificate") or {}
+    _check_keys(spec, keys, set(), "certificate")
+    return {
+        "num_pairs": _count(spec.get("num_pairs", 100), "certificate.num_pairs", 1),
+        "t_steps": _count(spec.get("t_steps", 5), "certificate.t_steps", 3),
+        "seed": _count(spec.get("seed", seed), "certificate.seed", 0),
+        "tol": _number(spec.get("tolerance", tol), "certificate.tolerance"),
+    }
+
+
+# name -> (constructor, its numeric parameters with their defaults)
+DENSITIES = {
+    "constant": (constant_density, {"value": 1.0}),
+    "minimal_surface": (minimal_surface_density, {}),
+    "graph_area": (graph_area_density, {}),
+}
+
+
+def build_density(spec: Any, n: int, p: int, where: str = "density") -> GraphDensity:
+    _check_keys(spec, {"name", "params"}, {"name"}, where)
+    make, defaults = DENSITIES[_choice(spec["name"], DENSITIES, f"{where}.name")]
+    params = spec.get("params") or {}
+    _check_keys(params, set(defaults), set(), f"{where}.params")
+    return make(n, p, **{k: _number(params.get(k, v), f"{where}.params.{k}") for k, v in defaults.items()})
+
+
+def _weights(value: Any, n: int, p: int) -> np.ndarray:
+    weights = _finite(value, "lagrangian.params.weights", (math.comb(n, p),))
+    if np.any(weights <= 0.0):
+        raise ConfigError(f"lagrangian.params.weights must be positive, got {value!r}")
+    return weights
+
+
+# name -> (its params keys, all required, and the constructor from n, p and the params)
+LAGRANGIANS: dict[str, tuple[set[str], Callable[[int, int, dict], HomogeneousLagrangian]]] = {
+    "area": (set(), lambda n, p, params: area_lagrangian(n, p)),
+    "ellipsoid": ({"weights"}, lambda n, p, params: ellipsoid_lagrangian(n, p, _weights(params["weights"], n, p))),
+    "graph_lift": ({"density"}, lambda n, p, params: graph_lift(
+        build_density(params["density"], n, p, "lagrangian.params.density"))),
+    "projected_volume": (set(), lambda n, p, params: projected_volume_lagrangian(n, p)),
+    "geometric_mean": (set(), lambda n, p, params: geometric_mean_lagrangian(n, p)),
+}
 
 
 def build_lagrangian(spec: Any) -> HomogeneousLagrangian:
     _check_keys(spec, {"name", "n", "p", "params"}, {"name", "n", "p"}, "lagrangian")
-    name = spec["name"]
+    keys, make = LAGRANGIANS[_choice(spec["name"], LAGRANGIANS, "lagrangian.name")]
     n, p = _count(spec["n"], "lagrangian.n", 1), _count(spec["p"], "lagrangian.p", 1)
-    params = dict(spec.get("params") or {})
-    if name == "area":
-        lagrangian = area_lagrangian(n, p)
-    elif name == "ellipsoid":
-        weights = params.pop("weights", None)
-        if weights is None:
-            raise ConfigError("ellipsoid lagrangian needs params.weights")
-        lagrangian = ellipsoid_lagrangian(n, p, _finite(weights, "lagrangian.params.weights"))
-    elif name == "graph_lift":
-        density = params.pop("density", None)
-        if density is None:
-            raise ConfigError("graph_lift lagrangian needs params.density")
-        lagrangian = graph_lift(build_density(density, n, p))
-    elif name == "projected_volume":
-        lagrangian = projected_volume_lagrangian(n, p)
-    elif name == "geometric_mean":
-        lagrangian = geometric_mean_lagrangian(n, p)
-    else:
-        raise ConfigError(f"unknown lagrangian {name!r}")
-    if params:
-        raise ConfigError(f"unused lagrangian params: {sorted(params)}")
-    return lagrangian
+    if p >= n:
+        raise ConfigError(f"lagrangian.p must be below lagrangian.n = {n}, got {p}")
+    params = spec.get("params") or {}
+    _check_keys(params, keys, keys, "lagrangian.params")
+    return make(n, p, params)
+
+
+# map name -> its params keys, each required except bilinear's scale (default 1)
+GRAPH_PARAMS = {"flat": set(), "plane": {"coefficients"}, "bilinear": {"scale"}, "polynomial": {"terms"}}
+
+
+def _graph_params(spec: dict, n: int, p: int) -> dict:
+    """The parameters of the configured graph map, each checked as graph_function reads it."""
+    name = _choice(spec["f"], GRAPH_PARAMS, "surface.f")
+    params, codim = spec.get("params") or {}, n - p
+    _check_keys(params, GRAPH_PARAMS[name], GRAPH_PARAMS[name] - {"scale"}, "surface.params")
+    if name == "bilinear" and codim != 1:
+        raise ConfigError(f"surface.f must name a map with {codim} components, got 'bilinear' (one component)")
+    if "scale" in params:
+        _number(params["scale"], "surface.params.scale")
+    if "coefficients" in params:  # one column may be given as a flat list
+        coefficients = _finite(params["coefficients"], "surface.params.coefficients")
+        if coefficients.shape != (p, codim) and (codim, coefficients.shape) != (1, (p,)):
+            raise ConfigError(f"surface.params.coefficients must be of shape {(p, codim)}, "
+                              f"got {params['coefficients']!r}")
+    terms = params.get("terms", [])
+    if not isinstance(terms, list) or (name == "polynomial" and not terms):
+        raise ConfigError(f"surface.params.terms must be a nonempty list of terms, got {terms!r}")
+    for i, term in enumerate(terms):
+        key = f"surface.params.terms[{i}]"
+        _check_keys(term, {"coeff", "powers", "component"}, {"coeff", "powers"}, key)
+        _number(term["coeff"], f"{key}.coeff")
+        _finite(term["powers"], f"{key}.powers", (p,))
+        if _count(term.get("component", 1), f"{key}.component", 1) > codim:
+            raise ConfigError(f"{key}.component must be at most {codim}, got {term['component']!r}")
+    return params
 
 
 def build_surface(spec: Any, n: int, p: int) -> GraphSurface:
     _check_keys(spec, {"f", "params", "domain", "resolution"}, {"f", "domain"}, "surface")
-    domain = spec["domain"]
-    if not isinstance(domain, list) or len(domain) != p or not all(isinstance(a, list) and len(a) == 2 for a in domain):
-        raise ConfigError(f"surface.domain must be a list of {p} [low, high] pairs, got {domain!r}")
-    _finite(domain, "surface.domain")
-    fn = graph_function(spec["f"], spec.get("params"), p, n)
-    resolution = spec.get("resolution", 64)
+    domain = _finite(spec["domain"], "surface.domain", (p, 2))
+    if np.any(domain[:, 1] <= domain[:, 0]):
+        raise ConfigError(f"surface.domain must have intervals of positive length, got {spec['domain']!r}")
+    fn = graph_function(spec["f"], _graph_params(spec, n, p), p, n)
+    resolution = _count(spec.get("resolution", 64), "surface.resolution", 2)
     return GraphSurface(f=fn, domain=domain, resolution=resolution, p=p, n=n)
 
 
@@ -174,38 +232,62 @@ def _sample_fibers(L: HomogeneousLagrangian, count: int, rng: np.random.Generato
     return np.array(out)
 
 
-def _image_quadric(L: HomogeneousLagrangian, tol: float):
-    """Tolerance and residual of the Lagrangian's image quadric, or None without one.
+CLAIMS = {
+    "degree-1-homogeneity": "L(x, s*y) = s*L(x, y) for s > 0",
+    "euler-identity": "L equals the pairing of its fiber gradient with y",
+    "gradient-degree-0": "fiber gradient is invariant under positive rescaling",
+    "vanishing-hamiltonian": "dual pairing minus L vanishes on the gradient image",
+    "hessian-rank-split": "rank of Hess(L^2) exceeds rank of Hess(L) by one",
+    "legendre-image-convexity": "segments between image points stay inside the image of the unit ball",
+    "legendre-image-quadric": "sampled image points close on the unit quadric",
+    "tautological-pullback": "the pulled-back tautological form equals the areolar form",
+    "multisymplectic-nondegenerate": "contraction into the canonical (p+1)-form has trivial kernel",
+    "multisymplectic-closed": "the canonical (p+1)-form has vanishing exterior derivative",
+    "action-multisymplectic-vs-lagrangian": "dual-side and Lagrangian actions agree cellwise",
+    "action-graph-vs-lagrangian": "density and Lagrangian actions agree on graphs",
+    "action-convergence-order": "discretization error decays at the stencil order",
+}
+VERIFY_CHECKS = tuple(name for name in CLAIMS if not name.startswith("action-"))
 
-    The residual maps gradient rows (N, C(n,p)) to the worst |Q(p) - 1|, 0.0
-    for no rows; the quadric's own tolerance, if it has one, overrides tol.
-    """
-    if L.image_quadric is None:
-        return None
-    quadric, fixed = L.image_quadric
-    return (tol if fixed is None else fixed), lambda grads: float(np.max(np.abs(quadric(grads) - 1.0), initial=0.0))
+# a check: its tolerance and the measurement that is held to it
+Checks = dict[str, tuple[float, Callable[[], float]]]
 
 
-class _CheckRecorder:
-    def __init__(self):
-        self.checks: list[dict[str, Any]] = []
-
-    def run(self, name: str, claim: str, tolerance: float, fn: Callable[[], float]) -> None:
+def _report(command: str, config: dict, checks: Checks, **fields: Any) -> tuple[dict, bool]:
+    """Run and time the checks in order; the report with the fields, and whether every check passed."""
+    records = []
+    for name, (tolerance, measure) in checks.items():
         start = time.perf_counter()
-        measured = float(fn())
+        measured = float(measure())
         elapsed = (time.perf_counter() - start) * 1000.0
-        self.checks.append({
+        records.append({
             "name": name,
-            "claim": claim,
+            "claim": CLAIMS[name],
             "status": "pass" if measured <= tolerance else "fail",
             "measured": measured,
             "tolerance": float(tolerance),
             "runtime_ms": round(elapsed, 3),
         })
+    passed = all(c["status"] == "pass" for c in records)
+    report = {"version": __version__, "command": command, "config": config, **fields,
+              "checks": records, "overall": "pass" if passed else "fail"}
+    return report, passed
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c["status"] == "pass" for c in self.checks)
+
+def _image_checks(L: HomogeneousLagrangian, x: np.ndarray, grads: Callable[[], np.ndarray], quadric_tol: float,
+                  cert: dict) -> tuple[Checks, Callable]:
+    """The legendre-image-quadric check on the gradient rows grads(), if L has an image quadric, then
+    the legendre-image-convexity check on convexity_certificate(L, x, **cert); and that certificate,
+    computed once.  The quadric's own tolerance, if it has one, overrides quadric_tol.
+    """
+    certificate = functools.cache(lambda: convexity_certificate(L, x, **cert))
+    checks: Checks = {}
+    if L.image_quadric is not None:
+        quadric, fixed = L.image_quadric
+        checks["legendre-image-quadric"] = (quadric_tol if fixed is None else fixed,
+                                            lambda: float(np.max(np.abs(quadric(grads()) - 1.0), initial=0.0)))
+    checks["legendre-image-convexity"] = (cert["tol"], lambda: certificate().worst_violation)
+    return checks, certificate
 
 
 VERIFY_TOLERANCES = {
@@ -219,19 +301,6 @@ VERIFY_TOLERANCES = {
     "pullback": 1e-9,
     "closedness": 1e-6,
 }
-
-VERIFY_CHECKS = (
-    "degree-1-homogeneity",
-    "euler-identity",
-    "gradient-degree-0",
-    "vanishing-hamiltonian",
-    "hessian-rank-split",
-    "legendre-image-convexity",
-    "legendre-image-quadric",
-    "tautological-pullback",
-    "multisymplectic-nondegenerate",
-    "multisymplectic-closed",
-)
 
 
 def cmd_verify(config: dict) -> tuple[dict, bool]:
@@ -247,19 +316,13 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
     seed = _count(config.get("seed", 0), "seed", 0)
     samples = _count(config.get("samples", 100), "samples", 1)
     rank_samples = _count(config.get("rank_samples", 50), "rank_samples", 1)
-    cert_cfg = config.get("certificate") or {}
-    _check_keys(cert_cfg, {"num_pairs", "t_steps"}, set(), "certificate")
-    num_pairs = _count(cert_cfg.get("num_pairs", 100), "certificate.num_pairs", 1)
-    t_steps = _count(cert_cfg.get("t_steps", 5), "certificate.t_steps", 3)
     tol = _merge_tolerances(VERIFY_TOLERANCES, config.get("tolerances"))
-
-    quadric = _image_quadric(L, tol["quadric"])
+    cert = _certificate(config, {"num_pairs", "t_steps"}, seed + 1, tol["convexity"])
     selected = config.get("checks", VERIFY_CHECKS)
-    if not isinstance(selected, (list, tuple)) or not all(isinstance(c, str) for c in selected):
+    if not isinstance(selected, (list, tuple)):
         raise ConfigError(f"checks must be a list of check names, got {selected!r}")
-    unknown = sorted(set(selected) - set(VERIFY_CHECKS))
-    if unknown:
-        raise ConfigError(f"unknown checks: {unknown}")
+    for name in selected:
+        _choice(name, VERIFY_CHECKS, "checks")
 
     fibers = _sample_fibers(L, samples, np.random.default_rng(seed))
     xs = np.broadcast_to(x, (samples, L.n))
@@ -277,10 +340,6 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
         report = rank_lemma_check(L, x, fibers[:rank_samples], threshold=tol["rank_threshold"])
         return float(np.max(np.abs(report.rank_L2 - 1 - report.rank_L)))
 
-    def convexity() -> float:
-        return convexity_certificate(L, x, num_pairs=num_pairs, t_steps=t_steps,
-                                     seed=seed + 1, tol=tol["convexity"]).worst_violation
-
     def nondegenerate() -> float:
         point = np.random.default_rng(seed + 4).standard_normal(chart.dim_total)
         return float(chart.dim_total - nondegeneracy_check(omega(chart), point)[1])
@@ -291,55 +350,29 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
         draws = np.random.default_rng(seed + 5).standard_normal((20, form.degree + 2, chart.dim_total))
         return float(np.max(closedness_residual(form, draws[:, 0], draws[:, 1:], h=1e-4)))
 
-    checks = {
+    checks: Checks = {
         "degree-1-homogeneity": (
-            "L(x, s*y) = s*L(x, y) for s > 0", tol["homogeneity"],
-            lambda: float(np.max(homogeneity_residual(L, x, fibers, (0.5, 2.0, 10.0)))),
+            tol["homogeneity"], lambda: float(np.max(homogeneity_residual(L, x, fibers, (0.5, 2.0, 10.0)))),
         ),
-        "euler-identity": (
-            "L equals the pairing of its fiber gradient with y", tol["euler"],
-            lambda: per_unit_value(euler_residual(L, x, fibers)),
-        ),
-        "gradient-degree-0": (
-            "fiber gradient is invariant under positive rescaling", tol["gradient_scale"], grad_scale,
-        ),
+        "euler-identity": (tol["euler"], lambda: per_unit_value(euler_residual(L, x, fibers))),
+        "gradient-degree-0": (tol["gradient_scale"], grad_scale),
         "vanishing-hamiltonian": (
-            "dual pairing minus L vanishes on the gradient image", tol["hamiltonian"],
+            tol["hamiltonian"],
             lambda: per_unit_value(np.abs(hamiltonian(L, x, L.gradient_many(xs, fibers), fibers))),
         ),
-        "hessian-rank-split": ("rank of Hess(L^2) exceeds rank of Hess(L) by one", 0.0, rank_split),
-        "legendre-image-convexity": (
-            "segments between image points stay inside the image of the unit ball", tol["convexity"],
-            convexity,
-        ),
+        "hessian-rank-split": (0.0, rank_split),
         "tautological-pullback": (
-            "the pulled-back tautological form equals the areolar form", tol["pullback"],
+            tol["pullback"],
             lambda: pullback_residual(L, x, fibers,
                                       np.random.default_rng(seed + 3).standard_normal((samples, L.p, L.n))),
         ),
-        "multisymplectic-nondegenerate": (
-            "contraction into the canonical (p+1)-form has trivial kernel", 0.0, nondegenerate,
-        ),
-        "multisymplectic-closed": (
-            "the canonical (p+1)-form has vanishing exterior derivative", tol["closedness"], closed,
-        ),
+        "multisymplectic-nondegenerate": (0.0, nondegenerate),
+        "multisymplectic-closed": (tol["closedness"], closed),
     }
-    if quadric is not None:
-        quadric_tol, residual = quadric
-        checks["legendre-image-quadric"] = (
-            "sampled image points close on the unit quadric", quadric_tol,
-            lambda: residual(image_coordinates(L, x, 500, seed=seed + 2)[1]),
-        )
-
-    recorder = _CheckRecorder()
-    for name in VERIFY_CHECKS:
-        if name in selected and name in checks:
-            recorder.run(name, *checks[name])
-
-    report = _base_report("verify", config)
-    report["checks"] = recorder.checks
-    report["overall"] = "pass" if recorder.all_passed else "fail"
-    return report, recorder.all_passed
+    checks.update(_image_checks(L, x, lambda: image_coordinates(L, x, 500, seed=seed + 2)[1],
+                                tol["quadric"], cert)[0])
+    return _report("verify", config, {name: checks[name] for name in VERIFY_CHECKS
+                                      if name in selected and name in checks})
 
 
 ACTION_TOLERANCES = {
@@ -366,11 +399,11 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     if not isinstance(resolutions, list) or not resolutions:
         raise ConfigError(f"resolutions must be a nonempty list of integers, got {resolutions!r}")
     resolutions = [_count(r, "resolutions", 2) for r in resolutions]
-    quad = QuadratureConfig(rule=config.get("quadrature", "midpoint"))
+    quad = QuadratureConfig(rule=_choice(config.get("quadrature", "midpoint"), QUADRATURE_RULES, "quadrature"))
     tol = _merge_tolerances(ACTION_TOLERANCES, config.get("tolerances"))
     reference = config.get("reference")
     if reference is not None:
-        reference = float(_finite(reference, "reference"))
+        reference = _number(reference, "reference")
 
     rows = []
     for res in sorted(resolutions):
@@ -385,41 +418,23 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
 
     finest = rows[-1]
     scale = max(1.0, abs(finest["lagrangian"]))
-    recorder = _CheckRecorder()
-    recorder.run(
-        "action-multisymplectic-vs-lagrangian",
-        "dual-side and Lagrangian actions agree cellwise",
+    checks: Checks = {"action-multisymplectic-vs-lagrangian": (
         tol["multisymplectic_vs_lagrangian"],
         lambda: max(abs(r["multisymplectic"] - r["lagrangian"]) for r in rows) / scale,
-    )
+    )}
     if density is not None:
-        recorder.run(
-            "action-graph-vs-lagrangian",
-            "density and Lagrangian actions agree on graphs",
-            tol["graph_vs_lagrangian"],
-            lambda: abs(finest["graph"] - finest["lagrangian"]),
-        )
-    convergence = None
+        checks["action-graph-vs-lagrangian"] = (tol["graph_vs_lagrangian"],
+                                                lambda: abs(finest["graph"] - finest["lagrangian"]))
+    fields: dict[str, Any] = {"actions": rows}
     if len(resolutions) >= 3:
-        study = convergence_rows({r["resolution"]: r["lagrangian"] for r in rows},
-                                 surface.domain, reference)
-        convergence = [asdict(r) for r in study]
+        study = convergence_rows({r["resolution"]: r["lagrangian"] for r in rows}, surface.domain, reference)
+        fields["convergence"] = [asdict(r) for r in study]
         orders = [r.observed_order for r in study if r.observed_order is not None]
-
-        def order_gap() -> float:
-            if not orders:
-                return 0.0  # errors at machine level: nothing to rate
-            return max(abs(o - tol["order_target"]) for o in orders)
-        recorder.run("action-convergence-order", "discretization error decays at the stencil order",
-                     tol["order_window"], order_gap)
-
-    report = _base_report("action", config)
-    report["actions"] = rows
-    if convergence is not None:
-        report["convergence"] = convergence
-    report["checks"] = recorder.checks
-    report["overall"] = "pass" if recorder.all_passed else "fail"
-    return report, recorder.all_passed
+        # without orders the errors are at machine level: nothing to rate
+        checks["action-convergence-order"] = (
+            tol["order_window"], lambda: max((abs(o - tol["order_target"]) for o in orders), default=0.0),
+        )
+    return _report("action", config, checks, **fields)
 
 
 def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
@@ -434,55 +449,33 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
     x = _base_point(config, L.n)
     count = _count(config["count"], "count", 0)
     seed = _count(config.get("seed", 0), "seed", 0)
-    cert_cfg = config.get("certificate") or {}
-    _check_keys(cert_cfg, {"num_pairs", "t_steps", "seed", "tolerance"}, set(), "certificate")
-    num_pairs = _count(cert_cfg.get("num_pairs", 100), "certificate.num_pairs", 1)
-    t_steps = _count(cert_cfg.get("t_steps", 5), "certificate.t_steps", 3)
-    cert_seed = _count(cert_cfg.get("seed", seed + 1), "certificate.seed", 0)
-    cert_tol = float(_finite(cert_cfg.get("tolerance", 1e-7), "certificate.tolerance"))
+    cert = _certificate(config, {"num_pairs", "t_steps", "seed", "tolerance"}, seed + 1, 1e-7)
     tol = _merge_tolerances({"quadric": 1e-9}, config.get("tolerances"))
+    csv_name = config.get("csv", "image_points.csv")
+    if not isinstance(csv_name, str) or not csv_name:
+        raise ConfigError(f"csv must be a file name, got {csv_name!r}")
 
     grads = image_coordinates(L, x, count, seed=seed)[1]
-    csv_path = out_dir / config.get("csv", "image_points.csv")
+    csv_path = out_dir / csv_name
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as stream:
         write_image_csv(x, grads, L.p, stream)
 
-    recorder = _CheckRecorder()
-    quadric = _image_quadric(L, tol["quadric"])
-    if quadric is not None:
-        quadric_tol, residual = quadric
-        recorder.run("legendre-image-quadric", "sampled image points close on the unit quadric",
-                     quadric_tol, lambda: residual(grads))
-    cert = None
-
-    def convexity() -> float:
-        nonlocal cert
-        cert = convexity_certificate(L, x, num_pairs=num_pairs, t_steps=t_steps,
-                                     seed=cert_seed, tol=cert_tol)
-        return cert.worst_violation
-    recorder.run("legendre-image-convexity",
-                 "segments between image points stay inside the image of the unit ball",
-                 cert_tol, convexity)
-
-    report = _base_report("image", config)
-    report["csv"] = str(csv_path)
-    report["num_points"] = count
-    report["certificate"] = asdict(cert)
-    report["checks"] = recorder.checks
-    report["overall"] = "pass" if recorder.all_passed else "fail"
-    return report, recorder.all_passed
+    checks, certificate = _image_checks(L, x, lambda: grads, tol["quadric"], cert)
+    report, passed = _report("image", config, checks, csv=str(csv_path), num_points=count)
+    report["certificate"] = asdict(certificate())
+    return report, passed
 
 
-def _base_report(command: str, config: dict) -> dict:
-    return {"version": __version__, "command": command, "config": config}
-
-
-def _write_report(report: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as stream:
-        json.dump(report, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+def _read_config(path: str) -> dict:
+    with open(path) as stream:
+        try:
+            config = json.load(stream)
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+            raise ConfigError(exc) from None
+    if not isinstance(config, dict):
+        raise ConfigError("config root must be a JSON object")
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -505,33 +498,30 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     out_path = Path(args.out)
-    env_dir = os.environ.get(OUT_DIR_ENV)
-    if env_dir:
-        out_path = Path(env_dir) / out_path.name
+    if os.environ.get(OUT_DIR_ENV):
+        out_path = Path(os.environ[OUT_DIR_ENV]) / out_path.name
 
     try:
-        with open(args.config) as stream:
-            config = json.load(stream)
-        if not isinstance(config, dict):
-            raise ConfigError("config root must be a JSON object")
+        config = _read_config(args.config)
         if args.command == "verify":
             report, passed = cmd_verify(config)
         elif args.command == "action":
             report, passed = cmd_action(config)
         else:
-            report, passed = cmd_image(config, out_path.parent if env_dir is None else Path(env_dir))
-    except (json.JSONDecodeError, ConfigError, ValueError, KeyError, TypeError) as exc:
+            report, passed = cmd_image(config, out_path.parent)
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(out_path, "w") as stream:
+            json.dump(report, stream, indent=2, sort_keys=True)
+            stream.write("\n")
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-
-    try:
-        _write_report(report, out_path)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:  # a defect or a numerical failure: never reported as a config error
+        print(f"internal or numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     print(f"{args.command}: {report['overall']} ({len(report.get('checks', []))} checks) -> {out_path}")
     return 0 if passed else 1
 

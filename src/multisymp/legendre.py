@@ -95,10 +95,12 @@ def _level_rows(L: HomogeneousLagrangian, x: np.ndarray, count: int, rng: np.ran
 
     Directions are drawn in blocks; a rejected direction is replaced by the
     next draws of the stream, so the rows and the generator state after are
-    those of a direction-by-direction loop.
+    those of a direction-by-direction loop.  Raises RuntimeError once more
+    than 100 * count + 1000 draws are rejected, as when L is below 1e-9 |y|
+    in (nearly) every direction.
     """
     accepted = []
-    need = count
+    need, rejected = count, 0
     while need > 0:
         directions = rng.standard_normal((need, L.fiber_dim))
         norms = np.linalg.norm(directions, axis=-1)
@@ -107,7 +109,11 @@ def _level_rows(L: HomogeneousLagrangian, x: np.ndarray, count: int, rng: np.ran
         levels[keep] = L.value_many(np.broadcast_to(x, (int(keep.sum()), x.size)), directions[keep])
         keep &= levels > 1e-9 * norms
         accepted.append(directions[keep] / levels[keep, None])
+        rejected += need - int(keep.sum())
         need -= int(keep.sum())
+        if rejected > 100 * count + 1000:
+            raise RuntimeError(f"level-set sampling rejected {rejected} draws for {count} rows: "
+                               "L is below 1e-9 |y| in nearly every direction")
     return np.concatenate(accepted) if accepted else np.empty((0, L.fiber_dim))
 
 
@@ -325,8 +331,7 @@ def convexity_certificate(
     rows at a time.
     """
     x = np.asarray(x, dtype=float)
-    ends = _level_rows(L, x, 2 * num_pairs, np.random.default_rng(seed))
-    grads = L.gradient_many(np.broadcast_to(x, (len(ends), x.size)), ends)
+    grads = image_coordinates(L, x, 2 * num_pairs, seed)[1]
     ts = np.linspace(0.0, 1.0, t_steps)[None, :, None]
     targets = (ts * grads[0::2, None, :] + (1.0 - ts) * grads[1::2, None, :]).reshape(-1, L.fiber_dim)
     targets = targets[np.linalg.norm(targets, axis=-1) >= 1e-12]  # the origin is interior

@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 
+QUADRATURE_RULES = ("midpoint", "gauss2")
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Cell rule for the parameter-domain integrals.
@@ -49,7 +52,7 @@ class QuadratureConfig:
     rule: str = "midpoint"
 
     def __post_init__(self):
-        if self.rule not in ("midpoint", "gauss2"):
+        if self.rule not in QUADRATURE_RULES:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
@@ -253,6 +256,16 @@ def _check_cells(coords: np.ndarray, grid: ParametricGrid, L: HomogeneousLagrang
         raise OrientationError(f"graph chart violated at cell {grid.cell_index(int(np.argmax(off)))}")
 
 
+def _checked_samples(L: HomogeneousLagrangian, grid: ParametricGrid, quad: QuadratureConfig):
+    """Yield (frames, minors, bases, weight-per-sample) blocks whose cells _check_cells passed for L."""
+    if (grid.n, grid.p) != (L.n, L.p):
+        raise ValueError("grid and Lagrangian dimensions do not match")
+    for frames, bases, weight in _quadrature_samples(grid, quad):
+        coords = minors(frames)
+        _check_cells(coords, grid, L)
+        yield frames, coords, bases, weight
+
+
 def lagrangian_action(
     L: HomogeneousLagrangian, grid: ParametricGrid, quad: QuadratureConfig = QuadratureConfig()
 ) -> float:
@@ -262,14 +275,9 @@ def lagrangian_action(
     surface integral of the Lagrangian; by homogeneity the value does not
     depend on the (affine) parametrization.
     """
-    if (grid.n, grid.p) != (L.n, L.p):
-        raise ValueError("grid and Lagrangian dimensions do not match")
     contributions = []
-    for frames, bases, weight in _quadrature_samples(grid, quad):
-        coords = minors(frames)
-        _check_cells(coords, grid, L)
-        vals = L.value_many(bases, coords)
-        contributions.extend((weight * vals).tolist())
+    for _, coords, bases, weight in _checked_samples(L, grid, quad):
+        contributions.extend((weight * L.value_many(bases, coords)).tolist())
     return math.fsum(contributions)
 
 
@@ -301,14 +309,9 @@ def multisymplectic_action(
     p-vector, and the tautological form is evaluated on the tangent frame,
     which reduces to pairing the dual coordinates with the frame minors.
     """
-    if (grid.n, grid.p) != (L.n, L.p):
-        raise ValueError("grid and Lagrangian dimensions do not match")
     contributions = []
-    for frames, bases, weight in _quadrature_samples(grid, quad):
-        coords = minors(frames)
-        _check_cells(coords, grid, L)
-        grads = L.gradient_many(bases, coords)
-        vals = np.einsum("ij,ij->i", grads, coords)
+    for _, coords, bases, weight in _checked_samples(L, grid, quad):
+        vals = np.einsum("ij,ij->i", L.gradient_many(bases, coords), coords)
         contributions.extend((weight * vals).tolist())
     return math.fsum(contributions)
 
@@ -321,9 +324,7 @@ def theta_cell_values(L: HomogeneousLagrangian, grid: ParametricGrid) -> np.ndar
     with the Lagrangian integrand.
     """
     chart = TotalSpaceChart(grid.n, grid.p)
-    frames, bases = _cell_frames(grid)
-    coords = minors(frames)
-    _check_cells(coords, grid, L)
+    ((frames, coords, bases, _),) = _checked_samples(L, grid, QuadratureConfig())
     points = chart.point(bases, L.gradient_many(bases, coords))
     lifted = np.swapaxes(chart.lift(np.swapaxes(frames, 1, 2)), 1, 2)
     return theta(chart).evaluator(points, lifted)

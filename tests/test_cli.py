@@ -317,6 +317,28 @@ class TestErrorHandling:
         # list-shaped keys are checked for their shape before they are read
         ("action", {**FLAT_ACTION, "resolutions": 5}, "resolutions"),
         ("action", {**FLAT_ACTION, "surface": {"f": "flat", "domain": "abc"}}, "surface.domain"),
+        # values a constructor used to reject without naming their key
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "projected_volume", "n": 2, "p": 3}}, "lagrangian.p"),
+        ("verify", {**AREA_VERIFY, "tolerances": {"euler": [1, 2]}}, "tolerances.euler"),
+        ("image", {**AREA_IMAGE, "csv": 5}, "csv"),
+        ("action", {**FLAT_ACTION, "quadrature": "simpson"}, "quadrature"),
+        ("action", {**FLAT_ACTION, "density": {"name": "constant", "params": {"value": "x"}}}, "density.params.value"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "flat", "domain": [[1, 0], [0, 1]]}}, "surface.domain"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "ellipsoid", "n": 3, "p": 2,
+                                                  "params": {"weights": [1.0, 2.0]}}}, "lagrangian.params.weights"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "plane", "params": {"coefficients": [1.0, 2.0, 3.0]},
+                                               "domain": [[0, 1], [0, 1]]}}, "surface.params.coefficients"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "ellipsoid", "n": 3, "p": 2,
+                                                  "params": {"weights": [1.0, -2.0, 1.0]}}}, "lagrangian.params.weights"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": ["area"], "n": 3, "p": 2}}, "lagrangian.name"),
+        ("action", {**FLAT_ACTION, "lagrangian": {"name": "area", "n": 4, "p": 2},
+                    "surface": {"f": "bilinear", "domain": [[0, 1], [0, 1]]}}, "surface.f"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 1], [0, 1]], "params": {
+            "terms": [{"coeff": "x", "powers": [1, 1]}]}}}, "surface.params.terms[0].coeff"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 1], [0, 1]], "params": {
+            "terms": [{"coeff": 1.0, "powers": [1, 1], "component": 2}]}}}, "surface.params.terms[0].component"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "flat", "domain": [[0, 1], [0, 1]], "resolution": "x"}},
+         "surface.resolution"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts
@@ -326,6 +348,56 @@ class TestErrorHandling:
         assert not out.exists()
         assert not (tmp_path / AREA_IMAGE["csv"]).exists()
         assert f"config error: {key} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload, where, key", [
+        ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 1], [0, 1]],
+                                               "params": {"terms": [{"powers": [1, 1]}]}}},
+         "surface.params.terms[0]", "coeff"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "graph_lift", "n": 3, "p": 2,
+                                                  "params": {"density": {"params": {}}}}},
+         "lagrangian.params.density", "name"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "plane", "domain": [[0, 1], [0, 1]]}}, "surface.params",
+         "coefficients"),
+    ])
+    def test_missing_key_exits_2_naming_it(self, tmp_path, capsys, command, payload, where, key):
+        out = tmp_path / "report.json"
+        assert main([command, "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: missing keys in {where}: ['{key}']" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """One case per documented exit code; only 0 and 1 write a report."""
+
+    ELLIPSOID = {"name": "ellipsoid", "n": 3, "p": 2}
+
+    @pytest.mark.parametrize("code, payload, out_name, message", [
+        (0, {**AREA_VERIFY, "checks": ["euler-identity"]}, "report.json", "verify: pass (1 checks)"),
+        (1, {**AREA_VERIFY, "checks": ["euler-identity"], "tolerances": {"euler": -1.0}}, "report.json",
+         "verify: fail (1 checks)"),
+        (2, {**AREA_VERIFY, "samples": 0}, "report.json", "config error: samples must"),
+        (3, {**AREA_VERIFY, "checks": ["euler-identity"]}, "blocker/report.json", "i/o error: "),
+        # LAPACK's SVD does not converge on Hess(L^2) at these weights; under the suite's
+        # RuntimeWarning filter the overflow before it may be what raises
+        (4, {**AREA_VERIFY, "lagrangian": {**ELLIPSOID, "params": {"weights": [1e300, 1.0, 1.0]}}}, "report.json",
+         "internal or numerical failure: "),
+    ])
+    def test_exit_code(self, tmp_path, capsys, code, payload, out_name, message):
+        (tmp_path / "blocker").write_text("a file, not a directory")
+        out = tmp_path / out_name
+        assert main(["verify", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert message in (captured.out if code < 2 else captured.err)
+        assert out.exists() == (code < 2)
+
+    def test_sampler_rejecting_every_draw_exits_4(self, tmp_path, capsys):
+        # L is below the level floor in every direction: the sampler gives up instead of looping
+        payload = {**AREA_IMAGE, "lagrangian": {**self.ELLIPSOID, "params": {"weights": [1e-20] * 3}}}
+        out = tmp_path / "report.json"
+        assert main(["image", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("internal or numerical failure: RuntimeError: ")
+        assert not out.exists()
+        assert not (tmp_path / AREA_IMAGE["csv"]).exists()
 
 
 class TestOutputDirOverride:

@@ -372,6 +372,18 @@ class TestLevelSetSampler:
         assert np.array_equal(got, np.array([y.coords for y in expected]))
         assert rng.standard_normal() == ref_rng.standard_normal()  # no draw left over or missing
 
+    @pytest.mark.parametrize("count", [0, 1, 30])
+    def test_rejecting_every_direction_raises(self, count):
+        # L = 1e-10 |y| is below the 1e-9 |y| level floor in every direction
+        L = ellipsoid_lagrangian(3, 2, [1e-20] * 3)
+        if count == 0:
+            assert _level_rows(L, np.zeros(3), 0, np.random.default_rng(0)).shape == (0, 3)
+            return
+        with pytest.raises(RuntimeError, match="rejected"):
+            _level_rows(L, np.zeros(3), count, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="rejected"):
+            convexity_certificate(L, np.zeros(3), num_pairs=count, t_steps=3)
+
 
 class TestSampleImage:
     def test_area_image_is_unit_sphere(self, x3, area3):

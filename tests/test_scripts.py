@@ -44,6 +44,23 @@ def test_run_all_prints_wall_times(tmp_path, monkeypatch, capsys):
     assert walls[-1] == pytest.approx(sum(walls[:-1]), abs=1e-2)
 
 
+def test_run_all_summarizes_a_run_without_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MULTISYMP_OUT_DIR", raising=False)
+    module = load_script("run_all")
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "bad.json").write_text('{"lagrangian": {"name": "area", "n": 3, "p": 2}, "samples": 0}')
+    out = tmp_path / "out"
+    out.mkdir()
+    stale = out / "bad.report.json"  # left by an earlier run into the same directory
+    stale.write_text('{"checks": [], "overall": "pass"}')
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    monkeypatch.setattr(module, "RUNS", [("verify", "bad.json", 0)])
+    assert module.run(out) == 1
+    line = next(line for line in capsys.readouterr().out.splitlines() if "bad.json" in line)
+    assert "exit=2" in line and "no report" in line and "UNEXPECTED" in line
+    assert not stale.exists()
+
+
 def test_compare_reports_ignores_timing_and_config_only(tmp_path, capsys):
     compare = load_script("compare_reports").main
     report = {"config": {"seed": 1}, "checks": [{"name": "c", "measured": 0.5, "runtime_ms": 1.0}],
