@@ -8,79 +8,10 @@ and the action integrals whose equality ties the pictures together.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateCellError,
-    InversionError,
-    NotInImageError,
-    OrientationError,
-    UnsupportedDegreeError,
-    ZeroSectionError,
-)
-from .exterior import (
-    GrassmannPoint,
-    KCovector,
-    KVector,
-    MultiIndex,
-    canonicalize_index,
-    grassmann_eq,
-    is_decomposable,
-    multi_indices,
-    pair,
-    plane_from_bivector,
-    random_decomposable,
-    volume_form,
-    wedge_product,
-    wedge_vectors,
-)
-from .lagrangian import (
-    AreolarForm,
-    GraphDensity,
-    HomogeneousLagrangian,
-    area_lagrangian,
-    areolar_form,
-    constant_density,
-    ellipsoid_lagrangian,
-    euler_residual,
-    geometric_mean_lagrangian,
-    graph_area_density,
-    graph_lift,
-    homogeneity_residual,
-    is_nondegenerate,
-    minimal_surface_density,
-    projected_volume_lagrangian,
-)
-from .legendre import (
-    ConvexityCertificate,
-    LegendreImagePoint,
-    RankReport,
-    convexity_certificate,
-    hamiltonian,
-    inverse_legendre,
-    legendre_map,
-    rank_lemma_check,
-    write_image_csv,
-)
-from .multisymplectic import (
-    FormField,
-    TotalSpaceChart,
-    closedness_residual,
-    constant_x_form,
-    nondegeneracy_check,
-    omega,
-    pullback_residual,
-    theta,
-    weighted_x_form,
-)
-from .surfaces import (
-    ConvergenceRow,
-    GraphSurface,
-    ParametricGrid,
-    QuadratureConfig,
-    convergence_rows,
-    convergence_study,
-    graph_action,
-    graph_function,
-    lagrangian_action,
-    multisymplectic_action,
-    tangent_pvector,
-)
+# the root re-exports each module's __all__, so the two lists cannot drift
+from .errors import *  # noqa: F403
+from .exterior import *  # noqa: F403
+from .lagrangian import *  # noqa: F403
+from .legendre import *  # noqa: F403
+from .multisymplectic import *  # noqa: F403
+from .surfaces import *  # noqa: F403

@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -52,12 +51,9 @@ from .surfaces import (
     QuadratureConfig,
     convergence_rows,
     graph_action,
-    graph_function,
     lagrangian_action,
     multisymplectic_action,
 )
-
-OUT_DIR_ENV = "MULTISYMP_OUT_DIR"
 
 
 class ConfigError(ValueError):
@@ -184,41 +180,56 @@ def build_lagrangian(spec: Any) -> HomogeneousLagrangian:
 GRAPH_PARAMS = {"flat": set(), "plane": {"coefficients"}, "bilinear": {"scale"}, "polynomial": {"terms"}}
 
 
-def _graph_params(spec: dict, n: int, p: int) -> dict:
-    """The parameters of the configured graph map, each checked as graph_function reads it."""
+def _graph_map(spec: dict, n: int, p: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The configured graph map, each parameter checked under its key; the map takes parameter
+    points of shape (N, p) to graph values of shape (N, n-p), and one point (p,) to (n-p,)."""
     name = _choice(spec["f"], GRAPH_PARAMS, "surface.f")
     params, codim = spec.get("params") or {}, n - p
     _check_keys(params, GRAPH_PARAMS[name], GRAPH_PARAMS[name] - {"scale"}, "surface.params")
-    if name == "bilinear" and codim != 1:
-        raise ConfigError(f"surface.f must name a map with {codim} components, got 'bilinear' (one component)")
-    if "scale" in params:
-        _number(params["scale"], "surface.params.scale")
-    if "coefficients" in params:  # one column may be given as a flat list
-        coefficients = _finite(params["coefficients"], "surface.params.coefficients")
-        if coefficients.shape != (p, codim) and (codim, coefficients.shape) != (1, (p,)):
+    if name == "flat":
+        return lambda s: np.zeros(np.shape(s)[:-1] + (codim,))
+    if name == "plane":  # one column may be given as a flat list
+        coeffs = _finite(params["coefficients"], "surface.params.coefficients")
+        if coeffs.shape != (p, codim) and (codim, coeffs.shape) != (1, (p,)):
             raise ConfigError(f"surface.params.coefficients must be of shape {(p, codim)}, "
                               f"got {params['coefficients']!r}")
-    terms = params.get("terms", [])
-    if not isinstance(terms, list) or (name == "polynomial" and not terms):
+        coeffs = coeffs.reshape(p, codim)
+        # elementwise, not a matmul, so a row's value does not depend on the batch size
+        return lambda s: sum(s[..., k, None] * coeffs[k] for k in range(p))
+    if name == "bilinear":
+        if codim != 1:
+            raise ConfigError(f"surface.f must name a map with {codim} components, got 'bilinear' (one component)")
+        scale = _number(params.get("scale", 1.0), "surface.params.scale")
+        return lambda s: scale * np.prod(s, axis=-1, keepdims=True)
+    terms = params["terms"]
+    if not isinstance(terms, list) or not terms:
         raise ConfigError(f"surface.params.terms must be a nonempty list of terms, got {terms!r}")
+    parsed = []
     for i, term in enumerate(terms):
         key = f"surface.params.terms[{i}]"
         _check_keys(term, {"coeff", "powers", "component"}, {"coeff", "powers"}, key)
-        _number(term["coeff"], f"{key}.coeff")
-        _finite(term["powers"], f"{key}.powers", (p,))
-        if _count(term.get("component", 1), f"{key}.component", 1) > codim:
+        coeff = _number(term["coeff"], f"{key}.coeff")
+        powers = _finite(term["powers"], f"{key}.powers", (p,))
+        component = _count(term.get("component", 1), f"{key}.component", 1)
+        if component > codim:
             raise ConfigError(f"{key}.component must be at most {codim}, got {term['component']!r}")
-    return params
+        parsed.append((coeff, powers, component - 1))
+
+    def poly(s: np.ndarray) -> np.ndarray:
+        out = np.zeros(np.shape(s)[:-1] + (codim,))
+        for coeff, powers, component in parsed:
+            out[..., component] += coeff * np.prod(s**powers, axis=-1)
+        return out
+
+    return poly
 
 
-def build_surface(spec: Any, n: int, p: int) -> GraphSurface:
-    _check_keys(spec, {"f", "params", "domain", "resolution"}, {"f", "domain"}, "surface")
+def build_surface(spec: Any, n: int, p: int, resolution: int) -> GraphSurface:
+    _check_keys(spec, {"f", "params", "domain"}, {"f", "domain"}, "surface")
     domain = _finite(spec["domain"], "surface.domain", (p, 2))
     if np.any(domain[:, 1] <= domain[:, 0]):
         raise ConfigError(f"surface.domain must have intervals of positive length, got {spec['domain']!r}")
-    fn = graph_function(spec["f"], _graph_params(spec, n, p), p, n)
-    resolution = _count(spec.get("resolution", 64), "surface.resolution", 2)
-    return GraphSurface(f=fn, domain=domain, resolution=resolution, p=p, n=n)
+    return GraphSurface(f=_graph_map(spec, n, p), domain=domain, resolution=resolution, p=p, n=n)
 
 
 def _sample_fibers(L: HomogeneousLagrangian, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -394,11 +405,11 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     L = build_lagrangian(config["lagrangian"])
     n, p = L.n, L.p
     density = L.density if config.get("density") is None else build_density(config["density"], n, p)
-    surface = build_surface(config["surface"], n, p)
     resolutions = config["resolutions"]
     if not isinstance(resolutions, list) or not resolutions:
         raise ConfigError(f"resolutions must be a nonempty list of integers, got {resolutions!r}")
-    resolutions = [_count(r, "resolutions", 2) for r in resolutions]
+    resolutions = sorted(_count(r, "resolutions", 2) for r in resolutions)
+    surface = build_surface(config["surface"], n, p, resolutions[0])
     quad = QuadratureConfig(rule=_choice(config.get("quadrature", "midpoint"), QUADRATURE_RULES, "quadrature"))
     tol = _merge_tolerances(ACTION_TOLERANCES, config.get("tolerances"))
     reference = config.get("reference")
@@ -406,7 +417,7 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
         reference = _number(reference, "reference")
 
     rows = []
-    for res in sorted(resolutions):
+    for res in resolutions:
         surf = replace(surface, resolution=res)
         grid = surf.to_grid()
         entry: dict[str, Any] = {"resolution": res}
@@ -452,8 +463,8 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
     cert = _certificate(config, {"num_pairs", "t_steps", "seed", "tolerance"}, seed + 1, 1e-7)
     tol = _merge_tolerances({"quadric": 1e-9}, config.get("tolerances"))
     csv_name = config.get("csv", "image_points.csv")
-    if not isinstance(csv_name, str) or not csv_name:
-        raise ConfigError(f"csv must be a file name, got {csv_name!r}")
+    if not isinstance(csv_name, str) or csv_name in ("", "..") or Path(csv_name).name != csv_name:
+        raise ConfigError(f"csv must be a bare file name, got {csv_name!r}")
 
     grads = image_coordinates(L, x, count, seed=seed)[1]
     csv_path = out_dir / csv_name
@@ -498,8 +509,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     out_path = Path(args.out)
-    if os.environ.get(OUT_DIR_ENV):
-        out_path = Path(os.environ[OUT_DIR_ENV]) / out_path.name
 
     try:
         config = _read_config(args.config)

@@ -1,5 +1,14 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "ZeroSectionError",
+    "OrientationError",
+    "UnsupportedDegreeError",
+    "DegenerateCellError",
+    "InversionError",
+    "NotInImageError",
+]
+
 
 class ZeroSectionError(ValueError):
     """Raised when an operation that is undefined on the zero section receives y = 0."""

@@ -33,7 +33,6 @@ __all__ = [
     "multisymplectic_action",
     "convergence_rows",
     "convergence_study",
-    "graph_function",
 ]
 
 
@@ -398,49 +397,3 @@ def convergence_study(
     values = {res: kinds[action_kind](res) for res in sorted(int(r) for r in resolutions)}
     return convergence_rows(values, surface.domain, reference)
 
-
-def graph_function(name: str, params: dict | None, p: int, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Named graph maps for configs: flat, plane, bilinear, polynomial.
-
-    Each map is batched: parameter points of shape (N, p) go to graph values
-    of shape (N, n-p).  A single point of shape (p,) gives shape (n-p,).
-    """
-    params = dict(params or {})
-    codim = n - p
-    if name == "flat":
-        return lambda s: np.zeros(np.shape(s)[:-1] + (codim,))
-    if name == "plane":
-        coeffs = np.asarray(params.get("coefficients"), dtype=float)
-        if coeffs.ndim == 1:
-            coeffs = coeffs[:, None]
-        if coeffs.shape != (p, codim):
-            raise ValueError(f"plane coefficients must have shape ({p}, {codim})")
-        # elementwise, not a matmul, so a row's value does not depend on the batch size
-        return lambda s: sum(s[..., k, None] * coeffs[k] for k in range(p))
-    if name == "bilinear":
-        scale = float(params.get("scale", 1.0))
-        if codim != 1:
-            raise ValueError("bilinear graph is defined for codimension 1")
-        return lambda s: scale * np.prod(s, axis=-1, keepdims=True)
-    if name == "polynomial":
-        terms = params.get("terms")
-        if not terms:
-            raise ValueError("polynomial graph needs a list of terms")
-        parsed = []
-        for term in terms:
-            powers = np.asarray(term["powers"], dtype=float)
-            if powers.shape != (p,):
-                raise ValueError(f"term powers must have length {p}")
-            component = int(term.get("component", 1)) - 1
-            if not 0 <= component < codim:
-                raise ValueError("term component out of range")
-            parsed.append((float(term["coeff"]), powers, component))
-
-        def poly(s: np.ndarray) -> np.ndarray:
-            out = np.zeros(np.shape(s)[:-1] + (codim,))
-            for coeff, powers, component in parsed:
-                out[..., component] += coeff * np.prod(s**powers, axis=-1)
-            return out
-
-        return poly
-    raise ValueError(f"unknown graph function {name!r}")

@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -337,8 +338,13 @@ class TestErrorHandling:
             "terms": [{"coeff": "x", "powers": [1, 1]}]}}}, "surface.params.terms[0].coeff"),
         ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 1], [0, 1]], "params": {
             "terms": [{"coeff": 1.0, "powers": [1, 1], "component": 2}]}}}, "surface.params.terms[0].component"),
-        ("action", {**FLAT_ACTION, "surface": {"f": "flat", "domain": [[0, 1], [0, 1]], "resolution": "x"}},
-         "surface.resolution"),
+        # the CSV is written beside the report, under a bare file name
+        ("image", {**AREA_IMAGE, "csv": "../escaped.csv"}, "csv"),
+        ("image", {**AREA_IMAGE, "csv": os.devnull}, "csv"),  # an absolute path
+        ("image", {**AREA_IMAGE, "csv": "."}, "csv"),
+        ("image", {**AREA_IMAGE, "csv": ".."}, "csv"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 1], [0, 1]],
+                                               "params": {"terms": []}}}, "surface.params.terms"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts
@@ -398,24 +404,6 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("internal or numerical failure: RuntimeError: ")
         assert not out.exists()
         assert not (tmp_path / AREA_IMAGE["csv"]).exists()
-
-
-class TestOutputDirOverride:
-    def test_env_var_redirects_outputs(self, tmp_path, monkeypatch):
-        override = tmp_path / "elsewhere"
-        override.mkdir()
-        monkeypatch.setenv("MULTISYMP_OUT_DIR", str(override))
-        cfg = write_config(tmp_path, {
-            "lagrangian": {"name": "area", "n": 3, "p": 2},
-            "count": 5,
-            "seed": 1,
-            "csv": "cloud.csv",
-        })
-        out = tmp_path / "subdir" / "report.json"
-        assert main(["image", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (override / "report.json").exists()
-        assert (override / "cloud.csv").exists()
-        assert not out.exists()
 
 
 def reference_fibers(L, count, rng):

@@ -541,8 +541,7 @@ class TestCsvMatchesObjectPath:
         assert got.getvalue() == expected.getvalue()
 
     @pytest.mark.parametrize("config", ["image_area.json", "image_ellipsoid.json"])
-    def test_cmd_image_writes_reference_bytes(self, config, tmp_path, monkeypatch):
-        monkeypatch.delenv("MULTISYMP_OUT_DIR", raising=False)
+    def test_cmd_image_writes_reference_bytes(self, config, tmp_path):
         cfg = json.loads((CONFIGS / config).read_text())
         assert main(["image", "--config", str(CONFIGS / config), "--out", str(tmp_path / "report.json")]) == 0
         L = build_lagrangian(cfg["lagrangian"])

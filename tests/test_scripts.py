@@ -28,13 +28,11 @@ def test_convergence_report_prints_three_tables(capsys):
     assert [row[0] for row in table_rows] == ["8", "16", "32"] * len(titles)
 
 
-def test_run_all_meets_every_expected_exit_code(tmp_path, monkeypatch):
-    monkeypatch.delenv("MULTISYMP_OUT_DIR", raising=False)
+def test_run_all_meets_every_expected_exit_code(tmp_path):
     assert load_script("run_all").run(tmp_path) == 0
 
 
-def test_run_all_prints_wall_times(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("MULTISYMP_OUT_DIR", raising=False)
+def test_run_all_prints_wall_times(tmp_path, capsys):
     module = load_script("run_all")
     module.run(tmp_path)
     lines = [line for line in capsys.readouterr().out.splitlines() if " wall=" in line]
@@ -45,7 +43,6 @@ def test_run_all_prints_wall_times(tmp_path, monkeypatch, capsys):
 
 
 def test_run_all_summarizes_a_run_without_report(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("MULTISYMP_OUT_DIR", raising=False)
     module = load_script("run_all")
     (tmp_path / "configs").mkdir()
     (tmp_path / "configs" / "bad.json").write_text('{"lagrangian": {"name": "area", "n": 3, "p": 2}, "samples": 0}')
@@ -85,14 +82,28 @@ def test_compare_reports_ignores_timing_and_config_only(tmp_path, capsys):
     assert "v0/job.report.json: /checks/c/measured: 0.5 != 0.5000000000000001" in out
 
 
-def test_span_recorder_installs_on_this_package(tmp_path, monkeypatch):
+
+@pytest.mark.parametrize("field, changed", [("status", "fail"), ("claim", "another claim")])
+def test_compare_reports_reads_every_leaf(tmp_path, capsys, field, changed):
+    compare = load_script("compare_reports").main
+    check = {"name": "c", "claim": "a claim", "status": "pass", "measured": 0.5}
+    for side, value in (("a", check[field]), ("b", changed)):
+        (tmp_path / side).mkdir()
+        # each report names the CSV beside it, so the two csv fields differ only by the root
+        report = {"checks": [{**check, field: value}], "overall": "pass", "csv": str(tmp_path / side / "job.csv")}
+        (tmp_path / side / "job.report.json").write_text(json.dumps(report))
+    assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out
+    assert f"job.report.json: /checks/c/{field}: {check[field]!r} != {changed!r}" in out
+    assert "1 files compared, 1 differences" in out
+
+def test_span_recorder_installs_on_this_package(tmp_path):
     # bench/spans.py looks up every __all__ entry and a few methods by name, so a
     # deleted or renamed hook must fail here and not only in a traced benchmark run
     import multisymp.cli as cli
     import multisymp.legendre as legendre
     from multisymp.surfaces import GraphSurface
 
-    monkeypatch.delenv("MULTISYMP_OUT_DIR", raising=False)
     spans = load_script("spans", BENCH)
     originals = (legendre.convexity_certificate, cli.convexity_certificate, GraphSurface.to_grid)
     configs = {

@@ -21,12 +21,12 @@ from multisymp import (
     constant_density,
     graph_action,
     graph_area_density,
-    graph_function,
     graph_lift,
     lagrangian_action,
     minimal_surface_density,
     multisymplectic_action,
 )
+from multisymp.cli import _graph_map
 
 REL = 1e-14
 DIMS = [(3, 2), (4, 2), (5, 3)]
@@ -39,16 +39,16 @@ def builtin_maps(p, n):
     codim = n - p
     rng = np.random.default_rng(1000 * n + p)
     maps = {
-        "flat": graph_function("flat", None, p, n),
-        "plane": graph_function("plane", {"coefficients": rng.uniform(-1, 1, (p, codim)).tolist()}, p, n),
-        "polynomial": graph_function("polynomial", {"terms": [
+        "flat": _graph_map({"f": "flat"}, n, p),
+        "plane": _graph_map({"f": "plane", "params": {"coefficients": rng.uniform(-1, 1, (p, codim)).tolist()}}, n, p),
+        "polynomial": _graph_map({"f": "polynomial", "params": {"terms": [
             {"coeff": 0.7, "powers": [1] * p, "component": 1},
             {"coeff": -0.4, "powers": [2] + [0] * (p - 1), "component": codim},
             {"coeff": 0.3, "powers": [0] * (p - 1) + [3], "component": 1},
-        ]}, p, n),
+        ]}}, n, p),
     }
     if codim == 1:
-        maps["bilinear"] = graph_function("bilinear", {"scale": 1.3}, p, n)
+        maps["bilinear"] = _graph_map({"f": "bilinear", "params": {"scale": 1.3}}, n, p)
     return maps
 
 

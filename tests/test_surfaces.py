@@ -15,13 +15,13 @@ from multisymp import (
     convergence_study,
     graph_action,
     graph_area_density,
-    graph_function,
     lagrangian_action,
     minimal_surface_density,
     multisymplectic_action,
     tangent_pvector,
     wedge_vectors,
 )
+from multisymp.cli import _graph_map
 from multisymp.exterior import minors
 from multisymp.surfaces import _cell_frames, theta_cell_values
 
@@ -108,6 +108,16 @@ class TestLagrangianAction:
         with pytest.raises(OrientationError) as excinfo:
             lagrangian_action(minimal_lift3, grid)
         assert "cell" in str(excinfo.value)
+
+    @pytest.mark.parametrize("action", [lagrangian_action, multisymplectic_action])
+    def test_degenerate_cell_error_names_first_dead_cell(self, area3, action):
+        # x clamped at 0.5: the cells with x >= 0.5 have no extent along x
+        grid = ParametricGrid.from_map(
+            lambda s: np.stack([np.minimum(s[..., 0], 0.5), s[..., 1], np.zeros(len(s))], axis=-1),
+            [(0, 1), (0, 1)], 4, p=2, n=3)
+        with pytest.raises(DegenerateCellError) as excinfo:
+            action(area3, grid)
+        assert excinfo.value.cell == (2, 0)
 
     def test_axis_reversal_flips_tangents_but_area_unchanged(self, area3, minimal_lift3):
         fwd = bilinear_surface(8).to_grid()
@@ -260,7 +270,7 @@ class TestConvergenceStudy:
     def test_without_reference_rates_successive_differences(self, area3, scale):
         # each error is the distance to the next finer value, so the order is
         # not biased by treating the finest value as exact
-        surf = GraphSurface(f=graph_function("bilinear", {"scale": scale}, 2, 3),
+        surf = GraphSurface(f=_graph_map({"f": "bilinear", "params": {"scale": scale}}, 3, 2),
                             domain=[(0, 1), (0, 1)], resolution=4, p=2, n=3)
         rows = convergence_study("lagrangian", area3, surf, [16, 32, 64])
         assert rows[0].error == abs(rows[0].value - rows[1].value)
@@ -328,21 +338,21 @@ class TestGridValidation:
 
 class TestGraphFunctionRegistry:
     def test_flat_plane_bilinear(self):
-        flat = graph_function("flat", None, 2, 3)
+        flat = _graph_map({"f": "flat"}, 3, 2)
         assert flat(np.array([0.3, 0.4])).tolist() == [0.0]
-        plane = graph_function("plane", {"coefficients": [2.0, 3.0]}, 2, 3)
+        plane = _graph_map({"f": "plane", "params": {"coefficients": [2.0, 3.0]}}, 3, 2)
         assert plane(np.array([1.0, 1.0])).tolist() == [5.0]
-        bil = graph_function("bilinear", None, 2, 3)
+        bil = _graph_map({"f": "bilinear"}, 3, 2)
         assert bil(np.array([0.5, 0.4]))[0] == pytest.approx(0.2)
 
     def test_polynomial(self):
-        fn = graph_function("polynomial", {"terms": [
+        fn = _graph_map({"f": "polynomial", "params": {"terms": [
             {"coeff": 2.0, "powers": [1, 1], "component": 1},
             {"coeff": -1.0, "powers": [2, 0], "component": 2},
-        ]}, 2, 4)
+        ]}}, 4, 2)
         out = fn(np.array([2.0, 3.0]))
         assert out.tolist() == [12.0, -4.0]
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            graph_function("sphere", None, 2, 3)
+            _graph_map({"f": "sphere"}, 3, 2)
