@@ -22,7 +22,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .exterior import random_decomposable
+from .exterior import minors
 from .lagrangian import (
     GraphDensity,
     HomogeneousLagrangian,
@@ -233,14 +233,32 @@ def build_surface(spec: Any, n: int, p: int, resolution: int) -> GraphSurface:
 
 
 def _sample_fibers(L: HomogeneousLagrangian, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded decomposable fiber samples in the Lagrangian's chart and above its sampling floor, one row each."""
-    out: list[np.ndarray] = []
-    while len(out) < count:
-        y = random_decomposable(rng, L.n, L.p, min_top_fraction=None if L.chart is None else 0.25)
-        if np.min(np.abs(y.coords)) < L.sampling_floor * y.norm():
-            continue
-        out.append(y.coords)
-    return np.array(out)
+    """Seeded decomposable fiber samples in the Lagrangian's chart and above its sampling floor, one row each.
+
+    A sample is the wedge of p standard-normal vectors of norm at least 1e-9;
+    with a chart, its top coordinate is at least 0.25 of its norm and is
+    oriented positive.  Frames are drawn in blocks and a rejected draw is
+    replaced by the next draws of the stream, so the rows are those of a
+    random_decomposable loop.  Raises RuntimeError once more than
+    100 * count + 1000 draws are rejected, as when the floor rejects them all.
+    """
+    accepted = []
+    need, rejected = count, 0
+    while need > 0:
+        rows = minors(np.swapaxes(rng.standard_normal((need, L.p, L.n)), 1, 2))
+        norms = np.sqrt(np.vecdot(rows, rows))  # KVector.norm, row by row
+        keep = norms >= 1e-9
+        if L.chart is not None:
+            keep &= np.abs(rows[:, 0]) >= 0.25 * norms
+            rows = np.where(rows[:, :1] > 0, rows, -rows)
+        keep &= np.min(np.abs(rows), axis=-1) >= L.sampling_floor * norms
+        accepted.append(rows[keep])
+        rejected += need - int(keep.sum())
+        need -= int(keep.sum())
+        if rejected > 100 * count + 1000:
+            raise RuntimeError(f"fiber sampling rejected {rejected} draws for {count} samples: nearly every "
+                               f"draw is off the chart of {L.name} or below its sampling floor {L.sampling_floor}")
+    return np.concatenate(accepted) if accepted else np.empty((0, L.fiber_dim))
 
 
 CLAIMS = {

@@ -171,6 +171,9 @@ class ConvexityCertificate:
     the image surface along its own ray, in units of the surface radius.
     ``num_failures`` counts the segment points whose radial solve failed or
     whose preimage missed the 1e-6 check; each counts as a violation of 1.0.
+    A radial solve fails, among other causes, when it stalls: STALL_WINDOW
+    Newton iterations pass without its |F|^2 falling to half of its value at
+    the last halving.  The 100-iteration cap stays as a backstop.
     """
 
     passed: bool
@@ -185,6 +188,8 @@ class ConvexityCertificate:
 RADIAL_BLOCK = 256
 # Line-search steps after the full one: 2^-1 .. 2^-39, every step above 1e-12.
 HALVINGS = np.ldexp(1.0, -np.arange(1, 40))
+# Newton iterations without |F|^2 halving after which a radial solve gives up as stalled.
+STALL_WINDOW = 10
 
 
 def _level_gradient(L: HomogeneousLagrangian, xs: np.ndarray, cs: np.ndarray):
@@ -209,17 +214,18 @@ def _level_gradient(L: HomogeneousLagrangian, xs: np.ndarray, cs: np.ndarray):
 
 
 def _solve_stack(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve J delta = rhs per row; also returns which rows LAPACK could solve."""
+    """Solve J delta = rhs per row; also returns which rows LAPACK could solve.
+
+    solve raises for the whole stack when one row is singular.  slogdet's
+    sign is 0 exactly where LAPACK's LU meets a zero pivot, which is where
+    solve gives up, so one stacked solve on the other rows follows.
+    """
     try:
         return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), dtype=bool)
-    except np.linalg.LinAlgError:  # raised for the whole stack: find the singular rows
+    except np.linalg.LinAlgError:
+        solved = np.linalg.slogdet(J)[0] != 0
         delta = np.zeros_like(rhs)
-        solved = np.ones(len(J), dtype=bool)
-        for k in range(len(J)):
-            try:
-                delta[k] = np.linalg.solve(J[k], rhs[k])
-            except np.linalg.LinAlgError:
-                solved[k] = False
+        delta[solved] = np.linalg.solve(J[solved], rhs[solved, :, None])[..., 0]
         return delta, solved
 
 
@@ -261,8 +267,11 @@ def _radial_solve(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
     surface: below 1 means inside the image of the unit ball.  Both are NaN
     in a row whose solve failed: it could not be seeded from the target
     direction (a target off the chart of L cannot), its Jacobian was
-    singular, its line search stalled, or it did not converge within 100
-    iterations.
+    singular, its line search stalled, it stalled, or it did not converge
+    within 100 iterations.  A row stalls when STALL_WINDOW consecutive
+    iterations pass without its |F|^2 falling to half of its mark, the value
+    at its last halving (the first value to begin with); rows that converge
+    are harvested before stalled rows are dropped.
     """
     radius = np.full(len(targets), np.nan)
     solution = np.full(targets.shape, np.nan)
@@ -275,13 +284,19 @@ def _radial_solve(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
     rows = np.flatnonzero(seed_level > 1e-12 * np.maximum(1.0, norm_t))
     c = targets[rows] / seed_level[rows, None]  # start on the unit level of |L|
     level, g = _level_gradient(L, xs, c)
+    mark = np.full(len(targets), np.inf)  # |F|^2 of each row at its last halving
+    stalled = np.zeros(len(targets), dtype=int)  # iterations since then
     for _ in range(100):
         F = level[:, None] * g - targets[rows]
         f = np.add.reduce(F * F, axis=-1)  # np.linalg.norm squares and sums in the same order
         done = np.sqrt(f) <= 1e-11 * np.maximum(1.0, norm_t[rows])
         if done.any():
             radius[rows[done]], solution[rows[done]] = level[done], c[done]
-            live = ~done
+        halved = f <= 0.5 * mark[rows]
+        mark[rows[halved]] = f[halved]
+        stalled[rows] = np.where(halved, 0, stalled[rows] + 1)
+        live = ~done & (stalled[rows] < STALL_WINDOW)
+        if not live.all():
             rows, c, level, g, F, f = rows[live], c[live], level[live], g[live], F[live], f[live]
         if rows.size == 0:
             break

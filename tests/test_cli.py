@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from multisymp import (
     KVector,
     TotalSpaceChart,
+    area_lagrangian,
     convexity_certificate,
     omega,
     pair,
@@ -20,7 +22,7 @@ from multisymp import (
     rank_lemma_check,
     theta,
 )
-from multisymp.cli import VERIFY_CHECKS, VERIFY_TOLERANCES, build_lagrangian, cmd_verify, main
+from multisymp.cli import VERIFY_CHECKS, VERIFY_TOLERANCES, _sample_fibers, build_lagrangian, cmd_verify, main
 from multisymp.legendre import image_coordinates
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -508,7 +510,8 @@ def reference_config(name, n, p):
             "certificate": {"num_pairs": 4, "t_steps": 3}}
 
 
-REFERENCE_CASES = [(name, n, p) for name in ("area", "ellipsoid", "projected_volume", "geometric_mean")
+LAGRANGIAN_NAMES = ("area", "ellipsoid", "projected_volume", "geometric_mean", "graph_lift")
+REFERENCE_CASES = [(name, n, p) for name in LAGRANGIAN_NAMES[:4]
                    for n, p in ((3, 2), (4, 2), (5, 3))] + [("graph_lift", 3, 2)]
 
 
@@ -552,3 +555,26 @@ class TestVerifyMatchesPerFiberReference:
             one = rank_lemma_check(L, np.zeros(n), KVector(n, p, rows[k]),
                                    threshold=VERIFY_TOLERANCES["rank_threshold"])
             assert (one.rank_L2, one.rank_L) == ranks[k]
+
+
+class TestSampleFibers:
+    """The blocked verify sampler against the per-draw loop of reference_fibers."""
+
+    @pytest.mark.parametrize("name, n, p", [(name, n, p) for name in LAGRANGIAN_NAMES
+                                            for n, p in ((3, 2), (4, 2), (5, 3))], ids=lambda v: str(v))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_reference_bit_for_bit(self, name, n, p, seed):
+        # covers the geometric_mean floor and the sign flips of the graph_lift chart
+        L = build_lagrangian(reference_config(name, n, p)["lagrangian"])
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = _sample_fibers(L, 60, rng)
+        expected = np.array([y.coords for y in reference_fibers(L, 60, reference_rng)])
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_floor_rejecting_every_draw_raises(self):
+        # no fiber has every |y_I| at |y|, so the sampler gives up instead of looping
+        L = replace(area_lagrangian(3, 2), sampling_floor=1.0)
+        with pytest.raises(RuntimeError, match="rejected 2010 draws for 10 samples"):
+            _sample_fibers(L, 10, np.random.default_rng(0))

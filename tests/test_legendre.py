@@ -36,7 +36,7 @@ from multisymp import (
     write_image_csv,
 )
 from multisymp.cli import build_lagrangian, main
-from multisymp.legendre import _level_gradient, _level_rows, image_coordinates
+from multisymp.legendre import STALL_WINDOW, _level_gradient, _level_rows, _solve_stack, image_coordinates
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -129,13 +129,19 @@ def reference_inverse_legendre(L, x, p, tol=1e-8, max_iter=200, initial=None):
 
 
 def reference_radial_excess(L, x, target):
-    """Per-target damped Newton on grad(L^2/2)(y) = target; returns (L(y*), y*)."""
+    """Per-target damped Newton on grad(L^2/2)(y) = target; returns (L(y*), y*).
+
+    It gives up once STALL_WINDOW consecutive iterations pass without |F|^2
+    falling to half of its value at the last halving (the first value to
+    begin with), as the batched solve does.
+    """
     norm_t = float(np.linalg.norm(target))
     c = target.copy()
     level = float(L.value_many(x[None], c[None])[0])
     if not abs(level) > 1e-12 * max(1.0, norm_t):
         raise InversionError("cannot seed the radial solve from the target direction")
     c = c / abs(level)
+    mark, stalled = np.inf, 0
     for _ in range(100):
         yk = KVector(L.n, L.p, c)
         g = L.gradient(x, yk).coords
@@ -143,6 +149,13 @@ def reference_radial_excess(L, x, target):
         F = level * g - target
         if np.linalg.norm(F) <= 1e-11 * max(1.0, norm_t):
             return level, c
+        f = float(F @ F)
+        if f <= 0.5 * mark:
+            mark, stalled = f, 0
+        else:
+            stalled += 1
+        if stalled >= STALL_WINDOW:
+            raise InversionError(f"radial solve stalled: |F|^2 did not halve in {STALL_WINDOW} iterations")
         J = np.outer(g, g) + level * L.hessian(x, yk)
         try:
             delta = np.linalg.solve(J, -F)
@@ -491,6 +504,23 @@ class TestConvexityCertificate:
         assert (cert.passed, cert.num_segment_checks, cert.num_failures) == (passed, checks, failures)
         assert abs(cert.worst_violation - worst) <= 1e-12
 
+    def test_probe_gives_up_on_stalled_rows(self, x3, monkeypatch):
+        # the image_probe_32 certificate of the benchmark: without the stall rule
+        # its 9 failing rows ran to the 100-iteration cap
+        import multisymp.legendre as legendre
+
+        calls = []
+
+        def counting(J, rhs):
+            calls.append(len(J))
+            return _solve_stack(J, rhs)
+
+        monkeypatch.setattr(legendre, "_solve_stack", counting)
+        cert = convexity_certificate(geometric_mean_lagrangian(3, 2), x3, num_pairs=20, t_steps=5, seed=3)
+        assert 0 < len(calls) <= 30
+        assert cert.num_failures == 9
+        assert not cert.passed
+
     def test_blocks_match_one_solve(self, x3, monkeypatch):
         # more targets than one block: the split must not change the result
         import multisymp.legendre as legendre
@@ -499,6 +529,37 @@ class TestConvexityCertificate:
         whole = convexity_certificate(L, x3, num_pairs=30, t_steps=5, seed=4)
         monkeypatch.setattr(legendre, "RADIAL_BLOCK", 7)
         assert convexity_certificate(L, x3, num_pairs=30, t_steps=5, seed=4) == whole
+
+
+class TestSolveStack:
+    def test_singular_rows_masked_match_row_by_row_solves(self):
+        rng = np.random.default_rng(5)
+        J = rng.standard_normal((40, 6, 6))
+        rhs = rng.standard_normal((40, 6))
+        J[3] = 0.0
+        J[11, 4] = 0.0  # a zero row stays zero under elimination
+        g = rng.standard_normal(6)
+        J[17] = np.outer(g, g)  # g g^T, the radial Jacobian at level 0, here with a zero column
+        J[17, :, 2] = 0.0
+        J[29, :, 5] = 0.0  # a zero column
+        delta, solved = _solve_stack(J, rhs)
+        expected = np.zeros_like(rhs)
+        expected_solved = np.ones(len(J), dtype=bool)
+        for k in range(len(J)):
+            try:
+                expected[k] = np.linalg.solve(J[k], rhs[k])
+            except np.linalg.LinAlgError:
+                expected_solved[k] = False
+        assert np.flatnonzero(~expected_solved).tolist() == [3, 11, 17, 29]
+        assert np.array_equal(solved, expected_solved)
+        assert delta.tobytes() == expected.tobytes()
+
+    def test_regular_stack_is_one_solve(self):
+        rng = np.random.default_rng(6)
+        J, rhs = rng.standard_normal((8, 4, 4)), rng.standard_normal((8, 4))
+        delta, solved = _solve_stack(J, rhs)
+        assert solved.all()
+        assert delta.tobytes() == np.linalg.solve(J, rhs[..., None])[..., 0].tobytes()
 
 
 class TestCsvExport:

@@ -102,6 +102,7 @@ def test_span_recorder_installs_on_this_package(tmp_path):
     # deleted or renamed hook must fail here and not only in a traced benchmark run
     import multisymp.cli as cli
     import multisymp.legendre as legendre
+    from multisymp.exterior import KVector
     from multisymp.surfaces import GraphSurface
 
     spans = load_script("spans", BENCH)
@@ -120,6 +121,8 @@ def test_span_recorder_installs_on_this_package(tmp_path):
             path = tmp_path / f"{command}.json"
             path.write_text(json.dumps(config))
             assert cli.main([command, "--config", str(path), "--out", str(tmp_path / f"{command}.out")]) == 0
+        # neither command builds a fiber element, so one is built here to exercise the counting hook
+        KVector(3, 2, [1.0, 0.0, 0.0])
     finally:
         recorder.uninstall()
     assert (legendre.convexity_certificate, cli.convexity_certificate, GraphSurface.to_grid) == originals
@@ -128,3 +131,23 @@ def test_span_recorder_installs_on_this_package(tmp_path):
     assert totals["legendre.certificate.segments"] == 12
     assert totals["surfaces.to_grid.calls"] == 1
     assert totals["exterior.fiber_elements.created"] > 0
+
+
+def test_bench_pairs_summary_counts_wins_by_direction():
+    module = load_script("bench_pairs")
+    pairs = [{"base": {"metrics": {"wall_s": b, "ok_frac": 1.0}}, "head": {"metrics": {"wall_s": h, "ok_frac": 1.0}}}
+             for b, h in ((0.30, 0.20), (0.26, 0.21), (0.28, 0.29), (0.27, 0.19))]
+    summary = module.summarize(pairs, {"wall_s": "lower", "ok_frac": "higher"})
+    assert summary["wall_s"]["head_better_pairs"] == 3
+    assert summary["wall_s"]["base_median"] == pytest.approx(0.275)
+    assert summary["wall_s"]["median_change"] == pytest.approx(0.205 / 0.275 - 1.0)
+    assert summary["wall_s"]["base_quartiles"] == pytest.approx([0.2675, 0.285])
+    assert summary["ok_frac"]["head_better_pairs"] == 0
+    assert summary["ok_frac"]["median_change"] == 0.0
+
+
+def test_bench_pairs_rejects_a_run_without_pairs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script("bench_pairs").main(["--base", "HEAD", "--pr", "0", "certificates"])
+    assert exc.value.code == 2
+    assert "expected WORKLOAD:PAIRS" in capsys.readouterr().err
