@@ -51,8 +51,7 @@ from .surfaces import (
     QuadratureConfig,
     convergence_rows,
     graph_action,
-    lagrangian_action,
-    multisymplectic_action,
+    paired_actions,
 )
 
 
@@ -439,8 +438,7 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
         surf = replace(surface, resolution=res)
         grid = surf.to_grid()
         entry: dict[str, Any] = {"resolution": res}
-        entry["lagrangian"] = lagrangian_action(L, grid, quad)
-        entry["multisymplectic"] = multisymplectic_action(L, grid, quad)
+        entry["lagrangian"], entry["multisymplectic"] = paired_actions(L, grid, quad)
         if density is not None:
             entry["graph"] = graph_action(density, surf, quad)
         rows.append(entry)

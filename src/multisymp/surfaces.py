@@ -28,6 +28,7 @@ __all__ = [
     "GraphSurface",
     "ConvergenceRow",
     "tangent_pvector",
+    "paired_actions",
     "lagrangian_action",
     "graph_action",
     "multisymplectic_action",
@@ -195,25 +196,24 @@ def _cell_frames(grid: ParametricGrid, cell: tuple[int, ...] | None = None) -> t
     Returns (frames, bases) with frames of shape (num_cells, n, p) holding the
     averaged corner differences per axis, and bases of shape (num_cells, n).
     Cells are enumerated in row-major order of the cell multi-index; with
-    ``cell`` given, num_cells is 1.
+    ``cell`` given, num_cells is 1.  Each axis sums its corner blocks, added
+    or subtracted as views in row-major corner order, into one contiguous
+    (p, *res, n) array, and frames is a view of it.
     """
     p, n = grid.p, grid.n
     values = grid.values if cell is None else grid.values[tuple(slice(c, c + 2) for c in cell)]
     res = tuple(k - 1 for k in values.shape[:-1])
-    corners = np.indices((2,) * p).reshape(p, -1).T
-    num_cells = math.prod(res)
-    frames = np.zeros((num_cells, n, p))
-    bases = np.zeros((num_cells, n))
-    for offset in corners:
+    sums = np.zeros((p, *res, n))
+    bases = np.zeros((*res, n))
+    for offset in itertools.product((0, 1), repeat=p):
         block = values[tuple(slice(o, o + r) for o, r in zip(offset, res))]
-        flat = block.reshape(num_cells, n)
-        bases += flat
-        for axis in range(p):
-            sign = 1.0 if offset[axis] == 1 else -1.0
-            frames[:, :, axis] += sign * flat
-    bases /= len(corners)
-    frames /= (len(corners) / 2.0) * grid.spacing[None, None, :]
-    return frames, bases
+        bases += block
+        for axis, o in enumerate(offset):
+            (np.add if o else np.subtract)(sums[axis], block, out=sums[axis])
+    bases /= 2**p
+    sums /= (2.0 ** (p - 1) * grid.spacing).reshape((p,) + (1,) * (p + 1))
+    num_cells = math.prod(res)
+    return np.moveaxis(sums.reshape(p, num_cells, n), 0, -1), bases.reshape(num_cells, n)
 
 
 def tangent_pvector(grid: ParametricGrid, cell: Sequence[int]) -> tuple[KVector, np.ndarray]:
@@ -265,19 +265,30 @@ def _checked_samples(L: HomogeneousLagrangian, grid: ParametricGrid, quad: Quadr
         yield frames, coords, bases, weight
 
 
+def paired_actions(
+    L: HomogeneousLagrangian, grid: ParametricGrid, quad: QuadratureConfig = QuadratureConfig()
+) -> tuple[float, float]:
+    """The Lagrangian and multisymplectic actions from one pass of frames, minors and cell checks.
+
+    The first integrates L on the tangent p-vectors, by homogeneity for any affine parametrization;
+    the second integrates the tautological form over the gradient image of the tangent lift, which
+    pairs the fiber gradient at each tangent p-vector with the frame minors.
+    """
+    # pairings first: gradient_many needs the most scratch, and so it runs
+    # before this block's weighted values exist
+    blocks = [(weight * np.einsum("ij,ij->i", L.gradient_many(bases, coords), coords),
+               weight * L.value_many(bases, coords))
+              for _, coords, bases, weight in _checked_samples(L, grid, quad)]
+    # the frames are gone by now, and one list of Python floats is alive at a time
+    multisymplectic, lagrangian = (math.fsum(np.concatenate(side).tolist()) for side in zip(*blocks))
+    return lagrangian, multisymplectic
+
+
 def lagrangian_action(
     L: HomogeneousLagrangian, grid: ParametricGrid, quad: QuadratureConfig = QuadratureConfig()
 ) -> float:
-    """Integral of L on the tangent p-vectors against the parameter measure.
-
-    With tangent frames dual to the coframe in the integrand, this is the
-    surface integral of the Lagrangian; by homogeneity the value does not
-    depend on the (affine) parametrization.
-    """
-    contributions = []
-    for _, coords, bases, weight in _checked_samples(L, grid, quad):
-        contributions.extend((weight * L.value_many(bases, coords)).tolist())
-    return math.fsum(contributions)
+    """Integral of L on the tangent p-vectors against the parameter measure (see ``paired_actions``)."""
+    return paired_actions(L, grid, quad)[0]
 
 
 def graph_action(
@@ -302,17 +313,8 @@ def graph_action(
 def multisymplectic_action(
     L: HomogeneousLagrangian, grid: ParametricGrid, quad: QuadratureConfig = QuadratureConfig()
 ) -> float:
-    """Integral of the tautological form over the gradient image of the tangent lift.
-
-    Per sample the dual coordinates are the fiber gradient at the tangent
-    p-vector, and the tautological form is evaluated on the tangent frame,
-    which reduces to pairing the dual coordinates with the frame minors.
-    """
-    contributions = []
-    for _, coords, bases, weight in _checked_samples(L, grid, quad):
-        vals = np.einsum("ij,ij->i", L.gradient_many(bases, coords), coords)
-        contributions.extend((weight * vals).tolist())
-    return math.fsum(contributions)
+    """Integral of the tautological form over the gradient image of the tangent lift (see ``paired_actions``)."""
+    return paired_actions(L, grid, quad)[1]
 
 
 def theta_cell_values(L: HomogeneousLagrangian, grid: ParametricGrid) -> np.ndarray:

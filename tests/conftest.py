@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,28 @@ def ellipsoid3():
 @pytest.fixture
 def minimal_lift3():
     return graph_lift(minimal_surface_density(3, 2))
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "time_limit(seconds): fail the test, instead of hanging, once it runs this long")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """Raise TimeoutError inside a test marked time_limit once its wall-clock limit passes (SIGALRM)."""
+    marker = item.get_closest_marker("time_limit")
+    if marker is None:
+        yield
+        return
+    seconds = marker.args[0]
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{item.nodeid} ran longer than its {seconds} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -398,6 +398,7 @@ class TestExitCodes:
         assert message in (captured.out if code < 2 else captured.err)
         assert out.exists() == (code < 2)
 
+    @pytest.mark.time_limit(10)
     def test_sampler_rejecting_every_draw_exits_4(self, tmp_path, capsys):
         # L is below the level floor in every direction: the sampler gives up instead of looping
         payload = {**AREA_IMAGE, "lagrangian": {**self.ELLIPSOID, "params": {"weights": [1e-20] * 3}}}
@@ -573,6 +574,7 @@ class TestSampleFibers:
         assert rows.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
+    @pytest.mark.time_limit(10)
     def test_floor_rejecting_every_draw_raises(self):
         # no fiber has every |y_I| at |y|, so the sampler gives up instead of looping
         L = replace(area_lagrangian(3, 2), sampling_floor=1.0)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -206,6 +207,15 @@ def reference_certificate(L, x, num_pairs, t_steps, seed, tol=1e-7):
     return worst <= tol, num_pairs * t_steps, failures, worst
 
 
+def certificate_cases():
+    """(shape, name, t_steps, seed, num_pairs) of the per-target reference comparison."""
+    for seed, t_steps, name, (n, p) in itertools.product(
+            [0, 1, 2], [3, 5], ["area", "ellipsoid", "geometric_mean"], [(3, 2), (4, 2), (5, 3)]):
+        yield pytest.param((n, p), name, t_steps, seed, 4, id=f"{seed}-{t_steps}-{name}-{n}{p}")
+    # rows that the stall rule gives up on: 16 failures, and 15 without the rule
+    yield pytest.param((3, 2), "geometric_mean", 5, 1, 20, id="1-5-geometric_mean-32-20pairs")
+
+
 def reference_level_gradient(L, x, cs):
     """Masked evaluation with the public guards: the valid rows in one gathered batch, then row by row."""
     levels = np.full(len(cs), np.nan)
@@ -385,6 +395,7 @@ class TestLevelSetSampler:
         assert np.array_equal(got, np.array([y.coords for y in expected]))
         assert rng.standard_normal() == ref_rng.standard_normal()  # no draw left over or missing
 
+    @pytest.mark.time_limit(10)
     @pytest.mark.parametrize("count", [0, 1, 30])
     def test_rejecting_every_direction_raises(self, count):
         # L = 1e-10 |y| is below the 1e-9 |y| level floor in every direction
@@ -487,11 +498,8 @@ class TestConvexityCertificate:
         b = convexity_certificate(ellipsoid3, x3, num_pairs=20, t_steps=5, seed=9)
         assert a == b
 
-    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
-    @pytest.mark.parametrize("name", ["area", "ellipsoid", "geometric_mean"])
-    @pytest.mark.parametrize("t_steps", [3, 5])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_per_target_reference(self, shape, name, t_steps, seed):
+    @pytest.mark.parametrize("shape, name, t_steps, seed, num_pairs", list(certificate_cases()))
+    def test_matches_per_target_reference(self, shape, name, t_steps, seed, num_pairs):
         n, p = shape
         L = {
             "area": lambda: area_lagrangian(n, p),
@@ -499,8 +507,8 @@ class TestConvexityCertificate:
             "geometric_mean": lambda: geometric_mean_lagrangian(n, p),
         }[name]()
         x = np.zeros(n)
-        cert = convexity_certificate(L, x, num_pairs=4, t_steps=t_steps, seed=seed)
-        passed, checks, failures, worst = reference_certificate(L, x, 4, t_steps, seed)
+        cert = convexity_certificate(L, x, num_pairs=num_pairs, t_steps=t_steps, seed=seed)
+        passed, checks, failures, worst = reference_certificate(L, x, num_pairs, t_steps, seed)
         assert (cert.passed, cert.num_segment_checks, cert.num_failures) == (passed, checks, failures)
         assert abs(cert.worst_violation - worst) <= 1e-12
 

@@ -2,11 +2,13 @@
 
 The references below evaluate every map one point at a time (as a batch of
 one) and every density through its scalar ``fn``; the batched code must
-agree with them to 1e-14 relative.
+agree with them to 1e-14 relative.  The cell frames and the paired actions
+are held to their references bit for bit.
 """
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +27,13 @@ from multisymp import (
     lagrangian_action,
     minimal_surface_density,
     multisymplectic_action,
+    paired_actions,
+    tangent_pvector,
 )
-from multisymp.cli import _graph_map
+from multisymp import surfaces
+from multisymp.cli import _graph_map, cmd_action
+from multisymp.exterior import minors
+from multisymp.surfaces import _cell_frames, _checked_samples
 
 REL = 1e-14
 DIMS = [(3, 2), (4, 2), (5, 3)]
@@ -91,6 +98,44 @@ def graph_action_reference(F, surf, quad):
     return math.fsum(contributions)
 
 
+def cell_frames_reference(grid, cell=None):
+    """_cell_frames as a corner loop adding sign * corner into (num_cells, n, p) frames, axis by axis."""
+    p, n = grid.p, grid.n
+    values = grid.values if cell is None else grid.values[tuple(slice(c, c + 2) for c in cell)]
+    res = tuple(k - 1 for k in values.shape[:-1])
+    corners = np.indices((2,) * p).reshape(p, -1).T
+    num_cells = math.prod(res)
+    frames = np.zeros((num_cells, n, p))
+    bases = np.zeros((num_cells, n))
+    for offset in corners:
+        block = values[tuple(slice(o, o + r) for o, r in zip(offset, res))]
+        flat = block.reshape(num_cells, n)
+        bases += flat
+        for axis in range(p):
+            sign = 1.0 if offset[axis] == 1 else -1.0
+            frames[:, :, axis] += sign * flat
+    bases /= len(corners)
+    frames /= (len(corners) / 2.0) * grid.spacing[None, None, :]
+    return frames, bases
+
+
+def per_side_actions_reference(L, grid, quad):
+    """The Lagrangian and multisymplectic actions as two passes, each summing its own contributions."""
+    lagrangian, multisymplectic = [], []
+    for _, coords, bases, weight in _checked_samples(L, grid, quad):
+        lagrangian.extend((weight * L.value_many(bases, coords)).tolist())
+    for _, coords, bases, weight in _checked_samples(L, grid, quad):
+        vals = np.einsum("ij,ij->i", L.gradient_many(bases, coords), coords)
+        multisymplectic.extend((weight * vals).tolist())
+    return math.fsum(lagrangian), math.fsum(multisymplectic)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bytes, so a sign of zero counts."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def close(batched, reference):
     return abs(batched - reference) <= REL * abs(reference)
 
@@ -118,9 +163,70 @@ def test_batched_paths_match_pointwise_references(n, p, name, rule):
     for L in (area_lagrangian(n, p), graph_lift(minimal_surface_density(n, p))):
         assert close(lagrangian_action(L, grid, quad), lagrangian_action(L, ref_grid, quad))
         assert close(multisymplectic_action(L, grid, quad), multisymplectic_action(L, ref_grid, quad))
+        # one pass serves both sums, bit for bit those of the wrappers and of two separate passes
+        pair = tuple(v.hex() for v in paired_actions(L, grid, quad))
+        assert pair == (lagrangian_action(L, grid, quad).hex(), multisymplectic_action(L, grid, quad).hex())
+        assert pair == tuple(v.hex() for v in per_side_actions_reference(L, grid, quad))
     for density in DENSITIES:
         F = density(n, p)
         assert close(graph_action(F, surf, quad), graph_action_reference(F, surf, quad))
+
+
+def frame_grids(n, p, res):
+    """A random grid with exact zeros of both signs and a constant coordinate, and a graph grid."""
+    rng = np.random.default_rng(100 * n + 10 * p + sum(res))
+    domain = tuple((0.1 * k, 0.8 + 0.3 * k) for k in range(p))
+    values = rng.uniform(-2.0, 2.0, tuple(r + 1 for r in res) + (n,))
+    values[rng.random(values.shape) < 0.2] = 0.0
+    values[rng.random(values.shape) < 0.2] = -0.0
+    values[..., -1] = 1.5  # every difference along this coordinate is an exact zero
+    yield ParametricGrid(p=p, n=n, domain=domain, resolution=res, values=values)
+    yield GraphSurface(f=builtin_maps(p, n)["polynomial"], domain=domain, resolution=res, p=p, n=n).to_grid()
+
+
+FRAME_CASES = [(3, 2, (2, 2)), (3, 2, (5, 3)), (3, 2, (16, 16)), (4, 2, (3, 7)), (4, 2, (6, 6)),
+               (5, 3, (2, 2, 2)), (5, 3, (2, 4, 3)), (5, 3, (5, 5, 5))]
+
+
+@pytest.mark.parametrize("n, p, res", FRAME_CASES, ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_cell_frames_match_corner_loop_bit_for_bit(n, p, res):
+    for grid in frame_grids(n, p, res):
+        frames, bases = _cell_frames(grid)
+        ref_frames, ref_bases = cell_frames_reference(grid)
+        assert frames.shape == (math.prod(res), n, p)
+        assert same_bits(frames, ref_frames) and same_bits(bases, ref_bases)
+        for flat in (0, len(frames) // 2, len(frames) - 1):
+            cell = tuple(int(k) for k in np.unravel_index(flat, res))
+            one_frames, one_base = cell_frames_reference(grid, cell)
+            assert same_bits(one_frames, frames[flat:flat + 1])  # the single-cell path is the same arithmetic
+            got = _cell_frames(grid, cell)
+            assert same_bits(got[0], one_frames) and same_bits(got[1], one_base)
+            y, base = tangent_pvector(grid, cell)
+            assert same_bits(y.coords, minors(one_frames)[0]) and same_bits(base, one_base[0])
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_action_command_makes_one_cell_pass_per_resolution(rule, monkeypatch):
+    calls = []
+
+    def counting(L, grid, quad):
+        calls.append(grid.resolution)
+        return _checked_samples(L, grid, quad)
+
+    monkeypatch.setattr(surfaces, "_checked_samples", counting)
+    config = {"lagrangian": {"name": "area", "n": 3, "p": 2}, "density": {"name": "minimal_surface"},
+              "surface": {"f": "bilinear", "domain": [[0.0, 1.0], [0.0, 2.0]]},
+              "resolutions": [8, 4, 16], "quadrature": rule}
+    report, _ = cmd_action(config)
+    assert calls == [(4, 4), (8, 8), (16, 16)]
+    monkeypatch.undo()
+    L = area_lagrangian(3, 2)
+    surface = GraphSurface(f=_graph_map({"f": "bilinear"}, 3, 2), domain=[(0.0, 1.0), (0.0, 2.0)], resolution=4,
+                           p=2, n=3)
+    for row in report["actions"]:
+        grid = replace(surface, resolution=row["resolution"]).to_grid()
+        lagrangian, multisymplectic = per_side_actions_reference(L, grid, QuadratureConfig(rule))
+        assert (row["lagrangian"].hex(), row["multisymplectic"].hex()) == (lagrangian.hex(), multisymplectic.hex())
 
 
 @pytest.mark.parametrize("n, p", DIMS)
