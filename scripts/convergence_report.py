@@ -11,12 +11,19 @@ reference), and a plane graph in R^4 whose area is a Gram determinant.
 
 import argparse
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from multisymp import GraphSurface, area_lagrangian, convergence_study
+from multisymp import GraphSurface, area_lagrangian, convergence_rows, lagrangian_action
 
 BILINEAR_AREA_REFERENCE = 1.2807892621906034  # midpoint rule at 2048^2
+
+
+def study(L, surface, resolutions, reference):
+    """Convergence rows of the Lagrangian action of the surface at each resolution."""
+    values = {res: lagrangian_action(L, replace(surface, resolution=res).to_grid()) for res in resolutions}
+    return convergence_rows(values, surface.domain, reference)
 
 
 def show(title, rows):
@@ -35,20 +42,17 @@ def main(argv=None):
 
     plane = GraphSurface(f=lambda s: np.stack([2.0 * s[..., 0] + 3.0 * s[..., 1]], axis=-1),
                          domain=[(0, 1), (0, 1)], resolution=16, p=2, n=3)
-    rows = convergence_study("lagrangian", area_lagrangian(3, 2), plane,
-                             args.resolutions, reference=math.sqrt(14.0))
+    rows = study(area_lagrangian(3, 2), plane, args.resolutions, math.sqrt(14.0))
     show("plane graph, slope (2, 3): area sqrt(14)", rows)
 
     saddle = GraphSurface(f=lambda s: np.stack([s[..., 0] * s[..., 1]], axis=-1),
                           domain=[(0, 1), (0, 1)], resolution=16, p=2, n=3)
-    rows = convergence_study("lagrangian", area_lagrangian(3, 2), saddle,
-                             args.resolutions, reference=BILINEAR_AREA_REFERENCE)
+    rows = study(area_lagrangian(3, 2), saddle, args.resolutions, BILINEAR_AREA_REFERENCE)
     show("bilinear saddle x1*x2: area vs midpoint-2048 reference", rows)
 
     plane4 = GraphSurface(f=lambda s: np.stack([2 * s[..., 0] + s[..., 1], s[..., 0] - s[..., 1]], axis=-1),
                           domain=[(0, 1), (0, 1)], resolution=16, p=2, n=4)
-    rows = convergence_study("lagrangian", area_lagrangian(4, 2), plane4,
-                             args.resolutions, reference=math.sqrt(17.0))
+    rows = study(area_lagrangian(4, 2), plane4, args.resolutions, math.sqrt(17.0))
     show("plane graph in R^4: area sqrt(17) (Gram determinant)", rows)
 
 

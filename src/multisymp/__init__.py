@@ -1,7 +1,7 @@
 """Numerical toolkit for multisymplectic formulations of parametric variational problems.
 
 Exterior algebra on increasing multi-indices, degree-1 homogeneous
-Lagrangians and their areolar forms, the fiberwise Legendre transform with
+Lagrangians and their fiber gradients, the fiberwise Legendre transform with
 its convex image hypersurface, the tautological form and its differential,
 and the action integrals whose equality ties the pictures together.
 """

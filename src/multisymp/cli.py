@@ -426,6 +426,8 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     if not isinstance(resolutions, list) or not resolutions:
         raise ConfigError(f"resolutions must be a nonempty list of integers, got {resolutions!r}")
     resolutions = sorted(_count(r, "resolutions", 2) for r in resolutions)
+    if len(set(resolutions)) < len(resolutions):
+        raise ConfigError(f"resolutions must be distinct, got {config['resolutions']!r}")
     surface = build_surface(config["surface"], n, p, resolutions[0])
     quad = QuadratureConfig(rule=_choice(config.get("quadrature", "midpoint"), QUADRATURE_RULES, "quadrature"))
     tol = _merge_tolerances(ACTION_TOLERANCES, config.get("tolerances"))

@@ -1,9 +1,9 @@
 """Exterior algebra over R^n in coordinates.
 
 p-vectors and p-covectors are stored on the basis of strictly increasing
-multi-indices, enumerated lexicographically.  Coordinates given on permuted
-index tuples are folded into this canonical form with the permutation sign,
-so the antisymmetry relations hold by construction.
+multi-indices, enumerated lexicographically.  A coordinate read on a permuted
+index tuple carries the permutation sign, so the antisymmetry relations
+hold by construction.
 """
 
 from __future__ import annotations
@@ -12,14 +12,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import UnsupportedDegreeError, ZeroSectionError
 
 __all__ = [
-    "MultiIndex",
     "KVector",
     "KCovector",
     "GrassmannPoint",
@@ -30,37 +29,11 @@ __all__ = [
     "wedge_vectors",
     "wedge_product",
     "pair",
-    "volume_form",
     "plane_from_bivector",
     "is_decomposable",
     "grassmann_eq",
     "random_decomposable",
 ]
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Strictly increasing tuple of axis labels in 1..n, one basis element of degree p."""
-
-    axes: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        axes = tuple(int(a) for a in self.axes)
-        object.__setattr__(self, "axes", axes)
-        if any(a < 1 or a > self.n for a in axes):
-            raise ValueError(f"axis labels {axes} out of range 1..{self.n}")
-        if any(a >= b for a, b in zip(axes, axes[1:])):
-            raise ValueError(f"axis labels {axes} must be strictly increasing")
-        if len(axes) > self.n:
-            raise ValueError(f"degree {len(axes)} exceeds ambient dimension {self.n}")
-
-    @property
-    def p(self) -> int:
-        return len(self.axes)
-
-    def label(self) -> str:
-        return "".join(str(a) for a in self.axes)
 
 
 @lru_cache(maxsize=None)
@@ -121,8 +94,8 @@ def minors(frames: np.ndarray) -> np.ndarray:
     return det(np.take(frames, _minor_rows(n, p), axis=-2))
 
 
-def canonicalize_index(seq: Sequence[int], n: int) -> tuple[MultiIndex | None, int]:
-    """Sort an index tuple and return the permutation sign.
+def canonicalize_index(seq: Sequence[int], n: int) -> tuple[tuple[int, ...] | None, int]:
+    """Sort an index tuple and return it with the permutation sign.
 
     Returns (None, 0) when an axis repeats (the basis element vanishes).
     """
@@ -139,7 +112,7 @@ def canonicalize_index(seq: Sequence[int], n: int) -> tuple[MultiIndex | None, i
             if work[j] > work[j + 1]:
                 work[j], work[j + 1] = work[j + 1], work[j]
                 sign = -sign
-    return MultiIndex(tuple(work), n), sign
+    return tuple(work), sign
 
 
 class _FiberElement:
@@ -162,32 +135,12 @@ class _FiberElement:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def zero(cls, n: int, p: int):
-        return cls(n, p, np.zeros(math.comb(n, p)))
-
-    @classmethod
-    def from_components(cls, n: int, p: int, components: Mapping[Sequence[int], float]):
-        """Build from {index tuple: value}; permuted tuples fold in with their sign."""
-        coords = np.zeros(math.comb(n, p))
-        pos = index_position(n, p)
-        for seq, value in components.items():
-            idx, sign = canonicalize_index(seq, n)
-            if sign == 0:
-                continue
-            coords[pos[idx.axes]] += sign * value
-        return cls(n, p, coords)
-
-    @classmethod
-    def basis(cls, n: int, p: int, axes: Sequence[int]):
-        return cls.from_components(n, p, {tuple(axes): 1.0})
-
     def component(self, seq: Sequence[int]) -> float:
         """Signed coordinate on an arbitrary (possibly permuted) index tuple."""
         idx, sign = canonicalize_index(seq, self.n)
         if sign == 0:
             return 0.0
-        return sign * float(self.coords[index_position(self.n, self.p)[idx.axes]])
+        return sign * float(self.coords[index_position(self.n, self.p)[idx]])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
@@ -198,41 +151,16 @@ class _FiberElement:
     def scaled(self, factor: float):
         return type(self)(self.n, self.p, factor * self.coords)
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        return type(self)(self.n, self.p, self.coords + other.coords)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return type(self)(self.n, self.p, self.coords - other.coords)
-
     def __neg__(self):
         return self.scaled(-1.0)
 
-    def __mul__(self, factor: float):
-        return self.scaled(float(factor))
-
-    __rmul__ = __mul__
-
-    def _check_compatible(self, other):
-        if not isinstance(other, type(self)) or (other.n, other.p) != (self.n, self.p):
-            raise ValueError(f"incompatible operands: {self!r} vs {other!r}")
-
-    def __repr__(self):
-        vals = ", ".join(f"{axes}:{v:g}" for axes, v in zip(multi_indices(self.n, self.p), self.coords))
-        return f"{type(self).__name__}(n={self.n}, p={self.p}, [{vals}])"
-
-    # display helpers for the classic ordered triple on (n, p) = (3, 2):
+    # display helper for the classic ordered triple on (n, p) = (3, 2):
     # (12, 23, 31), where the 31-coordinate is minus the canonical 13-coordinate.
     def as_cyclic_triple(self) -> tuple[float, float, float]:
         if (self.n, self.p) != (3, 2):
             raise ValueError("cyclic triple display only defined for n=3, p=2")
         c = self.coords
         return float(c[0]), float(c[2]), float(-c[1])
-
-    @classmethod
-    def from_cyclic_triple(cls, c12: float, c23: float, c31: float):
-        return cls.from_components(3, 2, {(1, 2): c12, (2, 3): c23, (3, 1): c31})
 
 
 class KVector(_FiberElement):
@@ -241,10 +169,6 @@ class KVector(_FiberElement):
 
 class KCovector(_FiberElement):
     """Element of degree p of the exterior power of the dual of R^n (a p-covector)."""
-
-    def __call__(self, vectors: Sequence[np.ndarray]) -> float:
-        """Evaluate on p vectors of R^n."""
-        return pair(self, wedge_vectors(vectors, n=self.n))
 
 
 def wedge_vectors(vectors: Sequence[np.ndarray], n: int | None = None) -> KVector:
@@ -279,7 +203,7 @@ def wedge_product(a: _FiberElement, b: _FiberElement) -> _FiberElement:
                 continue
             idx, sign = canonicalize_index(axes_a + axes_b, n)
             if sign != 0:
-                out[pos[idx.axes]] += sign * va * vb
+                out[pos[idx]] += sign * va * vb
     return type(a)(n, p, out)
 
 
@@ -290,25 +214,16 @@ def pair(alpha: KCovector, u: KVector) -> float:
     return float(alpha.coords @ u.coords)
 
 
-def volume_form(n: int = 3, scale: float = 1.0) -> KCovector:
-    """The top-degree form scale * dx^1 ^ ... ^ dx^n."""
-    return KCovector(n, n, [scale])
-
-
-def plane_from_bivector(u: KVector, omega: KCovector | None = None) -> tuple[np.ndarray, np.ndarray]:
+def plane_from_bivector(u: KVector) -> tuple[np.ndarray, np.ndarray]:
     """Spanning pair of the plane a nonzero bivector in R^3 represents.
 
-    The plane is the kernel of the contraction of u into the volume form; the
-    returned basis is oriented so its wedge is a positive multiple of u.
+    The plane is the kernel of the contraction of u into any nonzero volume
+    form; the returned basis is oriented so its wedge is a positive multiple of u.
     """
     if (u.n, u.p) != (3, 2):
         raise ValueError("plane extraction is defined for bivectors in R^3")
     if u.is_zero():
         raise ZeroSectionError("zero bivector does not represent a plane")
-    if omega is None:
-        omega = volume_form(3)
-    if (omega.n, omega.p) != (3, 3) or omega.coords[0] == 0.0:
-        raise ValueError("omega must be a nonzero volume form on R^3")
     # contraction of u into c*dx1^dx2^dx3 is the 1-form with components
     # c*(y23, y31, y12); its kernel does not depend on c
     y12, y23, y31 = u.as_cyclic_triple()
@@ -378,12 +293,12 @@ def grassmann_eq(a: GrassmannPoint, b: GrassmannPoint, tol: float = 1e-9) -> boo
     return bool(np.linalg.norm(ua - ub) <= tol)
 
 
+# Draws random_decomposable makes before it gives up.
+DECOMPOSABLE_TRIES = 1000
+
+
 def random_decomposable(
-    rng: np.random.Generator,
-    n: int,
-    p: int,
-    min_top_fraction: float | None = None,
-    max_tries: int = 1000,
+    rng: np.random.Generator, n: int, p: int, min_top_fraction: float | None = None
 ) -> KVector:
     """Wedge of p standard-normal vectors, optionally with a dominant positive top coordinate.
 
@@ -391,7 +306,7 @@ def random_decomposable(
     (1..p) is at least that fraction of the norm, then orients it positive;
     used to stay inside the graph chart.
     """
-    for _ in range(max_tries):
+    for _ in range(DECOMPOSABLE_TRIES):
         w = wedge_vectors([rng.standard_normal(n) for _ in range(p)])
         norm = w.norm()
         if norm < 1e-9:

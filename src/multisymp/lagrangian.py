@@ -4,8 +4,9 @@ A Lagrangian here is a scalar function L(x, y) of a base point x in R^n and a
 nonzero p-vector y, positively homogeneous of degree 1 in y.  The module
 provides the built-in families used throughout (Euclidean norm, weighted
 norm, lifts of graph densities, plus two degenerate probes), gradient and
-Hessian access with finite-difference fallbacks, the induced fiberwise
-p-covector field, and residual checks for the homogeneity identities.
+Hessian access with finite-difference fallbacks (the gradient dL/dy is
+the induced fiberwise p-covector), and residual checks for the homogeneity
+identities.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .exterior import KCovector, KVector, index_position
 
 __all__ = [
     "HomogeneousLagrangian",
-    "AreolarForm",
     "GraphDensity",
     "area_lagrangian",
     "ellipsoid_lagrangian",
@@ -34,7 +34,6 @@ __all__ = [
     "fiber_rows",
     "euler_residual",
     "homogeneity_residual",
-    "areolar_form",
     "is_nondegenerate",
 ]
 
@@ -121,10 +120,6 @@ class HomogeneousLagrangian:
         """Fiber Hessians on raw coordinates, shape (N, C(n,p), C(n,p))."""
         return self._hessians(*self._rows(xs, cs))
 
-    def square_hessian(self, x: np.ndarray, y: KVector) -> np.ndarray:
-        """Hessian of L^2 in the fiber, a batch of one of _square_hessians."""
-        return self._square_hessians(*self._one(x, y))[0][0]
-
     def _values(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         return np.asarray(self.value_fn(xs, cs), dtype=float)
 
@@ -160,26 +155,6 @@ class HomogeneousLagrangian:
             diff = fn(xs, plus) - fn(xs, minus)
             columns.append(diff / (2.0 * h).reshape((-1,) + (1,) * (diff.ndim - 1)))
         return np.stack(columns, axis=-1)
-
-
-@dataclass(frozen=True)
-class AreolarForm:
-    """Fiberwise p-covector field with coefficients homogeneous of degree 0.
-
-    The coefficients at (x, [y]) are the fiber gradient of the generating
-    Lagrangian at any representative; degree-0 homogeneity makes the choice
-    immaterial, so the field lives on oriented classes.
-    """
-
-    L: HomogeneousLagrangian
-
-    def coefficients_at(self, x: np.ndarray, y) -> KCovector:
-        rep = y.representative if hasattr(y, "representative") else y
-        return self.L.gradient(x, rep)
-
-    def evaluate(self, x: np.ndarray, y, vectors: Sequence[np.ndarray]) -> float:
-        """Value of the form on p base vectors."""
-        return self.coefficients_at(x, y)(vectors)
 
 
 @dataclass(frozen=True)
@@ -458,11 +433,6 @@ def homogeneity_residual(
     norm = np.sqrt(np.vecdot(cs, cs))
     residual = np.max([np.abs(L.value_many(xs, lam * cs) - lam * base) / (lam * norm) for lam in lams], axis=0)
     return float(residual[0]) if isinstance(y, KVector) else residual
-
-
-def areolar_form(L: HomogeneousLagrangian) -> AreolarForm:
-    """The p-covector field with coefficients dL/dy, defined on oriented classes."""
-    return AreolarForm(L)
 
 
 def is_nondegenerate(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DegenerateCellError, OrientationError
 from .exterior import KVector, minors
 from .lagrangian import GraphDensity, HomogeneousLagrangian
-from .multisymplectic import TotalSpaceChart, theta
 
 __all__ = [
     "QuadratureConfig",
@@ -33,7 +32,6 @@ __all__ = [
     "graph_action",
     "multisymplectic_action",
     "convergence_rows",
-    "convergence_study",
 ]
 
 
@@ -317,20 +315,6 @@ def multisymplectic_action(
     return paired_actions(L, grid, quad)[1]
 
 
-def theta_cell_values(L: HomogeneousLagrangian, grid: ParametricGrid) -> np.ndarray:
-    """Per-cell tautological-form values on the midpoint frames (before weighting).
-
-    Routed through the chart form evaluator, one batched call for all cells;
-    used to cross-check the batched action path and the cellwise agreement
-    with the Lagrangian integrand.
-    """
-    chart = TotalSpaceChart(grid.n, grid.p)
-    ((frames, coords, bases, _),) = _checked_samples(L, grid, QuadratureConfig())
-    points = chart.point(bases, L.gradient_many(bases, coords))
-    lifted = np.swapaxes(chart.lift(np.swapaxes(frames, 1, 2)), 1, 2)
-    return theta(chart).evaluator(points, lifted)
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     resolution: int
@@ -371,31 +355,3 @@ def convergence_rows(values: dict[int, float], domain, reference: float | None =
         if error is not None:
             prev_error, prev_h = error, h
     return rows
-
-
-def convergence_study(
-    action_kind: str,
-    problem,
-    surface: GraphSurface,
-    resolutions: Sequence[int],
-    reference: float | None = None,
-    quad: QuadratureConfig = QuadratureConfig(),
-) -> list[ConvergenceRow]:
-    """Action values and observed orders across resolutions.
-
-    ``action_kind`` selects lagrangian | graph | multisymplectic, ``problem``
-    is the matching Lagrangian or density.  Errors and orders are those of
-    ``convergence_rows``.
-    """
-    if len(resolutions) < 3:
-        raise ValueError("need at least three resolutions")
-    kinds = {
-        "lagrangian": lambda res: lagrangian_action(problem, replace(surface, resolution=res).to_grid(), quad),
-        "graph": lambda res: graph_action(problem, replace(surface, resolution=res), quad),
-        "multisymplectic": lambda res: multisymplectic_action(problem, replace(surface, resolution=res).to_grid(), quad),
-    }
-    if action_kind not in kinds:
-        raise ValueError(f"unknown action kind {action_kind!r}")
-    values = {res: kinds[action_kind](res) for res in sorted(int(r) for r in resolutions)}
-    return convergence_rows(values, surface.domain, reference)
-

@@ -21,6 +21,7 @@ from multisymp import (
     random_decomposable,
     rank_lemma_check,
     theta,
+    wedge_vectors,
 )
 from multisymp.cli import VERIFY_CHECKS, VERIFY_TOLERANCES, _sample_fibers, build_lagrangian, cmd_verify, main
 from multisymp.legendre import image_coordinates
@@ -347,6 +348,8 @@ class TestErrorHandling:
         ("image", {**AREA_IMAGE, "csv": ".."}, "csv"),
         ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 1], [0, 1]],
                                                "params": {"terms": []}}}, "surface.params.terms"),
+        # a repeated resolution would repeat the work and rate an order from no error at all
+        ("action", {**FLAT_ACTION, "resolutions": [16, 16, 16]}, "resolutions"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts
@@ -478,7 +481,7 @@ def reference_verify(config):
         vectors = [pullback_rng.standard_normal(L.n) for _ in range(L.p)]
         grad = L.gradient(x, y)
         lhs = theta(chart)(chart.point(x, grad.coords), [chart.lift(v) for v in vectors])
-        worst = max(worst, abs(lhs - grad(vectors)))
+        worst = max(worst, abs(lhs - pair(grad, wedge_vectors(vectors))))
     out["tautological-pullback"] = worst
     form = omega(chart)
     point = np.random.default_rng(seed + 4).standard_normal(chart.dim_total)

@@ -12,7 +12,6 @@ from multisymp import (
     GrassmannPoint,
     KCovector,
     KVector,
-    MultiIndex,
     UnsupportedDegreeError,
     ZeroSectionError,
     canonicalize_index,
@@ -21,11 +20,12 @@ from multisymp import (
     multi_indices,
     pair,
     plane_from_bivector,
-    volume_form,
     wedge_product,
     wedge_vectors,
 )
 from multisymp.exterior import det, minors
+
+from helpers import cyclic
 
 
 def inversion_sign(seq):
@@ -53,7 +53,7 @@ def brute_minors(vectors, n, p):
 class TestCanonicalize:
     def test_single_transposition(self):
         idx, sign = canonicalize_index((2, 1), 3)
-        assert idx.axes == (1, 2)
+        assert idx == (1, 2)
         assert sign == -1
 
     def test_repeated_index_vanishes(self):
@@ -64,7 +64,7 @@ class TestCanonicalize:
     def test_three_cycle(self):
         assert inversion_sign((3, 1, 2)) == 1
         idx, sign = canonicalize_index((3, 1, 2), 3)
-        assert idx.axes == (1, 2, 3)
+        assert idx == (1, 2, 3)
         assert sign == 1
 
     def test_out_of_range_rejected(self):
@@ -76,19 +76,13 @@ class TestCanonicalize:
     @given(st.permutations(list(range(1, 6))))
     def test_sign_matches_inversion_count(self, perm):
         idx, sign = canonicalize_index(tuple(perm), 5)
-        assert idx.axes == tuple(sorted(perm))
+        assert idx == tuple(sorted(perm))
         assert sign == inversion_sign(perm)
 
 
 class TestMultiIndex:
     def test_enumeration_is_lexicographic(self):
         assert multi_indices(4, 2) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiIndex((2, 1), 3)
-        with pytest.raises(ValueError):
-            MultiIndex((1, 5), 3)
 
 
 class TestWedgeVectors:
@@ -184,12 +178,12 @@ class TestDetOrderFour:
 
 class TestPair:
     def test_dual_basis(self):
-        alpha = KCovector.basis(3, 2, (1, 2))
-        assert pair(alpha, KVector.basis(3, 2, (1, 2))) == 1.0
+        alpha = KCovector(3, 2, [1.0, 0.0, 0.0])
+        assert pair(alpha, KVector(3, 2, [1.0, 0.0, 0.0])) == 1.0
 
     def test_antisymmetry_of_arguments(self):
-        alpha = KCovector.basis(3, 2, (1, 2))
-        u = KVector.from_components(3, 2, {(2, 1): 1.0})
+        alpha = KCovector(3, 2, [1.0, 0.0, 0.0])
+        u = wedge_vectors([np.eye(3)[1], np.eye(3)[0]])  # e2 ^ e1
         assert pair(alpha, u) == -1.0
 
     def test_wedge_pairing_definition(self):
@@ -198,7 +192,7 @@ class TestPair:
         u2 = np.array([0.0, 1.0, 3.0])
         direct = u1[0] * u2[2] - u2[0] * u1[2]
         assert direct == 3.0
-        assert pair(KCovector.basis(3, 2, (1, 3)), wedge_vectors([u1, u2])) == pytest.approx(3.0)
+        assert pair(KCovector(3, 2, [0.0, 1.0, 0.0]), wedge_vectors([u1, u2])) == pytest.approx(3.0)
 
     @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1))
@@ -218,22 +212,24 @@ class TestPair:
         u = KVector(3, 2, rng.standard_normal(3))
         v = KVector(3, 2, rng.standard_normal(3))
         s = float(rng.standard_normal())
-        assert pair(alpha, u + v.scaled(s)) == pytest.approx(pair(alpha, u) + s * pair(alpha, v), abs=1e-10)
+        combination = KVector(3, 2, u.coords + s * v.coords)
+        assert pair(alpha, combination) == pytest.approx(pair(alpha, u) + s * pair(alpha, v), abs=1e-10)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            pair(KCovector.zero(4, 2), KVector.basis(3, 2, (1, 2)))
+            pair(KCovector(4, 2, np.zeros(6)), KVector(3, 2, [1.0, 0.0, 0.0]))
 
 
 class TestPlaneFromBivector:
     def test_coordinate_plane(self):
-        v1, v2 = plane_from_bivector(KVector.basis(3, 2, (1, 2)))
+        e12 = KVector(3, 2, [1.0, 0.0, 0.0])
+        v1, v2 = plane_from_bivector(e12)
         span = np.column_stack([v1, v2])
         assert np.linalg.matrix_rank(np.column_stack([span, np.eye(3)[:, :2]])) == 2
-        assert pair(KCovector(3, 2, wedge_vectors([v1, v2]).coords), KVector.basis(3, 2, (1, 2))) > 0
+        assert pair(KCovector(3, 2, wedge_vectors([v1, v2]).coords), e12) > 0
 
     def test_roundtrip_example(self):
-        u = KVector.from_cyclic_triple(1.0, -2.0, -3.0)
+        u = cyclic(1.0, -2.0, -3.0)
         v1, v2 = plane_from_bivector(u)
         recovered = GrassmannPoint.from_vectors([v1, v2])
         assert grassmann_eq(recovered, GrassmannPoint(u), tol=1e-9)
@@ -244,12 +240,12 @@ class TestPlaneFromBivector:
             u = wedge_vectors(basis)
             if u.norm() < 1e-6:
                 continue
-            v1, v2 = plane_from_bivector(u, omega=volume_form(3, scale=2.5))
+            v1, v2 = plane_from_bivector(u)
             assert grassmann_eq(GrassmannPoint.from_vectors([v1, v2]), GrassmannPoint(u), tol=1e-9)
 
     def test_zero_input(self):
         with pytest.raises(ZeroSectionError):
-            plane_from_bivector(KVector.zero(3, 2))
+            plane_from_bivector(KVector(3, 2, np.zeros(3)))
 
 
 class TestDecomposability:
@@ -259,7 +255,7 @@ class TestDecomposability:
             assert is_decomposable(u)
 
     def test_nondecomposable_in_r4(self):
-        u = KVector.from_components(4, 2, {(1, 2): 1.0, (3, 4): 1.0})
+        u = KVector(4, 2, [1.0, 0.0, 0.0, 0.0, 0.0, 1.0])  # e12 + e34
         # direct wedge oracle: u ^ u = 2 on the top basis element
         square = wedge_product(u, u)
         assert square.coords.tolist() == [2.0]
@@ -280,22 +276,22 @@ class TestDecomposability:
             assert abs(rel) <= 1e-12 * max(1.0, u.norm() ** 2)
 
     def test_unsupported_degree(self):
-        u = KVector.basis(6, 3, (1, 2, 3))
+        u = KVector(6, 3, np.eye(20)[0])  # e123
         with pytest.raises(UnsupportedDegreeError):
             is_decomposable(u)
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroSectionError):
-            is_decomposable(KVector.zero(3, 2))
+            is_decomposable(KVector(3, 2, np.zeros(3)))
 
 
 class TestGrassmannPoint:
     def test_positive_scaling_is_same_class(self):
-        y = KVector.from_cyclic_triple(1.0, 2.0, 3.0)
+        y = cyclic(1.0, 2.0, 3.0)
         assert grassmann_eq(GrassmannPoint(y), GrassmannPoint(y.scaled(2.0)))
 
     def test_orientation_distinguishes(self):
-        y = KVector.from_cyclic_triple(1.0, 2.0, 3.0)
+        y = cyclic(1.0, 2.0, 3.0)
         assert not grassmann_eq(GrassmannPoint(y), GrassmannPoint(-y))
 
     def test_distinct_directions(self):
@@ -305,29 +301,29 @@ class TestGrassmannPoint:
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroSectionError):
-            GrassmannPoint(KVector.zero(3, 2))
+            GrassmannPoint(KVector(3, 2, np.zeros(3)))
 
     def test_nondecomposable_rejected_when_checked(self):
-        u = KVector.from_components(4, 2, {(1, 2): 1.0, (3, 4): 1.0})
+        u = KVector(4, 2, [1.0, 0.0, 0.0, 0.0, 0.0, 1.0])  # e12 + e34
         with pytest.raises(ValueError):
             GrassmannPoint(u)
         GrassmannPoint(u, check=False)  # oriented ray still representable
 
 
 class TestFiberElements:
-    def test_from_components_folds_signs(self):
-        u = KVector.from_components(3, 2, {(3, 1): -3.0})
+    def test_component_folds_signs(self):
+        u = KVector(3, 2, [0.0, 3.0, 0.0])
         assert u.component((1, 3)) == 3.0
         assert u.component((3, 1)) == -3.0
         assert u.component((1, 1)) == 0.0
 
     def test_cyclic_triple_roundtrip(self):
-        u = KVector.from_cyclic_triple(1.0, -2.0, -3.0)
+        u = cyclic(1.0, -2.0, -3.0)
         assert u.as_cyclic_triple() == (1.0, -2.0, -3.0)
         assert u.coords.tolist() == [1.0, 3.0, -2.0]
 
     def test_immutability(self):
-        u = KVector.basis(3, 2, (1, 2))
+        u = KVector(3, 2, [1.0, 0.0, 0.0])
         with pytest.raises((AttributeError, ValueError)):
             u.coords[0] = 5.0
         with pytest.raises(AttributeError):

@@ -1,4 +1,4 @@
-"""Homogeneous Lagrangians: built-ins, residual checks, areolar forms."""
+"""Homogeneous Lagrangians: built-ins, residual checks, fiber gradients."""
 
 import math
 
@@ -14,20 +14,23 @@ from multisymp import (
     OrientationError,
     ZeroSectionError,
     area_lagrangian,
-    areolar_form,
     constant_density,
     ellipsoid_lagrangian,
     euler_residual,
+    fiber_rows,
     geometric_mean_lagrangian,
     graph_area_density,
     graph_lift,
     homogeneity_residual,
     is_nondegenerate,
     minimal_surface_density,
+    pair,
     projected_volume_lagrangian,
     random_decomposable,
     wedge_vectors,
 )
+
+from helpers import cyclic
 
 
 def fd_gradient(L, x, y, h_scale=1e-5):
@@ -54,17 +57,17 @@ def builtins_3_2():
 
 class TestAreaLagrangian:
     def test_value_is_norm(self, x3):
-        y = KVector.from_cyclic_triple(3.0, 4.0, 0.0)
+        y = cyclic(3.0, 4.0, 0.0)
         assert area_lagrangian(3, 2).value(x3, y) == 5.0
 
     def test_gradient(self, x3, area3):
-        y = KVector.from_cyclic_triple(3.0, 4.0, 0.0)
+        y = cyclic(3.0, 4.0, 0.0)
         g = area3.gradient(x3, y)
         assert g.as_cyclic_triple() == pytest.approx((0.6, 0.8, 0.0), abs=1e-15)
         assert np.allclose(g.coords, fd_gradient(area3, x3, y), atol=1e-9)
 
     def test_homogeneity_forced(self, x3, area3):
-        y = KVector.from_cyclic_triple(3.0, 4.0, 0.0)
+        y = cyclic(3.0, 4.0, 0.0)
         assert area3.value(x3, y.scaled(2.0)) == 10.0
         assert np.allclose(area3.gradient(x3, y.scaled(2.0)).coords, area3.gradient(x3, y).coords)
 
@@ -75,9 +78,9 @@ class TestAreaLagrangian:
 
     def test_zero_section_rejected(self, x3, area3):
         with pytest.raises(ZeroSectionError):
-            area3.value(x3, KVector.zero(3, 2))
+            area3.value(x3, KVector(3, 2, np.zeros(3)))
         with pytest.raises(ZeroSectionError):
-            area3.gradient(x3, KVector.zero(3, 2))
+            area3.gradient(x3, KVector(3, 2, np.zeros(3)))
 
 
 class TestEllipsoidLagrangian:
@@ -107,13 +110,13 @@ class TestEllipsoidLagrangian:
 
 class TestGraphLift:
     def test_minimal_surface_example(self, x3, minimal_lift3, area3):
-        y = KVector.from_cyclic_triple(1.0, -2.0, -3.0)  # slopes (2, 3)
+        y = cyclic(1.0, -2.0, -3.0)  # slopes (2, 3)
         assert minimal_lift3.value(x3, y) == pytest.approx(math.sqrt(14.0), abs=1e-14)
         assert minimal_lift3.value(x3, y) == pytest.approx(area3.value(x3, y), abs=1e-12)
 
     def test_constant_density_reads_top_coordinate(self, x3):
         L = graph_lift(constant_density(3, 2))
-        y = KVector.from_cyclic_triple(2.5, -1.0, 4.0)
+        y = cyclic(2.5, -1.0, 4.0)
         assert L.value(x3, y) == 2.5
 
     def test_gram_density_matches_gram_area_in_r4(self):
@@ -146,11 +149,11 @@ class TestGraphLift:
         assert graph_lift(F).value_many(np.zeros((2, 3)), tops).tolist() == [2.0, 6.0]
 
     def test_orientation_error_outside_chart(self, x3, minimal_lift3):
-        y = KVector.from_cyclic_triple(-1.0, 2.0, 3.0)
+        y = cyclic(-1.0, 2.0, 3.0)
         with pytest.raises(OrientationError):
             minimal_lift3.value(x3, y)
         with pytest.raises(OrientationError):
-            minimal_lift3.value(x3, KVector.from_cyclic_triple(0.0, 1.0, 0.0))
+            minimal_lift3.value(x3, cyclic(0.0, 1.0, 0.0))
 
 
 def central_differences(L, xs, cs, h_grad=1e-5, h_hess=1e-4):
@@ -204,7 +207,7 @@ class TestGraphLiftDerivatives:
 
 class TestEulerResidual:
     def test_area_exact(self, x3, area3):
-        y = KVector.from_cyclic_triple(3.0, 4.0, 0.0)
+        y = cyclic(3.0, 4.0, 0.0)
         assert euler_residual(area3, x3, y) <= 1e-12
 
     def test_graph_lift_random(self, x3, minimal_lift3, rng):
@@ -215,18 +218,18 @@ class TestEulerResidual:
 
     def test_detector_fires_on_quadratic_probe(self, x3):
         probe = HomogeneousLagrangian(3, 2, "norm-squared", lambda xs, cs: np.sum(cs * cs, axis=-1))
-        y = KVector.from_cyclic_triple(1.0, 2.0, -1.5)
+        y = cyclic(1.0, 2.0, -1.5)
         # pairing of the gradient 2y with y gives 2|y|^2, so the residual is |y|^2
         assert euler_residual(probe, x3, y) == pytest.approx(y.norm() ** 2, rel=1e-8)
 
     def test_zero_section(self, x3, area3):
         with pytest.raises(ZeroSectionError):
-            euler_residual(area3, x3, KVector.zero(3, 2))
+            euler_residual(area3, x3, KVector(3, 2, np.zeros(3)))
 
 
 class TestHomogeneityResidual:
     def test_area_exact(self, x3, area3):
-        y = KVector.from_cyclic_triple(3.0, 4.0, 0.0)
+        y = cyclic(3.0, 4.0, 0.0)
         assert homogeneity_residual(area3, x3, y, (0.5, 2.0, 10.0)) == 0.0
 
     def test_graph_lift_scale_invariant(self, x3, minimal_lift3, rng):
@@ -236,12 +239,12 @@ class TestHomogeneityResidual:
 
     def test_detector_fires_on_quadratic_probe(self, x3):
         probe = HomogeneousLagrangian(3, 2, "norm-squared", lambda xs, cs: np.sum(cs * cs, axis=-1))
-        y = KVector.from_cyclic_triple(1.0, 2.0, -1.5)
+        y = cyclic(1.0, 2.0, -1.5)
         # |L(2y) - 2L(y)| / (2|y|) = |4-2| |y|^2 / (2|y|) = |y|
         assert homogeneity_residual(probe, x3, y, (2.0,)) == pytest.approx(y.norm(), rel=1e-12)
 
     def test_nonpositive_lambda_rejected(self, x3, area3):
-        y = KVector.from_cyclic_triple(1.0, 0.0, 0.0)
+        y = cyclic(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             homogeneity_residual(area3, x3, y, (1.0, -2.0))
 
@@ -258,42 +261,43 @@ class TestHomogeneityResidual:
 
 
 class TestAreolarForm:
+    """The areolar form of L: the p-covector field with coefficients dL/dy."""
+
     def test_area_coefficients(self, x3, area3):
-        ell = areolar_form(area3)
-        coeffs = ell.coefficients_at(x3, KVector.from_cyclic_triple(3.0, 4.0, 0.0))
+        coeffs = area3.gradient(x3, cyclic(3.0, 4.0, 0.0))
         assert coeffs.as_cyclic_triple() == pytest.approx((0.6, 0.8, 0.0), abs=1e-15)
 
     def test_representative_independence(self, x3, area3):
-        ell = areolar_form(area3)
-        a = ell.coefficients_at(x3, KVector.from_cyclic_triple(3.0, 4.0, 0.0))
-        b = ell.coefficients_at(x3, KVector.from_cyclic_triple(6.0, 8.0, 0.0))
+        a = area3.gradient(x3, cyclic(3.0, 4.0, 0.0))
+        b = area3.gradient(x3, cyclic(6.0, 8.0, 0.0))
         assert np.allclose(a.coords, b.coords, atol=1e-12)
 
     def test_graph_lift_top_coefficient(self, x3, minimal_lift3):
         # d(y_top F)/d y_top = F - sum q dF/dq = 1/F for the minimal-surface density
-        y = KVector.from_cyclic_triple(1.0, -2.0, -3.0)
-        coeffs = areolar_form(minimal_lift3).coefficients_at(x3, y)
+        y = cyclic(1.0, -2.0, -3.0)
+        coeffs = minimal_lift3.gradient(x3, y)
         q_sq = 2.0**2 + 3.0**2
         expected = (1.0 + q_sq - q_sq) / math.sqrt(1.0 + q_sq)
         assert coeffs.as_cyclic_triple()[0] == pytest.approx(expected, rel=1e-9)
 
     def test_evaluate_on_vectors(self, x3, area3):
-        ell = areolar_form(area3)
-        y = KVector.from_cyclic_triple(3.0, 4.0, 0.0)
-        value = ell.evaluate(x3, y, [np.eye(3)[0], np.eye(3)[1]])
+        y = cyclic(3.0, 4.0, 0.0)
+        value = pair(area3.gradient(x3, y), wedge_vectors([np.eye(3)[0], np.eye(3)[1]]))
         assert value == pytest.approx(0.6, abs=1e-15)
 
 
 class TestNondegeneracy:
     def test_area_everywhere(self, x3, area3, rng):
         y = KVector(3, 2, rng.standard_normal(3))
-        assert np.allclose(area3.square_hessian(x3, y), 2.0 * np.eye(3), atol=1e-12)
+        square = area3._square_hessians(*fiber_rows(area3, x3, y))[0][0]
+        assert np.allclose(square, 2.0 * np.eye(3), atol=1e-12)
         assert is_nondegenerate(area3, x3, y)
 
     def test_linear_probe_degenerate(self, x3):
         L = projected_volume_lagrangian(3, 2)
-        y = KVector.from_cyclic_triple(2.0, 1.0, 1.0)
-        assert np.allclose(L.square_hessian(x3, y), 2.0 * np.outer(np.eye(3)[0], np.eye(3)[0]))
+        y = cyclic(2.0, 1.0, 1.0)
+        square = L._square_hessians(*fiber_rows(L, x3, y))[0][0]
+        assert np.allclose(square, 2.0 * np.outer(np.eye(3)[0], np.eye(3)[0]))
         assert not is_nondegenerate(L, x3, y)
 
     def test_ellipsoid_everywhere(self, x3, ellipsoid3, rng):
@@ -301,7 +305,8 @@ class TestNondegeneracy:
             y = KVector(3, 2, rng.standard_normal(3))
             if y.norm() < 1e-3:
                 continue
-            assert np.allclose(ellipsoid3.square_hessian(x3, y), 2.0 * np.diag([1.0, 4.0, 9.0]), atol=1e-9)
+            square = ellipsoid3._square_hessians(*fiber_rows(ellipsoid3, x3, y))[0][0]
+            assert np.allclose(square, 2.0 * np.diag([1.0, 4.0, 9.0]), atol=1e-9)
             assert is_nondegenerate(ellipsoid3, x3, y)
 
     def test_geometric_mean_probe_not_nondegenerate(self, x3):
@@ -323,7 +328,8 @@ class TestNondegeneracy:
         assert got.dtype == bool and got.shape == (12,)
         assert got.tolist() == [is_nondegenerate(L, x, KVector(4, 2, c)) for c in rows]
         square = L._square_hessians(np.broadcast_to(x, (12, 4)), rows)[0]
-        assert all(np.array_equal(square[k], L.square_hessian(x, KVector(4, 2, c))) for k, c in enumerate(rows))
+        fibers = [L._square_hessians(*fiber_rows(L, x, KVector(4, 2, c)))[0][0] for c in rows]
+        assert all(np.array_equal(square[k], fiber) for k, fiber in enumerate(fibers))
 
     def test_rows_reject_zero_section(self, x3, area3):
         with pytest.raises(ZeroSectionError):

@@ -39,6 +39,8 @@ from multisymp import (
 from multisymp.cli import build_lagrangian, main
 from multisymp.legendre import STALL_WINDOW, _level_gradient, _level_rows, _solve_stack, image_coordinates
 
+from helpers import cyclic
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -257,11 +259,11 @@ def reference_write_image_csv(points, stream, n=None, p=None):
 
 class TestLegendreMap:
     def test_area_example(self, x3, area3):
-        p = legendre_map(area3, x3, KVector.from_cyclic_triple(3.0, 4.0, 0.0)).p
+        p = legendre_map(area3, x3, cyclic(3.0, 4.0, 0.0)).p
         assert p.as_cyclic_triple() == pytest.approx((0.6, 0.8, 0.0), abs=1e-15)
 
     def test_degree_zero(self, x3, area3):
-        y = KVector.from_cyclic_triple(3.0, 4.0, 0.0)
+        y = cyclic(3.0, 4.0, 0.0)
         a = legendre_map(area3, x3, y).p.coords
         b = legendre_map(area3, x3, y.scaled(7.0)).p.coords
         assert np.array_equal(a, b)
@@ -286,18 +288,18 @@ class TestLegendreMap:
 
     def test_zero_section(self, x3, area3):
         with pytest.raises(ZeroSectionError):
-            legendre_map(area3, x3, KVector.zero(3, 2))
+            legendre_map(area3, x3, KVector(3, 2, np.zeros(3)))
 
 
 class TestHamiltonian:
     def test_vanishes_on_image(self, x3, area3):
-        y = KVector.from_cyclic_triple(3.0, 4.0, 0.0)
+        y = cyclic(3.0, 4.0, 0.0)
         p = legendre_map(area3, x3, y).p
         assert hamiltonian(area3, x3, p, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_arithmetic(self, x3, area3):
-        p = KCovector.from_cyclic_triple(1.0, 0.0, 0.0)
-        y = KVector.from_cyclic_triple(3.0, 4.0, 0.0)
+        p = cyclic(1.0, 0.0, 0.0, KCovector)
+        y = cyclic(3.0, 4.0, 0.0)
         assert hamiltonian(area3, x3, p, y) == pytest.approx(-2.0, abs=1e-14)
 
     def test_vanishes_for_rescaled_preimage(self, x3, ellipsoid3, rng):
@@ -323,8 +325,8 @@ class TestHamiltonian:
 
 class TestInverseLegendre:
     def test_area_example(self, x3, area3):
-        cls = inverse_legendre(area3, x3, KCovector.from_cyclic_triple(0.6, 0.8, 0.0))
-        target = GrassmannPoint(KVector.from_cyclic_triple(3.0, 4.0, 0.0))
+        cls = inverse_legendre(area3, x3, cyclic(0.6, 0.8, 0.0, KCovector))
+        target = GrassmannPoint(cyclic(3.0, 4.0, 0.0))
         assert grassmann_eq(cls, target, tol=1e-7)
         # normalized onto the unit level set
         assert area3.value(x3, cls.representative) == pytest.approx(1.0, abs=1e-10)
@@ -340,11 +342,11 @@ class TestInverseLegendre:
 
     def test_off_image_no_solution(self, x3, area3):
         with pytest.raises(NotInImageError):
-            inverse_legendre(area3, x3, KCovector.from_cyclic_triple(2.0, 0.0, 0.0))
+            inverse_legendre(area3, x3, cyclic(2.0, 0.0, 0.0, KCovector))
 
     def test_zero_target(self, x3, area3):
         with pytest.raises(ZeroSectionError):
-            inverse_legendre(area3, x3, KCovector.zero(3, 2))
+            inverse_legendre(area3, x3, KCovector(3, 2, np.zeros(3)))
 
     @pytest.mark.parametrize("shape", [(4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
     @pytest.mark.parametrize("name", ["area", "ellipsoid"])
@@ -447,7 +449,7 @@ class TestRankLemma:
 
     def test_linear_probe(self, x3):
         L = projected_volume_lagrangian(3, 2)
-        report = rank_lemma_check(L, x3, KVector.from_cyclic_triple(1.0, 2.0, 3.0))
+        report = rank_lemma_check(L, x3, cyclic(1.0, 2.0, 3.0))
         assert (report.rank_L2, report.rank_L) == (1, 0)
         assert report.splitting_holds
 

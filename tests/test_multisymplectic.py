@@ -30,6 +30,8 @@ from multisymp import (
     weighted_x_form,
 )
 
+from helpers import cyclic
+
 
 @pytest.fixture
 def chart32():
@@ -191,7 +193,7 @@ class TestClosedness:
 
 class TestPullback:
     def test_area_example(self, x3, area3):
-        y = KVector.from_cyclic_triple(3.0, 4.0, 0.0)
+        y = cyclic(3.0, 4.0, 0.0)
         # both sides evaluate to the first gradient coefficient on (e1, e2)
         residual = pullback_residual(area3, x3, y, [[np.eye(3)[0], np.eye(3)[1]]])
         assert residual <= 1e-12
@@ -226,7 +228,7 @@ class TestPullback:
 
     def test_zero_section(self, x3, area3):
         with pytest.raises(ZeroSectionError):
-            pullback_residual(area3, x3, KVector.zero(3, 2), [[np.eye(3)[0], np.eye(3)[1]]])
+            pullback_residual(area3, x3, KVector(3, 2, np.zeros(3)), [[np.eye(3)[0], np.eye(3)[1]]])
 
 
 def forms_at(chart):

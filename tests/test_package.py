@@ -1,4 +1,4 @@
-"""The package root re-exports every module's public names."""
+"""The package root re-exports every module's public names; the suite rejects unknown markers."""
 
 import importlib
 
@@ -14,3 +14,9 @@ def test_root_exports_each_public_name(module):
     mod = importlib.import_module(f"multisymp.{module}")
     missing = [name for name in mod.__all__ if getattr(multisymp, name, None) is not getattr(mod, name)]
     assert not missing
+
+
+def test_misspelt_marker_fails():
+    # a mistyped time_limit must stop the run, not silently drop the test's hang guard
+    with pytest.raises(pytest.fail.Exception, match="time_limt"):
+        pytest.mark.time_limt

@@ -1,6 +1,7 @@
 """Discretized surfaces: tangent frames, the three actions, convergence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,19 +12,21 @@ from multisymp import (
     OrientationError,
     ParametricGrid,
     QuadratureConfig,
+    TotalSpaceChart,
     area_lagrangian,
-    convergence_study,
+    convergence_rows,
     graph_action,
     graph_area_density,
     lagrangian_action,
     minimal_surface_density,
     multisymplectic_action,
     tangent_pvector,
+    theta,
     wedge_vectors,
 )
 from multisymp.cli import _graph_map
 from multisymp.exterior import minors
-from multisymp.surfaces import _cell_frames, theta_cell_values
+from multisymp.surfaces import _cell_frames, _checked_samples
 
 # midpoint rule at 2048^2 for the area of the graph of x1*x2 over the unit
 # square, i.e. the integral of sqrt(1 + x1^2 + x2^2); adaptive quadrature
@@ -147,6 +150,19 @@ class TestGraphAction:
         assert abs(ga - la) <= 1e-6
 
 
+def theta_cell_values(L, grid):
+    """Per-cell tautological-form values on the midpoint frames (before weighting).
+
+    Routed through the chart form evaluator, one batched call for all cells:
+    the reference the batched action path is checked against.
+    """
+    chart = TotalSpaceChart(grid.n, grid.p)
+    ((frames, coords, bases, _),) = _checked_samples(L, grid, QuadratureConfig())
+    points = chart.point(bases, L.gradient_many(bases, coords))
+    lifted = np.swapaxes(chart.lift(np.swapaxes(frames, 1, 2)), 1, 2)
+    return theta(chart).evaluator(points, lifted)
+
+
 class TestMultisymplecticAction:
     def test_flat_unit_square(self, area3):
         assert multisymplectic_action(area3, flat_surface(8).to_grid()) == pytest.approx(1.0, abs=1e-14)
@@ -241,28 +257,32 @@ class TestGeneralP:
 
 
 class TestConvergenceStudy:
+    """convergence_rows on action values, one per resolution."""
+
     def test_plane_constant_integrand(self, area3):
-        rows = convergence_study("lagrangian", area3, plane_surface(4), [8, 16, 32],
-                                 reference=SQRT14)
+        values = {res: lagrangian_action(area3, plane_surface(res).to_grid()) for res in (8, 16, 32)}
+        rows = convergence_rows(values, plane_surface(4).domain, reference=SQRT14)
         for row in rows:
             assert row.error <= 1e-12
             assert row.observed_order is None  # machine level, not rated
 
     def test_bilinear_second_order(self, area3):
-        rows = convergence_study("lagrangian", area3, bilinear_surface(4), [16, 32, 64, 128],
-                                 reference=BILINEAR_AREA_ORACLE)
+        values = {res: lagrangian_action(area3, bilinear_surface(res).to_grid()) for res in (16, 32, 64, 128)}
+        rows = convergence_rows(values, bilinear_surface(4).domain, reference=BILINEAR_AREA_ORACLE)
         orders = [row.observed_order for row in rows if row.observed_order is not None]
         assert len(orders) == 3
         assert all(abs(o - 2.0) <= 0.3 for o in orders)
 
     def test_graph_kind(self):
-        rows = convergence_study("graph", minimal_surface_density(3, 2), bilinear_surface(4),
-                                 [16, 32, 64], reference=BILINEAR_AREA_ORACLE)
+        F = minimal_surface_density(3, 2)
+        values = {res: graph_action(F, bilinear_surface(res)) for res in (16, 32, 64)}
+        rows = convergence_rows(values, bilinear_surface(4).domain, reference=BILINEAR_AREA_ORACLE)
         orders = [row.observed_order for row in rows if row.observed_order is not None]
         assert all(abs(o - 2.0) <= 0.3 for o in orders)
 
     def test_without_reference_uses_finest(self, area3):
-        rows = convergence_study("lagrangian", area3, bilinear_surface(4), [16, 32, 64])
+        values = {res: lagrangian_action(area3, bilinear_surface(res).to_grid()) for res in (16, 32, 64)}
+        rows = convergence_rows(values, bilinear_surface(4).domain)
         assert rows[-1].error is None
         assert rows[1].error is not None
 
@@ -272,19 +292,12 @@ class TestConvergenceStudy:
         # not biased by treating the finest value as exact
         surf = GraphSurface(f=_graph_map({"f": "bilinear", "params": {"scale": scale}}, 3, 2),
                             domain=[(0, 1), (0, 1)], resolution=4, p=2, n=3)
-        rows = convergence_study("lagrangian", area3, surf, [16, 32, 64])
+        values = {res: lagrangian_action(area3, replace(surf, resolution=res).to_grid()) for res in (16, 32, 64)}
+        rows = convergence_rows(values, surf.domain)
         assert rows[0].error == abs(rows[0].value - rows[1].value)
         assert rows[-1].error is None
         orders = [row.observed_order for row in rows if row.observed_order is not None]
         assert orders and all(abs(o - 2.0) <= 0.3 for o in orders)
-
-    def test_needs_three_resolutions(self, area3):
-        with pytest.raises(ValueError):
-            convergence_study("lagrangian", area3, bilinear_surface(4), [16, 32])
-
-    def test_unknown_kind(self, area3):
-        with pytest.raises(ValueError):
-            convergence_study("dual", area3, bilinear_surface(4), [16, 32, 64])
 
 
 class TestQuadrature:
