@@ -48,7 +48,6 @@ from .multisymplectic import TotalSpaceChart, closedness_residual, omega, nondeg
 from .surfaces import (
     QUADRATURE_RULES,
     GraphSurface,
-    QuadratureConfig,
     convergence_rows,
     graph_action,
     paired_actions,
@@ -343,14 +342,19 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
     x = _base_point(config, L.n)
     seed = _count(config.get("seed", 0), "seed", 0)
     samples = _count(config.get("samples", 100), "samples", 1)
-    rank_samples = _count(config.get("rank_samples", 50), "rank_samples", 1)
+    rank_samples = _count(config.get("rank_samples", min(50, samples)), "rank_samples", 1)
+    if rank_samples > samples:
+        raise ConfigError(f"rank_samples must be at most samples = {samples}, got {rank_samples}")
     tol = _merge_tolerances(VERIFY_TOLERANCES, config.get("tolerances"))
     cert = _certificate(config, {"num_pairs", "t_steps"}, seed + 1, tol["convexity"])
-    selected = config.get("checks", VERIFY_CHECKS)
-    if not isinstance(selected, (list, tuple)):
-        raise ConfigError(f"checks must be a list of check names, got {selected!r}")
+    # the quadric check needs an image quadric, which lifts and the probes do not declare
+    runnable = [name for name in VERIFY_CHECKS if name != "legendre-image-quadric" or L.image_quadric is not None]
+    selected = config.get("checks", runnable)
+    if not isinstance(selected, list) or not selected:
+        raise ConfigError(f"checks must be a nonempty list of check names, got {selected!r}")
     for name in selected:
-        _choice(name, VERIFY_CHECKS, "checks")
+        if _choice(name, VERIFY_CHECKS, "checks") not in runnable:
+            raise ConfigError(f"checks must leave out {name!r}: {L.name} declares no image quadric")
 
     fibers = _sample_fibers(L, samples, np.random.default_rng(seed))
     xs = np.broadcast_to(x, (samples, L.n))
@@ -399,8 +403,7 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
     }
     checks.update(_image_checks(L, x, lambda: image_coordinates(L, x, 500, seed=seed + 2)[1],
                                 tol["quadric"], cert)[0])
-    return _report("verify", config, {name: checks[name] for name in VERIFY_CHECKS
-                                      if name in selected and name in checks})
+    return _report("verify", config, {name: checks[name] for name in VERIFY_CHECKS if name in selected})
 
 
 ACTION_TOLERANCES = {
@@ -429,7 +432,7 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     if len(set(resolutions)) < len(resolutions):
         raise ConfigError(f"resolutions must be distinct, got {config['resolutions']!r}")
     surface = build_surface(config["surface"], n, p, resolutions[0])
-    quad = QuadratureConfig(rule=_choice(config.get("quadrature", "midpoint"), QUADRATURE_RULES, "quadrature"))
+    rule = _choice(config.get("quadrature", "midpoint"), QUADRATURE_RULES, "quadrature")
     tol = _merge_tolerances(ACTION_TOLERANCES, config.get("tolerances"))
     reference = config.get("reference")
     if reference is not None:
@@ -440,9 +443,9 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
         surf = replace(surface, resolution=res)
         grid = surf.to_grid()
         entry: dict[str, Any] = {"resolution": res}
-        entry["lagrangian"], entry["multisymplectic"] = paired_actions(L, grid, quad)
+        entry["lagrangian"], entry["multisymplectic"] = paired_actions(L, grid, rule)
         if density is not None:
-            entry["graph"] = graph_action(density, surf, quad)
+            entry["graph"] = graph_action(density, surf, rule)
         rows.append(entry)
 
     finest = rows[-1]

@@ -27,7 +27,6 @@ __all__ = [
     "canonicalize_index",
     "minors",
     "wedge_vectors",
-    "wedge_product",
     "pair",
     "plane_from_bivector",
     "is_decomposable",
@@ -185,28 +184,6 @@ def wedge_vectors(vectors: Sequence[np.ndarray], n: int | None = None) -> KVecto
     return KVector(dim, p, minors(np.column_stack(cols)))
 
 
-def wedge_product(a: _FiberElement, b: _FiberElement) -> _FiberElement:
-    """Graded wedge of two elements of the same variance (degrees add)."""
-    if type(a) is not type(b) or a.n != b.n:
-        raise ValueError("operands must share type and ambient dimension")
-    n = a.n
-    p = a.p + b.p
-    if p > n:
-        raise ValueError(f"wedge degree {p} exceeds ambient dimension {n}")
-    out = np.zeros(math.comb(n, p))
-    pos = index_position(n, p)
-    for axes_a, va in zip(multi_indices(n, a.p), a.coords):
-        if va == 0.0:
-            continue
-        for axes_b, vb in zip(multi_indices(n, b.p), b.coords):
-            if vb == 0.0:
-                continue
-            idx, sign = canonicalize_index(axes_a + axes_b, n)
-            if sign != 0:
-                out[pos[idx]] += sign * va * vb
-    return type(a)(n, p, out)
-
-
 def pair(alpha: KCovector, u: KVector) -> float:
     """Duality pairing in the canonical bases: sum over increasing indices."""
     if (alpha.n, alpha.p) != (u.n, u.p):
@@ -243,15 +220,19 @@ def is_decomposable(u: KVector, tol: float = 1e-9) -> bool:
     """Whether u is (within tol, relative) the wedge of p vectors.
 
     Degrees 1, n-1 and n are always decomposable; degree 2 is tested through
-    the vanishing of u ^ u.  Other degrees are not implemented.
+    the vanishing of u ^ u, whose coordinate on axes i < j < k < l is twice
+    the Pluecker relation u_ij u_kl - u_ik u_jl + u_il u_jk.  Other degrees
+    are not implemented.
     """
     if u.is_zero():
         raise ZeroSectionError("decomposability is undefined at the zero section")
     if u.p in (1, u.n - 1, u.n):
         return True
     if u.p == 2:
-        square = wedge_product(u, u)
-        return square.norm() <= tol * u.norm() ** 2
+        y = dict(zip(multi_indices(u.n, 2), u.coords.tolist()))
+        relations = [y[i, j] * y[k, l] - y[i, k] * y[j, l] + y[i, l] * y[j, k]
+                     for i, j, k, l in itertools.combinations(range(1, u.n + 1), 4)]
+        return 2.0 * float(np.linalg.norm(relations)) <= tol * u.norm() ** 2
     raise UnsupportedDegreeError(f"decomposability test not implemented for p={u.p}, n={u.n}")
 
 

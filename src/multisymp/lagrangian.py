@@ -78,12 +78,6 @@ class HomogeneousLagrangian:
     def fiber_dim(self) -> int:
         return math.comb(self.n, self.p)
 
-    def _one(self, x: np.ndarray, y: KVector) -> tuple[np.ndarray, np.ndarray]:
-        """A fiber point as a batch of one: arrays of shape (1, n) and (1, C(n,p))."""
-        if (y.n, y.p) != (self.n, self.p):
-            raise ValueError(f"fiber mismatch: Lagrangian (n={self.n}, p={self.p}) vs y (n={y.n}, p={y.p})")
-        return self._rows(np.asarray(x, dtype=float)[None], y.coords[None])
-
     def _rows(self, xs: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xs = np.asarray(xs, dtype=float)
         cs = np.asarray(cs, dtype=float)
@@ -100,21 +94,21 @@ class HomogeneousLagrangian:
         return np.ones(len(cs), dtype=bool) if self.chart is None else self.chart(cs)
 
     def value(self, x: np.ndarray, y: KVector) -> float:
-        return float(self._values(*self._one(x, y))[0])
+        return float(self._values(*fiber_rows(self, x, y))[0])
 
     def value_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         """Values on raw coordinates, shape (N,); rows with zero fiber are rejected."""
         return self._values(*self._rows(xs, cs))
 
     def gradient(self, x: np.ndarray, y: KVector) -> KCovector:
-        return KCovector(self.n, self.p, self._gradients(*self._one(x, y))[0])
+        return KCovector(self.n, self.p, self._gradients(*fiber_rows(self, x, y))[0])
 
     def gradient_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         """Fiber gradients on raw coordinates, shape (N, C(n,p))."""
         return self._gradients(*self._rows(xs, cs))
 
     def hessian(self, x: np.ndarray, y: KVector) -> np.ndarray:
-        return self._hessians(*self._one(x, y))[0]
+        return self._hessians(*fiber_rows(self, x, y))[0]
 
     def hessian_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         """Fiber Hessians on raw coordinates, shape (N, C(n,p), C(n,p))."""
@@ -397,11 +391,13 @@ def graph_lift(F: GraphDensity) -> HomogeneousLagrangian:
 def fiber_rows(L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Base points (N, n) and fiber coordinates (N, C(n,p)) at the base point x.
 
-    ``y`` is one KVector, checked as ``L.value`` checks it (a batch of one),
-    or an array of N fiber rows, checked as the batched methods check them.
+    ``y`` is one KVector, a batch of one whose (n, p) must match L's, or an
+    array of N fiber rows; both are checked as the batched methods check them.
     """
     if isinstance(y, KVector):
-        return L._one(x, y)
+        if (y.n, y.p) != (L.n, L.p):
+            raise ValueError(f"fiber mismatch: Lagrangian (n={L.n}, p={L.p}) vs y (n={y.n}, p={y.p})")
+        return L._rows(np.asarray(x, dtype=float)[None], y.coords[None])
     cs = np.asarray(y, dtype=float)
     return L._rows(np.broadcast_to(np.asarray(x, dtype=float), (len(cs), L.n)), cs)
 

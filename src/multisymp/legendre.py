@@ -316,13 +316,13 @@ def _confirmed(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray, rad
 
     One batched step normalizes every solution onto {L = 1} and measures its
     gradient residual against the rescaled target, the check inverse_legendre
-    makes on one target; a row above 1e-6 counts as a failed solve.
+    makes on one target; a row above 1e-6 counts as a failed solve.  The
+    radius is the level L(y*) that _radial_solve evaluated at the solution.
     """
     surface = targets / radius[:, None]
     xs = np.broadcast_to(x, (len(targets), x.size))
-    level = L.value_many(xs, solution)
-    ok = level > 1e-12 * np.maximum(1.0, np.linalg.norm(solution, axis=-1))
-    residual = L.gradient_many(xs[: int(ok.sum())], solution[ok] / level[ok, None]) - surface[ok]
+    ok = radius > 1e-12 * np.maximum(1.0, np.linalg.norm(solution, axis=-1))
+    residual = L.gradient_many(xs[: int(ok.sum())], solution[ok] / radius[ok, None]) - surface[ok]
     confirmed = np.zeros(len(targets), dtype=bool)
     confirmed[ok] = np.sqrt(np.sum(residual * residual, axis=-1)) <= 1e-6
     return confirmed

@@ -22,7 +22,6 @@ from .exterior import KVector, minors
 from .lagrangian import GraphDensity, HomogeneousLagrangian
 
 __all__ = [
-    "QuadratureConfig",
     "ParametricGrid",
     "GraphSurface",
     "ConvergenceRow",
@@ -35,23 +34,11 @@ __all__ = [
 ]
 
 
+# Cell rules for the parameter-domain integrals.  ``midpoint`` evaluates at
+# cell centers with frames from corner averages.  ``gauss2`` uses the tensor
+# two-point Gauss rule; it needs a callable surface map for off-node frames,
+# differenced with step = cell size.
 QUADRATURE_RULES = ("midpoint", "gauss2")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Cell rule for the parameter-domain integrals.
-
-    ``midpoint`` evaluates at cell centers with frames from corner averages.
-    ``gauss2`` uses the tensor two-point Gauss rule; it needs a callable
-    surface map for off-node frames, differenced with step = cell size.
-    """
-
-    rule: str = "midpoint"
-
-    def __post_init__(self):
-        if self.rule not in QUADRATURE_RULES:
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
 def _normalize_domain(domain, p: int) -> tuple[tuple[float, float], ...]:
@@ -171,7 +158,10 @@ _GAUSS2_OFFSETS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 def _sample_blocks(domain, resolution, rule: str) -> tuple[list[np.ndarray], np.ndarray, float]:
     """Parameter points of each quadrature offset (one block per offset, rows
-    in row-major cell order), the cell size per axis and the weight per sample."""
+    in row-major cell order), the cell size per axis and the weight per sample.
+    Raises ValueError on a rule outside QUADRATURE_RULES."""
+    if rule not in QUADRATURE_RULES:
+        raise ValueError(f"unknown quadrature rule {rule!r}")
     p = len(resolution)
     h = np.array([(hi - lo) / r for (lo, hi), r in zip(domain, resolution)])
     lows = np.array([lo for lo, _ in domain])
@@ -226,11 +216,12 @@ def tangent_pvector(grid: ParametricGrid, cell: Sequence[int]) -> tuple[KVector,
     return KVector(grid.n, grid.p, coords), bases[0]
 
 
-def _quadrature_samples(grid: ParametricGrid, quad: QuadratureConfig):
+def _quadrature_samples(grid: ParametricGrid, rule: str):
     """Yield (frames, bases, weight-per-sample) blocks for the chosen rule."""
-    if quad.rule == "midpoint":
+    if rule == "midpoint":
         frames, bases = _cell_frames(grid)
         return [(frames, bases, grid.cell_volume)]
+    params_blocks, h, weight = _sample_blocks(grid.domain, grid.resolution, rule)
     if grid.mapping is None:
         raise ValueError("gauss2 quadrature needs a grid built from a callable map")
     # tensor two-point Gauss rule; frames by central differences of the map
@@ -238,7 +229,6 @@ def _quadrature_samples(grid: ParametricGrid, quad: QuadratureConfig):
     def mapping(s: np.ndarray) -> np.ndarray:
         return _call_batched(grid.mapping, s, grid.n, "surface map")
 
-    params_blocks, h, weight = _sample_blocks(grid.domain, grid.resolution, quad.rule)
     return [(np.swapaxes(_central_differences(mapping, params, h), 1, 2), mapping(params), weight)
             for params in params_blocks]
 
@@ -253,18 +243,18 @@ def _check_cells(coords: np.ndarray, grid: ParametricGrid, L: HomogeneousLagrang
         raise OrientationError(f"graph chart violated at cell {grid.cell_index(int(np.argmax(off)))}")
 
 
-def _checked_samples(L: HomogeneousLagrangian, grid: ParametricGrid, quad: QuadratureConfig):
+def _checked_samples(L: HomogeneousLagrangian, grid: ParametricGrid, rule: str):
     """Yield (frames, minors, bases, weight-per-sample) blocks whose cells _check_cells passed for L."""
     if (grid.n, grid.p) != (L.n, L.p):
         raise ValueError("grid and Lagrangian dimensions do not match")
-    for frames, bases, weight in _quadrature_samples(grid, quad):
+    for frames, bases, weight in _quadrature_samples(grid, rule):
         coords = minors(frames)
         _check_cells(coords, grid, L)
         yield frames, coords, bases, weight
 
 
 def paired_actions(
-    L: HomogeneousLagrangian, grid: ParametricGrid, quad: QuadratureConfig = QuadratureConfig()
+    L: HomogeneousLagrangian, grid: ParametricGrid, rule: str = "midpoint"
 ) -> tuple[float, float]:
     """The Lagrangian and multisymplectic actions from one pass of frames, minors and cell checks.
 
@@ -276,21 +266,21 @@ def paired_actions(
     # before this block's weighted values exist
     blocks = [(weight * np.einsum("ij,ij->i", L.gradient_many(bases, coords), coords),
                weight * L.value_many(bases, coords))
-              for _, coords, bases, weight in _checked_samples(L, grid, quad)]
+              for _, coords, bases, weight in _checked_samples(L, grid, rule)]
     # the frames are gone by now, and one list of Python floats is alive at a time
     multisymplectic, lagrangian = (math.fsum(np.concatenate(side).tolist()) for side in zip(*blocks))
     return lagrangian, multisymplectic
 
 
 def lagrangian_action(
-    L: HomogeneousLagrangian, grid: ParametricGrid, quad: QuadratureConfig = QuadratureConfig()
+    L: HomogeneousLagrangian, grid: ParametricGrid, rule: str = "midpoint"
 ) -> float:
     """Integral of L on the tangent p-vectors against the parameter measure (see ``paired_actions``)."""
-    return paired_actions(L, grid, quad)[0]
+    return paired_actions(L, grid, rule)[0]
 
 
 def graph_action(
-    F: GraphDensity, surf: GraphSurface, quad: QuadratureConfig = QuadratureConfig()
+    F: GraphDensity, surf: GraphSurface, rule: str = "midpoint"
 ) -> float:
     """Quadrature of F(base, values, slopes) over the parameter rectangle.
 
@@ -299,7 +289,7 @@ def graph_action(
     """
     if (surf.n, surf.p) != (F.n, F.p):
         raise ValueError("surface and density dimensions do not match")
-    params_blocks, h, weight = _sample_blocks(surf.domain, surf.resolution, quad.rule)
+    params_blocks, h, weight = _sample_blocks(surf.domain, surf.resolution, rule)
     contributions = []
     for params in params_blocks:
         values = surf.graph_values(params)
@@ -309,10 +299,10 @@ def graph_action(
 
 
 def multisymplectic_action(
-    L: HomogeneousLagrangian, grid: ParametricGrid, quad: QuadratureConfig = QuadratureConfig()
+    L: HomogeneousLagrangian, grid: ParametricGrid, rule: str = "midpoint"
 ) -> float:
     """Integral of the tautological form over the gradient image of the tangent lift (see ``paired_actions``)."""
-    return paired_actions(L, grid, quad)[1]
+    return paired_actions(L, grid, rule)[1]
 
 
 @dataclass(frozen=True)

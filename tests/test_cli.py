@@ -112,6 +112,13 @@ class TestVerifyCommand:
         report = load_report(out)
         assert [c["name"] for c in report["checks"]] == ["euler-identity"]
 
+    def test_rank_samples_default_is_capped_at_samples(self, tmp_path):
+        payload = {key: value for key, value in AREA_VERIFY.items() if key != "rank_samples"}
+        cfg = write_config(tmp_path, {**payload, "samples": 5, "checks": ["hessian-rank-split"]})
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [c["name"] for c in load_report(out)["checks"]] == ["hessian-rank-split"]
+
     def test_determinism_modulo_timing(self, tmp_path):
         cfg = write_config(tmp_path, AREA_VERIFY)
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -350,6 +357,16 @@ class TestErrorHandling:
                                                "params": {"terms": []}}}, "surface.params.terms"),
         # a repeated resolution would repeat the work and rate an order from no error at all
         ("action", {**FLAT_ACTION, "resolutions": [16, 16, 16]}, "resolutions"),
+        # a verify run that would check nothing, or drop a listed check, or cut the rank check short
+        ("verify", {**AREA_VERIFY, "checks": []}, "checks"),
+        ("verify", {**AREA_VERIFY, "checks": ["legendre-image-quadric"],
+                    "lagrangian": {"name": "graph_lift", "n": 3, "p": 2,
+                                   "params": {"density": {"name": "minimal_surface"}}}}, "checks"),
+        ("verify", {**AREA_VERIFY, "checks": ["euler-identity", "legendre-image-quadric"],
+                    "lagrangian": {"name": "projected_volume", "n": 3, "p": 2}}, "checks"),
+        ("verify", {**AREA_VERIFY, "checks": ["legendre-image-quadric"],
+                    "lagrangian": {"name": "geometric_mean", "n": 3, "p": 2}}, "checks"),
+        ("verify", {**AREA_VERIFY, "samples": 5, "rank_samples": 50}, "rank_samples"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts

@@ -20,7 +20,6 @@ from multisymp import (
     multi_indices,
     pair,
     plane_from_bivector,
-    wedge_product,
     wedge_vectors,
 )
 from multisymp.exterior import det, minors
@@ -256,10 +255,17 @@ class TestDecomposability:
 
     def test_nondecomposable_in_r4(self):
         u = KVector(4, 2, [1.0, 0.0, 0.0, 0.0, 0.0, 1.0])  # e12 + e34
-        # direct wedge oracle: u ^ u = 2 on the top basis element
-        square = wedge_product(u, u)
-        assert square.coords.tolist() == [2.0]
         assert not is_decomposable(u)
+
+    @pytest.mark.parametrize("axes, decomposable", [
+        (((1, 2), (3, 5)), False),  # e12 + e35: its one nonzero relation is on axes (1, 2, 3, 5)
+        (((1, 2), (1, 3)), True),  # e12 + e13 = e1 ^ (e2 + e3)
+    ])
+    def test_relations_off_the_first_four_axes_in_r5(self, axes, decomposable):
+        pos = {a: k for k, a in enumerate(multi_indices(5, 2))}
+        coords = np.zeros(10)
+        coords[[pos[a] for a in axes]] = 1.0
+        assert is_decomposable(KVector(5, 2, coords)) is decomposable
 
     def test_wedges_in_r4_are_decomposable(self, rng):
         for _ in range(50):

@@ -97,6 +97,24 @@ def test_compare_reports_reads_every_leaf(tmp_path, capsys, field, changed):
     assert f"job.report.json: /checks/c/{field}: {check[field]!r} != {changed!r}" in out
     assert "1 files compared, 1 differences" in out
 
+def test_report_trees_writes_every_output_with_its_expected_exit(tmp_path):
+    module = load_script("report_trees")
+    module.write_tree(tmp_path)
+    assert sum(path.is_file() for path in tmp_path.rglob("*")) == 994
+
+    def exit_code(path):
+        return int(path.read_text().splitlines()[0])
+
+    jobs = module.load("jobs", BENCH)
+    for workload in jobs.WORKLOADS:
+        for variant in range(jobs.VARIANTS):
+            for job in jobs.GENERATORS[workload](variant):
+                assert exit_code(tmp_path / workload / str(variant) / f"{job.name}.exit") == job.expect_exit, \
+                    (workload, variant, job.name)
+    for _, config, expected in load_script("run_all").RUNS:
+        assert exit_code(tmp_path / "bundled" / config.replace(".json", ".exit")) == expected, config
+
+
 def test_span_recorder_installs_on_this_package(tmp_path):
     # bench/spans.py looks up every __all__ entry and a few methods by name, so a
     # deleted or renamed hook must fail here and not only in a traced benchmark run

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from multisymp import (
     GraphSurface,
     ParametricGrid,
-    QuadratureConfig,
     area_lagrangian,
     constant_density,
     graph_action,
@@ -73,13 +72,13 @@ def from_map_reference(fn, domain, resolution, p, n):
                           mapping=pointwise(fn))
 
 
-def graph_action_reference(F, surf, quad):
+def graph_action_reference(F, surf, rule):
     """graph_action with 1 + 2p map calls per sample and the density on a batch of one."""
     p, codim = surf.p, surf.n - surf.p
     h = np.array([(hi - lo) / r for (lo, hi), r in zip(surf.domain, surf.resolution)])
     lows = np.array([lo for lo, _ in surf.domain])
     f = pointwise(surf.f)
-    if quad.rule == "midpoint":
+    if rule == "midpoint":
         offsets, weight = [np.full(p, 0.5)], float(np.prod(h))
     else:
         gauss = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -119,12 +118,12 @@ def cell_frames_reference(grid, cell=None):
     return frames, bases
 
 
-def per_side_actions_reference(L, grid, quad):
+def per_side_actions_reference(L, grid, rule):
     """The Lagrangian and multisymplectic actions as two passes, each summing its own contributions."""
     lagrangian, multisymplectic = [], []
-    for _, coords, bases, weight in _checked_samples(L, grid, quad):
+    for _, coords, bases, weight in _checked_samples(L, grid, rule):
         lagrangian.extend((weight * L.value_many(bases, coords)).tolist())
-    for _, coords, bases, weight in _checked_samples(L, grid, quad):
+    for _, coords, bases, weight in _checked_samples(L, grid, rule):
         vals = np.einsum("ij,ij->i", L.gradient_many(bases, coords), coords)
         multisymplectic.extend((weight * vals).tolist())
     return math.fsum(lagrangian), math.fsum(multisymplectic)
@@ -153,7 +152,6 @@ def test_batched_paths_match_pointwise_references(n, p, name, rule):
     res = 6 if p == 2 else 3
     domain = tuple((0.1 * k, 1.0 + 0.2 * k) for k in range(p))
     surf = GraphSurface(f=fn, domain=domain, resolution=res, p=p, n=n)
-    quad = QuadratureConfig(rule)
 
     grid = surf.to_grid()
     ref_grid = from_map_reference(surf.map, domain, res, p, n)
@@ -161,15 +159,15 @@ def test_batched_paths_match_pointwise_references(n, p, name, rule):
     assert np.max(np.abs(grid.values - ref_grid.values)) <= REL * scale
 
     for L in (area_lagrangian(n, p), graph_lift(minimal_surface_density(n, p))):
-        assert close(lagrangian_action(L, grid, quad), lagrangian_action(L, ref_grid, quad))
-        assert close(multisymplectic_action(L, grid, quad), multisymplectic_action(L, ref_grid, quad))
+        assert close(lagrangian_action(L, grid, rule), lagrangian_action(L, ref_grid, rule))
+        assert close(multisymplectic_action(L, grid, rule), multisymplectic_action(L, ref_grid, rule))
         # one pass serves both sums, bit for bit those of the wrappers and of two separate passes
-        pair = tuple(v.hex() for v in paired_actions(L, grid, quad))
-        assert pair == (lagrangian_action(L, grid, quad).hex(), multisymplectic_action(L, grid, quad).hex())
-        assert pair == tuple(v.hex() for v in per_side_actions_reference(L, grid, quad))
+        pair = tuple(v.hex() for v in paired_actions(L, grid, rule))
+        assert pair == (lagrangian_action(L, grid, rule).hex(), multisymplectic_action(L, grid, rule).hex())
+        assert pair == tuple(v.hex() for v in per_side_actions_reference(L, grid, rule))
     for density in DENSITIES:
         F = density(n, p)
-        assert close(graph_action(F, surf, quad), graph_action_reference(F, surf, quad))
+        assert close(graph_action(F, surf, rule), graph_action_reference(F, surf, rule))
 
 
 def frame_grids(n, p, res):
@@ -209,9 +207,9 @@ def test_cell_frames_match_corner_loop_bit_for_bit(n, p, res):
 def test_action_command_makes_one_cell_pass_per_resolution(rule, monkeypatch):
     calls = []
 
-    def counting(L, grid, quad):
+    def counting(L, grid, rule):
         calls.append(grid.resolution)
-        return _checked_samples(L, grid, quad)
+        return _checked_samples(L, grid, rule)
 
     monkeypatch.setattr(surfaces, "_checked_samples", counting)
     config = {"lagrangian": {"name": "area", "n": 3, "p": 2}, "density": {"name": "minimal_surface"},
@@ -225,7 +223,7 @@ def test_action_command_makes_one_cell_pass_per_resolution(rule, monkeypatch):
                            p=2, n=3)
     for row in report["actions"]:
         grid = replace(surface, resolution=row["resolution"]).to_grid()
-        lagrangian, multisymplectic = per_side_actions_reference(L, grid, QuadratureConfig(rule))
+        lagrangian, multisymplectic = per_side_actions_reference(L, grid, rule)
         assert (row["lagrangian"].hex(), row["multisymplectic"].hex()) == (lagrangian.hex(), multisymplectic.hex())
 
 
@@ -269,4 +267,4 @@ class TestPointwiseMapsRejected:
         bad = ParametricGrid(p=2, n=3, domain=good.domain, resolution=good.resolution, values=good.values,
                              mapping=lambda s: s)
         with pytest.raises(ValueError, match="surface map"):
-            lagrangian_action(area_lagrangian(3, 2), bad, QuadratureConfig("gauss2"))
+            lagrangian_action(area_lagrangian(3, 2), bad, "gauss2")

@@ -11,7 +11,6 @@ from multisymp import (
     GraphSurface,
     OrientationError,
     ParametricGrid,
-    QuadratureConfig,
     TotalSpaceChart,
     area_lagrangian,
     convergence_rows,
@@ -157,7 +156,7 @@ def theta_cell_values(L, grid):
     the reference the batched action path is checked against.
     """
     chart = TotalSpaceChart(grid.n, grid.p)
-    ((frames, coords, bases, _),) = _checked_samples(L, grid, QuadratureConfig())
+    ((frames, coords, bases, _),) = _checked_samples(L, grid, "midpoint")
     points = chart.point(bases, L.gradient_many(bases, coords))
     lifted = np.swapaxes(chart.lift(np.swapaxes(frames, 1, 2)), 1, 2)
     return theta(chart).evaluator(points, lifted)
@@ -302,7 +301,7 @@ class TestConvergenceStudy:
 
 class TestQuadrature:
     def test_gauss2_close_to_oracle(self, area3):
-        action = lagrangian_action(area3, bilinear_surface(16).to_grid(), QuadratureConfig("gauss2"))
+        action = lagrangian_action(area3, bilinear_surface(16).to_grid(), "gauss2")
         assert abs(action - BILINEAR_AREA_ORACLE) <= 5e-7
 
     def test_gauss2_needs_callable(self, area3):
@@ -310,17 +309,20 @@ class TestQuadrature:
         data_only = ParametricGrid(p=2, n=3, domain=grid.domain, resolution=grid.resolution,
                                    values=grid.values)
         with pytest.raises(ValueError):
-            lagrangian_action(area3, data_only, QuadratureConfig("gauss2"))
+            lagrangian_action(area3, data_only, "gauss2")
 
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig("simpson")
+    def test_unknown_rule(self, area3):
+        surf = bilinear_surface(4)
+        with pytest.raises(ValueError, match="unknown quadrature rule 'simpson'"):
+            lagrangian_action(area3, surf.to_grid(), "simpson")
+        with pytest.raises(ValueError, match="unknown quadrature rule 'simpson'"):
+            graph_action(minimal_surface_density(3, 2), surf, "simpson")
 
     def test_weights_sum_to_cell_volume(self):
         # tensor-Gauss weights per cell add up to the cell volume
         surf = bilinear_surface(4)
         from multisymp.surfaces import _quadrature_samples
-        blocks = _quadrature_samples(surf.to_grid(), QuadratureConfig("gauss2"))
+        blocks = _quadrature_samples(surf.to_grid(), "gauss2")
         total = sum(w for _, _, w in blocks)
         assert total * surf.to_grid().num_cells == pytest.approx(1.0)
 
