@@ -107,6 +107,12 @@ def _base_point(config: dict, n: int) -> np.ndarray:
     return _finite(config.get("x", [0.0] * n), "x", (n,))
 
 
+def _section(obj: dict, key: str) -> Any:
+    """obj[key], or {} when it is missing or null; _check_keys rejects any other value that is no object."""
+    value = obj.get(key)
+    return {} if value is None else value
+
+
 def _merge_tolerances(defaults: dict[str, float], overrides: Any) -> dict[str, float]:
     merged = dict(defaults)
     if overrides is None:
@@ -119,7 +125,7 @@ def _merge_tolerances(defaults: dict[str, float], overrides: Any) -> dict[str, f
 
 def _certificate(config: dict, keys: set[str], seed: int, tol: float) -> dict:
     """The convexity_certificate arguments under config["certificate"], where only the given keys may be set."""
-    spec = config.get("certificate") or {}
+    spec = _section(config, "certificate")
     _check_keys(spec, keys, set(), "certificate")
     return {
         "num_pairs": _count(spec.get("num_pairs", 100), "certificate.num_pairs", 1),
@@ -140,7 +146,7 @@ DENSITIES = {
 def build_density(spec: Any, n: int, p: int, where: str = "density") -> GraphDensity:
     _check_keys(spec, {"name", "params"}, {"name"}, where)
     make, defaults = DENSITIES[_choice(spec["name"], DENSITIES, f"{where}.name")]
-    params = spec.get("params") or {}
+    params = _section(spec, "params")
     _check_keys(params, set(defaults), set(), f"{where}.params")
     return make(n, p, **{k: _number(params.get(k, v), f"{where}.params.{k}") for k, v in defaults.items()})
 
@@ -169,7 +175,7 @@ def build_lagrangian(spec: Any) -> HomogeneousLagrangian:
     n, p = _count(spec["n"], "lagrangian.n", 1), _count(spec["p"], "lagrangian.p", 1)
     if p >= n:
         raise ConfigError(f"lagrangian.p must be below lagrangian.n = {n}, got {p}")
-    params = spec.get("params") or {}
+    params = _section(spec, "params")
     _check_keys(params, keys, keys, "lagrangian.params")
     return make(n, p, params)
 
@@ -182,7 +188,7 @@ def _graph_map(spec: dict, n: int, p: int) -> Callable[[np.ndarray], np.ndarray]
     """The configured graph map, each parameter checked under its key; the map takes parameter
     points of shape (N, p) to graph values of shape (N, n-p), and one point (p,) to (n-p,)."""
     name = _choice(spec["f"], GRAPH_PARAMS, "surface.f")
-    params, codim = spec.get("params") or {}, n - p
+    params, codim = _section(spec, "params"), n - p
     _check_keys(params, GRAPH_PARAMS[name], GRAPH_PARAMS[name] - {"scale"}, "surface.params")
     if name == "flat":
         return lambda s: np.zeros(np.shape(s)[:-1] + (codim,))
@@ -510,7 +516,9 @@ def _read_config(path: str) -> dict:
     return config
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="multisymp",
         description="verification suites, action integrals and Legendre-image sampling",
@@ -524,8 +532,12 @@ def main(argv: list[str] | None = None) -> int:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--out", required=True, help="path of the JSON report")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

@@ -184,8 +184,8 @@ class ConvexityCertificate:
     num_failures: int = 0
 
 
-# Target rows solved together: bounds the working set of the batched radial solve.
-RADIAL_BLOCK = 256
+# Target entries (rows times C(n,p)) solved together: bounds the working set of the batched radial solve.
+RADIAL_BLOCK = 2560
 # Line-search steps after the full one: 2^-1 .. 2^-39, every step above 1e-12.
 HALVINGS = np.ldexp(1.0, -np.arange(1, 40))
 # Newton iterations without |F|^2 halving after which a radial solve gives up as stalled.
@@ -342,8 +342,9 @@ def convexity_certificate(
     segment point onto the image surface along its ray, ``_confirmed``
     checks the preimage of the rescaled point, and the radial excess is
     recorded; a nondegenerate Lagrangian keeps every excess at numerical
-    zero or below.  All segment points are solved together, RADIAL_BLOCK
-    rows at a time.
+    zero or below.  All segment points are solved together, in blocks of
+    RADIAL_BLOCK // C(n,p) rows, so that a block holds RADIAL_BLOCK entries
+    at most at every fiber dimension.
     """
     x = np.asarray(x, dtype=float)
     grads = image_coordinates(L, x, 2 * num_pairs, seed)[1]
@@ -352,8 +353,9 @@ def convexity_certificate(
     targets = targets[np.linalg.norm(targets, axis=-1) >= 1e-12]  # the origin is interior
     worst = -np.inf
     failures = 0
-    for start in range(0, len(targets), RADIAL_BLOCK):
-        block = targets[start:start + RADIAL_BLOCK]
+    rows = max(1, RADIAL_BLOCK // L.fiber_dim)
+    for start in range(0, len(targets), rows):
+        block = targets[start:start + rows]
         radius, solution = _radial_solve(L, x, block)
         solved = np.flatnonzero(np.isfinite(radius))
         confirmed = solved[_confirmed(L, x, block[solved], radius[solved], solution[solved])]

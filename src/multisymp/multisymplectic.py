@@ -9,6 +9,8 @@ base differentials; its exterior derivative is the constant-coefficient
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,8 +160,30 @@ def weighted_x_form(chart: TotalSpaceChart, weight_label: str, axes: Sequence[in
                      evaluator=evaluate, name=f"{weight_label}*{inner.name}")
 
 
-# Argument tuples per evaluator call in nondegeneracy_check: bounds its working set.
-TUPLE_BLOCK = 8
+# Basis subsets per evaluator call in nondegeneracy_check: bounds its working set.
+SUBSET_BLOCK = 128
+
+
+@functools.cache
+def _contraction_layout(dim: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The increasing basis k-subsets; per contraction entry (t, col), the subset it reads and its sign.
+
+    Moving basis vector col past the j members of the (k-1)-tuple t below it
+    sorts the arguments, so the entry is (-1)^j times the value on t + {col}.
+    When col is in t the entry reads index C(dim, k), a slot that holds 0.
+    """
+    subsets = list(itertools.combinations(range(dim), k))
+    position = {subset: i for i, subset in enumerate(subsets)}
+    tuples = list(itertools.combinations(range(dim), k - 1))
+    source, sign = np.full((len(tuples), dim), len(subsets)), np.ones((len(tuples), dim))
+    for row, t in enumerate(tuples):
+        for col in (c for c in range(dim) if c not in t):
+            j = bisect.bisect(t, col)
+            source[row, col], sign[row, col] = position[t[:j] + (col,) + t[j:]], (-1.0) ** j
+    layout = (np.array(subsets, dtype=int).reshape(-1, k), source, sign)
+    for array in layout:  # shared by every call through the cache
+        array.flags.writeable = False
+    return layout
 
 
 def nondegeneracy_check(form: FormField, point: np.ndarray) -> tuple[bool, int]:
@@ -168,23 +192,20 @@ def nondegeneracy_check(form: FormField, point: np.ndarray) -> tuple[bool, int]:
     The map sends a tangent vector to the values of its contraction into the
     form on every increasing (k-1)-tuple of coordinate basis vectors; the
     form is nondegenerate at the point exactly when the map has full rank.
-    The matrix is filled TUPLE_BLOCK tuples at a time, one evaluator call
-    per block, with every basis vector of the chart in the first slot.
+    The form is alternating, so it is evaluated once on each increasing
+    basis k-subset, SUBSET_BLOCK subsets per evaluator call, and the matrix
+    is gathered from those values with the signs of _contraction_layout.
     """
     point = np.asarray(point, dtype=float)
     dim, k = form.dim, form.degree
+    subsets, source, sign = _contraction_layout(dim, k)
     basis = np.eye(dim)
-    tuples = itertools.combinations(range(dim), k - 1)
-    matrix = np.empty((math.comb(dim, k - 1), dim))
-    for start in range(0, len(matrix), TUPLE_BLOCK):
-        block = np.array(list(itertools.islice(tuples, TUPLE_BLOCK)), dtype=int).reshape(-1, k - 1)
-        # arguments[t, col]: basis[col], then the basis vectors of tuple t, as columns
-        arguments = np.empty((len(block), dim, dim, k))
-        arguments[..., 0] = basis
-        arguments[..., 1:] = np.swapaxes(basis[block], 1, 2)[:, None]
-        values = form.evaluator(np.broadcast_to(point, (len(block) * dim, dim)),
-                                arguments.reshape(-1, dim, k))
-        matrix[start:start + len(block)] = values.reshape(len(block), dim)
+    values = np.zeros(len(subsets) + 1)  # the last slot is the 0 of a repeated argument
+    for start in range(0, len(subsets), SUBSET_BLOCK):
+        block = subsets[start:start + SUBSET_BLOCK]
+        values[start:start + len(block)] = form.evaluator(np.broadcast_to(point, (len(block), dim)),
+                                                          np.swapaxes(basis[block], 1, 2))
+    matrix = sign * values[source]
     rank = int(np.linalg.matrix_rank(matrix, tol=1e-10 * max(1.0, float(np.abs(matrix).max()))))
     return rank == dim, rank
 

@@ -285,6 +285,38 @@ class TestErrorHandling:
             assert code in (0, 1) and set(failed) <= {"legendre-image-convexity"}
             assert code == (1 if failed else 0)
 
+    def test_null_objects_read_as_their_defaults(self, tmp_path):
+        lagrangian = {"name": "graph_lift", "n": 3, "p": 2, "params": {"density": {"name": "constant"}}}
+        bare = {**AREA_VERIFY, "lagrangian": lagrangian}
+        nulls = {**bare, "certificate": None, "tolerances": None,
+                 "lagrangian": {**lagrangian, "params": {"density": {"name": "constant", "params": None}}}}
+        reports = []
+        for name, payload in (("bare", bare), ("nulls", nulls)):
+            out = tmp_path / f"{name}.json"
+            assert main(["verify", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+            reports.append(strip_timings(load_report(out))["checks"])
+        assert reports[0] == reports[1]
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        # errors, help and a run in one process, each parsed as by a fresh parser
+        from multisymp import cli
+
+        cfg = write_config(tmp_path, {**AREA_VERIFY, "checks": ["euler-identity"]})
+        out = tmp_path / "report.json"
+        assert main([]) == 2
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert main(["--help"]) == 0
+        assert not out.exists()
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [c["name"] for c in load_report(out)["checks"]] == ["euler-identity"]
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "required: command" in captured.err
+        assert "required: --out" in captured.err
+        assert "invalid choice: 'simulate'" in captured.err
+        assert "usage: multisymp" in captured.out
+        assert cli._parser.cache_info().currsize == 1
+
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "r.json")]) == 3
@@ -367,6 +399,21 @@ class TestErrorHandling:
         ("verify", {**AREA_VERIFY, "checks": ["legendre-image-quadric"],
                     "lagrangian": {"name": "geometric_mean", "n": 3, "p": 2}}, "checks"),
         ("verify", {**AREA_VERIFY, "samples": 5, "rank_samples": 50}, "rank_samples"),
+        # a falsy value that is no object is not read as {}: only a missing or null one means the defaults
+        ("image", {**AREA_IMAGE, "certificate": False}, "certificate"),
+        ("image", {**AREA_IMAGE, "certificate": ""}, "certificate"),
+        ("verify", {**AREA_VERIFY, "certificate": []}, "certificate"),
+        ("verify", {**AREA_VERIFY, "certificate": 0}, "certificate"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "area", "n": 3, "p": 2, "params": False}},
+         "lagrangian.params"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "area", "n": 3, "p": 2, "params": []}}, "lagrangian.params"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "graph_lift", "n": 3, "p": 2, "params": {
+            "density": {"name": "constant", "params": []}}}}, "lagrangian.params.density.params"),
+        ("action", {**FLAT_ACTION, "density": {"name": "constant", "params": False}}, "density.params"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "flat", "domain": [[0, 1], [0, 1]], "params": []}},
+         "surface.params"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "bilinear", "domain": [[0, 1], [0, 1]], "params": 0}},
+         "surface.params"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts

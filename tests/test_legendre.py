@@ -37,7 +37,7 @@ from multisymp import (
     write_image_csv,
 )
 from multisymp.cli import build_lagrangian, main
-from multisymp.legendre import STALL_WINDOW, _level_gradient, _level_rows, _solve_stack, image_coordinates
+from multisymp.legendre import STALL_WINDOW, _level_gradient, _level_rows, _radial_solve, _solve_stack, image_coordinates
 
 from helpers import cyclic
 
@@ -539,6 +539,31 @@ class TestConvexityCertificate:
         whole = convexity_certificate(L, x3, num_pairs=30, t_steps=5, seed=4)
         monkeypatch.setattr(legendre, "RADIAL_BLOCK", 7)
         assert convexity_certificate(L, x3, num_pairs=30, t_steps=5, seed=4) == whole
+        monkeypatch.undo()
+        # wider fibers: 7 rows of C(n,p) entries per block
+        for L in (ellipsoid_lagrangian(4, 2, np.linspace(0.5, 3.0, 6)), area_lagrangian(5, 3)):
+            x = np.zeros(L.n)
+            whole = convexity_certificate(L, x, num_pairs=30, t_steps=5, seed=4)
+            monkeypatch.setattr(legendre, "RADIAL_BLOCK", 7 * L.fiber_dim)
+            assert convexity_certificate(L, x, num_pairs=30, t_steps=5, seed=4) == whole
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("n, p, num_pairs, blocks", [(3, 2, 300, 2), (5, 3, 200, 4)])
+    def test_block_rows_scale_with_fiber_dimension(self, n, p, num_pairs, blocks, monkeypatch):
+        # RADIAL_BLOCK // C(n,p) rows per block: 853 at (3,2), 256 at (5,3), for 5 points per pair
+        import multisymp.legendre as legendre
+
+        sizes = []
+
+        def counting(L, x, targets):
+            sizes.append(len(targets))
+            return _radial_solve(L, x, targets)
+
+        monkeypatch.setattr(legendre, "_radial_solve", counting)
+        cert = convexity_certificate(area_lagrangian(n, p), np.zeros(n), num_pairs=num_pairs, t_steps=5, seed=2)
+        assert len(sizes) == blocks
+        assert sum(sizes) == cert.num_segment_checks == 5 * num_pairs
+        assert max(sizes) == legendre.RADIAL_BLOCK // math.comb(n, p)
 
 
 class TestSolveStack:

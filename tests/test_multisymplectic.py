@@ -1,6 +1,7 @@
 """Tautological form, its differential, nondegeneracy, closedness, pullback."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from multisymp import multisymplectic
 from multisymp import (
+    FormField,
     KCovector,
     KVector,
     TotalSpaceChart,
@@ -264,7 +266,9 @@ class TestBatchedForms:
         point = rng.standard_normal(chart.dim_total)
         for form in (omega(chart), constant_x_form(chart, range(1, p + 2))):
             default = nondegeneracy_check(form, point)
-            monkeypatch.setattr(multisymplectic, "TUPLE_BLOCK", 1)
+            monkeypatch.setattr(multisymplectic, "SUBSET_BLOCK", 1)
+            assert nondegeneracy_check(form, point) == default
+            monkeypatch.setattr(multisymplectic, "SUBSET_BLOCK", math.comb(chart.dim_total, form.degree) + 1)
             assert nondegeneracy_check(form, point) == default
             monkeypatch.undo()
 
@@ -287,6 +291,35 @@ class TestBatchedForms:
         monkeypatch.setattr(np.linalg, "matrix_rank", capture)
         assert nondegeneracy_check(form, point) == (True, chart.dim_total)
         assert np.array_equal(captured[0], expected)
+        # forms that read the point, and a 1-form, whose only tuple is the empty one, at (4,2)
+        chart = TotalSpaceChart(4, 2)
+        point = rng.standard_normal(chart.dim_total)
+        basis = np.eye(chart.dim_total)
+        for form in (theta(chart), weighted_x_form(chart, "p13", (1, 2)), constant_x_form(chart, (3,))):
+            captured.clear()
+            tuples = itertools.combinations(range(chart.dim_total), form.degree - 1)
+            expected = np.array([[form(point, [basis[col], *basis[list(rest)]]) for col in range(chart.dim_total)]
+                                 for rest in tuples])
+            nondegeneracy_check(form, point)
+            assert captured[0].shape == (math.comb(chart.dim_total, form.degree - 1), chart.dim_total)
+            assert np.array_equal(captured[0], expected)
+
+    def test_omega_is_evaluated_once_per_basis_subset(self, rng):
+        # (5,3): C(15, 4) = 1,365 subsets, not 455 tuples times 15 columns, in blocks of SUBSET_BLOCK
+        chart = TotalSpaceChart(5, 3)
+        inner = omega(chart)
+        rows = []
+
+        def counting(points, vectors):
+            rows.append(len(vectors))
+            return inner.evaluator(points, vectors)
+
+        form = FormField(degree=inner.degree, dim=inner.dim, evaluator=counting, name="omega")
+        point = rng.standard_normal(chart.dim_total)
+        assert nondegeneracy_check(form, point) == nondegeneracy_check(inner, point) == (True, 15)
+        assert sum(rows) == math.comb(15, 4) == 1365
+        assert max(rows) <= multisymplectic.SUBSET_BLOCK
+        assert len(rows) == math.ceil(1365 / multisymplectic.SUBSET_BLOCK)
 
     @pytest.mark.parametrize("n, p", [(3, 2), (5, 3)])
     def test_closedness_batch_equals_single_points(self, n, p, rng):
