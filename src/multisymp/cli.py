@@ -240,7 +240,7 @@ def _sample_fibers(L: HomogeneousLagrangian, count: int, rng: np.random.Generato
     """Seeded decomposable fiber samples in the Lagrangian's chart and above its sampling floor, one row each.
 
     A sample is the wedge of p standard-normal vectors of norm at least 1e-9;
-    with a chart, its top coordinate is at least 0.25 of its norm and is
+    with a chart, its chart coordinate is at least 0.25 of its norm and is
     oriented positive.  Frames are drawn in blocks and a rejected draw is
     replaced by the next draws of the stream, so the rows are those of a
     random_decomposable loop.  Raises RuntimeError once more than
@@ -253,8 +253,9 @@ def _sample_fibers(L: HomogeneousLagrangian, count: int, rng: np.random.Generato
         norms = np.sqrt(np.vecdot(rows, rows))  # KVector.norm, row by row
         keep = norms >= 1e-9
         if L.chart is not None:
-            keep &= np.abs(rows[:, 0]) >= 0.25 * norms
-            rows = np.where(rows[:, :1] > 0, rows, -rows)
+            coord = rows[:, L.chart]
+            keep &= np.abs(coord) >= 0.25 * norms
+            rows = np.where(coord[:, None] > 0, rows, -rows)
         keep &= np.min(np.abs(rows), axis=-1) >= L.sampling_floor * norms
         accepted.append(rows[keep])
         rejected += need - int(keep.sum())

@@ -15,7 +15,7 @@ class ZeroSectionError(ValueError):
 
 
 class OrientationError(ValueError):
-    """Raised when a p-vector lies outside the graph chart (top coordinate not positive)."""
+    """Raised when a p-vector lies outside the chart of a Lagrangian (its chart coordinate not positive)."""
 
 
 class UnsupportedDegreeError(ValueError):

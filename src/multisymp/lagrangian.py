@@ -3,10 +3,9 @@
 A Lagrangian here is a scalar function L(x, y) of a base point x in R^n and a
 nonzero p-vector y, positively homogeneous of degree 1 in y.  The module
 provides the built-in families used throughout (Euclidean norm, weighted
-norm, lifts of graph densities, plus two degenerate probes), gradient and
-Hessian access with finite-difference fallbacks (the gradient dL/dy is
-the induced fiberwise p-covector), and residual checks for the homogeneity
-identities.
+norm, lifts of graph densities, plus two degenerate probes), access to their
+exact gradients and Hessians (the gradient dL/dy is the induced fiberwise
+p-covector), and residual checks for the homogeneity identities.
 """
 
 from __future__ import annotations
@@ -37,10 +36,6 @@ __all__ = [
     "is_nondegenerate",
 ]
 
-GRAD_STEP_SCALE = 1e-5
-HESS_STEP_SCALE = 1e-4
-
-
 @dataclass(frozen=True)
 class HomogeneousLagrangian:
     """Evaluatable L(x, y) with gradient and Hessian access.
@@ -51,13 +46,13 @@ class HomogeneousLagrangian:
     Each row must depend on its own inputs only.  The ``*_many`` methods
     call them on raw arrays; ``value``, ``gradient`` and ``hessian`` take a
     KVector fiber and run a batch of one.  Both reject the zero section and
-    rows off ``chart``.  Analytic derivative callables are optional; central
-    finite differences fill in.
+    rows off ``chart``.  The gradient and Hessian callables are required and
+    exact, as a GraphDensity's slope derivatives are.
 
     The built-in constructors also declare what the Lagrangian can do:
-    ``chart`` maps fiber rows (N, C(n,p)) to whether each lies in the cone
-    where L is defined (a lift's positive-top graph chart), None for
-    everywhere; ``image_quadric`` is (Q, tol) when the Legendre image lies on
+    ``chart`` is the index of the fiber coordinate that must be positive
+    where L is defined (a lift's top coordinate), None for everywhere;
+    ``image_quadric`` is (Q, tol) when the Legendre image lies on
     {Q = 1} for Q on gradient rows, with tol None for the configured
     tolerance; ``density`` is the graph density whose action L integrates on
     graphs; ``sampling_floor`` is the least |y_I| / |y| of a sampled fiber.
@@ -67,9 +62,9 @@ class HomogeneousLagrangian:
     p: int
     name: str
     value_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    hess_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    chart: Callable[[np.ndarray], np.ndarray] | None = None
+    grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    hess_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    chart: int | None = None
     image_quadric: tuple[Callable[[np.ndarray], np.ndarray], float | None] | None = None
     density: GraphDensity | None = None
     sampling_floor: float = 0.0
@@ -91,7 +86,7 @@ class HomogeneousLagrangian:
 
     def _on_chart(self, cs: np.ndarray) -> np.ndarray:
         """Whether each fiber row lies in the chart; all rows without one."""
-        return np.ones(len(cs), dtype=bool) if self.chart is None else self.chart(cs)
+        return np.ones(len(cs), dtype=bool) if self.chart is None else cs[:, self.chart] > 0.0
 
     def value(self, x: np.ndarray, y: KVector) -> float:
         return float(self._values(*fiber_rows(self, x, y))[0])
@@ -118,37 +113,15 @@ class HomogeneousLagrangian:
         return np.asarray(self.value_fn(xs, cs), dtype=float)
 
     def _gradients(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        if self.grad_fn is not None:
-            return np.asarray(self.grad_fn(xs, cs), dtype=float)
-        return self._central_differences(self._values, xs, cs, GRAD_STEP_SCALE)
+        return np.asarray(self.grad_fn(xs, cs), dtype=float)
 
     def _hessians(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        if self.hess_fn is not None:
-            return np.asarray(self.hess_fn(xs, cs), dtype=float)
-        H = self._central_differences(self._gradients, xs, cs, HESS_STEP_SCALE)
-        return 0.5 * (H + np.swapaxes(H, -1, -2))
+        return np.asarray(self.hess_fn(xs, cs), dtype=float)
 
     def _square_hessians(self, xs: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hess(L^2) = 2 (g g^T + L H) and Hess L per row, exact given exact g and H."""
         g, H = self._gradients(xs, cs), self._hessians(xs, cs)
         return 2.0 * (g[:, :, None] * g[:, None, :] + self._values(xs, cs)[:, None, None] * H), H
-
-    @staticmethod
-    def _central_differences(fn, xs: np.ndarray, cs: np.ndarray, scale: float) -> np.ndarray:
-        """Central differences of a batched fn along each fiber coordinate, stacked last.
-
-        The step of each row is scale * |c_row|; one pair of fn calls per coordinate.
-        """
-        h = scale * np.linalg.norm(cs, axis=-1)
-        columns = []
-        for k in range(cs.shape[-1]):
-            plus = cs.copy()
-            plus[:, k] += h
-            minus = cs.copy()
-            minus[:, k] -= h
-            diff = fn(xs, plus) - fn(xs, minus)
-            columns.append(diff / (2.0 * h).reshape((-1,) + (1,) * (diff.ndim - 1)))
-        return np.stack(columns, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -385,7 +358,7 @@ def graph_lift(F: GraphDensity) -> HomogeneousLagrangian:
         return np.sum(M[:, :, :, None] * D2M[:, :, None, :], axis=1) / tops[:, None, None]
 
     return HomogeneousLagrangian(n, p, f"graph_lift({F.name})", value, grad, hess,
-                                 chart=lambda cs: cs[:, top] > 0.0, density=F)
+                                 chart=top, density=F)
 
 
 def fiber_rows(L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -641,6 +641,13 @@ class TestSampleFibers:
         assert rows.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
+    def test_chart_on_a_later_coordinate(self):
+        # the margin and the orientation read the chart's coordinate, here 3, not coordinate 0
+        L = replace(area_lagrangian(4, 2), chart=3)
+        rows = _sample_fibers(L, 200, np.random.default_rng(0))
+        assert np.all(rows[:, 3] >= 0.25 * np.linalg.norm(rows, axis=-1))
+        assert L._on_chart(rows).all()
+
     @pytest.mark.time_limit(10)
     def test_floor_rejecting_every_draw_raises(self):
         # no fiber has every |y_I| at |y|, so the sampler gives up instead of looping

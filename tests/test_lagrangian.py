@@ -1,6 +1,7 @@
 """Homogeneous Lagrangians: built-ins, residual checks, fiber gradients."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,11 +31,12 @@ from multisymp import (
     wedge_vectors,
 )
 
-from helpers import cyclic
+from helpers import conformal_area, cyclic
+from oracles import assert_rows_close, density_oracle, lagrangian_oracle
 
 
 def fd_gradient(L, x, y, h_scale=1e-5):
-    """Independent central-difference oracle, bypassing the Lagrangian's own fallback."""
+    """Independent central-difference reference on the Lagrangian's values."""
     c = y.coords.copy()
     h = h_scale * np.linalg.norm(c)
     g = np.empty_like(c)
@@ -73,8 +75,7 @@ class TestAreaLagrangian:
 
     def test_hessian_matches_fd(self, x3, area3, rng):
         y = KVector(3, 2, rng.standard_normal(3))
-        fd = HomogeneousLagrangian(3, 2, "fd-area", area3.value_fn)
-        assert np.allclose(area3.hessian(x3, y), fd.hessian(x3, y), atol=1e-6)
+        assert_rows_close(area3.hessian(x3, y)[None], lagrangian_oracle("area", 3, 2)(x3[None], y.coords[None])[2])
 
     def test_zero_section_rejected(self, x3, area3):
         with pytest.raises(ZeroSectionError):
@@ -156,35 +157,11 @@ class TestGraphLift:
             minimal_lift3.value(x3, cyclic(0.0, 1.0, 0.0))
 
 
-def central_differences(L, xs, cs, h_grad=1e-5, h_hess=1e-4):
-    """Gradient and Hessian of value_fn by central differences, per-row steps h * |c|."""
-    dim = cs.shape[1]
-    eye = np.eye(dim)
-    norm = np.linalg.norm(cs, axis=-1)[:, None]
-
-    def at(step):
-        return L.value_fn(xs, cs + step)
-
-    h = h_grad * norm
-    grad = np.stack([(at(h * eye[k]) - at(-h * eye[k])) / (2 * h[:, 0]) for k in range(dim)], axis=-1)
-    h = h_hess * norm
-    hess = np.empty(cs.shape + (dim,))
-    for i in range(dim):
-        for j in range(dim):
-            hess[:, i, j] = (at(h * (eye[i] + eye[j])) - at(h * (eye[i] - eye[j]))
-                             - at(h * (eye[j] - eye[i])) + at(-h * (eye[i] + eye[j]))) / (4 * h[:, 0] ** 2)
-    return grad, hess
-
-
 class TestGraphLiftDerivatives:
-    """The exact lift gradient and Hessian against central differences of value_fn.
+    """The exact lift value, gradient and Hessian against the sympy oracle of y_top F(q(y)).
 
     Rows have a top coordinate in [0.5, 2] and the others in [-2, 2], so the
-    slopes stay within 4.  With steps 1e-5 |c| (gradient) and 1e-4 |c|
-    (Hessian, second differences of values), truncation and rounding keep the
-    differences below 1e-5 max(1, |g|) for the gradient and below
-    1e-4 max(1, |c| |H|) for |c| times the Hessian, which is degree -1; the
-    worst seen over 1200 rows per case was 30 times smaller.
+    slopes stay within 4.
     """
 
     @settings(max_examples=20, deadline=None)
@@ -197,12 +174,16 @@ class TestGraphLiftDerivatives:
         cs = rng.uniform(-2.0, 2.0, (4, math.comb(n, p)))
         cs[:, 0] = rng.uniform(0.5, 2.0, 4)  # coordinate 0 is the top of the graph chart
         xs = rng.standard_normal((4, n))
-        grad, hess = central_differences(L, xs, cs)
-        exact_grad = L.gradient_many(xs, cs)
-        assert np.max(np.abs(exact_grad - grad)) <= 1e-5 * max(1.0, np.max(np.abs(exact_grad)))
-        norm = np.linalg.norm(cs, axis=-1)[:, None, None]
-        exact_hess = L.hessian_many(xs, cs) * norm
-        assert np.max(np.abs(exact_hess - hess * norm)) <= 1e-4 * max(1.0, np.max(np.abs(exact_hess)))
+        value, grad, hess = lagrangian_oracle(L.name, n, p)(xs, cs)
+        assert_rows_close(L.value_many(xs, cs), value)
+        assert_rows_close(L.gradient_many(xs, cs), grad)
+        assert_rows_close(L.hessian_many(xs, cs), hess)
+
+
+def norm_squared_probe():
+    """|y|^2 with its exact gradient 2c and Hessian 2I: homogeneous of degree 2, not 1."""
+    return HomogeneousLagrangian(3, 2, "norm-squared", lambda xs, cs: np.sum(cs * cs, axis=-1), lambda xs, cs: 2.0 * cs,
+                                 lambda xs, cs: np.broadcast_to(2.0 * np.eye(3), (len(cs), 3, 3)))
 
 
 class TestEulerResidual:
@@ -217,7 +198,7 @@ class TestEulerResidual:
             assert euler_residual(minimal_lift3, x3, y) <= 1e-9 * max(1.0, abs(L))
 
     def test_detector_fires_on_quadratic_probe(self, x3):
-        probe = HomogeneousLagrangian(3, 2, "norm-squared", lambda xs, cs: np.sum(cs * cs, axis=-1))
+        probe = norm_squared_probe()
         y = cyclic(1.0, 2.0, -1.5)
         # pairing of the gradient 2y with y gives 2|y|^2, so the residual is |y|^2
         assert euler_residual(probe, x3, y) == pytest.approx(y.norm() ** 2, rel=1e-8)
@@ -238,7 +219,7 @@ class TestHomogeneityResidual:
             assert homogeneity_residual(minimal_lift3, x3, y, (0.5, 2.0, 10.0)) <= 1e-12
 
     def test_detector_fires_on_quadratic_probe(self, x3):
-        probe = HomogeneousLagrangian(3, 2, "norm-squared", lambda xs, cs: np.sum(cs * cs, axis=-1))
+        probe = norm_squared_probe()
         y = cyclic(1.0, 2.0, -1.5)
         # |L(2y) - 2L(y)| / (2|y|) = |4-2| |y|^2 / (2|y|) = |y|
         assert homogeneity_residual(probe, x3, y, (2.0,)) == pytest.approx(y.norm(), rel=1e-12)
@@ -371,11 +352,11 @@ class TestBuiltinInvariants:
                 assert np.linalg.norm(H @ y.coords) <= bound
 
     def test_graph_lift_hessian_annihilates_fiber_direction(self, x3, minimal_lift3, rng):
-        # finite-difference Hessian of a finite-difference gradient: looser gate
+        # the lift's Hessian is exact, so it takes the 1e-8 gate of the other built-ins
         for _ in range(10):
             y = random_decomposable(rng, 3, 2, min_top_fraction=0.3)
             H = minimal_lift3.hessian(x3, y)
-            assert np.linalg.norm(H @ y.coords) <= 1e-5 * np.linalg.norm(H, 2) * y.norm()
+            assert np.linalg.norm(H @ y.coords) <= 1e-8 * np.linalg.norm(H, 2) * y.norm()
 
     def test_minimal_lift_equals_area_on_graph_tangents(self, x3, minimal_lift3, area3, rng):
         for _ in range(100):
@@ -431,12 +412,77 @@ class TestBatchedConvention:
         with pytest.raises(OrientationError, match="graph chart needs a positive top coordinate"):
             minimal_lift3.value(np.zeros(3), KVector(3, 2, cs[1]))
 
-    def test_fd_fallbacks_use_per_row_steps(self, ellipsoid3, rng):
-        # rows of very different scale: a shared step would spoil the small row
-        fd = HomogeneousLagrangian(3, 2, "fd-ellipsoid", ellipsoid3.value_fn)
-        cs = rng.standard_normal((4, 3)) * np.array([[1e-6], [1.0], [1e3], [1e6]])
-        xs = np.zeros((4, 3))
-        assert np.allclose(fd.gradient_many(xs, cs), ellipsoid3.gradient_many(xs, cs), rtol=1e-8, atol=0.0)
-        scale = np.linalg.norm(cs, axis=1)[:, None, None]
-        assert np.allclose(fd.hessian_many(xs, cs) * scale, ellipsoid3.hessian_many(xs, cs) * scale,
-                           rtol=0.0, atol=1e-5)
+    def test_derivative_callables_are_required(self, area3):
+        with pytest.raises(TypeError):
+            HomogeneousLagrangian(3, 2, "no derivatives", area3.value_fn)
+        with pytest.raises(TypeError):
+            HomogeneousLagrangian(3, 2, "no hessian", area3.value_fn, area3.grad_fn)
+
+    def test_chart_on_a_later_coordinate(self):
+        # the chart index is read as given, not as the first coordinate
+        L = replace(area_lagrangian(4, 2), chart=3)
+        cs = np.array([[-1.0, 0.0, 0.0, 2.0, 0.0, 0.0], [1.0, 0.0, 0.0, -2.0, 0.0, 0.0]])
+        assert L._on_chart(cs).tolist() == [True, False]
+        assert L.value_many(np.zeros((1, 4)), cs[:1]).tolist() == [math.sqrt(5.0)]
+        with pytest.raises(OrientationError, match="row 1 is off the chart"):
+            L.value_many(np.zeros((2, 4)), cs)
+
+
+ORACLE_SHAPES = [(3, 2), (4, 2), (5, 3)]
+DENSITY_BUILDERS = {"constant": constant_density, "minimal_surface": minimal_surface_density,
+                    "graph_area": graph_area_density}
+ORACLE_LAGRANGIANS = ["area", "ellipsoid", "projected_volume", "geometric_mean",
+                      *(f"graph_lift({name})" for name in DENSITY_BUILDERS)]
+CONFORMAL_EXPONENT = (0.3, -0.4, 0.5, 0.2, -0.1)  # a of exp(a.x), its first n entries
+
+
+def oracle_case(name, n, p):
+    """The named built-in (or the conformal fixture) at (n, p), with the parameters its oracle takes."""
+    if name == "ellipsoid":
+        weights = tuple(np.linspace(0.5, 3.0, math.comb(n, p)).tolist())
+        return ellipsoid_lagrangian(n, p, weights), weights
+    if name == "conformal_area":
+        return conformal_area(n, p, CONFORMAL_EXPONENT[:n]), CONFORMAL_EXPONENT[:n]
+    if name.startswith("graph_lift("):
+        return graph_lift(DENSITY_BUILDERS[name[len("graph_lift("):-1]](n, p)), ()
+    return {"area": area_lagrangian, "projected_volume": projected_volume_lagrangian,
+            "geometric_mean": geometric_mean_lagrangian}[name](n, p), ()
+
+
+class TestSympyOracle:
+    """Every built-in Lagrangian and density against its lambdified sympy derivatives, within 1e-12 per row.
+
+    Fiber rows have entries of magnitude in [0.25, 2] with random signs, a
+    positive coordinate 0 (the top of the graph chart) and an overall scale
+    between 1e-3 and 1e3, so that the degree of each derivative is checked.
+    The conformal fixture is checked at the shapes its tests use.
+    """
+
+    @pytest.mark.parametrize("name, shape", [(name, shape) for name in ORACLE_LAGRANGIANS for shape in ORACLE_SHAPES]
+                             + [("conformal_area", (3, 2)), ("conformal_area", (4, 2))],
+                             ids=lambda v: f"{v[0]}{v[1]}" if isinstance(v, tuple) else v)
+    def test_lagrangian_matches_oracle(self, name, shape):
+        n, p = shape
+        L, params = oracle_case(name, n, p)
+        rng = np.random.default_rng(n + 10 * p)
+        cs = rng.uniform(0.25, 2.0, (8, L.fiber_dim)) * rng.choice([-1.0, 1.0], (8, L.fiber_dim))
+        cs[:, 0] = np.abs(cs[:, 0])
+        cs *= 10.0 ** rng.uniform(-3.0, 3.0, (8, 1))
+        xs = rng.standard_normal((8, n))
+        value, grad, hess = lagrangian_oracle(name, n, p, params)(xs, cs)
+        assert_rows_close(L.value_many(xs, cs), value)
+        assert_rows_close(L.gradient_many(xs, cs), grad)
+        assert_rows_close(L.hessian_many(xs, cs), hess)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}{s[1]}")
+    @pytest.mark.parametrize("name", list(DENSITY_BUILDERS))
+    def test_density_matches_oracle(self, name, shape):
+        n, p = shape
+        F = DENSITY_BUILDERS[name](n, p)
+        rng = np.random.default_rng(n + 10 * p)
+        bases, values = rng.standard_normal((8, p)), rng.standard_normal((8, n - p))
+        slopes = rng.uniform(-2.0, 2.0, (8, p, n - p))
+        value, d_slopes, d2_slopes = density_oracle(name, n, p)(bases, values, slopes)
+        assert_rows_close(F.fn_many(bases, values, slopes), value)
+        assert_rows_close(F.d_slopes(bases, values, slopes), d_slopes)
+        assert_rows_close(F.d2_slopes(bases, values, slopes), d2_slopes)

@@ -39,7 +39,8 @@ from multisymp import (
 from multisymp.cli import build_lagrangian, main
 from multisymp.legendre import STALL_WINDOW, _level_gradient, _level_rows, _radial_solve, _solve_stack, image_coordinates
 
-from helpers import cyclic
+from helpers import conformal_area, cyclic
+from oracles import lagrangian_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -431,6 +432,16 @@ class TestSampleImage:
         b = image_coordinates(ellipsoid3, x3, 50, seed=123)
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
+    def test_conformal_image_scales_with_the_base_point(self):
+        # L = phi(x) |y| puts the unit level on the sphere of radius 1 / phi(x) and the image on radius phi(x)
+        a = np.array([0.25, -0.5, 0.375, 0.125])
+        L = conformal_area(4, 2, a)
+        for x in (np.array([0.5, -1.0, 0.75, 0.25]), np.array([-0.75, 0.5, -1.0, 1.25])):
+            phi = math.exp(a @ x)
+            rows, grads = image_coordinates(L, x, 50, seed=3)
+            assert np.max(np.abs(np.linalg.norm(rows, axis=-1) * phi - 1.0)) <= 1e-12
+            assert np.max(np.abs(np.linalg.norm(grads, axis=-1) / phi - 1.0)) <= 1e-12
+
     @pytest.mark.parametrize("name", ["area", "ellipsoid"])
     def test_rows_match_the_object_path(self, x3, name):
         L = lagrangian_at(name, 3, 2)
@@ -463,11 +474,13 @@ class TestRankLemma:
             assert report.splitting_holds
 
     def test_fd_hessian_oracle_agrees(self, x3, ellipsoid3, rng):
-        # same ranks from a finite-difference Hessian built on the plain value
-        fd = HomogeneousLagrangian(3, 2, "fd-ellipsoid", ellipsoid3.value_fn)
+        # same ranks from the sympy oracle's value, gradient and Hessian
+        oracle = lagrangian_oracle("ellipsoid", 3, 2, (1.0, 4.0, 9.0))
+        ref = HomogeneousLagrangian(3, 2, "oracle-ellipsoid", lambda xs, cs: oracle(xs, cs)[0],
+                                    lambda xs, cs: oracle(xs, cs)[1], lambda xs, cs: oracle(xs, cs)[2])
         y = KVector(3, 2, rng.standard_normal(3))
         ana = rank_lemma_check(ellipsoid3, x3, y)
-        num = rank_lemma_check(fd, x3, y)
+        num = rank_lemma_check(ref, x3, y)
         assert (num.rank_L2, num.rank_L) == (ana.rank_L2, ana.rank_L)
 
     def test_area_n4(self, rng):
@@ -742,7 +755,7 @@ class TestLevelGradient:
             return wrapper
 
         L = HomogeneousLagrangian(3, 2, "counted", counted(area3.value_fn, "value"),
-                                  counted(area3.grad_fn, "gradient"))
+                                  counted(area3.grad_fn, "gradient"), counted(area3.hess_fn, "hessian"))
         cs = np.random.default_rng(1).standard_normal((20, 3))
         _level_gradient(L, np.broadcast_to(x3, (20, 3)), cs)
         assert calls == [("gradient", 20), ("value", 20)]

@@ -25,7 +25,9 @@ from multisymp import (
 )
 from multisymp.cli import _graph_map
 from multisymp.exterior import minors
-from multisymp.surfaces import _cell_frames, _checked_samples
+from multisymp.surfaces import _cell_frames, _checked_samples, paired_actions
+
+from helpers import conformal_area
 
 # midpoint rule at 2048^2 for the area of the graph of x1*x2 over the unit
 # square, i.e. the integral of sqrt(1 + x1^2 + x2^2); adaptive quadrature
@@ -131,6 +133,28 @@ class TestLagrangianAction:
         assert lagrangian_action(area3, rev) == pytest.approx(lagrangian_action(area3, fwd), abs=1e-12)
         with pytest.raises(OrientationError):
             lagrangian_action(minimal_lift3, rev)
+
+
+class TestBasePointAction:
+    """paired_actions of the conformal area exp(a.x) |y| on a plane away from the origin.
+
+    On the plane z = c0 + c1 s1 + c2 s2, a.x = k0 + k1 s1 + k2 s2, and the
+    action is sqrt(1 + c1^2 + c2^2) exp(k0) times the product over the axes
+    of (exp(k b) - exp(k a)) / k for the interval [a, b].
+    """
+
+    # the midpoint rule's error is about (h1^2 k1^2 + h2^2 k2^2) / 24 = 4.4e-5 at 32 cells; gauss2's is 3.3e-9 at 16
+    @pytest.mark.parametrize("rule, res, rel", [("midpoint", 32, 1e-4), ("gauss2", 16, 1e-8)])
+    def test_actions_integrate_the_conformal_factor(self, rule, res, rel):
+        a, (c0, c1, c2) = np.array([0.25, -0.5, 0.375]), (0.5, 0.25, -0.75)
+        domain = [(0.5, 1.5), (-1.0, 0.25)]
+        k = (a[0] + a[2] * c1, a[1] + a[2] * c2)
+        exact = math.sqrt(1.0 + c1**2 + c2**2) * math.exp(a[2] * c0) * math.prod(
+            (math.exp(kj * hi) - math.exp(kj * lo)) / kj for kj, (lo, hi) in zip(k, domain))
+        surf = GraphSurface(f=lambda s: c0 + c1 * s[:, :1] + c2 * s[:, 1:2], domain=domain, resolution=res, p=2, n=3)
+        lagrangian, multisymplectic = paired_actions(conformal_area(3, 2, a), surf.to_grid(), rule)
+        assert lagrangian == pytest.approx(exact, rel=rel)
+        assert multisymplectic == pytest.approx(exact, rel=rel)
 
 
 class TestGraphAction:
