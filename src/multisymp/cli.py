@@ -22,7 +22,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .exterior import minors
+from .exterior import decomposable_rows
 from .lagrangian import (
     GraphDensity,
     HomogeneousLagrangian,
@@ -236,36 +236,6 @@ def build_surface(spec: Any, n: int, p: int, resolution: int) -> GraphSurface:
     return GraphSurface(f=_graph_map(spec, n, p), domain=domain, resolution=resolution, p=p, n=n)
 
 
-def _sample_fibers(L: HomogeneousLagrangian, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded decomposable fiber samples in the Lagrangian's chart and above its sampling floor, one row each.
-
-    A sample is the wedge of p standard-normal vectors of norm at least 1e-9;
-    with a chart, its chart coordinate is at least 0.25 of its norm and is
-    oriented positive.  Frames are drawn in blocks and a rejected draw is
-    replaced by the next draws of the stream, so the rows are those of a
-    random_decomposable loop.  Raises RuntimeError once more than
-    100 * count + 1000 draws are rejected, as when the floor rejects them all.
-    """
-    accepted = []
-    need, rejected = count, 0
-    while need > 0:
-        rows = minors(np.swapaxes(rng.standard_normal((need, L.p, L.n)), 1, 2))
-        norms = np.sqrt(np.vecdot(rows, rows))  # KVector.norm, row by row
-        keep = norms >= 1e-9
-        if L.chart is not None:
-            coord = rows[:, L.chart]
-            keep &= np.abs(coord) >= 0.25 * norms
-            rows = np.where(coord[:, None] > 0, rows, -rows)
-        keep &= np.min(np.abs(rows), axis=-1) >= L.sampling_floor * norms
-        accepted.append(rows[keep])
-        rejected += need - int(keep.sum())
-        need -= int(keep.sum())
-        if rejected > 100 * count + 1000:
-            raise RuntimeError(f"fiber sampling rejected {rejected} draws for {count} samples: nearly every "
-                               f"draw is off the chart of {L.name} or below its sampling floor {L.sampling_floor}")
-    return np.concatenate(accepted) if accepted else np.empty((0, L.fiber_dim))
-
-
 CLAIMS = {
     "degree-1-homogeneity": "L(x, s*y) = s*L(x, y) for s > 0",
     "euler-identity": "L equals the pairing of its fiber gradient with y",
@@ -363,7 +333,7 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
         if _choice(name, VERIFY_CHECKS, "checks") not in runnable:
             raise ConfigError(f"checks must leave out {name!r}: {L.name} declares no image quadric")
 
-    fibers = _sample_fibers(L, samples, np.random.default_rng(seed))
+    fibers = decomposable_rows(np.random.default_rng(seed), L.n, L.p, samples, L.chart, 0.25, L.sampling_floor)
     xs = np.broadcast_to(x, (samples, L.n))
     chart = TotalSpaceChart(L.n, L.p)
 

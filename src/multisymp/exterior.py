@@ -32,6 +32,7 @@ __all__ = [
     "is_decomposable",
     "grassmann_eq",
     "random_decomposable",
+    "decomposable_rows",
 ]
 
 
@@ -274,8 +275,46 @@ def grassmann_eq(a: GrassmannPoint, b: GrassmannPoint, tol: float = 1e-9) -> boo
     return bool(np.linalg.norm(ua - ub) <= tol)
 
 
-# Draws random_decomposable makes before it gives up.
-DECOMPOSABLE_TRIES = 1000
+def _rejection_rows(draw, count: int, width: int, why: str) -> np.ndarray:
+    """``count`` accepted rows of width ``width``, drawn in blocks.
+
+    ``draw(k)`` makes k draws from its stream and returns the accepted ones
+    in order; each rejected draw is replaced by the next draws of the stream,
+    so the rows and the generator state after are those of a draw-by-draw
+    loop.  Raises RuntimeError, with ``why`` appended, once the rejected
+    draws exceed a hundred per row plus a thousand.
+    """
+    accepted, need, rejected = [], count, 0
+    while need > 0:
+        accepted.append(draw(need))
+        rejected += need - len(accepted[-1])
+        need -= len(accepted[-1])
+        if rejected > 100 * count + 1000:
+            raise RuntimeError(f"rejected {rejected} draws for {count} rows: {why}")
+    return np.concatenate(accepted) if accepted else np.empty((0, width))
+
+
+def decomposable_rows(rng: np.random.Generator, n: int, p: int, count: int,
+                      chart: int | None = None, margin: float = 0.0, floor: float = 0.0) -> np.ndarray:
+    """Coordinates (count, C(n,p)) of wedges of p standard-normal vectors of norm at least 1e-9.
+
+    With ``chart`` set, a row's coordinate there is at least ``margin`` of its
+    norm and is oriented positive; every |y_I| is at least ``floor`` of the
+    norm.  Raises RuntimeError as _rejection_rows does.
+    """
+    def draw(need):
+        rows = minors(np.swapaxes(rng.standard_normal((need, p, n)), 1, 2))
+        norms = np.sqrt(np.vecdot(rows, rows))  # KVector.norm, row by row
+        keep = norms >= 1e-9
+        if chart is not None:
+            coord = rows[:, chart]
+            keep &= np.abs(coord) >= margin * norms
+            rows = np.where(coord[:, None] > 0, rows, -rows)
+        keep &= np.min(np.abs(rows), axis=-1) >= floor * norms
+        return rows[keep]
+
+    return _rejection_rows(draw, count, math.comb(n, p), f"nearly every draw fails the norm, "
+                           f"chart {chart} margin {margin} or floor {floor} test")
 
 
 def random_decomposable(
@@ -283,18 +322,9 @@ def random_decomposable(
 ) -> KVector:
     """Wedge of p standard-normal vectors, optionally with a dominant positive top coordinate.
 
-    With ``min_top_fraction`` set, resamples until the coordinate on axes
-    (1..p) is at least that fraction of the norm, then orients it positive;
-    used to stay inside the graph chart.
+    A batch of one of decomposable_rows: with ``min_top_fraction`` set, the
+    coordinate on axes (1..p) is at least that fraction of the norm and is
+    oriented positive; used to stay inside the graph chart.
     """
-    for _ in range(DECOMPOSABLE_TRIES):
-        w = wedge_vectors([rng.standard_normal(n) for _ in range(p)])
-        norm = w.norm()
-        if norm < 1e-9:
-            continue
-        if min_top_fraction is None:
-            return w
-        top = w.coords[0]
-        if abs(top) >= min_top_fraction * norm:
-            return w if top > 0 else -w
-    raise RuntimeError("failed to sample a suitable decomposable p-vector")
+    chart = None if min_top_fraction is None else 0
+    return KVector(n, p, decomposable_rows(rng, n, p, 1, chart, min_top_fraction or 0.0)[0])

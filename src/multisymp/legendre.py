@@ -17,7 +17,7 @@ from typing import IO
 import numpy as np
 
 from .errors import NotInImageError, ZeroSectionError
-from .exterior import GrassmannPoint, KCovector, KVector, multi_indices
+from .exterior import GrassmannPoint, KCovector, KVector, _rejection_rows, multi_indices
 from .lagrangian import HomogeneousLagrangian, fiber_rows
 
 __all__ = [
@@ -93,28 +93,20 @@ def inverse_legendre(
 def _level_rows(L: HomogeneousLagrangian, x: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """Rows (count, C(n,p)) on the unit level set {L = 1} in uniformly random directions.
 
-    Directions are drawn in blocks; a rejected direction is replaced by the
-    next draws of the stream, so the rows and the generator state after are
-    those of a direction-by-direction loop.  Raises RuntimeError once more
-    than 100 * count + 1000 draws are rejected, as when L is below 1e-9 |y|
-    in (nearly) every direction.
+    Directions are drawn in blocks through _rejection_rows, so the rows and
+    the generator state after are those of a direction-by-direction loop.
+    A direction is rejected off the chart or where L is below 1e-9 |y|.
     """
-    accepted = []
-    need, rejected = count, 0
-    while need > 0:
+    def draw(need):
         directions = rng.standard_normal((need, L.fiber_dim))
         norms = np.linalg.norm(directions, axis=-1)
         keep = (norms >= 1e-12) & L._on_chart(directions)
         levels = np.zeros(need)
         levels[keep] = L.value_many(np.broadcast_to(x, (int(keep.sum()), x.size)), directions[keep])
         keep &= levels > 1e-9 * norms
-        accepted.append(directions[keep] / levels[keep, None])
-        rejected += need - int(keep.sum())
-        need -= int(keep.sum())
-        if rejected > 100 * count + 1000:
-            raise RuntimeError(f"level-set sampling rejected {rejected} draws for {count} rows: "
-                               "L is below 1e-9 |y| in nearly every direction")
-    return np.concatenate(accepted) if accepted else np.empty((0, L.fiber_dim))
+        return directions[keep] / levels[keep, None]
+
+    return _rejection_rows(draw, count, L.fiber_dim, "L is below 1e-9 |y| in nearly every direction")
 
 
 def image_coordinates(

@@ -15,11 +15,14 @@ import sympy as sp
 
 from multisymp.lagrangian import _graph_chart_layout
 
-# F as an expression of the slope matrix q (p x (n-p)); no built-in reads the bases or values
+# F as an expression of the bases b (p), the values v (n-p), the slope matrix q (p x (n-p)) and the
+# density's parameters w; only helpers.weighted_minimal_surface reads b, v and w (w = its a, then its c)
 DENSITIES = {
-    "constant": lambda q: sp.Integer(1),
-    "minimal_surface": lambda q: sp.sqrt(1 + sum(c**2 for c in q)),
-    "graph_area": lambda q: sp.sqrt((sp.eye(q.rows) + q * q.T).det(method="berkowitz")),
+    "constant": lambda b, v, q, w: sp.Integer(1),
+    "minimal_surface": lambda b, v, q, w: sp.sqrt(1 + sum(c**2 for c in q)),
+    "graph_area": lambda b, v, q, w: sp.sqrt((sp.eye(q.rows) + q * q.T).det(method="berkowitz")),
+    "weighted_minimal_surface": lambda b, v, q, w: (sp.exp(sum(wk * s for wk, s in zip(w, [*b, *v])))
+                                                     * sp.sqrt(1 + sum(c**2 for c in q))),
 }
 
 # L as an expression of the fiber coordinates y
@@ -65,7 +68,8 @@ def lagrangian_oracle(name: str, n: int, p: int, params: tuple[float, ...] = ())
     ``area``, ``ellipsoid`` (params: the weights) and ``conformal_area``
     (params: the exponent a of helpers.conformal_area) share one oracle of
     exp(a.x) sqrt(sum w y^2).  Otherwise ``name`` is a key of LAGRANGIANS or
-    graph_lift(<density>); the lift is y_top * F(q(y)) with q read through
+    graph_lift(<density>) (params: the density's); the lift is
+    y_top * F(x_1..x_p, x_{p+1}..x_n, q(y)) with q read through
     _graph_chart_layout and y_top a positive symbol.
     """
     dim = math.comb(n, p)
@@ -79,18 +83,18 @@ def lagrangian_oracle(name: str, n: int, p: int, params: tuple[float, ...] = ())
         top, slope_pos, slope_sign = _graph_chart_layout(n, p)
         y[top] = sp.Symbol(f"y{top}", positive=True)
         q = sp.Matrix(p, n - p, lambda i, j: int(slope_sign[i, j]) * y[slope_pos[i, j]] / y[top])
-        expr = y[top] * DENSITIES[name[len("graph_lift("):-1]](q)
+        expr = y[top] * DENSITIES[name[len("graph_lift("):-1]](x[:p], x[p:], q, params)
     else:
         expr = LAGRANGIANS[name](y)
     return _compiled(x + y, expr, y)
 
 
 @functools.cache
-def density_oracle(name: str, n: int, p: int):
+def density_oracle(name: str, n: int, p: int, params: tuple[float, ...] = ()):
     """(bases, values, slopes) -> exact F (N,), dF/dq (N, p, n-p) and d2F/dq2 (N, p, n-p, p, n-p)."""
     bases, values = sp.symbols(f"b0:{p}"), sp.symbols(f"v0:{n - p}")
     q = sp.Matrix(p, n - p, lambda i, j: sp.Symbol(f"q{i}_{j}"))
-    evaluate = _compiled([*bases, *values, *q], DENSITIES[name](q), list(q))
+    evaluate = _compiled([*bases, *values, *q], DENSITIES[name](bases, values, q, params), list(q))
 
     def shaped(bases, values, slopes):
         F, dF, d2F = evaluate(bases, values, slopes)

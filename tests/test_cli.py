@@ -16,15 +16,17 @@ from multisymp import (
     TotalSpaceChart,
     area_lagrangian,
     convexity_certificate,
+    decomposable_rows,
     omega,
     pair,
-    random_decomposable,
     rank_lemma_check,
     theta,
     wedge_vectors,
 )
-from multisymp.cli import VERIFY_CHECKS, VERIFY_TOLERANCES, _sample_fibers, build_lagrangian, cmd_verify, main
+from multisymp.cli import LAGRANGIANS, VERIFY_CHECKS, VERIFY_TOLERANCES, build_lagrangian, cmd_verify, main
 from multisymp.legendre import image_coordinates
+
+from helpers import conformal_area, draw_decomposable
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -477,13 +479,12 @@ class TestExitCodes:
 
 
 def reference_fibers(L, count, rng):
-    """The per-fiber sampling loop of the verify command, one KVector per sample."""
+    """The per-draw sampling loop of the verify command, one KVector per sample."""
     out = []
     while len(out) < count:
-        y = random_decomposable(rng, L.n, L.p, min_top_fraction=None if L.chart is None else 0.25)
-        if L.name == "geometric_mean" and np.min(np.abs(y.coords)) < 0.05 * y.norm():
-            continue
-        out.append(y)
+        y = draw_decomposable(rng, L.n, L.p, L.chart, 0.25, L.sampling_floor)
+        if y is not None:
+            out.append(y)
     return out
 
 
@@ -499,7 +500,7 @@ def reference_verify(config):
     rank sample, and the generators of the pullback and closedness draws.
     """
     L = build_lagrangian(config["lagrangian"])
-    x = np.zeros(L.n)
+    x = np.asarray(config.get("x", np.zeros(L.n)), dtype=float)
     seed, tol = config["seed"], VERIFY_TOLERANCES
     fibers = reference_fibers(L, config["samples"], np.random.default_rng(seed))
     chart = TotalSpaceChart(L.n, L.p)
@@ -624,6 +625,15 @@ class TestVerifyMatchesPerFiberReference:
                                    threshold=VERIFY_TOLERANCES["rank_threshold"])
             assert (one.rank_L2, one.rank_L) == ranks[k]
 
+    def test_checks_equal_reference_at_a_nonzero_base_point(self, monkeypatch):
+        # the conformal area exp(a.x) |y| reads x, so a command that drops the configured x measures otherwise
+        a, x = (0.25, -0.5, 0.375), [0.5, -1.0, 0.75]
+        monkeypatch.setitem(LAGRANGIANS, "conformal_area", (set(), lambda n, p, params: conformal_area(n, p, a)))
+        config = {**reference_config("conformal_area", 3, 2), "x": x}
+        report, _ = cmd_verify(config)
+        expected, _, _ = reference_verify(config)
+        assert {c["name"]: c["measured"] for c in report["checks"]} == expected
+
 
 class TestSampleFibers:
     """The blocked verify sampler against the per-draw loop of reference_fibers."""
@@ -635,7 +645,7 @@ class TestSampleFibers:
         # covers the geometric_mean floor and the sign flips of the graph_lift chart
         L = build_lagrangian(reference_config(name, n, p)["lagrangian"])
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        rows = _sample_fibers(L, 60, rng)
+        rows = decomposable_rows(rng, n, p, 60, L.chart, 0.25, L.sampling_floor)
         expected = np.array([y.coords for y in reference_fibers(L, 60, reference_rng)])
         assert rows.shape == expected.shape
         assert rows.tobytes() == expected.tobytes()
@@ -644,7 +654,7 @@ class TestSampleFibers:
     def test_chart_on_a_later_coordinate(self):
         # the margin and the orientation read the chart's coordinate, here 3, not coordinate 0
         L = replace(area_lagrangian(4, 2), chart=3)
-        rows = _sample_fibers(L, 200, np.random.default_rng(0))
+        rows = decomposable_rows(np.random.default_rng(0), 4, 2, 200, L.chart, 0.25, L.sampling_floor)
         assert np.all(rows[:, 3] >= 0.25 * np.linalg.norm(rows, axis=-1))
         assert L._on_chart(rows).all()
 
@@ -652,5 +662,5 @@ class TestSampleFibers:
     def test_floor_rejecting_every_draw_raises(self):
         # no fiber has every |y_I| at |y|, so the sampler gives up instead of looping
         L = replace(area_lagrangian(3, 2), sampling_floor=1.0)
-        with pytest.raises(RuntimeError, match="rejected 2010 draws for 10 samples"):
-            _sample_fibers(L, 10, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="rejected 2010 draws for 10 rows"):
+            decomposable_rows(np.random.default_rng(0), 3, 2, 10, L.chart, 0.25, L.sampling_floor)

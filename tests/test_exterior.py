@@ -20,11 +20,12 @@ from multisymp import (
     multi_indices,
     pair,
     plane_from_bivector,
+    random_decomposable,
     wedge_vectors,
 )
 from multisymp.exterior import det, minors
 
-from helpers import cyclic
+from helpers import cyclic, draw_decomposable
 
 
 def inversion_sign(seq):
@@ -338,3 +339,25 @@ class TestFiberElements:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             KVector(3, 2, [np.nan, 0.0, 0.0])
+
+
+class TestRandomDecomposable:
+    """random_decomposable, a batch of one of the blocked sampler, against a draw-by-draw loop."""
+
+    @pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (5, 3)])
+    @pytest.mark.parametrize("fraction", [None, 0.25, 0.3])
+    def test_equals_the_draw_by_draw_loop(self, n, p, fraction):
+        rng, reference_rng = np.random.default_rng(n + p), np.random.default_rng(n + p)
+        for _ in range(40):
+            y = random_decomposable(rng, n, p, min_top_fraction=fraction)
+            expected = None
+            while expected is None:
+                expected = draw_decomposable(reference_rng, n, p, None if fraction is None else 0, fraction or 0.0)
+            assert y.coords.tobytes() == expected.coords.tobytes()
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.time_limit(10)
+    def test_unreachable_fraction_raises_at_the_shared_bound(self):
+        # no coordinate exceeds the norm: every draw is rejected, and 1101 > 100 * 1 + 1000 ends the loop
+        with pytest.raises(RuntimeError, match="rejected 1101 draws for 1 rows"):
+            random_decomposable(np.random.default_rng(0), 3, 2, min_top_fraction=1.5)

@@ -31,7 +31,7 @@ from multisymp import (
     wedge_vectors,
 )
 
-from helpers import conformal_area, cyclic
+from helpers import conformal_area, cyclic, weighted_minimal_surface
 from oracles import assert_rows_close, density_oracle, lagrangian_oracle
 
 
@@ -73,7 +73,7 @@ class TestAreaLagrangian:
         assert area3.value(x3, y.scaled(2.0)) == 10.0
         assert np.allclose(area3.gradient(x3, y.scaled(2.0)).coords, area3.gradient(x3, y).coords)
 
-    def test_hessian_matches_fd(self, x3, area3, rng):
+    def test_hessian_matches_oracle(self, x3, area3, rng):
         y = KVector(3, 2, rng.standard_normal(3))
         assert_rows_close(area3.hessian(x3, y)[None], lagrangian_oracle("area", 3, 2)(x3[None], y.coords[None])[2])
 
@@ -167,7 +167,7 @@ class TestGraphLiftDerivatives:
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([constant_density, minimal_surface_density, graph_area_density]),
            st.sampled_from([(3, 2), (4, 2), (5, 3)]), st.integers(0, 2**32 - 1))
-    def test_exact_derivatives_match_central_differences(self, density, shape, seed):
+    def test_exact_derivatives_match_oracle(self, density, shape, seed):
         n, p = shape
         L = graph_lift(density(n, p))
         rng = np.random.default_rng(seed)
@@ -335,7 +335,7 @@ class TestBuiltinInvariants:
                 assert np.max(np.abs(L.gradient(x3, y.scaled(lam)).coords - base)) <= 1e-9
 
     @pytest.mark.parametrize("L", builtins_3_2(), ids=lambda L: L.name)
-    def test_analytic_or_fallback_gradient_matches_fd(self, L, x3, rng):
+    def test_gradient_matches_fd(self, L, x3, rng):
         for _ in range(100):
             y = random_decomposable(rng, 3, 2, min_top_fraction=0.3)
             g = L.gradient(x3, y).coords
@@ -486,3 +486,25 @@ class TestSympyOracle:
         assert_rows_close(F.fn_many(bases, values, slopes), value)
         assert_rows_close(F.d_slopes(bases, values, slopes), d_slopes)
         assert_rows_close(F.d2_slopes(bases, values, slopes), d2_slopes)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}{s[1]}")
+    def test_density_reading_bases_and_values_matches_oracle(self, shape):
+        # the weight exp(a.bases + c.values) enters F and, through x, its graph lift
+        n, p = shape
+        a, c = CONFORMAL_EXPONENT[:p], CONFORMAL_EXPONENT[p:n]
+        F = weighted_minimal_surface(n, p, a, c)
+        rng = np.random.default_rng(n + 10 * p)
+        bases, values = rng.standard_normal((8, p)), rng.standard_normal((8, n - p))
+        slopes = rng.uniform(-2.0, 2.0, (8, p, n - p))
+        value, d_slopes, d2_slopes = density_oracle(F.name, n, p, a + c)(bases, values, slopes)
+        assert_rows_close(F.fn_many(bases, values, slopes), value)
+        assert_rows_close(F.d_slopes(bases, values, slopes), d_slopes)
+        assert_rows_close(F.d2_slopes(bases, values, slopes), d2_slopes)
+        L = graph_lift(F)
+        cs = rng.uniform(0.25, 2.0, (8, L.fiber_dim)) * rng.choice([-1.0, 1.0], (8, L.fiber_dim))
+        cs[:, 0] = np.abs(cs[:, 0])
+        xs = np.concatenate([bases, values], axis=1)
+        value, grad, hess = lagrangian_oracle(L.name, n, p, a + c)(xs, cs)
+        assert_rows_close(L.value_many(xs, cs), value)
+        assert_rows_close(L.gradient_many(xs, cs), grad)
+        assert_rows_close(L.hessian_many(xs, cs), hess)

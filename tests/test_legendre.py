@@ -473,7 +473,7 @@ class TestRankLemma:
             assert (report.rank_L2, report.rank_L) == (3, 2)
             assert report.splitting_holds
 
-    def test_fd_hessian_oracle_agrees(self, x3, ellipsoid3, rng):
+    def test_sympy_oracle_ranks_agree(self, x3, ellipsoid3, rng):
         # same ranks from the sympy oracle's value, gradient and Hessian
         oracle = lagrangian_oracle("ellipsoid", 3, 2, (1.0, 4.0, 9.0))
         ref = HomogeneousLagrangian(3, 2, "oracle-ellipsoid", lambda xs, cs: oracle(xs, cs)[0],
@@ -507,6 +507,15 @@ class TestConvexityCertificate:
         cert = convexity_certificate(geometric_mean_lagrangian(), x3, num_pairs=40, t_steps=5, seed=2)
         assert not cert.passed
         assert cert.worst_violation > 1e-3
+
+    def test_conformal_area_passes_at_a_nonzero_base_point(self):
+        # the image of exp(a.x) |y| is the sphere of radius phi(x) = exp(0.90625): a radial solve and its
+        # confirmation at x = 0 read a worst violation of phi(x) - 1 = 1.48, the solve alone 250 failures
+        L, x = conformal_area(3, 2, [0.25, -0.5, 0.375]), np.array([0.5, -1.0, 0.75])
+        cert = convexity_certificate(L, x, num_pairs=50, t_steps=5, seed=2)
+        assert cert.passed
+        assert cert.num_failures == 0
+        assert cert.worst_violation <= 1e-9
 
     def test_reproducible(self, x3, ellipsoid3):
         a = convexity_certificate(ellipsoid3, x3, num_pairs=20, t_steps=5, seed=9)

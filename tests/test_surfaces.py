@@ -16,6 +16,7 @@ from multisymp import (
     convergence_rows,
     graph_action,
     graph_area_density,
+    graph_lift,
     lagrangian_action,
     minimal_surface_density,
     multisymplectic_action,
@@ -27,7 +28,7 @@ from multisymp.cli import _graph_map
 from multisymp.exterior import minors
 from multisymp.surfaces import _cell_frames, _checked_samples, paired_actions
 
-from helpers import conformal_area
+from helpers import conformal_area, weighted_minimal_surface
 
 # midpoint rule at 2048^2 for the area of the graph of x1*x2 over the unit
 # square, i.e. the integral of sqrt(1 + x1^2 + x2^2); adaptive quadrature
@@ -136,7 +137,8 @@ class TestLagrangianAction:
 
 
 class TestBasePointAction:
-    """paired_actions of the conformal area exp(a.x) |y| on a plane away from the origin.
+    """paired_actions of the conformal area exp(a.x) |y| on a plane away from the origin, and
+    graph_action of a density that reads the base point against its lift.
 
     On the plane z = c0 + c1 s1 + c2 s2, a.x = k0 + k1 s1 + k2 s2, and the
     action is sqrt(1 + c1^2 + c2^2) exp(k0) times the product over the axes
@@ -155,6 +157,16 @@ class TestBasePointAction:
         lagrangian, multisymplectic = paired_actions(conformal_area(3, 2, a), surf.to_grid(), rule)
         assert lagrangian == pytest.approx(exact, rel=rel)
         assert multisymplectic == pytest.approx(exact, rel=rel)
+
+    @pytest.mark.parametrize("rule", ["midpoint", "gauss2"])
+    def test_graph_action_reads_the_bases_and_values(self, rule):
+        # F = exp(a.s + c.f(s)) sqrt(1 + |q|^2) on an affine graph: the lift of F at the same nodes
+        F = weighted_minimal_surface(3, 2, [0.25, -0.5], [0.375])
+        surf = GraphSurface(f=lambda s: 0.5 + 0.25 * s[:, :1] - 0.75 * s[:, 1:2],
+                            domain=[(0.5, 1.5), (-1.0, 0.25)], resolution=12, p=2, n=3)
+        lagrangian, multisymplectic = paired_actions(graph_lift(F), surf.to_grid(), rule)
+        assert graph_action(F, surf, rule) == pytest.approx(lagrangian, rel=1e-10)
+        assert multisymplectic == pytest.approx(lagrangian, rel=1e-10)
 
 
 class TestGraphAction:
