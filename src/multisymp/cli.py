@@ -334,15 +334,14 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
             raise ConfigError(f"checks must leave out {name!r}: {L.name} declares no image quadric")
 
     fibers = decomposable_rows(np.random.default_rng(seed), L.n, L.p, samples, L.chart, 0.25, L.sampling_floor)
-    xs = np.broadcast_to(x, (samples, L.n))
     chart = TotalSpaceChart(L.n, L.p)
 
     def per_unit_value(residuals: np.ndarray) -> float:
-        return float(np.max(residuals / np.maximum(1.0, np.abs(L.value_many(xs, fibers)))))
+        return float(np.max(residuals / np.maximum(1.0, np.abs(L.value_many(x, fibers)))))
 
     def grad_scale() -> float:
-        base = L.gradient_many(xs, fibers)
-        return max(float(np.max(np.abs(L.gradient_many(xs, lam * fibers) - base)))
+        base = L.gradient_many(x, fibers)
+        return max(float(np.max(np.abs(L.gradient_many(x, lam * fibers) - base)))
                    for lam in (0.5, 2.0, 1000.0))
 
     def rank_split() -> float:
@@ -367,7 +366,7 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
         "gradient-degree-0": (tol["gradient_scale"], grad_scale),
         "vanishing-hamiltonian": (
             tol["hamiltonian"],
-            lambda: per_unit_value(np.abs(hamiltonian(L, x, L.gradient_many(xs, fibers), fibers))),
+            lambda: per_unit_value(np.abs(hamiltonian(L, x, L.gradient_many(x, fibers), fibers))),
         ),
         "hessian-rank-split": (0.0, rank_split),
         "tautological-pullback": (

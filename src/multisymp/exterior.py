@@ -104,15 +104,9 @@ def canonicalize_index(seq: Sequence[int], n: int) -> tuple[tuple[int, ...] | No
         raise ValueError(f"axis labels {axes} out of range 1..{n}")
     if len(set(axes)) != len(axes):
         return None, 0
-    sign = 1
-    work = list(axes)
-    # bubble sort; each adjacent swap flips the sign
-    for i in range(len(work)):
-        for j in range(len(work) - 1 - i):
-            if work[j] > work[j + 1]:
-                work[j], work[j + 1] = work[j + 1], work[j]
-                sign = -sign
-    return tuple(work), sign
+    # the sign is the parity of the pairs out of order
+    inversions = sum(a > b for a, b in itertools.combinations(axes, 2))
+    return tuple(sorted(axes)), -1 if inversions % 2 else 1
 
 
 class _FiberElement:

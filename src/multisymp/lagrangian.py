@@ -30,10 +30,8 @@ __all__ = [
     "minimal_surface_density",
     "graph_area_density",
     "graph_lift",
-    "fiber_rows",
     "euler_residual",
     "homogeneity_residual",
-    "is_nondegenerate",
 ]
 
 @dataclass(frozen=True)
@@ -44,10 +42,12 @@ class HomogeneousLagrangian:
     (N, n) and fiber coordinates ``cs`` of shape (N, C(n,p)), and return
     values (N,), gradients (N, C(n,p)) and Hessians (N, C(n,p), C(n,p)).
     Each row must depend on its own inputs only.  The ``*_many`` methods
-    call them on raw arrays; ``value``, ``gradient`` and ``hessian`` take a
-    KVector fiber and run a batch of one.  Both reject the zero section and
-    rows off ``chart``.  The gradient and Hessian callables are required and
-    exact, as a GraphDensity's slope derivatives are.
+    call them on fiber rows at one base point (n,) or one per row;
+    ``value``, ``gradient`` and ``hessian`` take one base point and a
+    KVector fiber and run a batch of one.  Both check shapes through
+    ``_rows`` and reject the zero section and rows off ``chart``.  The
+    gradient and Hessian callables are required and exact, as a
+    GraphDensity's slope derivatives are.
 
     The built-in constructors also declare what the Lagrangian can do:
     ``chart`` is the index of the fiber coordinate that must be positive
@@ -73,37 +73,51 @@ class HomogeneousLagrangian:
     def fiber_dim(self) -> int:
         return math.comb(self.n, self.p)
 
-    def _rows(self, xs: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.asarray(xs, dtype=float)
-        cs = np.asarray(cs, dtype=float)
+    def _rows(self, x: np.ndarray, y: KVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Base points (N, n) and fiber rows (N, C(n,p)) of one evaluation, shapes and rows checked.
+
+        ``y`` is a KVector, a batch of one whose (n, p) must match L's, or
+        fiber rows (N, C(n,p)); ``x`` is one base point (n,) or one per row.
+        """
+        if isinstance(y, KVector):
+            if (y.n, y.p) != (self.n, self.p):
+                raise ValueError(f"fiber mismatch: Lagrangian (n={self.n}, p={self.p}) vs y (n={y.n}, p={y.p})")
+            y = y.coords[None]
+        xs, cs = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if cs.ndim != 2 or cs.shape[1] != self.fiber_dim or xs.shape not in {(self.n,), (len(cs), self.n)}:
+            raise ValueError(f"{self.name} takes base points ({self.n},) or (N, {self.n}) with fiber rows "
+                             f"(N, {self.fiber_dim}), got {xs.shape} and {cs.shape}")
         if np.any(np.all(cs == 0.0, axis=-1)):
             raise ZeroSectionError(f"{self.name} is undefined on the zero section")
         off = ~self._on_chart(cs)
         if np.any(off):
-            raise OrientationError(f"graph chart needs a positive top coordinate: row {int(np.argmax(off))} "
-                                   f"is off the chart of {self.name}")
-        return xs, cs
+            raise self._off_chart(f"row {int(np.argmax(off))}")
+        return np.broadcast_to(xs, (len(cs), self.n)), cs
+
+    def _off_chart(self, where: str) -> OrientationError:
+        return OrientationError(f"{where} is off the chart of {self.name}: "
+                                f"fiber coordinate {self.chart} must be positive")
 
     def _on_chart(self, cs: np.ndarray) -> np.ndarray:
         """Whether each fiber row lies in the chart; all rows without one."""
         return np.ones(len(cs), dtype=bool) if self.chart is None else cs[:, self.chart] > 0.0
 
     def value(self, x: np.ndarray, y: KVector) -> float:
-        return float(self._values(*fiber_rows(self, x, y))[0])
+        return float(self._values(*self._rows(x, y))[0])
 
     def value_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        """Values on raw coordinates, shape (N,); rows with zero fiber are rejected."""
+        """Values on fiber rows (N, C(n,p)) at one base point or one per row, shape (N,)."""
         return self._values(*self._rows(xs, cs))
 
     def gradient(self, x: np.ndarray, y: KVector) -> KCovector:
-        return KCovector(self.n, self.p, self._gradients(*fiber_rows(self, x, y))[0])
+        return KCovector(self.n, self.p, self._gradients(*self._rows(x, y))[0])
 
     def gradient_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         """Fiber gradients on raw coordinates, shape (N, C(n,p))."""
         return self._gradients(*self._rows(xs, cs))
 
     def hessian(self, x: np.ndarray, y: KVector) -> np.ndarray:
-        return self._hessians(*fiber_rows(self, x, y))[0]
+        return self._hessians(*self._rows(x, y))[0]
 
     def hessian_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         """Fiber Hessians on raw coordinates, shape (N, C(n,p), C(n,p))."""
@@ -361,26 +375,12 @@ def graph_lift(F: GraphDensity) -> HomogeneousLagrangian:
                                  chart=top, density=F)
 
 
-def fiber_rows(L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Base points (N, n) and fiber coordinates (N, C(n,p)) at the base point x.
-
-    ``y`` is one KVector, a batch of one whose (n, p) must match L's, or an
-    array of N fiber rows; both are checked as the batched methods check them.
-    """
-    if isinstance(y, KVector):
-        if (y.n, y.p) != (L.n, L.p):
-            raise ValueError(f"fiber mismatch: Lagrangian (n={L.n}, p={L.p}) vs y (n={y.n}, p={y.p})")
-        return L._rows(np.asarray(x, dtype=float)[None], y.coords[None])
-    cs = np.asarray(y, dtype=float)
-    return L._rows(np.broadcast_to(np.asarray(x, dtype=float), (len(cs), L.n)), cs)
-
-
 def euler_residual(L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray) -> float | np.ndarray:
     """|L(x,y) - <dL/dy, y>|; zero for degree-1 homogeneous L.
 
     A KVector y gives a float; fiber rows (N, C(n,p)) give one residual per row.
     """
-    xs, cs = fiber_rows(L, x, y)
+    xs, cs = L._rows(x, y)
     # vecdot is the BLAS dot of pair(), row by row
     residual = np.abs(L.value_many(xs, cs) - np.vecdot(L.gradient_many(xs, cs), cs))
     return float(residual[0]) if isinstance(y, KVector) else residual
@@ -397,19 +397,9 @@ def homogeneity_residual(
     lams = [float(lam) for lam in lambdas]
     if any(lam <= 0.0 for lam in lams):
         raise ValueError("scaling factors must be positive")
-    xs, cs = fiber_rows(L, x, y)
+    xs, cs = L._rows(x, y)
     base = L.value_many(xs, cs)
     norm = np.sqrt(np.vecdot(cs, cs))
     residual = np.max([np.abs(L.value_many(xs, lam * cs) - lam * base) / (lam * norm) for lam in lams], axis=0)
     return float(residual[0]) if isinstance(y, KVector) else residual
 
-
-def is_nondegenerate(
-    L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray, tol: float = 1e-8
-) -> bool | np.ndarray:
-    """Whether the fiber Hessian of L^2 is positive definite beyond tol.
-
-    A KVector y gives a bool; fiber rows (N, C(n,p)) give one per row.
-    """
-    definite = np.linalg.eigvalsh(L._square_hessians(*fiber_rows(L, x, y))[0])[:, 0] > tol
-    return bool(definite[0]) if isinstance(y, KVector) else definite

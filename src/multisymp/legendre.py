@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotInImageError, ZeroSectionError
 from .exterior import GrassmannPoint, KCovector, KVector, _rejection_rows, multi_indices
-from .lagrangian import HomogeneousLagrangian, fiber_rows
+from .lagrangian import HomogeneousLagrangian
 
 __all__ = [
     "LegendreImagePoint",
@@ -58,7 +58,7 @@ def hamiltonian(
     A KCovector p and KVector y give a float; dual rows p and fiber rows y,
     both (N, C(n,p)), give one value per row.
     """
-    xs, cs = fiber_rows(L, x, y)
+    xs, cs = L._rows(x, y)
     dual = p.coords if isinstance(p, KCovector) else np.asarray(p, dtype=float)
     # vecdot is the BLAS dot of pair(), row by row
     value = np.vecdot(dual, cs) - L.value_many(xs, cs)
@@ -84,7 +84,7 @@ def inverse_legendre(
     if not radius[0] > 0.0:  # NaN when the solve failed
         raise NotInImageError("no preimage: the radial solve failed")
     y = solution[0] / radius[0]
-    residual = float(np.linalg.norm(L.gradient_many(x[None], y[None])[0] - p.coords))
+    residual = float(np.linalg.norm(L.gradient_many(x, y[None])[0] - p.coords))
     if not residual <= tol:
         raise NotInImageError(f"no preimage within tolerance: residual {residual:.3e} > {tol:.1e}")
     return GrassmannPoint(KVector(L.n, L.p, y), check=False)
@@ -102,7 +102,7 @@ def _level_rows(L: HomogeneousLagrangian, x: np.ndarray, count: int, rng: np.ran
         norms = np.linalg.norm(directions, axis=-1)
         keep = (norms >= 1e-12) & L._on_chart(directions)
         levels = np.zeros(need)
-        levels[keep] = L.value_many(np.broadcast_to(x, (int(keep.sum()), x.size)), directions[keep])
+        levels[keep] = L.value_many(x, directions[keep])
         keep &= levels > 1e-9 * norms
         return directions[keep] / levels[keep, None]
 
@@ -118,7 +118,7 @@ def image_coordinates(
     """
     x = np.asarray(x, dtype=float)
     rows = _level_rows(L, x, count, np.random.default_rng(seed))
-    return rows, L.gradient_many(np.broadcast_to(x, (count, x.size)), rows)
+    return rows, L.gradient_many(x, rows)
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def rank_lemma_check(
     (N, C(n,p)) give rank arrays (N,) and singular values (N, C(n,p)), from
     one _square_hessians call and one stacked SVD.
     """
-    H2, H = L._square_hessians(*fiber_rows(L, x, y))
+    H2, H = L._square_hessians(*L._rows(x, y))
     svals = np.linalg.svd(np.stack([H2, H]), compute_uv=False)
     top = svals[..., :1]
     ranks = np.where(top[..., 0] > 0.0, np.sum(svals > threshold * top, axis=-1), 0)
@@ -272,7 +272,7 @@ def _radial_solve(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
     norm_t = np.linalg.norm(targets, axis=-1)
     seeded = L._on_chart(targets)
     seed_level = np.zeros(len(targets))
-    seed_level[seeded] = np.abs(L.value_many(xs[: int(seeded.sum())], targets[seeded]))
+    seed_level[seeded] = np.abs(L.value_many(x, targets[seeded]))
     rows = np.flatnonzero(seed_level > 1e-12 * np.maximum(1.0, norm_t))
     c = targets[rows] / seed_level[rows, None]  # start on the unit level of |L|
     level, g = _level_gradient(L, xs, c)
@@ -312,9 +312,8 @@ def _confirmed(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray, rad
     radius is the level L(y*) that _radial_solve evaluated at the solution.
     """
     surface = targets / radius[:, None]
-    xs = np.broadcast_to(x, (len(targets), x.size))
     ok = radius > 1e-12 * np.maximum(1.0, np.linalg.norm(solution, axis=-1))
-    residual = L.gradient_many(xs[: int(ok.sum())], solution[ok] / radius[ok, None]) - surface[ok]
+    residual = L.gradient_many(x, solution[ok] / radius[ok, None]) - surface[ok]
     confirmed = np.zeros(len(targets), dtype=bool)
     confirmed[ok] = np.sqrt(np.sum(residual * residual, axis=-1)) <= 1e-6
     return confirmed

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exterior import KVector, det, minors, multi_indices
-from .lagrangian import HomogeneousLagrangian, fiber_rows
+from .lagrangian import HomogeneousLagrangian
 
 __all__ = [
     "TotalSpaceChart",
@@ -261,7 +261,7 @@ def pullback_residual(
     (T, C(n,p)), one per tuple; the worst mismatch is returned.
     """
     vectors = np.asarray(tuples, dtype=float).reshape(-1, L.p, L.n)
-    xs, cs = fiber_rows(L, x, y)
+    xs, cs = L._rows(x, y)
     xs, cs = np.broadcast_to(xs, (len(vectors), L.n)), np.broadcast_to(cs, (len(vectors), cs.shape[1]))
     grads = L.gradient_many(xs, cs)
     chart = TotalSpaceChart(L.n, L.p)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateCellError, OrientationError
+from .errors import DegenerateCellError
 from .exterior import KVector, minors
 from .lagrangian import GraphDensity, HomogeneousLagrangian
 
@@ -240,7 +240,7 @@ def _check_cells(coords: np.ndarray, grid: ParametricGrid, L: HomogeneousLagrang
         raise DegenerateCellError(grid.cell_index(int(np.argmax(dead))))
     off = ~L._on_chart(coords)
     if np.any(off):
-        raise OrientationError(f"graph chart violated at cell {grid.cell_index(int(np.argmax(off)))}")
+        raise L._off_chart(f"cell {grid.cell_index(int(np.argmax(off)))}")
 
 
 def _checked_samples(L: HomogeneousLagrangian, grid: ParametricGrid, rule: str):

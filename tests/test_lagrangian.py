@@ -18,12 +18,10 @@ from multisymp import (
     constant_density,
     ellipsoid_lagrangian,
     euler_residual,
-    fiber_rows,
     geometric_mean_lagrangian,
     graph_area_density,
     graph_lift,
     homogeneity_residual,
-    is_nondegenerate,
     minimal_surface_density,
     pair,
     projected_volume_lagrangian,
@@ -270,30 +268,22 @@ class TestAreolarForm:
 class TestNondegeneracy:
     def test_area_everywhere(self, x3, area3, rng):
         y = KVector(3, 2, rng.standard_normal(3))
-        square = area3._square_hessians(*fiber_rows(area3, x3, y))[0][0]
+        square = area3._square_hessians(*area3._rows(x3, y))[0][0]
         assert np.allclose(square, 2.0 * np.eye(3), atol=1e-12)
-        assert is_nondegenerate(area3, x3, y)
 
     def test_linear_probe_degenerate(self, x3):
         L = projected_volume_lagrangian(3, 2)
         y = cyclic(2.0, 1.0, 1.0)
-        square = L._square_hessians(*fiber_rows(L, x3, y))[0][0]
+        square = L._square_hessians(*L._rows(x3, y))[0][0]
         assert np.allclose(square, 2.0 * np.outer(np.eye(3)[0], np.eye(3)[0]))
-        assert not is_nondegenerate(L, x3, y)
 
     def test_ellipsoid_everywhere(self, x3, ellipsoid3, rng):
         for _ in range(20):
             y = KVector(3, 2, rng.standard_normal(3))
             if y.norm() < 1e-3:
                 continue
-            square = ellipsoid3._square_hessians(*fiber_rows(ellipsoid3, x3, y))[0][0]
+            square = ellipsoid3._square_hessians(*ellipsoid3._rows(x3, y))[0][0]
             assert np.allclose(square, 2.0 * np.diag([1.0, 4.0, 9.0]), atol=1e-9)
-            assert is_nondegenerate(ellipsoid3, x3, y)
-
-    def test_geometric_mean_probe_not_nondegenerate(self, x3):
-        L = geometric_mean_lagrangian()
-        y = KVector(3, 2, [1.0, 1.0, 1.0])
-        assert not is_nondegenerate(L, x3, y)
 
     @pytest.mark.parametrize("L", [
         area_lagrangian(4, 2),
@@ -305,16 +295,9 @@ class TestNondegeneracy:
         # one formula for Hess(L^2): the row form and the KVector batch of one agree exactly
         rng = np.random.default_rng(3)
         x, rows = rng.standard_normal(4), rng.standard_normal((12, 6))
-        got = is_nondegenerate(L, x, rows)
-        assert got.dtype == bool and got.shape == (12,)
-        assert got.tolist() == [is_nondegenerate(L, x, KVector(4, 2, c)) for c in rows]
         square = L._square_hessians(np.broadcast_to(x, (12, 4)), rows)[0]
-        fibers = [L._square_hessians(*fiber_rows(L, x, KVector(4, 2, c)))[0][0] for c in rows]
+        fibers = [L._square_hessians(*L._rows(x, KVector(4, 2, c)))[0][0] for c in rows]
         assert all(np.array_equal(square[k], fiber) for k, fiber in enumerate(fibers))
-
-    def test_rows_reject_zero_section(self, x3, area3):
-        with pytest.raises(ZeroSectionError):
-            is_nondegenerate(area3, x3, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 class TestBuiltinInvariants:
@@ -407,9 +390,9 @@ class TestBatchedConvention:
 
     def test_graph_chart_message_names_the_chart(self, minimal_lift3):
         cs = np.array([[1.0, 0.5, 0.0], [-2.0, 1.0, 1.0]])
-        with pytest.raises(OrientationError, match="graph chart needs a positive top coordinate"):
+        with pytest.raises(OrientationError, match="row 1 is off the chart .*: fiber coordinate 0 must be positive"):
             minimal_lift3.value_many(np.zeros((2, 3)), cs)
-        with pytest.raises(OrientationError, match="graph chart needs a positive top coordinate"):
+        with pytest.raises(OrientationError, match="row 0 is off the chart .*: fiber coordinate 0 must be positive"):
             minimal_lift3.value(np.zeros(3), KVector(3, 2, cs[1]))
 
     def test_derivative_callables_are_required(self, area3):
@@ -426,6 +409,51 @@ class TestBatchedConvention:
         assert L.value_many(np.zeros((1, 4)), cs[:1]).tolist() == [math.sqrt(5.0)]
         with pytest.raises(OrientationError, match="row 1 is off the chart"):
             L.value_many(np.zeros((2, 4)), cs)
+
+    def test_off_chart_names_row_and_chart_coordinate(self):
+        L = replace(area_lagrangian(4, 2), chart=3)
+        cs = np.array([[-1.0, 0.0, 0.0, 2.0, 0.0, 0.0], [1.0, 0.0, 0.0, -2.0, 0.0, 0.0]])
+        with pytest.raises(OrientationError, match="row 1 is off the chart of area: fiber coordinate 3 must be"):
+            L.value_many(np.zeros(4), cs)
+
+    @pytest.mark.parametrize("method", ["value_many", "gradient_many", "hessian_many"])
+    def test_shapes_are_checked(self, method):
+        L, rows = area_lagrangian(3, 2), np.ones((2, 3))
+        cases = [(np.zeros((1, 3)), np.ones((1, 4))),  # rows of width C(n,p) + 1
+                 (np.zeros(3), np.ones((2, 4))),
+                 (np.zeros(5), rows),  # a base point of width n + 2, as one point and as one per row
+                 (np.zeros((2, 5)), rows),
+                 (np.zeros((5, 3)), rows)]  # 5 per-row base points for 2 rows
+        for x, cs in cases:
+            with pytest.raises(ValueError) as excinfo:
+                getattr(L, method)(x, cs)
+            assert excinfo.type is ValueError
+            assert f"got {x.shape} and {cs.shape}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("method", ["value", "gradient", "hessian"])
+    def test_kvector_of_another_fiber_is_rejected(self, area3, method):
+        with pytest.raises(ValueError, match="fiber mismatch"):
+            getattr(area3, method)(np.zeros(3), KVector(4, 2, np.ones(6)))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
+    def test_one_base_point_equals_one_per_row(self, shape):
+        # bit for bit, on every built-in and on the two fixtures that read x
+        n, p = shape
+        dim = math.comb(n, p)
+        rng = np.random.default_rng(n + 10 * p)
+        x = rng.standard_normal(n)
+        cs = rng.uniform(0.25, 2.0, (6, dim)) * rng.choice([-1.0, 1.0], (6, dim))
+        cs[:, 0] = np.abs(cs[:, 0])  # coordinate 0 is the top of the graph chart
+        y = KVector(n, p, cs[0])
+        a = CONFORMAL_EXPONENT
+        lagrangians = [oracle_case(name, n, p)[0] for name in ORACLE_LAGRANGIANS] + [
+            conformal_area(n, p, a[:n]), graph_lift(weighted_minimal_surface(n, p, a[:p], a[p:n]))]
+        for L in lagrangians:
+            for one, many in ((L.value, L.value_many), (L.gradient, L.gradient_many), (L.hessian, L.hessian_many)):
+                got = many(x, cs)
+                assert np.array_equal(got, many(np.broadcast_to(x, (len(cs), n)), cs)), L.name
+                single = one(x, y)
+                assert np.array_equal(getattr(single, "coords", single), got[0]), L.name
 
 
 ORACLE_SHAPES = [(3, 2), (4, 2), (5, 3)]

@@ -1,4 +1,4 @@
-"""The package root re-exports every module's public names; the suite rejects unknown markers."""
+"""The package root re-exports every module's public names; the suite rejects unknown markers and config keys."""
 
 import importlib
 
@@ -20,3 +20,8 @@ def test_misspelt_marker_fails():
     # a mistyped time_limit must stop the run, not silently drop the test's hang guard
     with pytest.raises(pytest.fail.Exception, match="time_limt"):
         pytest.mark.time_limt
+
+
+def test_misspelt_config_key_fails(pytestconfig):
+    # a mistyped ini key must stop the run: a misspelt filterwarnings would silently drop the RuntimeWarning gate
+    assert pytestconfig.getini("strict_config") is True

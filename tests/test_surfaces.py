@@ -114,6 +114,12 @@ class TestLagrangianAction:
             lagrangian_action(minimal_lift3, grid)
         assert "cell" in str(excinfo.value)
 
+    def test_off_chart_cell_names_the_chart_coordinate(self, minimal_lift3):
+        grid = ParametricGrid.from_map(lambda s: np.stack([-s[..., 0], s[..., 1], np.zeros(len(s))], axis=-1),
+                                       [(0, 1), (0, 1)], 4, p=2, n=3)
+        with pytest.raises(OrientationError, match=r"cell \(0, 0\) is off the chart of .*: fiber coordinate 0 must be"):
+            lagrangian_action(minimal_lift3, grid)
+
     @pytest.mark.parametrize("action", [lagrangian_action, multisymplectic_action])
     def test_degenerate_cell_error_names_first_dead_cell(self, area3, action):
         # x clamped at 0.5: the cells with x >= 0.5 have no extent along x
