@@ -285,6 +285,12 @@ class TestNondegeneracy:
             square = ellipsoid3._square_hessians(*ellipsoid3._rows(x3, y))[0][0]
             assert np.allclose(square, 2.0 * np.diag([1.0, 4.0, 9.0]), atol=1e-9)
 
+    def test_geometric_mean_probe_not_nondegenerate(self, x3):
+        L = geometric_mean_lagrangian()
+        y = KVector(3, 2, [1.0, 1.0, 1.0])
+        square = L._square_hessians(*L._rows(x3, y))[0][0]
+        assert np.linalg.eigvalsh(square)[0] <= 1e-8
+
     @pytest.mark.parametrize("L", [
         area_lagrangian(4, 2),
         ellipsoid_lagrangian(4, 2, [0.5, 1.0, 2.0, 3.0, 4.0, 5.0]),
@@ -298,6 +304,10 @@ class TestNondegeneracy:
         square = L._square_hessians(np.broadcast_to(x, (12, 4)), rows)[0]
         fibers = [L._square_hessians(*L._rows(x, KVector(4, 2, c)))[0][0] for c in rows]
         assert all(np.array_equal(square[k], fiber) for k, fiber in enumerate(fibers))
+
+    def test_rows_reject_zero_section(self, x3, area3):
+        with pytest.raises(ZeroSectionError):
+            area3._rows(x3, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 class TestBuiltinInvariants:
