@@ -15,14 +15,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from multisymp import GraphSurface, area_lagrangian, convergence_rows, lagrangian_action
+from multisymp import GraphSurface, area_lagrangian, convergence_rows, paired_actions
 
 BILINEAR_AREA_REFERENCE = 1.2807892621906034  # midpoint rule at 2048^2
 
 
 def study(L, surface, resolutions, reference):
     """Convergence rows of the Lagrangian action of the surface at each resolution."""
-    values = {res: lagrangian_action(L, replace(surface, resolution=res).to_grid()) for res in resolutions}
+    values = {res: paired_actions(L, replace(surface, resolution=res).to_grid())[0] for res in resolutions}
     return convergence_rows(values, surface.domain, reference)
 
 

@@ -332,6 +332,8 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
     for name in selected:
         if _choice(name, VERIFY_CHECKS, "checks") not in runnable:
             raise ConfigError(f"checks must leave out {name!r}: {L.name} declares no image quadric")
+    if len(set(selected)) < len(selected):
+        raise ConfigError(f"checks must be distinct, got {selected!r}")
 
     fibers = decomposable_rows(np.random.default_rng(seed), L.n, L.p, samples, L.chart, 0.25, L.sampling_floor)
     chart = TotalSpaceChart(L.n, L.p)

@@ -31,7 +31,6 @@ __all__ = [
     "plane_from_bivector",
     "is_decomposable",
     "grassmann_eq",
-    "random_decomposable",
     "decomposable_rows",
 ]
 
@@ -309,16 +308,3 @@ def decomposable_rows(rng: np.random.Generator, n: int, p: int, count: int,
 
     return _rejection_rows(draw, count, math.comb(n, p), f"nearly every draw fails the norm, "
                            f"chart {chart} margin {margin} or floor {floor} test")
-
-
-def random_decomposable(
-    rng: np.random.Generator, n: int, p: int, min_top_fraction: float | None = None
-) -> KVector:
-    """Wedge of p standard-normal vectors, optionally with a dominant positive top coordinate.
-
-    A batch of one of decomposable_rows: with ``min_top_fraction`` set, the
-    coordinate on axes (1..p) is at least that fraction of the norm and is
-    oriented positive; used to stay inside the graph chart.
-    """
-    chart = None if min_top_fraction is None else 0
-    return KVector(n, p, decomposable_rows(rng, n, p, 1, chart, min_top_fraction or 0.0)[0])

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import OrientationError, ZeroSectionError
-from .exterior import KCovector, KVector, index_position
+from .exterior import index_position
 
 __all__ = [
     "HomogeneousLagrangian",
@@ -42,12 +42,10 @@ class HomogeneousLagrangian:
     (N, n) and fiber coordinates ``cs`` of shape (N, C(n,p)), and return
     values (N,), gradients (N, C(n,p)) and Hessians (N, C(n,p), C(n,p)).
     Each row must depend on its own inputs only.  The ``*_many`` methods
-    call them on fiber rows at one base point (n,) or one per row;
-    ``value``, ``gradient`` and ``hessian`` take one base point and a
-    KVector fiber and run a batch of one.  Both check shapes through
-    ``_rows`` and reject the zero section and rows off ``chart``.  The
-    gradient and Hessian callables are required and exact, as a
-    GraphDensity's slope derivatives are.
+    call them on fiber rows at one base point (n,) or one per row; they
+    check shapes through ``_rows`` and reject the zero section and rows
+    off ``chart``.  The gradient and Hessian callables are required and
+    exact, as a GraphDensity's slope derivatives are.
 
     The built-in constructors also declare what the Lagrangian can do:
     ``chart`` is the index of the fiber coordinate that must be positive
@@ -73,20 +71,16 @@ class HomogeneousLagrangian:
     def fiber_dim(self) -> int:
         return math.comb(self.n, self.p)
 
-    def _rows(self, x: np.ndarray, y: KVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _rows(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Base points (N, n) and fiber rows (N, C(n,p)) of one evaluation, shapes and rows checked.
 
-        ``y`` is a KVector, a batch of one whose (n, p) must match L's, or
-        fiber rows (N, C(n,p)); ``x`` is one base point (n,) or one per row.
+        ``y`` is fiber rows (N, C(n,p)); ``x`` is one base point (n,) or one per row.
         """
-        if isinstance(y, KVector):
-            if (y.n, y.p) != (self.n, self.p):
-                raise ValueError(f"fiber mismatch: Lagrangian (n={self.n}, p={self.p}) vs y (n={y.n}, p={y.p})")
-            y = y.coords[None]
-        xs, cs = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        xs, cs = np.asarray(x), np.asarray(y)  # any other object is a 0-d array here, and fails the check
         if cs.ndim != 2 or cs.shape[1] != self.fiber_dim or xs.shape not in {(self.n,), (len(cs), self.n)}:
             raise ValueError(f"{self.name} takes base points ({self.n},) or (N, {self.n}) with fiber rows "
                              f"(N, {self.fiber_dim}), got {xs.shape} and {cs.shape}")
+        xs, cs = xs.astype(float, copy=False), cs.astype(float, copy=False)
         if np.any(np.all(cs == 0.0, axis=-1)):
             raise ZeroSectionError(f"{self.name} is undefined on the zero section")
         off = ~self._on_chart(cs)
@@ -102,22 +96,13 @@ class HomogeneousLagrangian:
         """Whether each fiber row lies in the chart; all rows without one."""
         return np.ones(len(cs), dtype=bool) if self.chart is None else cs[:, self.chart] > 0.0
 
-    def value(self, x: np.ndarray, y: KVector) -> float:
-        return float(self._values(*self._rows(x, y))[0])
-
     def value_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         """Values on fiber rows (N, C(n,p)) at one base point or one per row, shape (N,)."""
         return self._values(*self._rows(xs, cs))
 
-    def gradient(self, x: np.ndarray, y: KVector) -> KCovector:
-        return KCovector(self.n, self.p, self._gradients(*self._rows(x, y))[0])
-
     def gradient_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         """Fiber gradients on raw coordinates, shape (N, C(n,p))."""
         return self._gradients(*self._rows(xs, cs))
-
-    def hessian(self, x: np.ndarray, y: KVector) -> np.ndarray:
-        return self._hessians(*self._rows(x, y))[0]
 
     def hessian_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         """Fiber Hessians on raw coordinates, shape (N, C(n,p), C(n,p))."""
@@ -375,24 +360,19 @@ def graph_lift(F: GraphDensity) -> HomogeneousLagrangian:
                                  chart=top, density=F)
 
 
-def euler_residual(L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray) -> float | np.ndarray:
-    """|L(x,y) - <dL/dy, y>|; zero for degree-1 homogeneous L.
-
-    A KVector y gives a float; fiber rows (N, C(n,p)) give one residual per row.
-    """
+def euler_residual(L: HomogeneousLagrangian, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|L(x,y) - <dL/dy, y>| per fiber row of y (N, C(n,p)); zero for degree-1 homogeneous L."""
     xs, cs = L._rows(x, y)
     # vecdot is the BLAS dot of pair(), row by row
-    residual = np.abs(L.value_many(xs, cs) - np.vecdot(L.gradient_many(xs, cs), cs))
-    return float(residual[0]) if isinstance(y, KVector) else residual
+    return np.abs(L.value_many(xs, cs) - np.vecdot(L.gradient_many(xs, cs), cs))
 
 
 def homogeneity_residual(
-    L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray, lambdas: Sequence[float]
-) -> float | np.ndarray:
-    """max over lambda of |L(x, lambda y) - lambda L(x, y)| / (lambda |y|).
+    L: HomogeneousLagrangian, x: np.ndarray, y: np.ndarray, lambdas: Sequence[float]
+) -> np.ndarray:
+    """max over lambda of |L(x, lambda y) - lambda L(x, y)| / (lambda |y|) per fiber row of y (N, C(n,p)).
 
-    A KVector y gives a float; fiber rows (N, C(n,p)) give one residual per
-    row, from one value_many call per factor.
+    One value_many call per factor.
     """
     lams = [float(lam) for lam in lambdas]
     if any(lam <= 0.0 for lam in lams):
@@ -400,6 +380,5 @@ def homogeneity_residual(
     xs, cs = L._rows(x, y)
     base = L.value_many(xs, cs)
     norm = np.sqrt(np.vecdot(cs, cs))
-    residual = np.max([np.abs(L.value_many(xs, lam * cs) - lam * base) / (lam * norm) for lam in lams], axis=0)
-    return float(residual[0]) if isinstance(y, KVector) else residual
+    return np.max([np.abs(L.value_many(xs, lam * cs) - lam * base) / (lam * norm) for lam in lams], axis=0)
 

@@ -2,10 +2,11 @@
 
 For a degree-1 homogeneous Lagrangian the gradient map y -> dL/dy is
 homogeneous of degree 0, so it factors through oriented classes and its image
-is a codimension-1 set in the dual fiber.  This module maps to the image,
-inverts on the unit level set {L = 1}, samples the image, checks the rank
-splitting between the Hessians of L^2 and L, and certifies (by sampling)
-that segments between image points stay inside the image of the unit ball.
+is a codimension-1 set in the dual fiber.  The map is ``L.gradient_many`` on
+fiber rows; this module inverts it on the unit level set {L = 1}, samples the
+image, checks the rank splitting between the Hessians of L^2 and L, and
+certifies (by sampling) that segments between image points stay inside the
+image of the unit ball.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from typing import IO
 import numpy as np
 
 from .errors import NotInImageError, ZeroSectionError
-from .exterior import GrassmannPoint, KCovector, KVector, _rejection_rows, multi_indices
+from .exterior import _rejection_rows, multi_indices
 from .lagrangian import HomogeneousLagrangian
 
 __all__ = [
-    "LegendreImagePoint",
     "RankReport",
     "ConvexityCertificate",
-    "legendre_map",
     "hamiltonian",
     "inverse_legendre",
     "image_coordinates",
@@ -34,60 +33,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LegendreImagePoint:
-    """Dual-fiber point (x, dL/dy(x, y)) together with the oriented source class."""
+def hamiltonian(L: HomogeneousLagrangian, x: np.ndarray, p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<p, y> - L(x, y) per row of dual rows p and fiber rows y, both (N, C(n,p)).
 
-    x: np.ndarray
-    p: KCovector
-    source_class: GrassmannPoint
-
-
-def legendre_map(L: HomogeneousLagrangian, x: np.ndarray, y: KVector) -> LegendreImagePoint:
-    """Map (x, y) to (x, dL/dy(x, y)); invariant under positive rescaling of y."""
-    x = np.asarray(x, dtype=float)
-    grad = L.gradient(x, y)
-    return LegendreImagePoint(x=x, p=grad, source_class=GrassmannPoint(y, check=False))
-
-
-def hamiltonian(
-    L: HomogeneousLagrangian, x: np.ndarray, p: KCovector | np.ndarray, y: KVector | np.ndarray
-) -> float | np.ndarray:
-    """<p, y> - L(x, y); vanishes when p is the gradient image of y.
-
-    A KCovector p and KVector y give a float; dual rows p and fiber rows y,
-    both (N, C(n,p)), give one value per row.
+    It vanishes where p is the gradient image of y.
     """
     xs, cs = L._rows(x, y)
-    dual = p.coords if isinstance(p, KCovector) else np.asarray(p, dtype=float)
+    dual = np.asarray(p)
+    if dual.shape != cs.shape:
+        raise ValueError(f"{L.name} takes dual rows of the fiber rows' shape {cs.shape}, got {dual.shape}")
     # vecdot is the BLAS dot of pair(), row by row
-    value = np.vecdot(dual, cs) - L.value_many(xs, cs)
-    return float(value[0]) if isinstance(y, KVector) else value
+    return np.vecdot(dual.astype(float, copy=False), cs) - L.value_many(xs, cs)
 
 
-def inverse_legendre(
-    L: HomogeneousLagrangian, x: np.ndarray, p: KCovector, tol: float = 1e-8
-) -> GrassmannPoint:
-    """Solve dL/dy(x, y) = p for the oriented class [y], normalized to L = 1.
+def inverse_legendre(L: HomogeneousLagrangian, x: np.ndarray, p: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Solve dL/dy(x, y) = p for each dual row of p (N, C(n,p)); the solutions as fiber rows on {L = 1}.
 
-    A batch of one of the certificate's radial solve: it solves
-    L(y*) dL/dy(y*) = p and normalizes y = y* / L(y*).  Raises
-    NotInImageError when that solve fails or |dL/dy(y) - p| exceeds tol,
-    which is the no-solution signal for targets off the image.
+    The certificate's radial solve on every row: it solves L(y*) dL/dy(y*) = p
+    and normalizes y = y* / L(y*).  A target is a dual row, so the chart of L
+    does not apply to it; only the solve's seeding does.  Raises
+    ZeroSectionError on a zero row, and NotInImageError naming the first row
+    whose solve fails or whose |dL/dy(y) - p| exceeds tol, which is the
+    no-solution signal for targets off the image.
     """
-    x = np.asarray(x, dtype=float)
-    if (p.n, p.p) != (L.n, L.p):
-        raise ValueError("covector shape does not match the Lagrangian fiber")
-    if p.is_zero():
-        raise ZeroSectionError("target covector is zero")
-    radius, solution = _radial_solve(L, x, p.coords[None])
-    if not radius[0] > 0.0:  # NaN when the solve failed
-        raise NotInImageError("no preimage: the radial solve failed")
-    y = solution[0] / radius[0]
-    residual = float(np.linalg.norm(L.gradient_many(x, y[None])[0] - p.coords))
-    if not residual <= tol:
-        raise NotInImageError(f"no preimage within tolerance: residual {residual:.3e} > {tol:.1e}")
-    return GrassmannPoint(KVector(L.n, L.p, y), check=False)
+    targets = np.asarray(p)
+    if targets.ndim != 2 or targets.shape[1] != L.fiber_dim:
+        raise ValueError(f"{L.name} takes dual rows (N, {L.fiber_dim}), got {targets.shape}")
+    targets, x = targets.astype(float, copy=False), np.asarray(x, dtype=float)
+    zero = np.all(targets == 0.0, axis=-1)
+    if np.any(zero):
+        raise ZeroSectionError(f"target row {int(np.argmax(zero))} is zero")
+    radius, solution = _radial_solve(L, x, targets)
+    failed = ~(radius > 0.0)  # NaN where the solve failed
+    if np.any(failed):
+        raise NotInImageError(f"no preimage for row {int(np.argmax(failed))}: the radial solve failed")
+    rows = solution / radius[:, None]
+    residual = np.linalg.norm(L.gradient_many(x, rows) - targets, axis=-1)
+    missed = ~(residual <= tol)
+    if np.any(missed):
+        k = int(np.argmax(missed))
+        raise NotInImageError(f"no preimage for row {k} within tolerance: residual {residual[k]:.3e} > {tol:.1e}")
+    return rows
 
 
 def _level_rows(L: HomogeneousLagrangian, x: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -123,35 +109,30 @@ def image_coordinates(
 
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical ranks of the fiber Hessians of L^2 and L at one fiber point, or per fiber row."""
+    """Numerical ranks (N,) and singular values (N, C(n,p)) of the fiber Hessians of L^2 and L, per fiber row."""
 
-    rank_L2: int
-    rank_L: int
-    singular_values_L2: tuple[float, ...]
-    singular_values_L: tuple[float, ...]
+    rank_L2: np.ndarray
+    rank_L: np.ndarray
+    singular_values_L2: np.ndarray
+    singular_values_L: np.ndarray
     threshold: float
 
     @property
-    def splitting_holds(self) -> bool:
+    def splitting_holds(self) -> np.ndarray:
         return self.rank_L2 == 1 + self.rank_L
 
 
 def rank_lemma_check(
-    L: HomogeneousLagrangian, x: np.ndarray, y: KVector | np.ndarray, threshold: float = 1e-8
+    L: HomogeneousLagrangian, x: np.ndarray, y: np.ndarray, threshold: float = 1e-8
 ) -> RankReport:
     """Rank of Hess(L^2) versus 1 + rank(Hess L), by singular values above threshold*sigma_max.
 
-    A KVector y gives integer ranks and tuples of singular values.  Fiber rows
-    (N, C(n,p)) give rank arrays (N,) and singular values (N, C(n,p)), from
-    one _square_hessians call and one stacked SVD.
+    Per fiber row of y (N, C(n,p)), from one _square_hessians call and one stacked SVD.
     """
     H2, H = L._square_hessians(*L._rows(x, y))
     svals = np.linalg.svd(np.stack([H2, H]), compute_uv=False)
     top = svals[..., :1]
     ranks = np.where(top[..., 0] > 0.0, np.sum(svals > threshold * top, axis=-1), 0)
-    if isinstance(y, KVector):
-        return RankReport(int(ranks[0, 0]), int(ranks[1, 0]), tuple(svals[0, 0].tolist()),
-                          tuple(svals[1, 0].tolist()), threshold)
     return RankReport(ranks[0], ranks[1], svals[0], svals[1], threshold)
 
 
@@ -185,13 +166,12 @@ STALL_WINDOW = 10
 
 
 def _level_gradient(L: HomogeneousLagrangian, xs: np.ndarray, cs: np.ndarray):
-    """L and dL/dy at each row of cs, NaN in the rows a KVector or KCovector would reject.
+    """L and dL/dy at each row of cs, NaN in the rows that are non-finite, zero or off the chart of L.
 
-    Those are rows that are non-finite, zero or off the chart of L, and rows
-    with a non-finite gradient.  This is the one zero-section and chart
-    check: the valid rows are masked up front and take one gradient and one
-    value call, on cs itself when every row is valid.  ``xs`` has at least
-    len(cs) base points.
+    Rows with a non-finite gradient are NaN too.  This is the solver's one
+    zero-section and chart check: the valid rows are masked up front and take
+    one gradient and one value call, on cs itself when every row is valid.
+    ``xs`` has at least len(cs) base points.
     """
     levels = np.full(len(cs), np.nan)
     grads = np.full(cs.shape, np.nan)
@@ -308,7 +288,7 @@ def _confirmed(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray, rad
 
     One batched step normalizes every solution onto {L = 1} and measures its
     gradient residual against the rescaled target, the check inverse_legendre
-    makes on one target; a row above 1e-6 counts as a failed solve.  The
+    makes on each target; a row above 1e-6 counts as a failed solve.  The
     radius is the level L(y*) that _radial_solve evaluated at the solution.
     """
     surface = targets / radius[:, None]

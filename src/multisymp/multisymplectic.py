@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exterior import KVector, det, minors, multi_indices
+from .exterior import det, minors, multi_indices
 from .lagrangian import HomogeneousLagrangian
 
 __all__ = [
@@ -211,27 +211,22 @@ def nondegeneracy_check(form: FormField, point: np.ndarray) -> tuple[bool, int]:
 
 
 def closedness_residual(
-    form: FormField, point: np.ndarray, vectors: Sequence[TotalVector], h: float = 1e-4
-) -> float | np.ndarray:
-    """|d(form)| at the point on k+1 constant vectors, by central differences.
+    form: FormField, points: np.ndarray, vectors: np.ndarray, h: float = 1e-4
+) -> np.ndarray:
+    """|d(form)| at points (N, dim) on k+1 constant vectors (N, k+1, dim) each, by central differences.
 
     Uses the coordinate formula for the exterior derivative on constant
     vector fields, so the bracket terms vanish and only directional
-    derivatives of the evaluations remain.  A point of shape (dim,) with
-    vectors (k+1, dim) gives a float; points (N, dim) with vectors
-    (N, k+1, dim) give the N residuals, from one evaluator call.
+    derivatives of the evaluations remain.  Returns the N residuals, from one
+    evaluator call.
     """
-    if h <= 0.0:
+    if not h > 0.0:  # a NaN step fails too
         raise ValueError("step must be positive")
-    point = np.asarray(point, dtype=float)
-    vecs = np.asarray(vectors, dtype=float)
+    points, vecs = np.asarray(points, dtype=float), np.asarray(vectors, dtype=float)
     m = form.degree + 1
-    got = vecs.shape[-2] if vecs.ndim >= 2 else len(vecs)
-    if got != m:
-        raise ValueError(f"d({form.name}) takes {m} arguments, got {got}")
-    if point.shape[-1:] != (form.dim,) or vecs.shape != point.shape[:-1] + (m, form.dim):
-        raise ValueError(f"{form.name} lives on a {form.dim}-dimensional chart")
-    points, vecs = point.reshape(-1, form.dim), vecs.reshape(-1, m, form.dim)
+    if points.ndim != 2 or points.shape[1] != form.dim or vecs.shape != (len(points), m, form.dim):
+        raise ValueError(f"d({form.name}) takes points (N, {form.dim}) with {m} vectors each, (N, {m}, {form.dim}), "
+                         f"got {points.shape} and {vecs.shape}")
     # for each i: the form at point +- h v_i on the other vectors, in their order
     others = [[j for j in range(m) if j != i] for i in range(m)]
     rest = np.swapaxes(vecs[:, others, :], -1, -2)
@@ -241,15 +236,14 @@ def closedness_residual(
     total = np.zeros(len(points))
     for i in range(m):
         total += (-1.0) ** i * (values[:, i, 0] - values[:, i, 1]) / (2.0 * h)
-    residual = np.abs(total)
-    return float(residual[0]) if point.ndim == 1 else residual
+    return np.abs(total)
 
 
 def pullback_residual(
     L: HomogeneousLagrangian,
     x: np.ndarray,
-    y: KVector | np.ndarray,
-    tuples: Sequence[Sequence[np.ndarray]],
+    y: np.ndarray,
+    tuples: np.ndarray,
 ) -> float:
     """Mismatch between the pulled-back tautological form and the areolar form.
 
@@ -257,12 +251,14 @@ def pullback_residual(
     horizontally lifted base tuples and compares with the areolar-form value
     dL/dy on the same tuples; the two agree for any Lagrangian, which is what
     makes the dual-side action integrand equal the Lagrangian one.  ``tuples``
-    has shape (T, p, n).  ``y`` is one KVector for every tuple, or fiber rows
-    (T, C(n,p)), one per tuple; the worst mismatch is returned.
+    has shape (T, p, n) and ``y`` holds fiber rows (T, C(n,p)), one per
+    tuple; the worst mismatch is returned.
     """
     vectors = np.asarray(tuples, dtype=float).reshape(-1, L.p, L.n)
     xs, cs = L._rows(x, y)
-    xs, cs = np.broadcast_to(xs, (len(vectors), L.n)), np.broadcast_to(cs, (len(vectors), cs.shape[1]))
+    if len(cs) != len(vectors):
+        raise ValueError(f"pullback_residual takes one fiber row per tuple, got {len(cs)} rows and "
+                         f"{len(vectors)} tuples")
     grads = L.gradient_many(xs, cs)
     chart = TotalSpaceChart(L.n, L.p)
     lhs = theta(chart).evaluator(chart.point(xs, grads), np.swapaxes(chart.lift(vectors), 1, 2))

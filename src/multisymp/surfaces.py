@@ -13,23 +13,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateCellError
-from .exterior import KVector, minors
+from .exterior import minors
 from .lagrangian import GraphDensity, HomogeneousLagrangian
 
 __all__ = [
     "ParametricGrid",
     "GraphSurface",
     "ConvergenceRow",
-    "tangent_pvector",
     "paired_actions",
-    "lagrangian_action",
     "graph_action",
-    "multisymplectic_action",
     "convergence_rows",
 ]
 
@@ -178,19 +175,17 @@ def _central_differences(fn, params: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.stack([(fn(params + steps[k]) - fn(params - steps[k])) / h[k] for k in range(len(h))], axis=1)
 
 
-def _cell_frames(grid: ParametricGrid, cell: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent frames and base points at every cell center, or at one cell's.
+def _cell_frames(grid: ParametricGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent frames and base points at every cell center.
 
     Returns (frames, bases) with frames of shape (num_cells, n, p) holding the
     averaged corner differences per axis, and bases of shape (num_cells, n).
-    Cells are enumerated in row-major order of the cell multi-index; with
-    ``cell`` given, num_cells is 1.  Each axis sums its corner blocks, added
-    or subtracted as views in row-major corner order, into one contiguous
-    (p, *res, n) array, and frames is a view of it.
+    Cells are enumerated in row-major order of the cell multi-index.  Each
+    axis sums its corner blocks, added or subtracted as views in row-major
+    corner order, into one contiguous (p, *res, n) array, and frames is a
+    view of it.
     """
-    p, n = grid.p, grid.n
-    values = grid.values if cell is None else grid.values[tuple(slice(c, c + 2) for c in cell)]
-    res = tuple(k - 1 for k in values.shape[:-1])
+    p, n, values, res = grid.p, grid.n, grid.values, grid.resolution
     sums = np.zeros((p, *res, n))
     bases = np.zeros((*res, n))
     for offset in itertools.product((0, 1), repeat=p):
@@ -200,20 +195,7 @@ def _cell_frames(grid: ParametricGrid, cell: tuple[int, ...] | None = None) -> t
             (np.add if o else np.subtract)(sums[axis], block, out=sums[axis])
     bases /= 2**p
     sums /= (2.0 ** (p - 1) * grid.spacing).reshape((p,) + (1,) * (p + 1))
-    num_cells = math.prod(res)
-    return np.moveaxis(sums.reshape(p, num_cells, n), 0, -1), bases.reshape(num_cells, n)
-
-
-def tangent_pvector(grid: ParametricGrid, cell: Sequence[int]) -> tuple[KVector, np.ndarray]:
-    """Tangent p-vector and base point at the center of one cell."""
-    cell = tuple(int(c) for c in cell)
-    if len(cell) != grid.p or any(not 0 <= c < r for c, r in zip(cell, grid.resolution)):
-        raise ValueError(f"cell {cell} outside the grid resolution {grid.resolution}")
-    frames, bases = _cell_frames(grid, cell)
-    coords = minors(frames)[0]
-    if not np.any(coords):
-        raise DegenerateCellError(cell)
-    return KVector(grid.n, grid.p, coords), bases[0]
+    return np.moveaxis(sums.reshape(p, grid.num_cells, n), 0, -1), bases.reshape(grid.num_cells, n)
 
 
 def _quadrature_samples(grid: ParametricGrid, rule: str):
@@ -272,13 +254,6 @@ def paired_actions(
     return lagrangian, multisymplectic
 
 
-def lagrangian_action(
-    L: HomogeneousLagrangian, grid: ParametricGrid, rule: str = "midpoint"
-) -> float:
-    """Integral of L on the tangent p-vectors against the parameter measure (see ``paired_actions``)."""
-    return paired_actions(L, grid, rule)[0]
-
-
 def graph_action(
     F: GraphDensity, surf: GraphSurface, rule: str = "midpoint"
 ) -> float:
@@ -296,13 +271,6 @@ def graph_action(
         slopes = _central_differences(surf.graph_values, params, h)
         contributions.extend((weight * F.fn_many(params, values, slopes)).tolist())
     return math.fsum(contributions)
-
-
-def multisymplectic_action(
-    L: HomogeneousLagrangian, grid: ParametricGrid, rule: str = "midpoint"
-) -> float:
-    """Integral of the tautological form over the gradient image of the tangent lift (see ``paired_actions``)."""
-    return paired_actions(L, grid, rule)[1]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared test helpers: (3, 2) fiber elements as cyclic triples, a draw-by-draw fiber sampler, and a
+"""Shared test helpers: (3, 2) fiber elements and rows as cyclic triples, a draw-by-draw fiber sampler, and a
 Lagrangian and a density that read the base point."""
 
 import numpy as np
@@ -16,6 +16,11 @@ from multisymp import (
 def cyclic(c12, c23, c31, cls=KVector):
     """The element with coordinates (12, 23, 31); the 31-coordinate is minus the canonical 13-coordinate."""
     return cls(3, 2, [c12, -c31, c23])
+
+
+def cyclic_row(c12, c23, c31):
+    """The coordinates of cyclic(c12, c23, c31) as one fiber or dual row, shape (1, 3)."""
+    return np.array([[c12, -c31, c23]], dtype=float)
 
 
 def conformal_area(n, p, a):

@@ -18,6 +18,7 @@ from multisymp import (
     closedness_residual,
     constant_x_form,
     convexity_certificate,
+    decomposable_rows,
     ellipsoid_lagrangian,
     euler_residual,
     geometric_mean_lagrangian,
@@ -26,22 +27,21 @@ from multisymp import (
     grassmann_eq,
     hamiltonian,
     inverse_legendre,
-    lagrangian_action,
-    legendre_map,
     minimal_surface_density,
-    multisymplectic_action,
+    minors,
     nondegeneracy_check,
     omega,
+    paired_actions,
     plane_from_bivector,
     projected_volume_lagrangian,
     pullback_residual,
     rank_lemma_check,
-    random_decomposable,
     wedge_vectors,
     weighted_x_form,
 )
 from multisymp.cli import cmd_verify
 from multisymp.legendre import image_coordinates
+from multisymp.surfaces import _cell_frames
 
 SEED = 20260810
 DIMS = [(3, 2), (4, 2), (4, 3)]
@@ -68,9 +68,13 @@ def builtin_triple(n, p):
 
 
 def fiber_samples(L, n, p, count, seed):
-    rng = np.random.default_rng(seed)
-    return [random_decomposable(rng, n, p, min_top_fraction=None if L.chart is None else 0.25)
-            for _ in range(count)]
+    """Fiber rows (count, C(n,p)) of wedges of standard-normal vectors, inside the chart of L if it has one."""
+    return decomposable_rows(np.random.default_rng(seed), n, p, count, L.chart, 0.25)
+
+
+def per_unit_value(L, x, ys, residuals):
+    """The largest residual relative to max(1, |L|) on its fiber row."""
+    return float(np.max(residuals / np.maximum(1.0, np.abs(L.value_many(x, ys)))))
 
 
 def test_criterion_1_euler_formula():
@@ -78,9 +82,8 @@ def test_criterion_1_euler_formula():
     for n, p in DIMS:
         x = np.zeros(n)
         for L in builtin_triple(n, p):
-            for y in fiber_samples(L, n, p, 100, SEED):
-                residual = euler_residual(L, x, y)
-                worst = max(worst, residual / max(1.0, abs(L.value(x, y))))
+            ys = fiber_samples(L, n, p, 100, SEED)
+            worst = max(worst, per_unit_value(L, x, ys, euler_residual(L, x, ys)))
     gate(1, "degree-1 identity between L and its fiber gradient",
          worst <= 1e-9, f"(worst residual {worst:.2e}, gate 1e-09)")
 
@@ -90,10 +93,9 @@ def test_criterion_2_vanishing_hamiltonian():
     for n, p in DIMS:
         x = np.zeros(n)
         for L in builtin_triple(n, p):
-            for y in fiber_samples(L, n, p, 100, SEED):
-                p_cov = legendre_map(L, x, y).p
-                residual = abs(hamiltonian(L, x, p_cov, y)) / max(1.0, abs(L.value(x, y)))
-                worst = max(worst, residual)
+            ys = fiber_samples(L, n, p, 100, SEED)
+            residuals = np.abs(hamiltonian(L, x, L.gradient_many(x, ys), ys))
+            worst = max(worst, per_unit_value(L, x, ys, residuals))
     gate(2, "dual pairing minus L vanishes on the gradient image",
          worst <= 1e-9, f"(worst residual {worst:.2e}, gate 1e-09)")
 
@@ -105,20 +107,17 @@ def test_criterion_3_rank_splitting():
         x = np.zeros(n)
         dim = len(ELLIPSOID_WEIGHTS[(n, p)])
         for L in (area_lagrangian(n, p), ellipsoid_lagrangian(n, p, ELLIPSOID_WEIGHTS[(n, p)])):
-            rng = np.random.default_rng(SEED + 1)
-            for _ in range(50):
-                y = KVector(n, p, rng.standard_normal(dim))
-                if y.norm() < 1e-3:
-                    continue
-                report = rank_lemma_check(L, x, y, threshold=1e-8)
-                if not report.splitting_holds or report.rank_L2 != dim:
+            ys = np.random.default_rng(SEED + 1).standard_normal((50, dim))
+            report = rank_lemma_check(L, x, ys[np.linalg.norm(ys, axis=-1) >= 1e-3], threshold=1e-8)
+            for rank_L2, rank_L in zip(report.rank_L2.tolist(), report.rank_L.tolist()):
+                if rank_L2 != 1 + rank_L or rank_L2 != dim:
                     ok = False
-                    detail.append(f"{L.name}({n},{p}): {report.rank_L2} vs 1+{report.rank_L}")
+                    detail.append(f"{L.name}({n},{p}): {rank_L2} vs 1+{rank_L}")
     probe = rank_lemma_check(projected_volume_lagrangian(3, 2), np.zeros(3),
-                             KVector(3, 2, [2.0, 1.0, 1.0]), threshold=1e-8)
-    if (probe.rank_L2, probe.rank_L) != (1, 0):
+                             np.array([[2.0, 1.0, 1.0]]), threshold=1e-8)
+    if (probe.rank_L2.tolist(), probe.rank_L.tolist()) != ([1], [0]):
         ok = False
-        detail.append(f"linear probe ranks {(probe.rank_L2, probe.rank_L)}")
+        detail.append(f"linear probe ranks {(probe.rank_L2.tolist(), probe.rank_L.tolist())}")
     gate(3, "rank(Hess L^2) = 1 + rank(Hess L) incl. the linear probe",
          ok, "; ".join(detail) or "(50 samples per Lagrangian and dimension)")
 
@@ -157,9 +156,9 @@ def test_criterion_6_pullback_identity():
     x = np.zeros(3)
     rng = np.random.default_rng(SEED + 2)
     for L in builtin_triple(3, 2):
-        for y in fiber_samples(L, 3, 2, 100, SEED + 3):
-            tuples = [[rng.standard_normal(3) for _ in range(2)]]
-            worst = max(worst, pullback_residual(L, x, y, tuples))
+        # one tuple per fiber row
+        worst = max(worst, pullback_residual(L, x, fiber_samples(L, 3, 2, 100, SEED + 3),
+                                             rng.standard_normal((100, 2, 3))))
     gate(6, "pulled-back tautological form equals the areolar form",
          worst <= 1e-9, f"(worst residual {worst:.2e}, gate 1e-09)")
 
@@ -169,18 +168,16 @@ def test_criterion_7_action_triple_equality():
     F = minimal_surface_density(3, 2)
     plane = GraphSurface(f=lambda s: np.stack([2.0 * s[..., 0] + 3.0 * s[..., 1]], axis=-1),
                          domain=[(0, 1), (0, 1)], resolution=64, p=2, n=3)
-    actions64 = (
-        lagrangian_action(L, plane.to_grid()),
-        graph_action(F, plane),
-        multisymplectic_action(L, plane.to_grid()),
-    )
+    lagrangian64, multisymplectic64 = paired_actions(L, plane.to_grid())
+    actions64 = (lagrangian64, graph_action(F, plane), multisymplectic64)
     plane_ok = all(abs(a - math.sqrt(14.0)) <= 1e-8 for a in actions64)
 
     bilinear = lambda res: GraphSurface(f=lambda s: np.stack([s[..., 0] * s[..., 1]], axis=-1),
                                         domain=[(0, 1), (0, 1)], resolution=res, p=2, n=3)
     resolutions = [16, 32, 64, 128, 256]
-    lagr = {res: lagrangian_action(L, bilinear(res).to_grid()) for res in resolutions}
-    ms = {res: multisymplectic_action(L, bilinear(res).to_grid()) for res in resolutions}
+    lagr, ms = {}, {}
+    for res in resolutions:
+        lagr[res], ms[res] = paired_actions(L, bilinear(res).to_grid())
     graph256 = graph_action(F, bilinear(256))
     graph_ok = abs(graph256 - lagr[256]) <= 1e-6
     ms_ok = all(abs(ms[res] - lagr[res]) <= 1e-10 * abs(lagr[res]) for res in resolutions)
@@ -195,13 +192,18 @@ def test_criterion_7_action_triple_equality():
          f"graph gap {abs(graph256 - lagr[256]):.2e}; orders {[round(o, 2) for o in orders]})")
 
 
+def cell_pvector(grid, cell):
+    """The tangent p-vector at one cell's center: the minors of its frame, as the actions read it."""
+    frames, _ = _cell_frames(grid)
+    return KVector(grid.n, grid.p, minors(frames)[np.ravel_multi_index(cell, grid.resolution)])
+
+
 def test_criterion_8_general_p_graph_law():
     # p=2, n=4 linear graph
     A = np.array([[2.0, 1.0], [1.0, -1.0]])
     surf24 = GraphSurface(f=lambda s: np.stack([2 * s[..., 0] + s[..., 1], s[..., 0] - s[..., 1]], axis=-1),
                           domain=[(0, 1), (0, 1)], resolution=8, p=2, n=4)
-    from multisymp import tangent_pvector
-    y24, _ = tangent_pvector(surf24.to_grid(), (3, 4))
+    y24 = cell_pvector(surf24.to_grid(), (3, 4))
     law24 = all(
         abs(y24.component(tuple(k for k in (1, 2) if k != i) + (2 + j,))
             - (-1.0) ** (2 - i) * A[i - 1, j - 1]) <= 1e-8
@@ -217,7 +219,7 @@ def test_criterion_8_general_p_graph_law():
     a = np.array([0.7, -1.3, 0.4])
     surf34 = GraphSurface(f=lambda s: np.stack([s @ a], axis=-1),
                           domain=[(0, 1)] * 3, resolution=4, p=3, n=4)
-    y34, _ = tangent_pvector(surf34.to_grid(), (1, 2, 3))
+    y34 = cell_pvector(surf34.to_grid(), (1, 2, 3))
     law34 = all(
         abs(y34.component(tuple(k for k in (1, 2, 3) if k != i) + (4,))
             - (-1.0) ** (3 - i) * a[i - 1]) <= 1e-8
@@ -229,7 +231,7 @@ def test_criterion_8_general_p_graph_law():
     # Gram-determinant area of the p=2, n=4 plane graph
     J = np.column_stack([np.array([1.0, 0.0, 2.0, 1.0]), np.array([0.0, 1.0, 1.0, -1.0])])
     gram = math.sqrt(np.linalg.det(J.T @ J))
-    action = lagrangian_action(area_lagrangian(4, 2), surf24.to_grid())
+    action = paired_actions(area_lagrangian(4, 2), surf24.to_grid())[0]
     gram_ok = abs(action - gram) <= 1e-8
 
     gate(8, "signed slope law and Gram-determinant area in higher dimension",
@@ -250,17 +252,14 @@ def test_criterion_9_multisymplectic_structure():
     chart32 = TotalSpaceChart(3, 2)
     rng = np.random.default_rng(SEED + 4)
     form = omega(chart32)
-    closed_res = max(
-        closedness_residual(form, rng.standard_normal(6),
-                            [rng.standard_normal(6) for _ in range(4)], h=1e-4)
-        for _ in range(20)
-    )
+    draws = rng.standard_normal((20, 5, 6))  # per sample: the point, then the 4 vectors
+    closed_res = float(np.max(closedness_residual(form, draws[:, 0], draws[:, 1:], h=1e-4)))
     degenerate_flagged = not nondegeneracy_check(constant_x_form(chart32, (1, 2, 3)), np.zeros(6))[0]
     e = chart32.basis_vector
     non_closed_flagged = closedness_residual(
-        weighted_x_form(chart32, "p23", (1, 2)), np.zeros(6),
-        [e("p23"), e("x1"), e("x2")], h=1e-4,
-    ) > 1e-3
+        weighted_x_form(chart32, "p23", (1, 2)), np.zeros((1, 6)),
+        [[e("p23"), e("x1"), e("x2")]], h=1e-4,
+    )[0] > 1e-3
     gate(9, "canonical form nondegenerate and closed; planted probes flagged",
          rank_ok and closed_res <= 1e-6 and degenerate_flagged and non_closed_flagged,
          f"({'; '.join(details)}; dOmega {closed_res:.2e})")
@@ -271,13 +270,14 @@ def test_criterion_10_round_trips():
     rng = np.random.default_rng(SEED + 5)
     inv_ok = True
     for L in (area_lagrangian(3, 2), ellipsoid_lagrangian(3, 2, ELLIPSOID_WEIGHTS[(3, 2)])):
-        for _ in range(50):
-            y = random_decomposable(rng, 3, 2)
-            recovered = inverse_legendre(L, x, legendre_map(L, x, y).p)
-            inv_ok = inv_ok and grassmann_eq(recovered, GrassmannPoint(y), tol=1e-7)
+        ys = decomposable_rows(rng, 3, 2, 50)
+        recovered = inverse_legendre(L, x, L.gradient_many(x, ys))
+        inv_ok = inv_ok and all(grassmann_eq(GrassmannPoint(KVector(3, 2, r), check=False),
+                                             GrassmannPoint(KVector(3, 2, y)), tol=1e-7)
+                                for r, y in zip(recovered, ys))
     plane_ok = True
-    for _ in range(100):
-        u = random_decomposable(rng, 3, 2)
+    for row in decomposable_rows(rng, 3, 2, 100):
+        u = KVector(3, 2, row)
         v1, v2 = plane_from_bivector(u)
         plane_ok = plane_ok and grassmann_eq(GrassmannPoint.from_vectors([v1, v2]),
                                              GrassmannPoint(u), tol=1e-9)

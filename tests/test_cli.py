@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 
 from multisymp import (
-    KVector,
     TotalSpaceChart,
     area_lagrangian,
     convexity_certificate,
     decomposable_rows,
     omega,
-    pair,
     rank_lemma_check,
     theta,
     wedge_vectors,
@@ -416,6 +414,8 @@ class TestErrorHandling:
          "surface.params"),
         ("action", {**FLAT_ACTION, "surface": {"f": "bilinear", "domain": [[0, 1], [0, 1]], "params": 0}},
          "surface.params"),
+        # a repeated check would run once, as if it had been listed once
+        ("verify", {**AREA_VERIFY, "checks": ["euler-identity", "euler-identity"]}, "checks"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts
@@ -479,13 +479,13 @@ class TestExitCodes:
 
 
 def reference_fibers(L, count, rng):
-    """The per-draw sampling loop of the verify command, one KVector per sample."""
+    """The per-draw sampling loop of the verify command, one fiber row per sample, shape (count, C(n,p))."""
     out = []
     while len(out) < count:
         y = draw_decomposable(rng, L.n, L.p, L.chart, 0.25, L.sampling_floor)
         if y is not None:
-            out.append(y)
-    return out
+            out.append(y.coords)
+    return np.array(out).reshape(count, L.fiber_dim)
 
 
 def reference_rank(matrix, threshold):
@@ -506,26 +506,31 @@ def reference_verify(config):
     chart = TotalSpaceChart(L.n, L.p)
     out = {}
 
+    # each fiber alone: *_many on one row, and the pairing as one dot of two coordinate arrays
+    def value(y):
+        return float(L.value_many(x, y[None])[0])
+
+    def gradient(y):
+        return L.gradient_many(x, y[None])[0]
+
     def per_unit_value(residual, y):
-        return residual / max(1.0, abs(L.value(x, y)))
+        return residual / max(1.0, abs(value(y)))
 
     def homogeneity(y):
-        base, norm = L.value(x, y), y.norm()
-        return max(abs(L.value(x, y.scaled(lam)) - lam * base) / (lam * norm) for lam in (0.5, 2.0, 10.0))
+        base, norm = value(y), float(np.linalg.norm(y))
+        return max(abs(value(lam * y) - lam * base) / (lam * norm) for lam in (0.5, 2.0, 10.0))
 
     out["degree-1-homogeneity"] = max(homogeneity(y) for y in fibers)
-    out["euler-identity"] = max(per_unit_value(abs(L.value(x, y) - pair(L.gradient(x, y), y)), y)
-                                for y in fibers)
+    out["euler-identity"] = max(per_unit_value(abs(value(y) - float(gradient(y) @ y)), y) for y in fibers)
     out["gradient-degree-0"] = max(
-        float(np.max(np.abs(L.gradient(x, y.scaled(lam)).coords - L.gradient(x, y).coords)))
+        float(np.max(np.abs(gradient(lam * y) - gradient(y))))
         for y in fibers for lam in (0.5, 2.0, 1000.0)
     )
-    out["vanishing-hamiltonian"] = max(per_unit_value(abs(pair(L.gradient(x, y), y) - L.value(x, y)), y)
-                                       for y in fibers)
+    out["vanishing-hamiltonian"] = max(per_unit_value(abs(float(gradient(y) @ y) - value(y)), y) for y in fibers)
     ranks = []
     for y in fibers[:config["rank_samples"]]:
-        g, H = L.gradient(x, y).coords, L.hessian(x, y)
-        ranks.append((reference_rank(2.0 * (np.outer(g, g) + L.value(x, y) * H), tol["rank_threshold"]),
+        g, H = gradient(y), L.hessian_many(x, y[None])[0]
+        ranks.append((reference_rank(2.0 * (np.outer(g, g) + value(y) * H), tol["rank_threshold"]),
                       reference_rank(H, tol["rank_threshold"])))
     out["hessian-rank-split"] = float(max(abs(r2 - 1 - r1) for r2, r1 in ranks))
     if "legendre-image-convexity" in config.get("checks", VERIFY_CHECKS):
@@ -544,9 +549,9 @@ def reference_verify(config):
     worst = 0.0
     for y in fibers:
         vectors = [pullback_rng.standard_normal(L.n) for _ in range(L.p)]
-        grad = L.gradient(x, y)
-        lhs = theta(chart)(chart.point(x, grad.coords), [chart.lift(v) for v in vectors])
-        worst = max(worst, abs(lhs - pair(grad, wedge_vectors(vectors))))
+        grad = gradient(y)
+        lhs = theta(chart)(chart.point(x, grad), [chart.lift(v) for v in vectors])
+        worst = max(worst, abs(lhs - float(grad @ wedge_vectors(vectors).coords)))
     out["tautological-pullback"] = worst
     form = omega(chart)
     point = np.random.default_rng(seed + 4).standard_normal(chart.dim_total)
@@ -617,13 +622,12 @@ class TestVerifyMatchesPerFiberReference:
             assert generators[seed + offset].bit_generator.state == reference_rngs[key].bit_generator.state
 
         L = build_lagrangian(config["lagrangian"])
-        rows = np.array([y.coords for y in reference_fibers(L, 24, np.random.default_rng(seed))])
+        rows = reference_fibers(L, 24, np.random.default_rng(seed))
         report = rank_lemma_check(L, np.zeros(n), rows[:10], threshold=VERIFY_TOLERANCES["rank_threshold"])
         assert list(zip(report.rank_L2.tolist(), report.rank_L.tolist())) == ranks
         for k in range(10):
-            one = rank_lemma_check(L, np.zeros(n), KVector(n, p, rows[k]),
-                                   threshold=VERIFY_TOLERANCES["rank_threshold"])
-            assert (one.rank_L2, one.rank_L) == ranks[k]
+            one = rank_lemma_check(L, np.zeros(n), rows[k:k + 1], threshold=VERIFY_TOLERANCES["rank_threshold"])
+            assert (one.rank_L2.tolist(), one.rank_L.tolist()) == ([ranks[k][0]], [ranks[k][1]])
 
     def test_checks_equal_reference_at_a_nonzero_base_point(self, monkeypatch):
         # the conformal area exp(a.x) |y| reads x, so a command that drops the configured x measures otherwise
@@ -646,7 +650,7 @@ class TestSampleFibers:
         L = build_lagrangian(reference_config(name, n, p)["lagrangian"])
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         rows = decomposable_rows(rng, n, p, 60, L.chart, 0.25, L.sampling_floor)
-        expected = np.array([y.coords for y in reference_fibers(L, 60, reference_rng)])
+        expected = reference_fibers(L, 60, reference_rng)
         assert rows.shape == expected.shape
         assert rows.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state

@@ -15,12 +15,12 @@ from multisymp import (
     UnsupportedDegreeError,
     ZeroSectionError,
     canonicalize_index,
+    decomposable_rows,
     grassmann_eq,
     is_decomposable,
     multi_indices,
     pair,
     plane_from_bivector,
-    random_decomposable,
     wedge_vectors,
 )
 from multisymp.exterior import det, minors
@@ -342,22 +342,23 @@ class TestFiberElements:
 
 
 class TestRandomDecomposable:
-    """random_decomposable, a batch of one of the blocked sampler, against a draw-by-draw loop."""
+    """The blocked sampler asked for one row at a time against a draw-by-draw loop."""
 
     @pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (5, 3)])
     @pytest.mark.parametrize("fraction", [None, 0.25, 0.3])
     def test_equals_the_draw_by_draw_loop(self, n, p, fraction):
         rng, reference_rng = np.random.default_rng(n + p), np.random.default_rng(n + p)
         for _ in range(40):
-            y = random_decomposable(rng, n, p, min_top_fraction=fraction)
+            chart = None if fraction is None else 0
+            y = decomposable_rows(rng, n, p, 1, chart, fraction or 0.0)
             expected = None
             while expected is None:
-                expected = draw_decomposable(reference_rng, n, p, None if fraction is None else 0, fraction or 0.0)
-            assert y.coords.tobytes() == expected.coords.tobytes()
+                expected = draw_decomposable(reference_rng, n, p, chart, fraction or 0.0)
+            assert y.tobytes() == expected.coords[None].tobytes()
             assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.time_limit(10)
     def test_unreachable_fraction_raises_at_the_shared_bound(self):
         # no coordinate exceeds the norm: every draw is rejected, and 1101 > 100 * 1 + 1000 ends the loop
         with pytest.raises(RuntimeError, match="rejected 1101 draws for 1 rows"):
-            random_decomposable(np.random.default_rng(0), 3, 2, min_top_fraction=1.5)
+            decomposable_rows(np.random.default_rng(0), 3, 2, 1, 0, 1.5)

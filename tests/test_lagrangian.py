@@ -16,6 +16,7 @@ from multisymp import (
     ZeroSectionError,
     area_lagrangian,
     constant_density,
+    decomposable_rows,
     ellipsoid_lagrangian,
     euler_residual,
     geometric_mean_lagrangian,
@@ -23,26 +24,23 @@ from multisymp import (
     graph_lift,
     homogeneity_residual,
     minimal_surface_density,
-    pair,
     projected_volume_lagrangian,
-    random_decomposable,
     wedge_vectors,
 )
 
-from helpers import conformal_area, cyclic, weighted_minimal_surface
+from helpers import conformal_area, cyclic_row, weighted_minimal_surface
 from oracles import assert_rows_close, density_oracle, lagrangian_oracle
 
 
-def fd_gradient(L, x, y, h_scale=1e-5):
-    """Independent central-difference reference on the Lagrangian's values."""
-    c = y.coords.copy()
+def fd_gradient(L, x, c, h_scale=1e-5):
+    """Independent central-difference reference on the Lagrangian's values at one fiber row c (C(n,p),)."""
     h = h_scale * np.linalg.norm(c)
     g = np.empty_like(c)
     for k in range(c.size):
         cp, cm = c.copy(), c.copy()
         cp[k] += h
         cm[k] -= h
-        g[k] = (L.value(x, KVector(L.n, L.p, cp)) - L.value(x, KVector(L.n, L.p, cm))) / (2 * h)
+        g[k] = (L.value_many(x, cp[None])[0] - L.value_many(x, cm[None])[0]) / (2 * h)
     return g
 
 
@@ -55,50 +53,52 @@ def builtins_3_2():
     ]
 
 
+def chart_rows(rng, count, n=3, p=2, margin=0.3):
+    """Decomposable fiber rows with a positive top coordinate of at least margin |y|: inside the graph chart."""
+    return decomposable_rows(rng, n, p, count, 0, margin)
+
+
 class TestAreaLagrangian:
     def test_value_is_norm(self, x3):
-        y = cyclic(3.0, 4.0, 0.0)
-        assert area_lagrangian(3, 2).value(x3, y) == 5.0
+        assert area_lagrangian(3, 2).value_many(x3, cyclic_row(3.0, 4.0, 0.0)).tolist() == [5.0]
 
     def test_gradient(self, x3, area3):
-        y = cyclic(3.0, 4.0, 0.0)
-        g = area3.gradient(x3, y)
-        assert g.as_cyclic_triple() == pytest.approx((0.6, 0.8, 0.0), abs=1e-15)
-        assert np.allclose(g.coords, fd_gradient(area3, x3, y), atol=1e-9)
+        y = cyclic_row(3.0, 4.0, 0.0)
+        g = area3.gradient_many(x3, y)
+        assert g == pytest.approx(cyclic_row(0.6, 0.8, 0.0), abs=1e-15)
+        assert np.allclose(g[0], fd_gradient(area3, x3, y[0]), atol=1e-9)
 
     def test_homogeneity_forced(self, x3, area3):
-        y = cyclic(3.0, 4.0, 0.0)
-        assert area3.value(x3, y.scaled(2.0)) == 10.0
-        assert np.allclose(area3.gradient(x3, y.scaled(2.0)).coords, area3.gradient(x3, y).coords)
+        y = cyclic_row(3.0, 4.0, 0.0)
+        assert area3.value_many(x3, 2.0 * y).tolist() == [10.0]
+        assert np.allclose(area3.gradient_many(x3, 2.0 * y), area3.gradient_many(x3, y))
 
     def test_hessian_matches_oracle(self, x3, area3, rng):
-        y = KVector(3, 2, rng.standard_normal(3))
-        assert_rows_close(area3.hessian(x3, y)[None], lagrangian_oracle("area", 3, 2)(x3[None], y.coords[None])[2])
+        y = rng.standard_normal((1, 3))
+        assert_rows_close(area3.hessian_many(x3, y), lagrangian_oracle("area", 3, 2)(x3[None], y)[2])
 
     def test_zero_section_rejected(self, x3, area3):
         with pytest.raises(ZeroSectionError):
-            area3.value(x3, KVector(3, 2, np.zeros(3)))
+            area3.value_many(x3, np.zeros((1, 3)))
         with pytest.raises(ZeroSectionError):
-            area3.gradient(x3, KVector(3, 2, np.zeros(3)))
+            area3.gradient_many(x3, np.zeros((1, 3)))
 
 
 class TestEllipsoidLagrangian:
     def test_unit_weights_reduce_to_area(self, x3, rng):
         unit = ellipsoid_lagrangian(3, 2, [1.0, 1.0, 1.0])
         area = area_lagrangian(3, 2)
-        for _ in range(100):
-            y = KVector(3, 2, rng.standard_normal(3))
-            assert unit.value(x3, y) == pytest.approx(area.value(x3, y), rel=1e-14)
+        ys = rng.standard_normal((100, 3))
+        assert unit.value_many(x3, ys) == pytest.approx(area.value_many(x3, ys), rel=1e-14)
 
     def test_direct_value(self, x3):
         L = ellipsoid_lagrangian(3, 2, [1.0, 4.0, 9.0])
-        assert L.value(x3, KVector(3, 2, [1.0, 1.0, 1.0])) == pytest.approx(math.sqrt(14.0))
+        assert L.value_many(x3, np.ones((1, 3)))[0] == pytest.approx(math.sqrt(14.0))
 
     def test_gradient_matches_fd(self, x3, ellipsoid3, rng):
-        for _ in range(100):
-            y = KVector(3, 2, rng.standard_normal(3))
-            ana = ellipsoid3.gradient(x3, y).coords
-            assert np.linalg.norm(ana - fd_gradient(ellipsoid3, x3, y)) <= 1e-6 * np.linalg.norm(ana)
+        ys = rng.standard_normal((100, 3))
+        for ana, c in zip(ellipsoid3.gradient_many(x3, ys), ys):
+            assert np.linalg.norm(ana - fd_gradient(ellipsoid3, x3, c)) <= 1e-6 * np.linalg.norm(ana)
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -109,14 +109,13 @@ class TestEllipsoidLagrangian:
 
 class TestGraphLift:
     def test_minimal_surface_example(self, x3, minimal_lift3, area3):
-        y = cyclic(1.0, -2.0, -3.0)  # slopes (2, 3)
-        assert minimal_lift3.value(x3, y) == pytest.approx(math.sqrt(14.0), abs=1e-14)
-        assert minimal_lift3.value(x3, y) == pytest.approx(area3.value(x3, y), abs=1e-12)
+        y = cyclic_row(1.0, -2.0, -3.0)  # slopes (2, 3)
+        assert minimal_lift3.value_many(x3, y)[0] == pytest.approx(math.sqrt(14.0), abs=1e-14)
+        assert minimal_lift3.value_many(x3, y)[0] == pytest.approx(area3.value_many(x3, y)[0], abs=1e-12)
 
     def test_constant_density_reads_top_coordinate(self, x3):
         L = graph_lift(constant_density(3, 2))
-        y = cyclic(2.5, -1.0, 4.0)
-        assert L.value(x3, y) == 2.5
+        assert L.value_many(x3, cyclic_row(2.5, -1.0, 4.0)).tolist() == [2.5]
 
     def test_gram_density_matches_gram_area_in_r4(self):
         # oracle: sqrt(det(J^T J)) for the tangent frame of f(x) = (2x1+x2, x1)
@@ -124,17 +123,17 @@ class TestGraphLift:
         u2 = np.array([0.0, 1.0, 1.0, 0.0])
         gram = math.sqrt(np.linalg.det(np.column_stack([u1, u2]).T @ np.column_stack([u1, u2])))
         L = graph_lift(graph_area_density(4, 2))
-        value = L.value(np.zeros(4), wedge_vectors([u1, u2]))
+        y = wedge_vectors([u1, u2]).coords[None]
+        value = L.value_many(np.zeros(4), y)[0]
         assert value == pytest.approx(gram, abs=1e-12)
-        assert value == pytest.approx(area_lagrangian(4, 2).value(np.zeros(4), wedge_vectors([u1, u2])), abs=1e-12)
+        assert value == pytest.approx(area_lagrangian(4, 2).value_many(np.zeros(4), y)[0], abs=1e-12)
 
     def test_gram_density_matches_area_random(self, rng):
         L = graph_lift(graph_area_density(4, 2))
         area = area_lagrangian(4, 2)
         x4 = np.zeros(4)
-        for _ in range(100):
-            y = random_decomposable(rng, 4, 2, min_top_fraction=0.2)
-            assert L.value(x4, y) == pytest.approx(area.value(x4, y), abs=1e-10)
+        ys = chart_rows(rng, 100, 4, 2, 0.2)
+        assert np.max(np.abs(L.value_many(x4, ys) - area.value_many(x4, ys))) <= 1e-10
 
     def test_density_needs_batched_callable(self):
         with pytest.raises(TypeError):
@@ -148,11 +147,10 @@ class TestGraphLift:
         assert graph_lift(F).value_many(np.zeros((2, 3)), tops).tolist() == [2.0, 6.0]
 
     def test_orientation_error_outside_chart(self, x3, minimal_lift3):
-        y = cyclic(-1.0, 2.0, 3.0)
         with pytest.raises(OrientationError):
-            minimal_lift3.value(x3, y)
+            minimal_lift3.value_many(x3, cyclic_row(-1.0, 2.0, 3.0))
         with pytest.raises(OrientationError):
-            minimal_lift3.value(x3, cyclic(0.0, 1.0, 0.0))
+            minimal_lift3.value_many(x3, cyclic_row(0.0, 1.0, 0.0))
 
 
 class TestGraphLiftDerivatives:
@@ -186,109 +184,102 @@ def norm_squared_probe():
 
 class TestEulerResidual:
     def test_area_exact(self, x3, area3):
-        y = cyclic(3.0, 4.0, 0.0)
-        assert euler_residual(area3, x3, y) <= 1e-12
+        assert euler_residual(area3, x3, cyclic_row(3.0, 4.0, 0.0))[0] <= 1e-12
 
     def test_graph_lift_random(self, x3, minimal_lift3, rng):
-        for _ in range(100):
-            y = random_decomposable(rng, 3, 2, min_top_fraction=0.3)
-            L = minimal_lift3.value(x3, y)
-            assert euler_residual(minimal_lift3, x3, y) <= 1e-9 * max(1.0, abs(L))
+        ys = chart_rows(rng, 100)
+        L = minimal_lift3.value_many(x3, ys)
+        assert np.all(euler_residual(minimal_lift3, x3, ys) <= 1e-9 * np.maximum(1.0, np.abs(L)))
 
     def test_detector_fires_on_quadratic_probe(self, x3):
         probe = norm_squared_probe()
-        y = cyclic(1.0, 2.0, -1.5)
+        y = cyclic_row(1.0, 2.0, -1.5)
         # pairing of the gradient 2y with y gives 2|y|^2, so the residual is |y|^2
-        assert euler_residual(probe, x3, y) == pytest.approx(y.norm() ** 2, rel=1e-8)
+        assert euler_residual(probe, x3, y)[0] == pytest.approx(np.sum(y * y), rel=1e-8)
 
     def test_zero_section(self, x3, area3):
         with pytest.raises(ZeroSectionError):
-            euler_residual(area3, x3, KVector(3, 2, np.zeros(3)))
+            euler_residual(area3, x3, np.zeros((1, 3)))
+
+    def test_kvector_is_rejected(self, x3, area3):
+        with pytest.raises(ValueError, match=r"with fiber rows \(N, 3\), got \(3,\) and \(\)"):
+            euler_residual(area3, x3, KVector(3, 2, np.ones(3)))
 
 
 class TestHomogeneityResidual:
     def test_area_exact(self, x3, area3):
-        y = cyclic(3.0, 4.0, 0.0)
-        assert homogeneity_residual(area3, x3, y, (0.5, 2.0, 10.0)) == 0.0
+        assert homogeneity_residual(area3, x3, cyclic_row(3.0, 4.0, 0.0), (0.5, 2.0, 10.0)).tolist() == [0.0]
 
     def test_graph_lift_scale_invariant(self, x3, minimal_lift3, rng):
-        for _ in range(20):
-            y = random_decomposable(rng, 3, 2, min_top_fraction=0.3)
-            assert homogeneity_residual(minimal_lift3, x3, y, (0.5, 2.0, 10.0)) <= 1e-12
+        assert np.max(homogeneity_residual(minimal_lift3, x3, chart_rows(rng, 20), (0.5, 2.0, 10.0))) <= 1e-12
 
     def test_detector_fires_on_quadratic_probe(self, x3):
         probe = norm_squared_probe()
-        y = cyclic(1.0, 2.0, -1.5)
+        y = cyclic_row(1.0, 2.0, -1.5)
         # |L(2y) - 2L(y)| / (2|y|) = |4-2| |y|^2 / (2|y|) = |y|
-        assert homogeneity_residual(probe, x3, y, (2.0,)) == pytest.approx(y.norm(), rel=1e-12)
+        assert homogeneity_residual(probe, x3, y, (2.0,))[0] == pytest.approx(np.linalg.norm(y), rel=1e-12)
 
     def test_nonpositive_lambda_rejected(self, x3, area3):
-        y = cyclic(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            homogeneity_residual(area3, x3, y, (1.0, -2.0))
+            homogeneity_residual(area3, x3, cyclic_row(1.0, 0.0, 0.0), (1.0, -2.0))
 
     @settings(max_examples=30)
     @given(st.floats(0.01, 100.0), st.integers(0, 2**32 - 1))
     def test_builtin_homogeneity_property(self, lam, seed):
         rng = np.random.default_rng(seed)
         x = np.zeros(3)
-        y = KVector(3, 2, rng.standard_normal(3))
-        if y.norm() < 1e-3:
+        y = rng.standard_normal((1, 3))
+        norm = np.linalg.norm(y)
+        if norm < 1e-3:
             return
         for L in (area_lagrangian(3, 2), ellipsoid_lagrangian(3, 2, [2.0, 1.0, 5.0])):
-            assert abs(L.value(x, y.scaled(lam)) - lam * L.value(x, y)) <= 1e-9 * lam * y.norm()
+            assert abs(L.value_many(x, lam * y)[0] - lam * L.value_many(x, y)[0]) <= 1e-9 * lam * norm
 
 
 class TestAreolarForm:
     """The areolar form of L: the p-covector field with coefficients dL/dy."""
 
     def test_area_coefficients(self, x3, area3):
-        coeffs = area3.gradient(x3, cyclic(3.0, 4.0, 0.0))
-        assert coeffs.as_cyclic_triple() == pytest.approx((0.6, 0.8, 0.0), abs=1e-15)
+        coeffs = area3.gradient_many(x3, cyclic_row(3.0, 4.0, 0.0))
+        assert coeffs == pytest.approx(cyclic_row(0.6, 0.8, 0.0), abs=1e-15)
 
     def test_representative_independence(self, x3, area3):
-        a = area3.gradient(x3, cyclic(3.0, 4.0, 0.0))
-        b = area3.gradient(x3, cyclic(6.0, 8.0, 0.0))
-        assert np.allclose(a.coords, b.coords, atol=1e-12)
+        a = area3.gradient_many(x3, cyclic_row(3.0, 4.0, 0.0))
+        b = area3.gradient_many(x3, cyclic_row(6.0, 8.0, 0.0))
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_graph_lift_top_coefficient(self, x3, minimal_lift3):
         # d(y_top F)/d y_top = F - sum q dF/dq = 1/F for the minimal-surface density
-        y = cyclic(1.0, -2.0, -3.0)
-        coeffs = minimal_lift3.gradient(x3, y)
+        coeffs = minimal_lift3.gradient_many(x3, cyclic_row(1.0, -2.0, -3.0))
         q_sq = 2.0**2 + 3.0**2
         expected = (1.0 + q_sq - q_sq) / math.sqrt(1.0 + q_sq)
-        assert coeffs.as_cyclic_triple()[0] == pytest.approx(expected, rel=1e-9)
+        assert coeffs[0, 0] == pytest.approx(expected, rel=1e-9)  # coordinate 12
 
     def test_evaluate_on_vectors(self, x3, area3):
-        y = cyclic(3.0, 4.0, 0.0)
-        value = pair(area3.gradient(x3, y), wedge_vectors([np.eye(3)[0], np.eye(3)[1]]))
+        coeffs = area3.gradient_many(x3, cyclic_row(3.0, 4.0, 0.0))
+        value = np.vecdot(coeffs, wedge_vectors([np.eye(3)[0], np.eye(3)[1]]).coords[None])[0]
         assert value == pytest.approx(0.6, abs=1e-15)
 
 
 class TestNondegeneracy:
     def test_area_everywhere(self, x3, area3, rng):
-        y = KVector(3, 2, rng.standard_normal(3))
-        square = area3._square_hessians(*area3._rows(x3, y))[0][0]
+        square = area3._square_hessians(*area3._rows(x3, rng.standard_normal((1, 3))))[0][0]
         assert np.allclose(square, 2.0 * np.eye(3), atol=1e-12)
 
     def test_linear_probe_degenerate(self, x3):
         L = projected_volume_lagrangian(3, 2)
-        y = cyclic(2.0, 1.0, 1.0)
-        square = L._square_hessians(*L._rows(x3, y))[0][0]
+        square = L._square_hessians(*L._rows(x3, cyclic_row(2.0, 1.0, 1.0)))[0][0]
         assert np.allclose(square, 2.0 * np.outer(np.eye(3)[0], np.eye(3)[0]))
 
     def test_ellipsoid_everywhere(self, x3, ellipsoid3, rng):
-        for _ in range(20):
-            y = KVector(3, 2, rng.standard_normal(3))
-            if y.norm() < 1e-3:
-                continue
-            square = ellipsoid3._square_hessians(*ellipsoid3._rows(x3, y))[0][0]
+        ys = rng.standard_normal((20, 3))
+        ys = ys[np.linalg.norm(ys, axis=-1) >= 1e-3]
+        for square in ellipsoid3._square_hessians(*ellipsoid3._rows(x3, ys))[0]:
             assert np.allclose(square, 2.0 * np.diag([1.0, 4.0, 9.0]), atol=1e-9)
 
     def test_geometric_mean_probe_not_nondegenerate(self, x3):
         L = geometric_mean_lagrangian()
-        y = KVector(3, 2, [1.0, 1.0, 1.0])
-        square = L._square_hessians(*L._rows(x3, y))[0][0]
+        square = L._square_hessians(*L._rows(x3, np.ones((1, 3))))[0][0]
         assert np.linalg.eigvalsh(square)[0] <= 1e-8
 
     @pytest.mark.parametrize("L", [
@@ -298,11 +289,11 @@ class TestNondegeneracy:
         geometric_mean_lagrangian(4, 2),
     ], ids=lambda L: L.name)
     def test_rows_equal_fibers(self, L):
-        # one formula for Hess(L^2): the row form and the KVector batch of one agree exactly
+        # one formula for Hess(L^2): the rows together and each row alone agree exactly
         rng = np.random.default_rng(3)
         x, rows = rng.standard_normal(4), rng.standard_normal((12, 6))
         square = L._square_hessians(np.broadcast_to(x, (12, 4)), rows)[0]
-        fibers = [L._square_hessians(*L._rows(x, KVector(4, 2, c)))[0][0] for c in rows]
+        fibers = [L._square_hessians(*L._rows(x, c[None]))[0][0] for c in rows]
         assert all(np.array_equal(square[k], fiber) for k, fiber in enumerate(fibers))
 
     def test_rows_reject_zero_section(self, x3, area3):
@@ -313,50 +304,42 @@ class TestNondegeneracy:
 class TestBuiltinInvariants:
     @pytest.mark.parametrize("L", builtins_3_2(), ids=lambda L: L.name)
     def test_euler_and_homogeneity(self, L, x3, rng):
-        for _ in range(100):
-            y = random_decomposable(rng, 3, 2, min_top_fraction=0.3)
-            scale = max(1.0, abs(L.value(x3, y)))
-            assert euler_residual(L, x3, y) <= 1e-9 * scale
-            assert homogeneity_residual(L, x3, y, (0.5, 2.0, 10.0)) <= 1e-9
+        ys = chart_rows(rng, 100)
+        scale = np.maximum(1.0, np.abs(L.value_many(x3, ys)))
+        assert np.all(euler_residual(L, x3, ys) <= 1e-9 * scale)
+        assert np.all(homogeneity_residual(L, x3, ys, (0.5, 2.0, 10.0)) <= 1e-9)
 
     @pytest.mark.parametrize("L", builtins_3_2(), ids=lambda L: L.name)
     def test_gradient_degree_zero(self, L, x3, rng):
-        for _ in range(20):
-            y = random_decomposable(rng, 3, 2, min_top_fraction=0.3)
-            base = L.gradient(x3, y).coords
-            for lam in (0.5, 2.0, 1000.0):
-                assert np.max(np.abs(L.gradient(x3, y.scaled(lam)).coords - base)) <= 1e-9
+        ys = chart_rows(rng, 20)
+        base = L.gradient_many(x3, ys)
+        for lam in (0.5, 2.0, 1000.0):
+            assert np.max(np.abs(L.gradient_many(x3, lam * ys) - base)) <= 1e-9
 
     @pytest.mark.parametrize("L", builtins_3_2(), ids=lambda L: L.name)
     def test_gradient_matches_fd(self, L, x3, rng):
-        for _ in range(100):
-            y = random_decomposable(rng, 3, 2, min_top_fraction=0.3)
-            g = L.gradient(x3, y).coords
-            assert np.linalg.norm(g - fd_gradient(L, x3, y)) <= 1e-6 * max(1.0, np.linalg.norm(g))
+        ys = chart_rows(rng, 100)
+        for g, c in zip(L.gradient_many(x3, ys), ys):
+            assert np.linalg.norm(g - fd_gradient(L, x3, c)) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
     def test_hessian_annihilates_fiber_direction(self, x3, rng):
         for L in (area_lagrangian(3, 2), ellipsoid_lagrangian(3, 2, [1.0, 4.0, 9.0])):
-            for _ in range(20):
-                y = KVector(3, 2, rng.standard_normal(3))
-                if y.norm() < 1e-3:
-                    continue
-                H = L.hessian(x3, y)
-                bound = 1e-8 * np.linalg.norm(H, 2) * y.norm()
-                assert np.linalg.norm(H @ y.coords) <= bound
+            ys = rng.standard_normal((20, 3))
+            ys = ys[np.linalg.norm(ys, axis=-1) >= 1e-3]
+            for H, c in zip(L.hessian_many(x3, ys), ys):
+                bound = 1e-8 * np.linalg.norm(H, 2) * np.linalg.norm(c)
+                assert np.linalg.norm(H @ c) <= bound
 
     def test_graph_lift_hessian_annihilates_fiber_direction(self, x3, minimal_lift3, rng):
         # the lift's Hessian is exact, so it takes the 1e-8 gate of the other built-ins
-        for _ in range(10):
-            y = random_decomposable(rng, 3, 2, min_top_fraction=0.3)
-            H = minimal_lift3.hessian(x3, y)
-            assert np.linalg.norm(H @ y.coords) <= 1e-8 * np.linalg.norm(H, 2) * y.norm()
+        ys = chart_rows(rng, 10)
+        for H, c in zip(minimal_lift3.hessian_many(x3, ys), ys):
+            assert np.linalg.norm(H @ c) <= 1e-8 * np.linalg.norm(H, 2) * np.linalg.norm(c)
 
     def test_minimal_lift_equals_area_on_graph_tangents(self, x3, minimal_lift3, area3, rng):
-        for _ in range(100):
-            u1 = np.array([1.0, 0.0, rng.standard_normal()])
-            u2 = np.array([0.0, 1.0, rng.standard_normal()])
-            y = wedge_vectors([u1, u2])
-            assert abs(minimal_lift3.value(x3, y) - area3.value(x3, y)) <= 1e-10
+        ys = np.array([wedge_vectors([np.array([1.0, 0.0, rng.standard_normal()]),
+                                      np.array([0.0, 1.0, rng.standard_normal()])]).coords for _ in range(100)])
+        assert np.max(np.abs(minimal_lift3.value_many(x3, ys) - area3.value_many(x3, ys))) <= 1e-10
 
 
 def builtins_at(n, p):
@@ -374,6 +357,7 @@ class TestBatchedConvention:
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([(3, 2), (4, 2), (5, 3)]), st.integers(1, 9), st.integers(0, 2**32 - 1))
     def test_scalar_calls_are_a_batch_of_one(self, shape, rows, seed):
+        # a call on one row gives that row of a call on all of them, bit for bit
         n, p = shape
         dim = math.comb(n, p)
         rng = np.random.default_rng(seed)
@@ -383,10 +367,6 @@ class TestBatchedConvention:
         for L in builtins_at(n, p):
             values, grads, hessians = L.value_many(xs, cs), L.gradient_many(xs, cs), L.hessian_many(xs, cs)
             assert (values.shape, grads.shape, hessians.shape) == ((rows,), (rows, dim), (rows, dim, dim))
-            y = KVector(n, p, cs[0])
-            assert L.value(xs[0], y) == values[0]
-            assert np.array_equal(L.gradient(xs[0], y).coords, grads[0])
-            assert np.array_equal(L.hessian(xs[0], y), hessians[0])
             singles = [(xs[k:k + 1], cs[k:k + 1]) for k in range(rows)]
             assert np.array_equal(np.concatenate([L.value_many(*one) for one in singles]), values)
             assert np.array_equal(np.concatenate([L.gradient_many(*one) for one in singles]), grads)
@@ -403,7 +383,7 @@ class TestBatchedConvention:
         with pytest.raises(OrientationError, match="row 1 is off the chart .*: fiber coordinate 0 must be positive"):
             minimal_lift3.value_many(np.zeros((2, 3)), cs)
         with pytest.raises(OrientationError, match="row 0 is off the chart .*: fiber coordinate 0 must be positive"):
-            minimal_lift3.value(np.zeros(3), KVector(3, 2, cs[1]))
+            minimal_lift3.value_many(np.zeros(3), cs[1:])
 
     def test_derivative_callables_are_required(self, area3):
         with pytest.raises(TypeError):
@@ -431,6 +411,7 @@ class TestBatchedConvention:
         L, rows = area_lagrangian(3, 2), np.ones((2, 3))
         cases = [(np.zeros((1, 3)), np.ones((1, 4))),  # rows of width C(n,p) + 1
                  (np.zeros(3), np.ones((2, 4))),
+                 (np.zeros(3), np.ones(3)),  # one fiber as a 1-d array, not a row
                  (np.zeros(5), rows),  # a base point of width n + 2, as one point and as one per row
                  (np.zeros((2, 5)), rows),
                  (np.zeros((5, 3)), rows)]  # 5 per-row base points for 2 rows
@@ -442,8 +423,10 @@ class TestBatchedConvention:
 
     @pytest.mark.parametrize("method", ["value", "gradient", "hessian"])
     def test_kvector_of_another_fiber_is_rejected(self, area3, method):
-        with pytest.raises(ValueError, match="fiber mismatch"):
-            getattr(area3, method)(np.zeros(3), KVector(4, 2, np.ones(6)))
+        # fibers are rows only: a KVector, of this fiber or another, is no (N, C(n,p)) array
+        for y in (KVector(3, 2, np.ones(3)), KVector(4, 2, np.ones(6))):
+            with pytest.raises(ValueError, match=r"with fiber rows \(N, 3\), got \(3,\) and \(\)"):
+                getattr(area3, f"{method}_many")(np.zeros(3), y)
 
     @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
     def test_one_base_point_equals_one_per_row(self, shape):
@@ -454,16 +437,14 @@ class TestBatchedConvention:
         x = rng.standard_normal(n)
         cs = rng.uniform(0.25, 2.0, (6, dim)) * rng.choice([-1.0, 1.0], (6, dim))
         cs[:, 0] = np.abs(cs[:, 0])  # coordinate 0 is the top of the graph chart
-        y = KVector(n, p, cs[0])
         a = CONFORMAL_EXPONENT
         lagrangians = [oracle_case(name, n, p)[0] for name in ORACLE_LAGRANGIANS] + [
             conformal_area(n, p, a[:n]), graph_lift(weighted_minimal_surface(n, p, a[:p], a[p:n]))]
         for L in lagrangians:
-            for one, many in ((L.value, L.value_many), (L.gradient, L.gradient_many), (L.hessian, L.hessian_many)):
+            for many in (L.value_many, L.gradient_many, L.hessian_many):
                 got = many(x, cs)
                 assert np.array_equal(got, many(np.broadcast_to(x, (len(cs), n)), cs)), L.name
-                single = one(x, y)
-                assert np.array_equal(getattr(single, "coords", single), got[0]), L.name
+                assert np.array_equal(many(x, cs[:1])[0], got[0]), L.name
 
 
 ORACLE_SHAPES = [(3, 2), (4, 2), (5, 3)]

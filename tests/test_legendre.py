@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from multisymp import (
-    GrassmannPoint,
     HomogeneousLagrangian,
     InversionError,
     KCovector,
@@ -22,47 +21,54 @@ from multisymp import (
     ZeroSectionError,
     area_lagrangian,
     convexity_certificate,
+    decomposable_rows,
     ellipsoid_lagrangian,
     geometric_mean_lagrangian,
-    grassmann_eq,
     graph_lift,
     hamiltonian,
     inverse_legendre,
-    legendre_map,
     minimal_surface_density,
     multi_indices,
     projected_volume_lagrangian,
     rank_lemma_check,
-    random_decomposable,
     write_image_csv,
 )
 from multisymp.cli import build_lagrangian, main
 from multisymp.legendre import STALL_WINDOW, _level_gradient, _level_rows, _radial_solve, _solve_stack, image_coordinates
 
-from helpers import conformal_area, cyclic
+from helpers import conformal_area, cyclic_row
 from oracles import lagrangian_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def reference_sample(L, x, count, rng):
-    """Direction-by-direction level-set sampling: the stream the block sampler must keep."""
+    """Direction-by-direction level-set sampling, rows (count, C(n,p)): the stream the block sampler must keep."""
     out = []
     while len(out) < count:
         direction = rng.standard_normal(L.fiber_dim)
         norm = np.linalg.norm(direction)
         if norm < 1e-12:
             continue
-        level = L.value(x, KVector(L.n, L.p, direction))
+        level = L.value_many(x, direction[None])[0]
         if not level > 1e-9 * norm:
             continue
-        out.append(KVector(L.n, L.p, direction / level))
-    return out
+        out.append(direction / level)
+    return np.array(out).reshape(count, L.fiber_dim)
 
 
 def reference_sample_image(L, x, count, seed):
-    """Image points built one sampled direction at a time through legendre_map."""
-    return [legendre_map(L, x, y) for y in reference_sample(L, x, count, np.random.default_rng(seed))]
+    """Sampled unit-level rows and their gradient images, one sampled direction at a time."""
+    rows = reference_sample(L, x, count, np.random.default_rng(seed))
+    return rows, np.array([L.gradient_many(x, y[None])[0] for y in rows]).reshape(rows.shape)
+
+
+def same_classes(a, b):
+    """Largest distance between the unit rows of a and b: zero where the rows are positively proportional."""
+    def unit(rows):
+        return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+    return float(np.max(np.linalg.norm(unit(a) - unit(b), axis=-1)))
 
 
 def _normalize_to_level(L, x, c):
@@ -76,21 +82,22 @@ def _normalize_to_level(L, x, c):
 def reference_inverse_legendre(L, x, p, tol=1e-8, max_iter=200, initial=None):
     """Projected descent on |dL/dy - p|^2 over the level set {L = 1}, renormalizing after every step.
 
-    Each iteration first tries the Gauss-Newton direction of the gradient
-    equation and falls back to the steepest-descent direction with a
-    backtracking line search.  Raises NotInImageError when the residual
-    cannot be brought below tol.
+    ``p`` is one dual row (C(n,p),), ``initial`` one fiber row or None, and
+    the result is one fiber row on {L = 1}.  Each iteration first tries the
+    Gauss-Newton direction of the gradient equation and falls back to the
+    steepest-descent direction with a backtracking line search.  Raises
+    NotInImageError when the residual cannot be brought below tol.
     """
     x = np.asarray(x, dtype=float)
     if initial is not None:
-        c = _normalize_to_level(L, x, initial.coords.copy())
+        c = _normalize_to_level(L, x, initial.copy())
     else:
-        if not np.any(p.coords):
+        if not np.any(p):
             raise ZeroSectionError("target covector is zero")
-        c = _normalize_to_level(L, x, p.coords.copy())
+        c = _normalize_to_level(L, x, p.copy())
 
     def residual(cc):
-        return np.asarray(L.gradient(x, KVector(L.n, L.p, cc)).coords) - p.coords
+        return L.gradient_many(x, cc[None])[0] - p
 
     def advance(cc, direction, f_now, required_drop):
         step = 1.0
@@ -111,8 +118,8 @@ def reference_inverse_legendre(L, x, p, tol=1e-8, max_iter=200, initial=None):
     f = float(r @ r)
     for _ in range(max_iter):
         if np.sqrt(f) <= tol:
-            return GrassmannPoint(KVector(L.n, L.p, c), check=False)
-        H = L.hessian(x, KVector(L.n, L.p, c))
+            return c
+        H = L.hessian_many(x, c[None])[0]
         moved = None
         # Gauss-Newton direction; H is singular along the ray, so least squares
         gn = np.linalg.lstsq(H, -r, rcond=1e-12)[0]
@@ -128,7 +135,7 @@ def reference_inverse_legendre(L, x, p, tol=1e-8, max_iter=200, initial=None):
                 break
         c, r, f = moved
     if np.sqrt(f) <= tol:
-        return GrassmannPoint(KVector(L.n, L.p, c), check=False)
+        return c
     raise NotInImageError(f"no preimage within tolerance: residual {np.sqrt(f):.3e} > {tol:.1e}")
 
 
@@ -137,7 +144,8 @@ def reference_radial_excess(L, x, target):
 
     It gives up once STALL_WINDOW consecutive iterations pass without |F|^2
     falling to half of its value at the last halving (the first value to
-    begin with), as the batched solve does.
+    begin with), as the batched solve does.  A step to a non-finite row
+    reads a non-finite |F|^2, so its line search halves it.
     """
     norm_t = float(np.linalg.norm(target))
     c = target.copy()
@@ -147,9 +155,8 @@ def reference_radial_excess(L, x, target):
     c = c / abs(level)
     mark, stalled = np.inf, 0
     for _ in range(100):
-        yk = KVector(L.n, L.p, c)
-        g = L.gradient(x, yk).coords
-        level = L.value(x, yk)
+        g = L.gradient_many(x, c[None])[0]
+        level = L.value_many(x, c[None])[0]
         F = level * g - target
         if np.linalg.norm(F) <= 1e-11 * max(1.0, norm_t):
             return level, c
@@ -160,7 +167,7 @@ def reference_radial_excess(L, x, target):
             stalled += 1
         if stalled >= STALL_WINDOW:
             raise InversionError(f"radial solve stalled: |F|^2 did not halve in {STALL_WINDOW} iterations")
-        J = np.outer(g, g) + level * L.hessian(x, yk)
+        J = np.outer(g, g) + level * L.hessian_many(x, c[None])[0]
         try:
             delta = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
@@ -170,10 +177,9 @@ def reference_radial_excess(L, x, target):
         while t > 1e-12:
             c_new = c + t * delta
             try:
-                yk_new = KVector(L.n, L.p, c_new)
-                g_new = L.gradient(x, yk_new).coords
-                level_new = L.value(x, yk_new)
-            except (ZeroSectionError, ValueError):
+                g_new = L.gradient_many(x, c_new[None])[0]
+                level_new = L.value_many(x, c_new[None])[0]
+            except ValueError:  # the zero section or a row off the chart
                 t *= 0.5
                 continue
             F_new = level_new * g_new - target
@@ -192,15 +198,14 @@ def reference_certificate(L, x, num_pairs, t_steps, seed, tol=1e-7):
     worst, failures = -np.inf, 0
     for _ in range(num_pairs):
         y0, y1 = reference_sample(L, x, 2, rng)
-        p0, p1 = L.gradient(x, y0).coords, L.gradient(x, y1).coords
+        p0, p1 = L.gradient_many(x, y0[None])[0], L.gradient_many(x, y1[None])[0]
         for t in np.linspace(0.0, 1.0, t_steps):
             target = t * p0 + (1.0 - t) * p1
             if np.linalg.norm(target) < 1e-12:
                 continue
             try:
                 radius, c_star = reference_radial_excess(L, x, target)
-                on_surface = KCovector(L.n, L.p, target / radius)
-                reference_inverse_legendre(L, x, on_surface, tol=1e-6, initial=KVector(L.n, L.p, c_star))
+                reference_inverse_legendre(L, x, target / radius, tol=1e-6, initial=c_star)
             except InversionError:
                 failures += 1
                 worst = max(worst, 1.0)
@@ -244,34 +249,29 @@ def reference_level_gradient(L, x, cs):
     return levels, grads
 
 
-def reference_write_image_csv(points, stream, n=None, p=None):
-    """The writer over LegendreImagePoint objects, one csv row per point: the byte reference."""
-    if points:
-        n, p = points[0].p.n, points[0].p.p
-    elif n is None or p is None:
-        raise ValueError("an empty cloud needs explicit dimensions for the header")
+def reference_write_image_csv(x, grads, p, stream):
+    """The csv module's writer, one row per image point: the byte reference."""
     writer = csv.writer(stream)
-    header = [f"x{k}" for k in range(1, n + 1)]
-    header += ["p" + "".join(map(str, axes)) for axes in multi_indices(n, p)]
+    header = [f"x{k}" for k in range(1, len(x) + 1)]
+    header += ["p" + "".join(map(str, axes)) for axes in multi_indices(len(x), p)]
     writer.writerow(header)
-    for pt in points:
-        writer.writerow([repr(float(v)) for v in pt.x] + [repr(float(v)) for v in pt.p.coords])
+    for g in grads:
+        writer.writerow([repr(float(v)) for v in x] + [repr(float(v)) for v in g])
 
 
 class TestLegendreMap:
+    """The Legendre map y -> dL/dy(x, y) of fiber rows, which gradient_many computes."""
+
     def test_area_example(self, x3, area3):
-        p = legendre_map(area3, x3, cyclic(3.0, 4.0, 0.0)).p
-        assert p.as_cyclic_triple() == pytest.approx((0.6, 0.8, 0.0), abs=1e-15)
+        p = area3.gradient_many(x3, cyclic_row(3.0, 4.0, 0.0))
+        assert p == pytest.approx(cyclic_row(0.6, 0.8, 0.0), abs=1e-15)
 
     def test_degree_zero(self, x3, area3):
-        y = cyclic(3.0, 4.0, 0.0)
-        a = legendre_map(area3, x3, y).p.coords
-        b = legendre_map(area3, x3, y.scaled(7.0)).p.coords
-        assert np.array_equal(a, b)
+        y = cyclic_row(3.0, 4.0, 0.0)
+        assert np.array_equal(area3.gradient_many(x3, y), area3.gradient_many(x3, 7.0 * y))
 
     def test_ellipsoid_basis_direction(self, x3, ellipsoid3):
-        p = legendre_map(ellipsoid3, x3, KVector(3, 2, [1.0, 0.0, 0.0])).p
-        assert p.coords.tolist() == [1.0, 0.0, 0.0]
+        assert ellipsoid3.gradient_many(x3, np.array([[1.0, 0.0, 0.0]])).tolist() == [[1.0, 0.0, 0.0]]
 
     def test_degree_zero_tight(self, x3, rng):
         lifts = [
@@ -280,36 +280,31 @@ class TestLegendreMap:
             graph_lift(minimal_surface_density(3, 2)),
         ]
         for L in lifts:
-            for _ in range(20):
-                y = random_decomposable(rng, 3, 2, min_top_fraction=0.3)
-                base = legendre_map(L, x3, y).p.coords
-                for lam in (0.5, 2.0, 100.0):
-                    scaled = legendre_map(L, x3, y.scaled(lam)).p.coords
-                    assert np.max(np.abs(scaled - base)) <= 1e-10
+            ys = decomposable_rows(rng, 3, 2, 20, 0, 0.3)
+            base = L.gradient_many(x3, ys)
+            for lam in (0.5, 2.0, 100.0):
+                assert np.max(np.abs(L.gradient_many(x3, lam * ys) - base)) <= 1e-10
 
     def test_zero_section(self, x3, area3):
         with pytest.raises(ZeroSectionError):
-            legendre_map(area3, x3, KVector(3, 2, np.zeros(3)))
+            area3.gradient_many(x3, np.zeros((1, 3)))
 
 
 class TestHamiltonian:
     def test_vanishes_on_image(self, x3, area3):
-        y = cyclic(3.0, 4.0, 0.0)
-        p = legendre_map(area3, x3, y).p
-        assert hamiltonian(area3, x3, p, y) == pytest.approx(0.0, abs=1e-12)
+        y = cyclic_row(3.0, 4.0, 0.0)
+        assert hamiltonian(area3, x3, area3.gradient_many(x3, y), y)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_arithmetic(self, x3, area3):
-        p = cyclic(1.0, 0.0, 0.0, KCovector)
-        y = cyclic(3.0, 4.0, 0.0)
-        assert hamiltonian(area3, x3, p, y) == pytest.approx(-2.0, abs=1e-14)
+        value = hamiltonian(area3, x3, cyclic_row(1.0, 0.0, 0.0), cyclic_row(3.0, 4.0, 0.0))
+        assert value[0] == pytest.approx(-2.0, abs=1e-14)
 
     def test_vanishes_for_rescaled_preimage(self, x3, ellipsoid3, rng):
-        for _ in range(20):
-            y = random_decomposable(rng, 3, 2)
-            for lam in (0.5, 3.0):
-                p = legendre_map(ellipsoid3, x3, y.scaled(lam)).p
-                scale = max(1.0, abs(ellipsoid3.value(x3, y)))
-                assert abs(hamiltonian(ellipsoid3, x3, p, y)) <= 1e-9 * scale
+        ys = decomposable_rows(rng, 3, 2, 20)
+        scale = np.maximum(1.0, np.abs(ellipsoid3.value_many(x3, ys)))
+        for lam in (0.5, 3.0):
+            p = ellipsoid3.gradient_many(x3, lam * ys)
+            assert np.all(np.abs(hamiltonian(ellipsoid3, x3, p, ys)) <= 1e-9 * scale)
 
     def test_vanishing_invariant_all_builtins(self, x3, rng):
         lifts = [
@@ -318,36 +313,54 @@ class TestHamiltonian:
             graph_lift(minimal_surface_density(3, 2)),
         ]
         for L in lifts:
-            for _ in range(100):
-                y = random_decomposable(rng, 3, 2, min_top_fraction=0.3)
-                p = legendre_map(L, x3, y).p
-                assert abs(hamiltonian(L, x3, p, y)) <= 1e-9 * max(1.0, abs(L.value(x3, y)))
+            ys = decomposable_rows(rng, 3, 2, 100, 0, 0.3)
+            p = L.gradient_many(x3, ys)
+            assert np.all(np.abs(hamiltonian(L, x3, p, ys)) <= 1e-9 * np.maximum(1.0, np.abs(L.value_many(x3, ys))))
+
+    def test_shapes_are_checked(self, x3, area3):
+        rows = np.ones((2, 3))
+        with pytest.raises(ValueError, match=r"fiber rows \(N, 3\), got \(3,\) and \(\)"):
+            hamiltonian(area3, x3, rows[:1], KVector(3, 2, np.ones(3)))
+        with pytest.raises(ValueError, match=r"dual rows of the fiber rows' shape \(2, 3\), got \(\)"):
+            hamiltonian(area3, x3, KCovector(3, 2, np.ones(3)), rows)
+        with pytest.raises(ValueError, match=r"dual rows of the fiber rows' shape \(2, 3\), got \(3,\)"):
+            hamiltonian(area3, x3, np.ones(3), rows)  # one dual row for two fiber rows is not broadcast
 
 
 class TestInverseLegendre:
     def test_area_example(self, x3, area3):
-        cls = inverse_legendre(area3, x3, cyclic(0.6, 0.8, 0.0, KCovector))
-        target = GrassmannPoint(cyclic(3.0, 4.0, 0.0))
-        assert grassmann_eq(cls, target, tol=1e-7)
+        got = inverse_legendre(area3, x3, cyclic_row(0.6, 0.8, 0.0))
+        assert got.shape == (1, 3)
+        assert same_classes(got, cyclic_row(3.0, 4.0, 0.0)) <= 1e-7
         # normalized onto the unit level set
-        assert area3.value(x3, cls.representative) == pytest.approx(1.0, abs=1e-10)
+        assert area3.value_many(x3, got)[0] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("weights", [None, [1.0, 4.0, 9.0]])
     def test_roundtrip(self, x3, rng, weights):
         L = area_lagrangian(3, 2) if weights is None else ellipsoid_lagrangian(3, 2, weights)
-        for _ in range(50):
-            y = random_decomposable(rng, 3, 2)
-            p = legendre_map(L, x3, y).p
-            recovered = inverse_legendre(L, x3, p)
-            assert grassmann_eq(recovered, GrassmannPoint(y), tol=1e-7)
+        ys = decomposable_rows(rng, 3, 2, 50)
+        recovered = inverse_legendre(L, x3, L.gradient_many(x3, ys))
+        assert recovered.shape == ys.shape
+        assert same_classes(recovered, ys) <= 1e-7
 
     def test_off_image_no_solution(self, x3, area3):
-        with pytest.raises(NotInImageError):
-            inverse_legendre(area3, x3, cyclic(2.0, 0.0, 0.0, KCovector))
+        with pytest.raises(NotInImageError, match="row 0"):
+            inverse_legendre(area3, x3, cyclic_row(2.0, 0.0, 0.0))
+
+    def test_off_image_row_is_named(self, x3, area3):
+        targets = np.concatenate([cyclic_row(0.6, 0.8, 0.0), cyclic_row(0.0, 1.0, 0.0), cyclic_row(2.0, 0.0, 0.0)])
+        with pytest.raises(NotInImageError, match="no preimage for row 2"):
+            inverse_legendre(area3, x3, targets)
 
     def test_zero_target(self, x3, area3):
-        with pytest.raises(ZeroSectionError):
-            inverse_legendre(area3, x3, KCovector(3, 2, np.zeros(3)))
+        with pytest.raises(ZeroSectionError, match="target row 1 is zero"):
+            inverse_legendre(area3, x3, np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 0.0]]))
+
+    def test_shapes_are_checked(self, x3, area3):
+        for p, shape in ((KCovector(3, 2, [0.6, 0.8, 0.0]), "()"), (KVector(3, 2, [0.6, 0.8, 0.0]), "()"),
+                         (np.array([0.6, 0.8, 0.0]), r"\(3,\)"), (np.ones((1, 6)), r"\(1, 6\)")):
+            with pytest.raises(ValueError, match=rf"area takes dual rows \(N, 3\), got {shape}"):
+                inverse_legendre(area3, x3, p)
 
     @pytest.mark.parametrize("shape", [(4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
     @pytest.mark.parametrize("name", ["area", "ellipsoid"])
@@ -355,25 +368,23 @@ class TestInverseLegendre:
         n, p = shape
         L = lagrangian_at(name, n, p)
         x = np.random.default_rng(n * p).standard_normal(n)
-        rng = np.random.default_rng(10 * n + p)
-        for _ in range(20):
-            y = random_decomposable(rng, n, p)
-            target = legendre_map(L, x, y).p
-            got = inverse_legendre(L, x, target)
-            assert grassmann_eq(got, GrassmannPoint(y, check=False), tol=1e-7)
-            assert L.value(x, got.representative) == pytest.approx(1.0, abs=1e-10)
-            expected = reference_inverse_legendre(L, x, target).representative.coords
-            assert np.max(np.abs(got.representative.coords - expected)) <= 1e-7
+        ys = decomposable_rows(np.random.default_rng(10 * n + p), n, p, 20)
+        targets = L.gradient_many(x, ys)
+        got = inverse_legendre(L, x, targets)
+        assert same_classes(got, ys) <= 1e-7
+        assert np.max(np.abs(L.value_many(x, got) - 1.0)) <= 1e-10
+        for row, target in zip(got, targets):
+            assert np.max(np.abs(row - reference_inverse_legendre(L, x, target))) <= 1e-7
 
     def test_off_image_no_solution_53(self):
         L = area_lagrangian(5, 3)
         with pytest.raises(NotInImageError):
-            inverse_legendre(L, np.zeros(5), KCovector(5, 3, 2.0 * np.eye(10)[0]))
+            inverse_legendre(L, np.zeros(5), 2.0 * np.eye(10)[:1])
 
     def test_failed_solve_is_not_in_image(self, x3):
         # the geometric mean is 0 on a coordinate hyperplane, so the solve cannot be seeded there
-        with pytest.raises(NotInImageError):
-            inverse_legendre(geometric_mean_lagrangian(), x3, KCovector(3, 2, [0.0, 1.0, 1.0]))
+        with pytest.raises(NotInImageError, match="row 0: the radial solve failed"):
+            inverse_legendre(geometric_mean_lagrangian(), x3, np.array([[0.0, 1.0, 1.0]]))
 
 
 class TestLevelSetSampler:
@@ -395,7 +406,7 @@ class TestLevelSetSampler:
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = reference_sample(L, x, 40, ref_rng)
         got = _level_rows(L, x, 40, rng)
-        assert np.array_equal(got, np.array([y.coords for y in expected]))
+        assert np.array_equal(got, expected)
         assert rng.standard_normal() == ref_rng.standard_normal()  # no draw left over or missing
 
     @pytest.mark.time_limit(10)
@@ -444,50 +455,53 @@ class TestSampleImage:
 
     @pytest.mark.parametrize("name", ["area", "ellipsoid"])
     def test_rows_match_the_object_path(self, x3, name):
+        # the blocked sampler and its one gradient call equal a direction-by-direction loop, bit for bit
         L = lagrangian_at(name, 3, 2)
         rows, grads = image_coordinates(L, x3, 50, seed=3)
-        points = reference_sample_image(L, x3, 50, seed=3)
-        assert np.array_equal(rows, np.array([pt.source_class.representative.coords for pt in points]))
-        assert np.array_equal(grads, np.array([pt.p.coords for pt in points]))
+        ref_rows, ref_grads = reference_sample_image(L, x3, 50, seed=3)
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(grads, ref_grads)
 
 
 class TestRankLemma:
     def test_area_n3(self, x3, area3, rng):
-        report = rank_lemma_check(area3, x3, KVector(3, 2, rng.standard_normal(3)))
-        assert (report.rank_L2, report.rank_L) == (3, 2)
-        assert report.splitting_holds
-        assert report.singular_values_L2 == pytest.approx((2.0, 2.0, 2.0))
+        report = rank_lemma_check(area3, x3, rng.standard_normal((1, 3)))
+        assert (report.rank_L2.tolist(), report.rank_L.tolist()) == ([3], [2])
+        assert report.splitting_holds.tolist() == [True]
+        assert report.singular_values_L2[0] == pytest.approx((2.0, 2.0, 2.0))
 
     def test_linear_probe(self, x3):
         L = projected_volume_lagrangian(3, 2)
-        report = rank_lemma_check(L, x3, cyclic(1.0, 2.0, 3.0))
-        assert (report.rank_L2, report.rank_L) == (1, 0)
-        assert report.splitting_holds
+        report = rank_lemma_check(L, x3, cyclic_row(1.0, 2.0, 3.0))
+        assert (report.rank_L2.tolist(), report.rank_L.tolist()) == ([1], [0])
+        assert report.splitting_holds.tolist() == [True]
 
     def test_ellipsoid_random(self, x3, ellipsoid3, rng):
-        for _ in range(50):
-            y = KVector(3, 2, rng.standard_normal(3))
-            if y.norm() < 1e-3:
-                continue
-            report = rank_lemma_check(ellipsoid3, x3, y)
-            assert (report.rank_L2, report.rank_L) == (3, 2)
-            assert report.splitting_holds
+        ys = rng.standard_normal((50, 3))
+        report = rank_lemma_check(ellipsoid3, x3, ys[np.linalg.norm(ys, axis=-1) >= 1e-3])
+        assert np.all(report.rank_L2 == 3) and np.all(report.rank_L == 2)
+        assert report.splitting_holds.all()
 
     def test_sympy_oracle_ranks_agree(self, x3, ellipsoid3, rng):
         # same ranks from the sympy oracle's value, gradient and Hessian
         oracle = lagrangian_oracle("ellipsoid", 3, 2, (1.0, 4.0, 9.0))
         ref = HomogeneousLagrangian(3, 2, "oracle-ellipsoid", lambda xs, cs: oracle(xs, cs)[0],
                                     lambda xs, cs: oracle(xs, cs)[1], lambda xs, cs: oracle(xs, cs)[2])
-        y = KVector(3, 2, rng.standard_normal(3))
+        y = rng.standard_normal((1, 3))
         ana = rank_lemma_check(ellipsoid3, x3, y)
         num = rank_lemma_check(ref, x3, y)
-        assert (num.rank_L2, num.rank_L) == (ana.rank_L2, ana.rank_L)
+        assert (num.rank_L2.tolist(), num.rank_L.tolist()) == (ana.rank_L2.tolist(), ana.rank_L.tolist())
 
     def test_area_n4(self, rng):
         L = area_lagrangian(4, 2)
-        report = rank_lemma_check(L, np.zeros(4), KVector(4, 2, rng.standard_normal(6)))
-        assert (report.rank_L2, report.rank_L) == (6, 5)
-        assert report.splitting_holds
+        report = rank_lemma_check(L, np.zeros(4), rng.standard_normal((1, 6)))
+        assert (report.rank_L2.tolist(), report.rank_L.tolist()) == ([6], [5])
+        assert report.splitting_holds.all()
+
+    def test_kvector_is_rejected(self, x3, area3):
+        with pytest.raises(ValueError, match=r"fiber rows \(N, 3\), got \(3,\) and \(\)"):
+            rank_lemma_check(area3, x3, KVector(3, 2, np.ones(3)))
+
 
 
 class TestConvexityCertificate:
@@ -640,6 +654,8 @@ class TestCsvExport:
 
 
 class TestCsvMatchesObjectPath:
+    """The array writer against the csv module writing one sampled image point at a time."""
+
     @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
     @pytest.mark.parametrize("name", ["area", "ellipsoid"])
     def test_array_writer_bytes(self, shape, name):
@@ -648,13 +664,13 @@ class TestCsvMatchesObjectPath:
             n, p, np.linspace(0.5, 3.0, math.comb(n, p)))
         x = np.random.default_rng(n * p).standard_normal(n)
         expected, got = io.StringIO(newline=""), io.StringIO(newline="")
-        reference_write_image_csv(reference_sample_image(L, x, 300, seed=17), expected)
+        reference_write_image_csv(x, reference_sample_image(L, x, 300, seed=17)[1], p, expected)
         write_image_csv(x, image_coordinates(L, x, 300, seed=17)[1], p, got)
         assert got.getvalue() == expected.getvalue()
 
     def test_empty_cloud_bytes(self):
         expected, got = io.StringIO(newline=""), io.StringIO(newline="")
-        reference_write_image_csv([], expected, n=5, p=3)
+        reference_write_image_csv(np.zeros(5), np.empty((0, 10)), 3, expected)
         write_image_csv(np.zeros(5), np.empty((0, 10)), 3, got)
         assert got.getvalue() == expected.getvalue()
 
@@ -665,7 +681,7 @@ class TestCsvMatchesObjectPath:
         L = build_lagrangian(cfg["lagrangian"])
         x = np.asarray(cfg.get("x", [0.0] * L.n), dtype=float)
         with open(tmp_path / "expected.csv", "w", newline="") as stream:
-            reference_write_image_csv(reference_sample_image(L, x, cfg["count"], cfg["seed"]), stream)
+            reference_write_image_csv(x, reference_sample_image(L, x, cfg["count"], cfg["seed"])[1], L.p, stream)
         assert (tmp_path / cfg["csv"]).read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
@@ -752,7 +768,7 @@ class TestLevelGradient:
             with pytest.raises(OrientationError):
                 L.value_many(xs[:2], cs[[0, row]])
             with pytest.raises(OrientationError):
-                L.value(xs[0], KVector(n, p, cs[row]))
+                L.value_many(xs[0], cs[row][None])
 
     def test_valid_block_is_one_call_each(self, x3, area3):
         calls = []

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from multisymp import (
     area_lagrangian,
     closedness_residual,
     constant_x_form,
+    decomposable_rows,
     ellipsoid_lagrangian,
     graph_lift,
     minimal_surface_density,
@@ -26,13 +28,12 @@ from multisymp import (
     omega,
     pair,
     pullback_residual,
-    random_decomposable,
     theta,
     wedge_vectors,
     weighted_x_form,
 )
 
-from helpers import cyclic
+from helpers import cyclic_row
 
 
 @pytest.fixture
@@ -168,51 +169,55 @@ class TestNondegeneracy:
 class TestClosedness:
     def test_omega_closed(self, chart32, rng):
         form = omega(chart32)
-        for _ in range(20):
-            pt = rng.standard_normal(6)
-            vectors = [rng.standard_normal(6) for _ in range(4)]
-            assert closedness_residual(form, pt, vectors, h=1e-4) <= 1e-6
+        draws = rng.standard_normal((20, 5, 6))  # per sample: the point, then the 4 vectors
+        assert np.max(closedness_residual(form, draws[:, 0], draws[:, 1:], h=1e-4)) <= 1e-6
 
     def test_dtheta_reproduces_omega(self, chart32, rng):
         th, om = theta(chart32), omega(chart32)
-        for _ in range(20):
-            pt = rng.standard_normal(6)
-            vectors = [rng.standard_normal(6) for _ in range(3)]
-            assert closedness_residual(th, pt, vectors, h=1e-4) == pytest.approx(
-                abs(om(pt, vectors)), abs=1e-6
-            )
+        draws = rng.standard_normal((20, 4, 6))
+        residuals = closedness_residual(th, draws[:, 0], draws[:, 1:], h=1e-4)
+        assert residuals == pytest.approx(np.abs(om.evaluator(draws[:, 0], np.swapaxes(draws[:, 1:], 1, 2))),
+                                          abs=1e-6)
 
     def test_non_closed_probe_detected(self, chart32):
         probe = weighted_x_form(chart32, "p23", (1, 2))
         e = chart32.basis_vector
-        residual = closedness_residual(probe, np.zeros(6), [e("p23"), e("x1"), e("x2")], h=1e-4)
-        assert residual == pytest.approx(1.0, abs=1e-8)  # analytic d is dp23^dx1^dx2
+        residual = closedness_residual(probe, np.zeros((1, 6)), [[e("p23"), e("x1"), e("x2")]], h=1e-4)
+        assert residual[0] == pytest.approx(1.0, abs=1e-8)  # analytic d is dp23^dx1^dx2
 
     def test_bad_step(self, chart32):
-        with pytest.raises(ValueError):
-            closedness_residual(theta(chart32), np.zeros(6), [np.zeros(6)] * 3, h=0.0)
+        for h in (0.0, -1e-4, float("nan")):
+            with pytest.raises(ValueError, match="step must be positive"):
+                closedness_residual(theta(chart32), np.zeros((1, 6)), np.zeros((1, 3, 6)), h=h)
+
+    def test_shapes_are_checked(self, chart32):
+        form = theta(chart32)
+        for points, vectors in ((np.zeros(6), np.zeros((3, 6))),  # one point, not a row of points
+                                (np.zeros((2, 6)), np.zeros((2, 2, 6))),  # 2 vectors for d(theta), not 3
+                                (np.zeros((2, 5)), np.zeros((2, 3, 5))),
+                                (np.zeros((2, 6)), np.zeros((1, 3, 6)))):
+            message = f"d(theta) takes points (N, 6) with 3 vectors each, (N, 3, 6), got {points.shape} and"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                closedness_residual(form, points, vectors)
 
 
 class TestPullback:
     def test_area_example(self, x3, area3):
-        y = cyclic(3.0, 4.0, 0.0)
         # both sides evaluate to the first gradient coefficient on (e1, e2)
-        residual = pullback_residual(area3, x3, y, [[np.eye(3)[0], np.eye(3)[1]]])
+        residual = pullback_residual(area3, x3, cyclic_row(3.0, 4.0, 0.0), [[np.eye(3)[0], np.eye(3)[1]]])
         assert residual <= 1e-12
 
     def test_scale_invariance(self, x3, area3, rng):
-        y = KVector(3, 2, rng.standard_normal(3))
-        tuples = [[rng.standard_normal(3) for _ in range(2)] for _ in range(5)]
+        y = np.repeat(rng.standard_normal((1, 3)), 5, axis=0)
+        tuples = rng.standard_normal((5, 2, 3))
         assert pullback_residual(area3, x3, y, tuples) == pytest.approx(
-            pullback_residual(area3, x3, y.scaled(2.0), tuples), abs=1e-12
+            pullback_residual(area3, x3, 2.0 * y, tuples), abs=1e-12
         )
 
     def test_graph_lift_random_tuples(self, x3, rng):
         L = graph_lift(minimal_surface_density(3, 2))
-        for _ in range(20):
-            y = random_decomposable(rng, 3, 2, min_top_fraction=0.3)
-            tuples = [[rng.standard_normal(3) for _ in range(2)]]
-            assert pullback_residual(L, x3, y, tuples) <= 1e-9
+        ys = decomposable_rows(rng, 3, 2, 20, 0, 0.3)
+        assert pullback_residual(L, x3, ys, rng.standard_normal((20, 2, 3))) <= 1e-9
 
     def test_builtin_invariant(self, x3, rng):
         lagrangians = [
@@ -221,16 +226,18 @@ class TestPullback:
             graph_lift(minimal_surface_density(3, 2)),
         ]
         for L in lagrangians:
-            worst = 0.0
-            for _ in range(100):
-                y = random_decomposable(rng, 3, 2, min_top_fraction=0.3)
-                tuples = [[rng.standard_normal(3) for _ in range(2)]]
-                worst = max(worst, pullback_residual(L, x3, y, tuples))
-            assert worst <= 1e-9
+            ys = decomposable_rows(rng, 3, 2, 100, 0, 0.3)
+            assert pullback_residual(L, x3, ys, rng.standard_normal((100, 2, 3))) <= 1e-9
 
     def test_zero_section(self, x3, area3):
         with pytest.raises(ZeroSectionError):
-            pullback_residual(area3, x3, KVector(3, 2, np.zeros(3)), [[np.eye(3)[0], np.eye(3)[1]]])
+            pullback_residual(area3, x3, np.zeros((1, 3)), [[np.eye(3)[0], np.eye(3)[1]]])
+
+    def test_rows_and_tuples_are_checked(self, x3, area3):
+        with pytest.raises(ValueError, match=r"fiber rows \(N, 3\), got \(3,\) and \(\)"):
+            pullback_residual(area3, x3, KVector(3, 2, np.ones(3)), [[np.eye(3)[0], np.eye(3)[1]]])
+        with pytest.raises(ValueError, match="one fiber row per tuple, got 1 rows and 2 tuples"):
+            pullback_residual(area3, x3, np.ones((1, 3)), np.ones((2, 2, 3)))
 
 
 def forms_at(chart):
@@ -329,14 +336,13 @@ class TestBatchedForms:
             vectors = rng.standard_normal((6, form.degree + 1, chart.dim_total))
             batch = closedness_residual(form, points, vectors, h=1e-4)
             assert batch.shape == (6,)
-            assert batch.tolist() == [closedness_residual(form, pt, list(vs), h=1e-4)
+            assert batch.tolist() == [closedness_residual(form, pt[None], vs[None], h=1e-4)[0]
                                       for pt, vs in zip(points, vectors)]
 
     def test_pullback_fiber_rows_equal_one_fiber_per_tuple(self, rng):
         L = ellipsoid_lagrangian(4, 2, [1.0, 2.0, 0.5, 3.0, 1.5, 0.7])
         x = rng.standard_normal(4)
-        fibers = [random_decomposable(rng, 4, 2) for _ in range(8)]
+        rows = decomposable_rows(rng, 4, 2, 8)
         tuples = rng.standard_normal((8, 2, 4))
-        per_fiber = max(pullback_residual(L, x, y, [t]) for y, t in zip(fibers, tuples))
-        rows = np.array([y.coords for y in fibers])
+        per_fiber = max(pullback_residual(L, x, y[None], [t]) for y, t in zip(rows, tuples))
         assert pullback_residual(L, x, rows, tuples) == per_fiber

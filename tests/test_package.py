@@ -16,6 +16,13 @@ def test_root_exports_each_public_name(module):
     assert not missing
 
 
+@pytest.mark.parametrize("module", ["lagrangian", "legendre", "multisymplectic", "surfaces", "cli"])
+def test_numeric_modules_take_rows_not_fiber_objects(module):
+    # fibers and duals are rows only: the object layer of exterior is not bound outside it
+    mod = importlib.import_module(f"multisymp.{module}")
+    assert not {"KVector", "KCovector", "GrassmannPoint"} & set(vars(mod))
+
+
 def test_misspelt_marker_fails():
     # a mistyped time_limit must stop the run, not silently drop the test's hang guard
     with pytest.raises(pytest.fail.Exception, match="time_limt"):

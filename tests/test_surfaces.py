@@ -17,10 +17,8 @@ from multisymp import (
     graph_action,
     graph_area_density,
     graph_lift,
-    lagrangian_action,
+    index_position,
     minimal_surface_density,
-    multisymplectic_action,
-    tangent_pvector,
     theta,
     wedge_vectors,
 )
@@ -28,7 +26,7 @@ from multisymp.cli import _graph_map
 from multisymp.exterior import minors
 from multisymp.surfaces import _cell_frames, _checked_samples, paired_actions
 
-from helpers import conformal_area, weighted_minimal_surface
+from helpers import conformal_area, cyclic_row, weighted_minimal_surface
 
 # midpoint rule at 2048^2 for the area of the graph of x1*x2 over the unit
 # square, i.e. the integral of sqrt(1 + x1^2 + x2^2); adaptive quadrature
@@ -53,46 +51,50 @@ def flat_surface(res):
     return GraphSurface(f=lambda s: np.zeros((len(s), 1)), domain=[(0, 1), (0, 1)], resolution=res, p=2, n=3)
 
 
+def cell_pvector(grid, cell):
+    """The tangent p-vector row (C(n,p),) and the base point at one cell's center, from the frames of every cell."""
+    frames, bases = _cell_frames(grid)
+    flat = np.ravel_multi_index(cell, grid.resolution)
+    return minors(frames)[flat], bases[flat]
+
+
 class TestTangentPVector:
     def test_plane_graph_everywhere(self):
         grid = plane_surface(8).to_grid()
         for cell in ((0, 0), (3, 5), (7, 7)):
-            y, base = tangent_pvector(grid, cell)
-            assert y.as_cyclic_triple() == pytest.approx((1.0, -2.0, -3.0), abs=1e-12)
+            y, base = cell_pvector(grid, cell)
+            assert y == pytest.approx(cyclic_row(1.0, -2.0, -3.0)[0], abs=1e-12)
 
     def test_flat_graph(self):
-        y, base = tangent_pvector(flat_surface(4).to_grid(), (1, 2))
-        assert y.as_cyclic_triple() == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
+        y, base = cell_pvector(flat_surface(4).to_grid(), (1, 2))
+        assert y == pytest.approx(cyclic_row(1.0, 0.0, 0.0)[0], abs=1e-15)
 
     def test_bilinear_center(self):
         # cell (2, 2) of a 5-cell grid is centered at (0.5, 0.5); the corner
         # scheme is exact for bilinear maps
-        y, base = tangent_pvector(bilinear_surface(5).to_grid(), (2, 2))
-        assert y.as_cyclic_triple() == pytest.approx((1.0, -0.5, -0.5), abs=1e-12)
+        y, base = cell_pvector(bilinear_surface(5).to_grid(), (2, 2))
+        assert y == pytest.approx(cyclic_row(1.0, -0.5, -0.5)[0], abs=1e-12)
         assert base == pytest.approx([0.5, 0.5, 0.25], abs=1e-12)
 
-    def test_cell_bounds(self):
-        grid = flat_surface(4).to_grid()
-        with pytest.raises(ValueError):
-            tangent_pvector(grid, (4, 0))
-
-    def test_degenerate_cell(self):
+    def test_degenerate_cell(self, area3):
         grid = ParametricGrid.from_map(lambda s: np.stack([s[..., 0], np.zeros(len(s)), np.zeros(len(s))], axis=-1),
                                        [(0, 1), (0, 1)], 4, p=2, n=3)
-        with pytest.raises(DegenerateCellError):
-            tangent_pvector(grid, (0, 0))
+        assert not np.any(cell_pvector(grid, (0, 0))[0])
+        with pytest.raises(DegenerateCellError) as excinfo:
+            paired_actions(area3, grid)
+        assert excinfo.value.cell == (0, 0)
 
 
 class TestLagrangianAction:
     def test_flat_unit_square(self, area3):
-        assert lagrangian_action(area3, flat_surface(8).to_grid()) == pytest.approx(1.0, abs=1e-14)
+        assert paired_actions(area3, flat_surface(8).to_grid())[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_plane_sqrt14(self, area3):
-        action = lagrangian_action(area3, plane_surface(64).to_grid())
+        action = paired_actions(area3, plane_surface(64).to_grid())[0]
         assert abs(action - SQRT14) <= 1e-8
 
     def test_bilinear_against_midpoint_oracle(self, area3):
-        action = lagrangian_action(area3, bilinear_surface(256).to_grid())
+        action = paired_actions(area3, bilinear_surface(256).to_grid())[0]
         assert abs(action - BILINEAR_AREA_ORACLE) <= 1e-6
 
     def test_reparametrization_invariance(self, area3):
@@ -104,42 +106,42 @@ class TestLagrangianAction:
 
         g1 = ParametricGrid.from_map(phi, [(0, 1), (0, 1)], 32, p=2, n=3)
         g2 = ParametricGrid.from_map(phi_stretched, [(1, 3), (-3, -2.5)], 32, p=2, n=3)
-        a1, a2 = lagrangian_action(area3, g1), lagrangian_action(area3, g2)
+        a1, a2 = paired_actions(area3, g1)[0], paired_actions(area3, g2)[0]
         assert abs(a1 - a2) <= 1e-9
 
     def test_orientation_error_reports_cell(self, minimal_lift3):
         grid = ParametricGrid.from_map(lambda s: np.stack([-s[..., 0], s[..., 1], np.zeros(len(s))], axis=-1),
                                        [(0, 1), (0, 1)], 4, p=2, n=3)
         with pytest.raises(OrientationError) as excinfo:
-            lagrangian_action(minimal_lift3, grid)
+            paired_actions(minimal_lift3, grid)[0]
         assert "cell" in str(excinfo.value)
 
     def test_off_chart_cell_names_the_chart_coordinate(self, minimal_lift3):
         grid = ParametricGrid.from_map(lambda s: np.stack([-s[..., 0], s[..., 1], np.zeros(len(s))], axis=-1),
                                        [(0, 1), (0, 1)], 4, p=2, n=3)
         with pytest.raises(OrientationError, match=r"cell \(0, 0\) is off the chart of .*: fiber coordinate 0 must be"):
-            lagrangian_action(minimal_lift3, grid)
+            paired_actions(minimal_lift3, grid)[0]
 
-    @pytest.mark.parametrize("action", [lagrangian_action, multisymplectic_action])
-    def test_degenerate_cell_error_names_first_dead_cell(self, area3, action):
+    @pytest.mark.parametrize("side", [0, 1], ids=["lagrangian_action", "multisymplectic_action"])
+    def test_degenerate_cell_error_names_first_dead_cell(self, area3, side):
         # x clamped at 0.5: the cells with x >= 0.5 have no extent along x
         grid = ParametricGrid.from_map(
             lambda s: np.stack([np.minimum(s[..., 0], 0.5), s[..., 1], np.zeros(len(s))], axis=-1),
             [(0, 1), (0, 1)], 4, p=2, n=3)
         with pytest.raises(DegenerateCellError) as excinfo:
-            action(area3, grid)
+            paired_actions(area3, grid)[side]
         assert excinfo.value.cell == (2, 0)
 
     def test_axis_reversal_flips_tangents_but_area_unchanged(self, area3, minimal_lift3):
         fwd = bilinear_surface(8).to_grid()
         rev = ParametricGrid.from_map(lambda s: np.stack([1.0 - s[..., 0], s[..., 1], (1.0 - s[..., 0]) * s[..., 1]], axis=-1),
                                       [(0, 1), (0, 1)], 8, p=2, n=3)
-        yf, _ = tangent_pvector(fwd, (0, 0))
-        yr, _ = tangent_pvector(rev, (7, 0))
-        assert np.allclose(yr.coords, -yf.coords, atol=1e-12)
-        assert lagrangian_action(area3, rev) == pytest.approx(lagrangian_action(area3, fwd), abs=1e-12)
+        yf, _ = cell_pvector(fwd, (0, 0))
+        yr, _ = cell_pvector(rev, (7, 0))
+        assert np.allclose(yr, -yf, atol=1e-12)
+        assert paired_actions(area3, rev)[0] == pytest.approx(paired_actions(area3, fwd)[0], abs=1e-12)
         with pytest.raises(OrientationError):
-            lagrangian_action(minimal_lift3, rev)
+            paired_actions(minimal_lift3, rev)[0]
 
 
 class TestBasePointAction:
@@ -187,7 +189,7 @@ class TestGraphAction:
     def test_bilinear_matches_lifted_lagrangian(self, minimal_lift3):
         surf = bilinear_surface(256)
         ga = graph_action(minimal_surface_density(3, 2), surf)
-        la = lagrangian_action(minimal_lift3, surf.to_grid())
+        la = paired_actions(minimal_lift3, surf.to_grid())[0]
         assert abs(ga - la) <= 1e-6
 
 
@@ -206,10 +208,10 @@ def theta_cell_values(L, grid):
 
 class TestMultisymplecticAction:
     def test_flat_unit_square(self, area3):
-        assert multisymplectic_action(area3, flat_surface(8).to_grid()) == pytest.approx(1.0, abs=1e-14)
+        assert paired_actions(area3, flat_surface(8).to_grid())[1] == pytest.approx(1.0, abs=1e-14)
 
     def test_plane_sqrt14(self, area3):
-        action = multisymplectic_action(area3, plane_surface(64).to_grid())
+        action = paired_actions(area3, plane_surface(64).to_grid())[1]
         assert abs(action - SQRT14) <= 1e-8
 
     def test_cellwise_equality_with_lagrangian(self, minimal_lift3):
@@ -220,8 +222,8 @@ class TestMultisymplecticAction:
         lvals = minimal_lift3.value_many(bases, coords)
         tvals = np.einsum("ij,ij->i", minimal_lift3.gradient_many(bases, coords), coords)
         assert np.max(np.abs(tvals - lvals)) <= 1e-10
-        la = lagrangian_action(minimal_lift3, grid)
-        ma = multisymplectic_action(minimal_lift3, grid)
+        la = paired_actions(minimal_lift3, grid)[0]
+        ma = paired_actions(minimal_lift3, grid)[1]
         assert abs(ma - la) <= 1e-10 * abs(la)
 
     def test_batched_path_matches_form_evaluator(self, area3):
@@ -239,31 +241,31 @@ class TestGeneralP:
         surf = GraphSurface(f=lambda s: np.stack([2 * s[..., 0] + s[..., 1], s[..., 0] - s[..., 1]], axis=-1),
                             domain=[(0, 1), (0, 1)], resolution=4, p=2, n=4)
         grid = surf.to_grid()
-        y, _ = tangent_pvector(grid, (1, 2))
-        p = 2
+        y, _ = cell_pvector(grid, (1, 2))
+        p, position = 2, index_position(4, 2)
         for i in range(1, p + 1):
             kept = tuple(k for k in range(1, p + 1) if k != i)
             for j in range(1, 3):
                 expected = (-1.0) ** (p - i) * A[i - 1, j - 1]
-                assert y.component(kept + (p + j,)) == pytest.approx(expected, abs=1e-8)
+                assert y[position[kept + (p + j,)]] == pytest.approx(expected, abs=1e-8)
         # cross-check every coordinate against wedged analytic tangents
         u1 = np.array([1.0, 0.0, A[0, 0], A[0, 1]])
         u2 = np.array([0.0, 1.0, A[1, 0], A[1, 1]])
-        assert np.allclose(y.coords, wedge_vectors([u1, u2]).coords, atol=1e-8)
+        assert np.allclose(y, wedge_vectors([u1, u2]).coords, atol=1e-8)
 
     def test_slope_coordinate_law_p3_n4(self):
         a = np.array([0.7, -1.3, 0.4])
         surf = GraphSurface(f=lambda s: np.stack([s @ a], axis=-1),
                             domain=[(0, 1)] * 3, resolution=3, p=3, n=4)
-        y, _ = tangent_pvector(surf.to_grid(), (1, 0, 2))
-        p = 3
-        assert y.component((1, 2, 3)) == pytest.approx(1.0, abs=1e-12)
+        y, _ = cell_pvector(surf.to_grid(), (1, 0, 2))
+        p, position = 3, index_position(4, 3)
+        assert y[position[1, 2, 3]] == pytest.approx(1.0, abs=1e-12)
         for i in range(1, p + 1):
             kept = tuple(k for k in range(1, p + 1) if k != i)
             expected = (-1.0) ** (p - i) * a[i - 1]
-            assert y.component(kept + (4,)) == pytest.approx(expected, abs=1e-8)
+            assert y[position[kept + (4,)]] == pytest.approx(expected, abs=1e-8)
         frame = [np.concatenate([row, [a[k]]]) for k, row in enumerate(np.eye(3))]
-        assert np.allclose(y.coords, wedge_vectors(frame).coords, atol=1e-8)
+        assert np.allclose(y, wedge_vectors(frame).coords, atol=1e-8)
 
     def test_plane_graph_action_equals_gram_area(self):
         # constant integrand: exact at every resolution
@@ -271,8 +273,8 @@ class TestGeneralP:
         for res in (8, 16, 32):
             surf = GraphSurface(f=lambda s: np.stack([2 * s[..., 0] + s[..., 1], s[..., 0] - s[..., 1]], axis=-1),
                                 domain=[(0, 1), (0, 1)], resolution=res, p=2, n=4)
-            for action in (lagrangian_action(L, surf.to_grid()),
-                           multisymplectic_action(L, surf.to_grid()),
+            for action in (paired_actions(L, surf.to_grid())[0],
+                           paired_actions(L, surf.to_grid())[1],
                            graph_action(graph_area_density(4, 2), surf)):
                 assert abs(action - SQRT17) <= 1e-8
 
@@ -283,8 +285,8 @@ class TestGeneralP:
         grid = ParametricGrid.from_map(
             lambda s: np.stack([2 * np.cos(s[..., 0]), 2 * np.sin(s[..., 0]), np.zeros(len(s))], axis=-1),
             [(0.0, math.pi / 2)], 200, p=1, n=3)
-        assert lagrangian_action(L, grid) == pytest.approx(math.pi, abs=1e-4)
-        assert multisymplectic_action(L, grid) == pytest.approx(lagrangian_action(L, grid), abs=1e-12)
+        assert paired_actions(L, grid)[0] == pytest.approx(math.pi, abs=1e-4)
+        assert paired_actions(L, grid)[1] == pytest.approx(paired_actions(L, grid)[0], abs=1e-12)
 
     def test_p3_n4_triple(self):
         L = area_lagrangian(4, 3)
@@ -292,23 +294,23 @@ class TestGeneralP:
         surf = GraphSurface(f=lambda s: np.stack([0.3 * s[..., 0] - 0.7 * s[..., 1] + 0.2 * s[..., 2]], axis=-1),
                             domain=[(0, 1)] * 3, resolution=6, p=3, n=4)
         exact = math.sqrt(1.0 + 0.09 + 0.49 + 0.04)
-        assert lagrangian_action(L, surf.to_grid()) == pytest.approx(exact, abs=1e-10)
+        assert paired_actions(L, surf.to_grid())[0] == pytest.approx(exact, abs=1e-10)
         assert graph_action(F, surf) == pytest.approx(exact, abs=1e-10)
-        assert multisymplectic_action(L, surf.to_grid()) == pytest.approx(exact, abs=1e-10)
+        assert paired_actions(L, surf.to_grid())[1] == pytest.approx(exact, abs=1e-10)
 
 
 class TestConvergenceStudy:
     """convergence_rows on action values, one per resolution."""
 
     def test_plane_constant_integrand(self, area3):
-        values = {res: lagrangian_action(area3, plane_surface(res).to_grid()) for res in (8, 16, 32)}
+        values = {res: paired_actions(area3, plane_surface(res).to_grid())[0] for res in (8, 16, 32)}
         rows = convergence_rows(values, plane_surface(4).domain, reference=SQRT14)
         for row in rows:
             assert row.error <= 1e-12
             assert row.observed_order is None  # machine level, not rated
 
     def test_bilinear_second_order(self, area3):
-        values = {res: lagrangian_action(area3, bilinear_surface(res).to_grid()) for res in (16, 32, 64, 128)}
+        values = {res: paired_actions(area3, bilinear_surface(res).to_grid())[0] for res in (16, 32, 64, 128)}
         rows = convergence_rows(values, bilinear_surface(4).domain, reference=BILINEAR_AREA_ORACLE)
         orders = [row.observed_order for row in rows if row.observed_order is not None]
         assert len(orders) == 3
@@ -322,7 +324,7 @@ class TestConvergenceStudy:
         assert all(abs(o - 2.0) <= 0.3 for o in orders)
 
     def test_without_reference_uses_finest(self, area3):
-        values = {res: lagrangian_action(area3, bilinear_surface(res).to_grid()) for res in (16, 32, 64)}
+        values = {res: paired_actions(area3, bilinear_surface(res).to_grid())[0] for res in (16, 32, 64)}
         rows = convergence_rows(values, bilinear_surface(4).domain)
         assert rows[-1].error is None
         assert rows[1].error is not None
@@ -333,7 +335,7 @@ class TestConvergenceStudy:
         # not biased by treating the finest value as exact
         surf = GraphSurface(f=_graph_map({"f": "bilinear", "params": {"scale": scale}}, 3, 2),
                             domain=[(0, 1), (0, 1)], resolution=4, p=2, n=3)
-        values = {res: lagrangian_action(area3, replace(surf, resolution=res).to_grid()) for res in (16, 32, 64)}
+        values = {res: paired_actions(area3, replace(surf, resolution=res).to_grid())[0] for res in (16, 32, 64)}
         rows = convergence_rows(values, surf.domain)
         assert rows[0].error == abs(rows[0].value - rows[1].value)
         assert rows[-1].error is None
@@ -343,7 +345,7 @@ class TestConvergenceStudy:
 
 class TestQuadrature:
     def test_gauss2_close_to_oracle(self, area3):
-        action = lagrangian_action(area3, bilinear_surface(16).to_grid(), "gauss2")
+        action = paired_actions(area3, bilinear_surface(16).to_grid(), "gauss2")[0]
         assert abs(action - BILINEAR_AREA_ORACLE) <= 5e-7
 
     def test_gauss2_needs_callable(self, area3):
@@ -351,12 +353,12 @@ class TestQuadrature:
         data_only = ParametricGrid(p=2, n=3, domain=grid.domain, resolution=grid.resolution,
                                    values=grid.values)
         with pytest.raises(ValueError):
-            lagrangian_action(area3, data_only, "gauss2")
+            paired_actions(area3, data_only, "gauss2")[0]
 
     def test_unknown_rule(self, area3):
         surf = bilinear_surface(4)
         with pytest.raises(ValueError, match="unknown quadrature rule 'simpson'"):
-            lagrangian_action(area3, surf.to_grid(), "simpson")
+            paired_actions(area3, surf.to_grid(), "simpson")[0]
         with pytest.raises(ValueError, match="unknown quadrature rule 'simpson'"):
             graph_action(minimal_surface_density(3, 2), surf, "simpson")
 
