@@ -86,6 +86,21 @@ def _number(value: Any, key: str) -> float:
     return float(_finite(value, key, ()))
 
 
+def _tolerance(value: Any, key: str) -> float:
+    """A tolerance bounds a residual, which is never negative; 0 asks for an exact result."""
+    tol = _number(value, key)
+    if tol < 0.0:
+        raise ConfigError(f"{key} must be at least 0, got {value!r}")
+    return tol
+
+
+def _positive(value: Any, key: str) -> float:
+    number = _number(value, key)
+    if number <= 0.0:
+        raise ConfigError(f"{key} must be positive, got {value!r}")
+    return number
+
+
 def _count(value: Any, key: str, least: int) -> int:
     """The config value as an int; a boolean or a non-integral number is rejected, not truncated."""
     if isinstance(value, float) and value.is_integer():
@@ -119,7 +134,7 @@ def _merge_tolerances(defaults: dict[str, float], overrides: Any) -> dict[str, f
         return merged
     _check_keys(overrides, set(defaults), set(), "tolerances")
     for key, value in overrides.items():
-        merged[key] = _number(value, f"tolerances.{key}")
+        merged[key] = _tolerance(value, f"tolerances.{key}")
     return merged
 
 
@@ -131,11 +146,11 @@ def _certificate(config: dict, keys: set[str], seed: int, tol: float) -> dict:
         "num_pairs": _count(spec.get("num_pairs", 100), "certificate.num_pairs", 1),
         "t_steps": _count(spec.get("t_steps", 5), "certificate.t_steps", 3),
         "seed": _count(spec.get("seed", seed), "certificate.seed", 0),
-        "tol": _number(spec.get("tolerance", tol), "certificate.tolerance"),
+        "tol": _tolerance(spec.get("tolerance", tol), "certificate.tolerance"),
     }
 
 
-# name -> (constructor, its numeric parameters with their defaults)
+# name -> (constructor, its numeric parameters with their defaults); each must be positive
 DENSITIES = {
     "constant": (constant_density, {"value": 1.0}),
     "minimal_surface": (minimal_surface_density, {}),
@@ -148,7 +163,7 @@ def build_density(spec: Any, n: int, p: int, where: str = "density") -> GraphDen
     make, defaults = DENSITIES[_choice(spec["name"], DENSITIES, f"{where}.name")]
     params = _section(spec, "params")
     _check_keys(params, set(defaults), set(), f"{where}.params")
-    return make(n, p, **{k: _number(params.get(k, v), f"{where}.params.{k}") for k, v in defaults.items()})
+    return make(n, p, **{k: _positive(params.get(k, v), f"{where}.params.{k}") for k, v in defaults.items()})
 
 
 def _weights(value: Any, n: int, p: int) -> np.ndarray:

@@ -3,7 +3,6 @@
 __all__ = [
     "ZeroSectionError",
     "OrientationError",
-    "UnsupportedDegreeError",
     "DegenerateCellError",
     "InversionError",
     "NotInImageError",
@@ -16,10 +15,6 @@ class ZeroSectionError(ValueError):
 
 class OrientationError(ValueError):
     """Raised when a p-vector lies outside the chart of a Lagrangian (its chart coordinate not positive)."""
-
-
-class UnsupportedDegreeError(ValueError):
-    """Raised when decomposability is requested for a degree we do not implement."""
 
 
 class DegenerateCellError(RuntimeError):

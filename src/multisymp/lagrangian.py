@@ -363,7 +363,7 @@ def graph_lift(F: GraphDensity) -> HomogeneousLagrangian:
 def euler_residual(L: HomogeneousLagrangian, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|L(x,y) - <dL/dy, y>| per fiber row of y (N, C(n,p)); zero for degree-1 homogeneous L."""
     xs, cs = L._rows(x, y)
-    # vecdot is the BLAS dot of pair(), row by row
+    # vecdot dots row by row, so each row equals a @ b bit for bit, as the per-fiber references read it
     return np.abs(L.value_many(xs, cs) - np.vecdot(L.gradient_many(xs, cs), cs))
 
 

@@ -42,7 +42,7 @@ def hamiltonian(L: HomogeneousLagrangian, x: np.ndarray, p: np.ndarray, y: np.nd
     dual = np.asarray(p)
     if dual.shape != cs.shape:
         raise ValueError(f"{L.name} takes dual rows of the fiber rows' shape {cs.shape}, got {dual.shape}")
-    # vecdot is the BLAS dot of pair(), row by row
+    # vecdot dots row by row, so each row equals a @ b bit for bit, as the per-fiber references read it
     return np.vecdot(dual.astype(float, copy=False), cs) - L.value_many(xs, cs)
 
 

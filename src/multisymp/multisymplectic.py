@@ -101,6 +101,7 @@ class FormField:
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "form"
 
+    # bench/spans.py counts calls here (COUNTED); ROADMAP item 1 drops that hook, and this method with it
     def __call__(self, point: np.ndarray, vectors: Sequence[TotalVector]) -> float:
         if len(vectors) != self.degree:
             raise ValueError(f"{self.name} takes {self.degree} arguments, got {len(vectors)}")

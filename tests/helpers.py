@@ -1,25 +1,19 @@
-"""Shared test helpers: (3, 2) fiber elements and rows as cyclic triples, a draw-by-draw fiber sampler, and a
-Lagrangian and a density that read the base point."""
+"""Shared test helpers: (3, 2) fiber rows as cyclic triples, a draw-by-draw fiber sampler, and a Lagrangian and a
+density that read the base point."""
 
 import numpy as np
 
 from multisymp import (
     GraphDensity,
     HomogeneousLagrangian,
-    KVector,
     area_lagrangian,
     minimal_surface_density,
-    wedge_vectors,
+    minors,
 )
 
 
-def cyclic(c12, c23, c31, cls=KVector):
-    """The element with coordinates (12, 23, 31); the 31-coordinate is minus the canonical 13-coordinate."""
-    return cls(3, 2, [c12, -c31, c23])
-
-
 def cyclic_row(c12, c23, c31):
-    """The coordinates of cyclic(c12, c23, c31) as one fiber or dual row, shape (1, 3)."""
+    """The row (1, 3) with coordinates (12, 23, 31); the 31-coordinate is minus the canonical 13-coordinate."""
     return np.array([[c12, -c31, c23]], dtype=float)
 
 
@@ -55,18 +49,18 @@ def weighted_minimal_surface(n, p, a, c):
 
 
 def draw_decomposable(rng, n, p, chart=None, margin=0.0, floor=0.0):
-    """One draw of a sampling loop: the wedge of p standard-normal vectors drawn one by one, or None if rejected.
+    """One draw of a sampling loop: the minors row of p standard-normal vectors drawn one by one, or None if rejected.
 
     A draw is rejected below norm 1e-9, where |y_chart| is below margin |y|, or
     where some |y_I| is below floor |y|; an accepted draw is oriented with a
     positive chart coordinate.
     """
-    y = wedge_vectors([rng.standard_normal(n) for _ in range(p)])
-    norm = y.norm()
+    y = minors(np.column_stack([rng.standard_normal(n) for _ in range(p)]))
+    norm = float(np.linalg.norm(y))
     if norm < 1e-9:
         return None
     if chart is not None:
-        if abs(y.coords[chart]) < margin * norm:
+        if abs(y[chart]) < margin * norm:
             return None
-        y = y if y.coords[chart] > 0 else -y
-    return y if np.min(np.abs(y.coords)) >= floor * norm else None
+        y = y if y[chart] > 0 else -y
+    return y if np.min(np.abs(y)) >= floor * norm else None

@@ -10,9 +10,7 @@ import math
 import numpy as np
 
 from multisymp import (
-    GrassmannPoint,
     GraphSurface,
-    KVector,
     TotalSpaceChart,
     area_lagrangian,
     closedness_residual,
@@ -24,8 +22,8 @@ from multisymp import (
     geometric_mean_lagrangian,
     graph_action,
     graph_lift,
-    grassmann_eq,
     hamiltonian,
+    index_position,
     inverse_legendre,
     minimal_surface_density,
     minors,
@@ -36,7 +34,6 @@ from multisymp import (
     projected_volume_lagrangian,
     pullback_residual,
     rank_lemma_check,
-    wedge_vectors,
     weighted_x_form,
 )
 from multisymp.cli import cmd_verify
@@ -193,9 +190,9 @@ def test_criterion_7_action_triple_equality():
 
 
 def cell_pvector(grid, cell):
-    """The tangent p-vector at one cell's center: the minors of its frame, as the actions read it."""
+    """The tangent p-vector row at one cell's center: the minors of its frame, as the actions read it."""
     frames, _ = _cell_frames(grid)
-    return KVector(grid.n, grid.p, minors(frames)[np.ravel_multi_index(cell, grid.resolution)])
+    return minors(frames)[np.ravel_multi_index(cell, grid.resolution)]
 
 
 def test_criterion_8_general_p_graph_law():
@@ -204,14 +201,15 @@ def test_criterion_8_general_p_graph_law():
     surf24 = GraphSurface(f=lambda s: np.stack([2 * s[..., 0] + s[..., 1], s[..., 0] - s[..., 1]], axis=-1),
                           domain=[(0, 1), (0, 1)], resolution=8, p=2, n=4)
     y24 = cell_pvector(surf24.to_grid(), (3, 4))
+    # every index tuple read below is increasing, so index_position finds its coordinate
     law24 = all(
-        abs(y24.component(tuple(k for k in (1, 2) if k != i) + (2 + j,))
+        abs(y24[index_position(4, 2)[tuple(k for k in (1, 2) if k != i) + (2 + j,)]]
             - (-1.0) ** (2 - i) * A[i - 1, j - 1]) <= 1e-8
         for i in (1, 2) for j in (1, 2)
     )
     brute24 = np.allclose(
-        y24.coords,
-        wedge_vectors([np.array([1.0, 0.0, 2.0, 1.0]), np.array([0.0, 1.0, 1.0, -1.0])]).coords,
+        y24,
+        minors(np.column_stack([np.array([1.0, 0.0, 2.0, 1.0]), np.array([0.0, 1.0, 1.0, -1.0])])),
         atol=1e-8,
     )
 
@@ -221,12 +219,12 @@ def test_criterion_8_general_p_graph_law():
                           domain=[(0, 1)] * 3, resolution=4, p=3, n=4)
     y34 = cell_pvector(surf34.to_grid(), (1, 2, 3))
     law34 = all(
-        abs(y34.component(tuple(k for k in (1, 2, 3) if k != i) + (4,))
+        abs(y34[index_position(4, 3)[tuple(k for k in (1, 2, 3) if k != i) + (4,)]]
             - (-1.0) ** (3 - i) * a[i - 1]) <= 1e-8
         for i in (1, 2, 3)
     )
     frame34 = [np.concatenate([row, [a[k]]]) for k, row in enumerate(np.eye(3))]
-    brute34 = np.allclose(y34.coords, wedge_vectors(frame34).coords, atol=1e-8)
+    brute34 = np.allclose(y34, minors(np.column_stack(frame34)), atol=1e-8)
 
     # Gram-determinant area of the p=2, n=4 plane graph
     J = np.column_stack([np.array([1.0, 0.0, 2.0, 1.0]), np.array([0.0, 1.0, 1.0, -1.0])])
@@ -265,6 +263,15 @@ def test_criterion_9_multisymplectic_structure():
          f"({'; '.join(details)}; dOmega {closed_res:.2e})")
 
 
+def same_oriented_class(u, v, tol):
+    """Per row, whether u and v are positively proportional: |u/|u| - v/|v|| is at most tol.
+
+    At (3, 2), p = n - 1, so every nonzero row is decomposable and its class is an oriented plane.
+    """
+    gap = u / np.linalg.norm(u, axis=-1, keepdims=True) - v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.linalg.norm(gap, axis=-1) <= tol
+
+
 def test_criterion_10_round_trips():
     x = np.zeros(3)
     rng = np.random.default_rng(SEED + 5)
@@ -272,15 +279,9 @@ def test_criterion_10_round_trips():
     for L in (area_lagrangian(3, 2), ellipsoid_lagrangian(3, 2, ELLIPSOID_WEIGHTS[(3, 2)])):
         ys = decomposable_rows(rng, 3, 2, 50)
         recovered = inverse_legendre(L, x, L.gradient_many(x, ys))
-        inv_ok = inv_ok and all(grassmann_eq(GrassmannPoint(KVector(3, 2, r), check=False),
-                                             GrassmannPoint(KVector(3, 2, y)), tol=1e-7)
-                                for r, y in zip(recovered, ys))
-    plane_ok = True
-    for row in decomposable_rows(rng, 3, 2, 100):
-        u = KVector(3, 2, row)
-        v1, v2 = plane_from_bivector(u)
-        plane_ok = plane_ok and grassmann_eq(GrassmannPoint.from_vectors([v1, v2]),
-                                             GrassmannPoint(u), tol=1e-9)
+        inv_ok = inv_ok and bool(np.all(same_oriented_class(recovered, ys, 1e-7)))
+    rows = decomposable_rows(rng, 3, 2, 100)
+    plane_ok = bool(np.all(same_oriented_class(minors(plane_from_bivector(rows)), rows, 1e-9)))
     gate(10, "gradient-map and plane-extraction round trips preserve classes",
          inv_ok and plane_ok, "(50 inverse samples per Lagrangian; 100 planes)")
 

@@ -16,10 +16,10 @@ from multisymp import (
     area_lagrangian,
     convexity_certificate,
     decomposable_rows,
+    minors,
     omega,
     rank_lemma_check,
     theta,
-    wedge_vectors,
 )
 from multisymp.cli import LAGRANGIANS, VERIFY_CHECKS, VERIFY_TOLERANCES, build_lagrangian, cmd_verify, main
 from multisymp.legendre import image_coordinates
@@ -297,6 +297,16 @@ class TestErrorHandling:
             reports.append(strip_timings(load_report(out))["checks"])
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("command, payload", [
+        ("verify", {**AREA_VERIFY, "checks": ["euler-identity"], "tolerances": {"euler": 0}}),
+        ("image", {**AREA_IMAGE, "certificate": {"num_pairs": 5, "t_steps": 3, "tolerance": 0}}),
+    ])
+    def test_zero_tolerance_is_valid(self, tmp_path, command, payload):
+        # 0 asks for an exact result: the run reports against it instead of rejecting the config
+        out = tmp_path / "report.json"
+        assert main([command, "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) in (0, 1)
+        assert out.exists()
+
     def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
         # errors, help and a run in one process, each parsed as by a fresh parser
         from multisymp import cli
@@ -416,6 +426,16 @@ class TestErrorHandling:
          "surface.params"),
         # a repeated check would run once, as if it had been listed once
         ("verify", {**AREA_VERIFY, "checks": ["euler-identity", "euler-identity"]}, "checks"),
+        # a residual is never negative, so a negative tolerance would fail every check whatever it measured
+        ("verify", {**AREA_VERIFY, "tolerances": {"convexity": -1}}, "tolerances.convexity"),
+        ("image", {**AREA_IMAGE, "certificate": {"tolerance": -1}}, "certificate.tolerance"),
+        # a constant density of 0 or below gives an L that is nowhere positive, so no fiber could be sampled
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "graph_lift", "n": 3, "p": 2, "params": {
+            "density": {"name": "constant", "params": {"value": 0}}}}}, "lagrangian.params.density.params.value"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "graph_lift", "n": 3, "p": 2, "params": {
+            "density": {"name": "constant", "params": {"value": -1}}}}}, "lagrangian.params.density.params.value"),
+        ("action", {**FLAT_ACTION, "density": {"name": "constant", "params": {"value": 0}}}, "density.params.value"),
+        ("action", {**FLAT_ACTION, "density": {"name": "constant", "params": {"value": -1}}}, "density.params.value"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts
@@ -450,7 +470,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("code, payload, out_name, message", [
         (0, {**AREA_VERIFY, "checks": ["euler-identity"]}, "report.json", "verify: pass (1 checks)"),
-        (1, {**AREA_VERIFY, "checks": ["euler-identity"], "tolerances": {"euler": -1.0}}, "report.json",
+        # the geometric-mean probe is not convex: its certificate fails on its own at any tolerance
+        (1, {**AREA_VERIFY, "lagrangian": {"name": "geometric_mean", "n": 3, "p": 2},
+             "checks": ["legendre-image-convexity"], "certificate": {"num_pairs": 5, "t_steps": 3}}, "report.json",
          "verify: fail (1 checks)"),
         (2, {**AREA_VERIFY, "samples": 0}, "report.json", "config error: samples must"),
         (3, {**AREA_VERIFY, "checks": ["euler-identity"]}, "blocker/report.json", "i/o error: "),
@@ -484,7 +506,7 @@ def reference_fibers(L, count, rng):
     while len(out) < count:
         y = draw_decomposable(rng, L.n, L.p, L.chart, 0.25, L.sampling_floor)
         if y is not None:
-            out.append(y.coords)
+            out.append(y)
     return np.array(out).reshape(count, L.fiber_dim)
 
 
@@ -551,7 +573,7 @@ def reference_verify(config):
         vectors = [pullback_rng.standard_normal(L.n) for _ in range(L.p)]
         grad = gradient(y)
         lhs = theta(chart)(chart.point(x, grad), [chart.lift(v) for v in vectors])
-        worst = max(worst, abs(lhs - float(grad @ wedge_vectors(vectors).coords)))
+        worst = max(worst, abs(lhs - float(grad @ minors(np.column_stack(vectors)))))
     out["tautological-pullback"] = worst
     form = omega(chart)
     point = np.random.default_rng(seed + 4).standard_normal(chart.dim_total)

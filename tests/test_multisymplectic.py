@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from multisymp import multisymplectic
 from multisymp import (
     FormField,
-    KCovector,
-    KVector,
     TotalSpaceChart,
     ZeroSectionError,
     area_lagrangian,
@@ -23,13 +21,12 @@ from multisymp import (
     ellipsoid_lagrangian,
     graph_lift,
     minimal_surface_density,
+    minors,
     multi_indices,
     nondegeneracy_check,
     omega,
-    pair,
     pullback_residual,
     theta,
-    wedge_vectors,
     weighted_x_form,
 )
 
@@ -97,7 +94,7 @@ class TestTheta:
             pvals = rng.standard_normal(chart.fiber_dim)
             point = chart.point(rng.standard_normal(n), pvals)
             vectors = [rng.standard_normal(n) for _ in range(p)]
-            expected = pair(KCovector(n, p, pvals), wedge_vectors(vectors))
+            expected = float(pvals @ minors(np.column_stack(vectors)))  # the pairing of rows
             assert form(point, [chart.lift(v) for v in vectors]) == expected
 
 
@@ -235,7 +232,7 @@ class TestPullback:
 
     def test_rows_and_tuples_are_checked(self, x3, area3):
         with pytest.raises(ValueError, match=r"fiber rows \(N, 3\), got \(3,\) and \(\)"):
-            pullback_residual(area3, x3, KVector(3, 2, np.ones(3)), [[np.eye(3)[0], np.eye(3)[1]]])
+            pullback_residual(area3, x3, object(), [[np.eye(3)[0], np.eye(3)[1]]])
         with pytest.raises(ValueError, match="one fiber row per tuple, got 1 rows and 2 tuples"):
             pullback_residual(area3, x3, np.ones((1, 3)), np.ones((2, 2, 3)))
 

@@ -16,11 +16,18 @@ def test_root_exports_each_public_name(module):
     assert not missing
 
 
-@pytest.mark.parametrize("module", ["lagrangian", "legendre", "multisymplectic", "surfaces", "cli"])
+# the fiber object layer: wedges are minors of frames, pairings are row dots, oriented classes are unit rows,
+# and a coordinate is read through index_position
+FIBER_OBJECTS = {"KVector", "KCovector", "GrassmannPoint", "grassmann_eq", "pair", "wedge_vectors", "is_decomposable",
+                 "canonicalize_index", "UnsupportedDegreeError"}
+
+
+@pytest.mark.parametrize("module", ["lagrangian", "legendre", "multisymplectic", "surfaces", "cli", "exterior",
+                                    "errors", "root"])
 def test_numeric_modules_take_rows_not_fiber_objects(module):
-    # fibers and duals are rows only: the object layer of exterior is not bound outside it
-    mod = importlib.import_module(f"multisymp.{module}")
-    assert not {"KVector", "KCovector", "GrassmannPoint"} & set(vars(mod))
+    # fibers and duals are rows only: neither the root nor any module binds a name of the object layer
+    mod = multisymp if module == "root" else importlib.import_module(f"multisymp.{module}")
+    assert not FIBER_OBJECTS & set(vars(mod))
 
 
 def test_misspelt_marker_fails():

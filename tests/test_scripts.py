@@ -119,8 +119,9 @@ def test_span_recorder_installs_on_this_package(tmp_path):
     # bench/spans.py looks up every __all__ entry and a few methods by name, so a
     # deleted or renamed hook must fail here and not only in a traced benchmark run
     import multisymp.cli as cli
+    import multisymp.exterior as exterior
     import multisymp.legendre as legendre
-    from multisymp.exterior import KVector
+    from multisymp.multisymplectic import TotalSpaceChart, theta
     from multisymp.surfaces import GraphSurface
 
     spans = load_script("spans", BENCH)
@@ -139,8 +140,11 @@ def test_span_recorder_installs_on_this_package(tmp_path):
             path = tmp_path / f"{command}.json"
             path.write_text(json.dumps(config))
             assert cli.main([command, "--config", str(path), "--out", str(tmp_path / f"{command}.out")]) == 0
-        # neither command builds a fiber element, so one is built here to exercise the counting hook
-        KVector(3, 2, [1.0, 0.0, 0.0])
+        # neither command builds a fiber element or calls a form on one point, so the two counting hooks
+        # are exercised here
+        exterior._FiberElement(3, 2, [1.0, 0.0, 0.0])
+        chart = TotalSpaceChart(3, 2)
+        theta(chart)([0.0] * chart.dim_total, [chart.lift([1.0, 0.0, 0.0]), chart.lift([0.0, 1.0, 0.0])])
     finally:
         recorder.uninstall()
     assert (legendre.convexity_certificate, cli.convexity_certificate, GraphSurface.to_grid) == originals
@@ -149,6 +153,7 @@ def test_span_recorder_installs_on_this_package(tmp_path):
     assert totals["legendre.certificate.segments"] == 12
     assert totals["surfaces.to_grid.calls"] == 1
     assert totals["exterior.fiber_elements.created"] > 0
+    assert totals["multisymplectic.form_evals"] > 0
 
 
 def test_bench_pairs_summary_counts_wins_by_direction():

@@ -20,7 +20,6 @@ from multisymp import (
     index_position,
     minimal_surface_density,
     theta,
-    wedge_vectors,
 )
 from multisymp.cli import _graph_map
 from multisymp.exterior import minors
@@ -251,7 +250,7 @@ class TestGeneralP:
         # cross-check every coordinate against wedged analytic tangents
         u1 = np.array([1.0, 0.0, A[0, 0], A[0, 1]])
         u2 = np.array([0.0, 1.0, A[1, 0], A[1, 1]])
-        assert np.allclose(y, wedge_vectors([u1, u2]).coords, atol=1e-8)
+        assert np.allclose(y, minors(np.column_stack([u1, u2])), atol=1e-8)
 
     def test_slope_coordinate_law_p3_n4(self):
         a = np.array([0.7, -1.3, 0.4])
@@ -265,7 +264,7 @@ class TestGeneralP:
             expected = (-1.0) ** (p - i) * a[i - 1]
             assert y[position[kept + (4,)]] == pytest.approx(expected, abs=1e-8)
         frame = [np.concatenate([row, [a[k]]]) for k, row in enumerate(np.eye(3))]
-        assert np.allclose(y, wedge_vectors(frame).coords, atol=1e-8)
+        assert np.allclose(y, minors(np.column_stack(frame)), atol=1e-8)
 
     def test_plane_graph_action_equals_gram_area(self):
         # constant integrand: exact at every resolution
