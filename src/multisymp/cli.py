@@ -22,7 +22,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .exterior import decomposable_rows
+from .exterior import _reduce, decomposable_rows
 from .lagrangian import (
     GraphDensity,
     HomogeneousLagrangian,
@@ -219,7 +219,7 @@ def _graph_map(spec: dict, n: int, p: int) -> Callable[[np.ndarray], np.ndarray]
         if codim != 1:
             raise ConfigError(f"surface.f must name a map with {codim} components, got 'bilinear' (one component)")
         scale = _number(params.get("scale", 1.0), "surface.params.scale")
-        return lambda s: scale * np.prod(s, axis=-1, keepdims=True)
+        return lambda s: scale * _reduce(np.multiply, s, axis=-1, keepdims=True)
     terms = params["terms"]
     if not isinstance(terms, list) or not terms:
         raise ConfigError(f"surface.params.terms must be a nonempty list of terms, got {terms!r}")
@@ -237,7 +237,9 @@ def _graph_map(spec: dict, n: int, p: int) -> Callable[[np.ndarray], np.ndarray]
     def poly(s: np.ndarray) -> np.ndarray:
         out = np.zeros(np.shape(s)[:-1] + (codim,))
         for coeff, powers, component in parsed:
-            out[..., component] += coeff * np.prod(s**powers, axis=-1)
+            # keep one (N, p) ** (p,) power: numpy turns a scalar exponent of 2 into x * x, which differs
+            # from pow in the last bit for some x, so the recorded values would move
+            out[..., component] += coeff * _reduce(np.multiply, s**powers, axis=-1)
         return out
 
     return poly
@@ -273,11 +275,18 @@ Checks = dict[str, tuple[float, Callable[[], float]]]
 
 
 def _report(command: str, config: dict, checks: Checks, **fields: Any) -> tuple[dict, bool]:
-    """Run and time the checks in order; the report with the fields, and whether every check passed."""
+    """Run and time the checks in order; the report with the fields, and whether every check passed.
+
+    An exception a measurement raises carries the check's name as ``failed_check``.
+    """
     records = []
     for name, (tolerance, measure) in checks.items():
         start = time.perf_counter()
-        measured = float(measure())
+        try:
+            measured = float(measure())
+        except Exception as exc:
+            exc.failed_check = name
+            raise
         elapsed = (time.perf_counter() - start) * 1000.0
         records.append({
             "name": name,
@@ -549,7 +558,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a defect or a numerical failure: never reported as a config error
-        print(f"internal or numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        where = f" (in check {exc.failed_check})" if hasattr(exc, "failed_check") else ""
+        print(f"internal or numerical failure: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
         return 4
     print(f"{args.command}: {report['overall']} ({len(report.get('checks', []))} checks) -> {out_path}")
     return 0 if passed else 1

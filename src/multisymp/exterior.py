@@ -84,6 +84,27 @@ def minors(frames: np.ndarray) -> np.ndarray:
     return det(np.take(frames, _minor_rows(n, p), axis=-2))
 
 
+def _reduce(op: np.ufunc, a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """``op.reduce(a, axis, keepdims=keepdims)`` for np.add, np.multiply, np.logical_and or np.logical_or.
+
+    On an axis of a few entries numpy's per-row loop costs more than the
+    arithmetic.  Below 8 entries this applies ``op`` to whole slices
+    instead, from op's identity and entry by entry, which is numpy's own
+    order there, so values and signed zeros are numpy's bit for bit.  From 8
+    entries numpy's sum on an innermost axis is pairwise, so those axes, and
+    empty ones, go to numpy.
+    """
+    a = np.asarray(a)
+    axis %= a.ndim
+    if not 0 < a.shape[axis] < 8:
+        return op.reduce(a, axis=axis, keepdims=keepdims)
+    head = (slice(None),) * axis
+    out = op(op.identity, a[head + (slice(0, 1),)])
+    for i in range(1, a.shape[axis]):
+        op(out, a[head + (slice(i, i + 1),)], out=out)
+    return out if keepdims else out[head + (0,)]
+
+
 def plane_from_bivector(rows: np.ndarray) -> np.ndarray:
     """Orthonormal frames (N, 3, 2) of the planes that nonzero bivector rows (N, 3) in R^3 represent.
 

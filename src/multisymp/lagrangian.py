@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import OrientationError, ZeroSectionError
-from .exterior import index_position
+from .exterior import _reduce, index_position
 
 __all__ = [
     "HomogeneousLagrangian",
@@ -81,11 +81,12 @@ class HomogeneousLagrangian:
             raise ValueError(f"{self.name} takes base points ({self.n},) or (N, {self.n}) with fiber rows "
                              f"(N, {self.fiber_dim}), got {xs.shape} and {cs.shape}")
         xs, cs = xs.astype(float, copy=False), cs.astype(float, copy=False)
-        if np.any(np.all(cs == 0.0, axis=-1)):
+        if np.any(_reduce(np.logical_and, cs == 0.0, axis=-1)):
             raise ZeroSectionError(f"{self.name} is undefined on the zero section")
-        off = ~self._on_chart(cs)
-        if np.any(off):
-            raise self._off_chart(f"row {int(np.argmax(off))}")
+        if self.chart is not None:
+            off = ~self._on_chart(cs)
+            if np.any(off):
+                raise self._off_chart(f"row {int(np.argmax(off))}")
         return np.broadcast_to(xs, (len(cs), self.n)), cs
 
     def _off_chart(self, where: str) -> OrientationError:
@@ -252,7 +253,10 @@ def minimal_surface_density(n: int, p: int) -> GraphDensity:
     eye = np.eye(p * (n - p)).reshape(p, n - p, p, n - p)
 
     def fn_many(bases, values, slopes):
-        return np.sqrt(1.0 + np.sum(slopes * slopes, axis=(1, 2)))
+        if p * (n - p) >= 8:
+            return np.sqrt(1.0 + np.sum(slopes * slopes, axis=(1, 2)))
+        # numpy sums contiguous slopes over both axes as one flattened axis
+        return np.sqrt(1.0 + _reduce(np.add, (slopes * slopes).reshape(len(slopes), p * (n - p)), axis=1))
 
     def d_slopes(bases, values, slopes):
         return slopes / fn_many(bases, values, slopes)[:, None, None]
@@ -346,15 +350,15 @@ def graph_lift(F: GraphDensity) -> HomogeneousLagrangian:
 
     def grad(xs, cs):
         _, args = density_args(xs, cs)
-        g = np.sum(F.d_slopes(*args).reshape(-1, slopes, 1) * jacobian(args[2]), axis=1)
+        g = _reduce(np.add, F.d_slopes(*args).reshape(-1, slopes, 1) * jacobian(args[2]), axis=1)
         g[:, top] += F.fn_many(*args)
         return g
 
     def hess(xs, cs):
         tops, args = density_args(xs, cs)
         M = jacobian(args[2])
-        D2M = np.sum(F.d2_slopes(*args).reshape(-1, slopes, slopes, 1) * M[:, None, :, :], axis=2)
-        return np.sum(M[:, :, :, None] * D2M[:, :, None, :], axis=1) / tops[:, None, None]
+        D2M = _reduce(np.add, F.d2_slopes(*args).reshape(-1, slopes, slopes, 1) * M[:, None, :, :], axis=2)
+        return _reduce(np.add, M[:, :, :, None] * D2M[:, :, None, :], axis=1) / tops[:, None, None]
 
     return HomogeneousLagrangian(n, p, f"graph_lift({F.name})", value, grad, hess,
                                  chart=top, density=F)

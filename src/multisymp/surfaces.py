@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateCellError
-from .exterior import minors
+from .exterior import _reduce, minors
 from .lagrangian import GraphDensity, HomogeneousLagrangian
 
 __all__ = [
@@ -217,7 +217,7 @@ def _quadrature_samples(grid: ParametricGrid, rule: str):
 
 def _check_cells(coords: np.ndarray, grid: ParametricGrid, L: HomogeneousLagrangian) -> None:
     """Name the first cell whose tangent p-vector vanishes, or else lies off the chart of L."""
-    dead = ~np.any(coords != 0.0, axis=1)
+    dead = ~_reduce(np.logical_or, coords != 0.0, axis=1)
     if np.any(dead):
         raise DegenerateCellError(grid.cell_index(int(np.argmax(dead))))
     off = ~L._on_chart(coords)

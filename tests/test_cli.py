@@ -480,6 +480,9 @@ class TestExitCodes:
         # RuntimeWarning filter the overflow before it may be what raises
         (4, {**AREA_VERIFY, "lagrangian": {**ELLIPSOID, "params": {"weights": [1e300, 1.0, 1.0]}}}, "report.json",
          "internal or numerical failure: "),
+        # with that check alone, whichever of the two raises names it
+        (4, {**AREA_VERIFY, "lagrangian": {**ELLIPSOID, "params": {"weights": [1e300, 1.0, 1.0]}},
+             "checks": ["hessian-rank-split"]}, "report.json", " (in check hessian-rank-split)\n"),
     ])
     def test_exit_code(self, tmp_path, capsys, code, payload, out_name, message):
         (tmp_path / "blocker").write_text("a file, not a directory")

@@ -17,7 +17,7 @@ from multisymp import (
     multi_indices,
     plane_from_bivector,
 )
-from multisymp.exterior import _minor_rows, det
+from multisymp.exterior import _minor_rows, _reduce, det
 
 from helpers import cyclic_row, draw_decomposable
 
@@ -365,3 +365,56 @@ class TestRandomDecomposable:
         # no coordinate exceeds the norm: every draw is rejected, and 1101 > 100 * 1 + 1000 ends the loop
         with pytest.raises(RuntimeError, match="rejected 1101 draws for 1 rows"):
             decomposable_rows(np.random.default_rng(0), 3, 2, 1, 0, 1.5)
+
+
+def short_axis_rows(rng, shape):
+    """Entries of magnitude 1e-8 .. 1e8 and either sign, about a third of them +-0.0, +-inf or NaN;
+    the first five rows are all -0.0."""
+    a = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    special = rng.random(shape) < 0.3
+    a[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], special.sum())
+    a[:5] = -0.0
+    return a
+
+
+def assert_same_bits(got, want):
+    assert (np.shape(got), np.result_type(got)) == (np.shape(want), np.result_type(want))
+    assert np.array_equal(got, want, equal_nan=True)
+    # IEEE 754 leaves the sign of a NaN result open, and numpy's own loops differ in it between layouts
+    signed = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got)[signed], np.signbit(want)[signed])
+
+
+# the reduced axis last, or in the middle with a trailing axis of 3, as the action kernels reduce
+LAYOUTS = {"last": ((), -1), "middle": ((3,), 1)}
+
+
+class TestShortAxisReduce:
+    """_reduce against op.reduce: bit for bit, signed zeros included, below 8 entries and through numpy above."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("op", [np.add, np.multiply], ids=lambda op: op.__name__)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf and 0 * inf make NaN on purpose
+    def test_arithmetic_matches_numpy(self, op, layout, length):
+        trailing, axis = LAYOUTS[layout]
+        rng = np.random.default_rng(length)
+        for rows in (0, 400):
+            a = short_axis_rows(rng, (rows, length, *trailing))
+            for keepdims in (False, True):
+                assert_same_bits(_reduce(op, a, axis, keepdims), op.reduce(a, axis=axis, keepdims=keepdims))
+        if layout == "last":  # one point (length,), as a graph map takes it
+            assert_same_bits(_reduce(op, a[5], -1), op.reduce(a[5], axis=-1))
+            assert_same_bits(_reduce(op, a[5], -1, keepdims=True), op.reduce(a[5], axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("op", [np.logical_and, np.logical_or], ids=lambda op: op.__name__)
+    def test_logical_matches_numpy(self, op, layout, length):
+        trailing, axis = LAYOUTS[layout]
+        rng = np.random.default_rng(length)
+        for rows in (0, 400):
+            a = rng.random((rows, length, *trailing)) < 0.8
+            a[:5], a[5:10] = True, False
+            for keepdims in (False, True):
+                assert_same_bits(_reduce(op, a, axis, keepdims), op.reduce(a, axis=axis, keepdims=keepdims))

@@ -145,6 +145,17 @@ class TestGraphLift:
         tops = np.array([[1.0, 0.5, 0.0], [3.0, -1.0, 2.0]])
         assert graph_lift(F).value_many(np.zeros((2, 3)), tops).tolist() == [2.0, 6.0]
 
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3), (6, 2), (6, 3)], ids=lambda s: f"{s[0]}{s[1]}")
+    def test_minimal_surface_sums_the_slopes_as_numpy_does(self, shape):
+        # bit for bit against the sum over both slope axes, on both sides of 8 slopes and on no rows
+        n, p = shape
+        fn_many = minimal_surface_density(n, p).fn_many
+        rng = np.random.default_rng(n + 10 * p)
+        for rows in (0, 200):
+            slopes = rng.standard_normal((rows, p, n - p)) * 10.0 ** rng.uniform(-8.0, 8.0, (rows, p, n - p))
+            got = fn_many(np.zeros((rows, p)), np.zeros((rows, n - p)), slopes)
+            assert got.tobytes() == np.sqrt(1.0 + np.sum(slopes * slopes, axis=(1, 2))).tobytes()
+
     def test_orientation_error_outside_chart(self, x3, minimal_lift3):
         with pytest.raises(OrientationError):
             minimal_lift3.value_many(x3, cyclic_row(-1.0, 2.0, 3.0))

@@ -12,6 +12,7 @@ from multisymp import (
     OrientationError,
     ParametricGrid,
     TotalSpaceChart,
+    ZeroSectionError,
     area_lagrangian,
     convergence_rows,
     graph_action,
@@ -23,7 +24,7 @@ from multisymp import (
 )
 from multisymp.cli import _graph_map
 from multisymp.exterior import minors
-from multisymp.surfaces import _cell_frames, _checked_samples, paired_actions
+from multisymp.surfaces import _cell_frames, _check_cells, _checked_samples, paired_actions
 
 from helpers import conformal_area, cyclic_row, weighted_minimal_surface
 
@@ -82,6 +83,46 @@ class TestTangentPVector:
         with pytest.raises(DegenerateCellError) as excinfo:
             paired_actions(area3, grid)
         assert excinfo.value.cell == (0, 0)
+
+
+def zero_row_case(case, width):
+    """A fiber or cell row of the named case: +0.0 except where the case says."""
+    row = np.zeros(width)
+    if case == "all -0.0":
+        row[:] = -0.0
+    elif case == "+0.0 and -0.0":
+        row[::2] = -0.0
+    else:
+        row[width // 2] = {"only 5e-324": 5e-324, "a NaN": np.nan, "an inf": np.inf, "a -inf": -np.inf}[case]
+    return row
+
+
+class TestZeroRowVerdicts:
+    """_rows and _check_cells call a row zero exactly when every entry == 0.0, on both sides of 8 entries."""
+
+    CASES = {"all -0.0": True, "+0.0 and -0.0": True, "only 5e-324": False, "a NaN": False, "an inf": False,
+             "a -inf": False}
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 3)], ids=lambda s: f"{s[0]}{s[1]}")
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_zero_row_verdicts(self, case, shape):
+        n, p = shape
+        L = area_lagrangian(n, p)
+        rows = np.ones((2**p, L.fiber_dim))
+        rows[2] = zero_row_case(case, L.fiber_dim)
+        assert bool(np.all(rows[2] == 0.0)) == self.CASES[case]
+        if self.CASES[case]:
+            with pytest.raises(ZeroSectionError):
+                L._rows(np.zeros(n), rows)
+        else:
+            L._rows(np.zeros(n), rows)
+        grid = ParametricGrid.from_map(lambda s: np.zeros((len(s), n)), [(0, 1)] * p, 2, p=p, n=n)
+        if self.CASES[case]:
+            with pytest.raises(DegenerateCellError) as excinfo:
+                _check_cells(rows, grid, L)
+            assert excinfo.value.cell == grid.cell_index(2)
+        else:
+            _check_cells(rows, grid, L)
 
 
 class TestLagrangianAction:
