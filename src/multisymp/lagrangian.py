@@ -253,8 +253,6 @@ def minimal_surface_density(n: int, p: int) -> GraphDensity:
     eye = np.eye(p * (n - p)).reshape(p, n - p, p, n - p)
 
     def fn_many(bases, values, slopes):
-        if p * (n - p) >= 8:
-            return np.sqrt(1.0 + np.sum(slopes * slopes, axis=(1, 2)))
         # numpy sums contiguous slopes over both axes as one flattened axis
         return np.sqrt(1.0 + _reduce(np.add, (slopes * slopes).reshape(len(slopes), p * (n - p)), axis=1))
 
