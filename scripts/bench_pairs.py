@@ -12,7 +12,9 @@ directory) and one on the working tree.  The side that runs first alternates
 from pair to pair, so a drift of the machine falls on both sides alike.
 Writes BENCH_<N>.json at the repository root: each pair's end-to-end
 metrics, and per metric the medians and quartiles of both sides, the median
-change, and in how many pairs the working tree was better.  Exits 1 when a
+change, in how many pairs the working tree was better, and whether the
+medians lie further apart than the base's interquartile range
+(``beyond_base_spread``).  Exits 1 when a
 run fails or reports ``correct: false``.
 """
 
@@ -59,20 +61,23 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: medians and quartiles of each side, the median change and the pairs the head won."""
+    """Per metric: medians and quartiles of each side, the median change, the pairs the head won, and
+    whether |head median - base median| exceeds the base's interquartile range."""
     out = {}
     for name, direction in better.items():
         base = [p["base"]["metrics"][name] for p in pairs]
         head = [p["head"]["metrics"][name] for p in pairs]
         sign = 1.0 if direction == "lower" else -1.0
         base_median, head_median = statistics.median(base), statistics.median(head)
+        base_quartiles = quartiles(base)
         out[name] = {
             "base_median": base_median,
             "head_median": head_median,
-            "base_quartiles": quartiles(base),
+            "base_quartiles": base_quartiles,
             "head_quartiles": quartiles(head),
             "median_change": head_median / base_median - 1.0 if base_median else None,
             "head_better_pairs": sum(sign * (b - h) > 0 for b, h in zip(base, head)),
+            "beyond_base_spread": abs(head_median - base_median) > base_quartiles[1] - base_quartiles[0],
         }
     return out
 
@@ -127,7 +132,8 @@ def main(argv: list[str] | None = None) -> int:
         for name, s in entry["summary"].items():
             change = "n/a" if s["median_change"] is None else f"{s['median_change']:+.1%}"
             print(f"{workload:13s} {name:12s} base {s['base_median']:.6g} head {s['head_median']:.6g} "
-                  f"({change}, head better in {s['head_better_pairs']}/{len(entry['pairs'])})")
+                  f"({change}, head better in {s['head_better_pairs']}/{len(entry['pairs'])}, "
+                  f"{'beyond' if s['beyond_base_spread'] else 'within'} the base's interquartile range)")
     print(f"wrote {out.relative_to(ROOT)}")
     return 0 if ok else 1
 

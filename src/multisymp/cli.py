@@ -274,19 +274,30 @@ VERIFY_CHECKS = tuple(name for name in CLAIMS if not name.startswith("action-"))
 Checks = dict[str, tuple[float, Callable[[], float]]]
 
 
-def _report(command: str, config: dict, checks: Checks, **fields: Any) -> tuple[dict, bool]:
-    """Run and time the checks in order; the report with the fields, and whether every check passed.
+class _phase:
+    """A context that tags an exception raised inside with ``phase = name``, unless an inner phase
+    tagged it first; ``main`` names the phase on exit 4."""
 
-    An exception a measurement raises carries the check's name as ``failed_check``.
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if exc is not None and not hasattr(exc, "phase"):
+            exc.phase = self.name
+
+
+def _report(command: str, config: dict, checks: Checks, **fields: Any) -> tuple[dict, bool]:
+    """Run and time the checks in order, each in the phase ``check <name>``; the report with the
+    fields, and whether every check passed.
     """
     records = []
     for name, (tolerance, measure) in checks.items():
         start = time.perf_counter()
-        try:
+        with _phase(f"check {name}"):
             measured = float(measure())
-        except Exception as exc:
-            exc.failed_check = name
-            raise
         elapsed = (time.perf_counter() - start) * 1000.0
         records.append({
             "name": name,
@@ -442,12 +453,16 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
 
     rows = []
     for res in resolutions:
-        surf = replace(surface, resolution=res)
-        grid = surf.to_grid()
+        where = f"action resolution {res}"
+        with _phase(f"{where}: grid"):
+            surf = replace(surface, resolution=res)
+            grid = surf.to_grid()
         entry: dict[str, Any] = {"resolution": res}
-        entry["lagrangian"], entry["multisymplectic"] = paired_actions(L, grid, rule)
+        with _phase(f"{where}: paired actions"):
+            entry["lagrangian"], entry["multisymplectic"] = paired_actions(L, grid, rule)
         if density is not None:
-            entry["graph"] = graph_action(density, surf, rule)
+            with _phase(f"{where}: graph action"):
+                entry["graph"] = graph_action(density, surf, rule)
         rows.append(entry)
 
     finest = rows[-1]
@@ -489,7 +504,8 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
     if not isinstance(csv_name, str) or csv_name in ("", "..") or Path(csv_name).name != csv_name:
         raise ConfigError(f"csv must be a bare file name, got {csv_name!r}")
 
-    grads = image_coordinates(L, x, count, seed=seed)[1]
+    with _phase("image sampling"):
+        grads = image_coordinates(L, x, count, seed=seed)[1]
     csv_path = out_dir / csv_name
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as stream:
@@ -547,10 +563,12 @@ def main(argv: list[str] | None = None) -> int:
             report, passed = cmd_action(config)
         else:
             report, passed = cmd_image(config, out_path.parent)
+        # encoded before the file is opened, so a serialization error leaves no file, and written
+        # in one call instead of json.dump's thousands of small writes
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         out_path.parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w") as stream:
-            json.dump(report, stream, indent=2, sort_keys=True)
-            stream.write("\n")
+            stream.write(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -558,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a defect or a numerical failure: never reported as a config error
-        where = f" (in check {exc.failed_check})" if hasattr(exc, "failed_check") else ""
+        where = f" (in {exc.phase})" if hasattr(exc, "phase") else ""
         print(f"internal or numerical failure: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
         return 4
     print(f"{args.command}: {report['overall']} ({len(report.get('checks', []))} checks) -> {out_path}")

@@ -5,7 +5,8 @@ Tangent frames live at cell centers and come from averaged corner
 differences, which is second-order accurate and needs no boundary cases.
 The three actions integrate, respectively, the Lagrangian on the tangent
 p-vector, a graph density on the slopes, and the tautological form at the
-gradient image; cell contributions are accumulated in a fixed order.
+gradient image; each action is the correctly rounded exact sum of its cells,
+so order and blocking cannot move it.
 """
 
 from __future__ import annotations
@@ -235,6 +236,51 @@ def _checked_samples(L: HomogeneousLagrangian, grid: ParametricGrid, rule: str):
         yield frames, coords, bases, weight
 
 
+def _exact_sum(values: np.ndarray, action: str) -> float:
+    """The correctly rounded exact sum of the cell contributions ``values`` (1-d float64), which is
+    ``math.fsum(values.tolist())`` bit for bit.
+
+    Error-free slicing: N integers below 2**w, w = 53 - N.bit_length(), add exactly in any order.  So
+    the values are scaled by a power of two below 2**w, and each slice is cut off by ``np.trunc``,
+    added by numpy and joined to one Python int; the exact remainders, scaled by 2**w, give the next
+    slice, until none is left.  The int is rounded to a float once.  Raises ArithmeticError naming the
+    action on a non-finite entry, and OverflowError, as fsum does, when the sum is beyond the float
+    range; unlike fsum, a sum that overflows only on the way, as 1e308 + 1e308 - 1e308, is returned.
+    """
+    if len(values) == 0:
+        return 0.0
+    hi, lo = float(values.max()), float(values.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ArithmeticError(f"non-finite cell contribution in the {action} action")
+    top = max(hi, -lo)
+    if top == 0.0:
+        return 0.0
+    w = 53 - len(values).bit_length()
+    c = w - math.frexp(top)[1]  # every |value| * 2**c is below 2**w
+    total = 0  # the slices so far, in units of 2**-c
+    rest = values
+    # values of 2**w and more: cut the slice on a scaled-down copy, but keep the remainders unscaled,
+    # since scaling down would drop the bits of the smallest values
+    while c < 0:
+        whole = np.trunc(rest * 2.0**c)
+        total = (total << w) + int(np.add.reduce(whole))
+        rest = rest - whole * 2.0**-c
+        c += w
+    # scaling up is exact; a factor beyond 2**1023, for the tiniest values, is applied in two steps
+    scaled = rest * 2.0 ** min(c, 1023)
+    if c > 1023:
+        scaled *= 2.0 ** (c - 1023)
+    whole = np.empty_like(scaled)
+    while True:
+        np.trunc(scaled, out=whole)
+        total = (total << w) + int(np.add.reduce(whole))
+        scaled -= whole
+        if not scaled.any():
+            return total / (1 << c)  # correctly rounded; OverflowError beyond the float range
+        scaled *= 2.0**w
+        c += w
+
+
 def paired_actions(
     L: HomogeneousLagrangian, grid: ParametricGrid, rule: str = "midpoint"
 ) -> tuple[float, float]:
@@ -249,8 +295,8 @@ def paired_actions(
     blocks = [(weight * np.einsum("ij,ij->i", L.gradient_many(bases, coords), coords),
                weight * L.value_many(bases, coords))
               for _, coords, bases, weight in _checked_samples(L, grid, rule)]
-    # the frames are gone by now, and one list of Python floats is alive at a time
-    multisymplectic, lagrangian = (math.fsum(np.concatenate(side).tolist()) for side in zip(*blocks))
+    multisymplectic, lagrangian = (_exact_sum(np.concatenate(side), action)
+                                   for side, action in zip(zip(*blocks), ("multisymplectic", "Lagrangian")))
     return lagrangian, multisymplectic
 
 
@@ -269,8 +315,8 @@ def graph_action(
     for params in params_blocks:
         values = surf.graph_values(params)
         slopes = _central_differences(surf.graph_values, params, h)
-        contributions.extend((weight * F.fn_many(params, values, slopes)).tolist())
-    return math.fsum(contributions)
+        contributions.append(weight * F.fn_many(params, values, slopes))
+    return _exact_sum(np.concatenate(contributions), "graph")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from multisymp import (
     rank_lemma_check,
     theta,
 )
+from multisymp import cli
 from multisymp.cli import LAGRANGIANS, VERIFY_CHECKS, VERIFY_TOLERANCES, build_lagrangian, cmd_verify, main
 from multisymp.legendre import image_coordinates
 
@@ -498,9 +499,39 @@ class TestExitCodes:
         payload = {**AREA_IMAGE, "lagrangian": {**self.ELLIPSOID, "params": {"weights": [1e-20] * 3}}}
         out = tmp_path / "report.json"
         assert main(["image", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 4
-        assert capsys.readouterr().err.startswith("internal or numerical failure: RuntimeError: ")
+        err = capsys.readouterr().err
+        assert err.startswith("internal or numerical failure: RuntimeError: ")
+        assert err.endswith(" (in image sampling)\n")
         assert not out.exists()
         assert not (tmp_path / AREA_IMAGE["csv"]).exists()
+
+    def test_non_finite_action_exits_4_naming_its_phase(self, tmp_path, capsys):
+        # the area of a plane this steep overflows in every cell; under the suite's RuntimeWarning
+        # filter the overflow raises first, in the same phase
+        payload = {**FLAT_ACTION, "surface": {"f": "plane", "params": {"coefficients": [1e300, 1e300]},
+                                              "domain": [[0, 1], [0, 1]]}, "resolutions": [4]}
+        out = tmp_path / "report.json"
+        assert main(["action", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal or numerical failure: ")
+        assert err.endswith(" (in action resolution 4: paired actions)\n")
+        assert not out.exists()
+
+    def test_report_that_cannot_be_serialized_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_action", lambda config: ({"overall": "pass", "value": object()}, True))
+        out = tmp_path / "report.json"
+        assert main(["action", "--config", str(write_config(tmp_path, FLAT_ACTION)), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("internal or numerical failure: TypeError: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, payload", [("verify", {**AREA_VERIFY, "checks": ["euler-identity"]}),
+                                              ("action", FLAT_ACTION), ("image", AREA_IMAGE)])
+def test_report_text_is_the_canonical_json(tmp_path, command, payload):
+    out = tmp_path / "report.json"
+    assert main([command, "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def reference_fibers(L, count, rng):

@@ -169,6 +169,21 @@ def test_bench_pairs_summary_counts_wins_by_direction():
     assert summary["ok_frac"]["median_change"] == 0.0
 
 
+def test_bench_pairs_summary_compares_the_median_change_with_the_base_spread():
+    module = load_script("bench_pairs")
+
+    def summary(base, head):
+        pairs = [{"base": {"metrics": {"wall_s": b}}, "head": {"metrics": {"wall_s": h}}} for b, h in zip(base, head)]
+        return module.summarize(pairs, {"wall_s": "lower"})["wall_s"]
+
+    # base quartiles 0.2675 and 0.285: a spread of 0.0175
+    base = [0.30, 0.26, 0.28, 0.27]
+    assert summary(base, [0.25, 0.26, 0.25, 0.26])["beyond_base_spread"]  # median 0.255, 0.02 lower
+    assert not summary(base, [0.27, 0.26, 0.26, 0.27])["beyond_base_spread"]  # median 0.265, 0.01 lower
+    assert summary(base, [0.30, 0.29, 0.30, 0.29])["beyond_base_spread"]  # median 0.295, 0.02 higher
+    assert not summary([0.2, 0.2, 0.2], [0.2, 0.2, 0.2])["beyond_base_spread"]
+
+
 def test_bench_pairs_rejects_a_run_without_pairs(capsys):
     with pytest.raises(SystemExit) as exc:
         load_script("bench_pairs").main(["--base", "HEAD", "--pr", "0", "certificates"])

@@ -2,9 +2,12 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisymp import (
     DegenerateCellError,
@@ -24,7 +27,7 @@ from multisymp import (
 )
 from multisymp.cli import _graph_map
 from multisymp.exterior import minors
-from multisymp.surfaces import _cell_frames, _check_cells, _checked_samples, paired_actions
+from multisymp.surfaces import _cell_frames, _check_cells, _checked_samples, _exact_sum, paired_actions
 
 from helpers import conformal_area, cyclic_row, weighted_minimal_surface
 
@@ -123,6 +126,110 @@ class TestZeroRowVerdicts:
             assert excinfo.value.cell == grid.cell_index(2)
         else:
             _check_cells(rows, grid, L)
+
+
+def exact_sum_hex(values):
+    """_exact_sum of the values as float.hex, checking that the input array is left as it was."""
+    arr = np.array(values, dtype=float)
+    before = arr.copy()
+    try:
+        return _exact_sum(arr, "test").hex()
+    finally:
+        assert np.array_equal(arr, before) and np.array_equal(np.signbit(arr), np.signbit(before))
+
+
+def correctly_rounded_hex(values):
+    """The exact rational sum, rounded once (int / int is correctly rounded); OverflowError beyond the range."""
+    return float(sum(map(Fraction, values), Fraction(0))).hex()
+
+
+# a mantissa of 1 to 53 bits times a power of two, from the smallest subnormal to near the largest float
+SCALED_FLOATS = st.builds(lambda m, e: math.ldexp(m, e), st.integers(-(2**53 - 1), 2**53 - 1),
+                          st.integers(-1074, 971))
+
+
+def with_cancellation(draw_values):
+    """Some of the values again, negated, and all in a drawn order."""
+    return draw_values.flatmap(lambda v: st.permutations(v + [-x for x in v[::2]]))
+
+
+class TestExactSum:
+    """surfaces._exact_sum equals math.fsum bit for bit, compared by float.hex."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+        st.lists(SCALED_FLOATS, max_size=40),
+        with_cancellation(st.lists(SCALED_FLOATS, max_size=30)),
+        with_cancellation(st.lists(st.floats(-1e3, 1e3), max_size=30)),
+    ))
+    def test_matches_fsum(self, values):
+        try:
+            want = math.fsum(values).hex()
+        except OverflowError:  # fsum's overflow, intermediate or final: the exact sum rounded once decides
+            try:
+                want = correctly_rounded_hex(values)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    exact_sum_hex(values)
+                return
+        assert exact_sum_hex(values) == want == correctly_rounded_hex(values)
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0**-53],  # a tie, to even: 1.0
+        [1.0 + 2.0**-52, 2.0**-53],  # a tie, to even: up
+        [1.0, 2.0**-53, 2.0**-106],  # just above the tie
+        [1.0, 2.0**-53, -(2.0**-106)],  # just below it
+        [2.0**-53, 1.0, -(2.0**-106), 2.0**-53],
+        [1e100, 1.0, -1e100],
+        [0.1] * 10 + [-1.0],
+        [1e16, 1.0, -1e16, 1.0, 3e-300],
+        [5e-324] * 7,
+        [5e-324, -1e-323, 2.2250738585072014e-308, -2.225073858507201e-308],
+        [1.7e308, -1.6e308, 1e292, 5e-324],
+        [1.7976931348623157e308, -1.7976931348623157e308, 1e-300],
+        [2.0**1000, 2.0**-1000, -(2.0**1000)],  # a spread over 2**2000
+        [2.0**1000, 3.0, 2.0**-1000, 5e-324],
+        [-0.0, -0.0, -0.0],  # fsum gives +0.0
+        [-0.0],
+        [1.0, -1.0],
+        [],
+    ])
+    def test_fixed_cases(self, values):
+        assert exact_sum_hex(values) == math.fsum(values).hex() == correctly_rounded_hex(values)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4095, 4096, 4097, 2**16 + 1])
+    def test_sizes_across_the_slice_widths(self, size):
+        # w = 53 - size.bit_length() changes between 2 and 3, at 4096 and at 2**16: all entries
+        # at the largest mantissa below the top power of two fill each slice to its bound
+        rng = np.random.default_rng(size)
+        for values in (np.full(size, 1.0 - 2.0**-53), np.full(size, -(2.0**100 - 2.0**47)),
+                       rng.standard_normal(size) * 10.0 ** rng.integers(-12, 12, size),
+                       rng.standard_normal(size) * 1e-5 * rng.random(size)):
+            assert exact_sum_hex(values) == math.fsum(values.tolist()).hex()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_raises_naming_the_action(self, bad):
+        values = np.array([1.0, bad, -2.0])
+        with pytest.raises(ArithmeticError, match="non-finite cell contribution in the graph action") as exc:
+            _exact_sum(values, "graph")
+        assert exc.type is ArithmeticError
+
+    def test_sum_beyond_the_float_range_raises_overflow(self):
+        values = [1.7e308, 1.7e308]
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        with pytest.raises(OverflowError):
+            _exact_sum(np.array(values), "test")
+        with pytest.raises(OverflowError):
+            _exact_sum(np.array([-1.7e308, -1.0e308]), "test")
+
+    def test_intermediate_overflow_returns_the_finite_sum(self):
+        # fsum reports an "intermediate overflow" here although the exact sum is finite
+        values = [1e308, 1e308, -1e308]
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            math.fsum(values)
+        assert exact_sum_hex(values) == (1e308).hex()
 
 
 class TestLagrangianAction:
