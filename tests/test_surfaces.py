@@ -144,8 +144,7 @@ def correctly_rounded_hex(values):
 
 
 # a mantissa of 1 to 53 bits times a power of two, from the smallest subnormal to near the largest float
-SCALED_FLOATS = st.builds(lambda m, e: math.ldexp(m, e), st.integers(-(2**53 - 1), 2**53 - 1),
-                          st.integers(-1074, 971))
+SCALED_FLOATS = st.builds(math.ldexp, st.integers(-(2**53 - 1), 2**53 - 1), st.integers(-1074, 971))
 
 
 def with_cancellation(draw_values):
