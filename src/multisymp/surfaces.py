@@ -6,7 +6,9 @@ differences, which is second-order accurate and needs no boundary cases.
 The three actions integrate, respectively, the Lagrangian on the tangent
 p-vector, a graph density on the slopes, and the tautological form at the
 gradient image; each action is the correctly rounded exact sum of its cells,
-so order and blocking cannot move it.
+so order and blocking cannot move it.  Grid sampling and the action kernels
+run over slabs of at most CELL_BLOCK nodes or cells, rows along the first
+axis, so beyond the node values only the per-cell contributions span the grid.
 """
 
 from __future__ import annotations
@@ -86,23 +88,21 @@ class ParametricGrid:
 
     @classmethod
     def from_map(cls, fn, domain, resolution, p: int, n: int) -> "ParametricGrid":
-        """Sample ``fn``, batched from points of shape (N, p) to (N, n), at every node in one call."""
+        """Sample ``fn``, batched from points of shape (N, p) to (N, n), at every node, one call per slab of
+        node rows along the first axis (at most CELL_BLOCK nodes, at least one row)."""
         dom = _normalize_domain(domain, p)
         res = _normalize_resolution(resolution, p)
         axes = [np.linspace(lo, hi, r + 1) for (lo, hi), r in zip(dom, res)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        params = np.stack([m.ravel() for m in mesh], axis=-1)
-        values = _call_batched(fn, params, n, "surface map")
-        values = values.reshape(tuple(r + 1 for r in res) + (n,))
+        nodes = tuple(r + 1 for r in res)
+        values = np.empty(nodes + (n,))
+        for a, b in _row_slabs(nodes):
+            values[a:b] = _call_batched(fn, _tensor_points(axes, a, b), n, "surface map").reshape(
+                (b - a,) + nodes[1:] + (n,))
         return cls(p=p, n=n, domain=dom, resolution=res, values=values, mapping=fn)
 
     @property
     def spacing(self) -> np.ndarray:
         return np.array([(hi - lo) / r for (lo, hi), r in zip(self.domain, self.resolution)])
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
 
     @property
     def num_cells(self) -> int:
@@ -153,20 +153,41 @@ def _call_batched(fn, points: np.ndarray, width: int, what: str) -> np.ndarray:
 
 _GAUSS2_OFFSETS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
+# Cells per slab of the action kernels, and nodes per slab of grid sampling.  A slab is a range of rows
+# along the first axis, at least one row, so frames, minors and cell values exist for one slab at a time;
+# every kernel is row-independent and each action is an exact sum, so the slab size moves no bit.
+CELL_BLOCK = 4096
 
-def _sample_blocks(domain, resolution, rule: str) -> tuple[list[np.ndarray], np.ndarray, float]:
-    """Parameter points of each quadrature offset (one block per offset, rows
-    in row-major cell order), the cell size per axis and the weight per sample.
-    Raises ValueError on a rule outside QUADRATURE_RULES."""
+
+def _row_slabs(shape: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Ranges [a, b) of rows along the first axis of ``shape``, each of at most CELL_BLOCK entries and at
+    least one row, in order."""
+    step = max(1, CELL_BLOCK // math.prod(shape[1:]))
+    return [(a, min(a + step, shape[0])) for a in range(0, shape[0], step)]
+
+
+def _quadrature_rule(domain, resolution, rule: str) -> tuple[list[list[np.ndarray]], np.ndarray, float]:
+    """Per sample offset of the rule, the coordinates per axis of that sample in each cell along the axis;
+    the cell size per axis and the weight per sample.  Raises ValueError on a rule outside QUADRATURE_RULES."""
     if rule not in QUADRATURE_RULES:
         raise ValueError(f"unknown quadrature rule {rule!r}")
     p = len(resolution)
     h = np.array([(hi - lo) / r for (lo, hi), r in zip(domain, resolution)])
-    lows = np.array([lo for lo, _ in domain])
-    cells = np.indices(resolution).reshape(p, -1).T
     offsets = [(0.5,) * p] if rule == "midpoint" else list(itertools.product(_GAUSS2_OFFSETS, repeat=p))
-    blocks = [lows[None, :] + (cells + np.array(o)[None, :]) * h[None, :] for o in offsets]
-    return blocks, h, float(np.prod(h)) / len(offsets)
+    samples = [[lo + (np.arange(r) + o) * hk for (lo, _), r, o, hk in zip(domain, resolution, np.array(offset), h)]
+               for offset in offsets]
+    return samples, h, float(np.prod(h)) / len(offsets)
+
+
+def _tensor_points(axes: list[np.ndarray], a: int, b: int) -> np.ndarray:
+    """The points (N, p) of the tensor grid of per-axis coordinates ``axes``, in the rows [a, b) of the first
+    axis, in row-major order.  The points are the transpose of a (p, N) array, so each coordinate column is
+    contiguous: maps written with ``s[..., k]`` run 2-4 times faster on it than on C-ordered points."""
+    p = len(axes)
+    points = np.empty((p, b - a, *(len(x) for x in axes[1:])))
+    for k, x in enumerate([axes[0][a:b], *axes[1:]]):
+        points[k] = x.reshape((-1,) + (1,) * (p - 1 - k))
+    return points.reshape(p, -1).T
 
 
 def _central_differences(fn, params: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -176,17 +197,19 @@ def _central_differences(fn, params: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.stack([(fn(params + steps[k]) - fn(params - steps[k])) / h[k] for k in range(len(h))], axis=1)
 
 
-def _cell_frames(grid: ParametricGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent frames and base points at every cell center.
+def _cell_frames(values: np.ndarray, spacing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent frames and base points at the cell centers of a block of node values.
 
-    Returns (frames, bases) with frames of shape (num_cells, n, p) holding the
-    averaged corner differences per axis, and bases of shape (num_cells, n).
-    Cells are enumerated in row-major order of the cell multi-index.  Each
-    axis sums its corner blocks, added or subtracted as views in row-major
-    corner order, into one contiguous (p, *res, n) array, and frames is a
-    view of it.
+    ``values`` has shape (r_1+1, ..., r_p+1, n), a whole grid's or a slab of its node rows, and
+    ``spacing`` is the grid's cell size per axis.  Returns (frames, bases) with frames of shape
+    (r_1 ... r_p, n, p) holding the averaged corner differences per axis, and bases of shape
+    (r_1 ... r_p, n).  Cells are enumerated in row-major order of the cell multi-index.  Each axis sums
+    its corner blocks, added or subtracted as views in row-major corner order, into one contiguous
+    (p, *res, n) array, and frames is a view of it.
     """
-    p, n, values, res = grid.p, grid.n, grid.values, grid.resolution
+    *nodes, n = values.shape
+    res = tuple(k - 1 for k in nodes)
+    p, cells = len(res), math.prod(res)
     sums = np.zeros((p, *res, n))
     bases = np.zeros((*res, n))
     for offset in itertools.product((0, 1), repeat=p):
@@ -195,16 +218,18 @@ def _cell_frames(grid: ParametricGrid) -> tuple[np.ndarray, np.ndarray]:
         for axis, o in enumerate(offset):
             (np.add if o else np.subtract)(sums[axis], block, out=sums[axis])
     bases /= 2**p
-    sums /= (2.0 ** (p - 1) * grid.spacing).reshape((p,) + (1,) * (p + 1))
-    return np.moveaxis(sums.reshape(p, grid.num_cells, n), 0, -1), bases.reshape(grid.num_cells, n)
+    sums /= (2.0 ** (p - 1) * spacing).reshape((p,) + (1,) * (p + 1))
+    return np.moveaxis(sums.reshape(p, cells, n), 0, -1), bases.reshape(cells, n)
 
 
 def _quadrature_samples(grid: ParametricGrid, rule: str):
-    """Yield (frames, bases, weight-per-sample) blocks for the chosen rule."""
+    """(weight-per-sample, slabs) for each sample offset of the rule, in order; slabs yields
+    (first cell, frames, bases) for the cells of one _row_slabs range at a time."""
+    samples, h, weight = _quadrature_rule(grid.domain, grid.resolution, rule)
+    slabs, row = _row_slabs(grid.resolution), math.prod(grid.resolution[1:])
     if rule == "midpoint":
-        frames, bases = _cell_frames(grid)
-        return [(frames, bases, grid.cell_volume)]
-    params_blocks, h, weight = _sample_blocks(grid.domain, grid.resolution, rule)
+        spacing = grid.spacing
+        return [(weight, ((a * row, *_cell_frames(grid.values[a:b + 1], spacing)) for a, b in slabs))]
     if grid.mapping is None:
         raise ValueError("gauss2 quadrature needs a grid built from a callable map")
     # tensor two-point Gauss rule; frames by central differences of the map
@@ -212,28 +237,43 @@ def _quadrature_samples(grid: ParametricGrid, rule: str):
     def mapping(s: np.ndarray) -> np.ndarray:
         return _call_batched(grid.mapping, s, grid.n, "surface map")
 
-    return [(np.swapaxes(_central_differences(mapping, params, h), 1, 2), mapping(params), weight)
-            for params in params_blocks]
+    def gauss(axes):
+        for a, b in slabs:
+            params = _tensor_points(axes, a, b)
+            yield a * row, np.swapaxes(_central_differences(mapping, params, h), 1, 2), mapping(params)
+
+    return [(weight, gauss(axes)) for axes in samples]
 
 
-def _check_cells(coords: np.ndarray, grid: ParametricGrid, L: HomogeneousLagrangian) -> None:
-    """Name the first cell whose tangent p-vector vanishes, or else lies off the chart of L."""
+def _check_cells(coords: np.ndarray, grid: ParametricGrid, L: HomogeneousLagrangian, first: int = 0) -> int | None:
+    """Raise DegenerateCellError naming the first cell whose tangent p-vector vanishes; else return the flat
+    index of the first cell off the chart of L, or None.  ``coords`` holds the cells from flat index ``first``."""
     dead = ~_reduce(np.logical_or, coords != 0.0, axis=1)
     if np.any(dead):
-        raise DegenerateCellError(grid.cell_index(int(np.argmax(dead))))
+        raise DegenerateCellError(grid.cell_index(first + int(np.argmax(dead))))
     off = ~L._on_chart(coords)
-    if np.any(off):
-        raise L._off_chart(f"cell {grid.cell_index(int(np.argmax(off)))}")
+    return first + int(np.argmax(off)) if np.any(off) else None
 
 
 def _checked_samples(L: HomogeneousLagrangian, grid: ParametricGrid, rule: str):
-    """Yield (frames, minors, bases, weight-per-sample) blocks whose cells _check_cells passed for L."""
+    """Yield (frames, minors, bases, weight-per-sample) slabs whose cells _check_cells passed for L.
+
+    Errors are those of one check per sample offset: the first dead cell of an offset wins over its
+    first off-chart cell.  So after an off-chart cell nothing more is yielded, but the later slabs of
+    that offset are still searched for a dead cell before the off-chart error is raised.
+    """
     if (grid.n, grid.p) != (L.n, L.p):
         raise ValueError("grid and Lagrangian dimensions do not match")
-    for frames, bases, weight in _quadrature_samples(grid, rule):
-        coords = minors(frames)
-        _check_cells(coords, grid, L)
-        yield frames, coords, bases, weight
+    for weight, slabs in _quadrature_samples(grid, rule):
+        off = None
+        for first, frames, bases in slabs:
+            coords = minors(frames)
+            found = _check_cells(coords, grid, L, first)
+            off = found if off is None else off
+            if off is None:
+                yield frames, coords, bases, weight
+        if off is not None:
+            raise L._off_chart(f"cell {grid.cell_index(off)}")
 
 
 def _exact_sum(values: np.ndarray, action: str) -> float:
@@ -291,13 +331,13 @@ def paired_actions(
     pairs the fiber gradient at each tangent p-vector with the frame minors.
     """
     # pairings first: gradient_many needs the most scratch, and so it runs
-    # before this block's weighted values exist
-    blocks = [(weight * np.einsum("ij,ij->i", L.gradient_many(bases, coords), coords),
-               weight * L.value_many(bases, coords))
-              for _, coords, bases, weight in _checked_samples(L, grid, rule)]
-    multisymplectic, lagrangian = (_exact_sum(np.concatenate(side), action)
-                                   for side, action in zip(zip(*blocks), ("multisymplectic", "Lagrangian")))
-    return lagrangian, multisymplectic
+    # before this slab's weighted values exist
+    pairings, values = [], []
+    for _, coords, bases, weight in _checked_samples(L, grid, rule):
+        pairings.append(weight * np.einsum("ij,ij->i", L.gradient_many(bases, coords), coords))
+        values.append(weight * L.value_many(bases, coords))
+    multisymplectic = _exact_sum(np.concatenate(pairings), "multisymplectic")
+    return _exact_sum(np.concatenate(values), "Lagrangian"), multisymplectic
 
 
 def graph_action(
@@ -310,12 +350,14 @@ def graph_action(
     """
     if (surf.n, surf.p) != (F.n, F.p):
         raise ValueError("surface and density dimensions do not match")
-    params_blocks, h, weight = _sample_blocks(surf.domain, surf.resolution, rule)
+    samples, h, weight = _quadrature_rule(surf.domain, surf.resolution, rule)
     contributions = []
-    for params in params_blocks:
-        values = surf.graph_values(params)
-        slopes = _central_differences(surf.graph_values, params, h)
-        contributions.append(weight * F.fn_many(params, values, slopes))
+    for axes in samples:
+        for a, b in _row_slabs(surf.resolution):
+            params = _tensor_points(axes, a, b)
+            values = surf.graph_values(params)
+            slopes = _central_differences(surf.graph_values, params, h)
+            contributions.append(weight * F.fn_many(params, values, slopes))
     return _exact_sum(np.concatenate(contributions), "graph")
 
 

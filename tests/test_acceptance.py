@@ -191,7 +191,7 @@ def test_criterion_7_action_triple_equality():
 
 def cell_pvector(grid, cell):
     """The tangent p-vector row at one cell's center: the minors of its frame, as the actions read it."""
-    frames, _ = _cell_frames(grid)
+    frames, _ = _cell_frames(grid.values, grid.spacing)
     return minors(frames)[np.ravel_multi_index(cell, grid.resolution)]
 
 

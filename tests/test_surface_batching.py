@@ -8,6 +8,7 @@ are held to their references bit for bit.
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -143,25 +144,70 @@ def cases():
 
 
 @pytest.mark.parametrize("n, p, name, rule", list(cases()))
-def test_batched_paths_match_pointwise_references(n, p, name, rule):
+def test_batched_paths_match_pointwise_references(n, p, name, rule, monkeypatch):
     fn = builtin_maps(p, n)[name]
     res = 6 if p == 2 else 3
     domain = tuple((0.1 * k, 1.0 + 0.2 * k) for k in range(p))
     surf = GraphSurface(f=fn, domain=domain, resolution=res, p=p, n=n)
-
-    grid = surf.to_grid()
     ref_grid = from_map_reference(surf.map, domain, res, p, n)
     scale = np.max(np.abs(ref_grid.values))
-    assert np.max(np.abs(grid.values - ref_grid.values)) <= REL * scale
+    lagrangians = (area_lagrangian(n, p), graph_lift(minimal_surface_density(n, p)))
+    ref_pairs = [paired_actions(L, ref_grid, rule) for L in lagrangians]
+    ref_graphs = [graph_action_reference(density(n, p), surf, rule) for density in DENSITIES]
 
-    for L in (area_lagrangian(n, p), graph_lift(minimal_surface_density(n, p))):
-        pair = paired_actions(L, grid, rule)
-        assert all(close(a, b) for a, b in zip(pair, paired_actions(L, ref_grid, rule)))
-        # one pass serves both sums, bit for bit those of two separate passes
-        assert tuple(v.hex() for v in pair) == tuple(v.hex() for v in per_side_actions_reference(L, grid, rule))
-    for density in DENSITIES:
-        F = density(n, p)
-        assert close(graph_action(F, surf, rule), graph_action_reference(F, surf, rule))
+    # the whole grid in one slab, then one row of cells per slab
+    for block in (surfaces.CELL_BLOCK, 3):
+        monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
+        grid = surf.to_grid()
+        assert np.max(np.abs(grid.values - ref_grid.values)) <= REL * scale
+        for L, ref_pair in zip(lagrangians, ref_pairs):
+            pair = paired_actions(L, grid, rule)
+            assert all(close(a, b) for a, b in zip(pair, ref_pair))
+            # one pass serves both sums, bit for bit those of two separate passes
+            assert tuple(v.hex() for v in pair) == tuple(v.hex() for v in per_side_actions_reference(L, grid, rule))
+        for density, ref_graph in zip(DENSITIES, ref_graphs):
+            assert close(graph_action(density(n, p), surf, rule), ref_graph)
+
+
+@pytest.mark.parametrize("n, p", DIMS)
+def test_cell_slabs_change_no_bit(n, p, monkeypatch):
+    # more cells than one slab: the split into row slabs, two rows at CELL_BLOCK = 7 for (3,2) and (4,2),
+    # must not move a bit of the node values or of any action
+    res = (5, 3) if p == 2 else (3, 2, 2)
+    domain = tuple((0.1 * k, 1.0 + 0.2 * k) for k in range(p))
+    surf = GraphSurface(f=builtin_maps(p, n)["polynomial"], domain=domain, resolution=res, p=p, n=n)
+    lagrangians = (area_lagrangian(n, p), graph_lift(minimal_surface_density(n, p)))
+
+    def outputs():
+        grid = surf.to_grid()
+        actions = [paired_actions(L, grid, rule) for L in lagrangians for rule in RULES]
+        graphs = [graph_action(density(n, p), surf, rule) for density in DENSITIES for rule in RULES]
+        return grid.values.tobytes(), np.array(actions).tobytes(), np.array(graphs).tobytes()
+
+    whole = outputs()
+    for block in (1, 7):
+        monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
+        assert len(surfaces._row_slabs(res)) > 1
+        assert outputs() == whole
+
+
+def test_action_working_set_is_bounded():
+    # numpy registers its buffers with tracemalloc, so the peak counts bytes whatever the machine: about 42
+    # per cell, most of it the per-cell contributions and the scratch of their exact sums; one whole-grid
+    # batch per action took 224
+    res = 512
+    F = minimal_surface_density(3, 2)
+    surf = GraphSurface(f=_graph_map({"f": "bilinear"}, 3, 2), domain=[(0.0, 1.0), (0.0, 2.0)], resolution=res,
+                        p=2, n=3)
+    L, grid = graph_lift(F), surf.to_grid()
+    tracemalloc.start()
+    try:
+        paired_actions(L, grid)
+        graph_action(F, surf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * res**2
 
 
 def frame_grids(n, p, res):
@@ -183,7 +229,7 @@ FRAME_CASES = [(3, 2, (2, 2)), (3, 2, (5, 3)), (3, 2, (16, 16)), (4, 2, (3, 7)),
 @pytest.mark.parametrize("n, p, res", FRAME_CASES, ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
 def test_cell_frames_match_corner_loop_bit_for_bit(n, p, res):
     for grid in frame_grids(n, p, res):
-        frames, bases = _cell_frames(grid)
+        frames, bases = _cell_frames(grid.values, grid.spacing)
         ref_frames, ref_bases = cell_frames_reference(grid)
         assert frames.shape == (math.prod(res), n, p)
         assert same_bits(frames, ref_frames) and same_bits(bases, ref_bases)

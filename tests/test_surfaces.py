@@ -1,6 +1,7 @@
 """Discretized surfaces: tangent frames, the three actions, convergence."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from multisymp import (
     minimal_surface_density,
     theta,
 )
+from multisymp import surfaces
 from multisymp.cli import _graph_map
 from multisymp.exterior import minors
 from multisymp.surfaces import _cell_frames, _check_cells, _checked_samples, _exact_sum, paired_actions
@@ -35,6 +37,10 @@ from helpers import conformal_area, cyclic_row, weighted_minimal_surface
 # square, i.e. the integral of sqrt(1 + x1^2 + x2^2); adaptive quadrature
 # agrees to the rule's own discretization error (1.3e-8)
 BILINEAR_AREA_ORACLE = 1.2807892621906034
+
+# CELL_BLOCK values for the cell error tests on 4 x 4 grids: the whole grid, one row of cells per slab, and
+# two rows (the first dead cells open the second slab)
+SLAB_SIZES = (surfaces.CELL_BLOCK, 1, 3, 8)
 
 SQRT14 = math.sqrt(14.0)
 SQRT17 = math.sqrt(17.0)  # Gram area of the graph of (2x1+x2, x1-x2) over the unit square
@@ -56,7 +62,7 @@ def flat_surface(res):
 
 def cell_pvector(grid, cell):
     """The tangent p-vector row (C(n,p),) and the base point at one cell's center, from the frames of every cell."""
-    frames, bases = _cell_frames(grid)
+    frames, bases = _cell_frames(grid.values, grid.spacing)
     flat = np.ravel_multi_index(cell, grid.resolution)
     return minors(frames)[flat], bases[flat]
 
@@ -262,21 +268,47 @@ class TestLagrangianAction:
             paired_actions(minimal_lift3, grid)[0]
         assert "cell" in str(excinfo.value)
 
-    def test_off_chart_cell_names_the_chart_coordinate(self, minimal_lift3):
+    def test_off_chart_cell_names_the_chart_coordinate(self, minimal_lift3, monkeypatch):
         grid = ParametricGrid.from_map(lambda s: np.stack([-s[..., 0], s[..., 1], np.zeros(len(s))], axis=-1),
                                        [(0, 1), (0, 1)], 4, p=2, n=3)
-        with pytest.raises(OrientationError, match=r"cell \(0, 0\) is off the chart of .*: fiber coordinate 0 must be"):
-            paired_actions(minimal_lift3, grid)[0]
+        for block in SLAB_SIZES:
+            monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
+            with pytest.raises(OrientationError,
+                               match=r"cell \(0, 0\) is off the chart of .*: fiber coordinate 0 must be"):
+                paired_actions(minimal_lift3, grid)[0]
 
     @pytest.mark.parametrize("side", [0, 1], ids=["lagrangian_action", "multisymplectic_action"])
-    def test_degenerate_cell_error_names_first_dead_cell(self, area3, side):
+    def test_degenerate_cell_error_names_first_dead_cell(self, area3, side, monkeypatch):
         # x clamped at 0.5: the cells with x >= 0.5 have no extent along x
         grid = ParametricGrid.from_map(
             lambda s: np.stack([np.minimum(s[..., 0], 0.5), s[..., 1], np.zeros(len(s))], axis=-1),
             [(0, 1), (0, 1)], 4, p=2, n=3)
-        with pytest.raises(DegenerateCellError) as excinfo:
-            paired_actions(area3, grid)[side]
-        assert excinfo.value.cell == (2, 0)
+        for block in SLAB_SIZES:
+            monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
+            with pytest.raises(DegenerateCellError) as excinfo:
+                paired_actions(area3, grid)[side]
+            assert excinfo.value.cell == (2, 0)
+
+    @pytest.mark.parametrize("cap, rule, error, cell", [
+        (0.25, "midpoint", DegenerateCellError, (2, 0)),
+        (0.25, "gauss2", DegenerateCellError, (3, 0)),
+        (0.5, "midpoint", DegenerateCellError, (3, 0)),
+        (0.5, "gauss2", OrientationError, (0, 0)),
+    ])
+    def test_dead_cell_wins_over_off_chart_cell_of_an_earlier_slab(self, minimal_lift3, monkeypatch, cap, rule,
+                                                                  error, cell):
+        # x -> min(|x - 1/4|, cap) falls over the first column of cells, which is off the chart of the lift,
+        # then rises, and is flat from x = 1/4 + cap on, where cells are dead.  One check per sample offset
+        # names the first dead cell of the offset, else its first off-chart cell.  With cap 1/2 the first
+        # gauss2 offset, at 0.21 of a cell, still sees the map rise in column 3, so its off-chart cell wins
+        # over the dead cells of the later offsets.
+        grid = ParametricGrid.from_map(
+            lambda s: np.stack([np.minimum(np.abs(s[..., 0] - 0.25), cap), s[..., 1], np.zeros(len(s))], axis=-1),
+            [(0, 1), (0, 1)], 4, p=2, n=3)
+        for block in SLAB_SIZES:
+            monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
+            with pytest.raises(error, match=re.escape(f"cell {cell}")):
+                paired_actions(minimal_lift3, grid, rule)
 
     def test_axis_reversal_flips_tangents_but_area_unchanged(self, area3, minimal_lift3):
         fwd = bilinear_surface(8).to_grid()
@@ -363,7 +395,7 @@ class TestMultisymplecticAction:
     def test_cellwise_equality_with_lagrangian(self, minimal_lift3):
         # the dual-side integrand equals the Lagrangian one cell by cell
         grid = bilinear_surface(256).to_grid()
-        frames, bases = _cell_frames(grid)
+        frames, bases = _cell_frames(grid.values, grid.spacing)
         coords = minors(frames)
         lvals = minimal_lift3.value_many(bases, coords)
         tvals = np.einsum("ij,ij->i", minimal_lift3.gradient_many(bases, coords), coords)
@@ -375,7 +407,7 @@ class TestMultisymplecticAction:
     def test_batched_path_matches_form_evaluator(self, area3):
         grid = bilinear_surface(8).to_grid()
         via_form = theta_cell_values(area3, grid)
-        frames, bases = _cell_frames(grid)
+        frames, bases = _cell_frames(grid.values, grid.spacing)
         coords = minors(frames)
         batched = np.einsum("ij,ij->i", area3.gradient_many(bases, coords), coords)
         assert np.allclose(via_form, batched, atol=1e-13)
@@ -512,8 +544,8 @@ class TestQuadrature:
         # tensor-Gauss weights per cell add up to the cell volume
         surf = bilinear_surface(4)
         from multisymp.surfaces import _quadrature_samples
-        blocks = _quadrature_samples(surf.to_grid(), "gauss2")
-        total = sum(w for _, _, w in blocks)
+        offsets = _quadrature_samples(surf.to_grid(), "gauss2")
+        total = sum(w for w, _ in offsets)
         assert total * surf.to_grid().num_cells == pytest.approx(1.0)
 
 
