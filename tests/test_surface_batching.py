@@ -192,9 +192,9 @@ def test_cell_slabs_change_no_bit(n, p, monkeypatch):
 
 
 def test_action_working_set_is_bounded():
-    # numpy registers its buffers with tracemalloc, so the peak counts bytes whatever the machine: about 42
-    # per cell, most of it the per-cell contributions and the scratch of their exact sums; one whole-grid
-    # batch per action took 224
+    # numpy registers its buffers with tracemalloc, so the peak counts bytes whatever the machine.  The bound
+    # sits between row slabs, about 42 bytes per cell (mostly the per-cell contributions and the scratch of
+    # their exact sums), and whole-grid batches, about 224
     res = 512
     F = minimal_surface_density(3, 2)
     surf = GraphSurface(f=_graph_map({"f": "bilinear"}, 3, 2), domain=[(0.0, 1.0), (0.0, 2.0)], resolution=res,
