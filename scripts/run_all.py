@@ -26,6 +26,7 @@ RUNS = [
     ("verify", "verify_ellipsoid.json", 0),
     ("verify", "verify_probe.json", 1),  # detector sensitivity: must fail
     ("verify", "verify_lift.json", 0),
+    ("verify", "verify_lift_graph_area.json", 0),
     ("action", "action_plane.json", 0),
     ("action", "action_bilinear.json", 0),
     ("image", "image_area.json", 0),
@@ -54,8 +55,8 @@ def run(out_dir: Path) -> int:
         status = "ok" if code == expected else f"UNEXPECTED exit {code} (wanted {expected})"
         if code != expected:
             bad += 1
-        print(f"{command:7s} {config:26s} exit={code} wall={wall:.3f}s {summary} [{status}]")
-    print(f"{'total':34s} wall={total:.3f}s")
+        print(f"{command:7s} {config:28s} exit={code} wall={wall:.3f}s {summary} [{status}]")
+    print(f"{'total':36s} wall={total:.3f}s")
     return 1 if bad else 0
 
 

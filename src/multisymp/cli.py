@@ -69,12 +69,18 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
         raise ConfigError(f"missing keys in {where}: {missing}")
 
 
+def _has_bool(value: Any) -> bool:
+    return isinstance(value, bool) or (isinstance(value, (list, tuple)) and any(map(_has_bool, value)))
+
+
 def _finite(value: Any, key: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """The config value as a float array of the given shape; JSON admits NaN and Infinity, configs do not."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be numeric, got {value!r}") from None
+        arr = None
+    if arr is None or _has_bool(value):  # numpy reads true and false, also inside a list, as 1.0 and 0.0
+        raise ConfigError(f"{key} must be numeric, got {value!r}")
     if shape is not None and arr.shape != shape:
         raise ConfigError(f"{key} must be {'a number' if shape == () else f'of shape {shape}'}, got {value!r}")
     if not np.all(np.isfinite(arr)):
@@ -370,7 +376,8 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
     if len(set(selected)) < len(selected):
         raise ConfigError(f"checks must be distinct, got {selected!r}")
 
-    fibers = decomposable_rows(np.random.default_rng(seed), L.n, L.p, samples, L.chart, 0.25, L.sampling_floor)
+    with _phase("verify sampling"):
+        fibers = decomposable_rows(np.random.default_rng(seed), L.n, L.p, samples, L.chart, 0.25, L.sampling_floor)
     chart = TotalSpaceChart(L.n, L.p)
 
     def per_unit_value(residuals: np.ndarray) -> float:

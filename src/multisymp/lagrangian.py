@@ -3,9 +3,10 @@
 A Lagrangian here is a scalar function L(x, y) of a base point x in R^n and a
 nonzero p-vector y, positively homogeneous of degree 1 in y.  The module
 provides the built-in families used throughout (Euclidean norm, weighted
-norm, lifts of graph densities, plus two degenerate probes), access to their
-exact gradients and Hessians (the gradient dL/dy is the induced fiberwise
-p-covector), and residual checks for the homogeneity identities.
+norm, lifts of graph densities, plus two degenerate probes), each as one
+fiber 2-jet: the value, the exact gradient (dL/dy, the induced fiberwise
+p-covector) and the exact Hessian from one callable.  It also provides
+residual checks for the homogeneity identities.
 """
 
 from __future__ import annotations
@@ -36,16 +37,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HomogeneousLagrangian:
-    """Evaluatable L(x, y) with gradient and Hessian access.
+    """Evaluatable L(x, y) with its fiber 2-jet: value, gradient and Hessian from one callable.
 
-    The stored callables are batched: they take base points ``xs`` of shape
-    (N, n) and fiber coordinates ``cs`` of shape (N, C(n,p)), and return
-    values (N,), gradients (N, C(n,p)) and Hessians (N, C(n,p), C(n,p)).
-    Each row must depend on its own inputs only.  The ``*_many`` methods
-    call them on fiber rows at one base point (n,) or one per row; they
-    check shapes through ``_rows`` and reject the zero section and rows
-    off ``chart``.  The gradient and Hessian callables are required and
-    exact, as a GraphDensity's slope derivatives are.
+    ``jet_fn(xs, cs, order)`` is batched: it takes base points ``xs`` of
+    shape (N, n), fiber coordinates ``cs`` of shape (N, C(n,p)) and an order
+    0, 1 or 2, and returns (L,), (L, dL) or (L, dL, d2L): values (N,),
+    exact gradients (N, C(n,p)) and exact Hessians (N, C(n,p), C(n,p)).
+    Each row must depend on its own inputs only, and a lower order must give
+    the leading parts of a higher one bit for bit.  The ``*_many`` methods
+    call it on fiber rows at one base point (n,) or one per row; they check
+    shapes through ``_rows`` and reject the zero section and rows off
+    ``chart``.
 
     The built-in constructors also declare what the Lagrangian can do:
     ``chart`` is the index of the fiber coordinate that must be positive
@@ -59,9 +61,7 @@ class HomogeneousLagrangian:
     n: int
     p: int
     name: str
-    value_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hess_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jet_fn: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, ...]]
     chart: int | None = None
     image_quadric: tuple[Callable[[np.ndarray], np.ndarray], float | None] | None = None
     density: GraphDensity | None = None
@@ -99,49 +99,42 @@ class HomogeneousLagrangian:
 
     def value_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         """Values on fiber rows (N, C(n,p)) at one base point or one per row, shape (N,)."""
-        return self._values(*self._rows(xs, cs))
+        return self._jet(*self._rows(xs, cs), 0)[0]
 
     def gradient_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         """Fiber gradients on raw coordinates, shape (N, C(n,p))."""
-        return self._gradients(*self._rows(xs, cs))
+        return self._jet(*self._rows(xs, cs), 1)[1]
 
     def hessian_many(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         """Fiber Hessians on raw coordinates, shape (N, C(n,p), C(n,p))."""
-        return self._hessians(*self._rows(xs, cs))
+        return self._jet(*self._rows(xs, cs), 2)[2]
 
-    def _values(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        return np.asarray(self.value_fn(xs, cs), dtype=float)
-
-    def _gradients(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad_fn(xs, cs), dtype=float)
-
-    def _hessians(self, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        return np.asarray(self.hess_fn(xs, cs), dtype=float)
+    def _jet(self, xs: np.ndarray, cs: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        """The jet up to ``order`` on rows that _rows checked, as float arrays."""
+        return tuple(np.asarray(part, dtype=float) for part in self.jet_fn(xs, cs, order))
 
     def _square_hessians(self, xs: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hess(L^2) = 2 (g g^T + L H) and Hess L per row, exact given exact g and H."""
-        g, H = self._gradients(xs, cs), self._hessians(xs, cs)
-        return 2.0 * (g[:, :, None] * g[:, None, :] + self._values(xs, cs)[:, None, None] * H), H
+        value, g, H = self._jet(xs, cs, 2)
+        return 2.0 * (g[:, :, None] * g[:, None, :] + value[:, None, None] * H), H
 
 
 @dataclass(frozen=True)
 class GraphDensity:
-    """First-order density F(base, values, slopes) of a graph variational problem.
+    """First-order density F(base, values, slopes) of a graph variational problem, with its slope 2-jet.
 
-    ``fn_many`` takes base points (N, p), values (N, n-p) and slopes
-    (N, p, n-p), where slopes[k, i, j] is the derivative of the j-th value
-    component along the i-th base direction, and returns shape (N,).
-    ``d_slopes`` and ``d2_slopes`` take the same arguments and return the
-    exact first and second derivatives in the slopes, shapes (N, p, n-p) and
-    (N, p, n-p, p, n-p); graph_lift builds its fiber gradient and Hessian
-    from them.
+    ``jet(bases, values, slopes, order)`` takes base points (N, p), values
+    (N, n-p), slopes (N, p, n-p), where slopes[k, i, j] is the derivative of
+    the j-th value component along the i-th base direction, and an order 0,
+    1 or 2.  It returns (F,), (F, dF) or (F, dF, d2F): F of shape (N,) and
+    its exact first and second derivatives in the slopes, shapes (N, p, n-p)
+    and (N, p, n-p, p, n-p), a lower order giving the leading parts of a
+    higher one bit for bit; graph_lift builds its fiber jet from them.
     """
 
     n: int
     p: int
-    fn_many: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    d_slopes: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    d2_slopes: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple[np.ndarray, ...]]
     name: str = "density"
 
 
@@ -151,19 +144,17 @@ def area_lagrangian(n: int, p: int) -> HomogeneousLagrangian:
         raise ValueError(f"need 0 < p < n, got p={p}, n={n}")
     eye = np.eye(math.comb(n, p))
 
-    def value(xs, cs):
-        return np.linalg.norm(cs, axis=-1)
-
-    def grad(xs, cs):
-        return cs / value(xs, cs)[:, None]
-
-    def hess(xs, cs):
-        norm = value(xs, cs)[:, None, None]
-        unit = cs / norm[:, 0]
-        return (eye - unit[:, :, None] * unit[:, None, :]) / norm
+    def jet(xs, cs, order):
+        norm = np.linalg.norm(cs, axis=-1)
+        if order == 0:
+            return (norm,)
+        unit = cs / norm[:, None]
+        if order == 1:
+            return norm, unit
+        return norm, unit, (eye - unit[:, :, None] * unit[:, None, :]) / norm[:, None, None]
 
     return HomogeneousLagrangian(
-        n, p, "area", value, grad, hess, density=graph_area_density(n, p),
+        n, p, "area", jet, density=graph_area_density(n, p),
         image_quadric=(lambda grads: np.sqrt(np.vecdot(grads, grads)), 1e-10),
     )
 
@@ -177,20 +168,20 @@ def ellipsoid_lagrangian(n: int, p: int, weights: Sequence[float]) -> Homogeneou
         raise ValueError("weights must be strictly positive")
     diag = np.diag(w)
 
-    # a sum over the last axis, not a matmul: a row's value must not depend on the batch
-    def value(xs, cs):
-        return np.sqrt(np.sum(w * (cs * cs), axis=-1))
-
-    def grad(xs, cs):
-        return w * cs / value(xs, cs)[:, None]
-
-    def hess(xs, cs):
-        L = value(xs, cs)[:, None, None]
+    def jet(xs, cs, order):
+        # a sum over the last axis, not a matmul: a row's value must not depend on the batch
+        value = np.sqrt(np.sum(w * (cs * cs), axis=-1))
+        if order == 0:
+            return (value,)
         wc = w * cs
-        return diag / L - wc[:, :, None] * wc[:, None, :] / L**3
+        grad = wc / value[:, None]
+        if order == 1:
+            return value, grad
+        L = value[:, None, None]
+        return value, grad, diag / L - wc[:, :, None] * wc[:, None, :] / L**3
 
     return HomogeneousLagrangian(
-        n, p, "ellipsoid", value, grad, hess, image_quadric=(lambda grads: np.sum(grads**2 / w, axis=-1), None),
+        n, p, "ellipsoid", jet, image_quadric=(lambda grads: np.sum(grads**2 / w, axis=-1), None),
     )
 
 
@@ -201,12 +192,14 @@ def projected_volume_lagrangian(n: int, p: int) -> HomogeneousLagrangian:
     """
     dim = math.comb(n, p)
 
-    return HomogeneousLagrangian(
-        n, p, "projected_volume",
-        value_fn=lambda xs, cs: cs[:, 0].copy(),
-        grad_fn=lambda xs, cs: np.tile(np.eye(dim)[0], (len(cs), 1)),
-        hess_fn=lambda xs, cs: np.zeros((len(cs), dim, dim)),
-    )
+    def jet(xs, cs, order):
+        value = cs[:, 0].copy()
+        if order == 0:
+            return (value,)
+        grad = np.tile(np.eye(dim)[0], (len(cs), 1))
+        return (value, grad) if order == 1 else (value, grad, np.zeros((len(cs), dim, dim)))
+
+    return HomogeneousLagrangian(n, p, "projected_volume", jet)
 
 
 def geometric_mean_lagrangian(n: int = 3, p: int = 2) -> HomogeneousLagrangian:
@@ -219,30 +212,31 @@ def geometric_mean_lagrangian(n: int = 3, p: int = 2) -> HomogeneousLagrangian:
     dim = math.comb(n, p)
     diagonal = np.diag_indices(dim)
 
-    def value(xs, cs):
-        return np.abs(np.prod(cs, axis=-1)) ** (1.0 / dim)
-
-    def grad(xs, cs):
-        return value(xs, cs)[:, None] / (dim * cs)
-
-    def hess(xs, cs):
-        L = value(xs, cs)[:, None]
+    def jet(xs, cs, order):
+        value = np.abs(np.prod(cs, axis=-1)) ** (1.0 / dim)
+        if order == 0:
+            return (value,)
+        L = value[:, None]
+        grad = L / (dim * cs)
+        if order == 1:
+            return value, grad
         inv = 1.0 / cs
         H = inv[:, :, None] * inv[:, None, :] * (L / dim**2)[:, :, None]
         H[(slice(None),) + diagonal] = -L * (dim - 1) / (dim**2 * cs * cs)
-        return H
+        return value, grad, H
 
-    return HomogeneousLagrangian(n, p, "geometric_mean", value, grad, hess, sampling_floor=0.05)
+    return HomogeneousLagrangian(n, p, "geometric_mean", jet, sampling_floor=0.05)
 
 
 def constant_density(n: int, p: int, value: float = 1.0) -> GraphDensity:
-    return GraphDensity(
-        n, p,
-        name="constant",
-        fn_many=lambda bases, values, slopes: np.full(len(bases), value),
-        d_slopes=lambda bases, values, slopes: np.zeros_like(slopes),
-        d2_slopes=lambda bases, values, slopes: np.zeros(slopes.shape + slopes.shape[1:]),
-    )
+    def jet(bases, values, slopes, order):
+        F = np.full(len(bases), value)
+        if order == 0:
+            return (F,)
+        dF = np.zeros_like(slopes)
+        return (F, dF) if order == 1 else (F, dF, np.zeros(slopes.shape + slopes.shape[1:]))
+
+    return GraphDensity(n, p, jet, name="constant")
 
 
 def minimal_surface_density(n: int, p: int) -> GraphDensity:
@@ -252,50 +246,48 @@ def minimal_surface_density(n: int, p: int) -> GraphDensity:
     """
     eye = np.eye(p * (n - p)).reshape(p, n - p, p, n - p)
 
-    def fn_many(bases, values, slopes):
+    def jet(bases, values, slopes, order):
         # numpy sums contiguous slopes over both axes as one flattened axis
-        return np.sqrt(1.0 + _reduce(np.add, (slopes * slopes).reshape(len(slopes), p * (n - p)), axis=1))
+        F = np.sqrt(1.0 + _reduce(np.add, (slopes * slopes).reshape(len(slopes), p * (n - p)), axis=1))
+        if order == 0:
+            return (F,)
+        dF = slopes / F[:, None, None]
+        if order == 1:
+            return F, dF
+        F5 = F[:, None, None, None, None]
+        return F, dF, (eye - slopes[:, :, :, None, None] * slopes[:, None, None, :, :] / F5**2) / F5
 
-    def d_slopes(bases, values, slopes):
-        return slopes / fn_many(bases, values, slopes)[:, None, None]
-
-    def d2_slopes(bases, values, slopes):
-        F = fn_many(bases, values, slopes)[:, None, None, None, None]
-        return (eye - slopes[:, :, :, None, None] * slopes[:, None, None, :, :] / F**2) / F
-
-    return GraphDensity(n, p, fn_many, d_slopes, d2_slopes, name="minimal_surface")
+    return GraphDensity(n, p, jet, name="minimal_surface")
 
 
 def graph_area_density(n: int, p: int) -> GraphDensity:
     """sqrt(det(I + q q^T)): the area element of a graph in any codimension.
 
     With G = I + q q^T and K = G^-1 q, its slope derivatives are F K and
-    F (K_ij K_kl + (G^-1)_ik P_jl - K_il K_kj), where P = I - q^T K.
+    F (K_ij K_kl + (G^-1)_ik P_jl - K_il K_kj), where P = I - q^T K.  The
+    value takes G from a matmul; the derivatives take F, K and G^-1 from
+    sums in place of matmuls, for row independence.
     """
     eye = np.eye(p)
 
-    def fn_many(bases, values, slopes):
-        return np.sqrt(np.linalg.det(eye + slopes @ np.transpose(slopes, (0, 2, 1))))
-
-    def parts(slopes):
-        """F, K and G^-1 per row, with sums in place of matmuls for row independence."""
+    def jet(bases, values, slopes, order):
+        F = np.sqrt(np.linalg.det(eye + slopes @ np.transpose(slopes, (0, 2, 1))))
+        if order == 0:
+            return (F,)
         G = eye + np.sum(slopes[:, :, None, :] * slopes[:, None, :, :], axis=-1)
         inv = np.linalg.inv(G)
-        return np.sqrt(np.linalg.det(G)), np.sum(inv[:, :, :, None] * slopes[:, None, :, :], axis=2), inv
-
-    def d_slopes(bases, values, slopes):
-        F, K, _ = parts(slopes)
-        return F[:, None, None] * K
-
-    def d2_slopes(bases, values, slopes):
-        F, K, inv = parts(slopes)
+        root = np.sqrt(np.linalg.det(G))
+        K = np.sum(inv[:, :, :, None] * slopes[:, None, :, :], axis=2)
+        dF = root[:, None, None] * K
+        if order == 1:
+            return F, dF
         P = np.eye(n - p) - np.sum(slopes[:, :, :, None] * K[:, :, None, :], axis=1)
         Kt = np.swapaxes(K, 1, 2)
         D2 = (K[:, :, :, None, None] * K[:, None, None, :, :] + inv[:, :, None, :, None] * P[:, None, :, None, :]
               - K[:, :, None, None, :] * Kt[:, None, :, :, None])
-        return F[:, None, None, None, None] * D2
+        return F, dF, root[:, None, None, None, None] * D2
 
-    return GraphDensity(n, p, fn_many, d_slopes, d2_slopes, name="graph_area")
+    return GraphDensity(n, p, jet, name="graph_area")
 
 
 def _graph_chart_layout(n: int, p: int):
@@ -330,43 +322,33 @@ def graph_lift(F: GraphDensity) -> HomogeneousLagrangian:
     top, slope_pos, slope_sign = _graph_chart_layout(n, p)
     slopes, dim = p * (n - p), math.comb(n, p)
 
-    def density_args(xs, cs):
-        """y_top and the density's arguments (bases, values, slopes q), per row."""
+    def jet(xs, cs, order):
         tops = cs[:, top]
-        return tops, (xs[:, :p], xs[:, p:], slope_sign * cs[:, slope_pos] / tops[:, None, None])
-
-    def jacobian(q):
-        """M = y_top dq/dy per row: -q on the top coordinate, the slope sign on the slope's own."""
+        q = slope_sign * cs[:, slope_pos] / tops[:, None, None]
+        density = F.jet(xs[:, :p], xs[:, p:], q, order)
+        value = tops * density[0]
+        if order == 0:
+            return (value,)
+        # M = y_top dq/dy per row: -q on the top coordinate, the slope sign on the slope's own
         M = np.zeros((len(q), slopes, dim))
         M[:, :, top] = -q.reshape(-1, slopes)
         M[:, np.arange(slopes), slope_pos.ravel()] = slope_sign.ravel()
-        return M
+        g = _reduce(np.add, density[1].reshape(-1, slopes, 1) * M, axis=1)
+        g[:, top] += density[0]
+        if order == 1:
+            return value, g
+        D2M = _reduce(np.add, density[2].reshape(-1, slopes, slopes, 1) * M[:, None, :, :], axis=2)
+        return value, g, _reduce(np.add, M[:, :, :, None] * D2M[:, :, None, :], axis=1) / tops[:, None, None]
 
-    def value(xs, cs):
-        tops, args = density_args(xs, cs)
-        return tops * F.fn_many(*args)
-
-    def grad(xs, cs):
-        _, args = density_args(xs, cs)
-        g = _reduce(np.add, F.d_slopes(*args).reshape(-1, slopes, 1) * jacobian(args[2]), axis=1)
-        g[:, top] += F.fn_many(*args)
-        return g
-
-    def hess(xs, cs):
-        tops, args = density_args(xs, cs)
-        M = jacobian(args[2])
-        D2M = _reduce(np.add, F.d2_slopes(*args).reshape(-1, slopes, slopes, 1) * M[:, None, :, :], axis=2)
-        return _reduce(np.add, M[:, :, :, None] * D2M[:, :, None, :], axis=1) / tops[:, None, None]
-
-    return HomogeneousLagrangian(n, p, f"graph_lift({F.name})", value, grad, hess,
-                                 chart=top, density=F)
+    return HomogeneousLagrangian(n, p, f"graph_lift({F.name})", jet, chart=top, density=F)
 
 
 def euler_residual(L: HomogeneousLagrangian, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|L(x,y) - <dL/dy, y>| per fiber row of y (N, C(n,p)); zero for degree-1 homogeneous L."""
     xs, cs = L._rows(x, y)
+    values, grads = L._jet(xs, cs, 1)
     # vecdot dots row by row, so each row equals a @ b bit for bit, as the per-fiber references read it
-    return np.abs(L.value_many(xs, cs) - np.vecdot(L.gradient_many(xs, cs), cs))
+    return np.abs(values - np.vecdot(grads, cs))
 
 
 def homogeneity_residual(
@@ -374,13 +356,13 @@ def homogeneity_residual(
 ) -> np.ndarray:
     """max over lambda of |L(x, lambda y) - lambda L(x, y)| / (lambda |y|) per fiber row of y (N, C(n,p)).
 
-    One value_many call per factor.
+    One value call on y and one value_many call per factor.
     """
     lams = [float(lam) for lam in lambdas]
     if any(lam <= 0.0 for lam in lams):
         raise ValueError("scaling factors must be positive")
     xs, cs = L._rows(x, y)
-    base = L.value_many(xs, cs)
+    base = L._jet(xs, cs, 0)[0]
     norm = np.sqrt(np.vecdot(cs, cs))
     return np.max([np.abs(L.value_many(xs, lam * cs) - lam * base) / (lam * norm) for lam in lams], axis=0)
 

@@ -43,7 +43,7 @@ def hamiltonian(L: HomogeneousLagrangian, x: np.ndarray, p: np.ndarray, y: np.nd
     if dual.shape != cs.shape:
         raise ValueError(f"{L.name} takes dual rows of the fiber rows' shape {cs.shape}, got {dual.shape}")
     # vecdot dots row by row, so each row equals a @ b bit for bit, as the per-fiber references read it
-    return np.vecdot(dual.astype(float, copy=False), cs) - L.value_many(xs, cs)
+    return np.vecdot(dual.astype(float, copy=False), cs) - L._jet(xs, cs, 0)[0]
 
 
 def inverse_legendre(L: HomogeneousLagrangian, x: np.ndarray, p: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -170,7 +170,7 @@ def _level_gradient(L: HomogeneousLagrangian, xs: np.ndarray, cs: np.ndarray):
 
     Rows with a non-finite gradient are NaN too.  This is the solver's one
     zero-section and chart check: the valid rows are masked up front and take
-    one gradient and one value call, on cs itself when every row is valid.
+    one order-1 jet call, on cs itself when every row is valid.
     ``xs`` has at least len(cs) base points.
     """
     levels = np.full(len(cs), np.nan)
@@ -178,7 +178,7 @@ def _level_gradient(L: HomogeneousLagrangian, xs: np.ndarray, cs: np.ndarray):
     rows = np.flatnonzero(np.isfinite(cs).all(axis=-1) & (cs != 0.0).any(axis=-1) & L._on_chart(cs))
     rows = slice(None) if rows.size == len(cs) else rows
     block = cs[rows]
-    grads[rows], levels[rows] = L._gradients(xs[: len(block)], block), L._values(xs[: len(block)], block)
+    levels[rows], grads[rows] = L._jet(xs[: len(block)], block, 1)
     bad = ~np.isfinite(grads).all(axis=-1)
     levels[bad] = np.nan
     grads[bad] = np.nan
@@ -273,7 +273,7 @@ def _radial_solve(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
         if rows.size == 0:
             break
         # rows that reach here have a finite level, so they are off the zero section
-        J = g[:, :, None] * g[:, None, :] + level[:, None, None] * L._hessians(xs[: rows.size], c)
+        J = g[:, :, None] * g[:, None, :] + level[:, None, None] * L._jet(xs[: rows.size], c, 2)[2]
         delta, solved = _solve_stack(J, -F)
         if not solved.all():
             rows, c, delta, f = rows[solved], c[solved], delta[solved], f[solved]

@@ -260,7 +260,7 @@ def pullback_residual(
     if len(cs) != len(vectors):
         raise ValueError(f"pullback_residual takes one fiber row per tuple, got {len(cs)} rows and "
                          f"{len(vectors)} tuples")
-    grads = L.gradient_many(xs, cs)
+    grads = L._jet(xs, cs, 1)[1]
     chart = TotalSpaceChart(L.n, L.p)
     lhs = theta(chart).evaluator(chart.point(xs, grads), np.swapaxes(chart.lift(vectors), 1, 2))
     rhs = np.vecdot(grads, minors(np.swapaxes(vectors, 1, 2)))  # the areolar form dL/dy on the tuples

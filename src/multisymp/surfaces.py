@@ -330,12 +330,11 @@ def paired_actions(
     the second integrates the tautological form over the gradient image of the tangent lift, which
     pairs the fiber gradient at each tangent p-vector with the frame minors.
     """
-    # pairings first: gradient_many needs the most scratch, and so it runs
-    # before this slab's weighted values exist
     pairings, values = [], []
     for _, coords, bases, weight in _checked_samples(L, grid, rule):
-        pairings.append(weight * np.einsum("ij,ij->i", L.gradient_many(bases, coords), coords))
-        values.append(weight * L.value_many(bases, coords))
+        value, grad = L._jet(*L._rows(bases, coords), 1)
+        pairings.append(weight * np.einsum("ij,ij->i", grad, coords))
+        values.append(weight * value)
     multisymplectic = _exact_sum(np.concatenate(pairings), "multisymplectic")
     return _exact_sum(np.concatenate(values), "Lagrangian"), multisymplectic
 
@@ -357,7 +356,7 @@ def graph_action(
             params = _tensor_points(axes, a, b)
             values = surf.graph_values(params)
             slopes = _central_differences(surf.graph_values, params, h)
-            contributions.append(weight * F.fn_many(params, values, slopes))
+            contributions.append(weight * F.jet(params, values, slopes, 0)[0])
     return _exact_sum(np.concatenate(contributions), "graph")
 
 

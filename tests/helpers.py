@@ -17,35 +17,31 @@ def cyclic_row(c12, c23, c31):
     return np.array([[c12, -c31, c23]], dtype=float)
 
 
+def _weighted(weight, parts):
+    """Each part of a jet times the per-row weight (N,), broadcast over the part's trailing axes."""
+    return tuple(weight.reshape(-1, *(1,) * (part.ndim - 1)) * part for part in parts)
+
+
 def conformal_area(n, p, a):
-    """The conformal area phi(x) |y| with phi(x) = exp(a.x): phi times the value, gradient and Hessian of area."""
+    """The conformal area phi(x) |y| with phi(x) = exp(a.x): phi times the jet of area."""
     area, a = area_lagrangian(n, p), np.asarray(a, dtype=float)
 
     def phi(xs):
         return np.exp(np.sum(a * xs, axis=-1))  # a sum over the last axis keeps each row independent
 
-    return HomogeneousLagrangian(
-        n, p, "conformal_area",
-        lambda xs, cs: phi(xs) * area.value_fn(xs, cs),
-        lambda xs, cs: phi(xs)[:, None] * area.grad_fn(xs, cs),
-        lambda xs, cs: phi(xs)[:, None, None] * area.hess_fn(xs, cs),
-    )
+    return HomogeneousLagrangian(n, p, "conformal_area",
+                                 lambda xs, cs, order: _weighted(phi(xs), area.jet_fn(xs, cs, order)))
 
 
 def weighted_minimal_surface(n, p, a, c):
-    """F = exp(a.bases + c.values) sqrt(1 + |q|^2): the weight times minimal_surface_density and its derivatives."""
+    """F = exp(a.bases + c.values) sqrt(1 + |q|^2): the weight times the jet of minimal_surface_density."""
     base, a, c = minimal_surface_density(n, p), np.asarray(a, dtype=float), np.asarray(c, dtype=float)
 
     def weight(bases, values):
         return np.exp(np.sum(a * bases, axis=-1) + np.sum(c * values, axis=-1))
 
-    return GraphDensity(
-        n, p,
-        lambda b, v, q: weight(b, v) * base.fn_many(b, v, q),
-        lambda b, v, q: weight(b, v)[:, None, None] * base.d_slopes(b, v, q),
-        lambda b, v, q: weight(b, v)[:, None, None, None, None] * base.d2_slopes(b, v, q),
-        name="weighted_minimal_surface",
-    )
+    return GraphDensity(n, p, lambda b, v, q, order: _weighted(weight(b, v), base.jet(b, v, q, order)),
+                        name="weighted_minimal_surface")
 
 
 def draw_decomposable(rng, n, p, chart=None, margin=0.0, floor=0.0):

@@ -437,6 +437,20 @@ class TestErrorHandling:
             "density": {"name": "constant", "params": {"value": -1}}}}}, "lagrangian.params.density.params.value"),
         ("action", {**FLAT_ACTION, "density": {"name": "constant", "params": {"value": 0}}}, "density.params.value"),
         ("action", {**FLAT_ACTION, "density": {"name": "constant", "params": {"value": -1}}}, "density.params.value"),
+        # a JSON boolean is no number, not even nested in a list, though numpy reads it as 1.0 or 0.0
+        ("verify", {**AREA_VERIFY, "tolerances": {"euler": True}}, "tolerances.euler"),
+        ("verify", {**AREA_VERIFY, "x": [0.0, True, 0.0]}, "x"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "ellipsoid", "n": 3, "p": 2,
+                                                  "params": {"weights": [1.0, True, 1.0]}}}, "lagrangian.params.weights"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "graph_lift", "n": 3, "p": 2, "params": {
+            "density": {"name": "constant", "params": {"value": True}}}}}, "lagrangian.params.density.params.value"),
+        ("image", {**AREA_IMAGE, "certificate": {"tolerance": False}}, "certificate.tolerance"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "plane", "domain": [[0, 1], [0, 1]],
+                                               "params": {"coefficients": [True, 0.5]}}}, "surface.params.coefficients"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "flat", "domain": [[0, True], [0, 1]]}}, "surface.domain"),
+        ("action", {**FLAT_ACTION, "reference": False}, "reference"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 1], [0, 1]], "params": {
+            "terms": [{"coeff": 1.0, "powers": [1, True]}]}}}, "surface.params.terms[0].powers"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts
@@ -504,6 +518,18 @@ class TestExitCodes:
         assert err.endswith(" (in image sampling)\n")
         assert not out.exists()
         assert not (tmp_path / AREA_IMAGE["csv"]).exists()
+
+    def test_verify_sampling_failure_names_its_phase(self, tmp_path, capsys, monkeypatch):
+        # as a sample count too large for memory raises in the fiber sampler, before any check runs
+        def out_of_memory(*args):
+            raise MemoryError("cannot allocate the fiber rows")
+
+        monkeypatch.setattr(cli, "decomposable_rows", out_of_memory)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(write_config(tmp_path, AREA_VERIFY)), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal or numerical failure: MemoryError: cannot allocate the fiber rows (in verify sampling)\n"
+        assert not out.exists()
 
     def test_non_finite_action_exits_4_naming_its_phase(self, tmp_path, capsys):
         # the area of a plane this steep overflows in every cell; under the suite's RuntimeWarning

@@ -136,12 +136,10 @@ class TestGraphLift:
 
     def test_density_needs_batched_callable(self):
         with pytest.raises(TypeError):
-            GraphDensity(3, 2, name="no fn_many")
+            GraphDensity(3, 2, name="no jet")
 
     def test_batch_lift_uses_batched_density(self):
-        F = GraphDensity(3, 2, fn_many=lambda bases, values, slopes: np.full(len(bases), 2.0),
-                         d_slopes=lambda bases, values, slopes: np.zeros_like(slopes),
-                         d2_slopes=lambda bases, values, slopes: np.zeros(slopes.shape + slopes.shape[1:]))
+        F = GraphDensity(3, 2, jet=lambda bases, values, slopes, order: (np.full(len(bases), 2.0),))
         tops = np.array([[1.0, 0.5, 0.0], [3.0, -1.0, 2.0]])
         assert graph_lift(F).value_many(np.zeros((2, 3)), tops).tolist() == [2.0, 6.0]
 
@@ -149,11 +147,11 @@ class TestGraphLift:
     def test_minimal_surface_sums_the_slopes_as_numpy_does(self, shape):
         # bit for bit against the sum over both slope axes, on both sides of 8 slopes and on no rows
         n, p = shape
-        fn_many = minimal_surface_density(n, p).fn_many
+        jet = minimal_surface_density(n, p).jet
         rng = np.random.default_rng(n + 10 * p)
         for rows in (0, 200):
             slopes = rng.standard_normal((rows, p, n - p)) * 10.0 ** rng.uniform(-8.0, 8.0, (rows, p, n - p))
-            got = fn_many(np.zeros((rows, p)), np.zeros((rows, n - p)), slopes)
+            got = jet(np.zeros((rows, p)), np.zeros((rows, n - p)), slopes, 0)[0]
             assert got.tobytes() == np.sqrt(1.0 + np.sum(slopes * slopes, axis=(1, 2))).tobytes()
 
     def test_orientation_error_outside_chart(self, x3, minimal_lift3):
@@ -188,8 +186,10 @@ class TestGraphLiftDerivatives:
 
 def norm_squared_probe():
     """|y|^2 with its exact gradient 2c and Hessian 2I: homogeneous of degree 2, not 1."""
-    return HomogeneousLagrangian(3, 2, "norm-squared", lambda xs, cs: np.sum(cs * cs, axis=-1), lambda xs, cs: 2.0 * cs,
-                                 lambda xs, cs: np.broadcast_to(2.0 * np.eye(3), (len(cs), 3, 3)))
+    def jet(xs, cs, order):
+        return (np.sum(cs * cs, axis=-1), 2.0 * cs, np.broadcast_to(2.0 * np.eye(3), (len(cs), 3, 3)))[:order + 1]
+
+    return HomogeneousLagrangian(3, 2, "norm-squared", jet)
 
 
 class TestEulerResidual:
@@ -396,11 +396,10 @@ class TestBatchedConvention:
         with pytest.raises(OrientationError, match="row 0 is off the chart .*: fiber coordinate 0 must be positive"):
             minimal_lift3.value_many(np.zeros(3), cs[1:])
 
-    def test_derivative_callables_are_required(self, area3):
+    def test_derivative_callables_are_required(self):
+        # the jet callable is the only source of values and derivatives
         with pytest.raises(TypeError):
-            HomogeneousLagrangian(3, 2, "no derivatives", area3.value_fn)
-        with pytest.raises(TypeError):
-            HomogeneousLagrangian(3, 2, "no hessian", area3.value_fn, area3.grad_fn)
+            HomogeneousLagrangian(3, 2, "no jet")
 
     def test_chart_on_a_later_coordinate(self):
         # the chart index is read as given, not as the first coordinate
@@ -479,8 +478,25 @@ def oracle_case(name, n, p):
             "geometric_mean": geometric_mean_lagrangian}[name](n, p), ()
 
 
+def assert_jet_close(jet, want):
+    """jet(order) for orders 0, 1 and 2 against the oracle's (value, first, second derivative), every part."""
+    for order in range(3):
+        parts = jet(order)
+        assert len(parts) == order + 1
+        for got, reference in zip(parts, want):
+            assert_rows_close(np.asarray(got), reference)
+
+
+def assert_lagrangian_close(L, xs, cs, want):
+    """L's jet at each order, and its value_many, gradient_many and hessian_many, against the oracle's."""
+    assert_jet_close(lambda order: L.jet_fn(xs, cs, order), want)
+    for many, reference in zip((L.value_many, L.gradient_many, L.hessian_many), want):
+        assert_rows_close(many(xs, cs), reference)
+
+
 class TestSympyOracle:
-    """Every built-in Lagrangian and density against its lambdified sympy derivatives, within 1e-12 per row.
+    """Every built-in Lagrangian and density, at each jet order, against its lambdified sympy derivatives,
+    within 1e-12 per row.
 
     Fiber rows have entries of magnitude in [0.25, 2] with random signs, a
     positive coordinate 0 (the top of the graph chart) and an overall scale
@@ -499,10 +515,7 @@ class TestSympyOracle:
         cs[:, 0] = np.abs(cs[:, 0])
         cs *= 10.0 ** rng.uniform(-3.0, 3.0, (8, 1))
         xs = rng.standard_normal((8, n))
-        value, grad, hess = lagrangian_oracle(name, n, p, params)(xs, cs)
-        assert_rows_close(L.value_many(xs, cs), value)
-        assert_rows_close(L.gradient_many(xs, cs), grad)
-        assert_rows_close(L.hessian_many(xs, cs), hess)
+        assert_lagrangian_close(L, xs, cs, lagrangian_oracle(name, n, p, params)(xs, cs))
 
     @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}{s[1]}")
     @pytest.mark.parametrize("name", list(DENSITY_BUILDERS))
@@ -512,10 +525,8 @@ class TestSympyOracle:
         rng = np.random.default_rng(n + 10 * p)
         bases, values = rng.standard_normal((8, p)), rng.standard_normal((8, n - p))
         slopes = rng.uniform(-2.0, 2.0, (8, p, n - p))
-        value, d_slopes, d2_slopes = density_oracle(name, n, p)(bases, values, slopes)
-        assert_rows_close(F.fn_many(bases, values, slopes), value)
-        assert_rows_close(F.d_slopes(bases, values, slopes), d_slopes)
-        assert_rows_close(F.d2_slopes(bases, values, slopes), d2_slopes)
+        assert_jet_close(lambda order: F.jet(bases, values, slopes, order),
+                         density_oracle(name, n, p)(bases, values, slopes))
 
     @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}{s[1]}")
     def test_density_reading_bases_and_values_matches_oracle(self, shape):
@@ -526,15 +537,47 @@ class TestSympyOracle:
         rng = np.random.default_rng(n + 10 * p)
         bases, values = rng.standard_normal((8, p)), rng.standard_normal((8, n - p))
         slopes = rng.uniform(-2.0, 2.0, (8, p, n - p))
-        value, d_slopes, d2_slopes = density_oracle(F.name, n, p, a + c)(bases, values, slopes)
-        assert_rows_close(F.fn_many(bases, values, slopes), value)
-        assert_rows_close(F.d_slopes(bases, values, slopes), d_slopes)
-        assert_rows_close(F.d2_slopes(bases, values, slopes), d2_slopes)
+        assert_jet_close(lambda order: F.jet(bases, values, slopes, order),
+                         density_oracle(F.name, n, p, a + c)(bases, values, slopes))
         L = graph_lift(F)
         cs = rng.uniform(0.25, 2.0, (8, L.fiber_dim)) * rng.choice([-1.0, 1.0], (8, L.fiber_dim))
         cs[:, 0] = np.abs(cs[:, 0])
         xs = np.concatenate([bases, values], axis=1)
-        value, grad, hess = lagrangian_oracle(L.name, n, p, a + c)(xs, cs)
-        assert_rows_close(L.value_many(xs, cs), value)
-        assert_rows_close(L.gradient_many(xs, cs), grad)
-        assert_rows_close(L.hessian_many(xs, cs), hess)
+        assert_lagrangian_close(L, xs, cs, lagrangian_oracle(L.name, n, p, a + c)(xs, cs))
+
+
+def assert_prefix(jet):
+    """jet(0) and jet(1) are the leading parts of jet(2), bit for bit."""
+    full = [np.asarray(part) for part in jet(2)]
+    assert len(full) == 3
+    for order in (0, 1):
+        parts = jet(order)
+        assert len(parts) == order + 1
+        for got, want in zip(parts, full):
+            assert np.asarray(got).shape == want.shape and np.asarray(got).tobytes() == want.tobytes()
+
+
+class TestJetPrefix:
+    """A lower order of every built-in jet repeats the leading parts of order 2 bit for bit, so a caller
+    that needs several orders on the same rows can take them from one call."""
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}{s[1]}")
+    @pytest.mark.parametrize("name", ORACLE_LAGRANGIANS)
+    def test_lagrangian_orders_agree(self, name, shape):
+        n, p = shape
+        L = oracle_case(name, n, p)[0]
+        rng = np.random.default_rng(n + 10 * p)
+        cs = rng.uniform(0.25, 2.0, (8, L.fiber_dim)) * rng.choice([-1.0, 1.0], (8, L.fiber_dim))
+        cs[:, 0] = np.abs(cs[:, 0])  # coordinate 0 is the top of the graph chart
+        xs = rng.standard_normal((8, n))
+        assert_prefix(lambda order: L.jet_fn(xs, cs, order))
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}{s[1]}")
+    @pytest.mark.parametrize("name", list(DENSITY_BUILDERS))
+    def test_density_orders_agree(self, name, shape):
+        n, p = shape
+        F = DENSITY_BUILDERS[name](n, p)
+        rng = np.random.default_rng(n + 10 * p)
+        bases, values = rng.standard_normal((8, p)), rng.standard_normal((8, n - p))
+        slopes = rng.uniform(-2.0, 2.0, (8, p, n - p))
+        assert_prefix(lambda order: F.jet(bases, values, slopes, order))

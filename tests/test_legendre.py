@@ -71,7 +71,7 @@ def same_classes(a, b):
 
 def _normalize_to_level(L, x, c):
     """Rescale coordinates onto {L = 1}; the level value must be positive."""
-    level = float(L.value_fn(x[None], c[None])[0])
+    level = float(L.jet_fn(x[None], c[None], 0)[0][0])
     if not level > 1e-12 * max(1.0, float(np.linalg.norm(c))):
         raise InversionError("iterate collapsed toward the zero section")
     return c / level
@@ -483,8 +483,7 @@ class TestRankLemma:
     def test_sympy_oracle_ranks_agree(self, x3, ellipsoid3, rng):
         # same ranks from the sympy oracle's value, gradient and Hessian
         oracle = lagrangian_oracle("ellipsoid", 3, 2, (1.0, 4.0, 9.0))
-        ref = HomogeneousLagrangian(3, 2, "oracle-ellipsoid", lambda xs, cs: oracle(xs, cs)[0],
-                                    lambda xs, cs: oracle(xs, cs)[1], lambda xs, cs: oracle(xs, cs)[2])
+        ref = HomogeneousLagrangian(3, 2, "oracle-ellipsoid", lambda xs, cs, order: oracle(xs, cs)[:order + 1])
         y = rng.standard_normal((1, 3))
         ana = rank_lemma_check(ellipsoid3, x3, y)
         num = rank_lemma_check(ref, x3, y)
@@ -693,6 +692,15 @@ def lagrangian_at(name, n, p):
     }[name]()
 
 
+def counted_jet(L, calls):
+    """L with a jet that logs (order, rows) of each call into calls."""
+    def jet(xs, cs, order):
+        calls.append((order, len(cs)))
+        return L.jet_fn(xs, cs, order)
+
+    return replace(L, jet_fn=jet)
+
+
 def assert_bitwise_equal(got, expected):
     for a, b in zip(got, expected):
         assert a.shape == b.shape
@@ -730,15 +738,7 @@ class TestLevelGradient:
     def test_chart_violation_is_masked_up_front(self, shape):
         n, p = shape
         calls = []
-
-        def counted(fn, name):
-            def wrapper(xs, cs):
-                calls.append((name, len(cs)))
-                return fn(xs, cs)
-            return wrapper
-
-        lift = lagrangian_at("graph_lift", n, p)
-        L = replace(lift, value_fn=counted(lift.value_fn, "value"), grad_fn=counted(lift.grad_fn, "gradient"))
+        L = counted_jet(lagrangian_at("graph_lift", n, p), calls)
         rng = np.random.default_rng(n + 10 * p)
         cs = rng.standard_normal((10, L.fiber_dim))
         cs[:, 0] = np.abs(cs[:, 0]) + 0.5
@@ -748,7 +748,7 @@ class TestLevelGradient:
             L.value_many(np.broadcast_to(x, (len(cs), n)), cs)
         calls.clear()
         got = _level_gradient(L, np.broadcast_to(x, (len(cs), n)), cs)
-        assert calls == [("gradient", 9), ("value", 9)]  # the off-chart row never reaches L
+        assert calls == [(1, 9)]  # one order-1 jet call; the off-chart row never reaches L
         assert_bitwise_equal(got, reference_level_gradient(L, x, cs))
         assert np.flatnonzero(np.isnan(got[0])).tolist() == [4]
 
@@ -771,15 +771,7 @@ class TestLevelGradient:
 
     def test_valid_block_is_one_call_each(self, x3, area3):
         calls = []
-
-        def counted(fn, name):
-            def wrapper(xs, cs):
-                calls.append((name, len(cs)))
-                return fn(xs, cs)
-            return wrapper
-
-        L = HomogeneousLagrangian(3, 2, "counted", counted(area3.value_fn, "value"),
-                                  counted(area3.grad_fn, "gradient"), counted(area3.hess_fn, "hessian"))
+        L = counted_jet(area3, calls)
         cs = np.random.default_rng(1).standard_normal((20, 3))
         _level_gradient(L, np.broadcast_to(x3, (20, 3)), cs)
-        assert calls == [("gradient", 20), ("value", 20)]
+        assert calls == [(1, 20)]  # one order-1 jet call on every row

@@ -100,7 +100,7 @@ def test_compare_reports_reads_every_leaf(tmp_path, capsys, field, changed):
 def test_report_trees_writes_every_output_with_its_expected_exit(tmp_path):
     module = load_script("report_trees")
     module.write_tree(tmp_path)
-    assert sum(path.is_file() for path in tmp_path.rglob("*")) == 994
+    assert sum(path.is_file() for path in tmp_path.rglob("*")) == 996
 
     def exit_code(path):
         return int(path.read_text().splitlines()[0])

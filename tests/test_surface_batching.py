@@ -90,7 +90,7 @@ def graph_action_reference(F, surf, rule):
                 step = np.zeros(p)
                 step[axis] = 0.5 * h[axis]
                 slopes[axis] = (f(np.array([s + step]))[0] - f(np.array([s - step]))[0]) / h[axis]
-            contributions.append(weight * F.fn_many(s[None], f(np.array([s])), slopes[None])[0])
+            contributions.append(weight * F.jet(s[None], f(np.array([s])), slopes[None], 0)[0][0])
     return math.fsum(contributions)
 
 
