@@ -335,6 +335,7 @@ def paired_actions(
         value, grad = L._jet(*L._rows(bases, coords), 1)
         pairings.append(weight * np.einsum("ij,ij->i", grad, coords))
         values.append(weight * value)
+        del value, grad  # a slab's jet must not outlive it: the next jet, and the exact sums, need the room
     multisymplectic = _exact_sum(np.concatenate(pairings), "multisymplectic")
     return _exact_sum(np.concatenate(values), "Lagrangian"), multisymplectic
 
