@@ -111,7 +111,7 @@ class HomogeneousLagrangian:
 
     def _jet(self, xs: np.ndarray, cs: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         """The jet up to ``order`` on rows that _rows checked, as float arrays."""
-        return tuple(np.asarray(part, dtype=float) for part in self.jet_fn(xs, cs, order))
+        return tuple([np.asarray(part, dtype=float) for part in self.jet_fn(xs, cs, order)])
 
     def _square_hessians(self, xs: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hess(L^2) = 2 (g g^T + L H) and Hess L per row, exact given exact g and H."""
