@@ -461,9 +461,8 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     rows = []
     for res in resolutions:
         where = f"action resolution {res}"
-        with _phase(f"{where}: grid"):
-            surf = replace(surface, resolution=res)
-            grid = surf.to_grid()
+        surf = replace(surface, resolution=res)
+        grid = surf.to_grid()  # the map on this grid; the paired actions sample its nodes slab by slab
         entry: dict[str, Any] = {"resolution": res}
         with _phase(f"{where}: paired actions"):
             entry["lagrangian"], entry["multisymplectic"] = paired_actions(L, grid, rule)

@@ -80,8 +80,17 @@ def minors(frames: np.ndarray) -> np.ndarray:
     """Increasing-index p x p minors of frames of shape (..., n, p); shape (..., C(n, p))."""
     frames = np.asarray(frames, dtype=float)
     n, p = frames.shape[-2:]
-    # np.take keeps the gathered stack in C order, so the minors come out C-contiguous
-    return det(np.take(frames, _minor_rows(n, p), axis=-2))
+    rows = _minor_rows(n, p)
+    if p != 2:
+        # np.take keeps the gathered stack in C order, so the minors come out C-contiguous
+        return det(np.take(frames, rows, axis=-2))
+    # det's 2 x 2 formula column by column, with no (..., C(n, 2), 2, 2) gather, into a C-ordered array: row
+    # sums of the minors round by their layout, which must not follow the frames' strides
+    a, b = frames[..., 0], frames[..., 1]
+    out = np.empty(frames.shape[:-2] + (len(rows),))
+    for k, (i, j) in enumerate(rows):
+        np.subtract(a[..., i] * b[..., j], b[..., i] * a[..., j], out=out[..., k])
+    return out
 
 
 def _reduce(op: np.ufunc, a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:

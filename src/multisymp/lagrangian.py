@@ -329,14 +329,20 @@ def graph_lift(F: GraphDensity) -> HomogeneousLagrangian:
         value = tops * density[0]
         if order == 0:
             return (value,)
-        # M = y_top dq/dy per row: -q on the top coordinate, the slope sign on the slope's own
-        M = np.zeros((len(q), slopes, dim))
-        M[:, :, top] = -q.reshape(-1, slopes)
-        M[:, np.arange(slopes), slope_pos.ravel()] = slope_sign.ravel()
-        g = _reduce(np.add, density[1].reshape(-1, slopes, 1) * M, axis=1)
+        # g = M^T dF + F e_top with M = y_top dq/dy per row: -q on the top coordinate, the slope sign on the
+        # slope's own.  Each column adds its terms in slope order from +0.0, as a sum over M's rows would,
+        # so a slope column is 0.0 + sign dF and the top column the running sum of -q dF
+        dF, qs = density[1].reshape(-1, slopes), q.reshape(-1, slopes)
+        g = np.zeros((len(q), dim))
+        g[:, slope_pos.ravel()] += dF * slope_sign.ravel()
+        for k in range(slopes):
+            g[:, top] += dF[:, k] * -qs[:, k]
         g[:, top] += density[0]
         if order == 1:
             return value, g
+        M = np.zeros((len(q), slopes, dim))
+        M[:, :, top] = -qs
+        M[:, np.arange(slopes), slope_pos.ravel()] = slope_sign.ravel()
         D2M = _reduce(np.add, density[2].reshape(-1, slopes, slopes, 1) * M[:, None, :, :], axis=2)
         return value, g, _reduce(np.add, M[:, :, :, None] * D2M[:, :, None, :], axis=1) / tops[:, None, None]
 

@@ -6,9 +6,11 @@ differences, which is second-order accurate and needs no boundary cases.
 The three actions integrate, respectively, the Lagrangian on the tangent
 p-vector, a graph density on the slopes, and the tautological form at the
 gradient image; each action is the correctly rounded exact sum of its cells,
-so order and blocking cannot move it.  Grid sampling and the action kernels
-run over slabs of at most CELL_BLOCK nodes or cells, rows along the first
-axis, so beyond the node values only the per-cell contributions span the grid.
+so order and blocking cannot move it.  A grid keeps only its map: the action
+kernels sample node rows, take frames and minors and add each action's
+contributions over slabs of at most CELL_BLOCK cells, rows along the first
+axis, so no array spans the grid and the working set does not grow with the
+resolution.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ __all__ = [
 
 # Cell rules for the parameter-domain integrals.  ``midpoint`` evaluates at
 # cell centers with frames from corner averages.  ``gauss2`` uses the tensor
-# two-point Gauss rule; it needs a callable surface map for off-node frames,
-# differenced with step = cell size.
+# two-point Gauss rule, with off-node frames from the surface map differenced
+# with step = cell size.
 QUADRATURE_RULES = ("midpoint", "gauss2")
 
 
@@ -62,43 +64,45 @@ def _normalize_resolution(resolution, p: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ParametricGrid:
-    """Node values of a map from a parameter rectangle into R^n.
+    """A map from a parameter rectangle into R^n, on the nodes of a grid of cells.
 
-    ``values`` has shape (res_1+1, ..., res_p+1, n).  When the grid was built
-    from a callable, the callable is kept so Gauss quadrature can re-sample.
+    ``mapping`` is batched, from points of shape (N, p) to (N, n).  The grid
+    keeps only the map: the actions sample it one slab of node rows at a
+    time, and ``values`` samples every node each time it is read.
     """
 
     p: int
     n: int
     domain: tuple[tuple[float, float], ...]
     resolution: tuple[int, ...]
-    values: np.ndarray
-    mapping: Callable[[np.ndarray], np.ndarray] | None = None
+    mapping: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         object.__setattr__(self, "domain", _normalize_domain(self.domain, self.p))
         object.__setattr__(self, "resolution", _normalize_resolution(self.resolution, self.p))
-        values = np.asarray(self.values, dtype=float)
-        expected = tuple(r + 1 for r in self.resolution) + (self.n,)
-        if values.shape != expected:
-            raise ValueError(f"values shape {values.shape} does not match nodes {expected}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("node values must be finite")
-        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_map(cls, fn, domain, resolution, p: int, n: int) -> "ParametricGrid":
-        """Sample ``fn``, batched from points of shape (N, p) to (N, n), at every node, one call per slab of
-        node rows along the first axis (at most CELL_BLOCK nodes, at least one row)."""
-        dom = _normalize_domain(domain, p)
-        res = _normalize_resolution(resolution, p)
-        axes = [np.linspace(lo, hi, r + 1) for (lo, hi), r in zip(dom, res)]
-        nodes = tuple(r + 1 for r in res)
-        values = np.empty(nodes + (n,))
+        return cls(p=p, n=n, domain=domain, resolution=resolution, mapping=fn)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The node values, shape (res_1+1, ..., res_p+1, n), one map call per slab of node rows along the
+        first axis (at most CELL_BLOCK nodes, at least one row)."""
+        nodes = tuple(r + 1 for r in self.resolution)
+        values = np.empty(nodes + (self.n,))
         for a, b in _row_slabs(nodes):
-            values[a:b] = _call_batched(fn, _tensor_points(axes, a, b), n, "surface map").reshape(
-                (b - a,) + nodes[1:] + (n,))
-        return cls(p=p, n=n, domain=dom, resolution=res, values=values, mapping=fn)
+            values[a:b] = self._node_rows(a, b)
+        return values
+
+    def _node_rows(self, a: int, b: int) -> np.ndarray:
+        """The node values in rows [a, b) of the first axis, from one map call.  Raises ValueError on a map
+        of the wrong shape or a non-finite value."""
+        axes = [np.linspace(lo, hi, r + 1) for (lo, hi), r in zip(self.domain, self.resolution)]
+        values = _call_batched(self.mapping, _tensor_points(axes, a, b), self.n, "surface map")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("node values must be finite")
+        return values.reshape((b - a, *(len(x) for x in axes[1:]), self.n))
 
     @property
     def spacing(self) -> np.ndarray:
@@ -153,10 +157,14 @@ def _call_batched(fn, points: np.ndarray, width: int, what: str) -> np.ndarray:
 
 _GAUSS2_OFFSETS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
-# Cells per slab of the action kernels, and nodes per slab of grid sampling.  A slab is a range of rows
-# along the first axis, at least one row, so frames, minors and cell values exist for one slab at a time;
-# every kernel is row-independent and each action is an exact sum, so the slab size moves no bit.
+# Cells per slab of the action kernels, and nodes per slab of ``values``.  A slab is a range of rows
+# along the first axis, at least one row, so node rows, frames, minors and cell values exist for one slab
+# at a time; every kernel is row-independent and each action is an exact sum, so the slab size moves no bit.
 CELL_BLOCK = 4096
+
+# Entries per flush of an action's exact sum: four slabs, where the slicing costs about half as much per
+# entry as on one slab or on a whole grid of a million cells
+_FLUSH = 4 * CELL_BLOCK
 
 
 def _row_slabs(shape: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -228,10 +236,14 @@ def _quadrature_samples(grid: ParametricGrid, rule: str):
     samples, h, weight = _quadrature_rule(grid.domain, grid.resolution, rule)
     slabs, row = _row_slabs(grid.resolution), math.prod(grid.resolution[1:])
     if rule == "midpoint":
-        spacing = grid.spacing
-        return [(weight, ((a * row, *_cell_frames(grid.values[a:b + 1], spacing)) for a, b in slabs))]
-    if grid.mapping is None:
-        raise ValueError("gauss2 quadrature needs a grid built from a callable map")
+        def midpoint():
+            # the node rows of cells [a, b) are [a, b]; node row a is carried over from the previous slab
+            nodes, spacing = grid._node_rows(0, 1), grid.spacing
+            for a, b in slabs:
+                nodes = np.concatenate([nodes[-1:], grid._node_rows(a + 1, b + 1)])
+                yield a * row, *_cell_frames(nodes, spacing)
+
+        return [(weight, midpoint())]
     # tensor two-point Gauss rule; frames by central differences of the map
     # with step equal to the cell size
     def mapping(s: np.ndarray) -> np.ndarray:
@@ -276,49 +288,81 @@ def _checked_samples(L: HomogeneousLagrangian, grid: ParametricGrid, rule: str):
             raise L._off_chart(f"cell {grid.cell_index(off)}")
 
 
-def _exact_sum(values: np.ndarray, action: str) -> float:
-    """The correctly rounded exact sum of the cell contributions ``values`` (1-d float64), which is
-    ``math.fsum(values.tolist())`` bit for bit.
+class _ExactSum:
+    """The correctly rounded exact sum of every entry added, ``math.fsum`` of all of them bit for bit.
 
-    Error-free slicing: N integers below 2**w, w = 53 - N.bit_length(), add exactly in any order.  So
-    the values are scaled by a power of two below 2**w, and each slice is cut off by ``np.trunc``,
-    added by numpy and joined to one Python int; the exact remainders, scaled by 2**w, give the next
-    slice, until none is left.  The int is rounded to a float once.  Raises ArithmeticError naming the
-    action on a non-finite entry, and OverflowError, as fsum does, when the sum is beyond the float
-    range; unlike fsum, a sum that overflows only on the way, as 1e308 + 1e308 - 1e308, is returned.
+    ``add`` copies 1-d float64 arrays into a buffer of ``size`` entries, at most _FLUSH, and each full
+    buffer is summed exactly into one Python int over a power of two, so ``value`` rounds the total once,
+    however the entries were split.  Error-free slicing: N integers below 2**w, w = 53 - N.bit_length(),
+    add exactly in any order.  So a flush is scaled by a power of two below 2**w, and each slice is cut
+    off by ``np.trunc``, added by numpy and joined to the int; the exact remainders, scaled by 2**w, give
+    the next slice, until none is left.  ``value`` raises ArithmeticError naming the action if any entry was
+    non-finite, so the caller can add every entry first, and OverflowError, as fsum does, when the sum is
+    beyond the float range; unlike fsum, a sum that overflows only on the way, as 1e308 + 1e308 - 1e308,
+    is returned.
     """
-    if len(values) == 0:
-        return 0.0
-    hi, lo = float(values.max()), float(values.min())
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        raise ArithmeticError(f"non-finite cell contribution in the {action} action")
-    top = max(hi, -lo)
-    if top == 0.0:
-        return 0.0
-    w = 53 - len(values).bit_length()
-    c = w - math.frexp(top)[1]  # every |value| * 2**c is below 2**w
-    total = 0  # the slices so far, in units of 2**-c
-    rest = values
-    # values of 2**w and more: cut the slice on a scaled-down copy, but keep the remainders unscaled,
-    # since scaling down would drop the bits of the smallest values
-    while c < 0:
-        whole = np.trunc(rest * 2.0**c)
-        total = (total << w) + int(np.add.reduce(whole))
-        rest = rest - whole * 2.0**-c
-        c += w
-    # scaling up is exact; a factor beyond 2**1023, for the tiniest values, is applied in two steps
-    scaled = rest * 2.0 ** min(c, 1023)
-    if c > 1023:
-        scaled *= 2.0 ** (c - 1023)
-    whole = np.empty_like(scaled)
-    while True:
-        np.trunc(scaled, out=whole)
-        total = (total << w) + int(np.add.reduce(whole))
-        scaled -= whole
-        if not scaled.any():
-            return total / (1 << c)  # correctly rounded; OverflowError beyond the float range
-        scaled *= 2.0**w
-        c += w
+
+    def __init__(self, action: str, size: int):
+        self.action, self.buffer, self.fill = action, np.empty(min(size, _FLUSH)), 0
+        self.total, self.c, self.finite = 0, 0, True  # the entries summed so far add up to total / 2**c
+
+    def add(self, values: np.ndarray) -> None:
+        if self.fill + len(values) > len(self.buffer):
+            self._flush()
+        if len(values) > len(self.buffer):
+            self._sum(values)
+        else:
+            self.buffer[self.fill:self.fill + len(values)] = values
+            self.fill += len(values)
+
+    def value(self) -> float:
+        self._flush()
+        if not self.finite:
+            raise ArithmeticError(f"non-finite cell contribution in the {self.action} action")
+        return self.total / (1 << self.c)  # correctly rounded; OverflowError beyond the float range
+
+    def _flush(self) -> None:
+        self._sum(self.buffer[:self.fill])
+        self.fill = 0
+
+    def _sum(self, values: np.ndarray) -> None:
+        if len(values) == 0 or not self.finite:
+            return
+        hi, lo = float(values.max()), float(values.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            self.finite = False
+            return
+        top = max(hi, -lo)
+        if top == 0.0:
+            return
+        w = 53 - len(values).bit_length()
+        c = w - math.frexp(top)[1]  # every |value| * 2**c is below 2**w
+        total = 0  # the slices so far, in units of 2**-c
+        rest = values
+        # values of 2**w and more: cut the slice on a scaled-down copy, but keep the remainders unscaled,
+        # since scaling down would drop the bits of the smallest values
+        while c < 0:
+            whole = np.trunc(rest * 2.0**c)
+            total = (total << w) + int(np.add.reduce(whole))
+            rest = rest - whole * 2.0**-c
+            c += w
+        # scaling up is exact; a factor beyond 2**1023, for the tiniest values, is applied in two steps
+        scaled = rest * 2.0 ** min(c, 1023)
+        if c > 1023:
+            scaled *= 2.0 ** (c - 1023)
+        whole = np.empty_like(scaled)
+        while True:
+            np.trunc(scaled, out=whole)
+            total = (total << w) + int(np.add.reduce(whole))
+            scaled -= whole
+            if not scaled.any():
+                break
+            scaled *= 2.0**w
+            c += w
+        # both c are at least 0 here: join the two sums over the larger power of two
+        joined = max(c, self.c)
+        self.total = (self.total << (joined - self.c)) + (total << (joined - c))
+        self.c = joined
 
 
 def paired_actions(
@@ -330,14 +374,17 @@ def paired_actions(
     the second integrates the tautological form over the gradient image of the tangent lift, which
     pairs the fiber gradient at each tangent p-vector with the frame minors.
     """
-    pairings, values = [], []
+    lagrangian = _ExactSum("Lagrangian", grid.num_cells)
+    multisymplectic = _ExactSum("multisymplectic", grid.num_cells)
     for _, coords, bases, weight in _checked_samples(L, grid, rule):
-        value, grad = L._jet(*L._rows(bases, coords), 1)
-        pairings.append(weight * np.einsum("ij,ij->i", grad, coords))
-        values.append(weight * value)
-        del value, grad  # a slab's jet must not outlive it: the next jet, and the exact sums, need the room
-    multisymplectic = _exact_sum(np.concatenate(pairings), "multisymplectic")
-    return _exact_sum(np.concatenate(values), "Lagrangian"), multisymplectic
+        # _check_cells has made the dead-cell and chart tests of L._rows on these cells
+        value, grad = L._jet(bases, coords, 1)
+        multisymplectic.add(weight * np.einsum("ij,ij->i", grad, coords))
+        lagrangian.add(weight * value)
+        del value, grad  # a slab's jet must not outlive it: the next jet needs the room
+    # a non-finite contribution raises only after every cell is checked, the multisymplectic one first
+    multisymplectic = multisymplectic.value()
+    return lagrangian.value(), multisymplectic
 
 
 def graph_action(
@@ -351,14 +398,14 @@ def graph_action(
     if (surf.n, surf.p) != (F.n, F.p):
         raise ValueError("surface and density dimensions do not match")
     samples, h, weight = _quadrature_rule(surf.domain, surf.resolution, rule)
-    contributions = []
+    total = _ExactSum("graph", math.prod(surf.resolution))
     for axes in samples:
         for a, b in _row_slabs(surf.resolution):
             params = _tensor_points(axes, a, b)
             values = surf.graph_values(params)
             slopes = _central_differences(surf.graph_values, params, h)
-            contributions.append(weight * F.jet(params, values, slopes, 0)[0])
-    return _exact_sum(np.concatenate(contributions), "graph")
+            total.add(weight * F.jet(params, values, slopes, 0)[0])
+    return total.value()
 
 
 @dataclass(frozen=True)

@@ -543,6 +543,18 @@ class TestExitCodes:
         assert err.endswith(" (in action resolution 4: paired actions)\n")
         assert not out.exists()
 
+    def test_non_finite_node_exits_4_in_the_paired_actions(self, tmp_path, capsys, monkeypatch):
+        # the node values are sampled slab by slab inside the pass, so a map that is NaN at one node, here
+        # (0.5, 0.5) of the resolution-4 grid, fails there
+        monkeypatch.setattr(cli, "_graph_map", lambda spec, n, p: lambda s: np.where(
+            np.all(s == 0.5, axis=-1, keepdims=True), np.nan, 0.0))
+        out = tmp_path / "report.json"
+        payload = {**FLAT_ACTION, "resolutions": [4]}
+        assert main(["action", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == ("internal or numerical failure: ValueError: node values must be finite "
+                                           "(in action resolution 4: paired actions)\n")
+        assert not out.exists()
+
     def test_report_that_cannot_be_serialized_writes_no_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "cmd_action", lambda config: ({"overall": "pass", "value": object()}, True))
         out = tmp_path / "report.json"

@@ -129,12 +129,18 @@ class TestWedgeVectors:
 
     @pytest.mark.parametrize("n, p", [(3, 1), (3, 2), (4, 2), (5, 3), (6, 4)])
     def test_batch_equals_stacked_single_frames(self, n, p):
-        frames = np.random.default_rng(10 * n + p).standard_normal((3, 5, n, p))
-        singles = [[wedge(*frame.T) for frame in block] for block in frames]
-        batched = minors(frames)
-        assert np.array_equal(batched, np.array(singles))
-        # downstream row reductions round by memory layout, so the layout is fixed too
-        assert batched.flags.c_contiguous
+        rng = np.random.default_rng(10 * n + p)
+        # a plain C array; the (p, N, n) layout of the action kernels' slab frames; decomposable_rows' swapped draws
+        for frames in (rng.standard_normal((3, 5, n, p)), np.moveaxis(rng.standard_normal((p, 15, n)), 0, -1),
+                       np.swapaxes(rng.standard_normal((15, p, n)), 1, 2)):
+            singles = [wedge(*frame.T) for frame in frames.reshape(-1, n, p)]
+            batched = minors(frames)
+            assert np.array_equal(batched.reshape(-1, math.comb(n, p)), np.array(singles))
+            # the determinants of the gathered p x p blocks, bit for bit
+            gathered = det(np.take(frames, _minor_rows(n, p), axis=-2))
+            assert batched.tobytes() == np.ascontiguousarray(gathered).tobytes()
+            # downstream row reductions round by memory layout, so the layout is fixed too
+            assert batched.flags.c_contiguous
 
     @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1))

@@ -189,3 +189,12 @@ def test_bench_pairs_rejects_a_run_without_pairs(capsys):
         load_script("bench_pairs").main(["--base", "HEAD", "--pr", "0", "certificates"])
     assert exc.value.code == 2
     assert "expected WORKLOAD:PAIRS" in capsys.readouterr().err
+
+
+def test_job_peaks_reads_every_job_with_its_expected_exit(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # as when the script runs: it imports report_trees beside it
+    module = load_script("job_peaks")
+    rows = module.job_peaks("actions", 0)
+    jobs = module.load("jobs", BENCH)
+    assert [(row["job"], row["exit"]) for row in rows] == [(job.name, job.expect_exit) for job in jobs.actions_jobs(0)]
+    assert all(row["peak_mib"] > 0 for row in rows)

@@ -61,12 +61,21 @@ def pointwise(fn):
 
 
 def from_map_reference(fn, domain, resolution, p, n):
-    """ParametricGrid.from_map with one call per node, and a per-point mapping."""
+    """The node values from one call per node, in itertools.product order, and a grid of the per-point map."""
     axes = [np.linspace(lo, hi, resolution + 1) for lo, hi in domain]
     values = pointwise(fn)(np.array(list(itertools.product(*axes))))
     values = values.reshape((resolution + 1,) * p + (n,))
-    return ParametricGrid(p=p, n=n, domain=domain, resolution=resolution, values=values,
-                          mapping=pointwise(fn))
+    return values, ParametricGrid(p=p, n=n, domain=domain, resolution=resolution, mapping=pointwise(fn))
+
+
+def tabulated(values, domain):
+    """A grid whose map returns the given node values (r_1+1, ..., r_p+1, n) at the nodes."""
+    *nodes, n = values.shape
+    res = tuple(k - 1 for k in nodes)
+    lows = np.array([lo for lo, _ in domain])
+    h = np.array([(hi - lo) / r for (lo, hi), r in zip(domain, res)])
+    return ParametricGrid.from_map(lambda s: values[tuple(np.rint((s - lows) / h).astype(int).T)], domain, res,
+                                   p=len(res), n=n)
 
 
 def graph_action_reference(F, surf, rule):
@@ -149,8 +158,8 @@ def test_batched_paths_match_pointwise_references(n, p, name, rule, monkeypatch)
     res = 6 if p == 2 else 3
     domain = tuple((0.1 * k, 1.0 + 0.2 * k) for k in range(p))
     surf = GraphSurface(f=fn, domain=domain, resolution=res, p=p, n=n)
-    ref_grid = from_map_reference(surf.map, domain, res, p, n)
-    scale = np.max(np.abs(ref_grid.values))
+    ref_values, ref_grid = from_map_reference(surf.map, domain, res, p, n)
+    scale = np.max(np.abs(ref_values))
     lagrangians = (area_lagrangian(n, p), graph_lift(minimal_surface_density(n, p)))
     ref_pairs = [paired_actions(L, ref_grid, rule) for L in lagrangians]
     ref_graphs = [graph_action_reference(density(n, p), surf, rule) for density in DENSITIES]
@@ -159,7 +168,7 @@ def test_batched_paths_match_pointwise_references(n, p, name, rule, monkeypatch)
     for block in (surfaces.CELL_BLOCK, 3):
         monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
         grid = surf.to_grid()
-        assert np.max(np.abs(grid.values - ref_grid.values)) <= REL * scale
+        assert np.max(np.abs(grid.values - ref_values)) <= REL * scale
         for L, ref_pair in zip(lagrangians, ref_pairs):
             pair = paired_actions(L, grid, rule)
             assert all(close(a, b) for a, b in zip(pair, ref_pair))
@@ -193,8 +202,7 @@ def test_cell_slabs_change_no_bit(n, p, monkeypatch):
 
 def test_action_working_set_is_bounded():
     # numpy registers its buffers with tracemalloc, so the peak counts bytes whatever the machine.  The bound
-    # sits between row slabs, about 42 bytes per cell (mostly the per-cell contributions and the scratch of
-    # their exact sums), and whole-grid batches, about 224
+    # sits between whole-grid batches, about 224 bytes per cell, and the slabs of the pass, about 5 here
     res = 512
     F = minimal_surface_density(3, 2)
     surf = GraphSurface(f=_graph_map({"f": "bilinear"}, 3, 2), domain=[(0.0, 1.0), (0.0, 2.0)], resolution=res,
@@ -210,6 +218,28 @@ def test_action_working_set_is_bounded():
     assert peak < 64 * res**2
 
 
+def test_action_working_set_does_not_grow_with_resolution():
+    # node rows, frames, minors, jets and contributions exist for one slab at a time, and each exact sum
+    # keeps a buffer of a few slabs, so the peak of one action, its grid included, is about the same at 128
+    # and at 512; whole-grid node values and contributions held 16 MiB at 512
+    F = minimal_surface_density(3, 2)
+    L = graph_lift(F)
+
+    def peak(res):
+        surf = GraphSurface(f=_graph_map({"f": "bilinear"}, 3, 2), domain=[(0.0, 1.0), (0.0, 2.0)], resolution=res,
+                            p=2, n=3)
+        tracemalloc.start()
+        try:
+            paired_actions(L, surf.to_grid())
+            graph_action(F, surf)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # first calls fill the caches of the index layouts
+    assert peak(512) <= 1.5 * peak(128)
+
+
 def frame_grids(n, p, res):
     """A random grid with exact zeros of both signs and a constant coordinate, and a graph grid."""
     rng = np.random.default_rng(100 * n + 10 * p + sum(res))
@@ -218,7 +248,7 @@ def frame_grids(n, p, res):
     values[rng.random(values.shape) < 0.2] = 0.0
     values[rng.random(values.shape) < 0.2] = -0.0
     values[..., -1] = 1.5  # every difference along this coordinate is an exact zero
-    yield ParametricGrid(p=p, n=n, domain=domain, resolution=res, values=values)
+    yield tabulated(values, domain)
     yield GraphSurface(f=builtin_maps(p, n)["polynomial"], domain=domain, resolution=res, p=p, n=n).to_grid()
 
 
@@ -282,11 +312,15 @@ def test_graph_maps_batch_equals_stacked_batches_of_one(n, p, data):
 class TestPointwiseMapsRejected:
     """A map written for one point must raise, not be sampled on the wrong axis."""
 
+    # a grid samples its map where its values are read, and in the action pass
+
     def test_graph_surface_grid(self):
         surf = GraphSurface(f=lambda s: np.array([s[0] * s[1]]), domain=[(0, 1), (0, 1)],
                             resolution=4, p=2, n=3)
         with pytest.raises(ValueError, match="graph map"):
-            surf.to_grid()
+            surf.to_grid().values
+        with pytest.raises(ValueError, match="graph map"):
+            paired_actions(area_lagrangian(3, 2), surf.to_grid())
 
     def test_graph_action(self):
         surf = GraphSurface(f=lambda s: np.array([s[0] * s[1]]), domain=[(0, 1), (0, 1)],
@@ -295,13 +329,13 @@ class TestPointwiseMapsRejected:
             graph_action(minimal_surface_density(3, 2), surf)
 
     def test_from_map(self):
+        grid = ParametricGrid.from_map(lambda s: np.array([s[0] * s[1]]), [(0, 1), (0, 1)], 4, p=2, n=3)
         with pytest.raises(ValueError, match="surface map"):
-            ParametricGrid.from_map(lambda s: np.array([s[0] * s[1]]), [(0, 1), (0, 1)], 4, p=2, n=3)
+            grid.values
+        with pytest.raises(ValueError, match="surface map"):
+            paired_actions(area_lagrangian(3, 2), grid)
 
     def test_gauss2_resampling(self):
-        good = ParametricGrid.from_map(lambda s: np.stack([s[:, 0], s[:, 1], s[:, 0] * s[:, 1]], axis=-1),
-                                       [(0, 1), (0, 1)], 4, p=2, n=3)
-        bad = ParametricGrid(p=2, n=3, domain=good.domain, resolution=good.resolution, values=good.values,
-                             mapping=lambda s: s)
+        bad = ParametricGrid.from_map(lambda s: s, [(0, 1), (0, 1)], 4, p=2, n=3)
         with pytest.raises(ValueError, match="surface map"):
             paired_actions(area_lagrangian(3, 2), bad, "gauss2")[0]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from multisymp import (
     DegenerateCellError,
     GraphSurface,
+    HomogeneousLagrangian,
     OrientationError,
     ParametricGrid,
     TotalSpaceChart,
@@ -29,7 +30,7 @@ from multisymp import (
 from multisymp import surfaces
 from multisymp.cli import _graph_map
 from multisymp.exterior import minors
-from multisymp.surfaces import _cell_frames, _check_cells, _checked_samples, _exact_sum, paired_actions
+from multisymp.surfaces import _FLUSH, _cell_frames, _check_cells, _checked_samples, _ExactSum, paired_actions
 
 from helpers import conformal_area, cyclic_row, weighted_minimal_surface
 
@@ -134,12 +135,20 @@ class TestZeroRowVerdicts:
             _check_cells(rows, grid, L)
 
 
+def exact_sum(values, action, chunks=()):
+    """The _ExactSum of a 1-d array, added in one piece or split before each index of ``chunks``."""
+    total = _ExactSum(action, len(values))
+    for part in np.split(values, list(chunks)):
+        total.add(part)
+    return total.value()
+
+
 def exact_sum_hex(values):
-    """_exact_sum of the values as float.hex, checking that the input array is left as it was."""
+    """The exact sum of the values as float.hex, checking that the input array is left as it was."""
     arr = np.array(values, dtype=float)
     before = arr.copy()
     try:
-        return _exact_sum(arr, "test").hex()
+        return exact_sum(arr, "test").hex()
     finally:
         assert np.array_equal(arr, before) and np.array_equal(np.signbit(arr), np.signbit(before))
 
@@ -159,7 +168,7 @@ def with_cancellation(draw_values):
 
 
 class TestExactSum:
-    """surfaces._exact_sum equals math.fsum bit for bit, compared by float.hex."""
+    """surfaces._ExactSum equals math.fsum bit for bit, compared by float.hex."""
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(st.one_of(
@@ -213,21 +222,36 @@ class TestExactSum:
                        rng.standard_normal(size) * 1e-5 * rng.random(size)):
             assert exact_sum_hex(values) == math.fsum(values.tolist()).hex()
 
+    @pytest.mark.parametrize("size", [3 * _FLUSH + 5, 2 * _FLUSH])
+    def test_any_split_into_adds_gives_the_same_bits(self, size):
+        # adds of one entry, of a full buffer, across flushes and beyond the buffer: the total is exact until
+        # value rounds it once
+        rng = np.random.default_rng(size)
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-200, 200, size)
+        values[::7] *= -1e-300
+        want = math.fsum(values.tolist()).hex()
+        for chunks in ([], [1, 2, _FLUSH, _FLUSH + 1], [_FLUSH - 3, 2 * _FLUSH + 4], [5, size - 1],
+                       np.sort(rng.choice(size, 40, replace=False))):
+            assert exact_sum(values, "test", chunks).hex() == want
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_raises_naming_the_action(self, bad):
         values = np.array([1.0, bad, -2.0])
         with pytest.raises(ArithmeticError, match="non-finite cell contribution in the graph action") as exc:
-            _exact_sum(values, "graph")
+            exact_sum(values, "graph")
         assert exc.type is ArithmeticError
+        # found in any add, and raised only by value
+        with pytest.raises(ArithmeticError, match="graph action"):
+            exact_sum(np.concatenate([values, np.ones(2 * _FLUSH)]), "graph", [1, 2, _FLUSH + 1])
 
     def test_sum_beyond_the_float_range_raises_overflow(self):
         values = [1.7e308, 1.7e308]
         with pytest.raises(OverflowError):
             math.fsum(values)
         with pytest.raises(OverflowError):
-            _exact_sum(np.array(values), "test")
+            exact_sum(np.array(values), "test")
         with pytest.raises(OverflowError):
-            _exact_sum(np.array([-1.7e308, -1.0e308]), "test")
+            exact_sum(np.array([-1.7e308, -1.0e308]), "test")
 
     def test_intermediate_overflow_returns_the_finite_sum(self):
         # fsum reports an "intermediate overflow" here although the exact sum is finite
@@ -309,6 +333,32 @@ class TestLagrangianAction:
             monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
             with pytest.raises(error, match=re.escape(f"cell {cell}")):
                 paired_actions(minimal_lift3, grid, rule)
+
+    def test_cell_errors_win_over_a_non_finite_contribution(self, monkeypatch):
+        # L and its gradient are infinite on the first row of cells, so both actions are.  With the map flat
+        # along x from x = 1/2 on, the cells from (2, 0) on are dead, and the first of them is named however
+        # the cells fall into slabs; without dead cells, the multisymplectic action's error comes first
+        def jet(xs, cs, order):
+            norm, factor = np.linalg.norm(cs, axis=-1), np.where(xs[:, 0] < 0.25, np.inf, 1.0)
+            return norm * factor, cs / norm[:, None] * factor[:, None]
+
+        L = HomogeneousLagrangian(3, 2, "infinite_near_x0", jet)
+
+        def grid(cap):
+            def fn(s):
+                x = np.minimum(s[:, 0], cap)
+                return np.stack([x, s[:, 1], x + 2.0 * s[:, 1]], axis=-1)  # every minor nonzero where x moves
+
+            return ParametricGrid.from_map(fn, [(0, 1), (0, 1)], 4, p=2, n=3)
+
+        for block in SLAB_SIZES:
+            monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
+            monkeypatch.setattr(surfaces, "_FLUSH", block)  # at 1 and 3 the sums flush before the dead cells
+            with pytest.raises(DegenerateCellError) as excinfo:
+                paired_actions(L, grid(0.5))
+            assert excinfo.value.cell == (2, 0)
+            with pytest.raises(ArithmeticError, match="non-finite cell contribution in the multisymplectic action"):
+                paired_actions(L, grid(1.0))
 
     def test_axis_reversal_flips_tangents_but_area_unchanged(self, area3, minimal_lift3):
         fwd = bilinear_surface(8).to_grid()
@@ -526,13 +576,6 @@ class TestQuadrature:
         action = paired_actions(area3, bilinear_surface(16).to_grid(), "gauss2")[0]
         assert abs(action - BILINEAR_AREA_ORACLE) <= 5e-7
 
-    def test_gauss2_needs_callable(self, area3):
-        grid = bilinear_surface(8).to_grid()
-        data_only = ParametricGrid(p=2, n=3, domain=grid.domain, resolution=grid.resolution,
-                                   values=grid.values)
-        with pytest.raises(ValueError):
-            paired_actions(area3, data_only, "gauss2")[0]
-
     def test_unknown_rule(self, area3):
         surf = bilinear_surface(4)
         with pytest.raises(ValueError, match="unknown quadrature rule 'simpson'"):
@@ -562,15 +605,27 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             GraphSurface(f=lambda s: np.zeros((len(s), 1)), domain=[(0, 1), (1, 1)], resolution=4, p=2, n=3)
 
-    def test_values_shape(self):
-        with pytest.raises(ValueError):
-            ParametricGrid(p=2, n=3, domain=[(0, 1), (0, 1)], resolution=4, values=np.zeros((4, 5, 3)))
+    # the node values are sampled where they are read: by values, and slab by slab in the action pass
 
-    def test_nonfinite_values(self):
-        values = np.zeros((5, 5, 3))
-        values[0, 0, 0] = np.inf
-        with pytest.raises(ValueError):
-            ParametricGrid(p=2, n=3, domain=[(0, 1), (0, 1)], resolution=4, values=values)
+    def test_values_shape(self, area3):
+        grid = ParametricGrid(p=2, n=3, domain=[(0, 1), (0, 1)], resolution=4, mapping=lambda s: np.zeros((len(s), 2)))
+        for read in (lambda: grid.values, lambda: paired_actions(area3, grid)):
+            with pytest.raises(ValueError, match=re.escape("surface map must map points of shape (N, p) to (N, 3)")):
+                read()
+
+    def test_nonfinite_values(self, area3, monkeypatch):
+        # one bad node, in the last row of nodes: the pass finds it in its last slab
+        for bad in (np.inf, np.nan):
+            def fn(s):
+                return np.stack([s[:, 0], s[:, 1], np.where((s[:, 0] == 1.0) & (s[:, 1] == 0.5), bad, 0.0)], axis=-1)
+
+            grid = ParametricGrid(p=2, n=3, domain=[(0, 1), (0, 1)], resolution=4, mapping=fn)
+            with pytest.raises(ValueError, match="node values must be finite"):
+                grid.values
+            for block in SLAB_SIZES:
+                monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
+                with pytest.raises(ValueError, match="node values must be finite"):
+                    paired_actions(area3, grid)
 
 
 class TestGraphFunctionRegistry:
