@@ -462,7 +462,7 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     for res in resolutions:
         where = f"action resolution {res}"
         surf = replace(surface, resolution=res)
-        grid = surf.to_grid()  # the map on this grid; the paired actions sample its nodes slab by slab
+        grid = surf.to_grid()  # samples nothing: the paired actions sample the nodes slab by slab
         entry: dict[str, Any] = {"resolution": res}
         with _phase(f"{where}: paired actions"):
             entry["lagrangian"], entry["multisymplectic"] = paired_actions(L, grid, rule)
