@@ -23,13 +23,12 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
-from report_trees import ROOT, SCRIPTS, import_cli, load
+from report_trees import ROOT, import_cli, load, package_src
 
 
 def job_peaks(workload: str, variant: int, src: Path = ROOT / "src") -> list[dict]:
@@ -57,14 +56,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--variant", type=int, default=0, help="the jobs' variant (seed), default 0")
     parser.add_argument("--rev", help="run the package of this revision instead of the working tree")
     args = parser.parse_args(argv)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"  # before numpy is imported with the package
-    if args.rev is None:
-        rows = job_peaks(args.workload, args.variant)
-    else:
-        with tempfile.TemporaryDirectory(prefix="job-peaks-rev-") as tree:
-            load("bench_pairs", SCRIPTS).export(args.rev, Path(tree))
-            rows = job_peaks(args.workload, args.variant, Path(tree) / "src")
+    with package_src(args.rev) as src:
+        rows = job_peaks(args.workload, args.variant, src)
     for row in rows:
         print(json.dumps(row))
     return 0

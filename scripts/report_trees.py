@@ -53,6 +53,21 @@ def import_cli(src: Path):
     return multisymp.cli
 
 
+@contextlib.contextmanager
+def package_src(rev: str | None):
+    """The src/ directory to import the package from: this checkout's, or with rev the committed files of
+    rev, exported into a temporary directory for the duration.  First sets BLAS to one thread, which numpy
+    reads when the package imports it."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    if rev is None:
+        yield ROOT / "src"
+        return
+    with tempfile.TemporaryDirectory(prefix="multisymp-rev-") as tree:
+        load("bench_pairs", SCRIPTS).export(rev, Path(tree))
+        yield Path(tree) / "src"
+
+
 def run(main, command: str, config: Path, target: Path, name: str) -> None:
     """One CLI run with its report at target/name.report.json and its exit code and stderr at target/name.exit."""
     err = io.StringIO()
@@ -85,14 +100,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
         parser.error(f"{args.out} must be a new or empty directory")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"  # before numpy is imported with the package
-    if args.rev is None:
-        write_tree(args.out)
-    else:
-        with tempfile.TemporaryDirectory(prefix="report-trees-rev-") as tree:
-            load("bench_pairs", SCRIPTS).export(args.rev, Path(tree))
-            write_tree(args.out, Path(tree) / "src")
+    with package_src(args.rev) as src:
+        write_tree(args.out, src)
     print(f"wrote {sum(path.is_file() for path in args.out.rglob('*'))} files under {args.out}")
     return 0
 

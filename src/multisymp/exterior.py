@@ -48,48 +48,50 @@ def _minor_rows(n: int, p: int) -> np.ndarray:
     return rows
 
 
+def _cofactor_det(entry, k: int) -> np.ndarray:
+    """The determinant of order k <= 4 whose (i, j) entries are the arrays ``entry(i, j)``, by exact cofactor
+    formulas: order four is the Laplace expansion along rows 0 and 1 over their 2 x 2 minors."""
+    if k == 1:
+        return entry(0, 0)
+    if k == 2:
+        return entry(0, 0) * entry(1, 1) - entry(0, 1) * entry(1, 0)
+    if k == 3:
+        return (
+            entry(0, 0) * (entry(1, 1) * entry(2, 2) - entry(1, 2) * entry(2, 1))
+            - entry(0, 1) * (entry(1, 0) * entry(2, 2) - entry(1, 2) * entry(2, 0))
+            + entry(0, 2) * (entry(1, 0) * entry(2, 1) - entry(1, 1) * entry(2, 0))
+        )
+
+    def minor(r, i, j):  # rows r, r + 1 and columns i, j
+        return entry(r, i) * entry(r + 1, j) - entry(r, j) * entry(r + 1, i)
+
+    return (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
+            + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
+            - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1))
+
+
 def det(m: np.ndarray) -> np.ndarray:
     """Determinants of a stack of k x k matrices, shape (..., k, k) to (...).
 
-    Orders up to four are exact cofactor formulas: order four is the Laplace
-    expansion along rows 0 and 1 over their 2 x 2 minors.  Orders five and
-    up use LAPACK.
+    Orders up to four are exact cofactor formulas; orders five and up use LAPACK.
     """
     k = m.shape[-1]
-    if k == 1:
-        return m[..., 0, 0]
-    if k == 2:
-        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    if k == 3:
-        return (
-            m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-        )
-    if k == 4:
-        def minor(r, i, j):  # rows r, r + 1 and columns i, j
-            return m[..., r, i] * m[..., r + 1, j] - m[..., r, j] * m[..., r + 1, i]
-
-        return (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
-                + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
-                - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1))
-    return np.linalg.det(m)
+    return _cofactor_det(lambda i, j: m[..., i, j], k) if k <= 4 else np.linalg.det(m)
 
 
 def minors(frames: np.ndarray) -> np.ndarray:
-    """Increasing-index p x p minors of frames of shape (..., n, p); shape (..., C(n, p))."""
+    """Increasing-index p x p minors of frames of shape (..., n, p); shape (..., C(n, p)).
+
+    Up to order four each minor is det's formula on views of the frame entries, so no p x p blocks are
+    gathered.  The result is C-ordered whatever the frames' strides, since row sums of the minors round by it.
+    """
     frames = np.asarray(frames, dtype=float)
     n, p = frames.shape[-2:]
     rows = _minor_rows(n, p)
-    if p != 2:
-        # np.take keeps the gathered stack in C order, so the minors come out C-contiguous
-        return det(np.take(frames, rows, axis=-2))
-    # det's 2 x 2 formula column by column, with no (..., C(n, 2), 2, 2) gather, into a C-ordered array: row
-    # sums of the minors round by their layout, which must not follow the frames' strides
-    a, b = frames[..., 0], frames[..., 1]
     out = np.empty(frames.shape[:-2] + (len(rows),))
-    for k, (i, j) in enumerate(rows):
-        np.subtract(a[..., i] * b[..., j], b[..., i] * a[..., j], out=out[..., k])
+    for k, axes in enumerate(rows):
+        out[..., k] = (_cofactor_det(lambda i, j: frames[..., axes[i], j], p) if p <= 4
+                       else np.linalg.det(frames[..., axes, :]))
     return out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,25 +43,6 @@ __all__ = [
 QUADRATURE_RULES = ("midpoint", "gauss2")
 
 
-def _normalize_domain(domain, p: int) -> tuple[tuple[float, float], ...]:
-    dom = tuple((float(lo), float(hi)) for lo, hi in domain)
-    if len(dom) != p:
-        raise ValueError(f"domain needs {p} axis intervals")
-    if any(hi <= lo for lo, hi in dom):
-        raise ValueError("domain intervals must have positive length")
-    return dom
-
-
-def _normalize_resolution(resolution, p: int) -> tuple[int, ...]:
-    if isinstance(resolution, int):
-        res = (resolution,) * p
-    else:
-        res = tuple(int(r) for r in resolution)
-    if len(res) != p or any(r < 2 for r in res):
-        raise ValueError("resolution must give at least 2 cells per axis")
-    return res
-
-
 @dataclass(frozen=True)
 class ParametricGrid:
     """A map from a parameter rectangle into R^n, on the nodes of a grid of cells.
@@ -78,12 +59,19 @@ class ParametricGrid:
     mapping: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", _normalize_domain(self.domain, self.p))
-        object.__setattr__(self, "resolution", _normalize_resolution(self.resolution, self.p))
-
-    @classmethod
-    def from_map(cls, fn, domain, resolution, p: int, n: int) -> "ParametricGrid":
-        return cls(p=p, n=n, domain=domain, resolution=resolution, mapping=fn)
+        domain = tuple((float(lo), float(hi)) for lo, hi in self.domain)
+        if len(domain) != self.p:
+            raise ValueError(f"domain needs {self.p} axis intervals")
+        if any(hi <= lo for lo, hi in domain):
+            raise ValueError("domain intervals must have positive length")
+        if isinstance(self.resolution, int):
+            res = (self.resolution,) * self.p
+        else:
+            res = tuple(int(r) for r in self.resolution)
+        if len(res) != self.p or any(r < 2 for r in res):
+            raise ValueError("resolution must give at least 2 cells per axis")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "resolution", res)
 
     @property
     def values(self) -> np.ndarray:
@@ -117,21 +105,19 @@ class ParametricGrid:
 
 
 @dataclass(frozen=True)
-class GraphSurface:
-    """Graph of f: R^p -> R^(n-p) over a parameter rectangle.
+class GraphSurface(ParametricGrid):
+    """Graph of f: R^p -> R^(n-p) over a parameter rectangle, the grid whose map is s -> (s, f(s)).
 
-    ``f`` is batched: parameter points of shape (N, p) to values of shape (N, n-p).
+    ``f`` is batched: parameter points of shape (N, p) to values of shape (N, n-p).  Constructed by keyword;
+    ``mapping`` is derived from ``f``, so equality and hashing go by ``f``.
     """
 
+    mapping: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
     f: Callable[[np.ndarray], np.ndarray]
-    domain: tuple[tuple[float, float], ...]
-    resolution: tuple[int, ...] | int
-    p: int
-    n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", _normalize_domain(self.domain, self.p))
-        object.__setattr__(self, "resolution", _normalize_resolution(self.resolution, self.p))
+        super().__post_init__()
+        object.__setattr__(self, "mapping", self.map)
 
     def graph_values(self, s: np.ndarray) -> np.ndarray:
         """Values of f at points of shape (N, p), checked to be (N, n-p)."""
@@ -143,7 +129,8 @@ class GraphSurface:
         return np.concatenate([s, self.graph_values(s)], axis=-1)
 
     def to_grid(self) -> ParametricGrid:
-        return ParametricGrid.from_map(self.map, self.domain, self.resolution, self.p, self.n)
+        # the surface is its own grid; kept for the span hook of bench/spans.py, which wraps it by name
+        return self
 
 
 def _call_batched(fn, points: np.ndarray, width: int, what: str) -> np.ndarray:
@@ -161,10 +148,6 @@ _GAUSS2_OFFSETS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 # along the first axis, at least one row, so node rows, frames, minors and cell values exist for one slab
 # at a time; every kernel is row-independent and each action is an exact sum, so the slab size moves no bit.
 CELL_BLOCK = 4096
-
-# Entries per flush of an action's exact sum: four slabs, where the slicing costs about half as much per
-# entry as on one slab or on a whole grid of a million cells
-_FLUSH = 4 * CELL_BLOCK
 
 
 def _row_slabs(shape: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -291,41 +274,26 @@ def _checked_samples(L: HomogeneousLagrangian, grid: ParametricGrid, rule: str):
 class _ExactSum:
     """The correctly rounded exact sum of every entry added, ``math.fsum`` of all of them bit for bit.
 
-    ``add`` copies 1-d float64 arrays into a buffer of ``size`` entries, at most _FLUSH, and each full
-    buffer is summed exactly into one Python int over a power of two, so ``value`` rounds the total once,
-    however the entries were split.  Error-free slicing: N integers below 2**w, w = 53 - N.bit_length(),
-    add exactly in any order.  So a flush is scaled by a power of two below 2**w, and each slice is cut
-    off by ``np.trunc``, added by numpy and joined to the int; the exact remainders, scaled by 2**w, give
-    the next slice, until none is left.  ``value`` raises ArithmeticError naming the action if any entry was
-    non-finite, so the caller can add every entry first, and OverflowError, as fsum does, when the sum is
-    beyond the float range; unlike fsum, a sum that overflows only on the way, as 1e308 + 1e308 - 1e308,
-    is returned.
+    ``add`` sums a 1-d float64 array exactly into one Python int over a power of two, so ``value`` rounds
+    the total once, however the entries were split.  Error-free slicing: N integers below 2**w,
+    w = 53 - N.bit_length(), add exactly in any order.  So an array is scaled by a power of two below 2**w,
+    and each slice is cut off by ``np.trunc``, added by numpy and joined to the int; the exact remainders,
+    scaled by 2**w, give the next slice, until none is left.  ``value`` raises ArithmeticError naming the
+    action if any entry was non-finite, so the caller can add every entry first, and OverflowError, as fsum
+    does, when the sum is beyond the float range; unlike fsum, a sum that overflows only on the way, as
+    1e308 + 1e308 - 1e308, is returned.
     """
 
-    def __init__(self, action: str, size: int):
-        self.action, self.buffer, self.fill = action, np.empty(min(size, _FLUSH)), 0
+    def __init__(self, action: str):
+        self.action = action
         self.total, self.c, self.finite = 0, 0, True  # the entries summed so far add up to total / 2**c
 
-    def add(self, values: np.ndarray) -> None:
-        if self.fill + len(values) > len(self.buffer):
-            self._flush()
-        if len(values) > len(self.buffer):
-            self._sum(values)
-        else:
-            self.buffer[self.fill:self.fill + len(values)] = values
-            self.fill += len(values)
-
     def value(self) -> float:
-        self._flush()
         if not self.finite:
             raise ArithmeticError(f"non-finite cell contribution in the {self.action} action")
         return self.total / (1 << self.c)  # correctly rounded; OverflowError beyond the float range
 
-    def _flush(self) -> None:
-        self._sum(self.buffer[:self.fill])
-        self.fill = 0
-
-    def _sum(self, values: np.ndarray) -> None:
+    def add(self, values: np.ndarray) -> None:
         if len(values) == 0 or not self.finite:
             return
         hi, lo = float(values.max()), float(values.min())
@@ -374,8 +342,7 @@ def paired_actions(
     the second integrates the tautological form over the gradient image of the tangent lift, which
     pairs the fiber gradient at each tangent p-vector with the frame minors.
     """
-    lagrangian = _ExactSum("Lagrangian", grid.num_cells)
-    multisymplectic = _ExactSum("multisymplectic", grid.num_cells)
+    lagrangian, multisymplectic = _ExactSum("Lagrangian"), _ExactSum("multisymplectic")
     for _, coords, bases, weight in _checked_samples(L, grid, rule):
         # _check_cells has made the dead-cell and chart tests of L._rows on these cells
         value, grad = L._jet(bases, coords, 1)
@@ -398,7 +365,7 @@ def graph_action(
     if (surf.n, surf.p) != (F.n, F.p):
         raise ValueError("surface and density dimensions do not match")
     samples, h, weight = _quadrature_rule(surf.domain, surf.resolution, rule)
-    total = _ExactSum("graph", math.prod(surf.resolution))
+    total = _ExactSum("graph")
     for axes in samples:
         for a, b in _row_slabs(surf.resolution):
             params = _tensor_points(axes, a, b)

@@ -298,6 +298,24 @@ class TestErrorHandling:
             reports.append(strip_timings(load_report(out))["checks"])
         assert reports[0] == reports[1]
 
+    def test_integral_float_count_runs_as_the_int(self, tmp_path):
+        reports = []
+        for samples in (25, 25.0):
+            out = tmp_path / f"{samples}.json"
+            payload = {**AREA_VERIFY, "samples": samples, "checks": ["euler-identity", "hessian-rank-split"]}
+            assert main(["verify", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+            reports.append(strip_timings(load_report(out)))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("root", ["[1, 2]", "7", "null", '"verify"'])
+    def test_config_root_must_be_an_object(self, tmp_path, capsys, root):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(root)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: config root must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, payload", [
         ("verify", {**AREA_VERIFY, "checks": ["euler-identity"], "tolerances": {"euler": 0}}),
         ("image", {**AREA_IMAGE, "certificate": {"num_pairs": 5, "t_steps": 3, "tolerance": 0}}),

@@ -1,6 +1,7 @@
 """Homogeneous Lagrangians: built-ins, residual checks, fiber gradients."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,11 @@ class TestAreaLagrangian:
         y = rng.standard_normal((1, 3))
         assert_rows_close(area3.hessian_many(x3, y), lagrangian_oracle("area", 3, 2)(x3[None], y)[2])
 
+    @pytest.mark.parametrize("n, p", [(3, 0), (3, 3), (2, 3)])
+    def test_needs_p_between_0_and_n(self, n, p):
+        with pytest.raises(ValueError, match=f"need 0 < p < n, got p={p}, n={n}"):
+            area_lagrangian(n, p)
+
     def test_zero_section_rejected(self, x3, area3):
         with pytest.raises(ZeroSectionError):
             area3.value_many(x3, np.zeros((1, 3)))
@@ -104,6 +110,11 @@ class TestEllipsoidLagrangian:
             ellipsoid_lagrangian(3, 2, [1.0, 0.0, 2.0])
         with pytest.raises(ValueError):
             ellipsoid_lagrangian(3, 2, [1.0, -1.0, 2.0])
+
+    @pytest.mark.parametrize("weights", [[1.0, 2.0], [[1.0, 2.0, 3.0]], 1.0])
+    def test_one_weight_per_fiber_coordinate(self, weights):
+        with pytest.raises(ValueError, match=re.escape(f"expected 3 weights, got shape {np.shape(weights)}")):
+            ellipsoid_lagrangian(3, 2, weights)
 
 
 class TestGraphLift:

@@ -529,6 +529,10 @@ class TestConvexityCertificate:
         assert cert.num_failures == 0
         assert cert.worst_violation <= 1e-9
 
+    def test_no_pairs_read_no_violation(self, x3, area3):
+        cert = convexity_certificate(area3, x3, num_pairs=0, t_steps=5)
+        assert (cert.passed, cert.num_segment_checks, cert.worst_violation, cert.num_failures) == (True, 0, 0.0, 0)
+
     def test_reproducible(self, x3, ellipsoid3):
         a = convexity_certificate(ellipsoid3, x3, num_pairs=20, t_steps=5, seed=9)
         b = convexity_certificate(ellipsoid3, x3, num_pairs=20, t_steps=5, seed=9)

@@ -53,6 +53,8 @@ class TestChart:
         assert lifted.tolist() == [7.0, 8.0, 9.0, 0.0, 0.0, 0.0]
         with pytest.raises(ValueError):
             chart32.point([1.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"base vector must have shape \(3,\)"):
+            chart32.lift([7.0, 8.0])
 
 
 class TestTheta:
@@ -74,6 +76,13 @@ class TestTheta:
         pt = np.zeros(6)
         with pytest.raises(ValueError):
             form(pt, [chart32.basis_vector("x1")])
+
+    def test_point_and_vectors_live_on_the_chart(self, chart32):
+        form, e = theta(chart32), chart32.basis_vector
+        for point, vectors in ((np.zeros(5), [e("x1"), e("x2")]), (np.zeros(6), [e("x1"), np.zeros(5)]),
+                               (np.zeros((1, 6)), [e("x1"), e("x2")])):
+            with pytest.raises(ValueError, match="theta lives on a 6-dimensional chart"):
+                form(point, vectors)
 
     def test_alternating_and_linear(self, chart32, rng):
         form = theta(chart32)
@@ -161,6 +170,11 @@ class TestNondegeneracy:
         ok, rank = nondegeneracy_check(probe, np.zeros(6))
         assert not ok
         assert rank == 3  # every vertical direction is in the kernel
+
+    @pytest.mark.parametrize("axes", [(0, 1), (1, 4), (-1, 2)])
+    def test_constant_form_axes_in_range(self, chart32, axes):
+        with pytest.raises(ValueError, match="axes out of range"):
+            constant_x_form(chart32, axes)
 
 
 class TestClosedness:

@@ -60,7 +60,7 @@ def pointwise(fn):
     return lambda s: np.array([np.asarray(fn(row[None, :]), dtype=float)[0] for row in s])
 
 
-def from_map_reference(fn, domain, resolution, p, n):
+def pointwise_grid(fn, domain, resolution, p, n):
     """The node values from one call per node, in itertools.product order, and a grid of the per-point map."""
     axes = [np.linspace(lo, hi, resolution + 1) for lo, hi in domain]
     values = pointwise(fn)(np.array(list(itertools.product(*axes))))
@@ -74,8 +74,8 @@ def tabulated(values, domain):
     res = tuple(k - 1 for k in nodes)
     lows = np.array([lo for lo, _ in domain])
     h = np.array([(hi - lo) / r for (lo, hi), r in zip(domain, res)])
-    return ParametricGrid.from_map(lambda s: values[tuple(np.rint((s - lows) / h).astype(int).T)], domain, res,
-                                   p=len(res), n=n)
+    return ParametricGrid(p=len(res), n=n, domain=domain, resolution=res,
+                          mapping=lambda s: values[tuple(np.rint((s - lows) / h).astype(int).T)])
 
 
 def graph_action_reference(F, surf, rule):
@@ -158,7 +158,7 @@ def test_batched_paths_match_pointwise_references(n, p, name, rule, monkeypatch)
     res = 6 if p == 2 else 3
     domain = tuple((0.1 * k, 1.0 + 0.2 * k) for k in range(p))
     surf = GraphSurface(f=fn, domain=domain, resolution=res, p=p, n=n)
-    ref_values, ref_grid = from_map_reference(surf.map, domain, res, p, n)
+    ref_values, ref_grid = pointwise_grid(surf.map, domain, res, p, n)
     scale = np.max(np.abs(ref_values))
     lagrangians = (area_lagrangian(n, p), graph_lift(minimal_surface_density(n, p)))
     ref_pairs = [paired_actions(L, ref_grid, rule) for L in lagrangians]
@@ -220,8 +220,8 @@ def test_action_working_set_is_bounded():
 
 def test_action_working_set_does_not_grow_with_resolution():
     # node rows, frames, minors, jets and contributions exist for one slab at a time, and each exact sum
-    # keeps a buffer of a few slabs, so the peak of one action, its grid included, is about the same at 128
-    # and at 512; whole-grid node values and contributions held 16 MiB at 512
+    # takes a slab as it comes, so the peak of one action, its grid included, is about the same at 128 and at
+    # 512; whole-grid node values and contributions held 16 MiB at 512
     F = minimal_surface_density(3, 2)
     L = graph_lift(F)
 
@@ -238,6 +238,23 @@ def test_action_working_set_does_not_grow_with_resolution():
 
     peak(8)  # first calls fill the caches of the index layouts
     assert peak(512) <= 1.5 * peak(128)
+
+
+def test_minors_gather_no_blocks_at_53():
+    # the bound sits between a (cells, C(5, 3), 3, 3) gather of the minor blocks per slab, about 185 bytes per
+    # cell here, and minors taken from views of the frame entries, about 71
+    res = 32
+    surf = GraphSurface(f=lambda s: np.stack([s[:, 0] * s[:, 1], s[:, 1] * s[:, 2]], axis=-1),
+                        domain=[(0.0, 1.0)] * 3, resolution=res, p=3, n=5)
+    L = area_lagrangian(5, 3)
+    paired_actions(L, replace(surf, resolution=4).to_grid())  # first calls fill the caches of the index layouts
+    tracemalloc.start()
+    try:
+        paired_actions(L, surf.to_grid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * res**3
 
 
 def frame_grids(n, p, res):
@@ -329,13 +346,14 @@ class TestPointwiseMapsRejected:
             graph_action(minimal_surface_density(3, 2), surf)
 
     def test_from_map(self):
-        grid = ParametricGrid.from_map(lambda s: np.array([s[0] * s[1]]), [(0, 1), (0, 1)], 4, p=2, n=3)
+        grid = ParametricGrid(p=2, n=3, domain=[(0, 1), (0, 1)], resolution=4,
+                              mapping=lambda s: np.array([s[0] * s[1]]))
         with pytest.raises(ValueError, match="surface map"):
             grid.values
         with pytest.raises(ValueError, match="surface map"):
             paired_actions(area_lagrangian(3, 2), grid)
 
     def test_gauss2_resampling(self):
-        bad = ParametricGrid.from_map(lambda s: s, [(0, 1), (0, 1)], 4, p=2, n=3)
+        bad = ParametricGrid(p=2, n=3, domain=[(0, 1), (0, 1)], resolution=4, mapping=lambda s: s)
         with pytest.raises(ValueError, match="surface map"):
             paired_actions(area_lagrangian(3, 2), bad, "gauss2")[0]

@@ -30,7 +30,7 @@ from multisymp import (
 from multisymp import surfaces
 from multisymp.cli import _graph_map
 from multisymp.exterior import minors
-from multisymp.surfaces import _FLUSH, _cell_frames, _check_cells, _checked_samples, _ExactSum, paired_actions
+from multisymp.surfaces import _cell_frames, _check_cells, _checked_samples, _ExactSum, paired_actions
 
 from helpers import conformal_area, cyclic_row, weighted_minimal_surface
 
@@ -87,8 +87,9 @@ class TestTangentPVector:
         assert base == pytest.approx([0.5, 0.5, 0.25], abs=1e-12)
 
     def test_degenerate_cell(self, area3):
-        grid = ParametricGrid.from_map(lambda s: np.stack([s[..., 0], np.zeros(len(s)), np.zeros(len(s))], axis=-1),
-                                       [(0, 1), (0, 1)], 4, p=2, n=3)
+        grid = ParametricGrid(
+            p=2, n=3, domain=[(0, 1), (0, 1)], resolution=4,
+            mapping=lambda s: np.stack([s[..., 0], np.zeros(len(s)), np.zeros(len(s))], axis=-1))
         assert not np.any(cell_pvector(grid, (0, 0))[0])
         with pytest.raises(DegenerateCellError) as excinfo:
             paired_actions(area3, grid)
@@ -126,7 +127,7 @@ class TestZeroRowVerdicts:
                 L._rows(np.zeros(n), rows)
         else:
             L._rows(np.zeros(n), rows)
-        grid = ParametricGrid.from_map(lambda s: np.zeros((len(s), n)), [(0, 1)] * p, 2, p=p, n=n)
+        grid = ParametricGrid(p=p, n=n, domain=[(0, 1)] * p, resolution=2, mapping=lambda s: np.zeros((len(s), n)))
         if self.CASES[case]:
             with pytest.raises(DegenerateCellError) as excinfo:
                 _check_cells(rows, grid, L)
@@ -137,7 +138,7 @@ class TestZeroRowVerdicts:
 
 def exact_sum(values, action, chunks=()):
     """The _ExactSum of a 1-d array, added in one piece or split before each index of ``chunks``."""
-    total = _ExactSum(action, len(values))
+    total = _ExactSum(action)
     for part in np.split(values, list(chunks)):
         total.add(part)
     return total.value()
@@ -222,15 +223,15 @@ class TestExactSum:
                        rng.standard_normal(size) * 1e-5 * rng.random(size)):
             assert exact_sum_hex(values) == math.fsum(values.tolist()).hex()
 
-    @pytest.mark.parametrize("size", [3 * _FLUSH + 5, 2 * _FLUSH])
+    @pytest.mark.parametrize("size", [3 * 16384 + 5, 2 * 16384])
     def test_any_split_into_adds_gives_the_same_bits(self, size):
-        # adds of one entry, of a full buffer, across flushes and beyond the buffer: the total is exact until
-        # value rounds it once
+        # adds of one entry, of four slabs and of more, at any offset: the total is exact until value rounds
+        # it once
         rng = np.random.default_rng(size)
         values = rng.standard_normal(size) * 10.0 ** rng.integers(-200, 200, size)
         values[::7] *= -1e-300
         want = math.fsum(values.tolist()).hex()
-        for chunks in ([], [1, 2, _FLUSH, _FLUSH + 1], [_FLUSH - 3, 2 * _FLUSH + 4], [5, size - 1],
+        for chunks in ([], [1, 2, 16384, 16385], [16381, 2 * 16384 + 4], [5, size - 1],
                        np.sort(rng.choice(size, 40, replace=False))):
             assert exact_sum(values, "test", chunks).hex() == want
 
@@ -242,7 +243,7 @@ class TestExactSum:
         assert exc.type is ArithmeticError
         # found in any add, and raised only by value
         with pytest.raises(ArithmeticError, match="graph action"):
-            exact_sum(np.concatenate([values, np.ones(2 * _FLUSH)]), "graph", [1, 2, _FLUSH + 1])
+            exact_sum(np.concatenate([values, np.ones(2 * 16384)]), "graph", [1, 2, 16385])
 
     def test_sum_beyond_the_float_range_raises_overflow(self):
         values = [1.7e308, 1.7e308]
@@ -280,21 +281,23 @@ class TestLagrangianAction:
         def phi_stretched(t):
             return phi(np.stack([(t[..., 0] - 1.0) / 2.0, (t[..., 1] + 3.0) * 2.0], axis=-1))
 
-        g1 = ParametricGrid.from_map(phi, [(0, 1), (0, 1)], 32, p=2, n=3)
-        g2 = ParametricGrid.from_map(phi_stretched, [(1, 3), (-3, -2.5)], 32, p=2, n=3)
+        g1 = ParametricGrid(p=2, n=3, domain=[(0, 1), (0, 1)], resolution=32, mapping=phi)
+        g2 = ParametricGrid(p=2, n=3, domain=[(1, 3), (-3, -2.5)], resolution=32, mapping=phi_stretched)
         a1, a2 = paired_actions(area3, g1)[0], paired_actions(area3, g2)[0]
         assert abs(a1 - a2) <= 1e-9
 
     def test_orientation_error_reports_cell(self, minimal_lift3):
-        grid = ParametricGrid.from_map(lambda s: np.stack([-s[..., 0], s[..., 1], np.zeros(len(s))], axis=-1),
-                                       [(0, 1), (0, 1)], 4, p=2, n=3)
+        grid = ParametricGrid(
+            p=2, n=3, domain=[(0, 1), (0, 1)], resolution=4,
+            mapping=lambda s: np.stack([-s[..., 0], s[..., 1], np.zeros(len(s))], axis=-1))
         with pytest.raises(OrientationError) as excinfo:
             paired_actions(minimal_lift3, grid)[0]
         assert "cell" in str(excinfo.value)
 
     def test_off_chart_cell_names_the_chart_coordinate(self, minimal_lift3, monkeypatch):
-        grid = ParametricGrid.from_map(lambda s: np.stack([-s[..., 0], s[..., 1], np.zeros(len(s))], axis=-1),
-                                       [(0, 1), (0, 1)], 4, p=2, n=3)
+        grid = ParametricGrid(
+            p=2, n=3, domain=[(0, 1), (0, 1)], resolution=4,
+            mapping=lambda s: np.stack([-s[..., 0], s[..., 1], np.zeros(len(s))], axis=-1))
         for block in SLAB_SIZES:
             monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
             with pytest.raises(OrientationError,
@@ -304,9 +307,9 @@ class TestLagrangianAction:
     @pytest.mark.parametrize("side", [0, 1], ids=["lagrangian_action", "multisymplectic_action"])
     def test_degenerate_cell_error_names_first_dead_cell(self, area3, side, monkeypatch):
         # x clamped at 0.5: the cells with x >= 0.5 have no extent along x
-        grid = ParametricGrid.from_map(
-            lambda s: np.stack([np.minimum(s[..., 0], 0.5), s[..., 1], np.zeros(len(s))], axis=-1),
-            [(0, 1), (0, 1)], 4, p=2, n=3)
+        grid = ParametricGrid(
+            p=2, n=3, domain=[(0, 1), (0, 1)], resolution=4,
+            mapping=lambda s: np.stack([np.minimum(s[..., 0], 0.5), s[..., 1], np.zeros(len(s))], axis=-1))
         for block in SLAB_SIZES:
             monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
             with pytest.raises(DegenerateCellError) as excinfo:
@@ -326,9 +329,9 @@ class TestLagrangianAction:
         # names the first dead cell of the offset, else its first off-chart cell.  With cap 1/2 the first
         # gauss2 offset, at 0.21 of a cell, still sees the map rise in column 3, so its off-chart cell wins
         # over the dead cells of the later offsets.
-        grid = ParametricGrid.from_map(
-            lambda s: np.stack([np.minimum(np.abs(s[..., 0] - 0.25), cap), s[..., 1], np.zeros(len(s))], axis=-1),
-            [(0, 1), (0, 1)], 4, p=2, n=3)
+        grid = ParametricGrid(
+            p=2, n=3, domain=[(0, 1), (0, 1)], resolution=4,
+            mapping=lambda s: np.stack([np.minimum(np.abs(s[..., 0] - 0.25), cap), s[..., 1], np.zeros(len(s))], axis=-1))
         for block in SLAB_SIZES:
             monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
             with pytest.raises(error, match=re.escape(f"cell {cell}")):
@@ -349,11 +352,10 @@ class TestLagrangianAction:
                 x = np.minimum(s[:, 0], cap)
                 return np.stack([x, s[:, 1], x + 2.0 * s[:, 1]], axis=-1)  # every minor nonzero where x moves
 
-            return ParametricGrid.from_map(fn, [(0, 1), (0, 1)], 4, p=2, n=3)
+            return ParametricGrid(p=2, n=3, domain=[(0, 1), (0, 1)], resolution=4, mapping=fn)
 
         for block in SLAB_SIZES:
-            monkeypatch.setattr(surfaces, "CELL_BLOCK", block)
-            monkeypatch.setattr(surfaces, "_FLUSH", block)  # at 1 and 3 the sums flush before the dead cells
+            monkeypatch.setattr(surfaces, "CELL_BLOCK", block)  # at 1 and 3 slabs are summed before the dead cells
             with pytest.raises(DegenerateCellError) as excinfo:
                 paired_actions(L, grid(0.5))
             assert excinfo.value.cell == (2, 0)
@@ -362,8 +364,9 @@ class TestLagrangianAction:
 
     def test_axis_reversal_flips_tangents_but_area_unchanged(self, area3, minimal_lift3):
         fwd = bilinear_surface(8).to_grid()
-        rev = ParametricGrid.from_map(lambda s: np.stack([1.0 - s[..., 0], s[..., 1], (1.0 - s[..., 0]) * s[..., 1]], axis=-1),
-                                      [(0, 1), (0, 1)], 8, p=2, n=3)
+        rev = ParametricGrid(
+            p=2, n=3, domain=[(0, 1), (0, 1)], resolution=8,
+            mapping=lambda s: np.stack([1.0 - s[..., 0], s[..., 1], (1.0 - s[..., 0]) * s[..., 1]], axis=-1))
         yf, _ = cell_pvector(fwd, (0, 0))
         yr, _ = cell_pvector(rev, (7, 0))
         assert np.allclose(yr, -yf, atol=1e-12)
@@ -510,9 +513,9 @@ class TestGeneralP:
         # degree-1 machinery is not hardwired to surfaces: quarter circle of
         # radius 2 has length pi
         L = area_lagrangian(3, 1)
-        grid = ParametricGrid.from_map(
-            lambda s: np.stack([2 * np.cos(s[..., 0]), 2 * np.sin(s[..., 0]), np.zeros(len(s))], axis=-1),
-            [(0.0, math.pi / 2)], 200, p=1, n=3)
+        grid = ParametricGrid(
+            p=1, n=3, domain=[(0.0, math.pi / 2)], resolution=200,
+            mapping=lambda s: np.stack([2 * np.cos(s[..., 0]), 2 * np.sin(s[..., 0]), np.zeros(len(s))], axis=-1))
         assert paired_actions(L, grid)[0] == pytest.approx(math.pi, abs=1e-4)
         assert paired_actions(L, grid)[1] == pytest.approx(paired_actions(L, grid)[0], abs=1e-12)
 
@@ -593,6 +596,23 @@ class TestQuadrature:
 
 
 class TestGridValidation:
+    def test_graph_surface_is_its_own_grid(self):
+        surf = bilinear_surface(4)
+        assert isinstance(surf, ParametricGrid) and surf.to_grid() is surf
+        assert surf.mapping(np.array([[0.5, 0.25]])).tolist() == [[0.5, 0.25, 0.125]]
+        # the derived map is no field: equality and hashing go by f, and replace samples the same graph
+        other = replace(surf, resolution=4)
+        assert other == surf and hash(other) == hash(surf) and other.mapping != surf.mapping
+        assert np.array_equal(other.values, surf.values)
+        assert "mapping" not in repr(surf)
+
+    def test_dimensions_must_match(self, area3):
+        surf = bilinear_surface(4)
+        with pytest.raises(ValueError, match="grid and Lagrangian dimensions do not match"):
+            paired_actions(area_lagrangian(4, 2), surf)
+        with pytest.raises(ValueError, match="surface and density dimensions do not match"):
+            graph_action(minimal_surface_density(4, 2), surf)
+
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             GraphSurface(f=lambda s: np.zeros((len(s), 1)), domain=[(0, 1), (0, 1)], resolution=1, p=2, n=3)
