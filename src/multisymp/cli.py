@@ -243,8 +243,9 @@ def _graph_map(spec: dict, n: int, p: int) -> Callable[[np.ndarray], np.ndarray]
     def poly(s: np.ndarray) -> np.ndarray:
         out = np.zeros(np.shape(s)[:-1] + (codim,))
         for coeff, powers, component in parsed:
-            # keep one (N, p) ** (p,) power: numpy turns a scalar exponent of 2 into x * x, which differs
-            # from pow in the last bit for some x, so the recorded values would move
+            # keep one (N, p) ** (p,) power, as recorded: numpy takes x * x for an exponent of 2 on some
+            # batch shapes and a vector pow on others, which differ in the last bit for some x, so a row's
+            # value depends on the batch it comes in; a row-independent form would move the recorded values
             out[..., component] += coeff * _reduce(np.multiply, s**powers, axis=-1)
         return out
 

@@ -145,7 +145,7 @@ def area_lagrangian(n: int, p: int) -> HomogeneousLagrangian:
     eye = np.eye(math.comb(n, p))
 
     def jet(xs, cs, order):
-        norm = np.linalg.norm(cs, axis=-1)
+        norm = np.sqrt(_reduce(np.add, cs * cs, axis=-1))  # np.linalg.norm's sum, bit for bit
         if order == 0:
             return (norm,)
         unit = cs / norm[:, None]

@@ -315,8 +315,13 @@ def convexity_certificate(
     recorded; a nondegenerate Lagrangian keeps every excess at numerical
     zero or below.  All segment points are solved together, in blocks of
     RADIAL_BLOCK // C(n,p) rows, so that a block holds RADIAL_BLOCK entries
-    at most at every fiber dimension.
+    at most at every fiber dimension.  Raises ValueError for fewer than one
+    pair or three steps, which would check no point inside a segment.
     """
+    if num_pairs < 1:
+        raise ValueError(f"num_pairs must be at least 1, got {num_pairs}")
+    if t_steps < 3:
+        raise ValueError(f"t_steps must be at least 3, got {t_steps}")
     x = np.asarray(x, dtype=float)
     grads = image_coordinates(L, x, 2 * num_pairs, seed)[1]
     ts = np.linspace(0.0, 1.0, t_steps)[None, :, None]

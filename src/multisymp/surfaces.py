@@ -10,11 +10,15 @@ so order and blocking cannot move it.  A grid keeps only its map: the action
 kernels sample node rows, take frames and minors and add each action's
 contributions over slabs of at most CELL_BLOCK cells, rows along the first
 axis, so no array spans the grid and the working set does not grow with the
-resolution.
+resolution.  The midpoint pass is coordinate-major from node rows to frames:
+each coordinate of a slab's node rows, corner sums and bases is one
+contiguous plane, so each frame entry that ``minors`` reads is one
+contiguous vector over the cells.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -83,14 +87,21 @@ class ParametricGrid:
             values[a:b] = self._node_rows(a, b)
         return values
 
+    @functools.cached_property
+    def _node_axes(self) -> list[np.ndarray]:  # built once per grid, not once per slab
+        return [np.linspace(lo, hi, r + 1) for (lo, hi), r in zip(self.domain, self.resolution)]
+
     def _node_rows(self, a: int, b: int) -> np.ndarray:
-        """The node values in rows [a, b) of the first axis, from one map call.  Raises ValueError on a map
-        of the wrong shape or a non-finite value."""
-        axes = [np.linspace(lo, hi, r + 1) for (lo, hi), r in zip(self.domain, self.resolution)]
+        """The node values in rows [a, b) of the first axis, from one map call, coordinate-major: a view of
+        shape (b-a, r_2+1, ..., n) whose coordinate planes ``[..., i]`` are contiguous, with no copy of an
+        F-ordered map output and one transpose of any other.  Raises ValueError on a map of the wrong shape
+        or a non-finite value."""
+        axes = self._node_axes
         values = _call_batched(self.mapping, _tensor_points(axes, a, b), self.n, "surface map")
         if not np.all(np.isfinite(values)):
             raise ValueError("node values must be finite")
-        return values.reshape((b - a, *(len(x) for x in axes[1:]), self.n))
+        planes = np.ascontiguousarray(values.T).reshape((self.n, b - a, *(len(x) for x in axes[1:])))
+        return np.moveaxis(planes, 0, -1)
 
     @property
     def spacing(self) -> np.ndarray:
@@ -109,7 +120,8 @@ class GraphSurface(ParametricGrid):
     """Graph of f: R^p -> R^(n-p) over a parameter rectangle, the grid whose map is s -> (s, f(s)).
 
     ``f`` is batched: parameter points of shape (N, p) to values of shape (N, n-p).  Constructed by keyword;
-    ``mapping`` is derived from ``f``, so equality and hashing go by ``f``.
+    ``mapping`` is derived from ``f`` and n - p alone, so equality and hashing go by ``f``, and the surface
+    holds no reference to itself.
     """
 
     mapping: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
@@ -117,20 +129,24 @@ class GraphSurface(ParametricGrid):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "mapping", self.map)
+        object.__setattr__(self, "mapping", functools.partial(_graph_points, self.f, self.n - self.p))
 
     def graph_values(self, s: np.ndarray) -> np.ndarray:
         """Values of f at points of shape (N, p), checked to be (N, n-p)."""
         return _call_batched(self.f, s, self.n - self.p, "graph map")
 
-    def map(self, s: np.ndarray) -> np.ndarray:
-        """Graph points (s, f(s)) of shape (N, n) for parameters of shape (N, p)."""
-        s = np.asarray(s, dtype=float)
-        return np.concatenate([s, self.graph_values(s)], axis=-1)
-
     def to_grid(self) -> ParametricGrid:
         # the surface is its own grid; kept for the span hook of bench/spans.py, which wraps it by name
         return self
+
+
+def _graph_points(f, codim: int, s: np.ndarray) -> np.ndarray:
+    """Graph points (s, f(s)) for parameters s of shape (N, p), as one F-ordered (N, p + codim) array."""
+    s = np.asarray(s, dtype=float)
+    values = _call_batched(f, s, codim, "graph map")
+    points = np.empty((s.shape[-1] + codim, len(s))).T
+    points[:, :-codim], points[:, -codim:] = s, values
+    return points
 
 
 def _call_batched(fn, points: np.ndarray, width: int, what: str) -> np.ndarray:
@@ -146,7 +162,9 @@ _GAUSS2_OFFSETS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 # Cells per slab of the action kernels, and nodes per slab of ``values``.  A slab is a range of rows
 # along the first axis, at least one row, so node rows, frames, minors and cell values exist for one slab
-# at a time; every kernel is row-independent and each action is an exact sum, so the slab size moves no bit.
+# at a time; every kernel is row-independent and each action is an exact sum, so the slab size moves no bit
+# for a map whose rows depend on their own points only.  The built-in polynomial map is not one: numpy's
+# power rounds by batch shape, so its node values, and the actions on them, can move with the slab size.
 CELL_BLOCK = 4096
 
 
@@ -191,26 +209,30 @@ def _central_differences(fn, params: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _cell_frames(values: np.ndarray, spacing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tangent frames and base points at the cell centers of a block of node values.
 
-    ``values`` has shape (r_1+1, ..., r_p+1, n), a whole grid's or a slab of its node rows, and
-    ``spacing`` is the grid's cell size per axis.  Returns (frames, bases) with frames of shape
-    (r_1 ... r_p, n, p) holding the averaged corner differences per axis, and bases of shape
-    (r_1 ... r_p, n).  Cells are enumerated in row-major order of the cell multi-index.  Each axis sums
-    its corner blocks, added or subtracted as views in row-major corner order, into one contiguous
-    (p, *res, n) array, and frames is a view of it.
+    ``values`` has shape (r_1+1, ..., r_p+1, n), a whole grid's or a slab of its node rows, in any
+    memory layout, and ``spacing`` is the grid's cell size per axis.  Returns (frames, bases) with frames
+    of shape (r_1 ... r_p, n, p) holding the averaged corner differences per axis, and bases of shape
+    (r_1 ... r_p, n).  Cells are enumerated in row-major order of the cell multi-index.  The sums are
+    coordinate-major: each corner block, a view of the coordinate planes of ``values``, is added into
+    (n, *res) bases and added or subtracted into one (p, n, *res) array of sums per axis, in row-major
+    corner order.  frames and bases are transposed views of those, so each frame entry ``frames[:, i, j]``
+    is one contiguous vector, and coordinate-major node rows (as ``_node_rows`` gives) are read
+    contiguously too; any layout gives the same bits.
     """
     *nodes, n = values.shape
     res = tuple(k - 1 for k in nodes)
     p, cells = len(res), math.prod(res)
-    sums = np.zeros((p, *res, n))
-    bases = np.zeros((*res, n))
+    planes = np.moveaxis(values, -1, 0)
+    sums = np.zeros((p, n, *res))
+    bases = np.zeros((n, *res))
     for offset in itertools.product((0, 1), repeat=p):
-        block = values[tuple(slice(o, o + r) for o, r in zip(offset, res))]
+        block = planes[(slice(None),) + tuple(slice(o, o + r) for o, r in zip(offset, res))]
         bases += block
         for axis, o in enumerate(offset):
             (np.add if o else np.subtract)(sums[axis], block, out=sums[axis])
     bases /= 2**p
     sums /= (2.0 ** (p - 1) * spacing).reshape((p,) + (1,) * (p + 1))
-    return np.moveaxis(sums.reshape(p, cells, n), 0, -1), bases.reshape(cells, n)
+    return sums.reshape(p, n, cells).T, bases.reshape(n, cells).T
 
 
 def _quadrature_samples(grid: ParametricGrid, rule: str):
@@ -220,7 +242,8 @@ def _quadrature_samples(grid: ParametricGrid, rule: str):
     slabs, row = _row_slabs(grid.resolution), math.prod(grid.resolution[1:])
     if rule == "midpoint":
         def midpoint():
-            # the node rows of cells [a, b) are [a, b]; node row a is carried over from the previous slab
+            # the node rows of cells [a, b) are [a, b]; node row a is carried over from the previous slab,
+            # and concatenate keeps the rows coordinate-major, as its inputs are
             nodes, spacing = grid._node_rows(0, 1), grid.spacing
             for a, b in slabs:
                 nodes = np.concatenate([nodes[-1:], grid._node_rows(a + 1, b + 1)])
@@ -246,6 +269,8 @@ def _check_cells(coords: np.ndarray, grid: ParametricGrid, L: HomogeneousLagrang
     dead = ~_reduce(np.logical_or, coords != 0.0, axis=1)
     if np.any(dead):
         raise DegenerateCellError(grid.cell_index(first + int(np.argmax(dead))))
+    if L.chart is None:
+        return None
     off = ~L._on_chart(coords)
     return first + int(np.argmax(off)) if np.any(off) else None
 

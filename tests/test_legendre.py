@@ -529,9 +529,10 @@ class TestConvexityCertificate:
         assert cert.num_failures == 0
         assert cert.worst_violation <= 1e-9
 
-    def test_no_pairs_read_no_violation(self, x3, area3):
-        cert = convexity_certificate(area3, x3, num_pairs=0, t_steps=5)
-        assert (cert.passed, cert.num_segment_checks, cert.worst_violation, cert.num_failures) == (True, 0, 0.0, 0)
+    @pytest.mark.parametrize("argument, value", [("num_pairs", 0), ("num_pairs", -1), ("t_steps", 2), ("t_steps", 0)])
+    def test_no_evidence_raises_naming_the_argument(self, x3, area3, argument, value):
+        with pytest.raises(ValueError, match=f"{argument} must be at least"):
+            convexity_certificate(area3, x3, **{"num_pairs": 5, "t_steps": 5, argument: value})
 
     def test_reproducible(self, x3, ellipsoid3):
         a = convexity_certificate(ellipsoid3, x3, num_pairs=20, t_steps=5, seed=9)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,3 +199,18 @@ def test_job_peaks_reads_every_job_with_its_expected_exit(monkeypatch):
     jobs = module.load("jobs", BENCH)
     assert [(row["job"], row["exit"]) for row in rows] == [(job.name, job.expect_exit) for job in jobs.actions_jobs(0)]
     assert all(row["peak_mib"] > 0 for row in rows)
+
+
+def test_pass_ab_alternates_two_packages_in_one_interpreter(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # as when the script runs: it imports report_trees beside it
+    module = load_script("pass_ab")
+    assert module.main(["actions", "--rev", "HEAD", "--passes", "2", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == ["base", "head", "head against base"]
+    minima = json.loads(lines[-1])
+    jobs = module.load("jobs", BENCH)
+    names = [job.name for job in jobs.actions_jobs(0)]
+    assert all(list(minima[side]) == names and min(minima[side].values()) > 0 for side in ("base", "head"))
+    # each side ran its own copy of the package, and the working tree's is this checkout's
+    assert sys.modules["multisymp_base"] is not sys.modules["multisymp_head"]
+    assert Path(sys.modules["multisymp_head"].__file__).parent == SCRIPTS.parent / "src" / "multisymp"

@@ -158,7 +158,7 @@ def test_batched_paths_match_pointwise_references(n, p, name, rule, monkeypatch)
     res = 6 if p == 2 else 3
     domain = tuple((0.1 * k, 1.0 + 0.2 * k) for k in range(p))
     surf = GraphSurface(f=fn, domain=domain, resolution=res, p=p, n=n)
-    ref_values, ref_grid = pointwise_grid(surf.map, domain, res, p, n)
+    ref_values, ref_grid = pointwise_grid(surf.mapping, domain, res, p, n)
     scale = np.max(np.abs(ref_values))
     lagrangians = (area_lagrangian(n, p), graph_lift(minimal_surface_density(n, p)))
     ref_pairs = [paired_actions(L, ref_grid, rule) for L in lagrangians]
@@ -285,6 +285,76 @@ def test_cell_frames_match_corner_loop_bit_for_bit(n, p, res):
             one_frames, one_base = cell_frames_reference(grid, cell)
             # one cell's corners give that cell of the whole grid, bit for bit
             assert same_bits(one_frames, frames[flat:flat + 1]) and same_bits(one_base, bases[flat:flat + 1])
+
+
+def coordinate_major(rows):
+    """Whether each coordinate plane rows[..., i] is contiguous, one plane after the other."""
+    return np.moveaxis(rows, -1, 0).flags.c_contiguous
+
+
+def layout_grids():
+    """A codimension-1 graph, a codimension-2 polynomial graph and a grid whose map returns C-ordered rows."""
+    yield GraphSurface(f=builtin_maps(2, 3)["bilinear"], domain=[(0, 1), (0, 1)], resolution=(5, 7), p=2, n=3)
+    yield GraphSurface(f=builtin_maps(2, 4)["polynomial"], domain=[(0, 1), (0, 1)], resolution=(5, 7), p=2, n=4)
+    yield ParametricGrid(p=2, n=3, domain=[(0, 1), (0, 1)], resolution=(5, 7),
+                         mapping=lambda s: np.ascontiguousarray(np.stack([s[:, 0], s[:, 1], s[:, 0] * s[:, 1]], axis=-1)))
+
+
+@pytest.mark.parametrize("grid", list(layout_grids()), ids=["graph31", "polynomial42", "c_ordered_map"])
+def test_node_rows_are_coordinate_major(grid):
+    for a, b in [(0, 1), (1, 4), (0, 6)]:
+        rows = grid._node_rows(a, b)
+        assert rows.shape == (b - a, 8, grid.n) and coordinate_major(rows)
+        assert same_bits(rows, grid.values[a:b])
+
+
+@pytest.mark.parametrize("n, p, res", FRAME_CASES, ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_cell_frames_are_the_same_bits_from_either_layout(n, p, res):
+    for grid in frame_grids(n, p, res):
+        point_major = np.ascontiguousarray(grid.values)
+        coord_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(point_major, -1, 0)), 0, -1)
+        assert coordinate_major(coord_major) and not coordinate_major(point_major)
+        frames, bases = _cell_frames(coord_major, grid.spacing)
+        other_frames, other_bases = _cell_frames(point_major, grid.spacing)
+        assert same_bits(frames, other_frames) and same_bits(bases, other_bases)
+        # every frame entry that minors reads is one contiguous vector over the cells
+        assert all(frames[:, i, j].strides == (8,) for i in range(n) for j in range(p))
+
+
+def test_midpoint_pass_keeps_the_map_calls_and_the_layout(monkeypatch):
+    # the map sees node row 0 alone, then the node rows of each slab, as before the coordinate-major layout;
+    # evaluating more rows per call moves polynomial action leaves in the last bit
+    blocks, layouts = [], []
+
+    def recording(s):
+        blocks.append(s.copy())
+        return s[:, :1] * s[:, 1:]
+
+    def frames(values, spacing):
+        layouts.append(coordinate_major(values))
+        return _cell_frames(values, spacing)
+
+    monkeypatch.setattr(surfaces, "_cell_frames", frames)
+    res = 192
+    surf = GraphSurface(f=recording, domain=[(0, 1), (0, 1)], resolution=res, p=2, n=3)
+    paired_actions(area_lagrangian(3, 2), surf)
+    step = surfaces.CELL_BLOCK // res
+    rows = [(0, 1)] + [(a + 1, min(a + step, res) + 1) for a in range(0, res, step)]
+    nodes = np.linspace(0.0, 1.0, res + 1)
+    expected = [np.stack(np.meshgrid(nodes[a:b], nodes, indexing="ij"), axis=-1).reshape(-1, 2) for a, b in rows]
+    assert len(blocks) == len(expected) and all(same_bits(got, want) for got, want in zip(blocks, expected))
+    assert layouts == [True] * (len(rows) - 1)
+
+
+@pytest.mark.xfail(strict=True, reason="numpy's power takes x * x for an exponent of 2 on some batch shapes "
+                                       "and a vector pow on others, so the polynomial map's rows depend on the batch")
+def test_polynomial_map_rows_do_not_depend_on_the_batch():
+    f = _graph_map({"f": "polynomial", "params": {"terms": [{"coeff": 1.0, "powers": [2, 0]}]}}, 3, 2)
+    rng = np.random.default_rng(0)
+    for count in (16, 64, 100, 2401):
+        # points laid out as a grid passes them, each coordinate column contiguous
+        batch = np.asfortranarray(rng.uniform(-2.0, 2.0, (count + 5000, 2)))
+        assert same_bits(f(batch)[:count], f(np.asfortranarray(batch[:count]))), count
 
 
 @pytest.mark.parametrize("rule", RULES)

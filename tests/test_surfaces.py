@@ -1,7 +1,9 @@
 """Discretized surfaces: tangent frames, the three actions, convergence."""
 
+import gc
 import math
 import re
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -605,6 +607,17 @@ class TestGridValidation:
         assert other == surf and hash(other) == hash(surf) and other.mapping != surf.mapping
         assert np.array_equal(other.values, surf.values)
         assert "mapping" not in repr(surf)
+
+    def test_graph_surface_is_freed_without_the_cycle_collector(self):
+        surf = bilinear_surface(4)
+        paired_actions(area_lagrangian(3, 2), surf)
+        alive = weakref.ref(surf)
+        gc.disable()
+        try:
+            del surf
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_dimensions_must_match(self, area3):
         surf = bilinear_surface(4)
