@@ -225,7 +225,7 @@ def _graph_map(spec: dict, n: int, p: int) -> Callable[[np.ndarray], np.ndarray]
         if codim != 1:
             raise ConfigError(f"surface.f must name a map with {codim} components, got 'bilinear' (one component)")
         scale = _number(params.get("scale", 1.0), "surface.params.scale")
-        return lambda s: scale * _reduce(np.multiply, s, axis=-1, keepdims=True)
+        return lambda s: scale * _reduce(np.multiply, s, axis=-1)[..., None]
     terms = params["terms"]
     if not isinstance(terms, list) or not terms:
         raise ConfigError(f"surface.params.terms must be a nonempty list of terms, got {terms!r}")

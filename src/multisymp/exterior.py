@@ -95,8 +95,8 @@ def minors(frames: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reduce(op: np.ufunc, a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
-    """``op.reduce(a, axis, keepdims=keepdims)`` for np.add, np.multiply, np.logical_and or np.logical_or.
+def _reduce(op: np.ufunc, a: np.ndarray, axis: int) -> np.ndarray:
+    """``op.reduce(a, axis)`` for np.add, np.multiply, np.logical_and or np.logical_or.
 
     On an axis of a few entries numpy's per-row loop costs more than the
     arithmetic.  Below 8 entries this applies ``op`` to whole slices
@@ -108,12 +108,12 @@ def _reduce(op: np.ufunc, a: np.ndarray, axis: int, keepdims: bool = False) -> n
     a = np.asarray(a)
     axis %= a.ndim
     if not 0 < a.shape[axis] < 8:
-        return op.reduce(a, axis=axis, keepdims=keepdims)
+        return op.reduce(a, axis=axis)
     head = (slice(None),) * axis
     out = op(op.identity, a[head + (slice(0, 1),)])
     for i in range(1, a.shape[axis]):
         op(out, a[head + (slice(i, i + 1),)], out=out)
-    return out if keepdims else out[head + (0,)]
+    return out[head + (0,)]
 
 
 def plane_from_bivector(rows: np.ndarray) -> np.ndarray:

@@ -10,10 +10,13 @@ so order and blocking cannot move it.  A grid keeps only its map: the action
 kernels sample node rows, take frames and minors and add each action's
 contributions over slabs of at most CELL_BLOCK cells, rows along the first
 axis, so no array spans the grid and the working set does not grow with the
-resolution.  The midpoint pass is coordinate-major from node rows to frames:
-each coordinate of a slab's node rows, corner sums and bases is one
-contiguous plane, so each frame entry that ``minors`` reads is one
-contiguous vector over the cells.
+resolution.  Each rule has one sampler.  Midpoint frames come from node rows,
+coordinate-major from node rows to frames: each coordinate of a slab's node
+rows, corner sums and bases is one contiguous plane, so each frame entry that
+``minors`` reads is one contiguous vector over the cells.  The off-node
+samples, the ``gauss2`` frames and the graph action's slopes at every rule,
+share one slab loop: the map at the slab's points and its central differences
+with step h = cell size, 2p + 1 map calls per slab.
 """
 
 from __future__ import annotations
@@ -66,12 +69,14 @@ class ParametricGrid:
         domain = tuple((float(lo), float(hi)) for lo, hi in self.domain)
         if len(domain) != self.p:
             raise ValueError(f"domain needs {self.p} axis intervals")
+        if not all(math.isfinite(x) for bounds in domain for x in bounds):
+            raise ValueError(f"domain bounds must be finite, got {self.domain!r}")
         if any(hi <= lo for lo, hi in domain):
             raise ValueError("domain intervals must have positive length")
-        if isinstance(self.resolution, int):
-            res = (self.resolution,) * self.p
-        else:
-            res = tuple(int(r) for r in self.resolution)
+        res = tuple(self.resolution) if np.ndim(self.resolution) else (self.resolution,) * self.p
+        if not all(float(r).is_integer() for r in res):
+            raise ValueError(f"resolution entries must be integers, got {self.resolution!r}")
+        res = tuple(int(r) for r in res)
         if len(res) != self.p or any(r < 2 for r in res):
             raise ValueError("resolution must give at least 2 cells per axis")
         object.__setattr__(self, "domain", domain)
@@ -131,10 +136,6 @@ class GraphSurface(ParametricGrid):
         super().__post_init__()
         object.__setattr__(self, "mapping", functools.partial(_graph_points, self.f, self.n - self.p))
 
-    def graph_values(self, s: np.ndarray) -> np.ndarray:
-        """Values of f at points of shape (N, p), checked to be (N, n-p)."""
-        return _call_batched(self.f, s, self.n - self.p, "graph map")
-
     def to_grid(self) -> ParametricGrid:
         # the surface is its own grid; kept for the span hook of bench/spans.py, which wraps it by name
         return self
@@ -175,17 +176,16 @@ def _row_slabs(shape: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(a, min(a + step, shape[0])) for a in range(0, shape[0], step)]
 
 
-def _quadrature_rule(domain, resolution, rule: str) -> tuple[list[list[np.ndarray]], np.ndarray, float]:
-    """Per sample offset of the rule, the coordinates per axis of that sample in each cell along the axis;
-    the cell size per axis and the weight per sample.  Raises ValueError on a rule outside QUADRATURE_RULES."""
+def _quadrature_rule(grid: ParametricGrid, rule: str) -> tuple[list[list[np.ndarray]], float]:
+    """Per sample offset of the rule, the coordinates per axis of that sample in each cell along the axis,
+    and the weight per sample.  Raises ValueError on a rule outside QUADRATURE_RULES."""
     if rule not in QUADRATURE_RULES:
         raise ValueError(f"unknown quadrature rule {rule!r}")
-    p = len(resolution)
-    h = np.array([(hi - lo) / r for (lo, hi), r in zip(domain, resolution)])
-    offsets = [(0.5,) * p] if rule == "midpoint" else list(itertools.product(_GAUSS2_OFFSETS, repeat=p))
-    samples = [[lo + (np.arange(r) + o) * hk for (lo, _), r, o, hk in zip(domain, resolution, np.array(offset), h)]
+    h = grid.spacing
+    offsets = [(0.5,) * grid.p] if rule == "midpoint" else list(itertools.product(_GAUSS2_OFFSETS, repeat=grid.p))
+    samples = [[lo + (np.arange(r) + o) * hk for (lo, _), r, o, hk in zip(grid.domain, grid.resolution, offset, h)]
                for offset in offsets]
-    return samples, h, float(np.prod(h)) / len(offsets)
+    return samples, float(np.prod(h)) / len(offsets)
 
 
 def _tensor_points(axes: list[np.ndarray], a: int, b: int) -> np.ndarray:
@@ -199,11 +199,19 @@ def _tensor_points(axes: list[np.ndarray], a: int, b: int) -> np.ndarray:
     return points.reshape(p, -1).T
 
 
-def _central_differences(fn, params: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Derivatives of a batched map along each parameter axis, by central
-    differences with step h; shape (N, p, width)."""
+def _differenced(fn, width: int, what: str, grid: ParametricGrid, axes: list[np.ndarray]):
+    """For the cells of one _row_slabs range of ``grid`` at a time, yield (first cell, points, fn at the
+    points, the derivatives of fn along each axis by central differences with step h = cell size, shape
+    (N, p, width)) at the tensor points of the per-axis coordinates ``axes``.  fn is called 2p + 1 times per
+    slab, each call checked by _call_batched under the name ``what``."""
+    h, row = grid.spacing, math.prod(grid.resolution[1:])
     steps = np.diag(0.5 * h)
-    return np.stack([(fn(params + steps[k]) - fn(params - steps[k])) / h[k] for k in range(len(h))], axis=1)
+    call = functools.partial(_call_batched, fn, width=width, what=what)
+    for a, b in _row_slabs(grid.resolution):
+        points = _tensor_points(axes, a, b)
+        values = call(points)
+        slopes = np.stack([(call(points + steps[k]) - call(points - steps[k])) / h[k] for k in range(grid.p)], axis=1)
+        yield a * row, points, values, slopes
 
 
 def _cell_frames(values: np.ndarray, spacing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,32 +243,14 @@ def _cell_frames(values: np.ndarray, spacing: np.ndarray) -> tuple[np.ndarray, n
     return sums.reshape(p, n, cells).T, bases.reshape(n, cells).T
 
 
-def _quadrature_samples(grid: ParametricGrid, rule: str):
-    """(weight-per-sample, slabs) for each sample offset of the rule, in order; slabs yields
-    (first cell, frames, bases) for the cells of one _row_slabs range at a time."""
-    samples, h, weight = _quadrature_rule(grid.domain, grid.resolution, rule)
-    slabs, row = _row_slabs(grid.resolution), math.prod(grid.resolution[1:])
-    if rule == "midpoint":
-        def midpoint():
-            # the node rows of cells [a, b) are [a, b]; node row a is carried over from the previous slab,
-            # and concatenate keeps the rows coordinate-major, as its inputs are
-            nodes, spacing = grid._node_rows(0, 1), grid.spacing
-            for a, b in slabs:
-                nodes = np.concatenate([nodes[-1:], grid._node_rows(a + 1, b + 1)])
-                yield a * row, *_cell_frames(nodes, spacing)
-
-        return [(weight, midpoint())]
-    # tensor two-point Gauss rule; frames by central differences of the map
-    # with step equal to the cell size
-    def mapping(s: np.ndarray) -> np.ndarray:
-        return _call_batched(grid.mapping, s, grid.n, "surface map")
-
-    def gauss(axes):
-        for a, b in slabs:
-            params = _tensor_points(axes, a, b)
-            yield a * row, np.swapaxes(_central_differences(mapping, params, h), 1, 2), mapping(params)
-
-    return [(weight, gauss(axes)) for axes in samples]
+def _midpoint_frames(grid: ParametricGrid):
+    """Yield (first cell, frames, bases) for the cells of one _row_slabs range at a time, from node rows."""
+    # the node rows of cells [a, b) are [a, b]; node row a is carried over from the previous slab, and
+    # concatenate keeps the rows coordinate-major, as its inputs are
+    nodes, spacing, row = grid._node_rows(0, 1), grid.spacing, math.prod(grid.resolution[1:])
+    for a, b in _row_slabs(grid.resolution):
+        nodes = np.concatenate([nodes[-1:], grid._node_rows(a + 1, b + 1)])
+        yield a * row, *_cell_frames(nodes, spacing)
 
 
 def _check_cells(coords: np.ndarray, grid: ParametricGrid, L: HomogeneousLagrangian, first: int = 0) -> int | None:
@@ -284,7 +274,12 @@ def _checked_samples(L: HomogeneousLagrangian, grid: ParametricGrid, rule: str):
     """
     if (grid.n, grid.p) != (L.n, L.p):
         raise ValueError("grid and Lagrangian dimensions do not match")
-    for weight, slabs in _quadrature_samples(grid, rule):
+    samples, weight = _quadrature_rule(grid, rule)
+    offsets = [_midpoint_frames(grid)] if rule == "midpoint" else [
+        ((first, np.swapaxes(slopes, 1, 2), values)
+         for first, _, values, slopes in _differenced(grid.mapping, grid.n, "surface map", grid, axes))
+        for axes in samples]
+    for slabs in offsets:
         off = None
         for first, frames, bases in slabs:
             coords = minors(frames)
@@ -389,14 +384,11 @@ def graph_action(
     """
     if (surf.n, surf.p) != (F.n, F.p):
         raise ValueError("surface and density dimensions do not match")
-    samples, h, weight = _quadrature_rule(surf.domain, surf.resolution, rule)
+    samples, weight = _quadrature_rule(surf, rule)
     total = _ExactSum("graph")
     for axes in samples:
-        for a, b in _row_slabs(surf.resolution):
-            params = _tensor_points(axes, a, b)
-            values = surf.graph_values(params)
-            slopes = _central_differences(surf.graph_values, params, h)
-            total.add(weight * F.jet(params, values, slopes, 0)[0])
+        for _, points, values, slopes in _differenced(surf.f, surf.n - surf.p, "graph map", surf, axes):
+            total.add(weight * F.jet(points, values, slopes, 0)[0])
     return total.value()
 
 

@@ -591,10 +591,9 @@ class TestQuadrature:
     def test_weights_sum_to_cell_volume(self):
         # tensor-Gauss weights per cell add up to the cell volume
         surf = bilinear_surface(4)
-        from multisymp.surfaces import _quadrature_samples
-        offsets = _quadrature_samples(surf.to_grid(), "gauss2")
-        total = sum(w for w, _ in offsets)
-        assert total * surf.to_grid().num_cells == pytest.approx(1.0)
+        from multisymp.surfaces import _quadrature_rule
+        samples, weight = _quadrature_rule(surf, "gauss2")
+        assert len(samples) * weight * surf.num_cells == pytest.approx(1.0)
 
 
 class TestGridValidation:
@@ -637,6 +636,21 @@ class TestGridValidation:
     def test_empty_interval(self):
         with pytest.raises(ValueError):
             GraphSurface(f=lambda s: np.zeros((len(s), 1)), domain=[(0, 1), (1, 1)], resolution=4, p=2, n=3)
+
+    @pytest.mark.parametrize("interval", [(0, np.nan), (0, np.inf), (-np.inf, 0)], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_bound(self, interval):
+        with pytest.raises(ValueError, match="domain"):
+            ParametricGrid(p=2, n=3, domain=[interval, (0, 1)], resolution=4, mapping=lambda s: s)
+
+    def test_nonintegral_resolution(self):
+        # rejected, not truncated to (4, 2)
+        with pytest.raises(ValueError, match="resolution"):
+            ParametricGrid(p=2, n=3, domain=[(0, 1), (0, 1)], resolution=(4, 2.7), mapping=lambda s: s)
+
+    @pytest.mark.parametrize("count", [np.int64(4), np.int32(4), 4.0])
+    def test_integral_scalar_resolution(self, count):
+        grid = ParametricGrid(p=2, n=3, domain=[(0, 1), (0, 1)], resolution=count, mapping=lambda s: s)
+        assert grid.resolution == (4, 4) and all(type(r) is int for r in grid.resolution)
 
     # the node values are sampled where they are read: by values, and slab by slab in the action pass
 
