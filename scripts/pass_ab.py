@@ -13,10 +13,12 @@ of WORKLOAD at seed SEED (the configs of ``bench/jobs.py``, each job a
 ``cli.main`` call as in ``bench/run.py``), in the order base, head, head,
 base, ..., so a drift of the machine falls on both sides alike.  Prints per
 side the median and quartiles of the pass wall time and the sum of the
-per-job minima, then one JSON line with every job's minimum per side.  Both
-sides share one process, so the spread is much narrower than between
-``bench/run.py`` processes; the script measures and records nothing, and a
-claimed gain still needs a ``BENCH_<pr>.json`` from ``scripts/bench_pairs.py``.
+per-job minima, then the head's change on both and in how many jobs the
+head's minimum is the lower, then one JSON line with every job's minimum
+per side.  Both sides share one process, so the spread is much narrower
+than between ``bench/run.py`` processes; the script measures and records
+nothing, and a claimed gain still needs a ``BENCH_<pr>.json`` from
+``scripts/bench_pairs.py``.
 BLAS runs on one thread.
 """
 
@@ -103,9 +105,12 @@ def main(argv: list[str] | None = None) -> int:
               f"{s['quartiles'][0] * 1e3:.2f}-{s['quartiles'][1] * 1e3:.2f} ms, "
               f"sum of per-job minima {s['sum_of_job_minima'] * 1e3:.2f} ms")
     base, head = stats["base"], stats["head"]
+    minima = {side: {job: min(s) for job, s in t["jobs"].items()} for side, t in times.items()}
+    lower = sum(minima["head"][job] < m for job, m in minima["base"].items())
     print(f"head against base: pass median {head['median'] / base['median'] - 1.0:+.1%}, "
-          f"sum of per-job minima {head['sum_of_job_minima'] / base['sum_of_job_minima'] - 1.0:+.1%}")
-    print(json.dumps({side: {job: min(s) for job, s in t["jobs"].items()} for side, t in times.items()}))
+          f"sum of per-job minima {head['sum_of_job_minima'] / base['sum_of_job_minima'] - 1.0:+.1%}, "
+          f"head minimum lower in {lower} of {len(minima['base'])} jobs")
+    print(json.dumps(minima))
     return 0
 
 

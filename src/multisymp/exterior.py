@@ -152,9 +152,12 @@ def _rejection_rows(draw, count: int, width: int, why: str) -> np.ndarray:
     ``draw(k)`` makes k draws from its stream and returns the accepted ones
     in order; each rejected draw is replaced by the next draws of the stream,
     so the rows and the generator state after are those of a draw-by-draw
-    loop.  Raises RuntimeError, with ``why`` appended, once the rejected
-    draws exceed a hundred per row plus a thousand.
+    loop.  Raises ValueError for a negative count, and RuntimeError, with
+    ``why`` appended, once the rejected draws exceed a hundred per row plus a
+    thousand.
     """
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     accepted, need, rejected = [], count, 0
     while need > 0:
         accepted.append(draw(need))

@@ -49,9 +49,10 @@ def hamiltonian(L: HomogeneousLagrangian, x: np.ndarray, p: np.ndarray, y: np.nd
 def inverse_legendre(L: HomogeneousLagrangian, x: np.ndarray, p: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Solve dL/dy(x, y) = p for each dual row of p (N, C(n,p)); the solutions as fiber rows on {L = 1}.
 
-    The certificate's radial solve on every row: it solves L(y*) dL/dy(y*) = p
-    and normalizes y = y* / L(y*).  A target is a dual row, so the chart of L
-    does not apply to it; only the solve's seeding does.  Raises
+    The certificate's radial solve, blocks and confirmation included: it
+    solves L(y*) dL/dy(y*) = p and normalizes y = y* / L(y*).  A target is a
+    dual row, so the chart of L does not apply to it; only the solve's
+    seeding does.  Raises ValueError naming the first non-finite row,
     ZeroSectionError on a zero row, and NotInImageError naming the first row
     whose solve fails or whose |dL/dy(y) - p| exceeds tol, which is the
     no-solution signal for targets off the image.
@@ -60,14 +61,16 @@ def inverse_legendre(L: HomogeneousLagrangian, x: np.ndarray, p: np.ndarray, tol
     if targets.ndim != 2 or targets.shape[1] != L.fiber_dim:
         raise ValueError(f"{L.name} takes dual rows (N, {L.fiber_dim}), got {targets.shape}")
     targets, x = targets.astype(float, copy=False), np.asarray(x, dtype=float)
+    bad = ~np.isfinite(targets).all(axis=-1)
+    if np.any(bad):
+        raise ValueError(f"target row {int(np.argmax(bad))} is not finite")
     zero = np.all(targets == 0.0, axis=-1)
     if np.any(zero):
         raise ZeroSectionError(f"target row {int(np.argmax(zero))} is zero")
-    radius, solution = _radial_solve(L, x, targets)
-    failed = ~(radius > 0.0)  # NaN where the solve failed
+    radius, rows = _radial_solve(L, x, targets)
+    failed = np.isnan(radius)
     if np.any(failed):
         raise NotInImageError(f"no preimage for row {int(np.argmax(failed))}: the radial solve failed")
-    rows = solution / radius[:, None]
     residual = np.linalg.norm(L.gradient_many(x, rows) - targets, axis=-1)
     missed = ~(residual <= tol)
     if np.any(missed):
@@ -142,11 +145,11 @@ class ConvexityCertificate:
 
     ``worst_violation`` is the largest radial excess of a segment point over
     the image surface along its own ray, in units of the surface radius.
-    ``num_failures`` counts the segment points whose radial solve failed or
-    whose preimage missed the 1e-6 check; each counts as a violation of 1.0.
-    A radial solve fails, among other causes, when it stalls: STALL_WINDOW
-    Newton iterations pass without its |F|^2 falling to half of its value at
-    the last halving.  The 100-iteration cap stays as a backstop.
+    ``num_failures`` counts the segment points whose radial solve failed, a
+    preimage that misses the 1e-6 check included; each counts as a violation
+    of 1.0.  A radial solve fails, among other causes, when it stalls:
+    STALL_WINDOW Newton iterations pass without its |F|^2 falling to half of
+    its value at the last halving.  The 100-iteration cap stays as a backstop.
     """
 
     passed: bool
@@ -233,17 +236,29 @@ def _line_search(L: HomogeneousLagrangian, xs: np.ndarray, targets: np.ndarray, 
 
 
 def _radial_solve(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
-    """Solve grad(L^2/2)(y) = target for every row by damped Newton; return (L(y*), y*).
+    """_radial_block on each block of RADIAL_BLOCK // C(n,p) rows; a block's Newton arrays go with its call."""
+    radius = np.full(len(targets), np.nan)
+    solution = np.full(targets.shape, np.nan)
+    rows = max(1, RADIAL_BLOCK // L.fiber_dim)
+    for start in range(0, len(targets), rows):
+        block = slice(start, start + rows)
+        radius[block], solution[block] = _radial_block(L, x, targets[block])
+    return radius, solution
+
+
+def _radial_block(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
+    """Solve grad(L^2/2)(y) = target for every row by damped Newton; return (L(y*), y* / L(y*)).
 
     L(y*) is the radial coordinate of the target relative to the image
     surface: below 1 means inside the image of the unit ball.  Both are NaN
     in a row whose solve failed: it could not be seeded from the target
     direction (a target off the chart of L cannot), its Jacobian was
-    singular, its line search stalled, it stalled, or it did not converge
-    within 100 iterations.  A row stalls when STALL_WINDOW consecutive
-    iterations pass without its |F|^2 falling to half of its mark, the value
-    at its last halving (the first value to begin with); rows that converge
-    are harvested before stalled rows are dropped.
+    singular, its line search stalled, it stalled, it did not converge
+    within 100 iterations, or y* / L(y*) missed the confirmation, a gradient
+    within 1e-6 of target / L(y*).  A row stalls when STALL_WINDOW
+    consecutive iterations pass without its |F|^2 falling to half of its
+    mark, the value at its last halving (the first value to begin with);
+    rows that converge are harvested before stalled rows are dropped.
     """
     radius = np.full(len(targets), np.nan)
     solution = np.full(targets.shape, np.nan)
@@ -279,24 +294,13 @@ def _radial_solve(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
             rows, c, delta, f = rows[solved], c[solved], delta[solved], f[solved]
         moved, c, level, g = _line_search(L, xs, targets[rows], c, delta, f)
         rows = rows[moved]
-    return radius, solution
-
-
-def _confirmed(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray, radius: np.ndarray,
-               solution: np.ndarray) -> np.ndarray:
-    """Whether each target, rescaled onto the image surface by its radius, has a preimage within 1e-6.
-
-    One batched step normalizes every solution onto {L = 1} and measures its
-    gradient residual against the rescaled target, the check inverse_legendre
-    makes on each target; a row above 1e-6 counts as a failed solve.  The
-    radius is the level L(y*) that _radial_solve evaluated at the solution.
-    """
-    surface = targets / radius[:, None]
+    # the confirmation takes the level at each solution as its radius, so it evaluates no further value
     ok = radius > 1e-12 * np.maximum(1.0, np.linalg.norm(solution, axis=-1))
-    residual = L.gradient_many(x, solution[ok] / radius[ok, None]) - surface[ok]
-    confirmed = np.zeros(len(targets), dtype=bool)
-    confirmed[ok] = np.sqrt(np.sum(residual * residual, axis=-1)) <= 1e-6
-    return confirmed
+    solution[ok] /= radius[ok, None]
+    residual = L.gradient_many(x, solution[ok]) - targets[ok] / radius[ok, None]
+    ok[ok] = np.sqrt(np.sum(residual * residual, axis=-1)) <= 1e-6
+    radius[~ok], solution[~ok] = np.nan, np.nan
+    return radius, solution
 
 
 def convexity_certificate(
@@ -309,14 +313,12 @@ def convexity_certificate(
 ) -> ConvexityCertificate:
     """Sample image-point pairs and check their segments against the image body.
 
-    For each pair and each t on a uniform grid, the radial solve rescales the
-    segment point onto the image surface along its ray, ``_confirmed``
-    checks the preimage of the rescaled point, and the radial excess is
+    For each pair and each t on a uniform grid, one radial solve of every
+    segment point rescales it onto the image surface along its ray and
+    confirms the preimage of the rescaled point, and the radial excess is
     recorded; a nondegenerate Lagrangian keeps every excess at numerical
-    zero or below.  All segment points are solved together, in blocks of
-    RADIAL_BLOCK // C(n,p) rows, so that a block holds RADIAL_BLOCK entries
-    at most at every fiber dimension.  Raises ValueError for fewer than one
-    pair or three steps, which would check no point inside a segment.
+    zero or below.  Raises ValueError for fewer than one pair or three
+    steps, which would check no point inside a segment.
     """
     if num_pairs < 1:
         raise ValueError(f"num_pairs must be at least 1, got {num_pairs}")
@@ -327,21 +329,12 @@ def convexity_certificate(
     ts = np.linspace(0.0, 1.0, t_steps)[None, :, None]
     targets = (ts * grads[0::2, None, :] + (1.0 - ts) * grads[1::2, None, :]).reshape(-1, L.fiber_dim)
     targets = targets[np.linalg.norm(targets, axis=-1) >= 1e-12]  # the origin is interior
-    worst = -np.inf
-    failures = 0
-    rows = max(1, RADIAL_BLOCK // L.fiber_dim)
-    for start in range(0, len(targets), rows):
-        block = targets[start:start + rows]
-        radius, solution = _radial_solve(L, x, block)
-        solved = np.flatnonzero(np.isfinite(radius))
-        confirmed = solved[_confirmed(L, x, block[solved], radius[solved], solution[solved])]
-        failures += len(block) - confirmed.size
-        if confirmed.size:
-            worst = max(worst, float(np.max(radius[confirmed])) - 1.0)
+    radius = _radial_solve(L, x, targets)[0]
+    confirmed = radius[~np.isnan(radius)]
+    failures = len(radius) - confirmed.size
+    worst = float(np.max(confirmed)) - 1.0 if confirmed.size else 0.0
     if failures:
         worst = max(worst, 1.0)
-    if not np.isfinite(worst):
-        worst = 0.0
     return ConvexityCertificate(
         passed=bool(worst <= tol),
         num_segment_checks=num_pairs * t_steps,

@@ -372,6 +372,10 @@ class TestRandomDecomposable:
         with pytest.raises(RuntimeError, match="rejected 1101 draws for 1 rows"):
             decomposable_rows(np.random.default_rng(0), 3, 2, 1, 0, 1.5)
 
+    def test_negative_count_raises_naming_it(self):
+        with pytest.raises(ValueError, match="count must be at least 0, got -2"):
+            decomposable_rows(np.random.default_rng(0), 3, 2, -2)
+
 
 def short_axis_rows(rng, shape):
     """Entries of magnitude 1e-8 .. 1e8 and either sign, about a third of them +-0.0, +-inf or NaN;

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +33,8 @@ from multisymp import (
     write_image_csv,
 )
 from multisymp.cli import build_lagrangian, main
-from multisymp.legendre import STALL_WINDOW, _level_gradient, _level_rows, _radial_solve, _solve_stack, image_coordinates
+from multisymp.legendre import (STALL_WINDOW, _level_gradient, _level_rows, _radial_block, _solve_stack,
+                                image_coordinates)
 
 from helpers import conformal_area, cyclic_row
 from oracles import lagrangian_oracle
@@ -354,6 +356,14 @@ class TestInverseLegendre:
         with pytest.raises(ZeroSectionError, match="target row 1 is zero"):
             inverse_legendre(area3, x3, np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_is_bad_input(self, x3, area3, bad):
+        # not a failed solve: the row is named before any solve runs
+        targets = np.array([[0.6, 0.8, 0.0], [0.0, 1.0, 0.0], [bad, 1.0, 0.0], [bad, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="target row 2 is not finite") as raised:
+            inverse_legendre(area3, x3, targets)
+        assert not isinstance(raised.value, NotInImageError)
+
     def test_shapes_are_checked(self, x3, area3):
         for p, shape in ((object(), "()"), (0.6, "()"),
                          (np.array([0.6, 0.8, 0.0]), r"\(3,\)"), (np.ones((1, 6)), r"\(1, 6\)")):
@@ -383,6 +393,43 @@ class TestInverseLegendre:
         # the geometric mean is 0 on a coordinate hyperplane, so the solve cannot be seeded there
         with pytest.raises(NotInImageError, match="row 0: the radial solve failed"):
             inverse_legendre(geometric_mean_lagrangian(), x3, np.array([[0.0, 1.0, 1.0]]))
+
+    @pytest.mark.parametrize("name, n, p", [("area", 3, 2), ("ellipsoid", 4, 2), ("area", 5, 3), ("ellipsoid", 5, 3)])
+    def test_blocks_match_one_solve(self, name, n, p, monkeypatch):
+        # 60 targets in blocks of 7 rows of C(n,p) entries: the split must not change a bit
+        import multisymp.legendre as legendre
+
+        L, x = lagrangian_at(name, n, p), np.random.default_rng(n * p).standard_normal(n)
+        targets = image_coordinates(L, x, 60, seed=5)[1]
+        whole = inverse_legendre(L, x, targets)
+        sizes = []
+
+        def counting(L, x, targets):
+            sizes.append(len(targets))
+            return _radial_block(L, x, targets)
+
+        monkeypatch.setattr(legendre, "_radial_block", counting)
+        monkeypatch.setattr(legendre, "RADIAL_BLOCK", 7 * L.fiber_dim)
+        assert inverse_legendre(L, x, targets).tobytes() == whole.tobytes()
+        assert sizes == [7] * 8 + [4]
+
+    def test_working_set_is_bounded_per_block(self):
+        # numpy registers its buffers with tracemalloc, so the peak counts bytes whatever the machine.  Solved in
+        # blocks, 20,000 targets hold about 270 bytes a row at once, the full-length output and its check; one
+        # Newton solve of every row at once held about 3,800
+        count = 20_000
+        L = lagrangian_at("ellipsoid", 5, 3)
+        x = np.zeros(5)
+        targets = image_coordinates(L, x, count, seed=1)[1]
+        inverse_legendre(L, x, targets[:10])  # first calls fill the caches of the index layouts
+        tracemalloc.start()
+        try:
+            rows = inverse_legendre(L, x, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == targets.shape
+        assert peak < 1024 * count
 
 
 class TestLevelSetSampler:
@@ -419,6 +466,10 @@ class TestLevelSetSampler:
             _level_rows(L, np.zeros(3), count, np.random.default_rng(0))
         with pytest.raises(RuntimeError, match="rejected"):
             convexity_certificate(L, np.zeros(3), num_pairs=count, t_steps=3)
+
+    def test_negative_count_raises_naming_it(self, x3, area3):
+        with pytest.raises(ValueError, match="count must be at least 0, got -3"):
+            image_coordinates(area3, x3, -3)
 
 
 class TestSampleImage:
@@ -596,9 +647,9 @@ class TestConvexityCertificate:
 
         def counting(L, x, targets):
             sizes.append(len(targets))
-            return _radial_solve(L, x, targets)
+            return _radial_block(L, x, targets)
 
-        monkeypatch.setattr(legendre, "_radial_solve", counting)
+        monkeypatch.setattr(legendre, "_radial_block", counting)
         cert = convexity_certificate(area_lagrangian(n, p), np.zeros(n), num_pairs=num_pairs, t_steps=5, seed=2)
         assert len(sizes) == blocks
         assert sum(sizes) == cert.num_segment_checks == 5 * num_pairs

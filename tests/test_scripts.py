@@ -211,6 +211,9 @@ def test_pass_ab_alternates_two_packages_in_one_interpreter(monkeypatch, capsys)
     jobs = module.load("jobs", BENCH)
     names = [job.name for job in jobs.actions_jobs(0)]
     assert all(list(minima[side]) == names and min(minima[side].values()) > 0 for side in ("base", "head"))
+    # the head-against-base line counts the jobs whose minimum the head lowered, out of all of them
+    lower = sum(minima["head"][name] < minima["base"][name] for name in names)
+    assert lines[2].endswith(f", head minimum lower in {lower} of {len(names)} jobs")
     # each side ran its own copy of the package, and the working tree's is this checkout's
     assert sys.modules["multisymp_base"] is not sys.modules["multisymp_head"]
     assert Path(sys.modules["multisymp_head"].__file__).parent == SCRIPTS.parent / "src" / "multisymp"
