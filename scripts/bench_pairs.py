@@ -1,21 +1,38 @@
 #!/usr/bin/env python3
-"""Before/after benchmark record: alternating pairs of bench/run.py on a base revision and the working tree.
+"""Before/after benchmark record: a base revision against the working tree, in interleaved passes and process pairs.
 
 Usage, from the repository root:
 
     python scripts/bench_pairs.py --base REV --pr N certificates:8 actions:3 [--seconds 15] [--seed 1]
 
-Each WORKLOAD:PAIRS argument runs that many pairs of
+Writes BENCH_<N>.json at the repository root, with two parts for each
+WORKLOAD:PAIRS argument.  Exits 1 when a process run fails or reports
+``correct: false``.  BLAS runs on one thread.
+
+``pairs``, run first for every workload: PAIRS pairs of
 ``bench/run.py --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0``,
-one on a copy of the committed files of REV (``git archive``, in a temporary
-directory) and one on the working tree.  The side that runs first alternates
-from pair to pair, so a drift of the machine falls on both sides alike.
-Writes BENCH_<N>.json at the repository root: each pair's end-to-end
-metrics, and per metric the medians and quartiles of both sides, the median
+one in the committed files of REV (``git archive``, in a temporary
+directory) and one in the working tree, the side that runs first
+alternating from pair to pair.  Start-up time and resident memory need a
+process of their own, so ``setup_s``, ``peak_rss_mb``, ``ok_frac`` and the
+benchmark's own ``wall_s`` come from these runs: each pair's end-to-end
+metrics, and per metric both sides' medians and quartiles, the median
 change, in how many pairs the working tree was better, and whether the
-medians lie further apart than the base's interquartile range
-(``beyond_base_spread``).  Exits 1 when a
-run fails or reports ``correct: false``.
+medians lie further apart than the base's interquartile range.
+
+``passes``: the package of REV and this checkout's src/ are imported as
+``multisymp_base`` and ``multisymp_head`` in this interpreter; the package
+imports itself only relatively, so the two copies do not mix.  Whole passes
+over the workload's jobs at seed SEED (the configs of ``bench/jobs.py``,
+each a ``cli.main`` call as in ``bench/run.py``) run in the order base,
+head, head, base, ..., so a drift of the machine falls on both sides alike,
+for 2 x PAIRS x SECONDS seconds (as long as the pairs take) and until each
+side has run first once after its untimed first pass.  Per side the entry
+holds the pass median and quartiles, the sum of the per-job minima and every
+job's minimum; then the head's change on both and the median over pass pairs
+of head / base, and in how many jobs the head's minimum is the lower.  That
+median pass ratio is the claim statistic (CLAIM): in A/A records it read
+-0.3% to +0.4%, the pass median and the sum of minima up to +3.1% and +2.8%.
 """
 
 import argparse
@@ -26,19 +43,18 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
+from importlib.metadata import version
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from report_trees import ROOT, SRC, import_package, load, package_src, run_job
+
+SIDES = ("base", "head")
+CLAIM = "median_pass_ratio"
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
-
-
-def export(rev: str, dest: Path) -> None:
-    """The committed files of rev, unpacked into dest."""
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -53,11 +69,43 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
+def interleaved_passes(mains: dict, job_list, reports: Path, seconds: float) -> dict[str, list[list[float]]]:
+    """Per side, each timed pass's seconds per job.  Passes run in the order base, head, head, base, ... until
+    seconds have passed and at least three per side have run; the first of each side is untimed."""
+    times = {side: [] for side in SIDES}
+    deadline = time.perf_counter() + seconds
+    while len(times["base"]) < 3 or time.perf_counter() < deadline:
+        for side in SIDES if len(times["base"]) % 2 == 0 else SIDES[::-1]:
+            times[side].append([])
+            for job, config in job_list:
+                start = time.perf_counter()
+                run_job(mains[side], job.command, config, reports / f"{job.name}.report.json")
+                times[side][-1].append(time.perf_counter() - start)
+    return {side: passes[1:] for side, passes in times.items()}
+
+
 def quartiles(values: list[float]) -> list[float]:
     if len(values) < 2:
         return [values[0], values[0]]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [q1, q3]
+
+
+def pass_summary(times: dict[str, list[list[float]]], names: list[str]) -> dict:
+    """Per side: the pass median and quartiles, the sum of the per-job minima and each job's minimum; then the
+    head's change on both and on the median pass ratio, and in how many jobs the head's minimum is the lower.
+    Pass k of each side ran next to the other's, so their ratio is free of the machine's slower drift."""
+    walls = {side: [sum(seconds) for seconds in times[side]] for side in SIDES}
+    out = {"passes": len(times["base"])}
+    for side in SIDES:
+        minima = [min(job) for job in zip(*times[side])]
+        out[side] = {"pass_median": statistics.median(walls[side]), "pass_quartiles": quartiles(walls[side]),
+                     "sum_of_job_minima": sum(minima), "job_minima": dict(zip(names, minima))}
+    base, head = out["base"], out["head"]
+    out["change"] = {stat: head[stat] / base[stat] - 1.0 for stat in ("pass_median", "sum_of_job_minima")}
+    out["change"]["median_pass_ratio"] = statistics.median(h / b for h, b in zip(walls["head"], walls["base"])) - 1.0
+    out["head_lower_jobs"] = sum(head["job_minima"][name] < base["job_minima"][name] for name in names)
+    return out
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -82,6 +130,57 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def record(runs: list[tuple[str, int]], base: str, seed: int, seconds: float) -> tuple[dict, bool]:
+    """The record of each workload's passes and pairs, and whether every process run was correct."""
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    base_sha = git("rev-parse", base)
+    out = {
+        "base": base_sha,
+        "head": {"commit": git("rev-parse", "HEAD"),
+                 "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "python": platform.python_version(),
+        "numpy": version("numpy"),
+        "platform": platform.platform(),
+        "cpu_count": len(os.sched_getaffinity(0)),
+        "command": f"bench/run.py --workload W --seed {seed} --seconds {seconds:g} --trace 0",
+        "claim": CLAIM,
+        "workloads": {},
+    }
+    ok = True
+    with package_src(base_sha) as base_src:
+        # process runs first: Linux counts a launcher's peak RSS into its child's, and the passes raise ours
+        for workload, count in runs:
+            pairs = []
+            for k in range(count):
+                order = SIDES if k % 2 == 0 else SIDES[::-1]
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_bench(base_src.parent if side == "base" else ROOT, workload, seed, seconds)
+                    ok = ok and pair[side]["correct"]
+                pairs.append(pair)
+                print(f"{workload} pair {k + 1}/{count}: wall_s base {pair['base']['metrics']['wall_s']:.4f} "
+                      f"head {pair['head']['metrics']['wall_s']:.4f}", flush=True)
+            summary = summarize(pairs, better)
+            for name, m in summary.items():
+                spread = "beyond" if m["beyond_base_spread"] else "within"
+                print(f"{workload} {name}: base {m['base_median']:.6g} head {m['head_median']:.6g} "
+                      f"({'n/a' if m['median_change'] is None else format(m['median_change'], '+.1%')}, head better "
+                      f"in {m['head_better_pairs']}/{count}, {spread} the base's interquartile range)", flush=True)
+            out["workloads"][workload] = {"pairs": pairs, "summary": summary}
+        mains = {"base": import_package("multisymp_base", base_src).cli.main,
+                 "head": import_package("multisymp_head", SRC).cli.main}
+        jobs = load("jobs", ROOT / "bench")
+        for workload, count in runs:
+            with tempfile.TemporaryDirectory(prefix="bench-passes-") as work:
+                job_list = jobs.write_configs(workload, seed, Path(work) / "configs")
+                times = interleaved_passes(mains, job_list, Path(work), 2 * count * seconds)
+            passes = out["workloads"][workload]["passes"] = pass_summary(times, [job.name for job, _ in job_list])
+            changes = ", ".join(f"{stat} {change:+.1%}" for stat, change in passes["change"].items())
+            print(f"{workload} passes: {passes['passes']} per side, {changes}, head minimum lower in "
+                  f"{passes['head_lower_jobs']} of {len(job_list)} jobs", flush=True)
+    return out, ok
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("runs", nargs="+", metavar="WORKLOAD:PAIRS")
@@ -96,44 +195,9 @@ def main(argv: list[str] | None = None) -> int:
         if not pairs.isdigit() or int(pairs) < 1:
             parser.error(f"expected WORKLOAD:PAIRS with PAIRS >= 1, got {spec!r}")
         runs.append((workload, int(pairs)))
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    base_sha = git("rev-parse", args.base)
-    record = {
-        "base": base_sha,
-        "head": {"commit": git("rev-parse", "HEAD"),
-                 "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
-        "python": platform.python_version(),
-        "numpy": subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                                check=True, capture_output=True, text=True).stdout.strip(),
-        "platform": platform.platform(),
-        "cpu_count": len(os.sched_getaffinity(0)),
-        "command": f"bench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0",
-        "workloads": {},
-    }
-    ok = True
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_tree = Path(tmp)
-        export(base_sha, base_tree)
-        for workload, count in runs:
-            pairs = []
-            for k in range(count):
-                order = ("base", "head") if k % 2 == 0 else ("head", "base")
-                pair = {"first": order[0]}
-                for side in order:
-                    pair[side] = run_bench(base_tree if side == "base" else ROOT, workload, args.seed, args.seconds)
-                    ok = ok and pair[side]["correct"]
-                pairs.append(pair)
-                print(f"{workload} pair {k + 1}/{count}: wall_s base {pair['base']['metrics']['wall_s']:.4f} "
-                      f"head {pair['head']['metrics']['wall_s']:.4f}", flush=True)
-            record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+    result, ok = record(runs, args.base, args.seed, args.seconds)
     out = ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n")
-    for workload, entry in record["workloads"].items():
-        for name, s in entry["summary"].items():
-            change = "n/a" if s["median_change"] is None else f"{s['median_change']:+.1%}"
-            print(f"{workload:13s} {name:12s} base {s['base_median']:.6g} head {s['head_median']:.6g} "
-                  f"({change}, head better in {s['head_better_pairs']}/{len(entry['pairs'])}, "
-                  f"{'beyond' if s['beyond_base_spread'] else 'within'} the base's interquartile range)")
+    out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
     return 0 if ok else 1
 

@@ -6,7 +6,8 @@ Usage:
 
 Three studies: a plane graph (constant integrand, machine-level errors), the
 bilinear saddle x1*x2 (second-order decay against a frozen high-resolution
-reference), and a plane graph in R^4 whose area is a Gram determinant.
+reference), and a plane graph in R^4 whose area is a Gram determinant.  The
+package comes from this checkout's src/, installed or not.
 """
 
 import argparse
@@ -15,15 +16,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from multisymp import GraphSurface, area_lagrangian, convergence_rows, paired_actions
+from report_trees import SRC, import_package
 
 BILINEAR_AREA_REFERENCE = 1.2807892621906034  # midpoint rule at 2048^2
 
 
-def study(L, surface, resolutions, reference):
-    """Convergence rows of the Lagrangian action of the surface at each resolution."""
-    values = {res: paired_actions(L, replace(surface, resolution=res).to_grid())[0] for res in resolutions}
-    return convergence_rows(values, surface.domain, reference)
+def study(multisymp, L, surface, resolutions, reference):
+    """Convergence rows of the Lagrangian action of the surface at each resolution, by the package multisymp."""
+    values = {res: multisymp.paired_actions(L, replace(surface, resolution=res).to_grid())[0] for res in resolutions}
+    return multisymp.convergence_rows(values, surface.domain, reference)
 
 
 def show(title, rows):
@@ -39,20 +40,21 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--resolutions", type=int, nargs="+", default=[16, 32, 64, 128])
     args = parser.parse_args(argv)
+    multisymp = import_package("multisymp_convergence", SRC)
 
-    plane = GraphSurface(f=lambda s: np.stack([2.0 * s[..., 0] + 3.0 * s[..., 1]], axis=-1),
-                         domain=[(0, 1), (0, 1)], resolution=16, p=2, n=3)
-    rows = study(area_lagrangian(3, 2), plane, args.resolutions, math.sqrt(14.0))
+    plane = multisymp.GraphSurface(f=lambda s: np.stack([2.0 * s[..., 0] + 3.0 * s[..., 1]], axis=-1),
+                                   domain=[(0, 1), (0, 1)], resolution=16, p=2, n=3)
+    rows = study(multisymp, multisymp.area_lagrangian(3, 2), plane, args.resolutions, math.sqrt(14.0))
     show("plane graph, slope (2, 3): area sqrt(14)", rows)
 
-    saddle = GraphSurface(f=lambda s: np.stack([s[..., 0] * s[..., 1]], axis=-1),
-                          domain=[(0, 1), (0, 1)], resolution=16, p=2, n=3)
-    rows = study(area_lagrangian(3, 2), saddle, args.resolutions, BILINEAR_AREA_REFERENCE)
+    saddle = multisymp.GraphSurface(f=lambda s: np.stack([s[..., 0] * s[..., 1]], axis=-1),
+                                    domain=[(0, 1), (0, 1)], resolution=16, p=2, n=3)
+    rows = study(multisymp, multisymp.area_lagrangian(3, 2), saddle, args.resolutions, BILINEAR_AREA_REFERENCE)
     show("bilinear saddle x1*x2: area vs midpoint-2048 reference", rows)
 
-    plane4 = GraphSurface(f=lambda s: np.stack([2 * s[..., 0] + s[..., 1], s[..., 0] - s[..., 1]], axis=-1),
-                          domain=[(0, 1), (0, 1)], resolution=16, p=2, n=4)
-    rows = study(area_lagrangian(4, 2), plane4, args.resolutions, math.sqrt(17.0))
+    plane4 = multisymp.GraphSurface(f=lambda s: np.stack([2 * s[..., 0] + s[..., 1], s[..., 0] - s[..., 1]], axis=-1),
+                                    domain=[(0, 1), (0, 1)], resolution=16, p=2, n=4)
+    rows = study(multisymp, multisymp.area_lagrangian(4, 2), plane4, args.resolutions, math.sqrt(17.0))
     show("plane graph in R^4: area sqrt(17) (Gram determinant)", rows)
 
 

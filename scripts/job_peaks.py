@@ -20,32 +20,28 @@ temporary directory.  BLAS runs on one thread.  A parent against a change:
 """
 
 import argparse
-import contextlib
-import io
 import json
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
-from report_trees import ROOT, import_cli, load, package_src
+from report_trees import ROOT, SRC, import_package, load, package_src, run_job
 
 
-def job_peaks(workload: str, variant: int, src: Path = ROOT / "src") -> list[dict]:
+def job_peaks(workload: str, variant: int, src: Path = SRC) -> list[dict]:
     """Per job of the workload at the variant, in order: its name, exit code and tracemalloc peak in MiB."""
-    main = import_cli(src).main
+    main = import_package("multisymp_peaks", src).cli.main
     jobs = load("jobs", ROOT / "bench")
     rows = []
     with tempfile.TemporaryDirectory(prefix="job-peaks-") as work:
         for job, config in jobs.write_configs(workload, variant, Path(work)):
-            out = Path(work) / f"{job.name}.report.json"
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                tracemalloc.start()
-                try:
-                    code = main([job.command, "--config", str(config), "--out", str(out)])
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+            tracemalloc.start()
+            try:
+                code, _ = run_job(main, job.command, config, Path(work) / f"{job.name}.report.json")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             rows.append({"job": job.name, "exit": code, "peak_mib": round(peak / 2**20, 3)})
     return rows
 

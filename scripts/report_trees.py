@@ -27,12 +27,14 @@ import contextlib
 import importlib.util
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent
 ROOT = SCRIPTS.parent
+SRC = ROOT / "src"
 
 
 def load(name: str, directory: Path):
@@ -43,14 +45,28 @@ def load(name: str, directory: Path):
     return module
 
 
-def import_cli(src: Path):
-    """multisymp.cli from the package under src; exits if multisymp was imported from elsewhere."""
-    sys.path.insert(0, str(src))
-    import multisymp.cli
-    where = Path(multisymp.cli.__file__).resolve().parent
-    if where != (src / "multisymp").resolve():
-        sys.exit(f"report_trees: multisymp is already imported from {where}, not from {src}")
-    return multisymp.cli
+def import_package(name: str, src: Path):
+    """The package under src with its cli module, imported afresh as the package ``name``.
+
+    The package imports itself only relatively, so copies imported under
+    different names do not mix, and none of them is the installed
+    ``multisymp``.  An earlier import under the same name is dropped first.
+    """
+    for key in [key for key in sys.modules if key == name or key.startswith(f"{name}.")]:
+        del sys.modules[key]
+    package = src / "multisymp"
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.cli")
+    return module
+
+
+def export(rev: str, dest: Path) -> None:
+    """The committed files of rev, unpacked into dest."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 @contextlib.contextmanager
@@ -61,36 +77,36 @@ def package_src(rev: str | None):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     if rev is None:
-        yield ROOT / "src"
+        yield SRC
         return
     with tempfile.TemporaryDirectory(prefix="multisymp-rev-") as tree:
-        load("bench_pairs", SCRIPTS).export(rev, Path(tree))
+        export(rev, Path(tree))
         yield Path(tree) / "src"
 
 
-def run(main, command: str, config: Path, target: Path, name: str) -> None:
-    """One CLI run with its report at target/name.report.json and its exit code and stderr at target/name.exit."""
+def run_job(main, command: str, config: Path, report: Path) -> tuple[int, str]:
+    """One CLI job writing its report to report, with stdout and stderr redirected; its exit code and stderr."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(config), "--out", str(target / f"{name}.report.json")])
-    (target / f"{name}.exit").write_text(f"{code}\n{err.getvalue()}")
+        code = main([command, "--config", str(config), "--out", str(report)])
+    return code, err.getvalue()
 
 
-def write_tree(out: Path, src: Path = ROOT / "src") -> None:
-    """Every output of every benchmark job and bundled config, by the package under src, into out."""
-    cli = import_cli(src)
+def write_tree(out: Path, src: Path = SRC) -> None:
+    """Every output of every benchmark job and bundled config, by the package under src, into out: each run's
+    report at <target>/<name>.report.json and its exit code and stderr at <target>/<name>.exit."""
+    main = import_package("multisymp_tree", src).cli.main
     jobs = load("jobs", ROOT / "bench")
     with tempfile.TemporaryDirectory(prefix="report-trees-") as configs:
-        for workload in jobs.WORKLOADS:
-            for variant in range(jobs.VARIANTS):
-                target = out / workload / str(variant)
-                target.mkdir(parents=True)
-                for job, config in jobs.write_configs(workload, variant, Path(configs) / workload / str(variant)):
-                    run(cli.main, job.command, config, target, job.name)
-    target = out / "bundled"
-    target.mkdir(parents=True)
-    for command, config, _ in load("run_all", SCRIPTS).RUNS:
-        run(cli.main, command, ROOT / "configs" / config, target, config.removesuffix(".json"))
+        runs = [(out / workload / str(variant), job.command, config, job.name)
+                for workload in jobs.WORKLOADS for variant in range(jobs.VARIANTS)
+                for job, config in jobs.write_configs(workload, variant, Path(configs) / workload / str(variant))]
+        runs += [(out / "bundled", command, ROOT / "configs" / config, config.removesuffix(".json"))
+                 for command, config, _ in load("run_all", SCRIPTS).RUNS]
+        for target, command, config, name in runs:
+            target.mkdir(parents=True, exist_ok=True)
+            code, err = run_job(main, command, config, target / f"{name}.report.json")
+            (target / f"{name}.exit").write_text(f"{code}\n{err}")
 
 
 def main(argv: list[str] | None = None) -> int:

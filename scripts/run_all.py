@@ -9,7 +9,7 @@ a one-line summary per run with its wall time, then the total wall time.  A
 report left in the output directory by an earlier run is deleted first, so a
 run that writes none (exit 2, 3 or 4) is summarized by its exit code alone.
 The nonconvex probe config is expected to fail its convexity check; every
-other run is expected to pass.
+other run is expected to pass.  The package comes from this checkout's src/.
 """
 
 import argparse
@@ -18,9 +18,8 @@ import sys
 import time
 from pathlib import Path
 
-from multisymp.cli import main as cli_main
+from report_trees import ROOT, SRC, import_package
 
-ROOT = Path(__file__).resolve().parent.parent
 RUNS = [
     ("verify", "verify_area.json", 0),
     ("verify", "verify_ellipsoid.json", 0),
@@ -35,6 +34,7 @@ RUNS = [
 
 
 def run(out_dir: Path) -> int:
+    cli_main = import_package("multisymp_run_all", SRC).cli.main
     out_dir.mkdir(parents=True, exist_ok=True)
     bad = 0
     total = 0.0

@@ -67,7 +67,8 @@ def inverse_legendre(L: HomogeneousLagrangian, x: np.ndarray, p: np.ndarray, tol
     zero = np.all(targets == 0.0, axis=-1)
     if np.any(zero):
         raise ZeroSectionError(f"target row {int(np.argmax(zero))} is zero")
-    radius, rows = _radial_solve(L, x, targets)
+    blocks = list(_radial_solve(L, x, targets)) or [(np.empty(0), targets)]  # no rows make no block
+    radius, rows = (np.concatenate(part) for part in zip(*blocks))
     failed = np.isnan(radius)
     if np.any(failed):
         raise NotInImageError(f"no preimage for row {int(np.argmax(failed))}: the radial solve failed")
@@ -236,14 +237,14 @@ def _line_search(L: HomogeneousLagrangian, xs: np.ndarray, targets: np.ndarray, 
 
 
 def _radial_solve(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
-    """_radial_block on each block of RADIAL_BLOCK // C(n,p) rows; a block's Newton arrays go with its call."""
-    radius = np.full(len(targets), np.nan)
-    solution = np.full(targets.shape, np.nan)
+    """Yield _radial_block's (radius, solution) for each block of RADIAL_BLOCK // C(n,p) rows, in order.
+
+    A block's Newton arrays go with its call, and a caller keeps only the
+    parts it reads.
+    """
     rows = max(1, RADIAL_BLOCK // L.fiber_dim)
     for start in range(0, len(targets), rows):
-        block = slice(start, start + rows)
-        radius[block], solution[block] = _radial_block(L, x, targets[block])
-    return radius, solution
+        yield _radial_block(L, x, targets[start:start + rows])
 
 
 def _radial_block(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
@@ -329,7 +330,7 @@ def convexity_certificate(
     ts = np.linspace(0.0, 1.0, t_steps)[None, :, None]
     targets = (ts * grads[0::2, None, :] + (1.0 - ts) * grads[1::2, None, :]).reshape(-1, L.fiber_dim)
     targets = targets[np.linalg.norm(targets, axis=-1) >= 1e-12]  # the origin is interior
-    radius = _radial_solve(L, x, targets)[0]
+    radius = np.concatenate([r for r, _ in _radial_solve(L, x, targets)])
     confirmed = radius[~np.isnan(radius)]
     failures = len(radius) - confirmed.size
     worst = float(np.max(confirmed)) - 1.0 if confirmed.size else 0.0

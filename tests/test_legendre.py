@@ -352,6 +352,10 @@ class TestInverseLegendre:
         with pytest.raises(NotInImageError, match="no preimage for row 2"):
             inverse_legendre(area3, x3, targets)
 
+    def test_empty(self, x3, area3):
+        # no block is solved, and the result keeps the fiber width
+        assert inverse_legendre(area3, x3, np.empty((0, 3))).shape == (0, 3)
+
     def test_zero_target(self, x3, area3):
         with pytest.raises(ZeroSectionError, match="target row 1 is zero"):
             inverse_legendre(area3, x3, np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 0.0]]))

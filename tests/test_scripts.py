@@ -12,6 +12,12 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 BENCH = SCRIPTS.parent / "bench"
 
 
+@pytest.fixture(autouse=True)
+def scripts_on_path(monkeypatch):
+    # as when a script runs: it imports report_trees beside it
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+
+
 def load_script(name, directory=SCRIPTS):
     spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -192,8 +198,7 @@ def test_bench_pairs_rejects_a_run_without_pairs(capsys):
     assert "expected WORKLOAD:PAIRS" in capsys.readouterr().err
 
 
-def test_job_peaks_reads_every_job_with_its_expected_exit(monkeypatch):
-    monkeypatch.syspath_prepend(str(SCRIPTS))  # as when the script runs: it imports report_trees beside it
+def test_job_peaks_reads_every_job_with_its_expected_exit():
     module = load_script("job_peaks")
     rows = module.job_peaks("actions", 0)
     jobs = module.load("jobs", BENCH)
@@ -201,19 +206,49 @@ def test_job_peaks_reads_every_job_with_its_expected_exit(monkeypatch):
     assert all(row["peak_mib"] > 0 for row in rows)
 
 
-def test_pass_ab_alternates_two_packages_in_one_interpreter(monkeypatch, capsys):
-    monkeypatch.syspath_prepend(str(SCRIPTS))  # as when the script runs: it imports report_trees beside it
-    module = load_script("pass_ab")
-    assert module.main(["actions", "--rev", "HEAD", "--passes", "2", "--seed", "0"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines[:3]] == ["base", "head", "head against base"]
-    minima = json.loads(lines[-1])
-    jobs = module.load("jobs", BENCH)
-    names = [job.name for job in jobs.actions_jobs(0)]
-    assert all(list(minima[side]) == names and min(minima[side].values()) > 0 for side in ("base", "head"))
-    # the head-against-base line counts the jobs whose minimum the head lowered, out of all of them
-    lower = sum(minima["head"][name] < minima["base"][name] for name in names)
-    assert lines[2].endswith(f", head minimum lower in {lower} of {len(names)} jobs")
-    # each side ran its own copy of the package, and the working tree's is this checkout's
+def test_bench_pairs_pass_summary_from_fixed_times():
+    module = load_script("bench_pairs")
+    # three timed passes per side over two jobs, in seconds per job; pass k of each side ran next to the other's
+    times = {"base": [[0.10, 0.20], [0.12, 0.18], [0.11, 0.25]],  # passes 0.30, 0.30, 0.36
+             "head": [[0.09, 0.22], [0.13, 0.19], [0.10, 0.23]]}  # passes 0.31, 0.32, 0.33
+    summary = module.pass_summary(times, ["a", "b"])
+    base, head = summary["base"], summary["head"]
+    assert summary["passes"] == 3
+    assert base["pass_median"] == pytest.approx(0.30) and head["pass_median"] == pytest.approx(0.32)
+    assert base["pass_quartiles"] == pytest.approx([0.30, 0.33])
+    assert head["pass_quartiles"] == pytest.approx([0.315, 0.325])
+    assert base["job_minima"] == pytest.approx({"a": 0.10, "b": 0.18})
+    assert head["job_minima"] == pytest.approx({"a": 0.09, "b": 0.19})
+    assert base["sum_of_job_minima"] == pytest.approx(0.28) and head["sum_of_job_minima"] == pytest.approx(0.28)
+    # the pass ratios are 0.31/0.30, 0.32/0.30 and 0.33/0.36, so their median is not the ratio of the medians
+    assert summary["change"] == pytest.approx({"pass_median": 0.32 / 0.30 - 1.0, "sum_of_job_minima": 0.0,
+                                               "median_pass_ratio": 0.31 / 0.30 - 1.0})
+    assert summary["head_lower_jobs"] == 1  # job a only
+
+
+def test_bench_pairs_records_both_parts_of_a_workload(monkeypatch):
+    module = load_script("bench_pairs")
+    run_bench, imported = module.run_bench, []
+    monkeypatch.delitem(sys.modules, "multisymp_head", raising=False)
+    monkeypatch.setattr(module, "run_bench", lambda *args: imported.append("multisymp_head" in sys.modules)
+                        or run_bench(*args))
+    result, ok = module.record([("actions", 1)], "HEAD", seed=0, seconds=0.0)
+    assert ok
+    # both process runs came before this interpreter imported a package, whose memory a child's peak RSS would count
+    assert imported == [False, False]
+    entry = result["workloads"]["actions"]
+    names = [job.name for job in module.load("jobs", BENCH).actions_jobs(0)]
+    # the in-process passes: at least two timed passes per side, every job's minimum on both sides
+    assert entry["passes"]["passes"] >= 2
+    for side in ("base", "head"):
+        assert list(entry["passes"][side]["job_minima"]) == names
+        assert min(entry["passes"][side]["job_minima"].values()) > 0
+    assert 0 <= entry["passes"]["head_lower_jobs"] <= len(names)
+    # the process pair: both sides' end-to-end metrics, summarized per metric
+    assert len(entry["pairs"]) == 1 and entry["pairs"][0]["first"] == "base"
+    assert set(entry["summary"]) == {"wall_s", "setup_s", "peak_rss_mb", "ok_frac"}
+    assert entry["pairs"][0]["head"]["metrics"]["ok_frac"] == entry["pairs"][0]["base"]["metrics"]["ok_frac"]
+    # each side ran its own copy of the package, and the head's is this checkout's
     assert sys.modules["multisymp_base"] is not sys.modules["multisymp_head"]
     assert Path(sys.modules["multisymp_head"].__file__).parent == SCRIPTS.parent / "src" / "multisymp"
+    assert Path(sys.modules["multisymp_base"].__file__).parent != SCRIPTS.parent / "src" / "multisymp"
