@@ -28,6 +28,7 @@ RUNS = [
     ("verify", "verify_lift_graph_area.json", 0),
     ("action", "action_plane.json", 0),
     ("action", "action_bilinear.json", 0),
+    ("action", "action_plane_r4.json", 0),
     ("image", "image_area.json", 0),
     ("image", "image_ellipsoid.json", 0),
 ]

@@ -1,5 +1,5 @@
-"""Shared test helpers: (3, 2) fiber rows as cyclic triples, a draw-by-draw fiber sampler, and a Lagrangian and a
-density that read the base point."""
+"""Shared test helpers: the exact bilinear area, (3, 2) fiber rows as cyclic triples, a draw-by-draw fiber sampler,
+and a Lagrangian and a density that read the base point."""
 
 import numpy as np
 
@@ -10,6 +10,10 @@ from multisymp import (
     minimal_surface_density,
     minors,
 )
+
+# the area of the graph of x1*x2 over the unit square, the integral of sqrt(1 + x1^2 + x2^2): mpmath.quad at 30
+# digits, correctly rounded (test_cli recomputes it)
+BILINEAR_AREA_ORACLE = 1.280789275273404
 
 
 def cyclic_row(c12, c23, c31):

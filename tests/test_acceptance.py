@@ -40,6 +40,8 @@ from multisymp.cli import cmd_verify
 from multisymp.legendre import image_coordinates
 from multisymp.surfaces import _cell_frames
 
+from helpers import BILINEAR_AREA_ORACLE
+
 SEED = 20260810
 DIMS = [(3, 2), (4, 2), (4, 3)]
 ELLIPSOID_WEIGHTS = {
@@ -47,7 +49,6 @@ ELLIPSOID_WEIGHTS = {
     (4, 2): [1.0, 4.0, 9.0, 2.0, 5.0, 7.0],
     (4, 3): [1.0, 4.0, 9.0, 2.0],
 }
-BILINEAR_AREA_ORACLE = 1.2807892621906034  # midpoint rule at 2048^2, see test_surfaces
 
 
 def gate(criterion, description, ok, detail=""):

@@ -8,6 +8,7 @@ import os
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,9 +26,11 @@ from multisymp import cli
 from multisymp.cli import LAGRANGIANS, VERIFY_CHECKS, VERIFY_TOLERANCES, build_lagrangian, cmd_verify, main
 from multisymp.legendre import image_coordinates
 
-from helpers import conformal_area, draw_decomposable
+from helpers import BILINEAR_AREA_ORACLE, conformal_area, draw_decomposable
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REFERENCED = [path.name for path in sorted(CONFIGS.glob("action_*.json"))
+              if "reference" in json.loads(path.read_text())]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -39,6 +42,26 @@ def write_config(tmp_path, payload, name="config.json"):
 def load_report(path):
     with open(path) as stream:
         return json.load(stream)
+
+
+def exact_graph_area(surface):
+    """The area of an action config's graph, correctly rounded: mpmath.quad at 30 digits on a bilinear graph,
+    and sqrt(det(I + C C^T)) times the domain's measure on a plane with coefficients C."""
+    domain = [[mpmath.mpf(a), mpmath.mpf(b)] for a, b in surface["domain"]]
+    params = surface.get("params", {})
+    with mpmath.workdps(30):
+        if surface["f"] == "plane":
+            C = mpmath.matrix(np.reshape(params["coefficients"], (len(domain), -1)).tolist())
+            density = mpmath.sqrt(mpmath.det(mpmath.eye(len(domain)) + C * C.T))
+            return float(density * mpmath.fprod(b - a for a, b in domain))
+        assert surface["f"] == "bilinear", surface["f"]
+        scale = params.get("scale", 1.0)
+
+        def density(*s):
+            slopes = [scale * mpmath.fprod(s[:k] + s[k + 1:]) for k in range(len(s))]
+            return mpmath.sqrt(1 + mpmath.fsum(slope ** 2 for slope in slopes))
+
+        return float(mpmath.quad(density, *domain))
 
 
 def strip_timings(report):
@@ -150,6 +173,15 @@ class TestActionCommand:
         assert orders and all(abs(o - 2.0) <= 0.3 for o in orders)
         names = {c["name"] for c in report["checks"]}
         assert "action-convergence-order" in names
+
+    @pytest.mark.parametrize("name", REFERENCED)
+    def test_bundled_reference_is_exact(self, name):
+        config = json.loads((CONFIGS / name).read_text())
+        assert config["lagrangian"]["name"] == "area"  # the reference is the area of the graph
+        assert config["reference"] == exact_graph_area(config["surface"])
+
+    def test_bilinear_oracle_is_exact(self):
+        assert BILINEAR_AREA_ORACLE == exact_graph_area({"f": "bilinear", "domain": [[0.0, 1.0], [0.0, 1.0]]})
 
     def test_each_resolution_sampled_once(self, tmp_path, monkeypatch):
         from multisymp.surfaces import GraphSurface

@@ -25,14 +25,12 @@ def load_script(name, directory=SCRIPTS):
     return module
 
 
-def test_convergence_report_prints_three_tables(capsys):
-    load_script("convergence_report").main(["--resolutions", "8", "16", "32"])
-    out = capsys.readouterr().out
-    titles = ("plane graph, slope (2, 3)", "bilinear saddle x1*x2", "plane graph in R^4")
-    for title in titles:
-        assert title in out
-    table_rows = [line.split() for line in out.splitlines() if line.split()[:1] in (["8"], ["16"], ["32"])]
-    assert [row[0] for row in table_rows] == ["8", "16", "32"] * len(titles)
+def test_run_all_lists_every_bundled_config():
+    # a config missing from RUNS would be skipped by run_all.py, report_trees.py and CI without notice
+    runs = load_script("run_all").RUNS
+    bundled = sorted(path.name for path in (SCRIPTS.parent / "configs").iterdir())
+    assert sorted(config for _, config, _ in runs) == bundled
+    assert all(config.startswith(f"{command}_") for command, config, _ in runs)
 
 
 def test_run_all_meets_every_expected_exit_code(tmp_path):
@@ -107,7 +105,7 @@ def test_compare_reports_reads_every_leaf(tmp_path, capsys, field, changed):
 def test_report_trees_writes_every_output_with_its_expected_exit(tmp_path):
     module = load_script("report_trees")
     module.write_tree(tmp_path)
-    assert sum(path.is_file() for path in tmp_path.rglob("*")) == 996
+    assert sum(path.is_file() for path in tmp_path.rglob("*")) == 998
 
     def exit_code(path):
         return int(path.read_text().splitlines()[0])

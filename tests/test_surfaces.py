@@ -34,12 +34,7 @@ from multisymp.cli import _graph_map
 from multisymp.exterior import minors
 from multisymp.surfaces import _cell_frames, _check_cells, _checked_samples, _ExactSum, paired_actions
 
-from helpers import conformal_area, cyclic_row, weighted_minimal_surface
-
-# midpoint rule at 2048^2 for the area of the graph of x1*x2 over the unit
-# square, i.e. the integral of sqrt(1 + x1^2 + x2^2); adaptive quadrature
-# agrees to the rule's own discretization error (1.3e-8)
-BILINEAR_AREA_ORACLE = 1.2807892621906034
+from helpers import BILINEAR_AREA_ORACLE, conformal_area, cyclic_row, weighted_minimal_surface
 
 # CELL_BLOCK values for the cell error tests on 4 x 4 grids: the whole grid, one row of cells per slab, and
 # two rows (the first dead cells open the second slab)
