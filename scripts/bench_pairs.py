@@ -9,18 +9,23 @@ Writes BENCH_<N>.json at the repository root, with two parts for each
 WORKLOAD:PAIRS argument.  Exits 1 when a process run fails or reports
 ``correct: false``.  BLAS runs on one thread.
 
+Both sides run from exports made the same way, ``git archive`` into a
+temporary directory: the base from the committed files of REV, the head
+from a tree of the working tree's files as they are, tracked or not but not
+ignored, written through a temporary index.  So the two sides differ by
+their files alone, not by where they lie or what a run left beside them.
+
 ``pairs``, run first for every workload: PAIRS pairs of
 ``bench/run.py --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0``,
-one in the committed files of REV (``git archive``, in a temporary
-directory) and one in the working tree, the side that runs first
-alternating from pair to pair.  Start-up time and resident memory need a
-process of their own, so ``setup_s``, ``peak_rss_mb``, ``ok_frac`` and the
-benchmark's own ``wall_s`` come from these runs: each pair's end-to-end
+one in each export, the side that runs first alternating from pair to
+pair.  Start-up time and resident memory need a process of their own, so
+``setup_s``, ``peak_rss_mb``, ``ok_frac`` and the benchmark's own
+``wall_s`` come from these runs: each pair's end-to-end
 metrics, and per metric both sides' medians and quartiles, the median
 change, in how many pairs the working tree was better, and whether the
 medians lie further apart than the base's interquartile range.
 
-``passes``: the package of REV and this checkout's src/ are imported as
+``passes``: the packages of the two exports are imported as
 ``multisymp_base`` and ``multisymp_head`` in this interpreter; the package
 imports itself only relatively, so the two copies do not mix.  Whole passes
 over the workload's jobs at seed SEED (the configs of ``bench/jobs.py``,
@@ -47,7 +52,7 @@ import time
 from importlib.metadata import version
 from pathlib import Path
 
-from report_trees import ROOT, SRC, import_package, load, package_src, run_job
+from report_trees import ROOT, import_package, load, package_src, run_job
 
 SIDES = ("base", "head")
 CLAIM = "median_pass_ratio"
@@ -55,6 +60,16 @@ CLAIM = "median_pass_ratio"
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def worktree_tree() -> str:
+    """The id of a git tree of the working tree's files as they are now, tracked or untracked but not ignored,
+    written through a temporary index, so the repository's own index is left as it is."""
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        subprocess.run(["git", "add", "-A"], cwd=ROOT, env=env, check=True, capture_output=True)
+        return subprocess.run(["git", "write-tree"], cwd=ROOT, env=env, check=True, capture_output=True,
+                              text=True).stdout.strip()
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -133,10 +148,10 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 def record(runs: list[tuple[str, int]], base: str, seed: int, seconds: float) -> tuple[dict, bool]:
     """The record of each workload's passes and pairs, and whether every process run was correct."""
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    base_sha = git("rev-parse", base)
+    base_sha, head_tree = git("rev-parse", base), worktree_tree()
     out = {
         "base": base_sha,
-        "head": {"commit": git("rev-parse", "HEAD"),
+        "head": {"commit": git("rev-parse", "HEAD"), "tree": head_tree,
                  "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
         "python": platform.python_version(),
         "numpy": version("numpy"),
@@ -147,7 +162,8 @@ def record(runs: list[tuple[str, int]], base: str, seed: int, seconds: float) ->
         "workloads": {},
     }
     ok = True
-    with package_src(base_sha) as base_src:
+    with package_src(base_sha) as base_src, package_src(head_tree) as head_src:
+        trees = {"base": base_src.parent, "head": head_src.parent}
         # process runs first: Linux counts a launcher's peak RSS into its child's, and the passes raise ours
         for workload, count in runs:
             pairs = []
@@ -155,7 +171,7 @@ def record(runs: list[tuple[str, int]], base: str, seed: int, seconds: float) ->
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = run_bench(base_src.parent if side == "base" else ROOT, workload, seed, seconds)
+                    pair[side] = run_bench(trees[side], workload, seed, seconds)
                     ok = ok and pair[side]["correct"]
                 pairs.append(pair)
                 print(f"{workload} pair {k + 1}/{count}: wall_s base {pair['base']['metrics']['wall_s']:.4f} "
@@ -168,7 +184,7 @@ def record(runs: list[tuple[str, int]], base: str, seed: int, seconds: float) ->
                       f"in {m['head_better_pairs']}/{count}, {spread} the base's interquartile range)", flush=True)
             out["workloads"][workload] = {"pairs": pairs, "summary": summary}
         mains = {"base": import_package("multisymp_base", base_src).cli.main,
-                 "head": import_package("multisymp_head", SRC).cli.main}
+                 "head": import_package("multisymp_head", head_src).cli.main}
         jobs = load("jobs", ROOT / "bench")
         for workload, count in runs:
             with tempfile.TemporaryDirectory(prefix="bench-passes-") as work:

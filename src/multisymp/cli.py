@@ -48,6 +48,7 @@ from .multisymplectic import TotalSpaceChart, closedness_residual, omega, nondeg
 from .surfaces import (
     QUADRATURE_RULES,
     GraphSurface,
+    _sampled_box,
     convergence_rows,
     graph_action,
     paired_actions,
@@ -219,13 +220,26 @@ def _graph_map(spec: dict, n: int, p: int) -> Callable[[np.ndarray], np.ndarray]
             raise ConfigError(f"surface.params.coefficients must be of shape {(p, codim)}, "
                               f"got {params['coefficients']!r}")
         coeffs = coeffs.reshape(p, codim)
-        # elementwise, not a matmul, so a row's value does not depend on the batch size
-        return lambda s: sum(s[..., k, None] * coeffs[k] for k in range(p))
+
+        def plane(s: np.ndarray) -> np.ndarray:
+            # elementwise, not a matmul, so a row's value does not depend on the batch size; from +0.0, as sum()
+            out = np.zeros(np.shape(s)[:-1] + (codim,))
+            for k in range(p):
+                out += s[..., k, None] * coeffs[k]
+            return out
+
+        return plane
     if name == "bilinear":
         if codim != 1:
             raise ConfigError(f"surface.f must name a map with {codim} components, got 'bilinear' (one component)")
         scale = _number(params.get("scale", 1.0), "surface.params.scale")
-        return lambda s: scale * _reduce(np.multiply, s, axis=-1)[..., None]
+
+        def bilinear(s: np.ndarray) -> np.ndarray:
+            out = _reduce(np.multiply, s, axis=-1)[..., None]
+            out *= scale
+            return out
+
+        return bilinear
     terms = params["terms"]
     if not isinstance(terms, list) or not terms:
         raise ConfigError(f"surface.params.terms must be a nonempty list of terms, got {terms!r}")
@@ -238,26 +252,67 @@ def _graph_map(spec: dict, n: int, p: int) -> Callable[[np.ndarray], np.ndarray]
         component = _count(term.get("component", 1), f"{key}.component", 1)
         if component > codim:
             raise ConfigError(f"{key}.component must be at most {codim}, got {term['component']!r}")
-        parsed.append((coeff, powers, component - 1))
+        # zero powers are left out, since a factor of 1 is exact; positive integral powers become ints
+        factors = [(k, int(e) if e.is_integer() and e > 0 else float(e)) for k, e in enumerate(powers) if e != 0]
+        parsed.append((coeff, factors, component - 1))
 
     def poly(s: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.shape(s)[:-1] + (codim,))
-        for coeff, powers, component in parsed:
-            # keep one (N, p) ** (p,) power, as recorded: numpy takes x * x for an exponent of 2 on some
-            # batch shapes and a vector pow on others, which differ in the last bit for some x, so a row's
-            # value depends on the batch it comes in; a row-independent form would move the recorded values
-            out[..., component] += coeff * _reduce(np.multiply, s**powers, axis=-1)
-        return out
+        # every built-in map is row-independent: a power reads one coordinate column, so a row's value depends
+        # on its own point alone, whatever the batch it comes in
+        s = np.asarray(s, dtype=float)
+        out = np.zeros((codim,) + s.shape[:-1])
+        term, power = np.empty(s.shape[:-1]), np.empty(s.shape[:-1])
+        for coeff, factors, component in parsed:
+            term.fill(1.0)
+            for k, e in factors:
+                term *= _column_power(s[..., k], e, power)
+            term *= coeff
+            out[component] += term
+        return np.moveaxis(out, 0, -1)
 
     return poly
 
 
-def build_surface(spec: Any, n: int, p: int, resolution: int) -> GraphSurface:
+def _column_power(x: np.ndarray, e: int | float, out: np.ndarray) -> np.ndarray:
+    """x**e, in out unless e is 1.  An int e >= 1 is computed by exact repeated products, square and multiply
+    from the leading bit ((x * x) * x for 3), so each entry depends on its own x alone.  Any other e is
+    numpy's power of the column with a scalar exponent, one elementwise loop whose entries do not depend on
+    the batch either (vector pow with masked tails where numpy has it, libm pow elsewhere)."""
+    if isinstance(e, float):
+        return np.power(x, e, out=out)
+    result = x
+    for bit in bin(e)[3:]:
+        result = np.multiply(result, result, out=out)
+        if bit == "1":
+            np.multiply(out, x, out=out)
+    return result
+
+
+def _check_powers(terms: list, box: tuple[tuple[float, float], ...]) -> None:
+    """Raise ConfigError naming the first polynomial power that leaves the map undefined somewhere in box, the
+    per-axis intervals on which the actions sample it: a negative power needs its axis's interval to exclude 0,
+    and a non-integer power needs it to lie in [0, inf)."""
+    for i, term in enumerate(terms):
+        for k, e in enumerate(np.asarray(term["powers"], dtype=float)):
+            lo, hi = box[k]
+            need = (">= 0" if not e.is_integer() and lo < 0.0 else "!= 0" if e < 0.0 and lo <= 0.0 <= hi else None)
+            if need is not None:
+                raise ConfigError(f"surface.params.terms[{i}].powers must define the map where the actions sample "
+                                  f"it: a power of {e:g} on axis {k + 1} needs s_{k + 1} {need}, but that axis is "
+                                  f"sampled on [{lo:.17g}, {hi:.17g}]")
+
+
+def build_surface(spec: Any, n: int, p: int, resolution: int, rule: str) -> GraphSurface:
+    """The configured graph surface at resolution; a polynomial must be defined wherever the actions at rule
+    sample it, at this resolution or any finer one."""
     _check_keys(spec, {"f", "params", "domain"}, {"f", "domain"}, "surface")
     domain = _finite(spec["domain"], "surface.domain", (p, 2))
     if np.any(domain[:, 1] <= domain[:, 0]):
         raise ConfigError(f"surface.domain must have intervals of positive length, got {spec['domain']!r}")
-    return GraphSurface(f=_graph_map(spec, n, p), domain=domain, resolution=resolution, p=p, n=n)
+    surface = GraphSurface(f=_graph_map(spec, n, p), domain=domain, resolution=resolution, p=p, n=n)
+    if spec["f"] == "polynomial":
+        _check_powers(spec["params"]["terms"], _sampled_box(surface, rule))
+    return surface
 
 
 CLAIMS = {
@@ -452,8 +507,8 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     resolutions = sorted(_count(r, "resolutions", 2) for r in resolutions)
     if len(set(resolutions)) < len(resolutions):
         raise ConfigError(f"resolutions must be distinct, got {config['resolutions']!r}")
-    surface = build_surface(config["surface"], n, p, resolutions[0])
     rule = _choice(config.get("quadrature", "midpoint"), QUADRATURE_RULES, "quadrature")
+    surface = build_surface(config["surface"], n, p, resolutions[0], rule)
     tol = _merge_tolerances(ACTION_TOLERANCES, config.get("tolerances"))
     reference = config.get("reference")
     if reference is not None:

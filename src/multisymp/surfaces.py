@@ -10,13 +10,16 @@ so order and blocking cannot move it.  A grid keeps only its map: the action
 kernels sample node rows, take frames and minors and add each action's
 contributions over slabs of at most CELL_BLOCK cells, rows along the first
 axis, so no array spans the grid and the working set does not grow with the
-resolution.  Each rule has one sampler.  Midpoint frames come from node rows,
-coordinate-major from node rows to frames: each coordinate of a slab's node
-rows, corner sums and bases is one contiguous plane, so each frame entry that
-``minors`` reads is one contiguous vector over the cells.  The off-node
-samples, the ``gauss2`` frames and the graph action's slopes at every rule,
-share one slab loop: the map at the slab's points and its central differences
-with step h = cell size, 2p + 1 map calls per slab.
+resolution.  Each rule has one sampler, and each makes one map call per slab.
+Midpoint frames come from node rows, coordinate-major from node rows to
+frames: each coordinate of a slab's node rows, corner sums and bases is one
+contiguous plane, so each frame entry that ``minors`` reads is one contiguous
+vector over the cells.  The off-node samples, the ``gauss2`` frames and the
+graph action's slopes at every rule, share one slab loop: the map at the
+slab's points and at their shifts by half a cell along each axis, stacked
+into one call, and its central differences with step h = cell size.  Every
+built-in map is row-independent, so how points are grouped into calls moves
+no bit.
 """
 
 from __future__ import annotations
@@ -163,9 +166,9 @@ _GAUSS2_OFFSETS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 # Cells per slab of the action kernels, and nodes per slab of ``values``.  A slab is a range of rows
 # along the first axis, at least one row, so node rows, frames, minors and cell values exist for one slab
-# at a time; every kernel is row-independent and each action is an exact sum, so the slab size moves no bit
-# for a map whose rows depend on their own points only.  The built-in polynomial map is not one: numpy's
-# power rounds by batch shape, so its node values, and the actions on them, can move with the slab size.
+# at a time; the off-node sampler's one map call per slab takes 2p + 1 times as many points.  Every kernel
+# is row-independent and each action is an exact sum, so the slab size moves no bit for a map whose rows
+# depend on their own points only, as every built-in map's do.
 CELL_BLOCK = 4096
 
 
@@ -188,12 +191,24 @@ def _quadrature_rule(grid: ParametricGrid, rule: str) -> tuple[list[list[np.ndar
     return samples, float(np.prod(h)) / len(offsets)
 
 
-def _tensor_points(axes: list[np.ndarray], a: int, b: int) -> np.ndarray:
+def _sampled_box(grid: ParametricGrid, rule: str) -> tuple[tuple[float, float], ...]:
+    """Per axis, the interval on which the actions at ``rule`` evaluate the map of ``grid`` or of a finer grid
+    over its domain: the domain for ``midpoint``, whose nodes and central differences about cell centers stay
+    in it, and for ``gauss2`` the domain widened by h / (2 sqrt 3), since the central differences about its
+    first and last sample points reach that far past the domain.  Raises ValueError on an unknown rule."""
+    if rule not in QUADRATURE_RULES:
+        raise ValueError(f"unknown quadrature rule {rule!r}")
+    reach = grid.spacing * (0.5 - _GAUSS2_OFFSETS[0]) if rule == "gauss2" else np.zeros(grid.p)
+    return tuple((lo - r, hi + r) for (lo, hi), r in zip(grid.domain, reach))
+
+
+def _tensor_points(axes: list[np.ndarray], a: int, b: int, sets: int = 1) -> np.ndarray:
     """The points (N, p) of the tensor grid of per-axis coordinates ``axes``, in the rows [a, b) of the first
-    axis, in row-major order.  The points are the transpose of a (p, N) array, so each coordinate column
-    ``s[..., k]`` that a map reads is contiguous, not strided as in C-ordered points."""
+    axis, in row-major order, repeated ``sets`` times one after the other, (sets N, p).  The points are the
+    transpose of one (p, sets N) array, so each coordinate column ``s[..., k]`` that a map reads is
+    contiguous, not strided as in C-ordered points."""
     p = len(axes)
-    points = np.empty((p, b - a, *(len(x) for x in axes[1:])))
+    points = np.empty((p, sets, b - a, *(len(x) for x in axes[1:])))
     for k, x in enumerate([axes[0][a:b], *axes[1:]]):
         points[k] = x.reshape((-1,) + (1,) * (p - 1 - k))
     return points.reshape(p, -1).T
@@ -202,15 +217,26 @@ def _tensor_points(axes: list[np.ndarray], a: int, b: int) -> np.ndarray:
 def _differenced(fn, width: int, what: str, grid: ParametricGrid, axes: list[np.ndarray]):
     """For the cells of one _row_slabs range of ``grid`` at a time, yield (first cell, points, fn at the
     points, the derivatives of fn along each axis by central differences with step h = cell size, shape
-    (N, p, width)) at the tensor points of the per-axis coordinates ``axes``.  fn is called 2p + 1 times per
-    slab, each call checked by _call_batched under the name ``what``."""
-    h, row = grid.spacing, math.prod(grid.resolution[1:])
-    steps = np.diag(0.5 * h)
-    call = functools.partial(_call_batched, fn, width=width, what=what)
+    (N, p, width)) at the tensor points of the per-axis coordinates ``axes``.  fn is called once per slab,
+    checked by _call_batched under the name ``what``, on 2p + 1 point sets in one _tensor_points array: the
+    slab's points, then per axis k those points shifted along it by +h_k/2 and by -h_k/2."""
+    p, h, row = grid.p, grid.spacing, math.prod(grid.resolution[1:])
     for a, b in _row_slabs(grid.resolution):
-        points = _tensor_points(axes, a, b)
-        values = call(points)
-        slopes = np.stack([(call(points + steps[k]) - call(points - steps[k])) / h[k] for k in range(grid.p)], axis=1)
+        points = _tensor_points(axes, a, b, 2 * p + 1)
+        count = len(points) // (2 * p + 1)
+        sets = points.T.reshape(p, 2 * p + 1, count)  # a view: row k, set j holds coordinate k of point set j
+        for k in range(p):
+            sets[k, 1 + 2 * k] += 0.5 * h[k]
+            sets[k, 2 + 2 * k] -= 0.5 * h[k]
+        out = _call_batched(fn, points, width, what)
+        slopes = np.empty((count, p, width))
+        for k in range(p):
+            np.subtract(out[(1 + 2 * k) * count:(2 + 2 * k) * count], out[(2 + 2 * k) * count:(3 + 2 * k) * count],
+                        out=slopes[:, k])
+            slopes[:, k] /= h[k]
+        # copies of the slab's own points and values, so the 2p + 1 sets are freed before the caller's work
+        points, values = points.T[:, :count].copy().T, out[:count].copy()
+        del sets, out
         yield a * row, points, values, slopes
 
 
@@ -245,11 +271,14 @@ def _cell_frames(values: np.ndarray, spacing: np.ndarray) -> tuple[np.ndarray, n
 
 def _midpoint_frames(grid: ParametricGrid):
     """Yield (first cell, frames, bases) for the cells of one _row_slabs range at a time, from node rows."""
-    # the node rows of cells [a, b) are [a, b]; node row a is carried over from the previous slab, and
-    # concatenate keeps the rows coordinate-major, as its inputs are
-    nodes, spacing, row = grid._node_rows(0, 1), grid.spacing, math.prod(grid.resolution[1:])
+    # the node rows of cells [a, b) are [a, b], from one map call for the first slab; after it node row a is
+    # carried over from the previous slab, and concatenate keeps the rows coordinate-major, as its inputs are
+    nodes, spacing, row = None, grid.spacing, math.prod(grid.resolution[1:])
     for a, b in _row_slabs(grid.resolution):
-        nodes = np.concatenate([nodes[-1:], grid._node_rows(a + 1, b + 1)])
+        if nodes is None:
+            nodes = grid._node_rows(0, b + 1)
+        else:
+            nodes = np.concatenate([nodes[-1:], grid._node_rows(a + 1, b + 1)])
         yield a * row, *_cell_frames(nodes, spacing)
 
 

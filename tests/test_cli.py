@@ -183,6 +183,18 @@ class TestActionCommand:
     def test_bilinear_oracle_is_exact(self):
         assert BILINEAR_AREA_ORACLE == exact_graph_area({"f": "bilinear", "domain": [[0.0, 1.0], [0.0, 1.0]]})
 
+    @pytest.mark.parametrize("domain, powers, rule", [
+        ([[0, 1], [0, 1]], [0.5, 1], "midpoint"),  # nodes and midpoint differences stay in the domain
+        ([[-1, 1], [-1, 1]], [2, 3], "gauss2"),  # non-negative integer powers are defined everywhere
+        ([[0.5, 1], [-1, 1]], [-1.5, 2], "gauss2"),  # 0.5 - h / (2 sqrt 3) stays above 0 at resolution 8
+    ])
+    def test_powers_defined_where_sampled_run(self, tmp_path, domain, powers, rule):
+        payload = {**FLAT_ACTION, "quadrature": rule, "surface": {"f": "polynomial", "domain": domain, "params": {
+            "terms": [{"coeff": 1.0, "powers": powers}]}}}
+        out = tmp_path / "report.json"
+        assert main(["action", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) in (0, 1)
+        assert all(math.isfinite(entry["lagrangian"]) for entry in load_report(out)["actions"])
+
     def test_each_resolution_sampled_once(self, tmp_path, monkeypatch):
         from multisymp.surfaces import GraphSurface
         calls = []
@@ -501,6 +513,15 @@ class TestErrorHandling:
         ("action", {**FLAT_ACTION, "reference": False}, "reference"),
         ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 1], [0, 1]], "params": {
             "terms": [{"coeff": 1.0, "powers": [1, True]}]}}}, "surface.params.terms[0].powers"),
+        # a power that leaves the map undefined where the actions sample it: a non-integer power below 0, a negative
+        # power at 0, and gauss2, whose central differences reach h / (2 sqrt 3) past the domain
+        ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[-1, 1], [0, 1]], "params": {
+            "terms": [{"coeff": 1.0, "powers": [0.5, 1]}]}}}, "surface.params.terms[0].powers"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[-1, 1], [0, 1]], "params": {
+            "terms": [{"coeff": 1.0, "powers": [1, 1]}, {"coeff": 2.0, "powers": [-1, 0]}]}}},
+         "surface.params.terms[1].powers"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 1], [1, 2]], "params": {
+            "terms": [{"coeff": 1.0, "powers": [0.5, -2]}]}}, "quadrature": "gauss2"}, "surface.params.terms[0].powers"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts

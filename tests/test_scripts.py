@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -120,6 +121,34 @@ def test_report_trees_writes_every_output_with_its_expected_exit(tmp_path):
         assert exit_code(tmp_path / "bundled" / config.replace(".json", ".exit")) == expected, config
 
 
+def test_block_sizes_move_no_report_leaf(tmp_path, monkeypatch):
+    # the slab size of the action kernels and the block size of the radial solves move no leaf of the bundled
+    # configs or of variant 4 of either workload, where grouping points into map calls moved poly_* leaves
+    from multisymp import cli, legendre, surfaces
+    trees = load_script("report_trees")
+    jobs = trees.load("jobs", BENCH)
+    runs = [(workload, job.command, config, job.name) for workload in jobs.WORKLOADS
+            for job, config in jobs.write_configs(workload, 4, tmp_path / "configs" / workload)]
+    runs += [("bundled", command, SCRIPTS.parent / "configs" / config, config.removesuffix(".json"))
+             for command, config, _ in load_script("run_all").RUNS]
+
+    def tree(cell_block, radial_block):
+        monkeypatch.setattr(surfaces, "CELL_BLOCK", cell_block)
+        monkeypatch.setattr(legendre, "RADIAL_BLOCK", radial_block)
+        root = tmp_path / f"{cell_block}-{radial_block}"
+        for target, command, config, name in runs:
+            (root / target).mkdir(parents=True, exist_ok=True)
+            code, err = trees.run_job(cli.main, command, config, root / target / f"{name}.report.json")
+            (root / target / f"{name}.exit").write_text(f"{code}\n{err}")
+        return root
+
+    assert (surfaces.CELL_BLOCK, legendre.RADIAL_BLOCK) == (4096, 2560)
+    default = tree(4096, 2560)
+    compare = load_script("compare_reports")
+    for cell_block, radial_block in ((33, 2560), (4096, 70), (33, 70)):
+        assert compare.compare_trees(default, tree(cell_block, radial_block)) == [], (cell_block, radial_block)
+
+
 def test_span_recorder_installs_on_this_package(tmp_path):
     # bench/spans.py looks up every __all__ entry and a few methods by name, so a
     # deleted or renamed hook must fail here and not only in a traced benchmark run
@@ -226,14 +255,27 @@ def test_bench_pairs_pass_summary_from_fixed_times():
 
 def test_bench_pairs_records_both_parts_of_a_workload(monkeypatch):
     module = load_script("bench_pairs")
-    run_bench, imported = module.run_bench, []
+    run_bench, imported, trees, sources = module.run_bench, [], [], []
     monkeypatch.delitem(sys.modules, "multisymp_head", raising=False)
-    monkeypatch.setattr(module, "run_bench", lambda *args: imported.append("multisymp_head" in sys.modules)
-                        or run_bench(*args))
+
+    def recording(tree, *args):
+        imported.append("multisymp_head" in sys.modules)
+        trees.append(tree)
+        sources.append({path.name: path.read_bytes() for path in (tree / "src" / "multisymp").glob("*.py")})
+        # each side runs in an export with the same layout: a temporary directory of the same name length
+        assert tree != SCRIPTS.parent and tree.name.startswith("multisymp-rev-") and (tree / "src").is_dir()
+        return run_bench(tree, *args)
+
+    monkeypatch.setattr(module, "run_bench", recording)
     result, ok = module.record([("actions", 1)], "HEAD", seed=0, seconds=0.0)
     assert ok
     # both process runs came before this interpreter imported a package, whose memory a child's peak RSS would count
     assert imported == [False, False]
+    assert len(trees) == 2 and len({len(str(tree)) for tree in trees}) == 1 and trees[0] != trees[1]
+    # the base ran first, from HEAD's files; the head from the checkout's files as they are
+    checkout = SCRIPTS.parent / "src" / "multisymp"
+    assert sources[1] == {path.name: path.read_bytes() for path in checkout.glob("*.py")}
+    assert result["head"]["tree"] == module.worktree_tree()
     entry = result["workloads"]["actions"]
     names = [job.name for job in module.load("jobs", BENCH).actions_jobs(0)]
     # the in-process passes: at least two timed passes per side, every job's minimum on both sides
@@ -246,7 +288,33 @@ def test_bench_pairs_records_both_parts_of_a_workload(monkeypatch):
     assert len(entry["pairs"]) == 1 and entry["pairs"][0]["first"] == "base"
     assert set(entry["summary"]) == {"wall_s", "setup_s", "peak_rss_mb", "ok_frac"}
     assert entry["pairs"][0]["head"]["metrics"]["ok_frac"] == entry["pairs"][0]["base"]["metrics"]["ok_frac"]
-    # each side ran its own copy of the package, and the head's is this checkout's
+    # each side ran its own copy of the package, exported, neither from the checkout
     assert sys.modules["multisymp_base"] is not sys.modules["multisymp_head"]
-    assert Path(sys.modules["multisymp_head"].__file__).parent == SCRIPTS.parent / "src" / "multisymp"
-    assert Path(sys.modules["multisymp_base"].__file__).parent != SCRIPTS.parent / "src" / "multisymp"
+    for side in ("base", "head"):
+        assert Path(sys.modules[f"multisymp_{side}"].__file__).parent != checkout
+
+
+def test_bench_pairs_head_tree_holds_the_working_files(tmp_path, monkeypatch):
+    # the head's export is the working tree as it is: a changed tracked file and an untracked one, not an ignored one
+    module = load_script("bench_pairs")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "tracked.txt").write_text("old\n")
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(git + args, cwd=repo, check=True, capture_output=True)
+    (repo / "tracked.txt").write_text("new\n")
+    (repo / "untracked.txt").write_text("here\n")
+    (repo / "ignored.txt").write_text("skip\n")
+    monkeypatch.setattr(module, "ROOT", repo)
+    tree = module.worktree_tree()
+    listing = subprocess.run(["git", "ls-tree", "-r", "--name-only", tree], cwd=repo, check=True, capture_output=True,
+                             text=True).stdout.split()
+    assert listing == [".gitignore", "tracked.txt", "untracked.txt"]
+    shown = subprocess.run(["git", "show", f"{tree}:tracked.txt"], cwd=repo, check=True, capture_output=True, text=True)
+    assert shown.stdout == "new\n"
+    # the repository's own index still holds the committed file only
+    staged = subprocess.run(["git", "diff", "--cached", "--name-only"], cwd=repo, check=True, capture_output=True,
+                            text=True).stdout
+    assert staged == ""

@@ -322,8 +322,8 @@ def test_cell_frames_are_the_same_bits_from_either_layout(n, p, res):
 
 
 def test_midpoint_pass_keeps_the_map_calls_and_the_layout(monkeypatch):
-    # the map sees node row 0 alone, then the node rows of each slab, as before the coordinate-major layout;
-    # evaluating more rows per call moves polynomial action leaves in the last bit
+    # the map sees the node rows [0, b] of the first slab [0, b) in one call, then the node rows (a, b] of each
+    # later slab, whose row a is carried over; every slab's node rows reach _cell_frames coordinate-major
     blocks, layouts = [], []
 
     def recording(s):
@@ -339,22 +339,78 @@ def test_midpoint_pass_keeps_the_map_calls_and_the_layout(monkeypatch):
     surf = GraphSurface(f=recording, domain=[(0, 1), (0, 1)], resolution=res, p=2, n=3)
     paired_actions(area_lagrangian(3, 2), surf)
     step = surfaces.CELL_BLOCK // res
-    rows = [(0, 1)] + [(a + 1, min(a + step, res) + 1) for a in range(0, res, step)]
+    rows = [(0, step + 1)] + [(a + 1, min(a + step, res) + 1) for a in range(step, res, step)]
     nodes = np.linspace(0.0, 1.0, res + 1)
     expected = [np.stack(np.meshgrid(nodes[a:b], nodes, indexing="ij"), axis=-1).reshape(-1, 2) for a, b in rows]
-    assert len(blocks) == len(expected) and all(same_bits(got, want) for got, want in zip(blocks, expected))
-    assert layouts == [True] * (len(rows) - 1)
+    assert len(blocks) == len(expected) == len(surfaces._row_slabs((res, res)))
+    assert all(same_bits(got, want) for got, want in zip(blocks, expected))
+    assert layouts == [True] * len(rows)
 
 
-@pytest.mark.xfail(strict=True, reason="numpy's power takes x * x for an exponent of 2 on some batch shapes "
-                                       "and a vector pow on others, so the polynomial map's rows depend on the batch")
+def test_off_node_sampler_makes_one_map_call_per_slab(monkeypatch):
+    # one call per slab on the 2p + 1 point sets, the slab's points, then per axis the shifts by +h/2 and -h/2,
+    # with each coordinate column contiguous
+    blocks = []
+
+    def recording(s):
+        blocks.append((s.copy(), [s[:, k].flags.c_contiguous for k in range(s.shape[1])]))
+        return s[:, :1] * s[:, 1:]
+
+    res = 100
+    monkeypatch.setattr(surfaces, "CELL_BLOCK", 40 * res)
+    surf = GraphSurface(f=recording, domain=[(0, 1), (0, 2)], resolution=res, p=2, n=3)
+    graph_action(minimal_surface_density(3, 2), surf)
+    slabs = surfaces._row_slabs((res, res))
+    assert len(blocks) == len(slabs) == 3
+    centers = [(np.arange(res) + 0.5) * h for h in surf.spacing]
+    for (got, contiguous), (a, b) in zip(blocks, slabs):
+        points = np.stack(np.meshgrid(centers[0][a:b], centers[1], indexing="ij"), axis=-1).reshape(-1, 2)
+        sets = [points]
+        for k in range(2):
+            step = np.zeros(2)
+            step[k] = 0.5 * surf.spacing[k]
+            sets += [points + step, points - step]
+        assert same_bits(got, np.concatenate(sets)) and all(contiguous)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_actions_sample_the_map_on_the_sampled_box(rule):
+    # the points of every map call of both actions span _sampled_box: the domain at midpoint, and at gauss2 the
+    # domain widened by h / (2 sqrt 3), where the central differences about the outer Gauss points reach
+    seen = []
+
+    def recording(s):
+        seen.append(s.copy())
+        return s[:, :1] * s[:, 1:]
+
+    surf = GraphSurface(f=recording, domain=[(0.5, 1.0), (-1.0, 2.0)], resolution=(4, 6), p=2, n=3)
+    paired_actions(area_lagrangian(3, 2), surf, rule)
+    graph_action(minimal_surface_density(3, 2), surf, rule)
+    points, box = np.concatenate(seen), np.array(surfaces._sampled_box(surf, rule))
+    assert np.allclose(points.min(axis=0), box[:, 0], rtol=0, atol=1e-15)
+    assert np.allclose(points.max(axis=0), box[:, 1], rtol=0, atol=1e-15)
+
+
 def test_polynomial_map_rows_do_not_depend_on_the_batch():
-    f = _graph_map({"f": "polynomial", "params": {"terms": [{"coeff": 1.0, "powers": [2, 0]}]}}, 3, 2)
+    # powers 0-4 from exact repeated products, 2.5 and -1 from numpy's power of one column with a scalar exponent,
+    # the last two on the second axis, which the points keep in [0.5, 2]: a row depends on its own point alone
+    terms = [{"coeff": 0.7, "powers": [0, 0]}, {"coeff": 0.6, "powers": [1, 0]}, {"coeff": 0.5, "powers": [0, 2]},
+             {"coeff": 0.4, "powers": [3, 0]}, {"coeff": -0.2, "powers": [4, 0]}, {"coeff": 0.3, "powers": [0, 4]},
+             {"coeff": 0.1, "powers": [0, 2.5]}, {"coeff": -0.3, "powers": [0, -1]},
+             {"coeff": -1.3, "powers": [3, 2.5]}, {"coeff": 0.4, "powers": [4, -1], "component": 2}]
+    f = _graph_map({"f": "polynomial", "params": {"terms": terms}}, 4, 2)
     rng = np.random.default_rng(0)
-    for count in (16, 64, 100, 2401):
-        # points laid out as a grid passes them, each coordinate column contiguous
-        batch = np.asfortranarray(rng.uniform(-2.0, 2.0, (count + 5000, 2)))
-        assert same_bits(f(batch)[:count], f(np.asfortranarray(batch[:count]))), count
+    for count in (1, 7, 16, 64, 100, 2401):
+        # points laid out as a grid passes them, each coordinate column contiguous, and as C-ordered rows
+        batch = np.asfortranarray(np.stack([rng.uniform(-2.0, 2.0, count + 5000), rng.uniform(0.5, 2.0, count + 5000)],
+                                           axis=-1))
+        for points in (batch, np.ascontiguousarray(batch)):
+            assert same_bits(f(points)[:count], f(np.asfortranarray(points[:count]))), count
+            assert same_bits(f(points)[:count], np.concatenate([f(row[None]) for row in points[:count]])), count
+    # a power of 3 is (x * x) * x, not pow, which differs from it in the last bit at 0.3 and 1.3
+    x = np.array([[0.3, 1.0], [1.3, 1.0]])
+    cube = _graph_map({"f": "polynomial", "params": {"terms": [{"coeff": 1.0, "powers": [3, 0]}]}}, 3, 2)
+    assert same_bits(cube(x)[:, 0], x[:, 0] * x[:, 0] * x[:, 0])
 
 
 @pytest.mark.parametrize("rule", RULES)
