@@ -35,7 +35,9 @@ for 2 x PAIRS x SECONDS seconds (as long as the pairs take) and until each
 side has run first once after its untimed first pass.  Per side the entry
 holds the pass median and quartiles, the sum of the per-job minima and every
 job's minimum; then the head's change on both and the median over pass pairs
-of head / base, and in how many jobs the head's minimum is the lower.  That
+of head / base, and in how many jobs the head's minimum is the lower.  Each
+job's two minima and their change are printed too, and ``src_lines`` records
+the line count of ``src/multisymp/*.py`` in each export.  That
 median pass ratio is the claim statistic (CLAIM): in A/A records it read
 -0.3% to +0.4%, the pass median and the sum of minima up to +3.1% and +2.8%.
 """
@@ -164,6 +166,10 @@ def record(runs: list[tuple[str, int]], base: str, seed: int, seconds: float) ->
     ok = True
     with package_src(base_sha) as base_src, package_src(head_tree) as head_src:
         trees = {"base": base_src.parent, "head": head_src.parent}
+        # the size of each side's package, as `wc -l src/multisymp/*.py` counts it
+        out["src_lines"] = {side: sum(path.read_bytes().count(b"\n") for path in (src / "multisymp").glob("*.py"))
+                            for side, src in (("base", base_src), ("head", head_src))}
+        print(f"src/multisymp lines: base {out['src_lines']['base']} head {out['src_lines']['head']}", flush=True)
         # process runs first: Linux counts a launcher's peak RSS into its child's, and the passes raise ours
         for workload, count in runs:
             pairs = []
@@ -194,6 +200,10 @@ def record(runs: list[tuple[str, int]], base: str, seed: int, seconds: float) ->
             changes = ", ".join(f"{stat} {change:+.1%}" for stat, change in passes["change"].items())
             print(f"{workload} passes: {passes['passes']} per side, {changes}, head minimum lower in "
                   f"{passes['head_lower_jobs']} of {len(job_list)} jobs", flush=True)
+            for name, base_min in passes["base"]["job_minima"].items():
+                head_min = passes["head"]["job_minima"][name]
+                print(f"{workload} {name}: minimum base {base_min * 1e3:.3f} ms head {head_min * 1e3:.3f} ms "
+                      f"({head_min / base_min - 1.0:+.1%})", flush=True)
     return out, ok
 
 

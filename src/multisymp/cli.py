@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .exterior import _reduce, decomposable_rows
+from .exterior import decomposable_rows
 from .lagrangian import (
     GraphDensity,
     HomogeneousLagrangian,
@@ -84,7 +85,7 @@ def _finite(value: Any, key: str, shape: tuple[int, ...] | None = None) -> np.nd
         raise ConfigError(f"{key} must be numeric, got {value!r}")
     if shape is not None and arr.shape != shape:
         raise ConfigError(f"{key} must be {'a number' if shape == () else f'of shape {shape}'}, got {value!r}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return arr
 
@@ -202,75 +203,68 @@ def build_lagrangian(spec: Any) -> HomogeneousLagrangian:
     return make(n, p, params)
 
 
-# map name -> its params keys, each required except bilinear's scale (default 1)
+# map name -> its params keys, each required except bilinear's scale (default 1).  Each map is read as monomial
+# terms per component: a plane's c_kj s_k in axis order, bilinear's scale s_1...s_p, flat's none, a polynomial's own
 GRAPH_PARAMS = {"flat": set(), "plane": {"coefficients"}, "bilinear": {"scale"}, "polynomial": {"terms"}}
+Term = tuple[str, float, list[tuple[int, int | float]]]  # (the config key of coeff, coeff, [(axis, power)])
 
 
-def _graph_map(spec: dict, n: int, p: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The configured graph map, each parameter checked under its key; the map takes parameter
-    points of shape (N, p) to graph values of shape (N, n-p), and one point (p,) to (n-p,)."""
+def _graph_terms(spec: dict, n: int, p: int) -> list[list[Term]]:
+    """The configured graph map as its monomial terms per component, each parameter checked under its key."""
     name = _choice(spec["f"], GRAPH_PARAMS, "surface.f")
     params, codim = _section(spec, "params"), n - p
     _check_keys(params, GRAPH_PARAMS[name], GRAPH_PARAMS[name] - {"scale"}, "surface.params")
-    if name == "flat":
-        return lambda s: np.zeros(np.shape(s)[:-1] + (codim,))
+    components: list[list[Term]] = [[] for _ in range(codim)]
     if name == "plane":  # one column may be given as a flat list
-        coeffs = _finite(params["coefficients"], "surface.params.coefficients")
+        key = "surface.params.coefficients"
+        coeffs = _finite(params["coefficients"], key)
         if coeffs.shape != (p, codim) and (codim, coeffs.shape) != (1, (p,)):
-            raise ConfigError(f"surface.params.coefficients must be of shape {(p, codim)}, "
-                              f"got {params['coefficients']!r}")
-        coeffs = coeffs.reshape(p, codim)
-
-        def plane(s: np.ndarray) -> np.ndarray:
-            # elementwise, not a matmul, so a row's value does not depend on the batch size; from +0.0, as sum()
-            out = np.zeros(np.shape(s)[:-1] + (codim,))
-            for k in range(p):
-                out += s[..., k, None] * coeffs[k]
-            return out
-
-        return plane
-    if name == "bilinear":
+            raise ConfigError(f"{key} must be of shape {(p, codim)}, got {params['coefficients']!r}")
+        components = [[(key, c, [(k, 1)]) for k, c in enumerate(col)] for col in coeffs.reshape(p, codim).T.tolist()]
+    elif name == "bilinear":
         if codim != 1:
             raise ConfigError(f"surface.f must name a map with {codim} components, got 'bilinear' (one component)")
         scale = _number(params.get("scale", 1.0), "surface.params.scale")
+        components[0].append(("surface.params.scale", scale, [(k, 1) for k in range(p)]))
+    elif name == "polynomial":
+        terms = params["terms"]
+        if not isinstance(terms, list) or not terms:
+            raise ConfigError(f"surface.params.terms must be a nonempty list of terms, got {terms!r}")
+        for i, term in enumerate(terms):
+            key = f"surface.params.terms[{i}]"
+            _check_keys(term, {"coeff", "powers", "component"}, {"coeff", "powers"}, key)
+            coeff = _number(term["coeff"], f"{key}.coeff")
+            powers = _finite(term["powers"], f"{key}.powers", (p,))
+            component = _count(term.get("component", 1), f"{key}.component", 1)
+            if component > codim:
+                raise ConfigError(f"{key}.component must be at most {codim}, got {term['component']!r}")
+            # zero powers are left out, since a factor of 1 is exact; positive integral powers become ints
+            factors = [(k, int(e) if e.is_integer() and e > 0 else float(e))
+                       for k, e in enumerate(powers.tolist()) if e != 0]
+            components[component - 1].append((f"{key}.coeff", coeff, factors))
+    return components
 
-        def bilinear(s: np.ndarray) -> np.ndarray:
-            out = _reduce(np.multiply, s, axis=-1)[..., None]
-            out *= scale
-            return out
 
-        return bilinear
-    terms = params["terms"]
-    if not isinstance(terms, list) or not terms:
-        raise ConfigError(f"surface.params.terms must be a nonempty list of terms, got {terms!r}")
-    parsed = []
-    for i, term in enumerate(terms):
-        key = f"surface.params.terms[{i}]"
-        _check_keys(term, {"coeff", "powers", "component"}, {"coeff", "powers"}, key)
-        coeff = _number(term["coeff"], f"{key}.coeff")
-        powers = _finite(term["powers"], f"{key}.powers", (p,))
-        component = _count(term.get("component", 1), f"{key}.component", 1)
-        if component > codim:
-            raise ConfigError(f"{key}.component must be at most {codim}, got {term['component']!r}")
-        # zero powers are left out, since a factor of 1 is exact; positive integral powers become ints
-        factors = [(k, int(e) if e.is_integer() and e > 0 else float(e)) for k, e in enumerate(powers) if e != 0]
-        parsed.append((coeff, factors, component - 1))
-
-    def poly(s: np.ndarray) -> np.ndarray:
-        # every built-in map is row-independent: a power reads one coordinate column, so a row's value depends
-        # on its own point alone, whatever the batch it comes in
-        s = np.asarray(s, dtype=float)
-        out = np.zeros((codim,) + s.shape[:-1])
-        term, power = np.empty(s.shape[:-1]), np.empty(s.shape[:-1])
-        for coeff, factors, component in parsed:
-            term.fill(1.0)
-            for k, e in factors:
-                term *= _column_power(s[..., k], e, power)
-            term *= coeff
-            out[component] += term
-        return np.moveaxis(out, 0, -1)
-
-    return poly
+def _graph_values(components: list[list[Term]], s: np.ndarray) -> np.ndarray:
+    """The one graph-map kernel: the sums of monomial terms per component at parameter points of shape (N, p), as
+    (N, n-p), or at one point (p,), as (n-p,).  A term is ((f_1 f_2) ...) coeff over its factors f = s_k**e,
+    started from f_1, since 1 f_1 is exact; a component's first term is written in place and each later one
+    added in order, and a component without terms stays 0.  Each factor reads one coordinate column, so a row's
+    value depends on its own point alone, whatever the batch it comes in."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros((len(components),) + s.shape[:-1])
+    term, power = np.empty(s.shape[:-1]), np.empty(s.shape[:-1])
+    for c, terms in enumerate(components):
+        row = out[c, ...]  # a view also at one point, where out[c] would be a copy
+        for j, (_, coeff, factors) in enumerate(terms):
+            target, value = term if j else row, 1.0
+            for i, (k, e) in enumerate(factors):
+                factor = s[..., k] if e == 1 else _column_power(s[..., k], e, power if i else target)
+                value = np.multiply(value, factor, out=target) if i else factor
+            np.multiply(value, coeff, out=target)
+            if j:
+                row += term
+    return out.T
 
 
 def _column_power(x: np.ndarray, e: int | float, out: np.ndarray) -> np.ndarray:
@@ -288,30 +282,36 @@ def _column_power(x: np.ndarray, e: int | float, out: np.ndarray) -> np.ndarray:
     return result
 
 
-def _check_powers(terms: list, box: tuple[tuple[float, float], ...]) -> None:
-    """Raise ConfigError naming the first polynomial power that leaves the map undefined somewhere in box, the
-    per-axis intervals on which the actions sample it: a negative power needs its axis's interval to exclude 0,
-    and a non-integer power needs it to lie in [0, inf)."""
-    for i, term in enumerate(terms):
-        for k, e in enumerate(np.asarray(term["powers"], dtype=float)):
-            lo, hi = box[k]
-            need = (">= 0" if not e.is_integer() and lo < 0.0 else "!= 0" if e < 0.0 and lo <= 0.0 <= hi else None)
-            if need is not None:
-                raise ConfigError(f"surface.params.terms[{i}].powers must define the map where the actions sample "
-                                  f"it: a power of {e:g} on axis {k + 1} needs s_{k + 1} {need}, but that axis is "
-                                  f"sampled on [{lo:.17g}, {hi:.17g}]")
-
-
 def build_surface(spec: Any, n: int, p: int, resolution: int, rule: str) -> GraphSurface:
-    """The configured graph surface at resolution; a polynomial must be defined wherever the actions at rule
-    sample it, at this resolution or any finer one."""
+    """The configured graph surface at resolution, its map parsed once into the monomial terms of one kernel.  The
+    map must be finite on _sampled_box, where the actions at rule sample it at this resolution or any finer one.
+    Each factor s_k**e, so each term, is largest in magnitude at a point whose coordinates are interval ends, or 0
+    where an interval holds 0; the kernel runs at those points.  A ConfigError names the first term whose factors
+    are not finite there by its powers (a bilinear map's by the domain), else the first term that is not by its
+    coefficient's key, else the first component whose sum overflows by its terms' key."""
     _check_keys(spec, {"f", "params", "domain"}, {"f", "domain"}, "surface")
     domain = _finite(spec["domain"], "surface.domain", (p, 2))
     if np.any(domain[:, 1] <= domain[:, 0]):
         raise ConfigError(f"surface.domain must have intervals of positive length, got {spec['domain']!r}")
-    surface = GraphSurface(f=_graph_map(spec, n, p), domain=domain, resolution=resolution, p=p, n=n)
-    if spec["f"] == "polynomial":
-        _check_powers(spec["params"]["terms"], _sampled_box(surface, rule))
+    components = _graph_terms(spec, n, p)
+    surface = GraphSurface(f=functools.partial(_graph_values, components), domain=domain, resolution=resolution,
+                           p=p, n=n)
+    box = _sampled_box(surface, rule)
+    points = np.array(list(itertools.product(*(sorted({lo, hi} | ({0.0} if lo <= 0.0 <= hi else set()))
+                                               for lo, hi in box))))
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(_graph_values(components, points)).all()
+    if not finite:  # one column per term's factors, per term and per component, each with the key it names
+        terms = [term for part in components for term in part]
+        parts = [[(key, 1.0, factors)] for key, _, factors in terms] + [[term] for term in terms] + components
+        keys = ([key[:-5] + "powers" if key.endswith("coeff") else "surface.domain" for key, _, _ in terms]
+                + [key for key, _, _ in terms] + [terms[0][0].partition("[")[0]] * len(components))
+        with np.errstate(all="ignore"):
+            values = _graph_values(parts, points)
+        col, row = np.argwhere(~np.isfinite(values.T))[0]
+        raise ConfigError(f"{keys[col]} must keep the map finite where the actions sample it, but it reads "
+                          f"{values[row, col]} at s = {points[row].tolist()} in the sampled box "
+                          f"{np.array(box).tolist()}")
     return surface
 
 

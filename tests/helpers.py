@@ -1,5 +1,7 @@
 """Shared test helpers: the exact bilinear area, (3, 2) fiber rows as cyclic triples, a draw-by-draw fiber sampler,
-and a Lagrangian and a density that read the base point."""
+a Lagrangian and a density that read the base point, and the CLI's graph maps."""
+
+import functools
 
 import numpy as np
 
@@ -10,10 +12,16 @@ from multisymp import (
     minimal_surface_density,
     minors,
 )
+from multisymp.cli import _graph_terms, _graph_values
 
 # the area of the graph of x1*x2 over the unit square, the integral of sqrt(1 + x1^2 + x2^2): mpmath.quad at 30
 # digits, correctly rounded (test_cli recomputes it)
 BILINEAR_AREA_ORACLE = 1.280789275273404
+
+
+def graph_map(spec, n, p):
+    """The built-in graph map of a surface spec, as the CLI builds it: the one kernel on the spec's monomial terms."""
+    return functools.partial(_graph_values, _graph_terms(spec, n, p))
 
 
 def cyclic_row(c12, c23, c31):

@@ -26,7 +26,7 @@ from multisymp import cli
 from multisymp.cli import LAGRANGIANS, VERIFY_CHECKS, VERIFY_TOLERANCES, build_lagrangian, cmd_verify, main
 from multisymp.legendre import image_coordinates
 
-from helpers import BILINEAR_AREA_ORACLE, conformal_area, draw_decomposable
+from helpers import BILINEAR_AREA_ORACLE, conformal_area, draw_decomposable, graph_map
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REFERENCED = [path.name for path in sorted(CONFIGS.glob("action_*.json"))
@@ -194,6 +194,35 @@ class TestActionCommand:
         out = tmp_path / "report.json"
         assert main(["action", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) in (0, 1)
         assert all(math.isfinite(entry["lagrangian"]) for entry in load_report(out)["actions"])
+
+    @pytest.mark.parametrize("n, p, surface, terms", [
+        (3, 2, {"f": "flat"}, [{"coeff": 0.0, "powers": [0, 0]}]),
+        (3, 2, {"f": "plane", "params": {"coefficients": [2.0, -3.0]}},
+         [{"coeff": 2.0, "powers": [1, 0]}, {"coeff": -3.0, "powers": [0, 1]}]),
+        (3, 2, {"f": "plane", "params": {"coefficients": [[2.0], [-3.0]]}},
+         [{"coeff": 2.0, "powers": [1, 0]}, {"coeff": -3.0, "powers": [0, 1]}]),
+        (4, 2, {"f": "plane", "params": {"coefficients": [[0.5, -1.5], [2.0, 0.25]]}},
+         [{"coeff": 0.5, "powers": [1, 0]}, {"coeff": 2.0, "powers": [0, 1]},
+          {"coeff": -1.5, "powers": [1, 0], "component": 2}, {"coeff": 0.25, "powers": [0, 1], "component": 2}]),
+        (3, 2, {"f": "bilinear"}, [{"coeff": 1.0, "powers": [1, 1]}]),
+        (3, 2, {"f": "bilinear", "params": {"scale": -1.3}}, [{"coeff": -1.3, "powers": [1, 1]}]),
+        (4, 3, {"f": "bilinear", "params": {"scale": 0.7}}, [{"coeff": 0.7, "powers": [1, 1, 1]}]),
+    ])
+    def test_named_maps_equal_their_polynomial_spelling(self, n, p, surface, terms):
+        # each name is a spelling of monomial terms for the one kernel: the same bits on a batch and at one point,
+        # and the same action report, leaf for leaf but the config
+        named, spelled = graph_map(surface, n, p), graph_map({"f": "polynomial", "params": {"terms": terms}}, n, p)
+        points = np.random.default_rng(n + p).uniform(-2.0, 2.0, (33, p))
+        for s in (points, np.asfortranarray(points), points[5]):
+            assert named(s).shape == s.shape[:-1] + (n - p,)
+            assert named(s).tobytes() == spelled(s).tobytes()
+        reports = []
+        for spec in (surface, {"f": "polynomial", "params": {"terms": terms}}):
+            config = {"lagrangian": {"name": "area", "n": n, "p": p}, "resolutions": [4, 6, 8], "quadrature": "gauss2",
+                      "surface": {**spec, "domain": [[-1.0, 1.0]] + [[0.5, 2.0]] * (p - 1)}}
+            report = strip_timings(cli.cmd_action(config)[0])
+            reports.append({key: value for key, value in report.items() if key != "config"})
+        assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
 
     def test_each_resolution_sampled_once(self, tmp_path, monkeypatch):
         from multisymp.surfaces import GraphSurface
@@ -522,6 +551,19 @@ class TestErrorHandling:
          "surface.params.terms[1].powers"),
         ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 1], [1, 2]], "params": {
             "terms": [{"coeff": 1.0, "powers": [0.5, -2]}]}}, "quadrature": "gauss2"}, "surface.params.terms[0].powers"),
+        # a map that overflows where the actions sample it names its powers, else its coefficient, else its terms
+        ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 2], [0, 1]], "params": {
+            "terms": [{"coeff": 1.0, "powers": [2000, 0]}]}}}, "surface.params.terms[0].powers"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "plane", "domain": [[0, 2], [0, 2]], "params": {
+            "coefficients": [1e308, 1e308]}}}, "surface.params.coefficients"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "bilinear", "domain": [[0, 2], [0, 2]], "params": {"scale": 1e308}}},
+         "surface.params.scale"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 1], [0, 1]], "params": {
+            "terms": [{"coeff": 1e308, "powers": [1, 0]}, {"coeff": 1e308, "powers": [0, 1]}]}}}, "surface.params.terms"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[1e-300, 1], [0, 1]], "params": {
+            "terms": [{"coeff": 1.0, "powers": [-2, 0]}]}}}, "surface.params.terms[0].powers"),
+        # a bilinear map has no powers to name: its product of coordinates overflows on too large a domain
+        ("action", {**FLAT_ACTION, "surface": {"f": "bilinear", "domain": [[0, 1e200], [0, 1e200]]}}, "surface.domain"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts
@@ -616,8 +658,9 @@ class TestExitCodes:
 
     def test_non_finite_node_exits_4_in_the_paired_actions(self, tmp_path, capsys, monkeypatch):
         # the node values are sampled slab by slab inside the pass, so a map that is NaN at one node, here
-        # (0.5, 0.5) of the resolution-4 grid, fails there
-        monkeypatch.setattr(cli, "_graph_map", lambda spec, n, p: lambda s: np.where(
+        # (0.5, 0.5) of the resolution-4 grid, fails there; the config check, which runs the same kernel at the
+        # domain's corners, passes it
+        monkeypatch.setattr(cli, "_graph_values", lambda components, s: np.where(
             np.all(s == 0.5, axis=-1, keepdims=True), np.nan, 0.0))
         out = tmp_path / "report.json"
         payload = {**FLAT_ACTION, "resolutions": [4]}

@@ -253,7 +253,7 @@ def test_bench_pairs_pass_summary_from_fixed_times():
     assert summary["head_lower_jobs"] == 1  # job a only
 
 
-def test_bench_pairs_records_both_parts_of_a_workload(monkeypatch):
+def test_bench_pairs_records_both_parts_of_a_workload(monkeypatch, capsys):
     module = load_script("bench_pairs")
     run_bench, imported, trees, sources = module.run_bench, [], [], []
     monkeypatch.delitem(sys.modules, "multisymp_head", raising=False)
@@ -284,6 +284,17 @@ def test_bench_pairs_records_both_parts_of_a_workload(monkeypatch):
         assert list(entry["passes"][side]["job_minima"]) == names
         assert min(entry["passes"][side]["job_minima"].values()) > 0
     assert 0 <= entry["passes"]["head_lower_jobs"] <= len(names)
+    # and printed, one line per job after the passes line, with both minima in ms and the change
+    printed = capsys.readouterr().out.splitlines()
+    first = next(k for k, line in enumerate(printed) if line.startswith("actions passes: ")) + 1
+    for name, line in zip(names, printed[first:first + len(names)], strict=True):
+        base_min, head_min = (entry["passes"][side]["job_minima"][name] for side in ("base", "head"))
+        assert line == (f"actions {name}: minimum base {base_min * 1e3:.3f} ms head {head_min * 1e3:.3f} ms "
+                        f"({head_min / base_min - 1.0:+.1%})")
+    # each side's package size, as wc -l counts the lines of its src/multisymp/*.py
+    assert result["src_lines"] == {side: sum(text.count(b"\n") for text in files.values())
+                                   for side, files in zip(("base", "head"), sources)}
+    assert f"src/multisymp lines: base {result['src_lines']['base']} head {result['src_lines']['head']}" in printed
     # the process pair: both sides' end-to-end metrics, summarized per metric
     assert len(entry["pairs"]) == 1 and entry["pairs"][0]["first"] == "base"
     assert set(entry["summary"]) == {"wall_s", "setup_s", "peak_rss_mb", "ok_frac"}

@@ -28,8 +28,10 @@ from multisymp import (
     paired_actions,
 )
 from multisymp import surfaces
-from multisymp.cli import _graph_map, cmd_action
+from multisymp.cli import cmd_action
 from multisymp.surfaces import _cell_frames, _checked_samples
+
+from helpers import graph_map
 
 REL = 1e-14
 DIMS = [(3, 2), (4, 2), (5, 3)]
@@ -42,16 +44,16 @@ def builtin_maps(p, n):
     codim = n - p
     rng = np.random.default_rng(1000 * n + p)
     maps = {
-        "flat": _graph_map({"f": "flat"}, n, p),
-        "plane": _graph_map({"f": "plane", "params": {"coefficients": rng.uniform(-1, 1, (p, codim)).tolist()}}, n, p),
-        "polynomial": _graph_map({"f": "polynomial", "params": {"terms": [
+        "flat": graph_map({"f": "flat"}, n, p),
+        "plane": graph_map({"f": "plane", "params": {"coefficients": rng.uniform(-1, 1, (p, codim)).tolist()}}, n, p),
+        "polynomial": graph_map({"f": "polynomial", "params": {"terms": [
             {"coeff": 0.7, "powers": [1] * p, "component": 1},
             {"coeff": -0.4, "powers": [2] + [0] * (p - 1), "component": codim},
             {"coeff": 0.3, "powers": [0] * (p - 1) + [3], "component": 1},
         ]}}, n, p),
     }
     if codim == 1:
-        maps["bilinear"] = _graph_map({"f": "bilinear", "params": {"scale": 1.3}}, n, p)
+        maps["bilinear"] = graph_map({"f": "bilinear", "params": {"scale": 1.3}}, n, p)
     return maps
 
 
@@ -205,7 +207,7 @@ def test_action_working_set_is_bounded():
     # sits between whole-grid batches, about 224 bytes per cell, and the slabs of the pass, about 5 here
     res = 512
     F = minimal_surface_density(3, 2)
-    surf = GraphSurface(f=_graph_map({"f": "bilinear"}, 3, 2), domain=[(0.0, 1.0), (0.0, 2.0)], resolution=res,
+    surf = GraphSurface(f=graph_map({"f": "bilinear"}, 3, 2), domain=[(0.0, 1.0), (0.0, 2.0)], resolution=res,
                         p=2, n=3)
     L, grid = graph_lift(F), surf.to_grid()
     tracemalloc.start()
@@ -226,7 +228,7 @@ def test_action_working_set_does_not_grow_with_resolution():
     L = graph_lift(F)
 
     def peak(res):
-        surf = GraphSurface(f=_graph_map({"f": "bilinear"}, 3, 2), domain=[(0.0, 1.0), (0.0, 2.0)], resolution=res,
+        surf = GraphSurface(f=graph_map({"f": "bilinear"}, 3, 2), domain=[(0.0, 1.0), (0.0, 2.0)], resolution=res,
                             p=2, n=3)
         tracemalloc.start()
         try:
@@ -393,23 +395,27 @@ def test_actions_sample_the_map_on_the_sampled_box(rule):
 
 def test_polynomial_map_rows_do_not_depend_on_the_batch():
     # powers 0-4 from exact repeated products, 2.5 and -1 from numpy's power of one column with a scalar exponent,
-    # the last two on the second axis, which the points keep in [0.5, 2]: a row depends on its own point alone
+    # the last two on the second axis, which the points keep in [0.5, 2]; flat, plane and bilinear are terms of the
+    # same kernel, with powers of 1: for every built-in map a row depends on its own point alone
     terms = [{"coeff": 0.7, "powers": [0, 0]}, {"coeff": 0.6, "powers": [1, 0]}, {"coeff": 0.5, "powers": [0, 2]},
              {"coeff": 0.4, "powers": [3, 0]}, {"coeff": -0.2, "powers": [4, 0]}, {"coeff": 0.3, "powers": [0, 4]},
              {"coeff": 0.1, "powers": [0, 2.5]}, {"coeff": -0.3, "powers": [0, -1]},
              {"coeff": -1.3, "powers": [3, 2.5]}, {"coeff": 0.4, "powers": [4, -1], "component": 2}]
-    f = _graph_map({"f": "polynomial", "params": {"terms": terms}}, 4, 2)
+    maps = {"flat": graph_map({"f": "flat"}, 4, 2),
+            "plane": graph_map({"f": "plane", "params": {"coefficients": [[0.7, -1.3], [0.4, 2.1]]}}, 4, 2),
+            "bilinear": graph_map({"f": "bilinear", "params": {"scale": 1.3}}, 3, 2),
+            "polynomial": graph_map({"f": "polynomial", "params": {"terms": terms}}, 4, 2)}
     rng = np.random.default_rng(0)
     for count in (1, 7, 16, 64, 100, 2401):
         # points laid out as a grid passes them, each coordinate column contiguous, and as C-ordered rows
         batch = np.asfortranarray(np.stack([rng.uniform(-2.0, 2.0, count + 5000), rng.uniform(0.5, 2.0, count + 5000)],
                                            axis=-1))
-        for points in (batch, np.ascontiguousarray(batch)):
-            assert same_bits(f(points)[:count], f(np.asfortranarray(points[:count]))), count
-            assert same_bits(f(points)[:count], np.concatenate([f(row[None]) for row in points[:count]])), count
+        for points, (name, f) in itertools.product((batch, np.ascontiguousarray(batch)), maps.items()):
+            assert same_bits(f(points)[:count], f(np.asfortranarray(points[:count]))), (name, count)
+            assert same_bits(f(points)[:count], np.concatenate([f(row[None]) for row in points[:count]])), (name, count)
     # a power of 3 is (x * x) * x, not pow, which differs from it in the last bit at 0.3 and 1.3
     x = np.array([[0.3, 1.0], [1.3, 1.0]])
-    cube = _graph_map({"f": "polynomial", "params": {"terms": [{"coeff": 1.0, "powers": [3, 0]}]}}, 3, 2)
+    cube = graph_map({"f": "polynomial", "params": {"terms": [{"coeff": 1.0, "powers": [3, 0]}]}}, 3, 2)
     assert same_bits(cube(x)[:, 0], x[:, 0] * x[:, 0] * x[:, 0])
 
 
@@ -429,7 +435,7 @@ def test_action_command_makes_one_cell_pass_per_resolution(rule, monkeypatch):
     assert calls == [(4, 4), (8, 8), (16, 16)]
     monkeypatch.undo()
     L = area_lagrangian(3, 2)
-    surface = GraphSurface(f=_graph_map({"f": "bilinear"}, 3, 2), domain=[(0.0, 1.0), (0.0, 2.0)], resolution=4,
+    surface = GraphSurface(f=graph_map({"f": "bilinear"}, 3, 2), domain=[(0.0, 1.0), (0.0, 2.0)], resolution=4,
                            p=2, n=3)
     for row in report["actions"]:
         grid = replace(surface, resolution=row["resolution"]).to_grid()

@@ -30,11 +30,10 @@ from multisymp import (
     theta,
 )
 from multisymp import surfaces
-from multisymp.cli import _graph_map
 from multisymp.exterior import minors
 from multisymp.surfaces import _cell_frames, _check_cells, _checked_samples, _ExactSum, paired_actions
 
-from helpers import BILINEAR_AREA_ORACLE, conformal_area, cyclic_row, weighted_minimal_surface
+from helpers import BILINEAR_AREA_ORACLE, conformal_area, cyclic_row, graph_map, weighted_minimal_surface
 
 # CELL_BLOCK values for the cell error tests on 4 x 4 grids: the whole grid, one row of cells per slab, and
 # two rows (the first dead cells open the second slab)
@@ -561,7 +560,7 @@ class TestConvergenceStudy:
     def test_without_reference_rates_successive_differences(self, area3, scale):
         # each error is the distance to the next finer value, so the order is
         # not biased by treating the finest value as exact
-        surf = GraphSurface(f=_graph_map({"f": "bilinear", "params": {"scale": scale}}, 3, 2),
+        surf = GraphSurface(f=graph_map({"f": "bilinear", "params": {"scale": scale}}, 3, 2),
                             domain=[(0, 1), (0, 1)], resolution=4, p=2, n=3)
         values = {res: paired_actions(area3, replace(surf, resolution=res).to_grid())[0] for res in (16, 32, 64)}
         rows = convergence_rows(values, surf.domain)
@@ -672,15 +671,15 @@ class TestGridValidation:
 
 class TestGraphFunctionRegistry:
     def test_flat_plane_bilinear(self):
-        flat = _graph_map({"f": "flat"}, 3, 2)
+        flat = graph_map({"f": "flat"}, 3, 2)
         assert flat(np.array([0.3, 0.4])).tolist() == [0.0]
-        plane = _graph_map({"f": "plane", "params": {"coefficients": [2.0, 3.0]}}, 3, 2)
+        plane = graph_map({"f": "plane", "params": {"coefficients": [2.0, 3.0]}}, 3, 2)
         assert plane(np.array([1.0, 1.0])).tolist() == [5.0]
-        bil = _graph_map({"f": "bilinear"}, 3, 2)
+        bil = graph_map({"f": "bilinear"}, 3, 2)
         assert bil(np.array([0.5, 0.4]))[0] == pytest.approx(0.2)
 
     def test_polynomial(self):
-        fn = _graph_map({"f": "polynomial", "params": {"terms": [
+        fn = graph_map({"f": "polynomial", "params": {"terms": [
             {"coeff": 2.0, "powers": [1, 1], "component": 1},
             {"coeff": -1.0, "powers": [2, 0], "component": 2},
         ]}}, 4, 2)
@@ -689,4 +688,4 @@ class TestGraphFunctionRegistry:
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            _graph_map({"f": "sphere"}, 3, 2)
+            graph_map({"f": "sphere"}, 3, 2)
