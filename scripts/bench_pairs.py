@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Before/after benchmark record: a base revision against the working tree, in interleaved passes and process pairs.
+"""Before/after benchmark record: a base revision against the working tree, in process pairs, passes and memory peaks.
 
 Usage, from the repository root:
 
     python scripts/bench_pairs.py --base REV --pr N certificates:8 actions:3 [--seconds 15] [--seed 1]
 
-Writes BENCH_<N>.json at the repository root, with two parts for each
+Writes BENCH_<N>.json at the repository root, with three parts for each
 WORKLOAD:PAIRS argument.  Exits 1 when a process run fails or reports
 ``correct: false``.  BLAS runs on one thread.
 
@@ -19,11 +19,14 @@ their files alone, not by where they lie or what a run left beside them.
 ``bench/run.py --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0``,
 one in each export, the side that runs first alternating from pair to
 pair.  Start-up time and resident memory need a process of their own, so
-``setup_s``, ``peak_rss_mb``, ``ok_frac`` and the benchmark's own
-``wall_s`` come from these runs: each pair's end-to-end
-metrics, and per metric both sides' medians and quartiles, the median
-change, in how many pairs the working tree was better, and whether the
-medians lie further apart than the base's interquartile range.
+``setup_s``, ``peak_rss_mb``, ``ok_frac`` and the benchmark's own ``wall_s``
+come from these runs: each pair's end-to-end metrics, and per metric both
+sides' medians and quartiles, the median change, in how many pairs the
+working tree was better, whether the medians lie further apart than the
+base's interquartile range, that range over the base's median
+(``resolution``, the smallest change the record could resolve), and
+``gate``: the head won at least 9 in 10 pairs (ties count for neither) and
+the medians lie beyond that range.
 
 ``passes``: the packages of the two exports are imported as
 ``multisymp_base`` and ``multisymp_head`` in this interpreter; the package
@@ -35,11 +38,17 @@ for 2 x PAIRS x SECONDS seconds (as long as the pairs take) and until each
 side has run first once after its untimed first pass.  Per side the entry
 holds the pass median and quartiles, the sum of the per-job minima and every
 job's minimum; then the head's change on both and the median over pass pairs
-of head / base, and in how many jobs the head's minimum is the lower.  Each
-job's two minima and their change are printed too, and ``src_lines`` records
-the line count of ``src/multisymp/*.py`` in each export.  That
+of head / base, and in how many jobs the head's minimum is the lower.  That
 median pass ratio is the claim statistic (CLAIM): in A/A records it read
 -0.3% to +0.4%, the pass median and the sum of minima up to +3.1% and +2.8%.
+
+``peaks``: then each job runs once per side under its own ``tracemalloc``
+trace, and the entry holds each side's peak in MiB per job and the head's
+change.  numpy registers its buffers with tracemalloc, so a peak counts the
+bytes a job holds at once, whatever the machine, and the packages are warm,
+so no peak counts first-call imports or caches.  Each job's two minima and
+two peaks are printed on one line, and ``src_lines`` records the line count
+of ``src/multisymp/*.py`` in each export.
 """
 
 import argparse
@@ -51,6 +60,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from importlib.metadata import version
 from pathlib import Path
 
@@ -101,6 +111,17 @@ def interleaved_passes(mains: dict, job_list, reports: Path, seconds: float) -> 
     return {side: passes[1:] for side, passes in times.items()}
 
 
+def job_peaks(main, job_list, reports: Path) -> dict[str, float]:
+    """Each job's tracemalloc peak in MiB, from one run of each under its own trace."""
+    peaks = {}
+    for job, config in job_list:
+        tracemalloc.start()  # cli.main returns an exit code for any exception, so the trace always stops
+        run_job(main, job.command, config, reports / f"{job.name}.report.json")
+        peaks[job.name] = round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+        tracemalloc.stop()
+    return peaks
+
+
 def quartiles(values: list[float]) -> list[float]:
     if len(values) < 2:
         return [values[0], values[0]]
@@ -126,8 +147,9 @@ def pass_summary(times: dict[str, list[list[float]]], names: list[str]) -> dict:
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: medians and quartiles of each side, the median change, the pairs the head won, and
-    whether |head median - base median| exceeds the base's interquartile range."""
+    """Per metric: medians and quartiles of each side, the median change, the pairs the head won, whether
+    |head median - base median| exceeds the base's interquartile range, that range over the base's median
+    (the resolution), and the claim gate: at least 9 in 10 pairs won and the medians beyond that range."""
     out = {}
     for name, direction in better.items():
         base = [p["base"]["metrics"][name] for p in pairs]
@@ -135,20 +157,23 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         sign = 1.0 if direction == "lower" else -1.0
         base_median, head_median = statistics.median(base), statistics.median(head)
         base_quartiles = quartiles(base)
+        spread = base_quartiles[1] - base_quartiles[0]
+        wins = sum(sign * (b - h) > 0 for b, h in zip(base, head))
+        beyond = abs(head_median - base_median) > spread
         out[name] = {
-            "base_median": base_median,
-            "head_median": head_median,
-            "base_quartiles": base_quartiles,
-            "head_quartiles": quartiles(head),
+            "base_median": base_median, "head_median": head_median,
+            "base_quartiles": base_quartiles, "head_quartiles": quartiles(head),
             "median_change": head_median / base_median - 1.0 if base_median else None,
-            "head_better_pairs": sum(sign * (b - h) > 0 for b, h in zip(base, head)),
-            "beyond_base_spread": abs(head_median - base_median) > base_quartiles[1] - base_quartiles[0],
+            "head_better_pairs": wins,
+            "beyond_base_spread": beyond,
+            "resolution": spread / base_median if base_median else None,
+            "gate": 10 * wins >= 9 * len(pairs) and beyond,
         }
     return out
 
 
 def record(runs: list[tuple[str, int]], base: str, seed: int, seconds: float) -> tuple[dict, bool]:
-    """The record of each workload's passes and pairs, and whether every process run was correct."""
+    """The record of each workload's pairs, passes and peaks, and whether every process run was correct."""
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     base_sha, head_tree = git("rev-parse", base), worktree_tree()
     out = {
@@ -185,9 +210,11 @@ def record(runs: list[tuple[str, int]], base: str, seed: int, seconds: float) ->
             summary = summarize(pairs, better)
             for name, m in summary.items():
                 spread = "beyond" if m["beyond_base_spread"] else "within"
-                print(f"{workload} {name}: base {m['base_median']:.6g} head {m['head_median']:.6g} "
-                      f"({'n/a' if m['median_change'] is None else format(m['median_change'], '+.1%')}, head better "
-                      f"in {m['head_better_pairs']}/{count}, {spread} the base's interquartile range)", flush=True)
+                change = "n/a" if m["median_change"] is None else f"{m['median_change']:+.1%}"
+                resolution = "n/a" if m["resolution"] is None else f"{m['resolution']:.1%}"
+                print(f"{workload} {name}: base {m['base_median']:.6g} head {m['head_median']:.6g} ({change}, "
+                      f"resolution {resolution}, head better in {m['head_better_pairs']}/{count}, {spread} the "
+                      f"base's interquartile range, gate {str(m['gate']).lower()})", flush=True)
             out["workloads"][workload] = {"pairs": pairs, "summary": summary}
         mains = {"base": import_package("multisymp_base", base_src).cli.main,
                  "head": import_package("multisymp_head", head_src).cli.main}
@@ -195,15 +222,20 @@ def record(runs: list[tuple[str, int]], base: str, seed: int, seconds: float) ->
         for workload, count in runs:
             with tempfile.TemporaryDirectory(prefix="bench-passes-") as work:
                 job_list = jobs.write_configs(workload, seed, Path(work) / "configs")
+                names = [job.name for job, _ in job_list]
                 times = interleaved_passes(mains, job_list, Path(work), 2 * count * seconds)
-            passes = out["workloads"][workload]["passes"] = pass_summary(times, [job.name for job, _ in job_list])
+                peaks = {side: job_peaks(mains[side], job_list, Path(work)) for side in SIDES}
+            passes = out["workloads"][workload]["passes"] = pass_summary(times, names)
+            peaks["change"] = {name: peaks["head"][name] / peaks["base"][name] - 1.0 for name in names}
+            out["workloads"][workload]["peaks"] = peaks
             changes = ", ".join(f"{stat} {change:+.1%}" for stat, change in passes["change"].items())
             print(f"{workload} passes: {passes['passes']} per side, {changes}, head minimum lower in "
                   f"{passes['head_lower_jobs']} of {len(job_list)} jobs", flush=True)
-            for name, base_min in passes["base"]["job_minima"].items():
-                head_min = passes["head"]["job_minima"][name]
+            for name in names:
+                base_min, head_min = (passes[side]["job_minima"][name] for side in SIDES)
                 print(f"{workload} {name}: minimum base {base_min * 1e3:.3f} ms head {head_min * 1e3:.3f} ms "
-                      f"({head_min / base_min - 1.0:+.1%})", flush=True)
+                      f"({head_min / base_min - 1.0:+.1%}), peak base {peaks['base'][name]:.3f} MiB head "
+                      f"{peaks['head'][name]:.3f} MiB ({peaks['change'][name]:+.1%})", flush=True)
     return out, ok
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import OrientationError, ZeroSectionError
-from .exterior import _reduce, index_position
+from .exterior import _reduce, det, index_position
 
 __all__ = [
     "HomogeneousLagrangian",
@@ -264,28 +264,27 @@ def graph_area_density(n: int, p: int) -> GraphDensity:
     """sqrt(det(I + q q^T)): the area element of a graph in any codimension.
 
     With G = I + q q^T and K = G^-1 q, its slope derivatives are F K and
-    F (K_ij K_kl + (G^-1)_ik P_jl - K_il K_kj), where P = I - q^T K.  The
-    value takes G from a matmul; the derivatives take F, K and G^-1 from
-    sums in place of matmuls, for row independence.
+    F (K_ij K_kl + (G^-1)_ik P_jl - K_il K_kj), where P = I - q^T K.  G, K
+    and G^-1 come from sums in place of matmuls, for row independence, and
+    F from ``exterior.det`` of that one G.
     """
     eye = np.eye(p)
 
     def jet(bases, values, slopes, order):
-        F = np.sqrt(np.linalg.det(eye + slopes @ np.transpose(slopes, (0, 2, 1))))
+        G = eye + np.sum(slopes[:, :, None, :] * slopes[:, None, :, :], axis=-1)
+        F = np.sqrt(det(G))
         if order == 0:
             return (F,)
-        G = eye + np.sum(slopes[:, :, None, :] * slopes[:, None, :, :], axis=-1)
         inv = np.linalg.inv(G)
-        root = np.sqrt(np.linalg.det(G))
         K = np.sum(inv[:, :, :, None] * slopes[:, None, :, :], axis=2)
-        dF = root[:, None, None] * K
+        dF = F[:, None, None] * K
         if order == 1:
             return F, dF
         P = np.eye(n - p) - np.sum(slopes[:, :, :, None] * K[:, :, None, :], axis=1)
         Kt = np.swapaxes(K, 1, 2)
         D2 = (K[:, :, :, None, None] * K[:, None, None, :, :] + inv[:, :, None, :, None] * P[:, None, :, None, :]
               - K[:, :, None, None, :] * Kt[:, None, :, :, None])
-        return F, dF, root[:, None, None, None, None] * D2
+        return F, dF, F[:, None, None, None, None] * D2
 
     return GraphDensity(n, p, jet, name="graph_area")
 

@@ -34,6 +34,13 @@ def test_run_all_lists_every_bundled_config():
     assert all(config.startswith(f"{command}_") for command, config, _ in runs)
 
 
+def test_readme_scripts_block_names_every_script():
+    # a script added or deleted without its line in the README's Scripts block would go unnoticed
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    block = readme.split("## Scripts\n", 1)[1].split("```", 2)[1]
+    assert sorted(set(re.findall(r"scripts/(\w+\.py)", block))) == sorted(path.name for path in SCRIPTS.glob("*.py"))
+
+
 def test_run_all_meets_every_expected_exit_code(tmp_path):
     assert load_script("run_all").run(tmp_path) == 0
 
@@ -216,6 +223,20 @@ def test_bench_pairs_summary_compares_the_median_change_with_the_base_spread():
     assert not summary(base, [0.27, 0.26, 0.26, 0.27])["beyond_base_spread"]  # median 0.265, 0.01 lower
     assert summary(base, [0.30, 0.29, 0.30, 0.29])["beyond_base_spread"]  # median 0.295, 0.02 higher
     assert not summary([0.2, 0.2, 0.2], [0.2, 0.2, 0.2])["beyond_base_spread"]
+    # the resolution is the base's spread over its median, the smallest change the record could resolve
+    assert summary(base, base)["resolution"] == pytest.approx(0.0175 / 0.275)
+    assert summary([0.2, 0.2, 0.2], [0.2, 0.2, 0.2])["resolution"] == 0.0
+    assert summary([0.0, 0.0], [0.1, 0.1])["resolution"] is None
+    # the gate: at least 9 in 10 pairs won, ties for neither side, and the medians beyond the base's spread
+    assert summary(base, [0.25, 0.25, 0.25, 0.25])["gate"]  # 4/4 won, 0.025 lower
+    assert not summary(base, [0.25, 0.26, 0.25, 0.26])["gate"]  # 0.02 lower, but the tie leaves 3/4 won
+    assert not summary(base, [0.27, 0.25, 0.27, 0.26])["gate"]  # 4/4 won, but 0.01 lower
+    assert not summary(base, [0.30, 0.29, 0.30, 0.29])["gate"]  # beyond the spread in the worse direction
+    ten = base + base + base[:2]
+    nine_won = [b - 0.05 for b in ten[:9]] + ten[9:]
+    assert summary(ten, nine_won)["head_better_pairs"] == 9 and summary(ten, nine_won)["gate"]
+    eight_won = nine_won[:8] + ten[8:]
+    assert summary(ten, eight_won)["beyond_base_spread"] and not summary(ten, eight_won)["gate"]
 
 
 def test_bench_pairs_rejects_a_run_without_pairs(capsys):
@@ -223,14 +244,6 @@ def test_bench_pairs_rejects_a_run_without_pairs(capsys):
         load_script("bench_pairs").main(["--base", "HEAD", "--pr", "0", "certificates"])
     assert exc.value.code == 2
     assert "expected WORKLOAD:PAIRS" in capsys.readouterr().err
-
-
-def test_job_peaks_reads_every_job_with_its_expected_exit():
-    module = load_script("job_peaks")
-    rows = module.job_peaks("actions", 0)
-    jobs = module.load("jobs", BENCH)
-    assert [(row["job"], row["exit"]) for row in rows] == [(job.name, job.expect_exit) for job in jobs.actions_jobs(0)]
-    assert all(row["peak_mib"] > 0 for row in rows)
 
 
 def test_bench_pairs_pass_summary_from_fixed_times():
@@ -284,13 +297,19 @@ def test_bench_pairs_records_both_parts_of_a_workload(monkeypatch, capsys):
         assert list(entry["passes"][side]["job_minima"]) == names
         assert min(entry["passes"][side]["job_minima"].values()) > 0
     assert 0 <= entry["passes"]["head_lower_jobs"] <= len(names)
-    # and printed, one line per job after the passes line, with both minima in ms and the change
+    # the peaks: every job's tracemalloc peak on both sides, and the head's change
+    peaks = entry["peaks"]
+    for side in ("base", "head"):
+        assert list(peaks[side]) == names and min(peaks[side].values()) > 0
+    assert peaks["change"] == {name: peaks["head"][name] / peaks["base"][name] - 1.0 for name in names}
+    # and printed, one line per job after the passes line, with both minima in ms, both peaks in MiB and the changes
     printed = capsys.readouterr().out.splitlines()
     first = next(k for k, line in enumerate(printed) if line.startswith("actions passes: ")) + 1
     for name, line in zip(names, printed[first:first + len(names)], strict=True):
         base_min, head_min = (entry["passes"][side]["job_minima"][name] for side in ("base", "head"))
         assert line == (f"actions {name}: minimum base {base_min * 1e3:.3f} ms head {head_min * 1e3:.3f} ms "
-                        f"({head_min / base_min - 1.0:+.1%})")
+                        f"({head_min / base_min - 1.0:+.1%}), peak base {peaks['base'][name]:.3f} MiB head "
+                        f"{peaks['head'][name]:.3f} MiB ({peaks['change'][name]:+.1%})")
     # each side's package size, as wc -l counts the lines of its src/multisymp/*.py
     assert result["src_lines"] == {side: sum(text.count(b"\n") for text in files.values())
                                    for side, files in zip(("base", "head"), sources)}
