@@ -10,6 +10,7 @@ per-check timing fields.  Exit codes: 0 all checks pass, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -124,10 +125,6 @@ def _choice(value: Any, options, key: str) -> str:
     if not isinstance(value, str) or value not in options:
         raise ConfigError(f"{key} must be one of {sorted(options)}, got {value!r}")
     return value
-
-
-def _base_point(config: dict, n: int) -> np.ndarray:
-    return _finite(config.get("x", [0.0] * n), "x", (n,))
 
 
 def _section(obj: dict, key: str) -> Any:
@@ -336,19 +333,16 @@ VERIFY_CHECKS = tuple(name for name in CLAIMS if not name.startswith("action-"))
 Checks = dict[str, tuple[float, Callable[[], float]]]
 
 
-class _phase:
-    """A context that tags an exception raised inside with ``phase = name``, unless an inner phase
-    tagged it first; ``main`` names the phase on exit 4."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        if exc is not None and not hasattr(exc, "phase"):
-            exc.phase = self.name
+@contextlib.contextmanager
+def _phase(name: str):
+    """Tag an exception raised inside with ``phase = name``, unless an inner phase tagged it first; ``main``
+    names the phase on exit 4."""
+    try:
+        yield
+    except Exception as exc:
+        if not hasattr(exc, "phase"):
+            exc.phase = name
+        raise
 
 
 def _report(command: str, config: dict, checks: Checks, **fields: Any) -> tuple[dict, bool]:
@@ -404,17 +398,17 @@ VERIFY_TOLERANCES = {
 }
 
 
+def _prologue(config: dict, keys: set[str], required: set[str]) -> tuple[HomogeneousLagrangian, np.ndarray, int]:
+    """Check the config's keys, which are lagrangian (required), x, seed and the given ones; then read, in this
+    order, the Lagrangian, the base point x (default 0) and the seed (default 0)."""
+    _check_keys(config, {"lagrangian", "x", "seed"} | keys, {"lagrangian"} | required, "config")
+    L = build_lagrangian(config["lagrangian"])
+    return L, _finite(config.get("x", [0.0] * L.n), "x", (L.n,)), _count(config.get("seed", 0), "seed", 0)
+
+
 def cmd_verify(config: dict) -> tuple[dict, bool]:
     """Run the identity and structure suites for one configured Lagrangian."""
-    _check_keys(
-        config,
-        {"lagrangian", "x", "seed", "samples", "rank_samples", "certificate", "tolerances", "checks"},
-        {"lagrangian"},
-        "config",
-    )
-    L = build_lagrangian(config["lagrangian"])
-    x = _base_point(config, L.n)
-    seed = _count(config.get("seed", 0), "seed", 0)
+    L, x, seed = _prologue(config, {"samples", "rank_samples", "certificate", "tolerances", "checks"}, set())
     samples = _count(config.get("samples", 100), "samples", 1)
     rank_samples = _count(config.get("rank_samples", min(50, samples)), "rank_samples", 1)
     if rank_samples > samples:
@@ -550,18 +544,10 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
 
 def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
     """Sample the Legendre image, write the CSV cloud, and certify convexity."""
-    _check_keys(
-        config,
-        {"lagrangian", "x", "count", "seed", "certificate", "csv", "tolerances"},
-        {"lagrangian", "count"},
-        "config",
-    )
-    L = build_lagrangian(config["lagrangian"])
-    x = _base_point(config, L.n)
+    L, x, seed = _prologue(config, {"count", "certificate", "csv", "tolerances"}, {"count"})
     count = _count(config["count"], "count", 0)
-    seed = _count(config.get("seed", 0), "seed", 0)
-    cert = _certificate(config, {"num_pairs", "t_steps", "seed", "tolerance"}, seed + 1, 1e-7)
-    tol = _merge_tolerances({"quadric": 1e-9}, config.get("tolerances"))
+    cert = _certificate(config, {"num_pairs", "t_steps", "seed", "tolerance"}, seed + 1, VERIFY_TOLERANCES["convexity"])
+    tol = _merge_tolerances({"quadric": VERIFY_TOLERANCES["quadric"]}, config.get("tolerances"))
     csv_name = config.get("csv", "image_points.csv")
     if not isinstance(csv_name, str) or csv_name in ("", "..") or Path(csv_name).name != csv_name:
         raise ConfigError(f"csv must be a bare file name, got {csv_name!r}")

@@ -271,7 +271,11 @@ def graph_area_density(n: int, p: int) -> GraphDensity:
     eye = np.eye(p)
 
     def jet(bases, values, slopes, order):
-        G = eye + np.sum(slopes[:, :, None, :] * slopes[:, None, :, :], axis=-1)
+        # q q^T as one outer product per slope column, numpy's sum order below 8 columns, no (N, p, p, n-p) array
+        G = np.zeros((len(slopes), p, p))
+        for j in range(n - p):
+            G += slopes[:, :, None, j] * slopes[:, None, :, j]
+        G += eye
         F = np.sqrt(det(G))
         if order == 0:
             return (F,)

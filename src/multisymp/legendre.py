@@ -18,8 +18,9 @@ from typing import IO
 import numpy as np
 
 from .errors import NotInImageError, ZeroSectionError
-from .exterior import _rejection_rows, multi_indices
+from .exterior import _rejection_rows
 from .lagrangian import HomogeneousLagrangian
+from .multisymplectic import TotalSpaceChart
 
 __all__ = [
     "RankReport",
@@ -120,10 +121,6 @@ class RankReport:
     singular_values_L2: np.ndarray
     singular_values_L: np.ndarray
     threshold: float
-
-    @property
-    def splitting_holds(self) -> np.ndarray:
-        return self.rank_L2 == 1 + self.rank_L
 
 
 def rank_lemma_check(
@@ -349,15 +346,14 @@ def convexity_certificate(
 def write_image_csv(x: np.ndarray, grads: np.ndarray, p: int, stream: IO[str]) -> None:
     """One row per image point: the base point x (n,), then its row of grads (count, C(n,p)).
 
-    count = 0 writes the header alone.  Each field is the repr of a float,
-    which needs no CSV quoting, and lines end in "\\r\\n" as in the csv
-    module's default dialect.
+    The header is the labels of TotalSpaceChart(n, p); count = 0 writes it
+    alone.  Each field is the repr of a float, which needs no CSV quoting,
+    and lines end in "\\r\\n" as in the csv module's default dialect.
     """
     x, grads = np.asarray(x, dtype=float), np.asarray(grads, dtype=float)
     n = x.size
     if grads.ndim != 2 or grads.shape[1] != math.comb(n, p):
         raise ValueError(f"expected gradient rows of shape (count, {math.comb(n, p)}), got {grads.shape}")
-    header = [f"x{k}" for k in range(1, n + 1)] + ["p" + "".join(map(str, a)) for a in multi_indices(n, p)]
-    stream.write(",".join(header) + "\r\n")
+    stream.write(",".join(TotalSpaceChart(n, p).labels) + "\r\n")
     base = "".join(f"{v!r}," for v in x.tolist())
     stream.writelines(base + ",".join(map(repr, row)) + "\r\n" for row in grads.tolist())

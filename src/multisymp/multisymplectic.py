@@ -23,7 +23,6 @@ from .lagrangian import HomogeneousLagrangian
 
 __all__ = [
     "TotalSpaceChart",
-    "TotalVector",
     "FormField",
     "theta",
     "omega",
@@ -33,10 +32,6 @@ __all__ = [
     "closedness_residual",
     "pullback_residual",
 ]
-
-# tangent vectors to the total space are plain component arrays in chart layout
-TotalVector = np.ndarray
-
 
 @dataclass(frozen=True)
 class TotalSpaceChart:
@@ -65,7 +60,7 @@ class TotalSpaceChart:
         except ValueError:
             raise KeyError(f"unknown coordinate label {label!r}") from None
 
-    def basis_vector(self, label: str) -> TotalVector:
+    def basis_vector(self, label: str) -> np.ndarray:
         out = np.zeros(self.dim_total)
         out[self.index(label)] = 1.0
         return out
@@ -78,7 +73,7 @@ class TotalSpaceChart:
             raise ValueError("point components do not match the chart layout")
         return np.concatenate([x, p_coords], axis=-1)
 
-    def lift(self, v: Sequence[float]) -> TotalVector:
+    def lift(self, v: Sequence[float]) -> np.ndarray:
         """Horizontal lift of base vector(s) of shape (..., n): dual components zero."""
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (self.n,):
@@ -102,7 +97,7 @@ class FormField:
     name: str = "form"
 
     # bench/spans.py counts calls here (COUNTED); ROADMAP item 1 drops that hook, and this method with it
-    def __call__(self, point: np.ndarray, vectors: Sequence[TotalVector]) -> float:
+    def __call__(self, point: np.ndarray, vectors: Sequence[np.ndarray]) -> float:
         if len(vectors) != self.degree:
             raise ValueError(f"{self.name} takes {self.degree} arguments, got {len(vectors)}")
         point = np.asarray(point, dtype=float)

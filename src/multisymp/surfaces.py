@@ -46,11 +46,11 @@ __all__ = [
 ]
 
 
-# Cell rules for the parameter-domain integrals.  ``midpoint`` evaluates at
-# cell centers with frames from corner averages.  ``gauss2`` uses the tensor
-# two-point Gauss rule, with off-node frames from the surface map differenced
-# with step = cell size.
-QUADRATURE_RULES = ("midpoint", "gauss2")
+# Cell rules for the parameter-domain integrals, each as its sample offsets per axis in units of the cell
+# size; a rule samples their tensor product in every cell.  ``midpoint`` evaluates at cell centers with frames
+# from corner averages.  ``gauss2`` uses the tensor two-point Gauss rule, with off-node frames from the surface
+# map differenced with step = cell size.
+QUADRATURE_RULES = {"midpoint": (0.5,), "gauss2": (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))}
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,6 @@ class ParametricGrid:
     def spacing(self) -> np.ndarray:
         return np.array([(hi - lo) / r for (lo, hi), r in zip(self.domain, self.resolution)])
 
-    @property
-    def num_cells(self) -> int:
-        return int(np.prod(self.resolution))
-
     def cell_index(self, flat: int) -> tuple[int, ...]:
         return tuple(int(k) for k in np.unravel_index(flat, self.resolution))
 
@@ -162,8 +158,6 @@ def _call_batched(fn, points: np.ndarray, width: int, what: str) -> np.ndarray:
     return out
 
 
-_GAUSS2_OFFSETS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
-
 # Cells per slab of the action kernels, and nodes per slab of ``values``.  A slab is a range of rows
 # along the first axis, at least one row, so node rows, frames, minors and cell values exist for one slab
 # at a time; the off-node sampler's one map call per slab takes 2p + 1 times as many points.  Every kernel
@@ -185,7 +179,7 @@ def _quadrature_rule(grid: ParametricGrid, rule: str) -> tuple[list[list[np.ndar
     if rule not in QUADRATURE_RULES:
         raise ValueError(f"unknown quadrature rule {rule!r}")
     h = grid.spacing
-    offsets = [(0.5,) * grid.p] if rule == "midpoint" else list(itertools.product(_GAUSS2_OFFSETS, repeat=grid.p))
+    offsets = list(itertools.product(QUADRATURE_RULES[rule], repeat=grid.p))
     samples = [[lo + (np.arange(r) + o) * hk for (lo, _), r, o, hk in zip(grid.domain, grid.resolution, offset, h)]
                for offset in offsets]
     return samples, float(np.prod(h)) / len(offsets)
@@ -193,12 +187,11 @@ def _quadrature_rule(grid: ParametricGrid, rule: str) -> tuple[list[list[np.ndar
 
 def _sampled_box(grid: ParametricGrid, rule: str) -> tuple[tuple[float, float], ...]:
     """Per axis, the interval on which the actions at ``rule`` evaluate the map of ``grid`` or of a finer grid
-    over its domain: the domain for ``midpoint``, whose nodes and central differences about cell centers stay
-    in it, and for ``gauss2`` the domain widened by h / (2 sqrt 3), since the central differences about its
-    first and last sample points reach that far past the domain.  Raises ValueError on an unknown rule."""
-    if rule not in QUADRATURE_RULES:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
-    reach = grid.spacing * (0.5 - _GAUSS2_OFFSETS[0]) if rule == "gauss2" else np.zeros(grid.p)
+    over its domain: the domain widened by h (1/2 - the least offset of the rule), since the central differences
+    with step h about the first and last sample points reach that far past it.  That is the domain itself for
+    ``midpoint``, whose nodes and differences about cell centers stay in it, and h / (2 sqrt 3) more for
+    ``gauss2``; the offsets of either rule are symmetric about 1/2."""
+    reach = grid.spacing * (0.5 - QUADRATURE_RULES[rule][0])
     return tuple((lo - r, hi + r) for (lo, hi), r in zip(grid.domain, reach))
 
 

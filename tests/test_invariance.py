@@ -20,6 +20,7 @@ from multisymp import (
     graph_action,
     minimal_surface_density,
     multi_indices,
+    projected_volume_lagrangian,
 )
 from multisymp.surfaces import paired_actions
 
@@ -87,6 +88,23 @@ def test_area_actions_are_invariant_under_ambient_isometries(area3, R, rule, res
     actions = np.array(paired_actions(area3, grid, rule))
     # the bound is not bitwise: another numpy build may round the rotated coordinates differently
     assert np.all(np.abs(np.array(paired_actions(area3, moved, rule)) - actions) <= 4 * EPS * np.abs(actions))
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "gauss2"])
+@pytest.mark.parametrize("name", ["area3", "ellipsoid3"])
+def test_actions_are_invariant_under_orientation_reversal(name, rule, request):
+    # s1 -> 1 - s1 negates every tangent p-vector; both Lagrangians are even in it, and the multisymplectic
+    # action pairs the negated gradient with the negated minors
+    L, probe = request.getfixturevalue(name), projected_volume_lagrangian(3, 2)
+    for resolution in (16, 64):
+        grid = ParametricGrid(p=2, n=3, domain=UNIT_SQUARE, resolution=resolution, mapping=lambda s: warped(s)[:, :3])
+        reversed_grid = ParametricGrid(p=2, n=3, domain=UNIT_SQUARE, resolution=resolution,
+                                       mapping=lambda s: warped(np.column_stack([1.0 - s[:, 0], s[:, 1]]))[:, :3])
+        actions = np.array(paired_actions(L, grid, rule))
+        assert np.all(np.abs(np.array(paired_actions(L, reversed_grid, rule)) - actions)
+                      <= 4 * EPS * np.abs(actions))
+        # not vacuous: the linear probe reads the top coordinate, which the reversal negates
+        assert paired_actions(probe, reversed_grid, rule)[0] == pytest.approx(-paired_actions(probe, grid, rule)[0])
 
 
 # permutations of the ambient axes, as sigma[i] = where axis i goes: a swap in R^3, a swap, a 4-cycle and the

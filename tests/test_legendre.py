@@ -520,20 +520,20 @@ class TestRankLemma:
     def test_area_n3(self, x3, area3, rng):
         report = rank_lemma_check(area3, x3, rng.standard_normal((1, 3)))
         assert (report.rank_L2.tolist(), report.rank_L.tolist()) == ([3], [2])
-        assert report.splitting_holds.tolist() == [True]
+        assert (report.rank_L2 == 1 + report.rank_L).tolist() == [True]
         assert report.singular_values_L2[0] == pytest.approx((2.0, 2.0, 2.0))
 
     def test_linear_probe(self, x3):
         L = projected_volume_lagrangian(3, 2)
         report = rank_lemma_check(L, x3, cyclic_row(1.0, 2.0, 3.0))
         assert (report.rank_L2.tolist(), report.rank_L.tolist()) == ([1], [0])
-        assert report.splitting_holds.tolist() == [True]
+        assert (report.rank_L2 == 1 + report.rank_L).tolist() == [True]
 
     def test_ellipsoid_random(self, x3, ellipsoid3, rng):
         ys = rng.standard_normal((50, 3))
         report = rank_lemma_check(ellipsoid3, x3, ys[np.linalg.norm(ys, axis=-1) >= 1e-3])
         assert np.all(report.rank_L2 == 3) and np.all(report.rank_L == 2)
-        assert report.splitting_holds.all()
+        assert (report.rank_L2 == 1 + report.rank_L).all()
 
     def test_sympy_oracle_ranks_agree(self, x3, ellipsoid3, rng):
         # same ranks from the sympy oracle's value, gradient and Hessian
@@ -548,7 +548,7 @@ class TestRankLemma:
         L = area_lagrangian(4, 2)
         report = rank_lemma_check(L, np.zeros(4), rng.standard_normal((1, 6)))
         assert (report.rank_L2.tolist(), report.rank_L.tolist()) == ([6], [5])
-        assert report.splitting_holds.all()
+        assert (report.rank_L2 == 1 + report.rank_L).all()
 
     def test_kvector_is_rejected(self, x3, area3):
         # a fiber object that is no array reads as a 0-d array, which is no (N, C(n,p)) rows

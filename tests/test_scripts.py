@@ -41,6 +41,14 @@ def test_readme_scripts_block_names_every_script():
     assert sorted(set(re.findall(r"scripts/(\w+\.py)", block))) == sorted(path.name for path in SCRIPTS.glob("*.py"))
 
 
+def test_ci_workflow_names_only_existing_scripts():
+    # the workflow runs only on the CI runner, so a script renamed or retired under it would fail there first
+    workflow = (SCRIPTS.parent / ".github" / "workflows" / "tier1.yml").read_text()
+    named = set(re.findall(r"\b((?:scripts|bench)/\w+\.py)\b", workflow))
+    assert {"scripts/run_all.py", "scripts/report_trees.py", "bench/run.py"} <= named
+    assert sorted(path for path in named if not (SCRIPTS.parent / path).is_file()) == []
+
+
 def test_run_all_meets_every_expected_exit_code(tmp_path):
     assert load_script("run_all").run(tmp_path) == 0
 

@@ -587,7 +587,7 @@ class TestQuadrature:
         surf = bilinear_surface(4)
         from multisymp.surfaces import _quadrature_rule
         samples, weight = _quadrature_rule(surf, "gauss2")
-        assert len(samples) * weight * surf.num_cells == pytest.approx(1.0)
+        assert len(samples) * weight * math.prod(surf.resolution) == pytest.approx(1.0)
 
 
 class TestGridValidation:
