@@ -6,15 +6,22 @@ Usage, from the repository root:
     python scripts/report_trees.py OUT [--rev REV]
 
 Runs ``multisymp.cli.main`` in-process on every job of both benchmark
-workloads at each variant (the configs of ``bench/jobs.py``) and on the
-bundled configs that ``scripts/run_all.py`` lists.  Each run writes its
-report, its CSV cloud if it is an ``image`` run, and a ``.exit`` file that
-holds the exit code on the first line and the run's stderr after it, into
-OUT/<workload>/<variant>/ or OUT/bundled/.  The package comes from this
-checkout's src/, or with --rev from the committed files of REV (``git
-archive`` into a temporary directory).  The jobs and configs always come
-from this checkout, so two trees differ only by the package.  BLAS runs on
-one thread, as in bench/run.py.  OUT must be new or empty.  A parent
+workloads at each variant (the configs of ``bench/jobs.py``) and on every
+config under configs/, whose command is its file name up to the first
+``_``.  Each run writes its report, its CSV cloud if it is an ``image``
+run, and a ``.exit`` file that holds the exit code on the first line and
+the run's stderr after it, into OUT/<workload>/<variant>/ or OUT/bundled/.
+The package comes from this checkout's src/, or with --rev from the
+committed files of REV (``git archive`` into a temporary directory).  The
+jobs and configs always come from this checkout, so two trees differ only
+by the package.  BLAS runs on one thread, as in bench/run.py.  OUT must be
+new or empty.
+
+Each run is judged by its exit code: a job's ``expect_exit``, and for a
+bundled config 0, or its entry in BUNDLED_EXITS.  The whole tree is always
+written.  Then the script prints each bundled config's exit code, wall time
+and failed checks, their total wall time and one line per run with an
+unexpected exit, and exits 1 if there is such a run, else 0.  A parent
 against a change, in two fresh interpreters:
 
     python scripts/report_trees.py base --rev HEAD
@@ -26,15 +33,18 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent
-ROOT = SCRIPTS.parent
+ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+# detector sensitivity: the nonconvex probe must fail its convexity check; every other bundled config passes
+BUNDLED_EXITS = {"verify_probe": 1}
 
 
 def load(name: str, directory: Path):
@@ -92,21 +102,33 @@ def run_job(main, command: str, config: Path, report: Path) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def write_tree(out: Path, src: Path = SRC) -> None:
+def bundled_configs() -> list[tuple[str, Path, int]]:
+    """Each config under configs/ as a run: its command (its file name up to the first _), path and expected exit."""
+    return [(path.name.split("_", 1)[0], path, BUNDLED_EXITS.get(path.stem, 0))
+            for path in sorted((ROOT / "configs").glob("*.json"))]
+
+
+def write_tree(out: Path, src: Path = SRC) -> list[tuple[Path, int, int, float, str]]:
     """Every output of every benchmark job and bundled config, by the package under src, into out: each run's
-    report at <target>/<name>.report.json and its exit code and stderr at <target>/<name>.exit."""
+    report at <target>/<name>.report.json and its exit code and stderr at <target>/<name>.exit.  Per run, in
+    the order run: <target>/<name>, its exit code, its expected exit, its wall time in seconds and its stderr."""
     main = import_package("multisymp_tree", src).cli.main
     jobs = load("jobs", ROOT / "bench")
+    results = []
     with tempfile.TemporaryDirectory(prefix="report-trees-") as configs:
-        runs = [(out / workload / str(variant), job.command, config, job.name)
+        runs = [(out / workload / str(variant) / job.name, job.command, config, job.expect_exit)
                 for workload in jobs.WORKLOADS for variant in range(jobs.VARIANTS)
                 for job, config in jobs.write_configs(workload, variant, Path(configs) / workload / str(variant))]
-        runs += [(out / "bundled", command, ROOT / "configs" / config, config.removesuffix(".json"))
-                 for command, config, _ in load("run_all", SCRIPTS).RUNS]
-        for target, command, config, name in runs:
-            target.mkdir(parents=True, exist_ok=True)
-            code, err = run_job(main, command, config, target / f"{name}.report.json")
-            (target / f"{name}.exit").write_text(f"{code}\n{err}")
+        runs += [(out / "bundled" / config.stem, command, config, expected)
+                 for command, config, expected in bundled_configs()]
+        for path, command, config, expected in runs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            start = time.perf_counter()
+            code, err = run_job(main, command, config, path.with_name(f"{path.name}.report.json"))
+            wall = time.perf_counter() - start
+            path.with_name(f"{path.name}.exit").write_text(f"{code}\n{err}")
+            results.append((path, code, expected, wall, err))
+    return results
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,9 +139,23 @@ def main(argv: list[str] | None = None) -> int:
     if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
         parser.error(f"{args.out} must be a new or empty directory")
     with package_src(args.rev) as src:
-        write_tree(args.out, src)
+        results = write_tree(args.out, src)
+    bundled = [(path, code, wall) for path, code, _, wall, _ in results if path.parent == args.out / "bundled"]
+    for path, code, wall in bundled:
+        report = path.with_name(f"{path.name}.report.json")
+        if report.exists():
+            checks = json.loads(report.read_text())["checks"]
+            summary = f"checks={len(checks)} failed={[c['name'] for c in checks if c['status'] == 'fail'] or '-'}"
+        else:
+            summary = "no report"
+        print(f"{path.name:28s} exit={code} wall={wall:.3f}s {summary}")
+    print(f"{'total':28s} wall={sum(wall for _, _, wall in bundled):.3f}s")
+    unexpected = [(path, code, expected, err) for path, code, expected, _, err in results if code != expected]
+    for path, code, expected, err in unexpected:
+        first_line = err.partition("\n")[0]
+        print(f"UNEXPECTED {path.relative_to(args.out)}: exit {code}, wanted {expected}: {first_line}")
     print(f"wrote {sum(path.is_file() for path in args.out.rglob('*'))} files under {args.out}")
-    return 0
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":

@@ -380,7 +380,7 @@ def _image_checks(L: HomogeneousLagrangian, x: np.ndarray, grads: Callable[[], n
     if L.image_quadric is not None:
         quadric, fixed = L.image_quadric
         checks["legendre-image-quadric"] = (quadric_tol if fixed is None else fixed,
-                                            lambda: float(np.max(np.abs(quadric(grads()) - 1.0), initial=0.0)))
+                                            lambda: float(np.max(np.abs(quadric(grads()) - 1.0))))
     checks["legendre-image-convexity"] = (cert["tol"], lambda: certificate().worst_violation)
     return checks, certificate
 
@@ -507,6 +507,8 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     reference = config.get("reference")
     if reference is not None:
         reference = _number(reference, "reference")
+        if len(resolutions) < 3:  # only the convergence table reads it
+            raise ConfigError(f"reference must come with at least three resolutions, got {len(resolutions)}")
 
     rows = []
     for res in resolutions:
@@ -560,6 +562,8 @@ def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
         write_image_csv(x, grads, L.p, stream)
 
     checks, certificate = _image_checks(L, x, lambda: grads, tol["quadric"], cert)
+    if count == 0:  # an empty cloud is no evidence for the quadric
+        checks.pop("legendre-image-quadric", None)
     report, passed = _report("image", config, checks, csv=str(csv_path), num_points=count)
     report["certificate"] = asdict(certificate())
     return report, passed

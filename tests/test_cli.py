@@ -295,6 +295,10 @@ class TestImageCommand:
         with open(tmp_path / "empty.csv") as stream:
             rows = list(csv.reader(stream))
         assert rows == [["x1", "x2", "x3", "p12", "p13", "p23"]]
+        # no point to test the quadric on, so only the certificate's check runs
+        report = json.loads(out.read_text())
+        assert [c["name"] for c in report["checks"]] == ["legendre-image-convexity"]
+        assert report["num_points"] == 0
 
     def test_csv_determinism(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -564,6 +568,9 @@ class TestErrorHandling:
             "terms": [{"coeff": 1.0, "powers": [-2, 0]}]}}}, "surface.params.terms[0].powers"),
         # a bilinear map has no powers to name: its product of coordinates overflows on too large a domain
         ("action", {**FLAT_ACTION, "surface": {"f": "bilinear", "domain": [[0, 1e200], [0, 1e200]]}}, "surface.domain"),
+        # only a convergence table, which takes three resolutions, reads the reference
+        ("action", {**FLAT_ACTION, "surface": {"f": "bilinear", "domain": [[0, 1], [0, 1]]}, "resolutions": [16, 32],
+                    "reference": 123.0}, "reference"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -26,14 +27,6 @@ def load_script(name, directory=SCRIPTS):
     return module
 
 
-def test_run_all_lists_every_bundled_config():
-    # a config missing from RUNS would be skipped by run_all.py, report_trees.py and CI without notice
-    runs = load_script("run_all").RUNS
-    bundled = sorted(path.name for path in (SCRIPTS.parent / "configs").iterdir())
-    assert sorted(config for _, config, _ in runs) == bundled
-    assert all(config.startswith(f"{command}_") for command, config, _ in runs)
-
-
 def test_readme_scripts_block_names_every_script():
     # a script added or deleted without its line in the README's Scripts block would go unnoticed
     readme = (SCRIPTS.parent / "README.md").read_text()
@@ -45,38 +38,83 @@ def test_ci_workflow_names_only_existing_scripts():
     # the workflow runs only on the CI runner, so a script renamed or retired under it would fail there first
     workflow = (SCRIPTS.parent / ".github" / "workflows" / "tier1.yml").read_text()
     named = set(re.findall(r"\b((?:scripts|bench)/\w+\.py)\b", workflow))
-    assert {"scripts/run_all.py", "scripts/report_trees.py", "bench/run.py"} <= named
+    assert {"scripts/report_trees.py", "bench/run.py"} <= named
     assert sorted(path for path in named if not (SCRIPTS.parent / path).is_file()) == []
 
 
-def test_run_all_meets_every_expected_exit_code(tmp_path):
-    assert load_script("run_all").run(tmp_path) == 0
+FLAT_ACTION = {"lagrangian": {"name": "area", "n": 3, "p": 2}, "surface": {"f": "flat", "domain": [[0, 1], [0, 1]]},
+               "resolutions": [4]}
 
 
-def test_run_all_prints_wall_times(tmp_path, capsys):
-    module = load_script("run_all")
-    module.run(tmp_path)
+def small_tree_script(root, monkeypatch, job_exit=0):
+    """report_trees run from root: its configs/ as given, and in place of the benchmark one job, a flat-graph action
+    (which exits 0) in workload w at variant 0, expected to exit job_exit."""
+    (root / "bench").mkdir()
+    (root / "bench" / "jobs.py").write_text(textwrap.dedent(f"""\
+        import json
+        from types import SimpleNamespace
+        WORKLOADS, VARIANTS = ("w",), 1
+        def write_configs(workload, variant, work_dir):
+            work_dir.mkdir(parents=True)
+            (work_dir / "flat.json").write_text({json.dumps(FLAT_ACTION)!r})
+            return [(SimpleNamespace(name="flat", command="action", expect_exit={job_exit}), work_dir / "flat.json")]
+        """))
+    monkeypatch.delitem(sys.modules, "jobs", raising=False)  # report_trees registers its jobs module there
+    module = load_script("report_trees")
+    monkeypatch.setattr(module, "ROOT", root)
+    return module
+
+
+@pytest.mark.parametrize("job_exit, config, line", [
+    (1, None, "UNEXPECTED w/0/flat: exit 0, wanted 1: "),
+    (0, {"lagrangian": {"name": "area", "n": 3, "p": 2}, "samples": 0},
+     "UNEXPECTED bundled/verify_bad: exit 2, wanted 0: config error: samples must"),
+], ids=["job", "bundled"])
+def test_report_trees_exits_1_naming_an_unexpected_run(tmp_path, monkeypatch, capsys, job_exit, config, line):
+    (tmp_path / "configs").mkdir()
+    if config is not None:
+        (tmp_path / "configs" / "verify_bad.json").write_text(json.dumps(config))
+    module = small_tree_script(tmp_path, monkeypatch, job_exit)
+    assert module.main([str(tmp_path / "tree")]) == 1
+    unexpected = [text for text in capsys.readouterr().out.splitlines() if text.startswith("UNEXPECTED")]
+    assert len(unexpected) == 1 and unexpected[0].startswith(line)
+    # the whole tree is written all the same
+    assert (tmp_path / "tree" / "w" / "0" / "flat.report.json").is_file()
+
+
+def test_report_trees_runs_a_config_added_to_configs(tmp_path, monkeypatch, capsys):
+    # no list names the bundled configs: a file placed in configs/ runs under the command its name begins with
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "action_added.json").write_text(json.dumps(FLAT_ACTION))
+    module = small_tree_script(tmp_path, monkeypatch)
+    assert module.main([str(tmp_path / "tree")]) == 0
+    assert (tmp_path / "tree" / "bundled" / "action_added.exit").read_text() == "0\n"
+    assert json.loads((tmp_path / "tree" / "bundled" / "action_added.report.json").read_text())["command"] == "action"
+    assert "action_added                 exit=0 " in capsys.readouterr().out
+
+
+def test_report_trees_meets_every_expected_exit_code(tmp_path, monkeypatch):
+    # every bundled config exits as BUNDLED_EXITS says, verify_probe's failed check included, so main returns 0
+    (tmp_path / "configs").symlink_to(SCRIPTS.parent / "configs")
+    module = small_tree_script(tmp_path, monkeypatch)
+    assert module.main([str(tmp_path / "tree")]) == 0
+    bundled = module.bundled_configs()
+    assert len(bundled) == len(list((SCRIPTS.parent / "configs").glob("*.json")))
+    for _, config, expected in bundled:
+        assert (tmp_path / "tree" / "bundled" / f"{config.stem}.exit").read_text().splitlines()[0] == str(expected), \
+            config.name
+
+
+def test_report_trees_bundled_walls_sum_to_the_total(tmp_path, monkeypatch, capsys):
+    (tmp_path / "configs").symlink_to(SCRIPTS.parent / "configs")
+    module = small_tree_script(tmp_path, monkeypatch)
+    assert module.main([str(tmp_path / "tree")]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if " wall=" in line]
-    assert len(lines) == len(module.RUNS) + 1
+    assert len(lines) == len(list((SCRIPTS.parent / "configs").glob("*.json"))) + 1
+    assert any(line.startswith("verify_probe ") and " exit=1 " in line for line in lines)  # expected to fail
     walls = [float(re.search(r"wall=(\d+\.\d+)s", line).group(1)) for line in lines]
     assert lines[-1].startswith("total")
     assert walls[-1] == pytest.approx(sum(walls[:-1]), abs=1e-2)
-
-
-def test_run_all_summarizes_a_run_without_report(tmp_path, monkeypatch, capsys):
-    module = load_script("run_all")
-    (tmp_path / "configs").mkdir()
-    (tmp_path / "configs" / "bad.json").write_text('{"lagrangian": {"name": "area", "n": 3, "p": 2}, "samples": 0}')
-    out = tmp_path / "out"
-    out.mkdir()
-    stale = out / "bad.report.json"  # left by an earlier run into the same directory
-    stale.write_text('{"checks": [], "overall": "pass"}')
-    monkeypatch.setattr(module, "ROOT", tmp_path)
-    monkeypatch.setattr(module, "RUNS", [("verify", "bad.json", 0)])
-    assert module.run(out) == 1
-    line = next(line for line in capsys.readouterr().out.splitlines() if "bad.json" in line)
-    assert "exit=2" in line and "no report" in line and "UNEXPECTED" in line
-    assert not stale.exists()
 
 
 def test_compare_reports_ignores_timing_and_config_only(tmp_path, capsys):
@@ -132,8 +170,8 @@ def test_report_trees_writes_every_output_with_its_expected_exit(tmp_path):
             for job in jobs.GENERATORS[workload](variant):
                 assert exit_code(tmp_path / workload / str(variant) / f"{job.name}.exit") == job.expect_exit, \
                     (workload, variant, job.name)
-    for _, config, expected in load_script("run_all").RUNS:
-        assert exit_code(tmp_path / "bundled" / config.replace(".json", ".exit")) == expected, config
+    for _, config, expected in module.bundled_configs():
+        assert exit_code(tmp_path / "bundled" / f"{config.stem}.exit") == expected, config
 
 
 def test_block_sizes_move_no_report_leaf(tmp_path, monkeypatch):
@@ -144,8 +182,7 @@ def test_block_sizes_move_no_report_leaf(tmp_path, monkeypatch):
     jobs = trees.load("jobs", BENCH)
     runs = [(workload, job.command, config, job.name) for workload in jobs.WORKLOADS
             for job, config in jobs.write_configs(workload, 4, tmp_path / "configs" / workload)]
-    runs += [("bundled", command, SCRIPTS.parent / "configs" / config, config.removesuffix(".json"))
-             for command, config, _ in load_script("run_all").RUNS]
+    runs += [("bundled", command, config, config.stem) for command, config, _ in trees.bundled_configs()]
 
     def tree(cell_block, radial_block):
         monkeypatch.setattr(surfaces, "CELL_BLOCK", cell_block)
