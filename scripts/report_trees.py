@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write every output of the benchmark jobs and the bundled configs into one tree.
+"""Write every output of the benchmark jobs and the bundled configs into one deterministic tree.
 
 Usage, from the repository root:
 
@@ -11,22 +11,26 @@ config under configs/, whose command is its file name up to the first
 ``_``.  Each run writes its report, its CSV cloud if it is an ``image``
 run, and a ``.exit`` file that holds the exit code on the first line and
 the run's stderr after it, into OUT/<workload>/<variant>/ or OUT/bundled/.
-The package comes from this checkout's src/, or with --rev from the
-committed files of REV (``git archive`` into a temporary directory).  The
-jobs and configs always come from this checkout, so two trees differ only
-by the package.  BLAS runs on one thread, as in bench/run.py.  OUT must be
-new or empty.
+Each report is then made deterministic: its checks' ``runtime_ms`` timings
+are taken out, its ``csv`` is named relative to the report's directory, and
+it is written back as sorted, indented JSON.  So two trees of the same code
+are byte-identical, wherever they were written.  The package comes from
+this checkout's src/, or with --rev from the committed files of REV (``git
+archive`` into a temporary directory).  The jobs and configs always come
+from this checkout, so two trees differ only by the package.  BLAS runs on
+one thread, as in bench/run.py.  OUT must be new or empty.
 
 Each run is judged by its exit code: a job's ``expect_exit``, and for a
 bundled config 0, or its entry in BUNDLED_EXITS.  The whole tree is always
 written.  Then the script prints each bundled config's exit code, wall time
-and failed checks, their total wall time and one line per run with an
+and failed checks, their total wall time, the summed ``runtime_ms`` of each
+command's check with its count of reports, and one line per run with an
 unexpected exit, and exits 1 if there is such a run, else 0.  A parent
 against a change, in two fresh interpreters:
 
-    python scripts/report_trees.py base --rev HEAD
+    python scripts/report_trees.py base --rev REV
     python scripts/report_trees.py head
-    python scripts/compare_reports.py base head
+    diff -r base head
 """
 
 import argparse
@@ -108,13 +112,30 @@ def bundled_configs() -> list[tuple[str, Path, int]]:
             for path in sorted((ROOT / "configs").glob("*.json"))]
 
 
-def write_tree(out: Path, src: Path = SRC) -> list[tuple[Path, int, int, float, str]]:
-    """Every output of every benchmark job and bundled config, by the package under src, into out: each run's
-    report at <target>/<name>.report.json and its exit code and stderr at <target>/<name>.exit.  Per run, in
-    the order run: <target>/<name>, its exit code, its expected exit, its wall time in seconds and its stderr."""
+def write_run(main, command: str, config: Path, path: Path) -> tuple[int, str, dict[str, float]]:
+    """One CLI job, its report written deterministic at <path>.report.json and its exit code and stderr at
+    <path>.exit; its exit code, its stderr and the ``runtime_ms`` taken out of each check, by check name."""
+    report = path.with_name(f"{path.name}.report.json")
+    code, err = run_job(main, command, config, report)
+    path.with_name(f"{path.name}.exit").write_text(f"{code}\n{err}")
+    timings = {}
+    if report.exists():
+        fields = json.loads(report.read_text())
+        timings = {check["name"]: check.pop("runtime_ms") for check in fields["checks"]}
+        if "csv" in fields:
+            fields["csv"] = os.path.relpath(fields["csv"], report.parent)
+        report.write_text(json.dumps(fields, indent=2, sort_keys=True) + "\n")
+    return code, err, timings
+
+
+def write_tree(out: Path, src: Path = SRC) -> tuple[list[tuple[Path, int, int, float, str]],
+                                                   dict[tuple[str, str], list[float]]]:
+    """Every output of every benchmark job and bundled config, by the package under src, into out, each through
+    write_run at <target>/<name>.  Per run, in the order run: <target>/<name>, its exit code, its expected exit,
+    its wall time in seconds and its stderr; and each (command, check)'s ``runtime_ms`` over the runs."""
     main = import_package("multisymp_tree", src).cli.main
     jobs = load("jobs", ROOT / "bench")
-    results = []
+    results, times = [], {}
     with tempfile.TemporaryDirectory(prefix="report-trees-") as configs:
         runs = [(out / workload / str(variant) / job.name, job.command, config, job.expect_exit)
                 for workload in jobs.WORKLOADS for variant in range(jobs.VARIANTS)
@@ -124,11 +145,11 @@ def write_tree(out: Path, src: Path = SRC) -> list[tuple[Path, int, int, float, 
         for path, command, config, expected in runs:
             path.parent.mkdir(parents=True, exist_ok=True)
             start = time.perf_counter()
-            code, err = run_job(main, command, config, path.with_name(f"{path.name}.report.json"))
-            wall = time.perf_counter() - start
-            path.with_name(f"{path.name}.exit").write_text(f"{code}\n{err}")
-            results.append((path, code, expected, wall, err))
-    return results
+            code, err, timings = write_run(main, command, config, path)
+            results.append((path, code, expected, time.perf_counter() - start, err))
+            for name, ms in timings.items():
+                times.setdefault((command, name), []).append(ms)
+    return results, times
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -139,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
         parser.error(f"{args.out} must be a new or empty directory")
     with package_src(args.rev) as src:
-        results = write_tree(args.out, src)
+        results, times = write_tree(args.out, src)
     bundled = [(path, code, wall) for path, code, _, wall, _ in results if path.parent == args.out / "bundled"]
     for path, code, wall in bundled:
         report = path.with_name(f"{path.name}.report.json")
@@ -150,6 +171,8 @@ def main(argv: list[str] | None = None) -> int:
             summary = "no report"
         print(f"{path.name:28s} exit={code} wall={wall:.3f}s {summary}")
     print(f"{'total':28s} wall={sum(wall for _, _, wall in bundled):.3f}s")
+    for (command, name), ms in sorted(times.items()):
+        print(f"{command:6s} {name:36s} {sum(ms):9.1f} ms over {len(ms)} reports")
     unexpected = [(path, code, expected, err) for path, code, expected, _, err in results if code != expected]
     for path, code, expected, err in unexpected:
         first_line = err.partition("\n")[0]

@@ -72,17 +72,21 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
         raise ConfigError(f"missing keys in {where}: {missing}")
 
 
-def _has_bool(value: Any) -> bool:
-    return isinstance(value, bool) or (isinstance(value, (list, tuple)) and any(map(_has_bool, value)))
+def _numeric(value: Any) -> bool:
+    """Whether value is a JSON number, or a list of numbers or of such lists.  A bool or a string is none,
+    though numpy reads true as 1.0 and "1e-6" as 1e-6."""
+    if isinstance(value, list):
+        return all(map(_numeric, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _finite(value: Any, key: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """The config value as a float array of the given shape; JSON admits NaN and Infinity, configs do not."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        arr = np.asarray(value, dtype=float) if _numeric(value) else None
+    except (ValueError, OverflowError):  # a ragged list, or an int beyond any float
         arr = None
-    if arr is None or _has_bool(value):  # numpy reads true and false, also inside a list, as 1.0 and 0.0
+    if arr is None:
         raise ConfigError(f"{key} must be numeric, got {value!r}")
     if shape is not None and arr.shape != shape:
         raise ConfigError(f"{key} must be {'a number' if shape == () else f'of shape {shape}'}, got {value!r}")

@@ -67,6 +67,10 @@ class HomogeneousLagrangian:
     density: GraphDensity | None = None
     sampling_floor: float = 0.0
 
+    def __post_init__(self):
+        if not 0 < self.p < self.n:
+            raise ValueError(f"need 0 < p < n, got p={self.p}, n={self.n}")
+
     @property
     def fiber_dim(self) -> int:
         return math.comb(self.n, self.p)
@@ -140,8 +144,6 @@ class GraphDensity:
 
 def area_lagrangian(n: int, p: int) -> HomogeneousLagrangian:
     """Euclidean norm of the fiber coordinates: the p-area of the spanned element."""
-    if not 0 < p < n:
-        raise ValueError(f"need 0 < p < n, got p={p}, n={n}")
     eye = np.eye(math.comb(n, p))
 
     def jet(xs, cs, order):
@@ -170,7 +172,7 @@ def ellipsoid_lagrangian(n: int, p: int, weights: Sequence[float]) -> Homogeneou
 
     def jet(xs, cs, order):
         # a sum over the last axis, not a matmul: a row's value must not depend on the batch
-        value = np.sqrt(np.sum(w * (cs * cs), axis=-1))
+        value = np.sqrt(_reduce(np.add, w * (cs * cs), axis=-1))
         if order == 0:
             return (value,)
         wc = w * cs
@@ -181,7 +183,7 @@ def ellipsoid_lagrangian(n: int, p: int, weights: Sequence[float]) -> Homogeneou
         return value, grad, diag / L - wc[:, :, None] * wc[:, None, :] / L**3
 
     return HomogeneousLagrangian(
-        n, p, "ellipsoid", jet, image_quadric=(lambda grads: np.sum(grads**2 / w, axis=-1), None),
+        n, p, "ellipsoid", jet, image_quadric=(lambda grads: _reduce(np.add, grads**2 / w, axis=-1), None),
     )
 
 
@@ -213,7 +215,7 @@ def geometric_mean_lagrangian(n: int = 3, p: int = 2) -> HomogeneousLagrangian:
     diagonal = np.diag_indices(dim)
 
     def jet(xs, cs, order):
-        value = np.abs(np.prod(cs, axis=-1)) ** (1.0 / dim)
+        value = np.abs(_reduce(np.multiply, cs, axis=-1)) ** (1.0 / dim)
         if order == 0:
             return (value,)
         L = value[:, None]
@@ -280,11 +282,11 @@ def graph_area_density(n: int, p: int) -> GraphDensity:
         if order == 0:
             return (F,)
         inv = np.linalg.inv(G)
-        K = np.sum(inv[:, :, :, None] * slopes[:, None, :, :], axis=2)
+        K = _reduce(np.add, inv[:, :, :, None] * slopes[:, None, :, :], axis=2)
         dF = F[:, None, None] * K
         if order == 1:
             return F, dF
-        P = np.eye(n - p) - np.sum(slopes[:, :, :, None] * K[:, :, None, :], axis=1)
+        P = np.eye(n - p) - _reduce(np.add, slopes[:, :, :, None] * K[:, :, None, :], axis=1)
         Kt = np.swapaxes(K, 1, 2)
         D2 = (K[:, :, :, None, None] * K[:, None, None, :, :] + inv[:, :, None, :, None] * P[:, None, :, None, :]
               - K[:, :, None, None, :] * Kt[:, None, :, :, None])

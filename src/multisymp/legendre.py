@@ -18,7 +18,7 @@ from typing import IO
 import numpy as np
 
 from .errors import NotInImageError, ZeroSectionError
-from .exterior import _rejection_rows
+from .exterior import _reduce, _rejection_rows
 from .lagrangian import HomogeneousLagrangian
 from .multisymplectic import TotalSpaceChart
 
@@ -214,7 +214,7 @@ def _line_search(L: HomogeneousLagrangian, xs: np.ndarray, targets: np.ndarray, 
     def trial(cand, tgt):
         level, g = _level_gradient(L, xs, cand)
         F = level[:, None] * g - tgt
-        return level, g, np.add.reduce(F * F, axis=-1)
+        return level, g, _reduce(np.add, F * F, axis=-1)
 
     c_new = c + delta
     level, g, f = trial(c_new, targets)
@@ -273,7 +273,7 @@ def _radial_block(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
     stalled = np.zeros(len(targets), dtype=int)  # iterations since then
     for _ in range(100):
         F = level[:, None] * g - targets[rows]
-        f = np.add.reduce(F * F, axis=-1)  # np.linalg.norm squares and sums in the same order
+        f = _reduce(np.add, F * F, axis=-1)  # np.linalg.norm squares and sums in the same order
         done = np.sqrt(f) <= 1e-11 * np.maximum(1.0, norm_t[rows])
         if done.any():
             radius[rows[done]], solution[rows[done]] = level[done], c[done]
@@ -296,7 +296,7 @@ def _radial_block(L: HomogeneousLagrangian, x: np.ndarray, targets: np.ndarray):
     ok = radius > 1e-12 * np.maximum(1.0, np.linalg.norm(solution, axis=-1))
     solution[ok] /= radius[ok, None]
     residual = L.gradient_many(x, solution[ok]) - targets[ok] / radius[ok, None]
-    ok[ok] = np.sqrt(np.sum(residual * residual, axis=-1)) <= 1e-6
+    ok[ok] = np.sqrt(_reduce(np.add, residual * residual, axis=-1)) <= 1e-6
     radius[~ok], solution[~ok] = np.nan, np.nan
     return radius, solution
 

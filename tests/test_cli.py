@@ -571,6 +571,14 @@ class TestErrorHandling:
         # only a convergence table, which takes three resolutions, reads the reference
         ("action", {**FLAT_ACTION, "surface": {"f": "bilinear", "domain": [[0, 1], [0, 1]]}, "resolutions": [16, 32],
                     "reference": 123.0}, "reference"),
+        # a JSON string is no number, though numpy parses "1" and "1e-6", also inside a list
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "ellipsoid", "n": 3, "p": 2,
+                                                  "params": {"weights": ["1", "4", "9"]}}}, "lagrangian.params.weights"),
+        ("verify", {**AREA_VERIFY, "x": ["0", "0", "0"]}, "x"),
+        ("action", {**FLAT_ACTION, "tolerances": {"graph_vs_lagrangian": "1e-6"}}, "tolerances.graph_vs_lagrangian"),
+        ("image", {**AREA_IMAGE, "certificate": {"tolerance": "1e-7"}}, "certificate.tolerance"),
+        ("action", {**FLAT_ACTION, "surface": {"f": "flat", "domain": [["0", "1"], [0, 1]]}}, "surface.domain"),
+        ("action", {**FLAT_ACTION, "density": {"name": "constant", "params": {"value": "2"}}}, "density.params.value"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts

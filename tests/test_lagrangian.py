@@ -324,6 +324,21 @@ class TestNondegeneracy:
 
 
 class TestBuiltinInvariants:
+    @pytest.mark.parametrize("make, n, p", [
+        (lambda n, p: ellipsoid_lagrangian(n, p, [1.0]), 3, 3),
+        (projected_volume_lagrangian, 3, 3),
+        (projected_volume_lagrangian, 3, 0),
+        (geometric_mean_lagrangian, 3, 3),
+        (geometric_mean_lagrangian, 2, 0),
+        (lambda n, p: graph_lift(constant_density(n, p)), 3, 3),
+    ], ids=["ellipsoid-3-3", "projected_volume-3-3", "projected_volume-3-0", "geometric_mean-3-3",
+            "geometric_mean-2-0", "graph_lift-3-3"])
+    def test_needs_p_between_0_and_n(self, make, n, p):
+        # HomogeneousLagrangian checks the rule itself, so no constructor builds a Lagrangian without a fiber
+        # of proper p-planes; each of these has C(n, p) = 1 coordinate and constructed before
+        with pytest.raises(ValueError, match=f"need 0 < p < n, got p={p}, n={n}"):
+            make(n, p)
+
     @pytest.mark.parametrize("L", builtins_3_2(), ids=lambda L: L.name)
     def test_euler_and_homogeneity(self, L, x3, rng):
         ys = chart_rows(rng, 100)

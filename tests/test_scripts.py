@@ -117,61 +117,47 @@ def test_report_trees_bundled_walls_sum_to_the_total(tmp_path, monkeypatch, caps
     assert walls[-1] == pytest.approx(sum(walls[:-1]), abs=1e-2)
 
 
-def test_compare_reports_ignores_timing_and_config_only(tmp_path, capsys):
-    compare = load_script("compare_reports").main
-    report = {"config": {"seed": 1}, "checks": [{"name": "c", "measured": 0.5, "runtime_ms": 1.0}],
-              "certificate": {"worst_violation": float("nan")}}
-    for side, runtime, seed in (("a", 1.0, 1), ("b", 9.0, 2)):
-        (tmp_path / side / "v0").mkdir(parents=True)
-        shifted = {**report, "config": {"seed": seed},
-                   "checks": [{**report["checks"][0], "runtime_ms": runtime}]}
-        (tmp_path / side / "v0" / "job.report.json").write_text(json.dumps(shifted))
-        (tmp_path / side / "v0" / "job.csv").write_bytes(b"x1,p12\r\n0.0,1.0\r\n")
-    assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+def test_report_trees_writes_a_tree_that_diff_r_can_compare(tmp_path, monkeypatch, capsys):
+    # a tree written into a relative root and one written into an absolute root are byte-identical, and the
+    # runtime_ms taken out of each report are summed per command and check
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "action_added.json").write_text(json.dumps(FLAT_ACTION))
+    module = small_tree_script(tmp_path, monkeypatch)
+    run_job = module.run_job
+    known = {"action-multisymplectic-vs-lagrangian": 1.25, "action-graph-vs-lagrangian": 0.0625}
 
-    report["checks"][0]["measured"] = 0.5000000000000001
-    (tmp_path / "b" / "v0" / "job.report.json").write_text(json.dumps(report))
-    (tmp_path / "b" / "v0" / "job.csv").write_bytes(b"x1,p12\n0.0,1.0\n")
-    (tmp_path / "b" / "extra.csv").write_bytes(b"")
-    capsys.readouterr()
-    assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
-    out = capsys.readouterr().out
-    assert "extra.csv: only in B" in out
-    assert "v0/job.csv: bytes differ" in out
-    assert "v0/job.report.json: /checks/c/measured: 0.5 != 0.5000000000000001" in out
+    def timed(main, command, config, report):  # each check reads a known time
+        code, err = run_job(main, command, config, report)
+        fields = json.loads(report.read_text())
+        for check in fields["checks"]:
+            check["runtime_ms"] = known[check["name"]]
+        report.write_text(json.dumps(fields))
+        return code, err
+
+    monkeypatch.setattr(module, "run_job", timed)
+    monkeypatch.chdir(tmp_path)
+    assert module.main(["relative"]) == module.main([str(tmp_path / "absolute")]) == 0
+    assert tree_bytes(tmp_path / "relative") == tree_bytes(tmp_path / "absolute")
+    assert "runtime_ms" not in (tmp_path / "relative" / "bundled" / "action_added.report.json").read_text()
+    sums = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines() if line.endswith(" reports")]
+    assert sums == ["action action-graph-vs-lagrangian 0.1 ms over 2 reports",
+                    "action action-multisymplectic-vs-lagrangian 2.5 ms over 2 reports"] * 2
 
 
+def tree_bytes(root):
+    """Every file under root by its path relative to root, as bytes."""
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
-@pytest.mark.parametrize("field, changed", [("status", "fail"), ("claim", "another claim")])
-def test_compare_reports_reads_every_leaf(tmp_path, capsys, field, changed):
-    compare = load_script("compare_reports").main
-    check = {"name": "c", "claim": "a claim", "status": "pass", "measured": 0.5}
-    for side, value in (("a", check[field]), ("b", changed)):
-        (tmp_path / side).mkdir()
-        # each report names the CSV beside it, so the two csv fields differ only by the root
-        report = {"checks": [{**check, field: value}], "overall": "pass", "csv": str(tmp_path / side / "job.csv")}
-        (tmp_path / side / "job.report.json").write_text(json.dumps(report))
-    assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
-    out = capsys.readouterr().out
-    assert f"job.report.json: /checks/c/{field}: {check[field]!r} != {changed!r}" in out
-    assert "1 files compared, 1 differences" in out
 
 def test_report_trees_writes_every_output_with_its_expected_exit(tmp_path):
+    # main judges every run's exit code, and each report it writes is free of timings and names its CSV bare
     module = load_script("report_trees")
-    module.write_tree(tmp_path)
+    assert module.main([str(tmp_path)]) == 0
     assert sum(path.is_file() for path in tmp_path.rglob("*")) == 998
-
-    def exit_code(path):
-        return int(path.read_text().splitlines()[0])
-
-    jobs = module.load("jobs", BENCH)
-    for workload in jobs.WORKLOADS:
-        for variant in range(jobs.VARIANTS):
-            for job in jobs.GENERATORS[workload](variant):
-                assert exit_code(tmp_path / workload / str(variant) / f"{job.name}.exit") == job.expect_exit, \
-                    (workload, variant, job.name)
-    for _, config, expected in module.bundled_configs():
-        assert exit_code(tmp_path / "bundled" / f"{config.stem}.exit") == expected, config
+    reports = [json.loads(path.read_text()) for path in tmp_path.rglob("*.report.json")]
+    assert not any("runtime_ms" in check for report in reports for check in report["checks"])
+    csvs = [report["csv"] for report in reports if "csv" in report]
+    assert len(csvs) == 114 and all(Path(csv).name == csv for csv in csvs)
 
 
 def test_block_sizes_move_no_report_leaf(tmp_path, monkeypatch):
@@ -190,15 +176,13 @@ def test_block_sizes_move_no_report_leaf(tmp_path, monkeypatch):
         root = tmp_path / f"{cell_block}-{radial_block}"
         for target, command, config, name in runs:
             (root / target).mkdir(parents=True, exist_ok=True)
-            code, err = trees.run_job(cli.main, command, config, root / target / f"{name}.report.json")
-            (root / target / f"{name}.exit").write_text(f"{code}\n{err}")
-        return root
+            trees.write_run(cli.main, command, config, root / target / name)
+        return tree_bytes(root)
 
     assert (surfaces.CELL_BLOCK, legendre.RADIAL_BLOCK) == (4096, 2560)
     default = tree(4096, 2560)
-    compare = load_script("compare_reports")
     for cell_block, radial_block in ((33, 2560), (4096, 70), (33, 70)):
-        assert compare.compare_trees(default, tree(cell_block, radial_block)) == [], (cell_block, radial_block)
+        assert tree(cell_block, radial_block) == default, (cell_block, radial_block)
 
 
 def test_span_recorder_installs_on_this_package(tmp_path):
