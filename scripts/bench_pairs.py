@@ -64,14 +64,15 @@ import tracemalloc
 from importlib.metadata import version
 from pathlib import Path
 
-from report_trees import ROOT, import_package, load, package_src, run_job
+from report_trees import ROOT, git_stdout, import_package, load, package_src, run_job
 
 SIDES = ("base", "head")
 CLAIM = "median_pass_ratio"
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+def git(*args: str, env: dict | None = None) -> str:
+    """The stdout of ``git args`` in the checkout, stripped; a failing command ends the run naming it."""
+    return git_stdout(list(args), ROOT, env).decode().strip()
 
 
 def worktree_tree() -> str:
@@ -79,9 +80,8 @@ def worktree_tree() -> str:
     written through a temporary index, so the repository's own index is left as it is."""
     with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
         env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
-        subprocess.run(["git", "add", "-A"], cwd=ROOT, env=env, check=True, capture_output=True)
-        return subprocess.run(["git", "write-tree"], cwd=ROOT, env=env, check=True, capture_output=True,
-                              text=True).stdout.strip()
+        git("add", "-A", env=env)
+        return git("write-tree", env=env)
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:

@@ -16,9 +16,11 @@ are taken out, its ``csv`` is named relative to the report's directory, and
 it is written back as sorted, indented JSON.  So two trees of the same code
 are byte-identical, wherever they were written.  The package comes from
 this checkout's src/, or with --rev from the committed files of REV (``git
-archive`` into a temporary directory).  The jobs and configs always come
-from this checkout, so two trees differ only by the package.  BLAS runs on
-one thread, as in bench/run.py.  OUT must be new or empty.
+archive`` into a temporary directory; a REV that git cannot archive ends
+the script with git's own message, before OUT is made).  The jobs and
+configs always come from this checkout, so two trees differ only by the
+package.  BLAS runs on one thread, as in bench/run.py.  OUT must be new or
+empty.
 
 Each run is judged by its exit code: a job's ``expect_exit``, and for a
 bundled config 0, or its entry in BUNDLED_EXITS.  The whole tree is always
@@ -77,10 +79,18 @@ def import_package(name: str, src: Path):
     return module
 
 
+def git_stdout(args: list[str], cwd: Path, env: dict | None = None) -> bytes:
+    """The stdout of ``git args`` run in cwd.  A failing command ends the script with a message that names it and
+    carries git's own stderr, such as ``fatal: not a valid object name: REV``."""
+    proc = subprocess.run(["git", *args], cwd=cwd, env=env, capture_output=True)
+    if proc.returncode != 0:
+        sys.exit(f"git {' '.join(args)} exited {proc.returncode}: {proc.stderr.decode(errors='replace').strip()}")
+    return proc.stdout
+
+
 def export(rev: str, dest: Path) -> None:
     """The committed files of rev, unpacked into dest."""
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=git_stdout(["archive", rev], ROOT), check=True)
 
 
 @contextlib.contextmanager

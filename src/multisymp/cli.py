@@ -107,11 +107,12 @@ def _tolerance(value: Any, key: str) -> float:
     return tol
 
 
-def _positive(value: Any, key: str) -> float:
-    number = _number(value, key)
-    if number <= 0.0:
+def _positive(value: Any, key: str, shape: tuple[int, ...] = ()) -> float | np.ndarray:
+    """A positive number, or with a shape an array of positive numbers."""
+    arr = _finite(value, key, shape)
+    if np.any(arr <= 0.0):
         raise ConfigError(f"{key} must be positive, got {value!r}")
-    return number
+    return arr if shape else float(arr)
 
 
 def _count(value: Any, key: str, least: int) -> int:
@@ -131,26 +132,22 @@ def _choice(value: Any, options, key: str) -> str:
     return value
 
 
-def _section(obj: dict, key: str) -> Any:
-    """obj[key], or {} when it is missing or null; _check_keys rejects any other value that is no object."""
-    value = obj.get(key)
-    return {} if value is None else value
+def _section(obj: dict, key: str, allowed: set[str], required: set[str], where: str) -> dict:
+    """obj[key] checked by _check_keys, or {} when it is missing or null; no other value is read as {}."""
+    value = {} if obj.get(key) is None else obj[key]
+    _check_keys(value, allowed, required, where)
+    return value
 
 
-def _merge_tolerances(defaults: dict[str, float], overrides: Any) -> dict[str, float]:
-    merged = dict(defaults)
-    if overrides is None:
-        return merged
-    _check_keys(overrides, set(defaults), set(), "tolerances")
-    for key, value in overrides.items():
-        merged[key] = _tolerance(value, f"tolerances.{key}")
-    return merged
+def _merge_tolerances(defaults: dict[str, float], config: dict) -> dict[str, float]:
+    """The defaults, each overridden by its entry under config["tolerances"]."""
+    overrides = _section(config, "tolerances", set(defaults), set(), "tolerances")
+    return defaults | {key: _tolerance(value, f"tolerances.{key}") for key, value in overrides.items()}
 
 
 def _certificate(config: dict, keys: set[str], seed: int, tol: float) -> dict:
     """The convexity_certificate arguments under config["certificate"], where only the given keys may be set."""
-    spec = _section(config, "certificate")
-    _check_keys(spec, keys, set(), "certificate")
+    spec = _section(config, "certificate", keys, set(), "certificate")
     return {
         "num_pairs": _count(spec.get("num_pairs", 100), "certificate.num_pairs", 1),
         "t_steps": _count(spec.get("t_steps", 5), "certificate.t_steps", 3),
@@ -170,22 +167,15 @@ DENSITIES = {
 def build_density(spec: Any, n: int, p: int, where: str = "density") -> GraphDensity:
     _check_keys(spec, {"name", "params"}, {"name"}, where)
     make, defaults = DENSITIES[_choice(spec["name"], DENSITIES, f"{where}.name")]
-    params = _section(spec, "params")
-    _check_keys(params, set(defaults), set(), f"{where}.params")
+    params = _section(spec, "params", set(defaults), set(), f"{where}.params")
     return make(n, p, **{k: _positive(params.get(k, v), f"{where}.params.{k}") for k, v in defaults.items()})
-
-
-def _weights(value: Any, n: int, p: int) -> np.ndarray:
-    weights = _finite(value, "lagrangian.params.weights", (math.comb(n, p),))
-    if np.any(weights <= 0.0):
-        raise ConfigError(f"lagrangian.params.weights must be positive, got {value!r}")
-    return weights
 
 
 # name -> (its params keys, all required, and the constructor from n, p and the params)
 LAGRANGIANS: dict[str, tuple[set[str], Callable[[int, int, dict], HomogeneousLagrangian]]] = {
     "area": (set(), lambda n, p, params: area_lagrangian(n, p)),
-    "ellipsoid": ({"weights"}, lambda n, p, params: ellipsoid_lagrangian(n, p, _weights(params["weights"], n, p))),
+    "ellipsoid": ({"weights"}, lambda n, p, params: ellipsoid_lagrangian(
+        n, p, _positive(params["weights"], "lagrangian.params.weights", (math.comb(n, p),)))),
     "graph_lift": ({"density"}, lambda n, p, params: graph_lift(
         build_density(params["density"], n, p, "lagrangian.params.density"))),
     "projected_volume": (set(), lambda n, p, params: projected_volume_lagrangian(n, p)),
@@ -199,8 +189,7 @@ def build_lagrangian(spec: Any) -> HomogeneousLagrangian:
     n, p = _count(spec["n"], "lagrangian.n", 1), _count(spec["p"], "lagrangian.p", 1)
     if p >= n:
         raise ConfigError(f"lagrangian.p must be below lagrangian.n = {n}, got {p}")
-    params = _section(spec, "params")
-    _check_keys(params, keys, keys, "lagrangian.params")
+    params = _section(spec, "params", keys, keys, "lagrangian.params")
     return make(n, p, params)
 
 
@@ -213,8 +202,8 @@ Term = tuple[str, float, list[tuple[int, int | float]]]  # (the config key of co
 def _graph_terms(spec: dict, n: int, p: int) -> list[list[Term]]:
     """The configured graph map as its monomial terms per component, each parameter checked under its key."""
     name = _choice(spec["f"], GRAPH_PARAMS, "surface.f")
-    params, codim = _section(spec, "params"), n - p
-    _check_keys(params, GRAPH_PARAMS[name], GRAPH_PARAMS[name] - {"scale"}, "surface.params")
+    params = _section(spec, "params", GRAPH_PARAMS[name], GRAPH_PARAMS[name] - {"scale"}, "surface.params")
+    codim = n - p
     components: list[list[Term]] = [[] for _ in range(codim)]
     if name == "plane":  # one column may be given as a flat list
         key = "surface.params.coefficients"
@@ -373,20 +362,21 @@ def _report(command: str, config: dict, checks: Checks, **fields: Any) -> tuple[
     return report, passed
 
 
-def _image_checks(L: HomogeneousLagrangian, x: np.ndarray, grads: Callable[[], np.ndarray], quadric_tol: float,
-                  cert: dict) -> tuple[Checks, Callable]:
-    """The legendre-image-quadric check on the gradient rows grads(), if L has an image quadric, then
-    the legendre-image-convexity check on convexity_certificate(L, x, **cert); and that certificate,
-    computed once.  The quadric's own tolerance, if it has one, overrides quadric_tol.
-    """
+def _image_checks(L: HomogeneousLagrangian, x: np.ndarray, count: int, seed: int, quadric_tol: float,
+                  cert: dict) -> tuple[Checks, Callable[[], np.ndarray], Callable]:
+    """The legendre-image-quadric check on a cloud of count gradient rows at seed, if L declares an image quadric
+    and the cloud is nonempty (an empty cloud is no evidence), then the legendre-image-convexity check on
+    convexity_certificate(L, x, **cert); and the cloud and that certificate, each computed once when first called.
+    The quadric's own tolerance, if it has one, overrides quadric_tol."""
+    cloud = functools.cache(lambda: image_coordinates(L, x, count, seed=seed)[1])
     certificate = functools.cache(lambda: convexity_certificate(L, x, **cert))
     checks: Checks = {}
-    if L.image_quadric is not None:
+    if L.image_quadric is not None and count > 0:
         quadric, fixed = L.image_quadric
         checks["legendre-image-quadric"] = (quadric_tol if fixed is None else fixed,
-                                            lambda: float(np.max(np.abs(quadric(grads()) - 1.0))))
+                                            lambda: float(np.max(np.abs(quadric(cloud()) - 1.0))))
     checks["legendre-image-convexity"] = (cert["tol"], lambda: certificate().worst_violation)
-    return checks, certificate
+    return checks, cloud, certificate
 
 
 VERIFY_TOLERANCES = {
@@ -417,21 +407,8 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
     rank_samples = _count(config.get("rank_samples", min(50, samples)), "rank_samples", 1)
     if rank_samples > samples:
         raise ConfigError(f"rank_samples must be at most samples = {samples}, got {rank_samples}")
-    tol = _merge_tolerances(VERIFY_TOLERANCES, config.get("tolerances"))
+    tol = _merge_tolerances(VERIFY_TOLERANCES, config)
     cert = _certificate(config, {"num_pairs", "t_steps"}, seed + 1, tol["convexity"])
-    # the quadric check needs an image quadric, which lifts and the probes do not declare
-    runnable = [name for name in VERIFY_CHECKS if name != "legendre-image-quadric" or L.image_quadric is not None]
-    selected = config.get("checks", runnable)
-    if not isinstance(selected, list) or not selected:
-        raise ConfigError(f"checks must be a nonempty list of check names, got {selected!r}")
-    for name in selected:
-        if _choice(name, VERIFY_CHECKS, "checks") not in runnable:
-            raise ConfigError(f"checks must leave out {name!r}: {L.name} declares no image quadric")
-    if len(set(selected)) < len(selected):
-        raise ConfigError(f"checks must be distinct, got {selected!r}")
-
-    with _phase("verify sampling"):
-        fibers = decomposable_rows(np.random.default_rng(seed), L.n, L.p, samples, L.chart, 0.25, L.sampling_floor)
     chart = TotalSpaceChart(L.n, L.p)
 
     def per_unit_value(residuals: np.ndarray) -> float:
@@ -475,8 +452,19 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
         "multisymplectic-nondegenerate": (0.0, nondegenerate),
         "multisymplectic-closed": (tol["closedness"], closed),
     }
-    checks.update(_image_checks(L, x, lambda: image_coordinates(L, x, 500, seed=seed + 2)[1],
-                                tol["quadric"], cert)[0])
+    checks.update(_image_checks(L, x, 500, seed + 2, tol["quadric"], cert)[0])
+    # the quadric check needs an image quadric, which lifts and the probes do not declare
+    selected = config.get("checks", list(checks))
+    if not isinstance(selected, list) or not selected:
+        raise ConfigError(f"checks must be a nonempty list of check names, got {selected!r}")
+    for name in selected:
+        if _choice(name, VERIFY_CHECKS, "checks") not in checks:
+            raise ConfigError(f"checks must leave out {name!r}: {L.name} declares no image quadric")
+    if len(set(selected)) < len(selected):
+        raise ConfigError(f"checks must be distinct, got {selected!r}")
+
+    with _phase("verify sampling"):  # the fibers that the checks read, once the config's checks are known good
+        fibers = decomposable_rows(np.random.default_rng(seed), L.n, L.p, samples, L.chart, 0.25, L.sampling_floor)
     return _report("verify", config, {name: checks[name] for name in VERIFY_CHECKS if name in selected})
 
 
@@ -507,7 +495,7 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
         raise ConfigError(f"resolutions must be distinct, got {config['resolutions']!r}")
     rule = _choice(config.get("quadrature", "midpoint"), QUADRATURE_RULES, "quadrature")
     surface = build_surface(config["surface"], n, p, resolutions[0], rule)
-    tol = _merge_tolerances(ACTION_TOLERANCES, config.get("tolerances"))
+    tol = _merge_tolerances(ACTION_TOLERANCES, config)
     reference = config.get("reference")
     if reference is not None:
         reference = _number(reference, "reference")
@@ -548,26 +536,26 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     return _report("action", config, checks, **fields)
 
 
-def cmd_image(config: dict, out_dir: Path) -> tuple[dict, bool]:
-    """Sample the Legendre image, write the CSV cloud, and certify convexity."""
+def cmd_image(config: dict, report_path: Path) -> tuple[dict, bool]:
+    """Sample the Legendre image, write the CSV cloud beside the report at report_path, and certify convexity."""
     L, x, seed = _prologue(config, {"count", "certificate", "csv", "tolerances"}, {"count"})
     count = _count(config["count"], "count", 0)
     cert = _certificate(config, {"num_pairs", "t_steps", "seed", "tolerance"}, seed + 1, VERIFY_TOLERANCES["convexity"])
-    tol = _merge_tolerances({"quadric": VERIFY_TOLERANCES["quadric"]}, config.get("tolerances"))
+    tol = _merge_tolerances({"quadric": VERIFY_TOLERANCES["quadric"]}, config)
     csv_name = config.get("csv", "image_points.csv")
     if not isinstance(csv_name, str) or csv_name in ("", "..") or Path(csv_name).name != csv_name:
         raise ConfigError(f"csv must be a bare file name, got {csv_name!r}")
+    if csv_name == report_path.name:  # the report would be written over the cloud
+        raise ConfigError(f"csv must name another file than the report, got {csv_name!r}")
 
+    checks, cloud, certificate = _image_checks(L, x, count, seed, tol["quadric"], cert)
     with _phase("image sampling"):
-        grads = image_coordinates(L, x, count, seed=seed)[1]
-    csv_path = out_dir / csv_name
+        grads = cloud()
+    csv_path = report_path.parent / csv_name
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as stream:
         write_image_csv(x, grads, L.p, stream)
 
-    checks, certificate = _image_checks(L, x, lambda: grads, tol["quadric"], cert)
-    if count == 0:  # an empty cloud is no evidence for the quadric
-        checks.pop("legendre-image-quadric", None)
     report, passed = _report("image", config, checks, csv=str(csv_path), num_points=count)
     report["certificate"] = asdict(certificate())
     return report, passed
@@ -618,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "action":
             report, passed = cmd_action(config)
         else:
-            report, passed = cmd_image(config, out_path.parent)
+            report, passed = cmd_image(config, out_path)
         # encoded before the file is opened, so a serialization error leaves no file, and written
         # in one call instead of json.dump's thousands of small writes
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"

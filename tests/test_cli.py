@@ -92,6 +92,20 @@ FLAT_ACTION = {
     "resolutions": [8],
 }
 
+ELLIPSOID = {"name": "ellipsoid", "n": 3, "p": 2, "params": {"weights": [1.0, 4.0, 9.0]}}
+BILINEAR_ACTION = {**FLAT_ACTION, "surface": {"f": "bilinear", "domain": [[0, 1], [0, 1]]}, "resolutions": [4, 8, 16]}
+# each tolerance key with the check whose tolerance it sets
+VERIFY_TOLERANCE_CHECKS = {
+    "homogeneity": "degree-1-homogeneity", "euler": "euler-identity", "gradient_scale": "gradient-degree-0",
+    "hamiltonian": "vanishing-hamiltonian", "convexity": "legendre-image-convexity",
+    "quadric": "legendre-image-quadric", "pullback": "tautological-pullback", "closedness": "multisymplectic-closed",
+}
+ACTION_TOLERANCE_CHECKS = {
+    "graph_vs_lagrangian": "action-graph-vs-lagrangian",
+    "multisymplectic_vs_lagrangian": "action-multisymplectic-vs-lagrangian",
+    "order_window": "action-convergence-order",
+}
+
 
 class TestVerifyCommand:
     def test_area_passes(self, tmp_path):
@@ -403,6 +417,37 @@ class TestErrorHandling:
         assert main([command, "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) in (0, 1)
         assert out.exists()
 
+    @pytest.mark.parametrize("command, payload, name, field, expected", [
+        *[pytest.param("verify", {**AREA_VERIFY, "lagrangian": ELLIPSOID, "checks": [name], "tolerances": {key: 0.123}},
+                       name, "tolerance", 0.123, id=f"verify-{key}") for key, name in VERIFY_TOLERANCE_CHECKS.items()],
+        *[pytest.param("action", {**BILINEAR_ACTION, "tolerances": {key: 0.123}}, name, "tolerance", 0.123,
+                       id=f"action-{key}") for key, name in ACTION_TOLERANCE_CHECKS.items()],
+        pytest.param("image", {**AREA_IMAGE, "lagrangian": ELLIPSOID, "tolerances": {"quadric": 0.123}},
+                     "legendre-image-quadric", "tolerance", 0.123, id="image-quadric"),
+        # the area image lies on the unit sphere to rounding, so its quadric keeps its own tolerance
+        pytest.param("image", {**AREA_IMAGE, "tolerances": {"quadric": 0.123}},
+                     "legendre-image-quadric", "tolerance", 1e-10, id="image-quadric-area"),
+        pytest.param("image", {**AREA_IMAGE, "certificate": {"num_pairs": 5, "t_steps": 3, "tolerance": 0.123}},
+                     "legendre-image-convexity", "tolerance", 0.123, id="image-certificate.tolerance"),
+        # at 0.123 of the largest singular value Hess(L^2) of the ellipsoid reads rank 2, not 3, so the split fails
+        pytest.param("verify", {**AREA_VERIFY, "lagrangian": ELLIPSOID, "checks": ["hessian-rank-split"],
+                                "tolerances": {"rank_threshold": 0.123}},
+                     "hessian-rank-split", "status", "fail", id="verify-rank_threshold"),
+        pytest.param("action", {**BILINEAR_ACTION, "tolerances": {"order_target": 0.123}},
+                     "action-convergence-order", "measured",
+                     lambda report: max(abs(row["observed_order"] - 0.123) for row in report["convergence"]
+                                        if row["observed_order"] is not None), id="action-order_target"),
+    ])
+    def test_each_tolerance_key_reaches_its_check(self, tmp_path, command, payload, name, field, expected):
+        out = tmp_path / "report.json"
+        code = main([command, "--config", str(write_config(tmp_path, payload)), "--out", str(out)])
+        report = load_report(out)
+        assert code == (0 if report["overall"] == "pass" else 1)
+        checks = {check["name"]: check for check in report["checks"]}
+        assert checks[name][field] == (expected(report) if callable(expected) else expected)
+        if command == "image":  # the certificate block states the tolerance that its check was held to
+            assert report["certificate"]["tolerance"] == checks["legendre-image-convexity"]["tolerance"]
+
     def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
         # errors, help and a run in one process, each parsed as by a fresh parser
         from multisymp import cli
@@ -579,6 +624,13 @@ class TestErrorHandling:
         ("image", {**AREA_IMAGE, "certificate": {"tolerance": "1e-7"}}, "certificate.tolerance"),
         ("action", {**FLAT_ACTION, "surface": {"f": "flat", "domain": [["0", "1"], [0, 1]]}}, "surface.domain"),
         ("action", {**FLAT_ACTION, "density": {"name": "constant", "params": {"value": "2"}}}, "density.params.value"),
+        # the report would be written over its own cloud
+        ("image", {**AREA_IMAGE, "csv": "report.json"}, "csv"),
+        # a ragged list, or an integer beyond any float, which numpy cannot read as a float array
+        ("action", {**FLAT_ACTION, "surface": {"f": "flat", "domain": [[0, 1], [0]]}}, "surface.domain"),
+        ("verify", {**AREA_VERIFY, "lagrangian": {"name": "ellipsoid", "n": 3, "p": 2,
+                                                  "params": {"weights": [1, [4], 9]}}}, "lagrangian.params.weights"),
+        ("verify", {**AREA_VERIFY, "x": [0, 10**400, 0]}, "x"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts

@@ -160,6 +160,15 @@ def test_report_trees_writes_every_output_with_its_expected_exit(tmp_path):
     assert len(csvs) == 114 and all(Path(csv).name == csv for csv in csvs)
 
 
+def test_report_trees_names_an_unknown_revision(tmp_path):
+    # git's own message is shown, not hidden behind a CalledProcessError, and nothing is written
+    out = tmp_path / "tree"
+    with pytest.raises(SystemExit) as exc:
+        load_script("report_trees").main([str(out), "--rev", "nosuchrev"])
+    assert str(exc.value.code).startswith("git archive nosuchrev exited 128: fatal: ")
+    assert not out.exists()
+
+
 def test_block_sizes_move_no_report_leaf(tmp_path, monkeypatch):
     # the slab size of the action kernels and the block size of the radial solves move no leaf of the bundled
     # configs or of variant 4 of either workload, where grouping points into map calls moved poly_* leaves
@@ -273,6 +282,16 @@ def test_bench_pairs_rejects_a_run_without_pairs(capsys):
         load_script("bench_pairs").main(["--base", "HEAD", "--pr", "0", "certificates"])
     assert exc.value.code == 2
     assert "expected WORKLOAD:PAIRS" in capsys.readouterr().err
+
+
+def test_bench_pairs_names_an_unknown_revision():
+    # as report_trees does: git's own message ends the run before any export, pair or record
+    module = load_script("bench_pairs")
+    out = SCRIPTS.parent / "BENCH_nosuchrev.json"
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--base", "nosuchrev", "--pr", "nosuchrev", "actions:1"])
+    assert str(exc.value.code).startswith("git rev-parse nosuchrev exited 128: fatal: ")
+    assert not out.exists()
 
 
 def test_bench_pairs_pass_summary_from_fixed_times():
