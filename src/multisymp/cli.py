@@ -72,12 +72,21 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
         raise ConfigError(f"missing keys in {where}: {missing}")
 
 
+def _shown(value: Any) -> str:
+    """repr(value) for a message, unless value nests a list or object three deep, which no key reads (its
+    shape is at most 2-D): such a repr would recurse as deep as the JSON does."""
+    inner = [value]
+    for _ in range(2):
+        inner = [w for v in inner if isinstance(v, (list, dict)) for w in (v.values() if isinstance(v, dict) else v)]
+    return "lists or objects nested more than 2 deep" if any(isinstance(v, (list, dict)) for v in inner) else repr(value)
+
+
 def _numeric(value: Any) -> bool:
-    """Whether value is a JSON number, or a list of numbers or of such lists.  A bool or a string is none,
-    though numpy reads true as 1.0 and "1e-6" as 1e-6."""
-    if isinstance(value, list):
-        return all(map(_numeric, value))
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether value is a JSON number, a list of numbers or a list of such lists, the shapes a numeric key reads
+    (2-D at most).  A bool or a string is none, though numpy reads true as 1.0 and "1e-6" as 1e-6."""
+    rows = value if isinstance(value, list) else [value]
+    return all(isinstance(w, (int, float)) and not isinstance(w, bool)
+               for v in rows for w in (v if isinstance(v, list) else [v]))
 
 
 def _finite(value: Any, key: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -87,7 +96,7 @@ def _finite(value: Any, key: str, shape: tuple[int, ...] | None = None) -> np.nd
     except (ValueError, OverflowError):  # a ragged list, or an int beyond any float
         arr = None
     if arr is None:
-        raise ConfigError(f"{key} must be numeric, got {value!r}")
+        raise ConfigError(f"{key} must be numeric, got {_shown(value)}")
     if shape is not None and arr.shape != shape:
         raise ConfigError(f"{key} must be {'a number' if shape == () else f'of shape {shape}'}, got {value!r}")
     if not np.isfinite(arr).all():
@@ -120,7 +129,7 @@ def _count(value: Any, key: str, least: int) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {_shown(value)}")
     if value < least:
         raise ConfigError(f"{key} must be at least {least}, got {value}")
     return value
@@ -128,7 +137,7 @@ def _count(value: Any, key: str, least: int) -> int:
 
 def _choice(value: Any, options, key: str) -> str:
     if not isinstance(value, str) or value not in options:
-        raise ConfigError(f"{key} must be one of {sorted(options)}, got {value!r}")
+        raise ConfigError(f"{key} must be one of {sorted(options)}, got {_shown(value)}")
     return value
 
 
@@ -219,7 +228,7 @@ def _graph_terms(spec: dict, n: int, p: int) -> list[list[Term]]:
     elif name == "polynomial":
         terms = params["terms"]
         if not isinstance(terms, list) or not terms:
-            raise ConfigError(f"surface.params.terms must be a nonempty list of terms, got {terms!r}")
+            raise ConfigError(f"surface.params.terms must be a nonempty list of terms, got {_shown(terms)}")
         for i, term in enumerate(terms):
             key = f"surface.params.terms[{i}]"
             _check_keys(term, {"coeff", "powers", "component"}, {"coeff", "powers"}, key)
@@ -456,7 +465,7 @@ def cmd_verify(config: dict) -> tuple[dict, bool]:
     # the quadric check needs an image quadric, which lifts and the probes do not declare
     selected = config.get("checks", list(checks))
     if not isinstance(selected, list) or not selected:
-        raise ConfigError(f"checks must be a nonempty list of check names, got {selected!r}")
+        raise ConfigError(f"checks must be a nonempty list of check names, got {_shown(selected)}")
     for name in selected:
         if _choice(name, VERIFY_CHECKS, "checks") not in checks:
             raise ConfigError(f"checks must leave out {name!r}: {L.name} declares no image quadric")
@@ -489,7 +498,7 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
     density = L.density if config.get("density") is None else build_density(config["density"], n, p)
     resolutions = config["resolutions"]
     if not isinstance(resolutions, list) or not resolutions:
-        raise ConfigError(f"resolutions must be a nonempty list of integers, got {resolutions!r}")
+        raise ConfigError(f"resolutions must be a nonempty list of integers, got {_shown(resolutions)}")
     resolutions = sorted(_count(r, "resolutions", 2) for r in resolutions)
     if len(set(resolutions)) < len(resolutions):
         raise ConfigError(f"resolutions must be distinct, got {config['resolutions']!r}")
@@ -537,14 +546,14 @@ def cmd_action(config: dict) -> tuple[dict, bool]:
 
 
 def cmd_image(config: dict, report_path: Path) -> tuple[dict, bool]:
-    """Sample the Legendre image, write the CSV cloud beside the report at report_path, and certify convexity."""
+    """Sample the Legendre image, certify convexity, then write the CSV cloud beside the report at report_path."""
     L, x, seed = _prologue(config, {"count", "certificate", "csv", "tolerances"}, {"count"})
     count = _count(config["count"], "count", 0)
     cert = _certificate(config, {"num_pairs", "t_steps", "seed", "tolerance"}, seed + 1, VERIFY_TOLERANCES["convexity"])
     tol = _merge_tolerances({"quadric": VERIFY_TOLERANCES["quadric"]}, config)
     csv_name = config.get("csv", "image_points.csv")
     if not isinstance(csv_name, str) or csv_name in ("", "..") or Path(csv_name).name != csv_name:
-        raise ConfigError(f"csv must be a bare file name, got {csv_name!r}")
+        raise ConfigError(f"csv must be a bare file name, got {_shown(csv_name)}")
     if csv_name == report_path.name:  # the report would be written over the cloud
         raise ConfigError(f"csv must name another file than the report, got {csv_name!r}")
 
@@ -552,12 +561,12 @@ def cmd_image(config: dict, report_path: Path) -> tuple[dict, bool]:
     with _phase("image sampling"):
         grads = cloud()
     csv_path = report_path.parent / csv_name
+    report, passed = _report("image", config, checks, csv=str(csv_path), num_points=count)
+    report["certificate"] = asdict(certificate())
+    # written once every check has run, so that a check that raises leaves no cloud behind
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as stream:
         write_image_csv(x, grads, L.p, stream)
-
-    report, passed = _report("image", config, checks, csv=str(csv_path), num_points=count)
-    report["certificate"] = asdict(certificate())
     return report, passed
 
 
@@ -565,7 +574,7 @@ def _read_config(path: str) -> dict:
     with open(path) as stream:
         try:
             config = json.load(stream)
-        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed JSON, bytes that are not UTF-8, or nesting too deep
             raise ConfigError(exc) from None
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -611,8 +620,13 @@ def main(argv: list[str] | None = None) -> int:
         # in one call instead of json.dump's thousands of small writes
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w") as stream:
-            stream.write(text)
+        try:
+            with open(out_path, "w") as stream:
+                stream.write(text)
+        except OSError:  # an image cloud is not left behind without its report
+            if args.command == "image":
+                Path(report["csv"]).unlink(missing_ok=True)
+            raise
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,13 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+def nested(depth, inner=0.0):
+    """inner wrapped in depth lists, built without recursing."""
+    for _ in range(depth):
+        inner = [inner]
+    return inner
+
+
 def load_report(path):
     with open(path) as stream:
         return json.load(stream)
@@ -122,6 +129,15 @@ class TestVerifyCommand:
             assert check["status"] == "pass"
             assert check["measured"] <= check["tolerance"]
             assert check["claim"]
+
+    def test_area_at_73_is_nondegenerate(self, tmp_path):
+        # dim 7 + C(7, 3) = 42: the rank is read on 42 generic tuples, where the basis tuples number C(42, 3) = 11,480
+        payload = {"lagrangian": {"name": "area", "n": 7, "p": 3}, "samples": 20,
+                   "certificate": {"num_pairs": 5, "t_steps": 3}}
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+        measured = {check["name"]: check["measured"] for check in load_report(out)["checks"]}
+        assert measured["multisymplectic-nondegenerate"] == 0.0
 
     def test_bundled_area_config(self, tmp_path):
         out = tmp_path / "report.json"
@@ -330,11 +346,13 @@ class TestImageCommand:
 
 class TestErrorHandling:
     def test_malformed_json_exits_2_without_report(self, tmp_path):
-        cfg = tmp_path / "broken.json"
-        cfg.write_text("{not json")
-        out = tmp_path / "report.json"
-        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
-        assert not out.exists()
+        # the last: JSON nested deeper than the decoder recurses
+        for text in ("{not json", '{"x": ' + "[" * 5000 + "]" * 5000 + "}"):
+            cfg = tmp_path / "broken.json"
+            cfg.write_text(text)
+            out = tmp_path / "report.json"
+            assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_unknown_top_level_key(self, tmp_path):
         cfg = write_config(tmp_path, {**AREA_VERIFY, "samplez": 10})
@@ -631,6 +649,10 @@ class TestErrorHandling:
         ("verify", {**AREA_VERIFY, "lagrangian": {"name": "ellipsoid", "n": 3, "p": 2,
                                                   "params": {"weights": [1, [4], 9]}}}, "lagrangian.params.weights"),
         ("verify", {**AREA_VERIFY, "x": [0, 10**400, 0]}, "x"),
+        # nesting deeper than any key's shape (2-D at most) is rejected without recursing, and without its repr
+        ("verify", {**AREA_VERIFY, "x": nested(900)}, "x"),
+        ("action", {**FLAT_ACTION, "resolutions": [nested(900)]}, "resolutions"),
+        ("verify", {**AREA_VERIFY, "checks": [nested(900)]}, "checks"),
     ])
     def test_invalid_value_exits_2_naming_key(self, tmp_path, capsys, command, payload, key):
         # json.dumps writes nan and inf as the NaN and Infinity extensions that json.load accepts
@@ -639,7 +661,9 @@ class TestErrorHandling:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert not (tmp_path / AREA_IMAGE["csv"]).exists()
-        assert f"config error: {key} must" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {key} must" in err
+        assert "[[[" not in err  # a value nested 3 deep is named by its depth, not echoed
 
     @pytest.mark.parametrize("command, payload, where, key", [
         ("action", {**FLAT_ACTION, "surface": {"f": "polynomial", "domain": [[0, 1], [0, 1]],
@@ -742,6 +766,25 @@ class TestExitCodes:
         assert main(["action", "--config", str(write_config(tmp_path, FLAT_ACTION)), "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith("internal or numerical failure: TypeError: ")
         assert not out.exists()
+
+    def test_image_check_that_raises_leaves_no_cloud(self, tmp_path, capsys, monkeypatch):
+        # the cloud is sampled before the checks run, but written only once every check has run
+        def failing(*args, **kwargs):
+            raise FloatingPointError("the certificate broke down")
+
+        monkeypatch.setattr(cli, "convexity_certificate", failing)
+        out = tmp_path / "report.json"
+        assert main(["image", "--config", str(write_config(tmp_path, AREA_IMAGE)), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == ("internal or numerical failure: FloatingPointError: the certificate broke "
+                                           "down (in check legendre-image-convexity)\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+    def test_image_report_that_cannot_be_written_leaves_no_cloud(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.mkdir()  # a directory where the report would go, beside a cloud that can be written
+        assert main(["image", "--config", str(write_config(tmp_path, AREA_IMAGE)), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "report.json"]
 
 
 @pytest.mark.parametrize("command, payload", [("verify", {**AREA_VERIFY, "checks": ["euler-identity"]}),

@@ -1,7 +1,6 @@
 """Tautological form, its differential, nondegeneracy, closedness, pullback."""
 
 import itertools
-import math
 import re
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisymp import multisymplectic
+from multisymp.exterior import det
 from multisymp import (
     FormField,
     TotalSpaceChart,
@@ -171,6 +171,14 @@ class TestNondegeneracy:
         assert not ok
         assert rank == 3  # every vertical direction is in the kernel
 
+    @pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (5, 3)])
+    def test_planted_kernel_reads_dim_minus_1(self, n, p, rng):
+        # omega without its dp_I ^ dx^I term has d/dp_I in its kernel, and no other direction
+        chart = TotalSpaceChart(n, p)
+        point = rng.standard_normal(chart.dim_total)
+        for k in range(chart.fiber_dim):
+            assert nondegeneracy_check(omega_without(chart, k), point) == (False, chart.dim_total - 1)
+
     @pytest.mark.parametrize("axes", [(0, 1), (1, 4), (-1, 2)])
     def test_constant_form_axes_in_range(self, chart32, axes):
         with pytest.raises(ValueError, match="axes out of range"):
@@ -278,28 +286,10 @@ class TestBatchedForms:
             # the validated call on one point is row 0 of the batch
             assert form(points[0], list(vectors[0].T)) == values[0]
 
-    @pytest.mark.parametrize("n, p", [(3, 2), (4, 2), (5, 3)])
-    def test_nondegeneracy_rank_independent_of_block(self, n, p, rng, monkeypatch):
-        chart = TotalSpaceChart(n, p)
-        point = rng.standard_normal(chart.dim_total)
-        for form in (omega(chart), constant_x_form(chart, range(1, p + 2))):
-            default = nondegeneracy_check(form, point)
-            monkeypatch.setattr(multisymplectic, "SUBSET_BLOCK", 1)
-            assert nondegeneracy_check(form, point) == default
-            monkeypatch.setattr(multisymplectic, "SUBSET_BLOCK", math.comb(chart.dim_total, form.degree) + 1)
-            assert nondegeneracy_check(form, point) == default
-            monkeypatch.undo()
-
     def test_contraction_matrix_matches_scalar_calls(self, rng, monkeypatch):
-        # the 455 x 15 contraction of omega at (5,3), entry by entry through __call__
-        chart = TotalSpaceChart(5, 3)
-        form = omega(chart)
-        point = rng.standard_normal(chart.dim_total)
-        basis = np.eye(chart.dim_total)
-        tuples = itertools.combinations(range(chart.dim_total), form.degree - 1)
-        expected = np.array([[form(point, [basis[col], *basis[list(rest)]]) for col in range(chart.dim_total)]
-                             for rest in tuples])
-        captured = []
+        # each entry of the ranked matrix is the scalar call on the arguments the evaluator got for it, and the
+        # rank is that of the exhaustive contraction matrix over every basis (k-1)-tuple
+        captured, calls = [], []
         matrix_rank = np.linalg.matrix_rank
 
         def capture(matrix, tol):
@@ -307,37 +297,28 @@ class TestBatchedForms:
             return matrix_rank(matrix, tol=tol)
 
         monkeypatch.setattr(np.linalg, "matrix_rank", capture)
-        assert nondegeneracy_check(form, point) == (True, chart.dim_total)
-        assert np.array_equal(captured[0], expected)
-        # forms that read the point, and a 1-form, whose only tuple is the empty one, at (4,2)
-        chart = TotalSpaceChart(4, 2)
-        point = rng.standard_normal(chart.dim_total)
-        basis = np.eye(chart.dim_total)
-        for form in (theta(chart), weighted_x_form(chart, "p13", (1, 2)), constant_x_form(chart, (3,))):
-            captured.clear()
-            tuples = itertools.combinations(range(chart.dim_total), form.degree - 1)
-            expected = np.array([[form(point, [basis[col], *basis[list(rest)]]) for col in range(chart.dim_total)]
-                                 for rest in tuples])
-            nondegeneracy_check(form, point)
-            assert captured[0].shape == (math.comb(chart.dim_total, form.degree - 1), chart.dim_total)
-            assert np.array_equal(captured[0], expected)
-
-    def test_omega_is_evaluated_once_per_basis_subset(self, rng):
-        # (5,3): C(15, 4) = 1,365 subsets, not 455 tuples times 15 columns, in blocks of SUBSET_BLOCK
-        chart = TotalSpaceChart(5, 3)
-        inner = omega(chart)
-        rows = []
-
-        def counting(points, vectors):
-            rows.append(len(vectors))
-            return inner.evaluator(points, vectors)
-
-        form = FormField(degree=inner.degree, dim=inner.dim, evaluator=counting, name="omega")
-        point = rng.standard_normal(chart.dim_total)
-        assert nondegeneracy_check(form, point) == nondegeneracy_check(inner, point) == (True, 15)
-        assert sum(rows) == math.comb(15, 4) == 1365
-        assert max(rows) <= multisymplectic.SUBSET_BLOCK
-        assert len(rows) == math.ceil(1365 / multisymplectic.SUBSET_BLOCK)
+        count = 0
+        for n, p in RANK_SHAPES:
+            chart = TotalSpaceChart(n, p)
+            dim = chart.dim_total
+            point = rng.standard_normal(dim)
+            basis = np.eye(dim)
+            for form in rank_forms(chart):
+                captured.clear()
+                calls.clear()
+                ok, rank = nondegeneracy_check(recording(form, calls), point)
+                (points, vectors), = calls
+                matrix = captured[0]
+                assert matrix.shape == (dim, dim) and len(points) == dim * dim
+                assert np.array_equal(points, np.broadcast_to(point, points.shape))
+                assert np.array_equal(matrix.ravel(), [form(pt, list(vs.T)) for pt, vs in zip(points, vectors)])
+                tuples = itertools.combinations(range(dim), form.degree - 1)
+                expected = np.array([[form(point, [basis[col], *basis[list(rest)]]) for col in range(dim)]
+                                     for rest in tuples])
+                reference = matrix_rank(expected, tol=1e-10 * max(1.0, float(np.abs(expected).max())))
+                assert (ok, rank) == (reference == dim, reference), (chart, form.name)
+                count += 1
+        assert count == 81
 
     @pytest.mark.parametrize("n, p", [(3, 2), (5, 3)])
     def test_closedness_batch_equals_single_points(self, n, p, rng):
@@ -357,3 +338,33 @@ class TestBatchedForms:
         tuples = rng.standard_normal((8, 2, 4))
         per_fiber = max(pullback_residual(L, x, y[None], [t]) for y, t in zip(rows, tuples))
         assert pullback_residual(L, x, rows, tuples) == per_fiber
+
+
+# the charts of the exhaustive rank comparison
+RANK_SHAPES = [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3)]
+
+
+def omega_without(chart, dropped):
+    """omega with its dropped-th term dp_I ^ dx^I left out: degenerate, with d/dp_I in its kernel."""
+    n, p = chart.n, chart.p
+    rows = np.array([(n + k, *(a - 1 for a in axes)) for k, axes in enumerate(multi_indices(n, p)) if k != dropped])
+    return FormField(p + 1, chart.dim_total, lambda points, vectors: det(np.take(vectors, rows, axis=1)).sum(axis=-1),
+                     f"omega without term {dropped}")
+
+
+def recording(form, calls):
+    """form, with the arguments of each evaluator call appended to calls."""
+    def evaluate(points, vectors):
+        calls.append((points.copy(), vectors.copy()))
+        return form.evaluator(points, vectors)
+
+    return FormField(form.degree, form.dim, evaluate, form.name)
+
+
+def rank_forms(chart):
+    """theta, omega, constant_x_form and weighted_x_form of degrees 1-4 (up to n), and each omega_without."""
+    degrees = range(1, min(4, chart.n) + 1)
+    return ([theta(chart), omega(chart)]
+            + [constant_x_form(chart, range(1, k + 1)) for k in degrees]
+            + [weighted_x_form(chart, chart.labels[-1], range(1, k + 1)) for k in degrees]
+            + [omega_without(chart, k) for k in range(chart.fiber_dim)])

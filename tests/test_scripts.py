@@ -396,3 +396,26 @@ def test_bench_pairs_head_tree_holds_the_working_files(tmp_path, monkeypatch):
     staged = subprocess.run(["git", "diff", "--cached", "--name-only"], cwd=repo, check=True, capture_output=True,
                             text=True).stdout
     assert staged == ""
+
+
+def test_line_trace_names_only_the_lines_that_never_ran(tmp_path):
+    source = tmp_path / "traced.py"
+    source.write_text(textwrap.dedent("""\
+        def called(x):
+            y = x + 1
+            return y
+
+
+        def uncalled(x):
+            if x:
+                return [k for k in range(x)]
+            return None
+        """))
+    spec = importlib.util.spec_from_file_location("traced", source)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    module = load_script("line_trace")
+    result, missed = module.unrun_lines([source], lambda: traced.called(1))
+    assert result == 2
+    # the uncalled function's def line and its body, in which the comprehension is a code object of its own
+    assert missed == [f"{source.resolve()}:{line}" for line in (6, 7, 8, 9)]
