@@ -47,17 +47,25 @@ def hamiltonian(L: HomogeneousLagrangian, x: np.ndarray, p: np.ndarray, y: np.nd
     return np.vecdot(dual.astype(float, copy=False), cs) - L._jet(xs, cs, 0)[0]
 
 
+def _check_tolerance(value: float, name: str) -> None:
+    """A tolerance bounds a residual, which is never negative; 0 asks for an exact result."""
+    if not value >= 0.0:  # a NaN fails too
+        raise ValueError(f"{name} must be at least 0, got {value}")
+
+
 def inverse_legendre(L: HomogeneousLagrangian, x: np.ndarray, p: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Solve dL/dy(x, y) = p for each dual row of p (N, C(n,p)); the solutions as fiber rows on {L = 1}.
 
     The certificate's radial solve, blocks and confirmation included: it
     solves L(y*) dL/dy(y*) = p and normalizes y = y* / L(y*).  A target is a
     dual row, so the chart of L does not apply to it; only the solve's
-    seeding does.  Raises ValueError naming the first non-finite row,
-    ZeroSectionError on a zero row, and NotInImageError naming the first row
-    whose solve fails or whose |dL/dy(y) - p| exceeds tol, which is the
-    no-solution signal for targets off the image.
+    seeding does.  Raises ValueError for a NaN or negative tol or naming the
+    first non-finite row, ZeroSectionError on a zero row, and
+    NotInImageError naming the first row whose solve fails or whose
+    |dL/dy(y) - p| exceeds tol, which is the no-solution signal for targets
+    off the image.
     """
+    _check_tolerance(tol, "tol")
     targets = np.asarray(p)
     if targets.ndim != 2 or targets.shape[1] != L.fiber_dim:
         raise ValueError(f"{L.name} takes dual rows (N, {L.fiber_dim}), got {targets.shape}")
@@ -128,8 +136,10 @@ def rank_lemma_check(
 ) -> RankReport:
     """Rank of Hess(L^2) versus 1 + rank(Hess L), by singular values above threshold*sigma_max.
 
-    Per fiber row of y (N, C(n,p)), from one _square_hessians call and one stacked SVD.
+    Per fiber row of y (N, C(n,p)), from one _square_hessians call and one stacked SVD.  Raises ValueError for a
+    NaN or negative threshold.
     """
+    _check_tolerance(threshold, "threshold")
     H2, H = L._square_hessians(*L._rows(x, y))
     svals = np.linalg.svd(np.stack([H2, H]), compute_uv=False)
     top = svals[..., :1]
@@ -316,8 +326,10 @@ def convexity_certificate(
     confirms the preimage of the rescaled point, and the radial excess is
     recorded; a nondegenerate Lagrangian keeps every excess at numerical
     zero or below.  Raises ValueError for fewer than one pair or three
-    steps, which would check no point inside a segment.
+    steps, which would check no point inside a segment, and for a NaN or
+    negative tol.
     """
+    _check_tolerance(tol, "tol")
     if num_pairs < 1:
         raise ValueError(f"num_pairs must be at least 1, got {num_pairs}")
     if t_steps < 3:

@@ -557,6 +557,23 @@ class TestRankLemma:
 
 
 
+
+TOLERANCE_CALLS = {
+    "inverse_legendre": lambda L, x, value: inverse_legendre(L, x, cyclic_row(0.6, 0.8, 0.0), tol=value),
+    "convexity_certificate": lambda L, x, value: convexity_certificate(L, x, num_pairs=5, t_steps=5, tol=value),
+    "rank_lemma_check": lambda L, x, value: rank_lemma_check(L, x, cyclic_row(1.0, 2.0, 3.0), threshold=value),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0])
+@pytest.mark.parametrize("function, argument", [("inverse_legendre", "tol"), ("convexity_certificate", "tol"),
+                                                ("rank_lemma_check", "threshold")])
+def test_tolerance_that_is_nan_or_negative_raises_naming_it(x3, area3, function, argument, value):
+    # a NaN or negative bound gave a wrong verdict (a failed solve, a failed certificate, zero or full ranks)
+    with pytest.raises(ValueError, match=f"^{argument} must be at least 0, got {value}$"):
+        TOLERANCE_CALLS[function](area3, x3, value)
+
+
 class TestConvexityCertificate:
     def test_area_passes(self, x3, area3):
         cert = convexity_certificate(area3, x3, num_pairs=100, t_steps=5, seed=2)

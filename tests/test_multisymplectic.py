@@ -312,9 +312,12 @@ class TestBatchedForms:
                 assert matrix.shape == (dim, dim) and len(points) == dim * dim
                 assert np.array_equal(points, np.broadcast_to(point, points.shape))
                 assert np.array_equal(matrix.ravel(), [form(pt, list(vs.T)) for pt, vs in zip(points, vectors)])
-                tuples = itertools.combinations(range(dim), form.degree - 1)
-                expected = np.array([[form(point, [basis[col], *basis[list(rest)]]) for col in range(dim)]
-                                     for rest in tuples])
+                # the exhaustive matrix, row by basis (k-1)-tuple and column by e_col, from one evaluator call: each
+                # row of a batch equals its scalar call (test_batch_equals_stacked_batches_of_one)
+                rests = itertools.combinations(range(dim), form.degree - 1)
+                indices = np.array([[(col, *rest) for col in range(dim)] for rest in rests])
+                tuples = np.swapaxes(basis[indices], -1, -2).reshape(-1, dim, form.degree)
+                expected = form.evaluator(np.broadcast_to(point, (len(tuples), dim)), tuples).reshape(-1, dim)
                 reference = matrix_rank(expected, tol=1e-10 * max(1.0, float(np.abs(expected).max())))
                 assert (ok, rank) == (reference == dim, reference), (chart, form.name)
                 count += 1

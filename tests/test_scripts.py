@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -235,61 +236,19 @@ def test_span_recorder_installs_on_this_package(tmp_path):
     assert totals["multisymplectic.form_evals"] > 0
 
 
-def test_bench_pairs_summary_counts_wins_by_direction():
-    module = load_script("bench_pairs")
-    pairs = [{"base": {"metrics": {"wall_s": b, "ok_frac": 1.0}}, "head": {"metrics": {"wall_s": h, "ok_frac": 1.0}}}
-             for b, h in ((0.30, 0.20), (0.26, 0.21), (0.28, 0.29), (0.27, 0.19))]
-    summary = module.summarize(pairs, {"wall_s": "lower", "ok_frac": "higher"})
-    assert summary["wall_s"]["head_better_pairs"] == 3
-    assert summary["wall_s"]["base_median"] == pytest.approx(0.275)
-    assert summary["wall_s"]["median_change"] == pytest.approx(0.205 / 0.275 - 1.0)
-    assert summary["wall_s"]["base_quartiles"] == pytest.approx([0.2675, 0.285])
-    assert summary["ok_frac"]["head_better_pairs"] == 0
-    assert summary["ok_frac"]["median_change"] == 0.0
-
-
-def test_bench_pairs_summary_compares_the_median_change_with_the_base_spread():
-    module = load_script("bench_pairs")
-
-    def summary(base, head):
-        pairs = [{"base": {"metrics": {"wall_s": b}}, "head": {"metrics": {"wall_s": h}}} for b, h in zip(base, head)]
-        return module.summarize(pairs, {"wall_s": "lower"})["wall_s"]
-
-    # base quartiles 0.2675 and 0.285: a spread of 0.0175
-    base = [0.30, 0.26, 0.28, 0.27]
-    assert summary(base, [0.25, 0.26, 0.25, 0.26])["beyond_base_spread"]  # median 0.255, 0.02 lower
-    assert not summary(base, [0.27, 0.26, 0.26, 0.27])["beyond_base_spread"]  # median 0.265, 0.01 lower
-    assert summary(base, [0.30, 0.29, 0.30, 0.29])["beyond_base_spread"]  # median 0.295, 0.02 higher
-    assert not summary([0.2, 0.2, 0.2], [0.2, 0.2, 0.2])["beyond_base_spread"]
-    # the resolution is the base's spread over its median, the smallest change the record could resolve
-    assert summary(base, base)["resolution"] == pytest.approx(0.0175 / 0.275)
-    assert summary([0.2, 0.2, 0.2], [0.2, 0.2, 0.2])["resolution"] == 0.0
-    assert summary([0.0, 0.0], [0.1, 0.1])["resolution"] is None
-    # the gate: at least 9 in 10 pairs won, ties for neither side, and the medians beyond the base's spread
-    assert summary(base, [0.25, 0.25, 0.25, 0.25])["gate"]  # 4/4 won, 0.025 lower
-    assert not summary(base, [0.25, 0.26, 0.25, 0.26])["gate"]  # 0.02 lower, but the tie leaves 3/4 won
-    assert not summary(base, [0.27, 0.25, 0.27, 0.26])["gate"]  # 4/4 won, but 0.01 lower
-    assert not summary(base, [0.30, 0.29, 0.30, 0.29])["gate"]  # beyond the spread in the worse direction
-    ten = base + base + base[:2]
-    nine_won = [b - 0.05 for b in ten[:9]] + ten[9:]
-    assert summary(ten, nine_won)["head_better_pairs"] == 9 and summary(ten, nine_won)["gate"]
-    eight_won = nine_won[:8] + ten[8:]
-    assert summary(ten, eight_won)["beyond_base_spread"] and not summary(ten, eight_won)["gate"]
-
-
-def test_bench_pairs_rejects_a_run_without_pairs(capsys):
+def test_bench_pairs_rejects_an_unknown_workload(capsys):
     with pytest.raises(SystemExit) as exc:
-        load_script("bench_pairs").main(["--base", "HEAD", "--pr", "0", "certificates"])
+        load_script("bench_pairs").main(["--base", "HEAD", "--pr", "0", "certificates", "verify"])
     assert exc.value.code == 2
-    assert "expected WORKLOAD:PAIRS" in capsys.readouterr().err
+    assert "argument WORKLOAD: invalid choice: 'verify'" in capsys.readouterr().err
 
 
 def test_bench_pairs_names_an_unknown_revision():
-    # as report_trees does: git's own message ends the run before any export, pair or record
+    # as report_trees does: git's own message ends the run before any export, pass or record
     module = load_script("bench_pairs")
     out = SCRIPTS.parent / "BENCH_nosuchrev.json"
     with pytest.raises(SystemExit) as exc:
-        module.main(["--base", "nosuchrev", "--pr", "nosuchrev", "actions:1"])
+        module.main(["--base", "nosuchrev", "--pr", "nosuchrev", "actions"])
     assert str(exc.value.code).startswith("git rev-parse nosuchrev exited 128: fatal: ")
     assert not out.exists()
 
@@ -314,31 +273,37 @@ def test_bench_pairs_pass_summary_from_fixed_times():
     assert summary["head_lower_jobs"] == 1  # job a only
 
 
-def test_bench_pairs_records_both_parts_of_a_workload(monkeypatch, capsys):
+def test_bench_pairs_records_both_parts_of_a_workload(tmp_path, monkeypatch, capsys):
+    # run in a repository of its own that holds the files record reads, so that the checkout needs no .git; its
+    # working tree scales the area Lagrangian's jet by 1 + 1e-8, a drift the head's reports must show
     module = load_script("bench_pairs")
-    run_bench, imported, trees, sources = module.run_bench, [], [], []
-    monkeypatch.delitem(sys.modules, "multisymp_head", raising=False)
-
-    def recording(tree, *args):
-        imported.append("multisymp_head" in sys.modules)
-        trees.append(tree)
-        sources.append({path.name: path.read_bytes() for path in (tree / "src" / "multisymp").glob("*.py")})
-        # each side runs in an export with the same layout: a temporary directory of the same name length
-        assert tree != SCRIPTS.parent and tree.name.startswith("multisymp-rev-") and (tree / "src").is_dir()
-        return run_bench(tree, *args)
-
-    monkeypatch.setattr(module, "run_bench", recording)
-    result, ok = module.record([("actions", 1)], "HEAD", seed=0, seconds=0.0)
-    assert ok
-    # both process runs came before this interpreter imported a package, whose memory a child's peak RSS would count
-    assert imported == [False, False]
-    assert len(trees) == 2 and len({len(str(tree)) for tree in trees}) == 1 and trees[0] != trees[1]
-    # the base ran first, from HEAD's files; the head from the checkout's files as they are
-    checkout = SCRIPTS.parent / "src" / "multisymp"
-    assert sources[1] == {path.name: path.read_bytes() for path in checkout.glob("*.py")}
-    assert result["head"]["tree"] == module.worktree_tree()
+    checkout, repo = SCRIPTS.parent, tmp_path / "repo"
+    shutil.copytree(checkout / "src" / "multisymp", repo / "src" / "multisymp",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for name in ("jobs.py", "outcome.py", "record/actions/0.json"):
+        (repo / "bench" / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(BENCH / name, repo / "bench" / name)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(git + args, cwd=repo, check=True, capture_output=True)
+    lagrangian = repo / "src" / "multisymp" / "lagrangian.py"
+    anchor = '    return HomogeneousLagrangian(\n        n, p, "area", jet,'
+    scaled = "    unscaled = jet\n    jet = lambda xs, cs, order: tuple(part * (1 + 1e-8) for part in unscaled(xs, cs, order))\n"
+    assert lagrangian.read_text().count(anchor) == 1
+    lagrangian.write_text(lagrangian.read_text().replace(anchor, scaled + anchor))
+    monkeypatch.setattr(module, "ROOT", repo)
+    monkeypatch.setattr(sys.modules["report_trees"], "ROOT", repo)  # where package_src exports from
+    result, misses = module.record(["actions"], "HEAD", seed=0, seconds=0.0)
+    jobs = module.load("jobs", BENCH).actions_jobs(0)
+    names = [job.name for job in jobs]
+    # the base's reports meet the record, and every head job that runs the area Lagrangian misses it, but for the
+    # known defect, whose numbers the record does not judge
+    assert misses == [f"actions head {job.name}" for job in jobs
+                      if job.config["lagrangian"]["name"] == "area" and job.defect is None]
+    assert len(misses) >= 2
+    assert result["head"]["tree"] == module.worktree_tree() != module.git("rev-parse", "HEAD^{tree}")
     entry = result["workloads"]["actions"]
-    names = [job.name for job in module.load("jobs", BENCH).actions_jobs(0)]
+    assert set(entry) == {"passes", "peaks"}
     # the in-process passes: at least two timed passes per side, every job's minimum on both sides
     assert entry["passes"]["passes"] >= 2
     for side in ("base", "head"):
@@ -358,18 +323,15 @@ def test_bench_pairs_records_both_parts_of_a_workload(monkeypatch, capsys):
         assert line == (f"actions {name}: minimum base {base_min * 1e3:.3f} ms head {head_min * 1e3:.3f} ms "
                         f"({head_min / base_min - 1.0:+.1%}), peak base {peaks['base'][name]:.3f} MiB head "
                         f"{peaks['head'][name]:.3f} MiB ({peaks['change'][name]:+.1%})")
-    # each side's package size, as wc -l counts the lines of its src/multisymp/*.py
-    assert result["src_lines"] == {side: sum(text.count(b"\n") for text in files.values())
-                                   for side, files in zip(("base", "head"), sources)}
-    assert f"src/multisymp lines: base {result['src_lines']['base']} head {result['src_lines']['head']}" in printed
-    # the process pair: both sides' end-to-end metrics, summarized per metric
-    assert len(entry["pairs"]) == 1 and entry["pairs"][0]["first"] == "base"
-    assert set(entry["summary"]) == {"wall_s", "setup_s", "peak_rss_mb", "ok_frac"}
-    assert entry["pairs"][0]["head"]["metrics"]["ok_frac"] == entry["pairs"][0]["base"]["metrics"]["ok_frac"]
-    # each side ran its own copy of the package, exported, neither from the checkout
+    # each side's package size, as wc -l counts the lines of its src/multisymp/*.py: the base's committed files and
+    # the head's files as they are, two lines longer
+    committed = sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "multisymp").glob("*.py"))
+    assert result["src_lines"] == {"base": committed, "head": committed + 2}
+    assert f"src/multisymp lines: base {committed} head {committed + 2}" in printed
+    # each side ran its own copy of the package, exported, neither from the checkout nor from the repository
     assert sys.modules["multisymp_base"] is not sys.modules["multisymp_head"]
     for side in ("base", "head"):
-        assert Path(sys.modules[f"multisymp_{side}"].__file__).parent != checkout
+        assert Path(sys.modules[f"multisymp_{side}"].__file__).parents[2].name.startswith("multisymp-rev-")
 
 
 def test_bench_pairs_head_tree_holds_the_working_files(tmp_path, monkeypatch):
@@ -401,9 +363,12 @@ def test_bench_pairs_head_tree_holds_the_working_files(tmp_path, monkeypatch):
 def test_line_trace_names_only_the_lines_that_never_ran(tmp_path):
     source = tmp_path / "traced.py"
     source.write_text(textwrap.dedent("""\
+        import sys
+
+
         def called(x):
             y = x + 1
-            return y
+            return y, sys._getframe().f_trace is not None
 
 
         def uncalled(x):
@@ -415,7 +380,12 @@ def test_line_trace_names_only_the_lines_that_never_ran(tmp_path):
     traced = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced)
     module = load_script("line_trace")
-    result, missed = module.unrun_lines([source], lambda: traced.called(1))
-    assert result == 2
     # the uncalled function's def line and its body, in which the comprehension is a code object of its own
-    assert missed == [f"{source.resolve()}:{line}" for line in (6, 7, 8, 9)]
+    unrun = [f"{source.resolve()}:{line}" for line in (9, 10, 11, 12)]
+    result, missed = module.unrun_lines([source], lambda: traced.called(1))
+    assert result == (2, True)
+    assert missed == unrun
+    # a function every line of which has run is not traced again, and the lines found stay the same
+    result, missed = module.unrun_lines([source], lambda: [traced.called(1), traced.called(2)])
+    assert result == [(2, True), (3, False)]
+    assert missed == unrun
